@@ -55,6 +55,9 @@ from repro.cosim.environment import (
     CoSimResult,
     CoSimTimeout,
     CoSimulation,
+    check_window,
+    next_boundary,
+    no_progress,
 )
 from repro.iss.cpu import HaltReason
 from repro.runapi import RunPolicy
@@ -104,7 +107,7 @@ class _LaneState:
         self.window = window
         # absolute-aligned watchdog boundaries, exactly as the scalar
         # run loop computes them — restore- and segment-transparent
-        self.next_check = cpu.cycle + (window - cpu.cycle % window)
+        self.next_check = next_boundary(cpu.cycle, window)
         self.target = cpu.cycle
         self.evict_at: int | None = None
         self.done = False
@@ -448,14 +451,11 @@ class BatchedCoSimulation:
             if deadline is not None and time.perf_counter() >= deadline:
                 self._thaw_all(activate=False)
                 for lane in running:
-                    cpu = self.sims[lane].cpu
-                    cycles = cpu.cycle - self._st[lane].cycle0
+                    sim = self.sims[lane]
+                    cycles = sim.cpu.cycle - self._st[lane].cycle0
                     self._st[lane].done = True
                     self._timeouts[lane] = CoSimTimeout(
-                        f"co-simulation exceeded its {wall_timeout_s:.3f}s "
-                        f"wall-clock budget after {cycles} cycles at "
-                        f"pc={cpu.pc:#010x}"
-                    )
+                        sim._timeout_message(wall_timeout_s, cycles))
                     batched.deactivate(lane)
                 return
 
@@ -478,7 +478,8 @@ class BatchedCoSimulation:
                     batched.deactivate(lane)
                     continue
                 if cpu.cycle >= st.next_check:
-                    if self._no_progress(lane):
+                    if no_progress(cpu.cycle, st.window,
+                                   cpu.stats.last_retire_cycle):
                         self.pending_evictions[lane] = "deadlock watchdog"
                         if lane in self._frozen:
                             self._thaw(lane, activate=False)
@@ -492,18 +493,6 @@ class BatchedCoSimulation:
                     continue
                 still.append(lane)
             running = still
-
-    def _no_progress(self, lane: int) -> bool:
-        """The scalar watchdog tripwire, per lane: boundary at an
-        absolute multiple of the window, with the first-boundary grace.
-        """
-        st = self._st[lane]
-        cpu = self.sims[lane].cpu
-        boundary = cpu.cycle
-        return (
-            boundary >= 2 * st.window
-            and cpu.stats.last_retire_cycle <= boundary - st.window
-        )
 
     # ------------------------------------------------------------------
     # Vectorized fast-forward support
@@ -614,12 +603,11 @@ class BatchedCoSimulation:
         else:
             budgets = [policy.budget(until)] * self.n
         if policy.deadlock_window is not None:
-            if policy.deadlock_window < 1:
-                raise ValueError("deadlock_window must be >= 1")
+            window = check_window(policy.deadlock_window)
             for lane, st in enumerate(self._st):
-                st.window = policy.deadlock_window
-                cycle = self.sims[lane].cpu.cycle
-                st.next_check = cycle + (st.window - cycle % st.window)
+                st.window = window
+                st.next_check = next_boundary(self.sims[lane].cpu.cycle,
+                                              window)
         self._budgets = budgets
         self._policy = policy
 

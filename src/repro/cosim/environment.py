@@ -1,33 +1,49 @@
 """The co-simulation engine.
 
-``CoSimulation`` advances the processor and the hardware model in
-lock-step, one clock cycle at a time, exactly as the paper's
-environment does under its single-frequency constraint ("the operating
-frequencies of the processor, the two LMB interface controllers and the
-customized hardware peripherals are set at 50 MHz").
+One lock-step run kernel advances a list of processors and a list of
+hardware models together, one clock cycle at a time, exactly as the
+paper's environment does under its single-frequency constraint ("the
+operating frequencies of the processor, the two LMB interface
+controllers and the customized hardware peripherals are set at
+50 MHz").  ``CoSimulation`` is its K=1 case: one CPU coupled to one
+hardware model (plus optional extra models) over FSL channels;
+:class:`~repro.cosim.multicpu.MultiCoSimulation` is its K-CPU case.
+Both share every piece of run policy — fast-forward, the watchdog, the
+wall-clock budget, verify mode, ``RunPolicy`` resolution, reset and
+result building — and differ only in how their clock is read, their
+result type and the text of their deadlock/timeout messages.
 
 Per cycle:
 
-1. the CPU ticks (may push/pop FSL words, or stall on a blocking
-   access),
-2. the hardware model steps (FSLRead/FSLWrite blocks see the FIFO
+1. every running CPU ticks (may push/pop FSL words, or stall on a
+   blocking access),
+2. every hardware model steps (FSLRead/FSLWrite blocks see the FIFO
    state and produce/consume words at the clock edge).
 
 Fast-forward kernel
 -------------------
 Cycle accuracy only has to be *observed* at interface events (FSL
 transfers, MMIO, instruction issue); in between, both worlds evolve
-trivially.  When the CPU is occupying a multi-cycle instruction or is
-blocked on an FSL access, and every hardware model reports quiescence
-(:meth:`~repro.sysgen.model.Model.idle_horizon`), :meth:`run` advances
-both clocks by ``min(cpu.advance_horizon(), model.idle_horizon())``
-cycles in one step instead of N ``tick()``/``step()`` round-trips.
-Likewise, while the hardware side is quiescent, per-cycle CPU execution
-skips the (then no-op) ``model.step()``.  All counters, probe samples
-and FSL interleavings stay bit-identical with a per-cycle run; pass
+trivially.  When every running CPU is occupying a multi-cycle
+instruction or is blocked on an FSL access, and every hardware model
+reports quiescence (:meth:`~repro.sysgen.model.Model.idle_horizon`),
+:meth:`CoSimulation.run` advances all clocks by the minimum of
+``cpu.advance_horizon()`` and ``model.idle_horizon()`` in one step
+instead of N ``tick()``/``step()`` round-trips.  Likewise, while the
+hardware side is quiescent, per-cycle CPU execution skips the (then
+no-op) ``model.step()``.  All counters, probe samples and FSL
+interleavings stay bit-identical with a per-cycle run; pass
 ``fast_forward=False`` to force the classic loop, or
 ``verify_fast_forward=True`` to cross-check every skip against
 per-cycle execution (debug mode).
+
+Phase profiling
+---------------
+An enabled :class:`~repro.telemetry.profile.PhaseTimer` times this same
+loop: for the length of ``run()`` it wraps the loop's callees on the
+simulation's own CPU and model instances (``tick`` → CPU step,
+``step`` → block step, the horizon queries and bulk advances →
+fast-forward scan).  With phases off the loop reads no clock per cycle.
 
 Hardware execution engine
 -------------------------
@@ -56,10 +72,11 @@ import time
 from dataclasses import dataclass
 
 from repro.asm.linker import Program
+from repro.bus.fsl import FSLChannel
 from repro.cosim.mb_block import MicroBlazeBlock
 from repro.iss.cpu import ADVANCE_FOREVER, CPU, CPUConfig, HaltReason
-from repro.iss.run import make_cpu
-from repro.runapi import RunOutcome, RunPolicy, deprecated_once
+from repro.iss.run import make_cpu, reload_cpu
+from repro.runapi import RunOutcome, RunPolicy
 from repro.runapi.engine import (
     ENGINES,
     SCALAR_ENGINES,
@@ -74,7 +91,6 @@ from repro.telemetry.events import (
     FAST_FORWARD,
     TelemetryEvent,
 )
-from repro.telemetry.profile import PhaseTimer
 
 
 class CoSimDeadlock(RuntimeError):
@@ -94,14 +110,14 @@ class FastForwardError(RuntimeError):
 
 class CoSimTimeout(RuntimeError):
     """A run exceeded its wall-clock budget (see :func:`run_timeout` /
-    the ``wall_timeout_s`` argument of :meth:`CoSimulation.run`).  The
-    sweep engine records this as a per-point ``timeout`` status instead
-    of letting one pathological design point stall a whole sweep."""
+    ``RunPolicy(wall_timeout_s=...)``).  The sweep engine records this
+    as a per-point ``timeout`` status instead of letting one
+    pathological design point stall a whole sweep."""
 
 
 #: process-wide default wall-clock budget applied to every
-#: :meth:`CoSimulation.run` that is not given an explicit
-#: ``wall_timeout_s`` — set via the :func:`run_timeout` context manager.
+#: :meth:`CoSimulation.run` whose policy gives no ``wall_timeout_s`` —
+#: set via the :func:`run_timeout` context manager.
 _default_wall_timeout: float | None = None
 
 
@@ -124,6 +140,35 @@ def run_timeout(seconds: float | None):
         yield
     finally:
         _default_wall_timeout = prev
+
+
+# ----------------------------------------------------------------------
+# Watchdog arithmetic, shared with the batched engine
+# ----------------------------------------------------------------------
+def check_window(window: int) -> int:
+    """Validate a deadlock-watchdog window."""
+    if window < 1:
+        raise ValueError("deadlock_window must be >= 1")
+    return window
+
+
+def next_boundary(cycle: int, window: int) -> int:
+    """The first watchdog boundary after absolute ``cycle``.
+
+    Boundaries land on *absolute* multiples of the window, so a
+    checkpoint-restored continuation checks at exactly the cycles an
+    uninterrupted run would — deadlock detection (and the fast-forward
+    skip boundaries it caps) is restore-transparent.
+    """
+    return cycle + window - cycle % window
+
+
+def no_progress(boundary: int, window: int, last_retire: int) -> bool:
+    """Watchdog tripwire at absolute cycle ``boundary`` (a multiple of
+    ``window``): nothing retired in the last full window.
+    ``boundary >= 2 * window`` preserves the historical grace of never
+    tripping the very first boundary of a fresh simulation."""
+    return boundary >= 2 * window and last_retire <= boundary - window
 
 
 @dataclass
@@ -191,8 +236,331 @@ class CoSimResult(RunOutcome):
         return self.simulated_seconds * 1e6
 
 
-class CoSimulation:
+class LockstepKernel:
+    """The one lock-step run loop over a list of CPUs and a list of
+    hardware models (see the module docstring).
+
+    A subclass calls :meth:`_resolve_engine`, builds its CPUs, calls
+    :meth:`_init_kernel`, and supplies only what really differs:
+
+    * ``_read_clock()`` — the global clock a run starts from;
+    * ``_attach_telemetry(telemetry)`` — which clock event timestamps
+      read;
+    * ``_result(per_cpu, cycles, wall)`` — its result type;
+    * ``_timeout_message(budget, cycles)`` and
+      ``_deadlock_message(window)`` — its exception texts;
+    * ``all_channels()`` — every FSL FIFO it owns.
+    """
+
+    #: cycles without a single retired instruction before declaring
+    #: deadlock.  FIFO-depth-bounded waits resolve within tens of
+    #: cycles, so this leaves orders of magnitude of slack.
+    DEADLOCK_WINDOW = 16_384
+
+    #: the ``engine="batched"`` rejection text
+    _BATCHED_HINT = ""
+
+    def _resolve_engine(self, engine: str) -> None:
+        if engine not in ENGINES:
+            raise EngineError(
+                f"unknown engine {engine!r}; expected one of "
+                f"{', '.join(ENGINES)}"
+            )
+        if engine == "auto":
+            # An ambient "batched" request is advisory: harnesses that
+            # can batch honor it, a scalar construction stays "auto".
+            ambient = current_engine()
+            if ambient in SCALAR_ENGINES:
+                engine = ambient
+        if engine == "batched":
+            raise EngineError(self._BATCHED_HINT)
+        self.engine_request = engine
+
+    def _init_kernel(
+        self,
+        programs: list[Program],
+        cpus: list[CPU],
+        models: list[Model],
+        *,
+        fast_forward: bool,
+        verify_fast_forward: bool,
+        deadlock_window: int | None,
+        telemetry: Telemetry | None,
+    ) -> None:
+        self._programs = programs
+        self.cpus = cpus
+        self._models = models
+        self.fast_forward = fast_forward
+        self.verify_fast_forward = verify_fast_forward
+        for model in models:
+            if self.engine_request in SCALAR_ENGINES:
+                model.set_engine(self.engine_request)
+            model.compile()
+        # CPU stores reach hardware state directly only through
+        # OPB-mapped register banks; when none exist, stores cannot
+        # disturb a quiescent model and need not invalidate idleness.
+        self._stores_touch_hw = any(
+            hasattr(block, "opb_write")
+            for m in models
+            for block in m.blocks
+        )
+        if deadlock_window is not None:
+            # Instance attribute shadows the class-level default.
+            self.DEADLOCK_WINDOW = check_window(deadlock_window)
+        #: the global clock the run loop advances (see _read_clock)
+        self._cycle = 0
+        self.telemetry = telemetry if telemetry is not None \
+            else current_telemetry()
+        if self.telemetry is not None:
+            self._attach_telemetry(self.telemetry)
+
+    def channel_occupancies(self) -> dict[str, int]:
+        """Current FIFO occupancy per channel, keyed by channel name."""
+        return {ch.name: ch.occupancy for ch in self.all_channels()}
+
+    # -- the run loop ---------------------------------------------------
+    def _run(self, until: int | None, policy: RunPolicy | None):
+        """Resolve ``policy`` against the configured defaults (for this
+        call only) and run the loop, phase-timed when an enabled
+        :class:`~repro.telemetry.profile.PhaseTimer` is attached."""
+        if policy is None:
+            policy = RunPolicy()
+        fast = (self.fast_forward if policy.fast_forward is None
+                else policy.fast_forward)
+        verify = (self.verify_fast_forward
+                  if policy.verify_fast_forward is None
+                  else policy.verify_fast_forward)
+        window = (self.DEADLOCK_WINDOW if policy.deadlock_window is None
+                  else check_window(policy.deadlock_window))
+        wall_timeout_s = policy.wall_timeout_s
+        if wall_timeout_s is None:
+            wall_timeout_s = _default_wall_timeout
+        args = (policy.budget(until), wall_timeout_s, fast or verify,
+                verify, window)
+        phases = self.telemetry.phases if self.telemetry is not None \
+            else None
+        if phases is not None and phases.enabled:
+            with phases.timing(self.cpus, self._models):
+                return self._loop(*args)
+        return self._loop(*args)
+
+    def _loop(self, max_cycles: int, wall_timeout_s: float | None,
+              fast: bool, verify: bool, window: int):
+        events = self.telemetry.bus if self.telemetry is not None else None
+        cpus = self.cpus
+        models = self._models
+        stores_touch_hw = self._stores_touch_hw
+
+        start = time.perf_counter()
+        deadline = None if wall_timeout_s is None else start + wall_timeout_s
+        cycles = 0
+        cycle0 = self._cycle = self._read_clock()
+        next_check = next_boundary(cycle0, window) - cycle0
+        baseline = [
+            (cpu.cycle, cpu.stats.instructions, cpu.stats.stall_cycles)
+            for cpu in cpus
+        ]
+        active = [cpu for cpu in cpus if not cpu.halted]
+
+        # Cached hardware quiescence: once every model is at a fixed
+        # point it stays there until a CPU completes an FSL transfer
+        # (or an OPB store lands), so the O(blocks) idle_horizon walk
+        # runs once per busy/blocked episode, not once per cycle.
+        # ``activity`` snapshots that CPU activity when the cache arms.
+        hw_idle = False
+        activity = 0
+
+        while active and cycles < max_cycles:
+            if fast:
+                if hw_idle:
+                    hw_horizon = ADVANCE_FOREVER
+                else:
+                    # IDLE_FOREVER and ADVANCE_FOREVER share a value, so
+                    # one min covers both finite and unbounded horizons.
+                    hw_horizon = ADVANCE_FOREVER
+                    for m in models:
+                        h = m.idle_horizon()
+                        if h < hw_horizon:
+                            hw_horizon = h
+                    if hw_horizon >= ADVANCE_FOREVER:
+                        hw_idle = True
+                        activity = _hw_activity(cpus, stores_touch_hw)
+                if hw_horizon > 0:
+                    skip = min(hw_horizon, next_check - cycles,
+                               max_cycles - cycles)
+                    for cpu in active:
+                        h = cpu.advance_horizon()
+                        if h < skip:
+                            skip = h
+                    if skip > 0:
+                        if verify:
+                            self._skip_checked(skip, active)
+                        else:
+                            for cpu in active:
+                                cpu.advance(skip)
+                            for m in models:
+                                m.fast_forward(skip)
+                        cycles += skip
+                        self._cycle += skip
+                        if events is not None:
+                            # Condensed stand-in for the skipped window
+                            # so exported traces stay cycle-faithful.
+                            events.emit(TelemetryEvent(
+                                FAST_FORWARD, self._cycle, COSIM_TRACK, skip
+                            ))
+                        if cycles >= next_check:
+                            self._watchdog(cycles, window, active, deadline,
+                                           wall_timeout_s)
+                            next_check = cycles + window
+                        continue
+            halted = False
+            for cpu in active:
+                cpu.tick()
+                if cpu.halted:
+                    halted = True
+            if hw_idle and _hw_activity(cpus, stores_touch_hw) != activity:
+                hw_idle = False
+            if hw_idle and not verify:
+                # The models are frozen: advancing their clocks is all
+                # a step() would do.
+                for m in models:
+                    m.fast_forward(1)
+            else:
+                for m in models:
+                    m.step()
+            cycles += 1
+            self._cycle += 1
+            if halted:
+                active = [cpu for cpu in active if not cpu.halted]
+            if cycles >= next_check:
+                self._watchdog(cycles, window, active, deadline,
+                               wall_timeout_s)
+                next_check = cycles + window
+
+        return self._finish(start, baseline, self._cycle - cycle0)
+
+    def _watchdog(self, cycles: int, window: int, active: list[CPU],
+                  deadline: float | None, budget: float | None) -> None:
+        """The bounded-cadence checks at a watchdog boundary: the wall
+        budget, then progress of the running CPUs (their local clocks
+        equal the global clock, so the comparison is exact)."""
+        if deadline is not None and time.perf_counter() >= deadline:
+            raise CoSimTimeout(self._timeout_message(budget, cycles))
+        if active and no_progress(
+            self._cycle, window,
+            max(cpu.stats.last_retire_cycle for cpu in active),
+        ):
+            if self.telemetry is not None:
+                self.telemetry.bus.emit(TelemetryEvent(
+                    DEADLOCK, self._cycle, COSIM_TRACK, self.cpus[0].pc
+                ))
+            raise CoSimDeadlock(self._deadlock_message(window))
+
+    def _skip_checked(self, skip: int, active: list[CPU]) -> None:
+        """verify_fast_forward mode: execute a would-be skipped window
+        per-cycle and prove it was quiescent — no CPU issued and no
+        model moved."""
+        models = self._models
+        instr_before = [cpu.stats.instructions for cpu in active]
+        snapshot = [
+            (
+                m,
+                [(p, len(p.samples), p.port.value) for p in m.probes],
+                [
+                    (b, {k: o.value for k, o in b.outputs.items()})
+                    for b in m.blocks
+                ],
+            )
+            for m in models
+        ]
+        for _ in range(skip):
+            for cpu in active:
+                cpu.tick()
+            for m in models:
+                m.step()
+        for cpu, before in zip(active, instr_before):
+            if cpu.stats.instructions != before:
+                raise FastForwardError(
+                    f"{cpu.track}: an instruction retired inside a "
+                    f"{skip}-cycle fast-forward window"
+                )
+        for m, probes, blocks in snapshot:
+            for probe, n0, value in probes:
+                tail = probe.samples[n0:]
+                if len(tail) != skip or any(s != value for s in tail):
+                    raise FastForwardError(
+                        f"probe {probe.name!r} changed during a "
+                        f"fast-forward window of model {m.name!r}"
+                    )
+            for block, outs in blocks:
+                now = {k: o.value for k, o in block.outputs.items()}
+                if now != outs:
+                    raise FastForwardError(
+                        f"block {block.name!r} outputs changed during a "
+                        f"fast-forward window "
+                        f"(idle_horizon over-promised): {outs} -> {now}"
+                    )
+
+    def _finish(self, start: float, baseline: list[tuple[int, int, int]],
+                cycles: int):
+        wall = time.perf_counter() - start
+        per_cpu = []
+        for cpu, (cycle0, instr0, stall0) in zip(self.cpus, baseline):
+            if not cpu.halted:
+                cpu.halted = True
+                cpu.halt_reason = HaltReason.MAX_CYCLES
+            run_cycles = cpu.cycle - cycle0
+            per_cpu.append(CoSimResult(
+                exit_code=cpu.exit_code,
+                cycles=run_cycles,
+                instructions=cpu.stats.instructions - instr0,
+                stall_cycles=cpu.stats.stall_cycles - stall0,
+                wall_seconds=wall,
+                simulated_seconds=run_cycles / cpu.config.frequency_hz,
+                halt_reason=cpu.halt_reason,
+            ))
+        return self._result(per_cpu, cycles, wall)
+
+    # -- reuse ------------------------------------------------------------
+    def reset(self) -> None:
+        """Return the whole system to its freshly constructed state:
+        per-CPU architectural reset (each clears its own sticky
+        ``fsl.error``) with BRAM zeroed and the program image reloaded,
+        every model reset, every FIFO and its statistics cleared — a
+        re-run must be byte-identical to a fresh simulation's."""
+        self._cycle = 0
+        for cpu, program in zip(self.cpus, self._programs):
+            reload_cpu(cpu, program)
+        for m in self._models:
+            m.reset()
+        for channel in self.all_channels():
+            channel.reset(reset_stats=True)
+        if self.telemetry is not None:
+            # A re-run must report only its own events/metrics, exactly
+            # like a fresh simulation would.
+            self.telemetry.reset()
+
+
+def _hw_activity(cpus: list[CPU], stores_touch_hw: bool) -> int:
+    """Monotonic count of CPU activity that can reach the hardware:
+    FSL transfers, plus stores when OPB-mapped registers exist."""
+    total = 0
+    for cpu in cpus:
+        stats = cpu.stats
+        total += stats.fsl_puts + stats.fsl_gets
+        if stores_touch_hw:
+            total += stats.stores
+    return total
+
+
+class CoSimulation(LockstepKernel):
     """Couples one CPU with one hardware model over FSL channels."""
+
+    _BATCHED_HINT = (
+        "engine='batched' runs N whole simulations in lockstep; "
+        "construct a repro.cosim.batch.BatchedCoSimulation (or "
+        "pass --batch to mb32-dse / mb32-faultsim) instead"
+    )
 
     def __init__(
         self,
@@ -240,58 +608,20 @@ class CoSimulation:
         self.model = model
         self.mb_block = mb_block
         self.extra_models = list(extra_models or [])
-        self.fast_forward = fast_forward
-        self.verify_fast_forward = verify_fast_forward
-        if engine not in ENGINES:
-            raise EngineError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(ENGINES)}"
-            )
-        if engine == "auto":
-            # An ambient "batched" request is advisory: harnesses that
-            # can batch honor it, a scalar construction stays "auto".
-            ambient = current_engine()
-            if ambient in SCALAR_ENGINES:
-                engine = ambient
-        if engine == "batched":
-            raise EngineError(
-                "engine='batched' runs N whole simulations in lockstep; "
-                "construct a repro.cosim.batch.BatchedCoSimulation (or "
-                "pass --batch to mb32-dse / mb32-faultsim) instead"
-            )
-        self.engine_request = engine
+        self._resolve_engine(engine)
         self.cpu: CPU = make_cpu(
             program,
             config=cpu_config,
             fsl=mb_block.fsl_ports,
             memory_size=memory_size,
         )
-        if engine in SCALAR_ENGINES:
-            self.model.set_engine(engine)
-            for extra in self.extra_models:
-                extra.set_engine(engine)
-        self.model.compile()
-        for extra in self.extra_models:
-            extra.compile()
-        self._models: list[Model] = [self.model, *self.extra_models]
-        # CPU stores reach hardware state directly only through
-        # OPB-mapped register banks; when none exist, stores cannot
-        # disturb a quiescent model and need not invalidate idleness.
-        self._stores_touch_hw = any(
-            hasattr(block, "opb_write")
-            for m in self._models
-            for block in m.blocks
+        self._init_kernel(
+            [program], [self.cpu], [model, *self.extra_models],
+            fast_forward=fast_forward,
+            verify_fast_forward=verify_fast_forward,
+            deadlock_window=deadlock_window,
+            telemetry=telemetry,
         )
-        if deadlock_window is not None:
-            if deadlock_window < 1:
-                raise ValueError("deadlock_window must be >= 1")
-            # Instance attribute shadows the class-level default; run()
-            # reads self.DEADLOCK_WINDOW.
-            self.DEADLOCK_WINDOW = deadlock_window
-        self.telemetry = telemetry if telemetry is not None \
-            else current_telemetry()
-        if self.telemetry is not None:
-            self._attach_telemetry(self.telemetry)
 
     def _attach_telemetry(self, telemetry: Telemetry) -> None:
         telemetry.attach_cpu(self.cpu)
@@ -301,6 +631,14 @@ class CoSimulation:
         for m in self._models:
             for block in m.blocks:
                 telemetry.attach_block(block, clock)
+
+    def _read_clock(self) -> int:
+        # K=1: the global clock is the CPU's own cycle counter.
+        return self.cpu.cycle
+
+    def all_channels(self) -> tuple[FSLChannel, ...]:
+        """Every FSL FIFO of the simulation (the interface block's)."""
+        return self.mb_block.channels()
 
     # ------------------------------------------------------------------
     def step(self, cycles: int = 1) -> None:
@@ -317,18 +655,11 @@ class CoSimulation:
             for m in models:
                 m.step()
 
-    #: cycles without a single retired instruction before declaring
-    #: deadlock.  FIFO-depth-bounded waits resolve within tens of
-    #: cycles, so this leaves orders of magnitude of slack.
-    DEADLOCK_WINDOW = 16_384
-
     def run(
         self,
         until: int | None = None,
         *,
         policy: RunPolicy | None = None,
-        max_cycles: int | None = None,
-        wall_timeout_s: float | None = None,
     ) -> CoSimResult:
         """Run until the software exits (or the cycle budget).
 
@@ -340,349 +671,27 @@ class CoSimulation:
 
         Raises :class:`CoSimDeadlock` when the processor is blocked on
         FSL with no progress for :attr:`DEADLOCK_WINDOW` cycles, and
-        :class:`CoSimTimeout` when the wall-clock budget (policy,
-        deprecated ``wall_timeout_s`` keyword, or the ambient
-        :func:`run_timeout` budget) is exceeded; both are checked at
-        the same :attr:`DEADLOCK_WINDOW`-bounded cadence.
-
-        The ``max_cycles=`` and ``wall_timeout_s=`` keywords are
-        deprecated spellings (each warns once) of ``until=`` and
-        ``policy=RunPolicy(wall_timeout_s=...)``.
+        :class:`CoSimTimeout` when the wall-clock budget (policy, or
+        the ambient :func:`run_timeout` budget) is exceeded; both are
+        checked at the same :attr:`DEADLOCK_WINDOW`-bounded cadence.
         """
-        if max_cycles is not None:
-            deprecated_once(
-                "CoSimulation.run.max_cycles",
-                "CoSimulation.run(max_cycles=...) is deprecated; pass the "
-                "cycle budget as run(until=...)",
-            )
-            if until is None:
-                until = max_cycles
-        if wall_timeout_s is not None:
-            deprecated_once(
-                "CoSimulation.run.wall_timeout_s",
-                "CoSimulation.run(wall_timeout_s=...) is deprecated; use "
-                "run(policy=RunPolicy(wall_timeout_s=...))",
-            )
-        if policy is None:
-            policy = RunPolicy()
-        if policy.wall_timeout_s is not None:
-            wall_timeout_s = policy.wall_timeout_s
-        budget = policy.budget(until)
+        return self._run(until, policy)
 
-        override = (policy.fast_forward is not None
-                    or policy.verify_fast_forward is not None
-                    or policy.deadlock_window is not None)
-        if not override:
-            return self._run(budget, wall_timeout_s)
-        saved_ff = self.fast_forward
-        saved_vff = self.verify_fast_forward
-        had_window = "DEADLOCK_WINDOW" in self.__dict__
-        saved_window = self.DEADLOCK_WINDOW
-        if policy.fast_forward is not None:
-            self.fast_forward = policy.fast_forward
-        if policy.verify_fast_forward is not None:
-            self.verify_fast_forward = policy.verify_fast_forward
-        if policy.deadlock_window is not None:
-            if policy.deadlock_window < 1:
-                raise ValueError("deadlock_window must be >= 1")
-            self.DEADLOCK_WINDOW = policy.deadlock_window
-        try:
-            return self._run(budget, wall_timeout_s)
-        finally:
-            self.fast_forward = saved_ff
-            self.verify_fast_forward = saved_vff
-            if policy.deadlock_window is not None:
-                if had_window:
-                    self.DEADLOCK_WINDOW = saved_window
-                else:
-                    del self.__dict__["DEADLOCK_WINDOW"]
+    def _result(self, per_cpu: list[CoSimResult], cycles: int,
+                wall: float) -> CoSimResult:
+        return per_cpu[0]
 
-    def _run(
-        self,
-        max_cycles: int,
-        wall_timeout_s: float | None,
-    ) -> CoSimResult:
-        """The undecorated run loop (budget and wall timeout already
-        resolved by :meth:`run`)."""
-        telemetry = self.telemetry
-        if (telemetry is not None and telemetry.phases is not None
-                and telemetry.phases.enabled):
-            return self._run_timed(max_cycles, wall_timeout_s)
-        events = telemetry.bus if telemetry is not None else None
-        cpu = self.cpu
-        models = self._models
-        stats = cpu.stats
-        fast = self.fast_forward or self.verify_fast_forward
-        verify = self.verify_fast_forward
-        stores_touch_hw = self._stores_touch_hw
-        if wall_timeout_s is None:
-            wall_timeout_s = _default_wall_timeout
-
-        start = time.perf_counter()
-        deadline = None if wall_timeout_s is None else start + wall_timeout_s
-        cycles = 0
-        window = self.DEADLOCK_WINDOW
-        cycle0 = cpu.cycle
-        # Watchdog checks land on *absolute* multiples of the window and
-        # trip on persisted CPU state (stats.last_retire_cycle), so a
-        # checkpoint-restored continuation checks at exactly the cycles
-        # an uninterrupted run would — deadlock detection (and the
-        # fast-forward skip boundaries it caps) is restore-transparent.
-        next_check = window - cycle0 % window
-        instr0 = stats.instructions
-        stall0 = stats.stall_cycles
-
-        # Cached hardware quiescence: once every model is at a fixed
-        # point it stays there until the CPU completes an FSL transfer
-        # (or an OPB store lands), so the O(blocks) idle_horizon walk
-        # runs once per busy/blocked episode, not once per cycle.
-        hw_idle = False
-        fsl_ops = stats.fsl_puts + stats.fsl_gets
-        stores = stats.stores
-
-        while not cpu.halted and cycles < max_cycles:
-            if fast:
-                if hw_idle:
-                    hw_horizon = ADVANCE_FOREVER
-                else:
-                    # IDLE_FOREVER and ADVANCE_FOREVER share a value, so
-                    # one min covers both finite and unbounded horizons.
-                    hw_horizon = min(m.idle_horizon() for m in models)
-                    hw_idle = hw_horizon >= ADVANCE_FOREVER
-                if hw_horizon > 0:
-                    skip = min(
-                        cpu.advance_horizon(),
-                        hw_horizon,
-                        next_check - cycles,
-                        max_cycles - cycles,
-                    )
-                    if skip > 0:
-                        if verify:
-                            self._skip_checked(skip)
-                        else:
-                            cpu.advance(skip)
-                            for m in models:
-                                m.fast_forward(skip)
-                        cycles += skip
-                        if events is not None:
-                            # Condensed stand-in for the skipped window
-                            # so exported traces stay cycle-faithful.
-                            events.emit(TelemetryEvent(
-                                FAST_FORWARD, cpu.cycle, COSIM_TRACK, skip
-                            ))
-                        if cycles >= next_check:
-                            if deadline is not None and \
-                                    time.perf_counter() >= deadline:
-                                self._raise_timeout(wall_timeout_s, cycles)
-                            if self._no_progress(cycle0 + cycles, window):
-                                self._raise_deadlock(window)
-                            next_check = cycles + window
-                        continue
-            cpu.tick()
-            if hw_idle:
-                ops = stats.fsl_puts + stats.fsl_gets
-                if ops != fsl_ops or (
-                    stores_touch_hw and stats.stores != stores
-                ):
-                    hw_idle = False
-                fsl_ops = ops
-                stores = stats.stores
-                if hw_idle and not verify:
-                    # The models are frozen: advancing their clocks is
-                    # all a step() would do.
-                    for m in models:
-                        m.fast_forward(1)
-                else:
-                    for m in models:
-                        m.step()
-            else:
-                for m in models:
-                    m.step()
-                fsl_ops = stats.fsl_puts + stats.fsl_gets
-                stores = stats.stores
-            cycles += 1
-            if cycles >= next_check:
-                if deadline is not None and time.perf_counter() >= deadline:
-                    self._raise_timeout(wall_timeout_s, cycles)
-                if self._no_progress(cycle0 + cycles, window):
-                    self._raise_deadlock(window)
-                next_check = cycles + window
-
-        return self._finish(start, cycle0, instr0, stall0)
-
-    def _no_progress(self, boundary: int, window: int) -> bool:
-        """Watchdog tripwire at absolute cycle ``boundary`` (a multiple
-        of ``window``): no instruction issued in the last full window.
-        ``boundary >= 2 * window`` preserves the historical grace of
-        never tripping the very first boundary of a fresh simulation."""
+    def _timeout_message(self, budget: float, cycles: int) -> str:
         return (
-            boundary >= 2 * window
-            and self.cpu.stats.last_retire_cycle <= boundary - window
-        )
-
-    def _finish(self, start: float, cycle0: int, instr0: int,
-                stall0: int) -> CoSimResult:
-        wall = time.perf_counter() - start
-        cpu = self.cpu
-        stats = cpu.stats
-        if not cpu.halted:
-            cpu.halted = True
-            cpu.halt_reason = HaltReason.MAX_CYCLES
-        run_cycles = cpu.cycle - cycle0
-        return CoSimResult(
-            exit_code=cpu.exit_code,
-            cycles=run_cycles,
-            instructions=stats.instructions - instr0,
-            stall_cycles=stats.stall_cycles - stall0,
-            wall_seconds=wall,
-            simulated_seconds=run_cycles / cpu.config.frequency_hz,
-            halt_reason=cpu.halt_reason,
-        )
-
-    def _run_timed(
-        self,
-        max_cycles: int,
-        wall_timeout_s: float | None,
-    ) -> CoSimResult:
-        """Phase-instrumented twin of the :meth:`run` loop.
-
-        Used only when the attached telemetry has an enabled
-        :class:`~repro.telemetry.profile.PhaseTimer`, so the plain loop
-        stays free of timing calls.  Observables (cycles, statistics,
-        FSL interleavings, telemetry events) are identical to
-        :meth:`run`; the hardware-idle caching shortcut is dropped here
-        because per-phase timers want the real per-phase costs.
-        """
-        telemetry = self.telemetry
-        assert telemetry is not None and telemetry.phases is not None
-        timer = telemetry.phases
-        events = telemetry.bus
-        cpu = self.cpu
-        models = self._models
-        stats = cpu.stats
-        fast = self.fast_forward or self.verify_fast_forward
-        verify = self.verify_fast_forward
-        if wall_timeout_s is None:
-            wall_timeout_s = _default_wall_timeout
-        perf = time.perf_counter
-        start = perf()
-        deadline = None if wall_timeout_s is None else start + wall_timeout_s
-        cycles = 0
-        window = self.DEADLOCK_WINDOW
-        cycle0 = cpu.cycle
-        next_check = window - cycle0 % window  # absolute-aligned (see run)
-        instr0 = stats.instructions
-        stall0 = stats.stall_cycles
-
-        while not cpu.halted and cycles < max_cycles:
-            if fast:
-                t0 = perf()
-                hw_horizon = min(m.idle_horizon() for m in models)
-                skip = 0
-                if hw_horizon > 0:
-                    skip = min(
-                        cpu.advance_horizon(),
-                        hw_horizon,
-                        next_check - cycles,
-                        max_cycles - cycles,
-                    )
-                if skip > 0:
-                    if verify:
-                        self._skip_checked(skip)
-                    else:
-                        cpu.advance(skip)
-                        for m in models:
-                            m.fast_forward(skip)
-                    timer.add(PhaseTimer.FAST_FORWARD_SCAN, perf() - t0)
-                    cycles += skip
-                    events.emit(TelemetryEvent(
-                        FAST_FORWARD, cpu.cycle, COSIM_TRACK, skip
-                    ))
-                    if cycles >= next_check:
-                        if deadline is not None and perf() >= deadline:
-                            self._raise_timeout(wall_timeout_s, cycles)
-                        if self._no_progress(cycle0 + cycles, window):
-                            self._raise_deadlock(window)
-                        next_check = cycles + window
-                    continue
-                timer.add(PhaseTimer.FAST_FORWARD_SCAN, perf() - t0)
-            t0 = perf()
-            cpu.tick()
-            t1 = perf()
-            for m in models:
-                m.step()
-            t2 = perf()
-            timer.add(PhaseTimer.CPU_STEP, t1 - t0)
-            timer.add(PhaseTimer.BLOCK_STEP, t2 - t1)
-            cycles += 1
-            if cycles >= next_check:
-                if deadline is not None and perf() >= deadline:
-                    self._raise_timeout(wall_timeout_s, cycles)
-                if self._no_progress(cycle0 + cycles, window):
-                    self._raise_deadlock(window)
-                next_check = cycles + window
-
-        return self._finish(start, cycle0, instr0, stall0)
-
-    # ------------------------------------------------------------------
-    def _skip_checked(self, skip: int) -> None:
-        """verify_fast_forward mode: execute a would-be skipped window
-        per-cycle and prove it was quiescent."""
-        cpu = self.cpu
-        instr_before = cpu.stats.instructions
-        snapshot = [
-            (
-                m,
-                m.cycle,
-                [(p, len(p.samples), p.port.value) for p in m.probes],
-                [
-                    (b, {k: o.value for k, o in b.outputs.items()})
-                    for b in m.blocks
-                ],
-            )
-            for m in self._models
-        ]
-        for _ in range(skip):
-            cpu.tick()
-            for m in self._models:
-                m.step()
-        if cpu.stats.instructions != instr_before:
-            raise FastForwardError(
-                f"an instruction retired inside a {skip}-cycle "
-                "fast-forward window"
-            )
-        for m, cycle0, probes, blocks in snapshot:
-            for probe, n0, value in probes:
-                tail = probe.samples[n0:]
-                if len(tail) != skip or any(s != value for s in tail):
-                    raise FastForwardError(
-                        f"probe {probe.name!r} changed during a "
-                        f"fast-forward window of model {m.name!r}"
-                    )
-            for block, outs in blocks:
-                now = {k: o.value for k, o in block.outputs.items()}
-                if now != outs:
-                    raise FastForwardError(
-                        f"block {block.name!r} outputs changed during a "
-                        f"fast-forward window "
-                        f"(idle_horizon over-promised): {outs} -> {now}"
-                    )
-
-    def _raise_timeout(self, budget: float, cycles: int) -> None:
-        raise CoSimTimeout(
             f"co-simulation exceeded its {budget:.3f}s wall-clock budget "
             f"after {cycles} cycles at pc={self.cpu.pc:#010x}"
         )
 
-    def _raise_deadlock(self, window: int) -> None:
-        if self.telemetry is not None:
-            self.telemetry.bus.emit(TelemetryEvent(
-                DEADLOCK, self.cpu.cycle, COSIM_TRACK, self.cpu.pc
-            ))
-        raise CoSimDeadlock(
+    def _deadlock_message(self, window: int) -> str:
+        return (
             f"no instruction retired in {window} cycles at "
             f"pc={self.cpu.pc:#010x}; FSL occupancies: "
-            f"{self.mb_block.channel_occupancies()}"
+            f"{self.channel_occupancies()}"
         )
 
     # ------------------------------------------------------------------
@@ -720,17 +729,3 @@ class CoSimulation:
         self.mb_block.load_state(state["channels"])
         if self.telemetry is not None and "telemetry" in state:
             self.telemetry.load_state(state["telemetry"])
-
-    def reset(self) -> None:
-        """Reset CPU, model, FIFOs and their statistics; reload the
-        program image."""
-        self.cpu.reset(pc=self.program.entry)
-        self.program.load_into(self.cpu.mem.bram)
-        self.model.reset()
-        for extra in self.extra_models:
-            extra.reset()
-        self.mb_block.reset(reset_stats=True)
-        if self.telemetry is not None:
-            # A re-run must report only its own events/metrics, exactly
-            # like a fresh simulation would.
-            self.telemetry.reset()

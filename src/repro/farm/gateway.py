@@ -175,7 +175,9 @@ class _WorkerHandle:
             try:
                 msg = self.conn.recv()
             except (EOFError, OSError):
-                self._on_death(self)
+                # a pipe closed by kill() at shutdown is no death
+                if self.alive:
+                    self._on_death(self)
                 return
             if msg.get("cmd") == CMD_EXIT:
                 return
@@ -369,12 +371,22 @@ class FarmGateway:
     # worker I/O (reader threads -> event loop)
     # ------------------------------------------------------------------
     def _on_worker_message_threadsafe(self, handle, msg) -> None:
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self._on_worker_message, handle, msg)
+        self._post(self._on_worker_message, handle, msg)
 
     def _on_worker_death_threadsafe(self, handle) -> None:
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self._on_worker_death, handle)
+        self._post(self._on_worker_death, handle)
+
+    def _post(self, callback, *args) -> None:
+        """Hand a reader-thread event to the event loop — unless the
+        loop already closed under a shutdown, when nobody is left to
+        handle it."""
+        loop = self._loop
+        assert loop is not None
+        try:
+            loop.call_soon_threadsafe(callback, *args)
+        except RuntimeError:
+            if not loop.is_closed():
+                raise
 
     def _on_worker_death(self, handle: _WorkerHandle) -> None:
         if not handle.alive:

@@ -3,7 +3,7 @@
 The injector drives the simulation in segments — run to the next
 scheduled fault cycle, perturb the exact piece of state the
 :class:`~repro.faults.plan.FaultSpec` names, continue — using the same
-run-to-cycle primitive as checkpointing (``run(max_cycles=K)`` halts
+run-to-cycle primitive as checkpointing (``run(until=K)`` halts
 with ``MAX_CYCLES``; ``cpu.resume()`` clears it).  Injection therefore
 composes with both per-cycle and fast-forward execution, except during
 a ``stuck_at`` window, which steps per-cycle so the forced output is

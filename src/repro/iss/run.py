@@ -25,6 +25,17 @@ def make_cpu(
     return cpu
 
 
+def reload_cpu(cpu: CPU, program: Program) -> None:
+    """Return ``cpu`` to the state :func:`make_cpu` built it in:
+    architectural reset with the PC at the entry, BRAM zeroed (no stale
+    ``.bss`` or stack from an earlier run) and the program image
+    loaded."""
+    cpu.reset(pc=program.entry)
+    bram = cpu.mem.bram
+    bram.load(0, bytes(bram.size))
+    program.load_into(bram)
+
+
 def run_to_completion(
     program: Program,
     config: CPUConfig | None = None,

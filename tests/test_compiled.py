@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bus.fsl import FSLChannel
+from repro.runapi import reset_deprecation_registry
 from repro.sysgen import Model
 from repro.sysgen.block import CombBlock
 from repro.sysgen.blocks import (
@@ -190,9 +191,11 @@ def _run_zoo(force_interp: bool, cycles: int):
 # ----------------------------------------------------------------------
 def test_env_escape_hatch(monkeypatch):
     monkeypatch.setenv("REPRO_SYSGEN_INTERP", "1")
+    reset_deprecation_registry()
     m = Model()
     m.add(Counter("c", width=4))
-    assert m.engine == "interpreter"
+    with pytest.warns(DeprecationWarning, match="REPRO_SYSGEN_INTERP"):
+        assert m.engine == "interpreter"
     assert m.compiled_source is None
     monkeypatch.setenv("REPRO_SYSGEN_INTERP", "0")  # falsey spelling
     m2 = Model()
@@ -205,7 +208,9 @@ def test_force_interpreter_attribute(monkeypatch):
     m = Model()
     m.add(Counter("c", width=4))
     m.force_interpreter = True
-    assert m.engine == "interpreter"
+    reset_deprecation_registry()
+    with pytest.warns(DeprecationWarning, match="force_interpreter"):
+        assert m.engine == "interpreter"
     assert m.compiled_source is None
 
 

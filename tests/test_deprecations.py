@@ -32,49 +32,8 @@ def _sim():
                         cpu_config=design.cpu_config)
 
 
-def _fields(result):
-    return (result.exit_code, result.cycles, result.instructions,
-            result.stall_cycles, result.halt_reason)
-
-
 def _deprecations(record):
     return [w for w in record if issubclass(w.category, DeprecationWarning)]
-
-
-# ----------------------------------------------------------------------
-# CoSimulation.run keywords
-# ----------------------------------------------------------------------
-def test_max_cycles_keyword_still_works_and_warns_once():
-    ref = _sim().run(until=700)
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        got = _sim().run(max_cycles=700)
-        again = _sim().run(max_cycles=700)
-    assert _fields(got) == _fields(ref)
-    assert _fields(again) == _fields(ref)
-    warned = _deprecations(record)
-    assert len(warned) == 1
-    assert "run(until=...)" in str(warned[0].message)
-
-
-def test_until_wins_over_deprecated_max_cycles():
-    ref = _sim().run(until=500)
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        got = _sim().run(until=500, max_cycles=123_456)
-    assert _fields(got) == _fields(ref)
-
-
-def test_wall_timeout_keyword_still_works_and_warns_once():
-    ref = _sim().run(until=700, policy=RunPolicy(wall_timeout_s=60.0))
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        got = _sim().run(until=700, wall_timeout_s=60.0)
-        _sim().run(until=700, wall_timeout_s=60.0)
-    assert _fields(got) == _fields(ref)
-    warned = _deprecations(record)
-    assert len(warned) == 1
-    assert "RunPolicy(wall_timeout_s=...)" in str(warned[0].message)
 
 
 # ----------------------------------------------------------------------

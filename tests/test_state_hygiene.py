@@ -13,11 +13,18 @@ its ports directly, before ``reset()`` is called.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.apps.matmul.design import MatmulDesign
 from repro.bus.fsl import FSLChannel
 from repro.conformance.oracle import _make_sim
 from repro.conformance.scenario import ScenarioGenerator, build_program
+from repro.cosim.environment import CoSimulation
+from repro.cosim.multicpu import CPUNode, MultiCoSimulation
+from repro.cosim.topology import TopologySpec
+from repro.iss.run import reload_cpu
 from repro.sysgen.blocks import (
     FIFO,
     RAM,
@@ -140,71 +147,36 @@ def test_fsl_channel_reset_matches_fresh():
     assert used.state_dict() == fresh.state_dict()
 
 
-def _without_bram(sim_or_cpu_state: dict) -> dict:
-    """Drop BRAM contents from a cpu/sim state dict.
-
-    ``reset()`` does not (and must not) erase data memory — a re-run's
-    program deterministically rewrites every location it uses, which is
-    what the ``reset_rerun`` conformance mode verifies.  Stale stack or
-    BSS bytes from the interrupted run are therefore expected; all
-    *architectural* state must still match a fresh twin exactly.
-    """
-    state = dict(sim_or_cpu_state)
-    cpu = dict(state["cpu"]) if "cpu" in state else state
-    mem = dict(cpu["mem"])
-    del mem["bram"]
-    cpu["mem"] = mem
-    if "cpu" in state:
-        state["cpu"] = cpu
-        return state
-    return cpu
-
-
 def test_cpu_reset_matches_fresh():
     """A CPU that executed a real co-simulated program and is then
-    reset (the way ``CoSimulation.reset`` does it: architectural reset
-    + program image reload) reports the state of a never-run twin."""
+    reloaded (the way ``CoSimulation.reset`` does it: architectural
+    reset, zeroed BRAM, program image reload) reports the state of a
+    never-run twin — data memory included."""
     scenario = ScenarioGenerator(seed=11, max_cycles=30_000).scenario(0)
     program = build_program(scenario)
     fresh_sim, _t1 = _make_sim(scenario, program, fast_forward=False)
     used_sim, _t2 = _make_sim(scenario, program, fast_forward=False)
     used_sim.run(until=200)
     assert used_sim.cpu.state_dict() != fresh_sim.cpu.state_dict()
-    used_sim.cpu.reset(pc=program.entry)
-    program.load_into(used_sim.cpu.mem.bram)
-    assert (_without_bram({"cpu": used_sim.cpu.state_dict()})
-            == _without_bram({"cpu": fresh_sim.cpu.state_dict()}))
-    # the program image region itself must be restored verbatim
-    image = program.image
-    base = getattr(program, "base", 0)
-    assert used_sim.cpu.mem.bram.dump()[base:base + len(image)] == image
+    reload_cpu(used_sim.cpu, program)
+    assert used_sim.cpu.state_dict() == fresh_sim.cpu.state_dict()
 
 
 def test_full_sim_reset_matches_fresh():
     """The composite: ``CoSimulation.reset()`` restores the *entire*
-    simulation state dict (modulo data-memory contents, see above)."""
+    simulation state dict."""
     scenario = ScenarioGenerator(seed=11, max_cycles=30_000).scenario(1)
     program = build_program(scenario)
     fresh_sim, _t1 = _make_sim(scenario, program, fast_forward=False)
     used_sim, _t2 = _make_sim(scenario, program, fast_forward=False)
     used_sim.run(until=300)
     used_sim.reset()
-    assert (_without_bram(used_sim.state_dict())
-            == _without_bram(fresh_sim.state_dict()))
+    assert used_sim.state_dict() == fresh_sim.state_dict()
 
 
 # ----------------------------------------------------------------------
 # K-CPU systems: reset must be per-CPU clean
 # ----------------------------------------------------------------------
-def _without_bram_multi(state: dict) -> dict:
-    """The multi-CPU face of :func:`_without_bram`: drop every node's
-    data-memory contents, keep all other state verbatim."""
-    state = dict(state)
-    state["cpus"] = {name: _without_bram({"cpu": cpu_state})["cpu"]
-                     for name, cpu_state in state["cpus"].items()}
-    return state
-
-
 def _multi_sim(index: int = 0, seed: int = 5):
     from repro.conformance.multicpu import (
         MultiScenarioGenerator,
@@ -219,14 +191,13 @@ def _multi_sim(index: int = 0, seed: int = 5):
 def test_multicpu_reset_matches_fresh():
     """``MultiCoSimulation.reset()`` restores the whole-system state
     dict — global clock, every CPU, every link, every node-local
-    peripheral — to a freshly built twin's (modulo data memory)."""
+    peripheral — to a freshly built twin's."""
     fresh = _multi_sim()
     used = _multi_sim()
     used.run(until=400)
     assert used.state_dict() != fresh.state_dict()
     used.reset()
-    assert (_without_bram_multi(used.state_dict())
-            == _without_bram_multi(fresh.state_dict()))
+    assert used.state_dict() == fresh.state_dict()
 
 
 def test_multicpu_reset_clears_fsl_error_per_cpu():
@@ -254,5 +225,58 @@ def test_multicpu_reset_clears_fsl_error_per_cpu():
         if stats is not None:
             assert not any(stats.values()), (
                 f"{channel.name}: statistics survived reset")
-    assert (_without_bram_multi(used.state_dict())
-            == _without_bram_multi(fresh.state_dict()))
+    assert used.state_dict() == fresh.state_dict()
+
+
+# ----------------------------------------------------------------------
+# Re-run after reset: zero-initialised data must start at zero again
+# ----------------------------------------------------------------------
+# The matmul kernel accumulates into its zero-initialised global ``C``,
+# so a re-run over stale ``.bss`` doubles every product while taking
+# exactly as many cycles as a fresh run — only the data betrays it.
+@functools.lru_cache(maxsize=1)
+def _matmul() -> MatmulDesign:
+    return MatmulDesign(block=4, matn=4)
+
+
+def _matmul_sim() -> CoSimulation:
+    design = _matmul()
+    model, mb = design.fresh_hardware()
+    return CoSimulation(design.program, model, mb,
+                        cpu_config=design.cpu_config)
+
+
+def _matmul_multi_sim(n_cpus: int = 2) -> MultiCoSimulation:
+    design = _matmul()
+    nodes = []
+    for _ in range(n_cpus):
+        model, mb = design.fresh_hardware()
+        nodes.append(CPUNode(program=design.program,
+                             cpu_config=design.cpu_config,
+                             model=model, mb_block=mb))
+    return MultiCoSimulation(nodes, TopologySpec("custom", n_cpus))
+
+
+def test_matmul_rerun_after_reset_matches_fresh():
+    fresh = _matmul_sim()
+    expected = fresh.run()
+    sim = _matmul_sim()
+    sim.run()
+    sim.reset()
+    again = sim.run()
+    _matmul().check(sim.cpu, again)
+    assert again.cycles == expected.cycles
+    assert sim.state_dict() == fresh.state_dict()
+
+
+def test_multicpu_matmul_rerun_after_reset_matches_fresh():
+    fresh = _matmul_multi_sim()
+    expected = fresh.run()
+    sim = _matmul_multi_sim()
+    sim.run()
+    sim.reset()
+    again = sim.run()
+    for node, result in zip(sim.nodes, again.cpus):
+        _matmul().check(node.cpu, result)
+    assert again.cycles == expected.cycles
+    assert sim.state_dict() == fresh.state_dict()

@@ -15,8 +15,11 @@ import pytest
 from repro.apps.cordic.design import CordicDesign
 from repro.cli import profile_main
 from repro.cosim.environment import CoSimulation
+from repro.cosim.multicpu import CPUNode, MultiCoSimulation
+from repro.cosim.topology import TopologySpec
 from repro.iss.run import make_cpu
 from repro.mcc import build_executable
+from repro.sysgen.model import Model
 from repro.telemetry import (
     FSL_PUSH,
     RETIRE,
@@ -289,6 +292,52 @@ class TestProfilers:
     def test_phases_off_means_plain_loop(self):
         tel, _ = run_instrumented(True)
         assert tel.phases is None
+
+    def test_phase_timer_profiles_the_production_loop(self, monkeypatch):
+        """The timer wraps the loop production runs — hardware-idle
+        caching included — so enabling it must not change which hooks
+        the loop calls, or how often."""
+        calls = []
+        original = Model.idle_horizon
+
+        def counted(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(Model, "idle_horizon", counted)
+        _, plain = run_instrumented(True)
+        plain_calls = len(calls)
+        calls.clear()
+        tel, timed = run_instrumented(True, phases=True)
+        assert (timed.cycles, timed.instructions) \
+            == (plain.cycles, plain.instructions)
+        assert plain_calls > 0
+        assert len(calls) == plain_calls
+        assert tel.phases.calls["fast_forward_scan"] >= plain_calls
+        # the shadows are gone once the run returns
+        assert "tick" not in vars(tel.cpu)
+
+    def test_phase_timer_covers_multicpu(self):
+        producer = build_executable(
+            "int main(void) {"
+            " for (int i = 0; i < 40; i++) putfsl(i, 0);"
+            " return 0; }")
+        consumer = build_executable(
+            "int main(void) { int sum = 0;"
+            " for (int i = 0; i < 40; i++) sum += getfsl(0);"
+            " return sum == 780 ? 0 : 1; }")
+        tel = Telemetry()
+        tel.enable_phases()
+        sim = MultiCoSimulation(
+            [CPUNode(program=producer), CPUNode(program=consumer)],
+            TopologySpec.pipeline(2), link_depth=2, telemetry=tel)
+        result = sim.run()
+        assert result.exit_code == 0
+        report = tel.phases.report(result.wall_seconds)
+        assert report["cpu_step"]["calls"] > 0
+        assert report["fast_forward_scan"]["calls"] > 0
+        for cpu in sim.cpus:
+            assert "tick" not in vars(cpu)
 
 
 # ----------------------------------------------------------------------
