@@ -75,7 +75,8 @@ def _sysgen_speed() -> float:
 def _cosim_run(make_design, fast_forward: bool = True,
                force_interp: bool = False):
     design = make_design()
-    design.model.force_interpreter = force_interp
+    if force_interp:
+        design.model.set_engine("interpreter")
     sim = CoSimulation(design.program, design.model, design.mb,
                        cpu_config=design.cpu_config,
                        fast_forward=fast_forward)
@@ -145,7 +146,8 @@ def _sysgen_engine_run(force_interp: bool):
     both the speed and a full observable fingerprint so the ablation
     can assert bit-identity, not just compare throughput."""
     model, mb = build_cordic_model(4)
-    model.force_interpreter = force_interp
+    if force_interp:
+        model.set_engine("interpreter")
     to_hw = mb.to_hw_channel(0)
     from_hw = mb.from_hw_channel(0)
     model.compile()
@@ -193,7 +195,7 @@ def test_table2_compiled_schedule_ablation(once, compiled_smoke):
         format_table(
             ["engine", "cyc/s", "vs interpreter", "vs recorded 9,605"],
             [
-                ("interpreter (REPRO_SYSGEN_INTERP=1)",
+                ("interpreter (engine='interpreter')",
                  f"{interp_speed:,.0f}", "1.00x",
                  f"{interp_speed / PRE_COMPILED_BASELINE:.2f}x"),
                 ("compiled schedule (default)",

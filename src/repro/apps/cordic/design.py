@@ -144,7 +144,7 @@ def cordic_design_points(
     ndata: int = DEFAULT_NDATA,
     **kwargs,
 ) -> list[DesignPoint]:
-    """The Figure 5 sweep as design points for the explorer."""
+    """The Figure 5 sweep as design points for the sweep engine."""
     points = []
     for p in ps:
         kind = PartitionKind.SOFTWARE_ONLY if p == 0 else \

@@ -116,7 +116,7 @@ def matmul_design_points(
     matn: int = DEFAULT_MATN,
     **kwargs,
 ) -> list[DesignPoint]:
-    """The Figure 7 family as explorer design points."""
+    """The Figure 7 family as sweep-engine design points."""
     points = []
     for block in blocks:
         kind = PartitionKind.SOFTWARE_ONLY if block == 0 else \

@@ -772,8 +772,8 @@ def conformance_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--engine", choices=("auto", "compiled",
                                              "interpreter"),
                         default="auto",
-                        help="sysgen execution engine for every run "
-                             "(default auto)")
+                        help="sysgen execution engine for every run, "
+                             "golden-corpus checks included (default auto)")
     parser.add_argument("--modes", default=None, metavar="M1,M2,...",
                         help="execution modes to diff against per_cycle "
                              "(default: all)")
@@ -862,7 +862,8 @@ def conformance_main(argv: list[str] | None = None) -> int:
     failed = False
 
     if args.corpus:
-        entries = check_golden(args.corpus, modes=modes)
+        entries = check_golden(args.corpus, modes=modes,
+                               engine=args.engine)
         if not entries:
             print(f"mb32-conformance: no golden traces in {args.corpus}",
                   file=sys.stderr)
@@ -1150,15 +1151,15 @@ def _farm_submit(args) -> int:
     else:
         with open(args.payload, encoding="utf-8") as fh:
             payload = json.load(fh)
-    client = _farm_client(args)
     try:
-        doc = client.submit(
-            args.kind,
-            payload,
-            cacheable=not args.no_cache,
-            wait=args.wait,
-            timeout_s=args.timeout,
-        )
+        with _farm_client(args) as client:
+            doc = client.submit(
+                args.kind,
+                payload,
+                cacheable=not args.no_cache,
+                wait=args.wait,
+                timeout_s=args.timeout,
+            )
     except FarmError as exc:
         print(f"mb32-farm: error: {exc}", file=sys.stderr)
         return 1
@@ -1171,14 +1172,14 @@ def _farm_submit(args) -> int:
 def _farm_status(args) -> int:
     from repro.farm import FarmError
 
-    client = _farm_client(args)
     try:
-        if args.job:
-            doc = client.status(
-                args.job, wait=args.wait, timeout_s=args.timeout
-            )
-        else:
-            doc = client.farm_status()
+        with _farm_client(args) as client:
+            if args.job:
+                doc = client.status(
+                    args.job, wait=args.wait, timeout_s=args.timeout
+                )
+            else:
+                doc = client.farm_status()
     except FarmError as exc:
         print(f"mb32-farm: error: {exc}", file=sys.stderr)
         return 1
@@ -1190,7 +1191,8 @@ def _farm_drain(args) -> int:
     from repro.farm import FarmError
 
     try:
-        doc = _farm_client(args).drain()
+        with _farm_client(args) as client:
+            doc = client.drain()
     except FarmError as exc:
         print(f"mb32-farm: error: {exc}", file=sys.stderr)
         return 1

@@ -112,8 +112,11 @@ def corpus_files(corpus_dir: str | Path) -> list[Path]:
 
 
 def check_golden(corpus_dir: str | Path,
-                 modes: tuple[str, ...] = ALL_MODES) -> list[DriftEntry]:
-    """Re-run every golden scenario and classify any drift."""
+                 modes: tuple[str, ...] = ALL_MODES,
+                 engine: str = "auto") -> list[DriftEntry]:
+    """Re-run every golden scenario under ``engine`` (forwarded to every
+    :func:`~repro.conformance.oracle.observe`, the subprocess mode
+    included) and classify any drift."""
     entries: list[DriftEntry] = []
     for path in corpus_files(corpus_dir):
         try:
@@ -122,13 +125,13 @@ def check_golden(corpus_dir: str | Path,
             entries.append(DriftEntry(name=path.stem, kind="error",
                                       message=str(exc)))
             continue
-        entries.append(_check_one(scenario, stored, modes))
+        entries.append(_check_one(scenario, stored, modes, engine))
     return entries
 
 
 def _check_one(scenario: Scenario, stored: dict,
-               modes: tuple[str, ...]) -> DriftEntry:
-    verdict = check_scenario(scenario, modes)
+               modes: tuple[str, ...], engine: str) -> DriftEntry:
+    verdict = check_scenario(scenario, modes, engine=engine)
     if verdict.build_error:
         return DriftEntry(name=scenario.name, kind="error",
                           message=f"build failed: {verdict.build_error}")

@@ -37,7 +37,7 @@ from repro.cosim.multicpu import (
     MultiCoSimulation,
 )
 from repro.cosim.partition import DesignPoint, DesignSpec, PartitionKind
-from repro.cosim.dse import DSEResult, explore
+from repro.cosim.dse import DSEResult
 from repro.cosim.report import format_sweep, format_table
 from repro.cosim.sweep import (
     SweepCache,
@@ -66,7 +66,6 @@ __all__ = [
     "DesignPoint",
     "DesignSpec",
     "PartitionKind",
-    "explore",
     "DSEResult",
     "sweep",
     "sweep_batched",

@@ -9,13 +9,12 @@ slices".
 
 The evaluation engine itself lives in :mod:`repro.cosim.sweep`, which
 fans design points out over a worker pool with per-point timeouts,
-bounded retry and an on-disk result cache.  :func:`explore` remains as
-a deprecated sequential wrapper over the same engine.
+bounded retry and an on-disk result cache; this module holds the
+result record and the ranking applied to its reports.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -157,43 +156,6 @@ def rank(
             r.cycles if r.cycles is not None else float("inf"),
         ),
     )
-
-
-def explore(
-    points: list[DesignPoint | DesignSpec],
-    max_slices: int | None = None,
-    max_brams: int | None = None,
-    max_mult18: int | None = None,
-) -> list[DSEResult]:
-    """Evaluate every design point; return results sorted fastest-first.
-
-    .. deprecated::
-        ``explore()`` is a thin sequential wrapper kept for
-        compatibility; use :func:`repro.cosim.sweep.sweep` to get
-        parallel evaluation, per-point statuses, caching and progress
-        reporting.  As before, the first failing point aborts with a
-        ``RuntimeError`` (the sweep engine instead records it as data).
-    """
-    warnings.warn(
-        "repro.cosim.dse.explore() is deprecated; use "
-        "repro.cosim.sweep.sweep() for parallel, fault-tolerant sweeps",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.cosim.sweep import sweep
-
-    report = sweep(points, workers=0)
-    for r in report.results:
-        if r.status == STATUS_TIMEOUT:
-            raise RuntimeError(
-                f"design point {r.point.name!r} did not terminate"
-            )
-        if not r.ok:
-            raise RuntimeError(
-                f"design point {r.point.name!r} failed self-check "
-                f"({r.status}: {r.error})"
-            )
-    return rank(report.results, max_slices, max_brams, max_mult18)
 
 
 def best(results: list[DSEResult]) -> DSEResult:

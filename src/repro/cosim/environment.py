@@ -54,9 +54,7 @@ schedule* — one generated python function per design (see
 interpreter calls.  Observables are bit-identical either way; pass
 ``engine="interpreter"`` (or wrap the construction in
 ``repro.runapi.engine_scope("interpreter")``) to force the classic
-interpreter when A/B-debugging an ``emit()`` hook.  The historical
-spellings — ``REPRO_SYSGEN_INTERP=1`` and ``model.force_interpreter``
-— still work under ``engine="auto"`` but are deprecated and warn once.
+interpreter when A/B-debugging an ``emit()`` hook.
 ``engine="batched"`` is rejected here: the lockstep vector engine runs
 N whole simulations at once via
 :class:`repro.cosim.batch.BatchedCoSimulation`.
@@ -601,9 +599,8 @@ class CoSimulation(LockstepKernel):
         ``engine`` selects the hardware execution engine for every
         attached model: ``"compiled"`` / ``"interpreter"`` pin it,
         ``"auto"`` (default) honors an enclosing
-        :func:`repro.runapi.engine_scope` and then the deprecated
-        interpreter knobs; ``"batched"`` is rejected (see the module
-        docstring)."""
+        :func:`repro.runapi.engine_scope`, else compiles;
+        ``"batched"`` is rejected (see the module docstring)."""
         self.program = program
         self.model = model
         self.mb_block = mb_block

@@ -5,7 +5,7 @@ applications on hardware and software" and "various configurations of
 the soft processor".  A :class:`DesignPoint` names one candidate: which
 portion runs as software, which as a customized peripheral, with which
 parameters (number of CORDIC PEs, matrix block size, processor
-options).  The design-space explorer (:mod:`repro.cosim.dse`)
+options).  The design-space sweep (:mod:`repro.cosim.sweep`)
 instantiates and evaluates them.
 """
 
@@ -26,7 +26,7 @@ class PartitionKind(enum.Enum):
 
 
 class DesignInstance(Protocol):
-    """What a built design point must offer to the explorer."""
+    """What a built design point must offer to the sweep engine."""
 
     def run(self) -> CoSimResult:
         """Co-simulate the application; returns timing results."""

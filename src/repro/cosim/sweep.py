@@ -10,7 +10,7 @@ status — ``ok`` / ``self-check-failed`` / ``deadlock`` / ``timeout`` /
 :class:`~repro.cosim.environment.CoSimDeadlock` is captured as data,
 not an exception.
 
-Fault tolerance and speed come from four mechanisms:
+Fault tolerance and speed come from five mechanisms:
 
 * **worker pool** — one process per in-flight point, up to ``workers``
   at a time; a crashed or hung worker is reaped and reported without
@@ -35,6 +35,12 @@ A ``progress`` callback receives a :class:`SweepProgress` snapshot
 (points done, cache hits, worker utilization, aggregate cycles/sec)
 after every completed point — the hook the ``mb32-dse`` CLI uses for
 its live status line.
+
+The per-point outcome contract lives here once and is shared by every
+engine that evaluates points — the batched sweep, fault campaigns and
+the job farm: :func:`point_payload` builds the payload,
+:func:`_run_and_classify` maps a run to its status, and
+:func:`_evaluate_with_retries` is the sequential retry loop.
 """
 
 from __future__ import annotations
@@ -53,10 +59,9 @@ from typing import Any, Callable, Iterable
 
 from repro.runapi.durable import (
     QUARANTINE_DIR,
+    SealedJournal,
     durable_write,
     read_verified,
-    record_intact,
-    seal_record,
 )
 from repro.cosim.dse import (
     DSEResult,
@@ -95,19 +100,8 @@ KILL_GRACE_S = 10.0
 
 
 # ----------------------------------------------------------------------
-# Fingerprinting and the on-disk result cache
+# The on-disk result cache
 # ----------------------------------------------------------------------
-def point_fingerprint(point: DesignPoint | DesignSpec, instance) -> str:
-    """Deterministic identity of an evaluated design point.
-
-    Now an alias of the public, stability-tested
-    :func:`repro.runapi.design_fingerprint` (same recipe, same
-    digests — existing sweep caches stay valid); kept under its
-    historical name for the sweep-side callers.
-    """
-    return design_fingerprint(point, instance)
-
-
 def _result_to_dict(result: CoSimResult) -> dict[str, Any]:
     d = asdict(result)
     d["halt_reason"] = (
@@ -265,80 +259,65 @@ def _payload_from_jsonable(d: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-class SweepJournal:
+class SweepJournal(SealedJournal):
     """JSON-lines journal of completed sweep points.
 
-    Line 1 is a header binding the file to a sweep spec
-    (:func:`sweep_spec_id`); every further line is one completed point
-    (index, attempts, backoff schedule, full payload), flushed as it
-    lands so a killed sweep loses at most the in-flight points.  Every
-    record is sealed with a per-line digest
-    (:func:`repro.runapi.durable.seal_record`); on load, replay stops
-    at the first truncated *or* damaged line — the WAL-tail rule — so
-    a line torn by a crash mid-append can never replay as a completed
-    point.  Journals written before sealing (no digest) still load.
+    A :class:`~repro.runapi.durable.SealedJournal` whose header binds
+    the file to a sweep spec (:func:`sweep_spec_id`); every further
+    line is one completed point (index, attempts, backoff schedule,
+    full payload), flushed as it lands so a killed sweep loses at most
+    the in-flight points.  Replay keeps the intact prefix — a line torn
+    by a crash mid-append never replays as a completed point, and
+    reopening cuts it off.  Journals written before sealing (no digest)
+    still load.
     """
 
     FORMAT = "mb32-dse-journal"
     VERSION = 1
 
     def __init__(self, path: str | os.PathLike):
-        self.path = pathlib.Path(path)
-        self._fh: Any = None
+        super().__init__(path)
+        self._spec: tuple[str, int] = ("", 0)
+
+    def header(self) -> dict[str, Any]:
+        spec_id, total = self._spec
+        return {
+            "format": self.FORMAT,
+            "version": self.VERSION,
+            "spec_id": spec_id,
+            "points": total,
+        }
+
+    def check_header(self, record: dict[str, Any]) -> None:
+        if (
+            record.get("format") != self.FORMAT
+            or record.get("version") != self.VERSION
+        ):
+            raise ValueError(
+                f"{self.path} is not an mb32-dse resume journal"
+            )
+        if record.get("spec_id") != self._spec[0]:
+            raise ValueError(
+                f"journal {self.path} belongs to a different "
+                f"sweep spec — cannot resume"
+            )
 
     def load(self, spec_id: str, total: int) -> dict[int, dict[str, Any]]:
         """Replayable entries from an existing journal, keyed by point
         index.  Raises ``ValueError`` if the file is not a journal or
         belongs to a different sweep spec."""
-        if not self.path.exists():
-            return {}
+        self._spec = (spec_id, total)
         entries: dict[int, dict[str, Any]] = {}
-        header_seen = False
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    break  # truncated tail from a mid-write kill
-                if not record_intact(rec):
-                    break  # damaged line: replay the intact prefix only
-                if not header_seen:
-                    header_seen = True
-                    if (
-                        not isinstance(rec, dict)
-                        or rec.get("format") != self.FORMAT
-                        or rec.get("version") != self.VERSION
-                    ):
-                        raise ValueError(
-                            f"{self.path} is not an mb32-dse resume journal"
-                        )
-                    if rec.get("spec_id") != spec_id:
-                        raise ValueError(
-                            f"journal {self.path} belongs to a different "
-                            f"sweep spec — cannot resume"
-                        )
-                    continue
-                index = rec.get("index")
-                if isinstance(index, int) and 0 <= index < total:
-                    entries[index] = rec
+        for rec in self.replay():
+            index = rec.get("index")
+            if isinstance(index, int) and 0 <= index < total:
+                entries[index] = rec
         return entries
 
-    def open(self, spec_id: str, total: int) -> None:
+    def open(self, spec_id: str, total: int) -> None:  # type: ignore[override]
         """Open for appending, writing the header on a fresh file."""
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = open(self.path, "a")
-        if fresh:
-            self._write(
-                {
-                    "format": self.FORMAT,
-                    "version": self.VERSION,
-                    "spec_id": spec_id,
-                    "points": total,
-                }
-            )
+        self._spec = (spec_id, total)
+        super().open()
 
     def record(
         self,
@@ -347,7 +326,7 @@ class SweepJournal:
         backoff_s: list[float],
         payload: dict[str, Any],
     ) -> None:
-        self._write(
+        self.append(
             {
                 "index": index,
                 "attempts": attempts,
@@ -356,21 +335,27 @@ class SweepJournal:
             }
         )
 
-    def _write(self, rec: dict[str, Any]) -> None:
-        self._fh.write(json.dumps(seal_record(rec)) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            with contextlib.suppress(OSError, ValueError):
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-            self._fh = None
-
 
 # ----------------------------------------------------------------------
 # Per-point evaluation (shared by workers and the in-process path)
 # ----------------------------------------------------------------------
+def point_payload(**fields: Any) -> dict[str, Any]:
+    """A per-point evaluation payload: ``error`` with nothing attached,
+    overridden by ``fields``.  Every evaluator and every pool-side
+    failure builds its payload here."""
+    payload: dict[str, Any] = {
+        "status": STATUS_ERROR,
+        "error": None,
+        "result": None,
+        "estimate": None,
+        "fingerprint": None,
+        "cache_hit": False,
+        "metrics": None,
+    }
+    payload.update(fields)
+    return payload
+
+
 def _evaluate(
     point: DesignPoint | DesignSpec,
     cache_dir: str | None,
@@ -385,34 +370,25 @@ def _evaluate(
     and the payload carries the plain-dict metric snapshot (cache hits
     skip the run, so they carry none).
     """
-    payload: dict[str, Any] = {
-        "status": STATUS_ERROR,
-        "error": None,
-        "result": None,
-        "estimate": None,
-        "fingerprint": None,
-        "cache_hit": False,
-        "metrics": None,
-    }
     try:
         instance = point.build()
     except Exception as exc:
-        payload["error"] = f"build failed: {type(exc).__name__}: {exc}"
-        return payload
+        return point_payload(
+            error=f"build failed: {type(exc).__name__}: {exc}"
+        )
 
-    fingerprint = point_fingerprint(point, instance)
-    payload["fingerprint"] = fingerprint
+    fingerprint = design_fingerprint(point, instance)
     cache = SweepCache(cache_dir) if cache_dir else None
     if cache is not None:
         hit = cache.get(fingerprint)
         if hit is not None:
             result, estimate = hit
-            payload.update(
+            return point_payload(
                 status=STATUS_OK, result=result, estimate=estimate,
-                cache_hit=True,
+                fingerprint=fingerprint, cache_hit=True,
             )
-            return payload
 
+    payload = point_payload(fingerprint=fingerprint)
     _run_and_classify(instance, payload, timeout_s, telemetry)
     if payload["status"] == STATUS_OK and cache is not None:
         cache.put(fingerprint, payload["result"], payload["estimate"])
@@ -422,14 +398,19 @@ def _evaluate(
 def _run_and_classify(
     instance,
     payload: dict[str, Any],
-    timeout_s: float | None,
+    timeout_s: float | None = None,
     telemetry: bool = False,
+    run: Callable[[], CoSimResult] | None = None,
 ) -> None:
     """Run a built design instance and classify the outcome in place.
 
-    The run/classify tail of :func:`_evaluate`, shared with the scalar
-    fallback path of :func:`~repro.cosim.sweep_batched.sweep_batched`
-    so both engines produce identical statuses and diagnostics.
+    ``run`` (default ``instance.run``) ends the way ``instance.run()``
+    does: a :class:`CoSimResult`, or the exception the run raised.  The
+    ladder maps exceptions to ``timeout`` / ``deadlock`` /
+    ``self-check-failed`` (a golden-model ``AssertionError``) /
+    ``error``, then applies the exit-code and resource-estimation tail.
+    The batched sweep replays its lanes through the same ladder, so
+    every engine produces identical statuses and diagnostics.
     """
     tel = Telemetry() if telemetry else None
     try:
@@ -438,7 +419,7 @@ def _run_and_classify(
                 stack.enter_context(run_timeout(timeout_s))
             if tel is not None:
                 stack.enter_context(telemetry_scope(tel))
-            result = instance.run()
+            result = (run or instance.run)()
     except CoSimTimeout as exc:
         payload.update(status=STATUS_TIMEOUT, error=str(exc))
         return
@@ -489,6 +470,38 @@ def _run_and_classify(
     payload.update(status=STATUS_OK, result=result, estimate=estimate)
 
 
+def _evaluate_with_retries(
+    point: DesignPoint | DesignSpec,
+    *,
+    cache_dir: str | None = None,
+    timeout_s: float | None = None,
+    telemetry: bool = False,
+    retries: int = 0,
+    retry_backoff_s: float = 0.0,
+    backoff_seed: int = 0,
+    engine: str = "auto",
+    evaluate: Callable[..., dict[str, Any]] = _evaluate,
+) -> tuple[dict[str, Any], int, list[float]]:
+    """Evaluate one point in this process, re-running ``timeout`` /
+    ``error`` outcomes up to ``retries`` extra times behind the seeded
+    backoff; returns ``(payload, attempts, backoff schedule)``.  The
+    loop of ``sweep(workers=0)`` and of every farm job unit."""
+    attempts = 0
+    backoffs: list[float] = []
+    while True:
+        attempts += 1
+        with engine_scope(engine):
+            payload = evaluate(point, cache_dir, timeout_s, telemetry)
+        if payload["status"] not in RETRIABLE or attempts > retries:
+            return payload, attempts, backoffs
+        delay = retry_backoff_delay(
+            retry_backoff_s, point.name, attempts, backoff_seed
+        )
+        backoffs.append(delay)
+        if delay > 0:
+            time.sleep(delay)
+
+
 def _worker_main(point, cache_dir, timeout_s, conn,
                  telemetry: bool = False, evaluate=None,
                  engine: str = "auto") -> None:
@@ -502,15 +515,9 @@ def _worker_main(point, cache_dir, timeout_s, conn,
         with engine_scope(engine):
             payload = evaluate_fn(point, cache_dir, timeout_s, telemetry)
     except BaseException as exc:  # never let a worker die silently
-        payload = {
-            "status": STATUS_ERROR,
-            "error": f"worker failed: {type(exc).__name__}: {exc}",
-            "result": None,
-            "estimate": None,
-            "fingerprint": None,
-            "cache_hit": False,
-            "metrics": None,
-        }
+        payload = point_payload(
+            error=f"worker failed: {type(exc).__name__}: {exc}"
+        )
     try:
         conn.send(payload)
     finally:
@@ -746,24 +753,19 @@ def sweep(
     try:
         if workers <= 0:
             for index in remaining:
-                while True:
-                    attempts[index] += 1
-                    with engine_scope(engine):
-                        payload = evaluate_fn(points[index], cache_path,
-                                              timeout_s, telemetry)
-                    if (
-                        payload["status"] in RETRIABLE
-                        and attempts[index] <= retries
-                    ):
-                        delay = retry_backoff_delay(
-                            retry_backoff_s, points[index].name,
-                            attempts[index], backoff_seed,
-                        )
-                        backoffs[index].append(delay)
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    break
+                payload, attempts[index], backoffs[index] = (
+                    _evaluate_with_retries(
+                        points[index],
+                        cache_dir=cache_path,
+                        timeout_s=timeout_s,
+                        telemetry=telemetry,
+                        retries=retries,
+                        retry_backoff_s=retry_backoff_s,
+                        backoff_seed=backoff_seed,
+                        engine=engine,
+                        evaluate=evaluate_fn,
+                    )
+                )
                 record(index, payload, active=0)
         elif remaining:
             for point in points:
@@ -886,17 +888,10 @@ def _run_parallel(
                 except (EOFError, OSError):
                     # the worker died before sending (crash / kill)
                     proc.join()
-                    payload = {
-                        "status": STATUS_ERROR,
-                        "error": (
-                            f"worker exited without a result "
-                            f"(exit code {proc.exitcode})"
-                        ),
-                        "result": None,
-                        "estimate": None,
-                        "fingerprint": None,
-                        "cache_hit": False,
-                    }
+                    payload = point_payload(
+                        error=f"worker exited without a result "
+                              f"(exit code {proc.exitcode})"
+                    )
                 finish(index, payload)
 
             now = time.perf_counter()
@@ -904,37 +899,18 @@ def _run_parallel(
                 if deadline is not None and now >= deadline:
                     proc.terminate()
                     proc.join()
-                    finish(
-                        index,
-                        {
-                            "status": STATUS_TIMEOUT,
-                            "error": (
-                                f"worker killed after exceeding the "
-                                f"{timeout_s}s point budget "
-                                f"(+{kill_grace_s}s grace)"
-                            ),
-                            "result": None,
-                            "estimate": None,
-                            "fingerprint": None,
-                            "cache_hit": False,
-                        },
-                    )
+                    finish(index, point_payload(
+                        status=STATUS_TIMEOUT,
+                        error=f"worker killed after exceeding the "
+                              f"{timeout_s}s point budget "
+                              f"(+{kill_grace_s}s grace)",
+                    ))
                 elif not proc.is_alive() and not conn.poll():
                     proc.join()
-                    finish(
-                        index,
-                        {
-                            "status": STATUS_ERROR,
-                            "error": (
-                                f"worker exited without a result "
-                                f"(exit code {proc.exitcode})"
-                            ),
-                            "result": None,
-                            "estimate": None,
-                            "fingerprint": None,
-                            "cache_hit": False,
-                        },
-                    )
+                    finish(index, point_payload(
+                        error=f"worker exited without a result "
+                              f"(exit code {proc.exitcode})"
+                    ))
     finally:
         for proc, conn, _ in active.values():
             proc.terminate()

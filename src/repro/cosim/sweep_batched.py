@@ -19,10 +19,9 @@ point (a single lane gains nothing), structurally incompatible groups
 engine evicts mid-flight (replayed from cycle 0 on the scalar engine —
 determinism makes the replay bit-identical).  Post-run acceptance runs
 through the design's ``check(cpu, result)`` hook when it has one — the
-exact tail of its ``run()`` — so verdicts and diagnostic text match
-the scalar sweep byte for byte; instances without the hook get the
-same exit-code classification :func:`~repro.cosim.sweep._evaluate`
-applies.
+exact tail of its ``run()`` — and every lane is classified by the
+scalar sweep's own ladder (:func:`~repro.cosim.sweep._run_and_classify`),
+so verdicts and diagnostic text match the scalar sweep byte for byte.
 
 The report differs from a ``workers=0`` scalar sweep only in
 wall-clock fields (``wall_seconds`` and per-result timing, which are
@@ -32,23 +31,13 @@ not conformance observables) — the equivalence test in
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Any, Callable, Iterable
 
 from repro.cosim.batch import BatchedCoSimulation, LaneResult, lane_factory
-from repro.cosim.dse import (
-    DSEResult,
-    STATUS_DEADLOCK,
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_SELF_CHECK,
-    STATUS_TIMEOUT,
-)
-from repro.cosim.environment import (
-    CoSimDeadlock,
-    CoSimTimeout,
-    CoSimulation,
-)
+from repro.cosim.dse import DSEResult, STATUS_OK
+from repro.cosim.environment import CoSimResult, CoSimulation
 from repro.cosim.partition import DesignPoint, DesignSpec
 from repro.cosim.sweep import (
     SweepCache,
@@ -56,98 +45,26 @@ from repro.cosim.sweep import (
     SweepReport,
     _run_and_classify,
     _to_dse_result,
-    point_fingerprint,
+    point_payload,
 )
 from repro.runapi import RunPolicy
 from repro.runapi.engine import engine_scope
+from repro.runapi.fingerprint import design_fingerprint
 from repro.sysgen.batched import lockstep_signature
 
 DEFAULT_BATCH_WIDTH = 32
 
 
-def _fresh_payload() -> dict[str, Any]:
-    return {
-        "status": STATUS_ERROR,
-        "error": None,
-        "result": None,
-        "estimate": None,
-        "fingerprint": None,
-        "cache_hit": False,
-        "metrics": None,
-    }
-
-
-def _classify_lane(
-    payload: dict[str, Any],
-    lane_result: LaneResult,
-    instance,
-    cpu,
-) -> None:
-    """Fold one lane's outcome into a sweep payload, applying exactly
-    the ladder the scalar evaluator applies around ``instance.run()``:
-    run-level exceptions first, then the design's own post-run
-    ``check`` (or the generic exit-code classification), then resource
-    estimation."""
-    exc = lane_result.error
-    if exc is not None:
-        if isinstance(exc, CoSimTimeout):
-            payload.update(status=STATUS_TIMEOUT, error=str(exc))
-        elif isinstance(exc, CoSimDeadlock):
-            payload.update(status=STATUS_DEADLOCK, error=str(exc))
-        elif isinstance(exc, AssertionError):
-            payload.update(
-                status=STATUS_SELF_CHECK,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        else:
-            payload.update(
-                status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}"
-            )
-        return
-
-    result = lane_result.result
+def _lane_run(lane_result: LaneResult, instance, cpu) -> CoSimResult:
+    """End one lane the way ``instance.run()`` ends a scalar run: raise
+    the lane's run error, else apply the design's post-run ``check``
+    (when it has one) and return the result."""
+    if lane_result.error is not None:
+        raise lane_result.error
     check = getattr(instance, "check", None)
     if check is not None:
-        try:
-            check(cpu, result)
-        except AssertionError as exc:
-            # the scalar path raises out of instance.run(): the result
-            # is discarded and only the diagnostic survives
-            payload.update(
-                status=STATUS_SELF_CHECK,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return
-        except Exception as exc:  # noqa: BLE001 - classified, not raised
-            payload.update(
-                status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}"
-            )
-            return
-    elif result.exit_code is None:
-        payload.update(
-            status=STATUS_TIMEOUT,
-            error="did not terminate within max_cycles",
-            result=result,
-        )
-        return
-    elif result.exit_code != 0:
-        payload.update(
-            status=STATUS_SELF_CHECK,
-            error=f"failed self-check (exit code {result.exit_code})",
-            result=result,
-        )
-        return
-
-    try:
-        estimate = instance.estimate()
-    except Exception as exc:  # noqa: BLE001 - classified, not raised
-        payload.update(
-            status=STATUS_ERROR,
-            error=f"resource estimation failed: {type(exc).__name__}: {exc}",
-            result=result,
-        )
-        return
-    payload.update(status=STATUS_OK, result=result, estimate=estimate)
+        check(cpu, lane_result.result)
+    return lane_result.result
 
 
 def sweep_batched(
@@ -222,7 +139,7 @@ def sweep_batched(
     scalar: list[int] = []
     groups: dict[Any, list[int]] = {}
     for index, point in enumerate(points):
-        payload = _fresh_payload()
+        payload = point_payload()
         payloads[index] = payload
         try:
             instance = point.build()
@@ -231,7 +148,7 @@ def sweep_batched(
             record(index)
             continue
         instances[index] = instance
-        fingerprint = point_fingerprint(point, instance)
+        fingerprint = design_fingerprint(point, instance)
         payload["fingerprint"] = fingerprint
         if cache is not None:
             hit = cache.get(fingerprint)
@@ -285,13 +202,14 @@ def sweep_batched(
                 continue
             lane_results = batch.run(policy=policy)
             for lane, index in enumerate(chunk):
-                _classify_lane(
-                    payloads[index],
-                    lane_results[lane],
-                    instances[index],
-                    batch.lane(lane).cpu,
-                )
                 payload = payloads[index]
+                _run_and_classify(
+                    instances[index], payload,
+                    run=functools.partial(
+                        _lane_run, lane_results[lane], instances[index],
+                        batch.lane(lane).cpu,
+                    ),
+                )
                 if payload["status"] == STATUS_OK and cache is not None:
                     cache.put(
                         payload["fingerprint"],

@@ -174,8 +174,10 @@ class _WorkerHandle:
         while True:
             try:
                 msg = self.conn.recv()
-            except (EOFError, OSError):
-                # a pipe closed by kill() at shutdown is no death
+            except (EOFError, OSError, TypeError):
+                # the worker died, or kill() closed the pipe — possibly
+                # mid-message, which leaves recv() a None handle
+                # (TypeError); a pipe closed at shutdown is no death
                 if self.alive:
                     self._on_death(self)
                 return
@@ -299,8 +301,9 @@ class FarmGateway:
         """Abrupt stop simulating a gateway crash: kill the workers
         and the listener *without* recording any job outcome — the
         write-ahead journal (flushed on every append) is the only
-        survivor, exactly as after a real ``SIGKILL``.  Chaos/test
-        infrastructure only."""
+        survivor, exactly as after a real ``SIGKILL``.  Its handle is
+        closed without writing a record, so nothing reaches it after
+        the crash.  Chaos/test infrastructure only."""
         self._draining = True
         self._queue.clear()
         for handle in list(self._workers.values()):
@@ -312,15 +315,16 @@ class FarmGateway:
             with contextlib.suppress(Exception):
                 await self._server.wait_closed()
         self._cancel_connections()
+        if self.journal is not None:
+            self.journal.close()
         if self._drained is not None:
             self._drained.set()
 
     async def drain(self) -> dict[str, Any]:
         """Finish every queued/running job, then shut down cleanly."""
         self._draining = True
-        pending = [
-            job for job in self._inflight.values() if not job.done.is_set()
-        ]
+        # every job, not just the cacheable ones coalesced in _inflight
+        pending = [job for job in self.jobs.values() if not job.done.is_set()]
         for job in pending:
             await job.done.wait()
         for handle in list(self._workers.values()):
@@ -1167,6 +1171,9 @@ class FarmThread:
                     self.loop.run_until_complete(
                         asyncio.wait(pending, timeout=1)
                     )
+                # one more turn runs the connection_lost callbacks that
+                # closing transports scheduled; they close the sockets
+                self.loop.run_until_complete(asyncio.sleep(0))
             self.loop.close()
 
     @property

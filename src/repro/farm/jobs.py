@@ -19,32 +19,24 @@ returns one of:
   re-dispatched elsewhere.
 
 The executors deliberately reuse the existing engines rather than
-reimplementing them: ``simulate`` and ``sweep`` units run through the
-sweep engine's ``_evaluate`` (same classification, same
-``run_timeout`` budget enforcement, same journal record shape) with
-retries slept through the shared :func:`repro.runapi.backoff` policy;
-``campaign`` units run through the fault campaign's own per-trial
-evaluator and produce the exact trial records the local scalar
-runner emits.
+reimplementing them: ``simulate``, ``sweep`` and ``campaign`` units run
+through the sweep engine's own evaluate-retry-backoff loop (same
+classification, same ``run_timeout`` budget enforcement, same journal
+record shape); ``campaign`` units evaluate with the fault campaign's
+per-trial evaluator and turn each payload into a trial record with the
+campaign's own step, so they are the exact records the local runner
+emits.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 from repro.cosim.checkpoint import checkpoint_to_dict, restore_from_dict
-from repro.cosim.dse import STATUS_OK
 from repro.cosim.environment import CoSimDeadlock
 from repro.cosim.partition import DesignSpec
-from repro.cosim.sweep import (
-    RETRIABLE,
-    _evaluate,
-    _payload_to_jsonable,
-)
+from repro.cosim.sweep import _evaluate_with_retries, _payload_to_jsonable
 from repro.iss.cpu import HaltReason
-from repro.runapi.backoff import retry_backoff_delay
-from repro.runapi.engine import engine_scope
 
 #: cycles between preempt-flag checks inside a scenario run — small
 #: enough that a preempt lands within microseconds of simulated work,
@@ -254,33 +246,15 @@ def _spec_from_payload(data: dict[str, Any], default_name: str) -> DesignSpec:
     )
 
 
-def _evaluate_with_retries(
-    spec: DesignSpec,
-    *,
-    timeout_s: float | None,
-    retries: int,
-    retry_backoff_s: float,
-    backoff_seed: int,
-    engine: str,
-    evaluate: Callable[..., dict[str, Any]] = _evaluate,
-) -> tuple[dict[str, Any], int, list[float]]:
-    """The sweep engine's evaluate-retry-backoff loop, one unit at a
-    time (the in-worker form of ``sweep(workers=0, retries=...)``)."""
-    attempts = 0
-    backoffs: list[float] = []
-    while True:
-        attempts += 1
-        with engine_scope(engine):
-            payload = evaluate(spec, None, timeout_s, False)
-        if payload["status"] in RETRIABLE and attempts <= retries:
-            delay = retry_backoff_delay(
-                retry_backoff_s, spec.name, attempts, backoff_seed
-            )
-            backoffs.append(delay)
-            if delay > 0:
-                time.sleep(delay)
-            continue
-        return payload, attempts, backoffs
+def _retry_options(payload: dict[str, Any]) -> dict[str, Any]:
+    """The retry policy a job payload asks for, as
+    :func:`~repro.cosim.sweep._evaluate_with_retries` keywords."""
+    return {
+        "timeout_s": payload.get("timeout_s"),
+        "retries": int(payload.get("retries", 0)),
+        "retry_backoff_s": float(payload.get("retry_backoff_s", 0.0)),
+        "backoff_seed": int(payload.get("backoff_seed", 0)),
+    }
 
 
 def run_simulate_job(
@@ -296,11 +270,8 @@ def run_simulate_job(
     )
     result, attempts, backoffs = _evaluate_with_retries(
         spec,
-        timeout_s=payload.get("timeout_s"),
-        retries=int(payload.get("retries", 0)),
-        retry_backoff_s=float(payload.get("retry_backoff_s", 0.0)),
-        backoff_seed=int(payload.get("backoff_seed", 0)),
         engine=str(payload.get("engine", "auto")),
+        **_retry_options(payload),
     )
     doc = _payload_to_jsonable(result)
     cycles = (doc.get("result") or {}).get("cycles") or 0
@@ -348,11 +319,8 @@ def run_sweep_shard(
         spec = _spec_from_payload(points[index], f"point-{index}")
         result, attempts, backoffs = _evaluate_with_retries(
             spec,
-            timeout_s=payload.get("timeout_s"),
-            retries=int(payload.get("retries", 0)),
-            retry_backoff_s=float(payload.get("retry_backoff_s", 0.0)),
-            backoff_seed=int(payload.get("backoff_seed", 0)),
             engine=str(payload.get("engine", "auto")),
+            **_retry_options(payload),
         )
         doc = _payload_to_jsonable(result)
         cycles += (doc.get("result") or {}).get("cycles") or 0
@@ -396,9 +364,9 @@ def run_campaign_shard(
     scalar campaign.
     """
     from repro.faults.campaign import (
-        OUTCOME_CRASH,
         _campaign_setup,
         _evaluate_trial,
+        _trial_from_evaluation,
         campaign_specs,
     )
 
@@ -421,31 +389,15 @@ def run_campaign_shard(
                 "baseline_cycles": baseline.cycles,
                 "cycles": cycles,
             }
+        # engine stays "auto": the trial evaluator applies config.engine
         result, _attempts, _backoffs = _evaluate_with_retries(
-            specs[index],
-            timeout_s=payload.get("timeout_s"),
-            retries=int(payload.get("retries", 0)),
-            retry_backoff_s=float(payload.get("retry_backoff_s", 0.0)),
-            backoff_seed=int(payload.get("backoff_seed", 0)),
-            engine="auto",  # the trial evaluator applies config.engine
-            evaluate=_evaluate_trial,
+            specs[index], evaluate=_evaluate_trial,
+            **_retry_options(payload),
         )
-        if result["status"] == STATUS_OK and result["metrics"] is not None:
-            trial = dict(result["metrics"])
-        else:  # the evaluation itself died (mirrors run_campaign)
-            trial = {
-                "seed": f"{config.seed}/{index}",
-                "plan": specs[index].params["plan"],
-                "injected": [],
-                "rollbacks": 0,
-                "backoff_s": [],
-                "checkpoint_cycle": None,
-                "outcome": OUTCOME_CRASH,
-                "original_outcome": OUTCOME_CRASH,
-                "detail": result["error"] or "trial evaluation failed",
-                "cycles": None,
-                "exit_code": None,
-            }
+        trial = _trial_from_evaluation(
+            specs[index], result["status"], result["metrics"],
+            result["error"],
+        )
         trial["trial"] = index
         cycles += trial.get("cycles") or 0
         records.append({"index": index, "trial": trial})

@@ -21,21 +21,18 @@ consistent table:
   pointer), while non-cacheable results are inlined so they survive
   too.
 
-Every line is sealed with a per-record digest
-(:func:`repro.runapi.durable.seal_record`); replay stops at the first
+The file is a :class:`repro.runapi.durable.SealedJournal`: every line
+is sealed with a per-record digest; replay stops at the first
 truncated or damaged line — the standard WAL-tail rule — so a crash
-mid-append costs at most the final record, never a corrupted table.
+mid-append costs at most the final record, never a corrupted table,
+and reopening cuts that torn record off before appending.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
-import pathlib
 from typing import Any
 
-from repro.runapi.durable import record_intact, seal_record
+from repro.runapi.durable import SealedJournal
 
 WAL_FORMAT = "mb32-farm-wal"
 WAL_VERSION = 1
@@ -48,85 +45,28 @@ EV_DONE = "done"
 EV_FAILED = "failed"
 
 
-class GatewayJournal:
-    """Append-only, sealed, replayable journal of gateway events."""
+class GatewayJournal(SealedJournal):
+    """Append-only, sealed, replayable journal of gateway events.
 
-    def __init__(self, path: str | os.PathLike, *, fsync: bool = False):
-        self.path = pathlib.Path(path)
-        self.fsync = fsync
-        self._fh: Any = None
-        self.records_written = 0
+    ``fsync=True`` syncs every event to stable storage — power-loss
+    durability at a per-event fsync cost; by default events are only
+    flushed to the OS, which a process crash cannot lose.  A file that
+    is not a farm WAL raises ``ValueError`` on :meth:`replay` and
+    :meth:`open` (refusing to "recover" from, or append to, garbage).
+    """
 
-    def open(self) -> None:
-        """Open for appending, writing the header on a fresh file."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if fresh:
-            self.record({"ev": "header", "format": WAL_FORMAT,
-                         "version": WAL_VERSION})
+    def header(self) -> dict[str, Any]:
+        return {"ev": "header", "format": WAL_FORMAT,
+                "version": WAL_VERSION}
+
+    def check_header(self, record: dict[str, Any]) -> None:
+        if (record.get("format") != WAL_FORMAT
+                or record.get("version") != WAL_VERSION):
+            raise ValueError(
+                f"{self.path} is not an mb32-farm write-ahead journal"
+            )
 
     def record(self, event: dict[str, Any]) -> None:
-        """Seal and append one event, flushed to the OS immediately
-        (``fsync=True`` additionally syncs to stable storage — power
-        -loss durability at a per-event fsync cost)."""
-        if self._fh is None:
-            return
-        # canonicalize through a JSON round-trip so the seal digest is
-        # computed on exactly what replay will parse (tuples -> lists)
-        event = json.loads(json.dumps(event, default=repr))
-        self._fh.write(json.dumps(seal_record(event)) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            with contextlib.suppress(OSError, ValueError):
-                os.fsync(self._fh.fileno())
-        self.records_written += 1
-
-    def replay(self) -> list[dict[str, Any]]:
-        """Parse the intact prefix of an existing journal.
-
-        Returns the event records in append order (header excluded);
-        replay stops at the first truncated or damaged line.  A
-        missing file replays as empty; a file that is not a farm WAL
-        raises ``ValueError`` (refusing to "recover" from garbage).
-        """
-        if not self.path.exists():
-            return []
-        events: list[dict[str, Any]] = []
-        header_seen = False
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    break  # torn tail from a crash mid-append
-                if not record_intact(rec):
-                    break  # damaged line: replay the intact prefix
-                if not header_seen:
-                    header_seen = True
-                    if (not isinstance(rec, dict)
-                            or rec.get("format") != WAL_FORMAT
-                            or rec.get("version") != WAL_VERSION):
-                        raise ValueError(
-                            f"{self.path} is not an mb32-farm "
-                            f"write-ahead journal"
-                        )
-                    continue
-                events.append(rec)
-        return events
-
-    def sync(self) -> None:
-        """Force everything appended so far to stable storage."""
-        if self._fh is not None:
-            self._fh.flush()
-            with contextlib.suppress(OSError, ValueError):
-                os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self.sync()
-            self._fh.close()
-            self._fh = None
+        """Seal and append one event (dropped while the journal is
+        closed, e.g. after a simulated crash)."""
+        self.append(event)

@@ -28,7 +28,11 @@ parameters and the report carries no wall-clock fields.
 Trial fan-out reuses the DSE sweep engine
 (:func:`repro.cosim.sweep.sweep` with a custom ``evaluate``), so
 campaigns inherit its worker pool, per-trial timeouts, retry/backoff
-and resume journal for free.
+and resume journal for free.  Every per-trial record — a classified
+trial, an early exit, a lockstep lane's hang, or the ``crash`` record
+of a trial whose evaluation died — is built by :func:`_trial_record`,
+and :func:`_trial_from_evaluation` is the one step from a sweep-engine
+payload to a record (shared with the job farm's campaign shards).
 """
 
 from __future__ import annotations
@@ -36,13 +40,13 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.cosim.checkpoint import checkpoint_to_dict, restore_from_dict
-from repro.cosim.dse import STATUS_ERROR, STATUS_OK, DSEResult
+from repro.cosim.dse import STATUS_OK, DSEResult
 from repro.cosim.environment import CoSimDeadlock, CoSimulation
 from repro.cosim.partition import DesignSpec
-from repro.cosim.sweep import SweepProgress, retry_backoff_delay, sweep
+from repro.cosim.sweep import SweepProgress, point_payload, sweep
 from repro.faults.detect import check_invariants
 from repro.faults.inject import FaultInjector, MultiFaultInjector
 from repro.faults.plan import (
@@ -53,6 +57,7 @@ from repro.faults.plan import (
 )
 from repro.iss.cpu import HaltReason
 from repro.runapi import RunOutcome
+from repro.runapi.backoff import retry_backoff_delay
 from repro.runapi.engine import SCALAR_ENGINES, EngineError, engine_scope
 from repro.telemetry.events import COSIM_TRACK, ROLLBACK, TelemetryEvent
 
@@ -211,6 +216,39 @@ def _classify_state(sim, design) -> tuple[str, str]:
     return OUTCOME_MASKED, ""
 
 
+def _trial_record(
+    plan: dict[str, Any],
+    outcome: str,
+    detail: str,
+    *,
+    original_outcome: str | None = None,
+    injected: Sequence[dict[str, Any]] = (),
+    rollbacks: int = 0,
+    backoff_s: Sequence[float] = (),
+    checkpoint_cycle: int | None = None,
+    cycles: int | None = None,
+    exit_code: int | None = None,
+) -> dict[str, Any]:
+    """One per-trial record of the campaign report (``plan`` is the
+    trial's :meth:`FaultPlan.to_dict`).  The defaults describe a trial
+    that never reached its fault: nothing injected, no checkpoint, no
+    rollback — with no cycles either, the ``crash`` record of a trial
+    whose evaluation itself died."""
+    return {
+        "seed": plan["seed"],
+        "plan": plan,
+        "injected": list(injected),
+        "rollbacks": rollbacks,
+        "backoff_s": list(backoff_s),
+        "checkpoint_cycle": checkpoint_cycle,
+        "outcome": outcome,
+        "original_outcome": original_outcome or outcome,
+        "detail": detail,
+        "cycles": cycles,
+        "exit_code": exit_code,
+    }
+
+
 def run_trial(
     app: str,
     design_params: dict[str, Any],
@@ -252,50 +290,38 @@ def run_trial(
     # halted/halt_reason/cycle/exit_code/resume() surface as one CPU
     cpu = sim if multi else sim.cpu
 
-    record: dict[str, Any] = {
-        "seed": fault_plan.seed,
-        "plan": fault_plan.to_dict(),
-        "injected": [],
-        "rollbacks": 0,
-        "backoff_s": [],
-        "checkpoint_cycle": None,
-    }
-
     first = min(fault_plan.first_cycle, max_cycles)
     sim.run(until=first)
     if cpu.halted and cpu.halt_reason is not HaltReason.MAX_CYCLES:
         # The program finished before the fault cycle — nothing landed.
         outcome, detail = _finish_and_classify(sim, design, lambda: None)
-        record.update(
-            outcome=outcome,
-            original_outcome=outcome,
-            detail=detail or "program ended before the fault cycle",
-            cycles=cpu.cycle,
-            exit_code=cpu.exit_code,
+        return _trial_record(
+            fault_plan.to_dict(), outcome,
+            detail or "program ended before the fault cycle",
+            cycles=cpu.cycle, exit_code=cpu.exit_code,
         )
-        return record
 
     checkpoint = checkpoint_to_dict(sim, label=f"pre-fault {fault_plan.seed}")
-    record["checkpoint_cycle"] = checkpoint["cycle"]
 
     injector_cls = MultiFaultInjector if multi else FaultInjector
     injector = injector_cls(sim, fault_plan)
     outcome, detail = _finish_and_classify(
         sim, design, lambda: injector.run(max_cycles)
     )
-    record["injected"] = injector.log
     original_outcome, original_detail = outcome, detail
+    rollbacks = 0
+    backoffs: list[float] = []
 
     if recovery == "rollback" and outcome in RECOVERABLE:
         for attempt in range(1, max_retries + 1):
-            record["backoff_s"].append(
+            backoffs.append(
                 retry_backoff_delay(
                     backoff_s, f"trial/{fault_plan.seed}", attempt
                 )
             )
             restore_from_dict(sim, checkpoint)
             cpu.resume()
-            record["rollbacks"] = attempt
+            rollbacks = attempt
             if sim.telemetry is not None:
                 sim.telemetry.bus.emit(
                     TelemetryEvent(
@@ -315,14 +341,17 @@ def run_trial(
                 )
                 break
 
-    record.update(
-        outcome=outcome,
+    return _trial_record(
+        fault_plan.to_dict(), outcome,
+        detail if outcome != original_outcome else original_detail,
         original_outcome=original_outcome,
-        detail=detail if outcome != original_outcome else original_detail,
+        injected=injector.log,
+        rollbacks=rollbacks,
+        backoff_s=backoffs,
+        checkpoint_cycle=checkpoint["cycle"],
         cycles=cpu.cycle,
         exit_code=cpu.exit_code,
     )
-    return record
 
 
 # ----------------------------------------------------------------------
@@ -330,29 +359,23 @@ def run_trial(
 # ----------------------------------------------------------------------
 def _evaluate_trial(
     point: DesignSpec,
-    cache_dir: str | None,
-    timeout_s: float | None,
+    cache_dir: str | None = None,
+    timeout_s: float | None = None,
     telemetry: bool = False,
+    design_factory: Callable[[], Any] | None = None,
 ) -> dict[str, Any]:
     """Sweep-engine ``evaluate`` hook: one trial per design point.
 
     The trial record travels in the payload's ``metrics`` slot; trials
     are never cached (``cache_dir`` is ignored) and a healthy trial is
     always ``STATUS_OK`` regardless of its fault outcome — outcomes
-    are campaign data, not evaluation failures.
+    are campaign data, not evaluation failures.  ``design_factory`` is
+    :func:`run_trial`'s ``_design_factory`` (scalar replays of batched
+    lanes).
     """
     del cache_dir, timeout_s, telemetry
-    payload: dict[str, Any] = {
-        "status": STATUS_ERROR,
-        "error": None,
-        "result": None,
-        "estimate": None,
-        "fingerprint": None,
-        "cache_hit": False,
-        "metrics": None,
-    }
+    params = point.params
     try:
-        params = dict(point.params)
         trial = run_trial(
             params["app"],
             params["design"],
@@ -363,12 +386,30 @@ def _evaluate_trial(
             deadlock_window=params["deadlock_window"],
             max_cycles=params["max_cycles"],
             engine=params.get("engine", "auto"),
+            _design_factory=design_factory,
         )
     except Exception as exc:
-        payload["error"] = f"trial failed: {type(exc).__name__}: {exc}"
-        return payload
-    payload.update(status=STATUS_OK, metrics=trial)
-    return payload
+        return point_payload(
+            error=f"trial failed: {type(exc).__name__}: {exc}"
+        )
+    return point_payload(status=STATUS_OK, metrics=trial)
+
+
+def _trial_from_evaluation(
+    spec: DesignSpec,
+    status: str,
+    metrics: dict[str, Any] | None,
+    error: str | None,
+) -> dict[str, Any]:
+    """The report record of one trial from its evaluation outcome: the
+    trial's own record, or a ``crash`` record when the evaluation
+    itself died (trial raised, worker crash, ...)."""
+    if status == STATUS_OK and metrics is not None:
+        return dict(metrics)
+    return _trial_record(
+        spec.params["plan"], OUTCOME_CRASH,
+        error or "trial evaluation failed",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -587,22 +628,7 @@ def run_campaign(
 
     trials: list[dict[str, Any]] = []
     for i, r in enumerate(report.results):
-        if r.status == STATUS_OK and r.metrics is not None:
-            trial = dict(r.metrics)
-        else:  # the evaluation itself died (worker crash etc.)
-            trial = {
-                "seed": f"{config.seed}/{i}",
-                "plan": specs[i].params["plan"],
-                "injected": [],
-                "rollbacks": 0,
-                "backoff_s": [],
-                "checkpoint_cycle": None,
-                "outcome": OUTCOME_CRASH,
-                "original_outcome": OUTCOME_CRASH,
-                "detail": r.error or "trial evaluation failed",
-                "cycles": None,
-                "exit_code": None,
-            }
+        trial = _trial_from_evaluation(specs[i], r.status, r.metrics, r.error)
         trial["trial"] = i
         trials.append(trial)
 
@@ -618,41 +644,16 @@ def run_campaign(
 # The batched (lockstep vector) campaign path
 # ----------------------------------------------------------------------
 def _scalar_trial(
-    config: CampaignConfig,
     spec: DesignSpec,
     design_factory: Callable[[], Any] | None = None,
 ) -> dict[str, Any]:
     """Replay one trial on the scalar engine, producing exactly the
-    record the sweep path would — including the crash-filler shape when
-    the trial evaluation itself raises."""
-    params = dict(spec.params)
-    try:
-        return run_trial(
-            params["app"],
-            params["design"],
-            params["plan"],
-            recovery=params["recovery"],
-            max_retries=params["max_retries"],
-            backoff_s=params["backoff_s"],
-            deadlock_window=params["deadlock_window"],
-            max_cycles=params["max_cycles"],
-            engine=params.get("engine", "auto"),
-            _design_factory=design_factory,
-        )
-    except Exception as exc:  # noqa: BLE001 - mirrors _evaluate_trial
-        return {
-            "seed": params["plan"]["seed"],
-            "plan": params["plan"],
-            "injected": [],
-            "rollbacks": 0,
-            "backoff_s": [],
-            "checkpoint_cycle": None,
-            "outcome": OUTCOME_CRASH,
-            "original_outcome": OUTCOME_CRASH,
-            "detail": f"trial failed: {type(exc).__name__}: {exc}",
-            "cycles": None,
-            "exit_code": None,
-        }
+    record the sweep path would — the crash record included when the
+    trial evaluation itself raises."""
+    payload = _evaluate_trial(spec, design_factory=design_factory)
+    return _trial_from_evaluation(
+        spec, payload["status"], payload["metrics"], payload["error"]
+    )
 
 
 def _run_trial_batch(
@@ -710,7 +711,7 @@ def _run_trial_batch(
                 ))
         batch = BatchedCoSimulation(sims=sims)
     except Exception:  # noqa: BLE001 - scalar replays reproduce it
-        return [_scalar_trial(config, spec, lane_design) for spec in specs]
+        return [_scalar_trial(spec, lane_design) for spec in specs]
 
     # --- drive every lane through its fault plan ---------------------
     injectors = [FaultInjector(batch.lane(li), plans[li]) for li in range(n)]
@@ -834,7 +835,7 @@ def _run_trial_batch(
             # to beat the scalar engine's per-lane fast-forward — hand
             # the stragglers to the (bit-identical) scalar replay
             for li in targets:
-                records[li] = _scalar_trial(config, specs[li], lane_design)
+                records[li] = _scalar_trial(specs[li], lane_design)
                 finished[li] = True
             break
         batch.advance(targets)
@@ -860,43 +861,27 @@ def _run_trial_batch(
                 if not applied_any[li]:
                     # scalar run_trial raises during the fault-free
                     # prefix — the sweep wrapper's crash-filler record
-                    records[li] = {
-                        "seed": plans[li].seed,
-                        "plan": plans[li].to_dict(),
-                        "injected": [],
-                        "rollbacks": 0,
-                        "backoff_s": [],
-                        "checkpoint_cycle": None,
-                        "outcome": OUTCOME_CRASH,
-                        "original_outcome": OUTCOME_CRASH,
-                        "detail": f"trial failed: CoSimDeadlock: {msg}",
-                        "cycles": None,
-                        "exit_code": None,
-                    }
+                    records[li] = _trial_record(
+                        plans[li].to_dict(), OUTCOME_CRASH,
+                        f"trial failed: CoSimDeadlock: {msg}",
+                    )
                 elif config.recovery == "rollback":
                     # hang is recoverable: rollback runs on the scalar
                     # engine, so replay the whole trial there
-                    records[li] = _scalar_trial(config, specs[li],
-                                                lane_design)
+                    records[li] = _scalar_trial(specs[li], lane_design)
                 else:
-                    records[li] = {
-                        "seed": plans[li].seed,
-                        "plan": plans[li].to_dict(),
-                        "injected": injectors[li].log,
-                        "rollbacks": 0,
-                        "backoff_s": [],
-                        "checkpoint_cycle": firsts[li],
-                        "outcome": OUTCOME_HANG,
-                        "original_outcome": OUTCOME_HANG,
-                        "detail": f"watchdog: {msg}",
-                        "cycles": cpu.cycle,
-                        "exit_code": cpu.exit_code,
-                    }
+                    records[li] = _trial_record(
+                        plans[li].to_dict(), OUTCOME_HANG,
+                        f"watchdog: {msg}",
+                        injected=injectors[li].log,
+                        checkpoint_cycle=firsts[li],
+                        cycles=cpu.cycle, exit_code=cpu.exit_code,
+                    )
                 continue
             # CPU crash / vector-step crash / watchdog inside a stuck
             # window / untracked forced port: the scalar replay
             # reproduces the event and its diagnostics exactly
-            records[li] = _scalar_trial(config, specs[li], lane_design)
+            records[li] = _scalar_trial(specs[li], lane_design)
             continue
         if not applied_any[li] and cpu.halted and \
                 cpu.halt_reason is not HaltReason.MAX_CYCLES:
@@ -905,21 +890,13 @@ def _run_trial_batch(
             try:
                 outcome, detail = _classify_state(lane_sim, design)
             except Exception:  # noqa: BLE001
-                records[li] = _scalar_trial(config, specs[li], lane_design)
+                records[li] = _scalar_trial(specs[li], lane_design)
                 continue
-            records[li] = {
-                "seed": plans[li].seed,
-                "plan": plans[li].to_dict(),
-                "injected": [],
-                "rollbacks": 0,
-                "backoff_s": [],
-                "checkpoint_cycle": None,
-                "outcome": outcome,
-                "original_outcome": outcome,
-                "detail": detail or "program ended before the fault cycle",
-                "cycles": cpu.cycle,
-                "exit_code": cpu.exit_code,
-            }
+            records[li] = _trial_record(
+                plans[li].to_dict(), outcome,
+                detail or "program ended before the fault cycle",
+                cycles=cpu.cycle, exit_code=cpu.exit_code,
+            )
             continue
         if not cpu.halted:
             cpu.halted = True
@@ -927,26 +904,18 @@ def _run_trial_batch(
         try:
             outcome, detail = _classify_state(lane_sim, design)
         except Exception:  # noqa: BLE001 - classification itself raised
-            records[li] = _scalar_trial(config, specs[li], lane_design)
+            records[li] = _scalar_trial(specs[li], lane_design)
             continue
         if config.recovery == "rollback" and outcome in RECOVERABLE:
             # rollback re-runs from the checkpoint on the scalar
             # engine; replay the whole trial there
-            records[li] = _scalar_trial(config, specs[li], lane_design)
+            records[li] = _scalar_trial(specs[li], lane_design)
             continue
-        records[li] = {
-            "seed": plans[li].seed,
-            "plan": plans[li].to_dict(),
-            "injected": injectors[li].log,
-            "rollbacks": 0,
-            "backoff_s": [],
-            "checkpoint_cycle": firsts[li],
-            "outcome": outcome,
-            "original_outcome": outcome,
-            "detail": detail,
-            "cycles": cpu.cycle,
-            "exit_code": cpu.exit_code,
-        }
+        records[li] = _trial_record(
+            plans[li].to_dict(), outcome, detail,
+            injected=injectors[li].log, checkpoint_cycle=firsts[li],
+            cycles=cpu.cycle, exit_code=cpu.exit_code,
+        )
     return records
 
 
@@ -974,7 +943,7 @@ def _run_campaign_batched(
 
     def run_chunk(chunk: list[DesignSpec]) -> list[dict[str, Any]]:
         if multi:
-            return [_scalar_trial(config, spec, lambda: design)
+            return [_scalar_trial(spec, lambda: design)
                     for spec in chunk]
         return _run_trial_batch(config, chunk, design)
 

@@ -12,10 +12,7 @@ engine; this package is the one surface that ties them together:
   :meth:`repro.cosim.environment.CoSimulation.run`: cycle budget
   default, wall-clock budget, fast-forward mode, watchdog window.
 * :func:`resolve_engine` / :func:`engine_scope` — the single engine
-  selector (``"auto" | "compiled" | "interpreter" | "batched"``) that
-  replaces ``model.force_interpreter``, ``REPRO_SYSGEN_INTERP=1`` and
-  per-call knobs.  The old spellings keep working as deprecated shims
-  that warn exactly once per process (:mod:`repro.runapi.deprecation`).
+  selector (``"auto" | "compiled" | "interpreter" | "batched"``).
 * :func:`design_fingerprint` / :func:`fingerprint_json` — the
   stability-tested content fingerprints that key the sweep result
   cache and the farm's content-addressed job cache
@@ -35,10 +32,6 @@ from repro.runapi.durable import (
     record_intact,
     scavenge_tmp,
     seal_record,
-)
-from repro.runapi.deprecation import (
-    deprecated_once,
-    reset_deprecation_registry,
 )
 from repro.runapi.fingerprint import (
     FINGERPRINT_VERSION,
@@ -73,11 +66,9 @@ __all__ = [
     "RunPolicy",
     "canonical_json",
     "current_engine",
-    "deprecated_once",
     "design_fingerprint",
     "engine_scope",
     "fingerprint_json",
-    "reset_deprecation_registry",
     "resolve_engine",
     "retry_backoff_delay",
 ]

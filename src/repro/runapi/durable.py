@@ -35,7 +35,9 @@ integrity property per record: :func:`seal_record` embeds a digest of
 the record's canonical JSON and :func:`record_intact` verifies it on
 replay, so a line torn by a crash mid-append is detected and replay
 stops at the last intact prefix (exactly the semantics of a database
-WAL tail).
+WAL tail).  :class:`SealedJournal` is the one implementation of such a
+file: header, sealed appends, intact-prefix replay, and a reopen that
+cuts a torn tail off before appending after it.
 
 Chaos hook: :func:`set_write_fault` installs a process-wide mutator
 applied to the encoded blob of the *next* durable writes — the
@@ -45,6 +47,7 @@ simulate torn and bit-flipped writes without patching any call site.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -313,3 +316,105 @@ def record_intact(record: Any) -> bool:
         return True
     body = {k: v for k, v in record.items() if k != "sha"}
     return record["sha"] == _record_digest(body)
+
+
+class SealedJournal:
+    """An append-only JSON-lines file of sealed records behind a header.
+
+    Line 1 is the header (:meth:`header`, checked on every read by
+    :meth:`check_header`, which raises ``ValueError`` for a file that is
+    not this kind of journal); every further line is one sealed record.
+    :meth:`replay` returns the records of the intact prefix — reading
+    stops at the first truncated or damaged line.  :meth:`open` cuts
+    the file back to that prefix before appending, so a tail torn by a
+    crash can never swallow the records written after the restart; a
+    file with no intact header starts over with a fresh one.  Appends
+    are flushed (and fsync'd per record with ``fsync=True``); ``close``
+    always fsyncs.
+    """
+
+    def __init__(self, path: str | os.PathLike, *, fsync: bool = False):
+        self.path = pathlib.Path(path)
+        self.fsync = fsync
+        self._fh: Any = None
+        self.records_written = 0
+
+    def header(self) -> dict[str, Any]:
+        """The first line of a fresh journal."""
+        raise NotImplementedError
+
+    def check_header(self, record: dict[str, Any]) -> None:
+        """Raise ``ValueError`` unless ``record`` heads this journal."""
+        raise NotImplementedError
+
+    def _scan(self) -> tuple[list[dict[str, Any]], bytes]:
+        """The intact records after the header, and the bytes of the
+        intact prefix (header included)."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return [], b""
+        records: list[dict[str, Any]] = []
+        header_seen = False
+        pos = end = 0
+        while pos < len(data):
+            newline = data.find(b"\n", pos)
+            stop = len(data) if newline < 0 else newline + 1
+            line = data[pos:stop].strip()
+            if line:
+                try:
+                    rec = json.loads(line)
+                except ValueError:
+                    break  # torn tail from a crash mid-append
+                if not record_intact(rec):
+                    break  # damaged line: replay the intact prefix only
+                if header_seen:
+                    records.append(rec)
+                else:
+                    self.check_header(rec)
+                    header_seen = True
+            pos = stop
+            if header_seen:
+                end = stop
+        return records, data[:end]
+
+    def replay(self) -> list[dict[str, Any]]:
+        """The records of the intact prefix, header excluded; a missing
+        file replays as empty."""
+        return self._scan()[0]
+
+    def open(self) -> None:
+        """Open for appending after the intact prefix, writing the
+        header when there is none."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        _records, prefix = self._scan()
+        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh.truncate(len(prefix))
+        if not prefix:
+            self.append(self.header())
+        elif not prefix.endswith(b"\n"):
+            self._fh.write("\n")  # intact last line, torn before its newline
+
+    def append(self, record: dict[str, Any]) -> None:
+        """Seal and append one record, flushed to the OS immediately;
+        a journal that is not open drops it."""
+        if self._fh is None:
+            return
+        # canonicalize through a JSON round-trip so the seal digest is
+        # computed on exactly what replay will parse (tuples -> lists)
+        record = json.loads(json.dumps(record, default=repr))
+        self._fh.write(json.dumps(seal_record(record)) + "\n")
+        self._fh.flush()
+        if self.fsync:
+            with contextlib.suppress(OSError, ValueError):
+                os.fsync(self._fh.fileno())
+        self.records_written += 1
+
+    def close(self) -> None:
+        """Sync everything appended to stable storage and close."""
+        if self._fh is not None:
+            self._fh.flush()
+            with contextlib.suppress(OSError, ValueError):
+                os.fsync(self._fh.fileno())
+            self._fh.close()
+            self._fh = None

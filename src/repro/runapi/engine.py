@@ -1,12 +1,8 @@
 """One engine selector.
 
-Four ways to pick how a sysgen model executes accreted over six PRs:
-``model.compile()``, ``model.force_interpreter = True``,
-``REPRO_SYSGEN_INTERP=1`` and assorted per-call knobs.  They collapse
-into a single ``engine=`` value:
+How a sysgen model executes is a single ``engine=`` value:
 
-* ``"auto"`` — honor an enclosing :func:`engine_scope`, else the
-  deprecated spellings (which now warn once), else compiled.
+* ``"auto"`` — honor an enclosing :func:`engine_scope`, else compiled.
 * ``"compiled"`` — the PR 6 generated-python schedule, always.
 * ``"interpreter"`` — the per-block reference interpreter, always.
 * ``"batched"`` — the lockstep vector engine; only meaningful for
@@ -23,8 +19,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Iterator
-
-from repro.runapi.deprecation import deprecated_once
 
 ENGINES = ("auto", "compiled", "interpreter", "batched")
 
@@ -65,14 +59,12 @@ def engine_scope(engine: str) -> Iterator[str]:
         _scope_stack.pop()
 
 
-def resolve_engine(engine: str = "auto", *, model=None) -> str:
+def resolve_engine(engine: str = "auto") -> str:
     """Resolve an engine request to a concrete scalar engine.
 
-    ``"auto"`` consults, in order: the ambient :func:`engine_scope`,
-    then the deprecated ``model.force_interpreter`` flag and the
-    ``REPRO_SYSGEN_INTERP`` environment variable (each warns once),
-    and finally defaults to ``"compiled"``.  The result is always one
-    of :data:`SCALAR_ENGINES`; resolving to ``"batched"`` here raises,
+    ``"auto"`` takes the ambient :func:`engine_scope` and otherwise
+    defaults to ``"compiled"``.  The result is always one of
+    :data:`SCALAR_ENGINES`; resolving to ``"batched"`` here raises,
     because a scalar model cannot run vectorized — build a
     ``BatchedCoSimulation`` (or pass ``--batch``) instead.
     """
@@ -85,23 +77,6 @@ def resolve_engine(engine: str = "auto", *, model=None) -> str:
         if ambient in SCALAR_ENGINES:
             engine = ambient
     if engine == "auto":
-        if model is not None and getattr(model, "force_interpreter", False):
-            deprecated_once(
-                "model.force_interpreter",
-                "Model.force_interpreter is deprecated; use "
-                "engine='interpreter' (e.g. CoSimulation(engine=...) or "
-                "model.set_engine('interpreter')) instead",
-            )
-            return "interpreter"
-        from repro.sysgen.compiled import interpreter_forced
-
-        if interpreter_forced():
-            deprecated_once(
-                "env.REPRO_SYSGEN_INTERP",
-                "REPRO_SYSGEN_INTERP=1 is deprecated; use "
-                "engine='interpreter' instead",
-            )
-            return "interpreter"
         return "compiled"
     if engine == "batched":
         raise EngineError(

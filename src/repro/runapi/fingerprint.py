@@ -15,9 +15,9 @@ stream changes.
   farm's job key: two submissions with equal (kind, payload) hash
   identically regardless of dict ordering.
 * :func:`design_fingerprint` — the identity of a *built* design point
-  (program image + entry, CPU configuration, model parameters), moved
-  verbatim from the sweep engine's historical ``point_fingerprint`` so
-  existing sweep caches stay valid.
+  (program image + entry, CPU configuration, model parameters); it
+  keys the sweep result cache, and its recipe predates this module,
+  so existing sweep caches stay valid.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ def design_fingerprint(point, instance) -> str:
 
     ``point`` is a :class:`~repro.cosim.partition.DesignPoint` or
     :class:`~repro.cosim.partition.DesignSpec`; ``instance`` is its
-    built design.  The recipe is digest-compatible with the historical
-    ``repro.cosim.sweep.point_fingerprint`` — the pinned-digest test
-    keeps it that way.
+    built design.  The pinned-digest tests keep the recipe stable, so
+    existing sweep caches keep hitting.
     """
     h = hashlib.sha256()
     h.update(getattr(point, "factory", point.name).encode())

@@ -33,15 +33,14 @@ in a ``finally`` on exit, so external mutation between calls —
 gateway drives, OPB stores, fault injection poking ``port.value``,
 ``load_state`` — behaves exactly as under the interpreter.
 
-Set ``REPRO_SYSGEN_INTERP=1`` in the environment (or
-``model.force_interpreter = True``) to disable compilation and run the
-classic interpreter loop; ``model.compiled_source`` exposes the
-generated source for inspection.
+Select ``engine="interpreter"`` (``model.set_engine``,
+``CoSimulation(engine=...)`` or :func:`repro.runapi.engine_scope`) to
+disable compilation and run the classic interpreter loop;
+``model.compiled_source`` exposes the generated source for inspection.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from typing import TYPE_CHECKING, Callable
 
@@ -49,18 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sysgen.block import Block
     from repro.sysgen.model import Model
     from repro.sysgen.ports import InputPort, OutputPort
-
-#: environment escape hatch: any value other than 0/false/no/off forces
-#: the interpreter for every subsequently compiled model.
-INTERP_ENV = "REPRO_SYSGEN_INTERP"
-
-_FALSEY = ("", "0", "false", "no", "off")
-
-
-def interpreter_forced() -> bool:
-    """True when ``REPRO_SYSGEN_INTERP`` requests the interpreter."""
-    return os.environ.get(INTERP_ENV, "").strip().lower() not in _FALSEY
-
 
 class CompileError(RuntimeError):
     """Schedule code generation failed (a block emitted bad source)."""

@@ -54,10 +54,6 @@ class Model:
         self._ff_blocks: list[Block] = []
         #: generated-code engine (None = interpreter; see compile())
         self._compiled: CompiledSchedule | None = None
-        #: deprecated per-model escape hatch mirroring
-        #: REPRO_SYSGEN_INTERP; honored (with a one-time warning) when
-        #: the engine request is "auto" — use set_engine() instead
-        self.force_interpreter = False
         #: unified engine request; see repro.runapi.engine
         self._engine_request = "auto"
         #: True once a full step() has run since the last reset/compile,
@@ -180,18 +176,17 @@ class Model:
 
     def _codegen(self) -> None:
         """(Re)generate the compiled step/settle functions for the
-        current schedule, unless the engine request (or, under
-        ``"auto"``, a deprecated interpreter knob) resolves to the
+        current schedule, unless the engine request resolves to the
         interpreter."""
         self._compiled = None
-        if resolve_engine(self._engine_request, model=self) == "interpreter":
+        if resolve_engine(self._engine_request) == "interpreter":
             return
         self._compiled = CompiledSchedule(self)
 
     def set_engine(self, engine: str) -> None:
         """Pin this model to an engine (``"auto"``, ``"compiled"`` or
-        ``"interpreter"``); an explicit choice overrides the deprecated
-        ``force_interpreter`` / ``REPRO_SYSGEN_INTERP`` knobs."""
+        ``"interpreter"``); an explicit choice overrides an enclosing
+        :func:`~repro.runapi.engine_scope`."""
         if engine == "batched":
             raise EngineError(
                 "a scalar Model cannot run batched; construct a "

@@ -19,7 +19,7 @@ ENGINES = ("compiled", "interpreter")
 
 
 @pytest.fixture(params=ENGINES, ids=lambda e: f"engine={e}")
-def sysgen_engine(request, monkeypatch):
+def sysgen_engine(request):
     """Run the test once per sysgen execution engine.
 
     The ambient engine scope is entered *before* the test body runs, so
@@ -29,6 +29,5 @@ def sysgen_engine(request, monkeypatch):
     """
     from repro.runapi import engine_scope
 
-    monkeypatch.delenv("REPRO_SYSGEN_INTERP", raising=False)
     with engine_scope(request.param):
         yield request.param

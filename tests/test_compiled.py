@@ -12,10 +12,7 @@ alone.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bus.fsl import FSLChannel
-from repro.runapi import reset_deprecation_registry
 from repro.sysgen import Model
 from repro.sysgen.block import CombBlock
 from repro.sysgen.blocks import (
@@ -46,7 +43,6 @@ from repro.sysgen.blocks import (
     Slice,
     Sub,
 )
-from repro.sysgen.compiled import interpreter_forced
 
 
 def build_zoo():
@@ -175,11 +171,8 @@ def _snapshot(m, chans):
 
 def _run_zoo(force_interp: bool, cycles: int):
     m, gates, chans, bank = build_zoo()
-    m.force_interpreter = force_interp
-    if force_interp:
-        assert m.engine == "interpreter"
-    elif not interpreter_forced():
-        assert m.engine == "compiled"
+    m.set_engine("interpreter" if force_interp else "compiled")
+    assert m.engine == ("interpreter" if force_interp else "compiled")
     for i in range(cycles):
         _apply(i, gates, chans, bank)
         m.step()
@@ -189,33 +182,7 @@ def _run_zoo(force_interp: bool, cycles: int):
 # ----------------------------------------------------------------------
 # Engine selection surface
 # ----------------------------------------------------------------------
-def test_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_SYSGEN_INTERP", "1")
-    reset_deprecation_registry()
-    m = Model()
-    m.add(Counter("c", width=4))
-    with pytest.warns(DeprecationWarning, match="REPRO_SYSGEN_INTERP"):
-        assert m.engine == "interpreter"
-    assert m.compiled_source is None
-    monkeypatch.setenv("REPRO_SYSGEN_INTERP", "0")  # falsey spelling
-    m2 = Model()
-    m2.add(Counter("c", width=4))
-    assert m2.engine == "compiled"
-
-
-def test_force_interpreter_attribute(monkeypatch):
-    monkeypatch.delenv("REPRO_SYSGEN_INTERP", raising=False)
-    m = Model()
-    m.add(Counter("c", width=4))
-    m.force_interpreter = True
-    reset_deprecation_registry()
-    with pytest.warns(DeprecationWarning, match="force_interpreter"):
-        assert m.engine == "interpreter"
-    assert m.compiled_source is None
-
-
-def test_compiled_source_is_inspectable(monkeypatch):
-    monkeypatch.delenv("REPRO_SYSGEN_INTERP", raising=False)
+def test_compiled_source_is_inspectable():
     m, _, _, _ = build_zoo()
     src = m.compiled_source
     assert src is not None
@@ -231,8 +198,7 @@ def test_engines_bit_identical():
     assert _run_zoo(False, 300) == _run_zoo(True, 300)
 
 
-def test_step_batching_matches_per_cycle(monkeypatch):
-    monkeypatch.delenv("REPRO_SYSGEN_INTERP", raising=False)
+def test_step_batching_matches_per_cycle():
     runs = []
     for batched in (True, False):
         m, gates, chans, bank = build_zoo()
@@ -278,14 +244,14 @@ def test_checkpoint_across_engine_switch():
     assert reference == _run_zoo(True, 240)
     for first, second in ((False, True), (True, False)):
         m1, gates1, chans1, bank1 = build_zoo()
-        m1.force_interpreter = first
+        m1.set_engine("interpreter" if first else "compiled")
         for i in range(120):
             _apply(i, gates1, chans1, bank1)
             m1.step()
         saved_model, saved_chans = _snapshot(m1, chans1)
 
         m2, gates2, chans2, bank2 = build_zoo()
-        m2.force_interpreter = second
+        m2.set_engine("interpreter" if second else "compiled")
         m2.load_state(saved_model)
         for ch, payload in zip(chans2, saved_chans):
             ch.load_state(payload)
@@ -325,13 +291,12 @@ def _fallback_model():
     return m
 
 
-def test_fallback_block_in_compiled_schedule(monkeypatch):
-    monkeypatch.delenv("REPRO_SYSGEN_INTERP", raising=False)
+def test_fallback_block_in_compiled_schedule():
     m1 = _fallback_model()
     assert m1.engine == "compiled"  # fallback splices, doesn't disable
     m1.step(50)
     m2 = _fallback_model()
-    m2.force_interpreter = True
+    m2.set_engine("interpreter")
     m2.step(50)
     assert m1.state_dict() == m2.state_dict()
 
@@ -350,7 +315,7 @@ def test_fsl_telemetry_events_identical():
     runs = []
     for force in (False, True):
         m, gates, chans, bank = build_zoo()
-        m.force_interpreter = force
+        m.set_engine("interpreter" if force else "compiled")
         rec = _Recorder()
         for b in (m.block("rd"), m.block("wr")):
             b.events = rec

@@ -44,6 +44,29 @@ def test_bless_and_check_roundtrip(tmp_path):
     assert [e.kind for e in entries] == ["ok"]
 
 
+def test_corpus_check_runs_under_the_requested_engine(tmp_path,
+                                                      monkeypatch, capsys):
+    import repro.conformance.oracle as oracle
+
+    bless_golden(tmp_path, [_tiny_scenario()])
+    seen = []
+    real_observe = oracle.observe
+
+    def spy(scenario, mode, program=None, engine="auto"):
+        seen.append((mode, engine))
+        return real_observe(scenario, mode, program, engine)
+
+    monkeypatch.setattr(oracle, "observe", spy)
+    rc = conformance_main(["--corpus", str(tmp_path), "--count", "0",
+                           "--engine", "interpreter",
+                           "--modes", "fast_forward,subprocess"])
+    capsys.readouterr()
+    assert rc == 0
+    assert seen == [("per_cycle", "interpreter"),
+                    ("fast_forward", "interpreter"),
+                    ("subprocess", "interpreter")]
+
+
 def test_golden_file_is_sorted_reviewable_json(tmp_path):
     path = write_golden(tmp_path, _tiny_scenario(),
                         observe(_tiny_scenario(), "per_cycle"))
@@ -75,7 +98,7 @@ def test_silent_regression_when_live_modes_disagree(tmp_path, monkeypatch):
     bless_golden(tmp_path, [scenario])
     reference = observe(scenario, "per_cycle")
 
-    def fake_check_scenario(sc, modes):
+    def fake_check_scenario(sc, modes, engine="auto"):
         verdict = ScenarioVerdict(scenario=sc, reference=reference)
         verdict.observations["per_cycle"] = reference
         verdict.divergences["fast_forward"] = {

@@ -1,6 +1,6 @@
 """Processor-configuration sweeps: the paper's point that soft
 processors expose "many possible configurations" whose trade-offs the
-co-simulation environment must let designers explore."""
+co-simulation environment must let designers compare."""
 
 import pytest
 

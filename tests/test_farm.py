@@ -272,9 +272,9 @@ class TestSheddingAndDrain:
     def test_drain_finishes_jobs_then_stops(self):
         handle = start_farm_thread(workers=2)
         try:
-            client = FarmClient(handle.host, handle.port)
-            slow = client.submit("simulate", synth_payload(seconds=0.4),
-                                 cacheable=False)
+            with FarmClient(handle.host, handle.port) as client:
+                slow = client.submit("simulate", synth_payload(seconds=0.4),
+                                     cacheable=False)
             with FarmClient(handle.host, handle.port) as drainer:
                 outcome = drainer.drain()
             assert outcome["drained"]
@@ -335,6 +335,7 @@ class TestFarmCLI:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestGdbServerCLI:

@@ -101,6 +101,30 @@ class TestGatewayJournal:
         replayed = GatewayJournal(journal.path).replay()
         assert [rec["ev"] for rec in replayed] == ["submit", "done"]
 
+    def test_reopen_after_torn_tail_keeps_new_records(self, tmp_path):
+        journal = self._journal(tmp_path, [
+            {"ev": EV_SUBMIT, "id": f"j{i}"} for i in range(3)
+        ])
+        with open(journal.path, "a", encoding="utf-8") as fh:
+            fh.write('{"ev": "submit", "id": "j3", "sh')  # crash mid-append
+        assert len(GatewayJournal(journal.path).replay()) == 3
+        second = GatewayJournal(journal.path)
+        second.open()
+        for i in range(3, 6):
+            second.record({"ev": EV_SUBMIT, "id": f"j{i}"})
+        second.close()
+        replayed = GatewayJournal(journal.path).replay()
+        assert [rec["id"] for rec in replayed] == [f"j{i}" for i in range(6)]
+
+    def test_reopen_after_torn_header_starts_fresh(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_text('{"ev": "header", "for')
+        journal = GatewayJournal(path)
+        journal.open()
+        journal.record({"ev": EV_SUBMIT, "id": "j1"})
+        journal.close()
+        assert [rec["id"] for rec in GatewayJournal(path).replay()] == ["j1"]
+
 
 # ----------------------------------------------------------------------
 # FarmCache durability (regression: torn entry -> miss -> re-execute)
@@ -358,6 +382,15 @@ class TestGatewayRecovery:
                 assert metrics.get("farm.recovery.failed") == 1
         finally:
             recovered.stop()
+
+    def test_crash_closes_the_journal(self, tmp_path):
+        farm = self._boot(tmp_path, recover=False, workers=1)
+        journal = farm.gateway.journal
+        farm.crash()
+        assert journal._fh is None
+        written = journal.records_written
+        journal.record({"ev": EV_SUBMIT, "id": "after-crash"})
+        assert journal.records_written == written  # nothing lands
 
     def test_recover_requires_journal(self):
         from repro.farm.gateway import FarmGateway

@@ -331,6 +331,30 @@ def test_batched_campaign_width_does_not_change_report():
         assert got == ref, f"width {width} changed the report"
 
 
+def test_crash_records_agree_across_every_campaign_path():
+    """A 2-cycle watchdog trips during most trials' fault-free prefix,
+    so their evaluation raises: every path must build the same crash
+    records (and the in-lane hang record) as the sequential runner."""
+    from repro.farm.jobs import execute
+
+    config = CampaignConfig(
+        app="cordic", design=dict(p=2, iters=8, ndata=6), trials=6, seed=3,
+        deadlock_window=2,
+    )
+    ref = run_campaign(config, workers=0).to_dict()
+    assert ref["counts"]["crash"] == 5 and ref["counts"]["hang"] == 1
+    for kw in (dict(workers=2), dict(batch_width=4)):
+        got = run_campaign(config, **kw).to_dict()
+        assert json.dumps(got, sort_keys=True) == \
+            json.dumps(ref, sort_keys=True), kw
+    shard = execute("campaign", {"config": config.to_dict()},
+                    units=list(range(6)))
+    assert shard["baseline_cycles"] == ref["baseline_cycles"]
+    assert json.dumps([r["trial"] for r in shard["records"]],
+                      sort_keys=True) == \
+        json.dumps(ref["trials"], sort_keys=True)
+
+
 def test_batched_campaign_rejects_journal():
     config = CampaignConfig(app="cordic", design=dict(DESIGN), trials=2)
     with pytest.raises(ValueError, match="journal"):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cosim.partition import DesignSpec
-from repro.cosim.sweep import point_fingerprint
 from repro.cosim.sweep import retry_backoff_delay as sweep_backoff
 from repro.runapi import (
     FINGERPRINT_VERSION,
@@ -88,14 +87,6 @@ def test_design_fingerprint_pinned_with_program_image():
         params={"p": 1, "iters": 8, "ndata": 4},
     )
     assert design_fingerprint(spec, spec.build()) == PINNED_CORDIC
-
-
-def test_sweep_point_fingerprint_is_the_public_recipe():
-    """The sweep cache and the farm cache must key identically."""
-    spec = _synthetic_spec()
-    instance = spec.build()
-    assert point_fingerprint(spec, instance) == \
-        design_fingerprint(spec, instance)
 
 
 def test_param_order_does_not_change_design_fingerprint():

@@ -2,8 +2,7 @@
 
 Covers cache hit/miss behavior, structured failure statuses (a
 deadlocking point must not kill the sweep), parallel/sequential result
-equality, per-point timeouts, bounded retry and the deprecated
-``explore()`` shim.
+equality, per-point timeouts and bounded retry.
 """
 
 from __future__ import annotations
@@ -21,18 +20,16 @@ from repro.cosim.dse import (
     STATUS_OK,
     STATUS_SELF_CHECK,
     STATUS_TIMEOUT,
-    explore,
 )
 from repro.cosim.environment import CoSimTimeout, run_timeout
 from repro.cosim.partition import DesignSpec, PartitionKind
 from repro.cosim.sweep import (
     SweepCache,
-    point_fingerprint,
     sweep,
     synthetic_specs,
 )
 from repro.mcc import build_executable
-from repro.runapi import RunPolicy
+from repro.runapi import RunPolicy, design_fingerprint
 from repro.resources.estimator import estimate_design
 from repro.sysgen import Model
 
@@ -230,8 +227,8 @@ class TestSweepCache:
         b, = cordic_design_specs(
             ps=(2,), cpu_config={"use_hw_multiplier": False}, **TINY
         )
-        fa = point_fingerprint(a, a.build())
-        fb = point_fingerprint(b, b.build())
+        fa = design_fingerprint(a, a.build())
+        fb = design_fingerprint(b, b.build())
         assert fa != fb
 
 
@@ -311,7 +308,7 @@ class TestRunTimeout:
 
 
 # ----------------------------------------------------------------------
-# Spec round trips and the deprecated shim
+# Spec round trips
 # ----------------------------------------------------------------------
 class TestSpecsAndShim:
     def test_spec_json_round_trip(self):
@@ -319,20 +316,6 @@ class TestSpecsAndShim:
         clone = DesignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
         assert clone.kind is PartitionKind.HW_ACCELERATED
-
-    def test_explore_shim_deprecation_and_ordering(self):
-        specs = cordic_design_specs(ps=(0, 2), **TINY)
-        with pytest.warns(DeprecationWarning, match="sweep"):
-            results = explore(specs)
-        # fastest first: the P=2 pipeline beats pure software
-        assert [r.point.name for r in results] == \
-            ["cordic-p2-8it", "cordic-sw-8it"]
-        assert all(r.ok for r in results)
-
-    def test_explore_shim_still_raises_on_failure(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RuntimeError, match="deadlocker"):
-                explore([_spec(DeadlockDesign, "deadlocker")])
 
     def test_result_to_dict(self):
         report = sweep(cordic_design_specs(ps=(2,), **TINY), workers=0)

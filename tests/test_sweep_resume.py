@@ -10,12 +10,8 @@ import pytest
 from repro.cli import dse_main
 from repro.cosim.dse import STATUS_OK
 from repro.cosim.partition import DesignSpec
-from repro.cosim.sweep import (
-    SweepJournal,
-    retry_backoff_delay,
-    sweep,
-    sweep_spec_id,
-)
+from repro.cosim.sweep import SweepJournal, sweep, sweep_spec_id
+from repro.runapi.backoff import retry_backoff_delay
 
 CALLS: list[str] = []
 
@@ -110,6 +106,35 @@ def test_journal_drops_truncated_tail(tmp_path):
     path.write_text(path.read_text() + '{"index": 1, "att')  # torn write
     loaded = SweepJournal(str(path)).load("spec-1", total=3)
     assert set(loaded) == {0}
+
+
+def test_journal_reopen_after_torn_tail_keeps_new_records(tmp_path):
+    path = tmp_path / "j.jsonl"
+
+    def append(journal, index):
+        journal.record(index, attempts=1, backoff_s=[],
+                       payload={"status": STATUS_OK, "error": None,
+                                "result": None, "estimate": None,
+                                "fingerprint": None, "cache_hit": False,
+                                "metrics": {"i": index}})
+
+    journal = SweepJournal(str(path))
+    journal.open("spec-1", total=6)
+    for index in range(3):
+        append(journal, index)
+    journal.close()
+    path.write_text(path.read_text() + '{"index": 3, "att')  # torn write
+    assert set(SweepJournal(str(path)).load("spec-1", total=6)) == {0, 1, 2}
+
+    journal = SweepJournal(str(path))
+    journal.open("spec-1", total=6)
+    for index in range(3, 6):
+        append(journal, index)
+    journal.close()
+    loaded = SweepJournal(str(path)).load("spec-1", total=6)
+    assert sorted(loaded) == list(range(6))
+    assert [loaded[i]["payload"]["metrics"] for i in range(6)] == \
+        [{"i": i} for i in range(6)]
 
 
 # ----------------------------------------------------------------------
