@@ -221,12 +221,12 @@ ABLATION_WORKLOADS = {
 def test_table2_fast_forward_ablation(once, fast_forward_smoke):
     """Fast-forward kernel on/off: identical counts, higher speed.
 
-    The speedup claim is pinned to the interpreter engine, whose
-    per-cycle step cost is what the kernel was built to skip.  The
-    compiled-engine rows are recorded for context: generated code
-    shrinks the per-cycle baseline enough that scanning for quiescence
-    can cost more than the cycles it saves (the two optimizations
-    overlap; see ``ablation_compiled_schedule``)."""
+    The speedup floor is pinned to the interpreter engine, where the
+    kernel's claim was established.  The compiled-engine rows are
+    recorded alongside: there the quiescence scan is generated code as
+    well (``_idle_horizon`` in ``model.compiled_source``), so the
+    kernel's scan stays cheaper than the (already cheap) cycles it
+    skips."""
 
     def measure():
         out = {}
@@ -268,8 +268,8 @@ def test_table2_fast_forward_ablation(once, fast_forward_smoke):
             rows,
         )
         + "\n\ncycle/instruction/stall counts are bit-identical in both"
-          " modes; the 1.5x target applies to the interpreter engine"
-          " (the compiled schedule already removes most of the per-cycle"
-          " cost the kernel skips); smoke target:"
+          " modes; the 1.5x target applies to the interpreter engine;"
+          " under the compiled engine the quiescence scan is generated"
+          " code too (_idle_horizon); smoke target:"
           " python -m pytest tests -q -k fast_forward",
     )

@@ -55,30 +55,32 @@ class GdbServer:
 
     # ------------------------------------------------------------------
     def serve_one(self) -> None:
-        """Accept one client and serve until ``k`` or disconnect."""
-        self._listener.settimeout(10)
-        try:
-            conn, _ = self._listener.accept()
-        except (OSError, socket.timeout):
-            return
-        with conn:
-            conn.settimeout(10)
-            buffer = b""
-            while not self._stop.is_set():
-                try:
-                    chunk = conn.recv(4096)
-                except (OSError, socket.timeout):
-                    break
-                if not chunk:
-                    break
-                buffer += chunk
-                packets, buffer = extract_packets(buffer)
-                for payload in packets:
-                    conn.sendall(b"+")
-                    reply = self.handle(payload)
-                    if reply is None:  # kill
-                        return
-                    conn.sendall(encode_packet(reply))
+        """Accept one client and serve until ``k`` or disconnect; the
+        listening socket closes when the session ends."""
+        with self._listener:
+            self._listener.settimeout(10)
+            try:
+                conn, _ = self._listener.accept()
+            except (OSError, socket.timeout):
+                return
+            with conn:
+                conn.settimeout(10)
+                buffer = b""
+                while not self._stop.is_set():
+                    try:
+                        chunk = conn.recv(4096)
+                    except (OSError, socket.timeout):
+                        break
+                    if not chunk:
+                        break
+                    buffer += chunk
+                    packets, buffer = extract_packets(buffer)
+                    for payload in packets:
+                        conn.sendall(b"+")
+                        reply = self.handle(payload)
+                        if reply is None:  # kill
+                            return
+                        conn.sendall(encode_packet(reply))
 
     # ------------------------------------------------------------------
     def handle(self, payload: str) -> str | None:

@@ -150,6 +150,13 @@ class Block:
         The emitted code must be observably identical to the
         ``present``/``evaluate``/``clock`` methods: same port values,
         same state transitions, same telemetry events, same exceptions.
+
+        A class that overrides :meth:`idle_horizon` as well emits its
+        compiled form here too, through ``ctx.busy_if``/``ctx.horizon``
+        (emitting nothing means "always idle").  The compiler trusts
+        those lines only when this ``emit`` and ``idle_horizon`` come
+        from the same class; otherwise the generated scan calls
+        ``idle_horizon()`` itself.
         """
         return False
 

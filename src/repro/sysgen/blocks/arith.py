@@ -21,7 +21,11 @@ from repro.sysgen.block import (
     to_signed,
     wrap,
 )
-from repro.sysgen.compiled import guarded_update, signed_expr
+from repro.sysgen.compiled import (
+    emit_register_horizon,
+    guarded_update,
+    signed_expr,
+)
 
 
 class _PipelinedBlock(Block):
@@ -159,6 +163,13 @@ class _PipelinedBlock(Block):
         ctx.present(f"{t} = {pop}()")
         ctx.present(f"if {t}: {out} = {t}[{key!r}]")
         ctx.clock(f"{app}({stage})")
+        # idle once every stage already holds the entering value and
+        # the output presents it (a ``_compute()`` stage is exact here:
+        # the horizon runs between steps, when the ports are current)
+        entering = ctx.tmp()
+        ctx.horizon(f"{entering} = {stage}")
+        ctx.busy_if(f"{pipe}.count({entering}) != len({pipe})",
+                    f"{out} != {entering}[{key!r}]")
         return True
 
     def extra_state(self) -> dict:
@@ -438,6 +449,10 @@ class Accumulator(Block):
         )
         if upd:
             ctx.clock(upd)
+        emit_register_horizon(
+            ctx, self, "0",
+            f"(({st} + ({ctx.inp(self, 'd')})) & {(1 << self.width) - 1})",
+            st)
         return True
 
     def emit_batched(self, ctx) -> bool:

@@ -11,7 +11,7 @@ from repro.sysgen.block import (
     slices_for_bits,
     wrap,
 )
-from repro.sysgen.compiled import guarded_update
+from repro.sysgen.compiled import emit_register_horizon, guarded_update
 
 
 class Constant(CombBlock):
@@ -31,6 +31,7 @@ class Constant(CombBlock):
         # rebuilt/loaded model never runs a stale constant.
         val = ctx.fresh(self, "value", "k")
         ctx.evaluate(f"{ctx.out(self, 'out')} = {val}")
+        ctx.busy_if(f"{ctx.out(self, 'out')} != {val}")
         return True
 
     def emit_batched(self, ctx) -> bool:
@@ -81,6 +82,9 @@ class Counter(SeqBlock):
         )
         if upd:
             ctx.clock(upd)
+        emit_register_horizon(
+            ctx, self, "0",
+            f"(({st} + {self.step}) & {(1 << self.width) - 1})", st)
         return True
 
     def emit_batched(self, ctx) -> bool:

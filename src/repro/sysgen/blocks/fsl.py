@@ -91,10 +91,22 @@ class FSLRead(SeqBlock):
         )
         read = ctx.inp(self, "read")
         rlit = ctx.lit(read)
-        if rlit is not None and not (rlit & 1):
-            return True
         guard = (f"{ch}.exists" if rlit is not None
                  else f"({read}) & 1 and {ch}.exists")
+        if rlit is None or rlit & 1:
+            # a word would be consumed at the next edge
+            ctx.busy_if(f"{ch} is None", guard)
+        else:
+            ctx.busy_if(f"{ch} is None")
+        ctx.horizon(
+            f"{w} = {ch}.peek()\n"
+            f"if {w} is None:\n"
+            f"    if {vd} != 0 or {vc} != 0 or {ve} != 0: return 0\n"
+            f"elif ({vd} != {w}.data or {vc} != int({w}.control)"
+            f" or {ve} != 1): return 0"
+        )
+        if rlit is not None and not (rlit & 1):
+            return True
         te = ctx.bind(TelemetryEvent, "TE")
         bf = ctx.bind(BLOCK_FIRE, "BF")
         ctx.clock(
@@ -175,6 +187,14 @@ class FSLWrite(SeqBlock):
         ctx.present(f"{ctx.out(self, 'full')} = 1 if {ch}.full else 0")
         write = ctx.inp(self, "write")
         wlit = ctx.lit(write)
+        # a push (or a counted drop) happens at every enabled edge
+        if wlit is None:
+            ctx.busy_if(f"{ch} is None", f"({write}) & 1")
+        elif wlit & 1:
+            ctx.horizon("return 0")
+        else:
+            ctx.busy_if(f"{ch} is None")
+        ctx.busy_if(f"{ctx.out(self, 'full')} != int({ch}.full)")
         if wlit is not None and not (wlit & 1):
             return True
         data = ctx.inp(self, "data")

@@ -54,6 +54,8 @@ class GatewayIn(CombBlock):
         # one per-call load of _raw is exact.
         raw = ctx.fresh(self, "_raw", "gw")
         ctx.evaluate(f"{ctx.out(self, 'out')} = {raw}")
+        # a drive() since the last step leaves the output stale
+        ctx.busy_if(f"{ctx.out(self, 'out')} != {raw}")
         return True
 
     def idle_horizon(self) -> int:

@@ -13,7 +13,7 @@ from repro.sysgen.block import (
     slices_for_bits,
     wrap,
 )
-from repro.sysgen.compiled import guarded_update
+from repro.sysgen.compiled import emit_register_horizon, guarded_update
 
 
 class Register(SeqBlock):
@@ -48,6 +48,9 @@ class Register(SeqBlock):
         )
         if upd:
             ctx.clock(upd)
+        emit_register_horizon(
+            ctx, self, repr(self.init),
+            f"(({ctx.inp(self, 'd')}) & {(1 << self.width) - 1})", st)
         return True
 
     def emit_batched(self, ctx) -> bool:
@@ -124,6 +127,13 @@ class Delay(SeqBlock):
         ctx.clock(f"{pop}()")
         ctx.clock(
             f"{app}(({ctx.inp(self, 'd')}) & {(1 << self.width) - 1})"
+        )
+        head = ctx.tmp()
+        ctx.horizon(f"{head} = {line}[0]")
+        ctx.busy_if(
+            f"{ctx.out(self, 'q')} != {head}",
+            f"(({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}) != {head}",
+            f"{line}.count({head}) != len({line})",
         )
         return True
 
@@ -226,6 +236,21 @@ class FIFO(SeqBlock):
                       f"{fifo}.append({din})")
         elif slit & 1:
             ctx.clock(f"if len({fifo}) < {self.depth}: {fifo}.append({din})")
+        if plit is None:
+            ctx.busy_if(f"({pop}) & 1 and {fifo}")
+        elif plit & 1:
+            ctx.busy_if(fifo)
+        if slit is None:
+            ctx.busy_if(f"({push}) & 1 and len({fifo}) < {self.depth}")
+        elif slit & 1:
+            ctx.busy_if(f"len({fifo}) < {self.depth}")
+        ctx.busy_if(
+            f"{ctx.out(self, 'dout')} != ({fifo}[0] if {fifo} else 0)",
+            f"{ctx.out(self, 'empty')} != (0 if {fifo} else 1)",
+            f"{ctx.out(self, 'full')} != "
+            f"(1 if len({fifo}) >= {self.depth} else 0)",
+            f"{ctx.out(self, 'count')} != len({fifo})",
+        )
         return True
 
     def emit_batched(self, ctx) -> bool:
@@ -406,6 +431,14 @@ class RAM(SeqBlock):
         elif wlit & 1:
             ctx.clock(f"{mem}[{t}] = {din}")
         ctx.clock(f"{rreg} = {mem}[{t}]")
+        if wlit is None:
+            ctx.busy_if(f"({we}) & 1")
+        elif wlit & 1:
+            ctx.horizon("return 0")
+        ctx.busy_if(
+            f"{rreg} != {mem}[({ctx.inp(self, 'addr')}) % {self.depth}]",
+            f"{ctx.out(self, 'dout')} != {rreg}",
+        )
         return True
 
     def emit_batched(self, ctx) -> bool:

@@ -66,6 +66,13 @@ class OPBRegisterBank(SeqBlock):
             ctx.clock(
                 f"{sts}[{i}] = ({ctx.inp(self, f'sts{i}')}) & 4294967295"
             )
+        ctx.busy_if(
+            *(f"{ctx.out(self, f'cmd{i}')} != {cmd}[{i}]"
+              for i in range(self.n_command)),
+            f"{ctx.out(self, 'wr_count')} != {b}._writes & 65535",
+            *(f"{sts}[{i}] != ({ctx.inp(self, f'sts{i}')}) & 4294967295"
+              for i in range(self.n_status)),
+        )
         return True
 
     def reset(self) -> None:

@@ -19,10 +19,20 @@ per model:
   in topological order — no dispatch between them,
 * probes become bound ``list.append`` calls.
 
+The same pass generates ``_idle_horizon``, the compiled form of
+:meth:`Model.idle_horizon <repro.sysgen.model.Model.idle_horizon>`:
+each block's ``emit`` adds straight-line "busy -> ``return 0``" checks
+over read-only port locals (unconnected inputs fold to literals), so
+the fast-forward kernel's per-cycle quiescence scan no longer walks
+block objects and ``in_value`` property chains.
+
 Blocks that do not implement :meth:`emit` (user subclasses) fall back
 to their interpreter methods, spliced into the generated function with
 port synchronization around the call, so compiled and interpreted
-execution remain bit-identical for arbitrary block mixes.
+execution remain bit-identical for arbitrary block mixes.  Likewise a
+block whose ``idle_horizon`` has no compiled form (it overrides the
+method without emitting a matching check) gets a bound
+``block.idle_horizon()`` call spliced into ``_idle_horizon``.
 
 Observable equivalence is the contract: port values, block state,
 probe samples, telemetry events, exception behaviour and the
@@ -44,8 +54,9 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Callable
 
+from repro.sysgen.block import IDLE_FOREVER, Block
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sysgen.block import Block
     from repro.sysgen.model import Model
     from repro.sysgen.ports import InputPort, OutputPort
 
@@ -55,6 +66,8 @@ class CompileError(RuntimeError):
 
 #: matches generated port-variable tokens (see :meth:`EmitContext.out`)
 _PORT_VAR = re.compile(r"\bv\d+\b")
+#: matches every identifier token in generated source
+_NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 
 
 class EmitContext:
@@ -67,6 +80,8 @@ class EmitContext:
     * :meth:`present` — sequential output drive, start of cycle
     * :meth:`evaluate` — combinational propagation, topo position
     * :meth:`clock` — state capture at the clock edge
+    * :meth:`horizon` — the block's idle-horizon check (``return 0``
+      when busy; see :meth:`busy_if`)
 
     Value helpers:
 
@@ -93,6 +108,10 @@ class EmitContext:
         self._probe: list[str] = []
         self._clock: list[str] = []
         self._exit: list[str] = []
+        #: id(block) -> its idle-horizon lines; ``block`` is the block
+        #: whose ``emit`` is running
+        self._horizon: dict[int, list[str]] = {}
+        self.block: "Block | None" = None
         self._n = 0
 
     # -- line sinks -----------------------------------------------------
@@ -113,6 +132,24 @@ class EmitContext:
 
     def exit(self, line: str) -> None:
         self._exit.append(line)
+
+    def horizon(self, line: str) -> None:
+        """A statement of the current block's compiled idle horizon.
+
+        It runs between steps, on read-only locals: the port variables
+        and entry-loaded names hold the values the ports and block
+        attributes have at call time, and assignments to them are
+        never written back.  The statement must ``return 0`` when the
+        block has pending work and fall through when it is at a fixed
+        point."""
+        self._horizon.setdefault(id(self.block), []).append(line)
+
+    def busy_if(self, *conds: str) -> None:
+        """Horizon check: the block is busy when any of ``conds``
+        holds."""
+        if conds:
+            self.horizon(
+                f"if {' or '.join(f'({c})' for c in conds)}: return 0")
 
     # -- names ----------------------------------------------------------
     def _fresh_name(self, prefix: str) -> str:
@@ -232,6 +269,31 @@ def guarded_update(rst: str, en: str, rst_stmt: str, en_stmt: str) -> str | None
     return f"if {rst} & 1: {rst_stmt}\nelif {en} & 1: {en_stmt}"
 
 
+def emit_register_horizon(ctx: EmitContext, block: "Block", rst_val: str,
+                          en_val: str, state: str) -> None:
+    """Horizon check shared by the registered-update blocks (Register,
+    Counter, Accumulator): busy unless the state the
+    :func:`guarded_update` pattern would store at the next edge equals
+    the current one and output ``q`` already presents it.  Literal
+    ``rst``/``en`` guards are pruned as in :func:`guarded_update`."""
+    rst, en = ctx.inp(block, "rst"), ctx.inp(block, "en")
+    elit = ctx.lit(en)
+    if elit is None:
+        nxt = f"({en_val} if ({en}) & 1 else {state})"
+    else:
+        nxt = en_val if elit & 1 else state
+    rlit = ctx.lit(rst)
+    if rlit is None:
+        nxt = f"({rst_val} if ({rst}) & 1 else {nxt})"
+    elif rlit & 1:
+        nxt = rst_val
+    q = ctx.out(block, "q")
+    if nxt == state:
+        ctx.busy_if(f"{q} != {state}")
+    else:
+        ctx.busy_if(f"{nxt} != {state}", f"{q} != {state}")
+
+
 def _emit_fallback(ctx: EmitContext, block: "Block") -> None:
     """Interpreter dispatch for a block without :meth:`emit`, spliced
     into the generated function with port synchronization."""
@@ -283,22 +345,95 @@ def _unconditionally_written_first(lines: list[str]) -> set[str]:
     return written_first
 
 
+def _defining_class(cls: type, name: str) -> type:
+    return next(k for k in cls.__mro__ if name in vars(k))
+
+
+def _horizon_body(ctx: EmitContext, model: "Model",
+                  emitted: set[int]) -> list[str]:
+    """The ``_idle_horizon`` statements, block by block in
+    ``model.blocks`` order (the order of the interpreted walk, so
+    spliced ``idle_horizon()`` calls run exactly when they would
+    there)."""
+    body: list[str] = []
+    fallback = False
+    for block in model.blocks:
+        owner = _defining_class(type(block), "idle_horizon")
+        # A method patched onto the instance is always called.  (Probe
+        # the bound method rather than ``vars(block)``: materializing
+        # an instance __dict__ slows every later attribute access on
+        # the block, including the generated _step's.)
+        if (getattr(block.idle_horizon, "__func__", None)
+                is not vars(owner)["idle_horizon"]):
+            owner = None
+        if owner is Block:
+            # the default: combinational blocks are idle whenever the
+            # rest of the design is, sequential ones are always busy
+            if block.sequential:
+                body.append("return 0")
+        elif (owner is not None and id(block) in emitted
+              and _defining_class(type(block), "emit") is owner):
+            # the class that emitted the step code also wrote the
+            # horizon it emitted (possibly nothing: always idle)
+            body += ctx._horizon.get(id(block), [])
+        else:
+            fallback = True
+            body += [f"_h = {ctx.bind(block)}.idle_horizon()",
+                     "if _h <= 0: return 0",
+                     "if _h < _hz: _hz = _h"]
+    if fallback:
+        return [f"_hz = {IDLE_FOREVER}"] + body + ["return _hz"]
+    return body + [f"return {IDLE_FOREVER}"]
+
+
+def _with_lazy_loads(ctx: EmitContext, body: list[str]) -> list[str]:
+    """``body`` with each port load (``vN = port.value``) and entry line
+    it reads placed just before the first statement that needs it, so a
+    busy design returns after loading only what its first busy check
+    reads."""
+    ports = {ctx.port_var(p): f"{ctx.port_var(p)} = {ctx.bind(p, 'p')}.value"
+             for p in ctx._ports}
+    # every entry line is a ``name = expr`` rebinding
+    entry = {line.partition(" = ")[0]: line for line in ctx._entry}
+    out: list[str] = []
+    loaded: set[str] = set()
+
+    def load(name: str) -> None:
+        if name in loaded:
+            return
+        loaded.add(name)
+        if name in ports:
+            out.append(ports[name])
+        elif name in entry:
+            for dep in _NAME.findall(entry[name].partition(" = ")[2]):
+                load(dep)
+            out.append(entry[name])
+
+    for chunk in body:
+        for name in _NAME.findall(chunk):
+            load(name)
+        out.append(chunk)
+    return out
+
+
 class CompiledSchedule:
-    """Generated step/settle functions for one compiled model.
+    """Generated step/settle/idle-horizon functions for one compiled
+    model.
 
     ``source`` holds the generated python (also surfaced as
-    :attr:`Model.compiled_source`); ``step(cycles)`` and ``settle()``
-    are the executable entry points.
+    :attr:`Model.compiled_source`); ``step(cycles)``, ``settle()`` and
+    ``idle_horizon()`` are the executable entry points.
     """
 
     def __init__(self, model: "Model"):
         assert model._schedule is not None
         ctx = EmitContext(model)
-        for block in model._seq:
-            if not block.emit(ctx):
-                _emit_fallback(ctx, block)
-        for block in model._schedule:
-            if not block.emit(ctx):
+        emitted: set[int] = set()
+        for block in model._seq + model._schedule:
+            ctx.block = block
+            if block.emit(ctx):
+                emitted.add(id(block))
+            else:
                 _emit_fallback(ctx, block)
         for k, probe in enumerate(model.probes):
             app = ctx._fresh_name("_ap")
@@ -351,6 +486,14 @@ class CompiledSchedule:
         src += ["    finally:"]
         src += _reindent(stores + ctx._exit, "        ") or ["        pass"]
         src.append("")
+        # Bound names stay globals of the generated module here: each
+        # is read at most once per call, so binding them as defaults
+        # (as _step does for its hot loop) would cost more per call
+        # than it saves.
+        src += ["def _idle_horizon():"]
+        src += _reindent(
+            _with_lazy_loads(ctx, _horizon_body(ctx, model, emitted)), "    ")
+        src.append("")
         self.source = "\n".join(src)
 
         ns = dict(ctx.ns)
@@ -365,3 +508,4 @@ class CompiledSchedule:
             ) from exc
         self.step = ns["_step"]
         self.settle = ns["_settle"]
+        self.idle_horizon = ns["_idle_horizon"]

@@ -255,9 +255,14 @@ class Model:
         co-simulation kernel uses this as the hardware side of the event
         horizon; :data:`~repro.sysgen.block.IDLE_FOREVER` means "idle
         until an external input (FSL push/pop, gateway drive) changes".
+
+        A compiled model runs the generated ``_idle_horizon`` (see
+        :mod:`repro.sysgen.compiled`); the interpreter walks the blocks.
         """
         if self._schedule is None or not self._settled:
             return 0
+        if self._compiled is not None:
+            return self._compiled.idle_horizon()
         horizon = IDLE_FOREVER
         for block in self.blocks:
             h = block.idle_horizon()

@@ -9,18 +9,40 @@ latency-swept FSL doubler, and cover the state-reset bugfixes that
 shipped with the kernel.
 """
 
+import collections
+
 import pytest
 
 from repro.apps.cordic.design import CordicDesign
 from repro.apps.matmul.design import MatmulDesign
 from repro.bus.fsl import FSLChannel
+from repro.bus.opb import OPBBus
 from repro.cosim import CoSimulation, FastForwardError, MicroBlazeBlock
 from repro.cosim.environment import CoSimDeadlock
 from repro.iss.cpu import CPUConfig, CPUError, HaltReason
 from repro.iss.run import make_cpu
 from repro.mcc import CompileOptions, build_executable
 from repro.sysgen import IDLE_FOREVER, Model
-from repro.sysgen.blocks import Counter, Delay, GatewayIn, Inverter, Logical, Shift
+from repro.sysgen.block import Block, CombBlock, SeqBlock
+from repro.sysgen.blocks import (
+    FIFO,
+    RAM,
+    Accumulator,
+    Add,
+    Constant,
+    Convert,
+    Counter,
+    Delay,
+    FSLRead,
+    FSLWrite,
+    GatewayIn,
+    Inverter,
+    Logical,
+    Mult,
+    OPBRegisterBank,
+    Register,
+    Shift,
+)
 
 
 # ----------------------------------------------------------------------
@@ -179,18 +201,26 @@ def test_fast_forward_deadlock_detected_at_same_cycle():
     assert cycles_at_raise["fast"] == cycles_at_raise["per_cycle"]
 
 
+class LyingCounter(Counter):
+    """Claims quiescence while its state keeps changing; overrides
+    ``idle_horizon`` with no compiled form, and counts its calls."""
+
+    asked = 0
+
+    def idle_horizon(self) -> int:
+        self.asked += 1
+        return IDLE_FOREVER
+
+
 def test_fast_forward_verify_catches_lying_idle_horizon():
     # A block that claims quiescence while its state keeps changing must
     # be caught by verify_fast_forward (the debug cross-check).
-    class LyingCounter(Counter):
-        def idle_horizon(self) -> int:
-            return IDLE_FOREVER
-
     model = Model("liar")
     mb = MicroBlazeBlock(model)
     model.add(LyingCounter("free", width=8))
     program = build_executable("int main(void) { return 7; }")
     sim = CoSimulation(program, model, mb, verify_fast_forward=True)
+    assert model.engine == "compiled"
     with pytest.raises(FastForwardError):
         sim.run()
 
@@ -307,3 +337,342 @@ def test_fast_forward_satellite_channel_occupancies_accessor():
     mb.to_hw_channel(0).push(22)
     mb.from_hw_channel(0).push(33)
     assert mb.channel_occupancies() == {"mb_out0": 2, "mb_in0": 1}
+
+
+# ----------------------------------------------------------------------
+# Compiled idle horizon: the generated _idle_horizon against the walk
+# ----------------------------------------------------------------------
+def _walked_horizon(model: Model) -> int:
+    """Reference: the interpreter's block-by-block quiescence walk."""
+    horizon = IDLE_FOREVER
+    for block in model.blocks:
+        h = block.idle_horizon()
+        if h <= 0:
+            return 0
+        horizon = min(horizon, h)
+    return horizon
+
+
+def _compiled_horizon(model: Model) -> int:
+    """The generated horizon, checked against the walk on the same
+    state (called directly, so it is compared even before the model
+    settles)."""
+    assert model._compiled is not None
+    horizon = model._compiled.idle_horizon()
+    assert horizon == _walked_horizon(model), f"cycle {model.cycle}"
+    return horizon
+
+
+def _check_every_cycle(model: Model) -> collections.Counter:
+    """Compare both horizons after every step() of a co-simulation;
+    returns how often each horizon came up."""
+    seen: collections.Counter = collections.Counter()
+    step = model.step
+
+    def checked_step(cycles: int = 1) -> None:
+        step(cycles)
+        horizon = _compiled_horizon(model)
+        assert model.idle_horizon() == horizon
+        seen[horizon] += 1
+
+    model.step = checked_step
+    return seen
+
+
+def _per_cycle_checked(program, model, mb, cpu_config):
+    sim = CoSimulation(program, model, mb, cpu_config=cpu_config,
+                       fast_forward=False)
+    assert model.engine == "compiled"
+    seen = _check_every_cycle(model)
+    result = sim.run()
+    assert sum(seen.values()) == result.cycles
+    return result, seen
+
+
+@pytest.mark.parametrize("case", sorted(DESIGN_CASES))
+def test_compiled_horizon_matches_walk_on_applications(case):
+    design = DESIGN_CASES[case]()
+    result, seen = _per_cycle_checked(
+        design.program, design.model, design.mb, design.cpu_config)
+    assert result.exit_code == 0
+    assert seen[0] > 0 and seen[IDLE_FOREVER] > 0
+
+
+@pytest.mark.parametrize("latency", [0, 1, 3, 8])
+@pytest.mark.parametrize("depth", [2, 16])
+def test_compiled_horizon_matches_walk_on_doubler_grid(latency, depth):
+    program = build_executable(ECHO_SUM_SRC, CompileOptions())
+    model, mb = doubler_design(fifo_depth=depth, extra_latency=latency)
+    result, seen = _per_cycle_checked(program, model, mb, CPUConfig())
+    assert result.exit_code == 30
+    assert seen[0] > 0 and seen[IDLE_FOREVER] > 0
+
+
+OPB_BASE = 0x0001_0000
+
+OPB_SRC = f"""
+int main(void) {{
+    int *cmd = (int *){OPB_BASE};
+    int *sts = (int *)({OPB_BASE} + 8);
+    int total = 0;
+    for (int i = 1; i <= 4; i++) {{
+        cmd[0] = i * 10;
+        cmd[1] = i;
+        int v = sts[0];
+        v = sts[0];
+        total += v;
+    }}
+    return total;   /* (10+1)+(20+2)+(30+3)+(40+4) = 110 */
+}}
+"""
+
+
+def test_compiled_horizon_matches_walk_on_opb_design():
+    # cmd0 + cmd1 through a pipelined adder into the status register:
+    # OPB stores land between steps and must drop the horizon to 0.
+    model = Model("opb_adder")
+    bank = model.add(OPBRegisterBank("bank", n_command=2, n_status=1))
+    adder = model.add(Add("sum", width=32, latency=2))
+    model.connect(bank.o("cmd0"), adder.i("a"))
+    model.connect(bank.o("cmd1"), adder.i("b"))
+    model.connect(adder.o("s"), bank.i("sts0"))
+    bus = OPBBus()
+    bus.attach(OPB_BASE, bank.opb_size, bank)
+    mb = MicroBlazeBlock(model)
+    sim = CoSimulation(build_executable(OPB_SRC), model, mb,
+                       fast_forward=False)
+    sim.cpu.mem.map_opb(bus, OPB_BASE, bank.opb_size)
+    seen = _check_every_cycle(model)
+    assert sim.run().exit_code == 110
+    assert seen[0] > 0 and seen[IDLE_FOREVER] > 0
+
+
+def _horizon_zoo():
+    """Every standard-library block with an idle horizon.  Each write
+    path has its own enable gateway, so one block at a time can be
+    made busy while the rest of the design sits at a fixed point."""
+    model = Model("horizon_zoo")
+    gw = {name: model.add(GatewayIn(name, width=16 if name == "x" else 1,
+                                    signed=False))
+          for name in ("x", "en", "push", "pop", "we", "read", "write")}
+    x = gw["x"]
+    k = model.add(Constant("k", 3, width=16))
+    reg = model.add(Register("reg", width=16, init=5))
+    model.connect(x.o("out"), reg.i("d"))
+    ctr = model.add(Counter("ctr", width=3))
+    model.connect(gw["en"].o("out"), ctr.i("en"))
+    acc = model.add(Accumulator("acc", width=16))
+    model.connect(x.o("out"), acc.i("d"))
+    model.connect(gw["en"].o("out"), acc.i("en"))
+    dly = model.add(Delay("dly", width=16, n=3))
+    model.connect(x.o("out"), dly.i("d"))
+    fifo = model.add(FIFO("fifo", width=16, depth=4))
+    model.connect(x.o("out"), fifo.i("din"))
+    model.connect(gw["push"].o("out"), fifo.i("push"))
+    model.connect(gw["pop"].o("out"), fifo.i("pop"))
+    ram = model.add(RAM("ram", depth=8, width=16))
+    model.connect(ctr.o("q"), ram.i("addr"))
+    model.connect(x.o("out"), ram.i("din"))
+    model.connect(gw["we"].o("out"), ram.i("we"))
+    add = model.add(Add("add", width=16, latency=2))
+    model.connect(x.o("out"), add.i("a"))
+    model.connect(k.o("out"), add.i("b"))
+    mult = model.add(Mult("mult", 16, 16, latency=3))
+    model.connect(x.o("out"), mult.i("a"))
+    model.connect(k.o("out"), mult.i("b"))
+    conv = model.add(Convert("conv", in_width=16, in_frac=8, out_width=8,
+                             out_frac=4, latency=1))
+    model.connect(x.o("out"), conv.i("in"))
+    rd = model.add(FSLRead("rd"))
+    model.connect(gw["read"].o("out"), rd.i("read"))
+    wr = model.add(FSLWrite("wr"))
+    model.connect(rd.o("data"), wr.i("data"))
+    model.connect(gw["write"].o("out"), wr.i("write"))
+    bank = model.add(OPBRegisterBank("bank", n_command=1, n_status=1))
+    model.connect(reg.o("q"), bank.i("sts0"))
+    ch_in, ch_out = FSLChannel(depth=4), FSLChannel(depth=4)
+    rd.bind(ch_in)
+    wr.bind(ch_out)
+    model.compile()
+    return model, gw, ch_in
+
+
+def _park(model: Model, max_cycles: int = 16) -> None:
+    """Step until the design reaches a fixed point."""
+    for _ in range(max_cycles):
+        model.step()
+        if _compiled_horizon(model) == IDLE_FOREVER:
+            return
+    raise AssertionError("design never settled to a fixed point")
+
+
+def _flip(holder, key) -> None:
+    """Fault-style bit flip of an attribute or an item."""
+    if isinstance(key, str) and not isinstance(holder, dict):
+        setattr(holder, key, getattr(holder, key) ^ 1)
+    else:
+        holder[key] ^= 1
+
+
+def test_compiled_horizon_matches_walk_after_external_changes():
+    model, gw, ch_in = _horizon_zoo()
+    assert model.engine == "compiled"
+    assert "def _idle_horizon" in model.compiled_source
+    _compiled_horizon(model)  # unsettled power-on state
+    assert model.idle_horizon() == 0
+    gw["x"].drive(9)
+    _park(model)
+    parked = model.state_dict()
+
+    gw["x"].drive(10)  # a gateway drive leaves the output stale
+    assert _compiled_horizon(model) == 0
+    _park(model)
+
+    ch_in.push(0x1234, True)  # new FSL word: read side not settled
+    assert _compiled_horizon(model) == 0
+    _park(model)
+    # one write path at a time: only that block is busy
+    for name in ("en", "push", "pop", "we", "read", "write"):
+        gw[name].drive(1)
+        # propagate the gateway by hand, so the enable reaches its block
+        # before an edge (settle() would pop the pipelines' stages)
+        gw[name].outputs["out"].value = 1
+        assert _compiled_horizon(model) == 0, name
+        busy = 0
+        for _ in range(6):
+            model.step()
+            busy += _compiled_horizon(model) == 0
+        assert busy, name
+        gw[name].drive(0)
+        _park(model)
+
+    # fault-style pokes, one at a time: every output port, then the
+    # internal state each block's horizon reads
+    blocks = {b.name: b for b in model.blocks}
+    gw["push"].drive(1)  # leave a word in the FIFO for its poke
+    model.step()
+    gw["push"].drive(0)
+    ch_in.push(0x55, False)  # and one on the FSL read side
+    _park(model)
+    pokes = [(port, "value") for b in model.blocks
+             for port in b.outputs.values()]
+    pokes += [(blocks["reg"], "_state"), (blocks["ctr"], "_state"),
+              (blocks["acc"], "_state"), (blocks["ram"], "_read_reg"),
+              (blocks["ram"]._mem, blocks["ctr"]._state),
+              (blocks["dly"]._line, 1), (blocks["fifo"]._fifo, 0),
+              (blocks["add"]._pipe[1], "s"), (blocks["bank"]._cmd, 0),
+              (blocks["bank"]._sts, 0), (blocks["bank"], "_writes"),
+              (blocks["x"], "_raw"), (blocks["k"], "value")]
+    for holder, key in pokes:
+        _flip(holder, key)
+        _compiled_horizon(model)
+        _flip(holder, key)
+        assert _compiled_horizon(model) == IDLE_FOREVER
+
+    model.load_state(parked)  # the FSL word outlives the model state
+    assert _compiled_horizon(model) == 0
+    _park(model)
+    model.reset()
+    _compiled_horizon(model)
+    assert model.idle_horizon() == 0  # unsettled after reset
+    _park(model)
+
+
+# ----------------------------------------------------------------------
+# Compiled idle horizon: no block walk on the compiled path
+# ----------------------------------------------------------------------
+def _stdlib_horizon_classes() -> list[type]:
+    found, todo = [], [Block]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if (cls.__module__.startswith("repro.sysgen")
+                and "idle_horizon" in vars(cls)):
+            found.append(cls)
+    return found
+
+
+def test_compiled_fast_forward_walks_no_blocks(monkeypatch):
+    design = CordicDesign(p=4, iters=12, ndata=8, verify=False)
+    sim = CoSimulation(design.program, design.model, design.mb,
+                       cpu_config=design.cpu_config)
+    assert design.model.engine == "compiled"
+    calls: collections.Counter = collections.Counter()
+
+    def count(owner: type, name: str) -> None:
+        original = vars(owner)[name]
+
+        def counted(self, *args):
+            calls[f"{owner.__name__}.{name}"] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    classes = _stdlib_horizon_classes()
+    assert Register in classes and FSLRead in classes
+    for cls in classes:
+        count(cls, "idle_horizon")
+    count(Block, "in_value")
+    count(Model, "idle_horizon")
+    assert sim.run().exit_code == 0
+    assert calls.pop("Model.idle_horizon") > 0
+    assert calls == {}
+
+
+def test_compiled_horizon_calls_user_override():
+    # A user block overriding idle_horizon with no compiled form keeps
+    # its own method: a bound call spliced into the generated horizon.
+    model = Model("liar")
+    mb = MicroBlazeBlock(model)
+    liar = model.add(LyingCounter("free", width=8))
+    sim = CoSimulation(build_executable("int main(void) { return 7; }"),
+                       model, mb)
+    assert model.engine == "compiled"
+    assert ".idle_horizon()" in model.compiled_source
+    assert sim.run().exit_code == 7
+    assert liar.asked > 0
+
+
+class _PlusOne(CombBlock):
+    """User combinational block: no emit(), default idle_horizon."""
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.add_input("a")
+        self.add_output("out", 16)
+
+    def evaluate(self) -> None:
+        self.outputs["out"].value = (self.in_value("a") + 1) & 0xFFFF
+
+
+class _Hold(SeqBlock):
+    """User sequential block: no emit(), default idle_horizon."""
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.add_input("d")
+        self.add_output("q", 16)
+        self._state = 0
+
+    def present(self) -> None:
+        self.outputs["q"].value = self._state
+
+    def clock(self) -> None:
+        self._state = self.in_value("d")
+
+
+@pytest.mark.parametrize("with_seq", [False, True])
+def test_compiled_horizon_default_rules_for_user_blocks(with_seq):
+    # Without an override, a combinational block is idle whenever the
+    # rest of the design is and a sequential block is always busy.
+    model = Model("user")
+    x = model.add(GatewayIn("x", width=16))
+    plus = model.add(_PlusOne("plus"))
+    model.connect(x.o("out"), plus.i("a"))
+    if with_seq:
+        hold = model.add(_Hold("hold"))
+        model.connect(plus.o("out"), hold.i("d"))
+    x.drive(4)
+    model.step(3)
+    assert model.engine == "compiled"
+    assert _compiled_horizon(model) == (0 if with_seq else IDLE_FOREVER)
