@@ -180,7 +180,7 @@ class BatchedCoSimulation:
         for lane in self._force_evict:
             st = self._st[lane]
             st.evict_at = st.cycle0 + force_evict_cycle
-        #: lane -> eviction reason, filled by :meth:`_advance`; the
+        #: lane -> eviction reason, filled by :meth:`advance`; the
         #: caller (run() or a segmented driver) decides what to do.
         self.pending_evictions: dict[int, str] = {}
         self._timeouts: dict[int, Exception] = {}
@@ -527,8 +527,10 @@ class BatchedCoSimulation:
                    value: int, until_cycle: int) -> None:
         """Pin one lane's ``block.port`` output to ``value`` before
         every lockstep cycle whose pre-step cycle is ``<= until_cycle``
-        — exactly the scalar injector's force/step/re-force loop,
-        including its trailing post-window force at the end cycle.
+        — the lockstep form of a :class:`~repro.faults.inject.FaultInjector`
+        ``stuck_at`` window ending at ``until_cycle``: forced when it
+        opens and after every step inside it, so the port still holds
+        the value entering the end cycle's step.
         Raises :class:`~repro.sysgen.batched.BatchUnsupported` when the
         port is not tracked by the vector schedule; the caller evicts.
         """
@@ -539,10 +541,6 @@ class BatchedCoSimulation:
         clone.value = forced
         self._quiet = False
         self._fb_watch = None
-
-    def clear_forcing(self, lane: int) -> None:
-        """Drop a lane's forcing (lane finished, halted or evicted)."""
-        self._forcings.pop(lane, None)
 
     def hw_touched(self) -> None:
         """Invalidate the quiescence evidence after out-of-band state
@@ -590,7 +588,7 @@ class BatchedCoSimulation:
         records a :class:`CoSimTimeout` on each unfinished lane.
 
         One-shot: lanes end done or evicted; call-site drivers needing
-        segmented advance use :meth:`_advance` directly.
+        segmented advance use :meth:`advance` directly.
         """
         if policy is None:
             policy = RunPolicy()

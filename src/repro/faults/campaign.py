@@ -3,8 +3,9 @@
 A campaign answers the robustness question the paper's board-level
 flow cannot: *what happens to this hardware/software partition when a
 single-event upset lands mid-run?*  It fault-free-baselines a design,
-derives N single-fault :class:`~repro.faults.plan.FaultPlan` trials
-from a master seed, runs every trial to a classified outcome —
+derives N :class:`~repro.faults.plan.FaultPlan` trials of
+``faults_per_trial`` faults each from a master seed, runs every trial
+to a classified outcome —
 
 ``masked``
     the program finished with exit 0 and the golden-model check passed,
@@ -21,18 +22,24 @@ from a master seed, runs every trial to a classified outcome —
     the pre-fault checkpoint and re-running,
 
 — and aggregates them into a deterministic report: same seed and
-configuration give a byte-identical JSON document, sequentially or on
-any number of workers, because trials are pure functions of their
-parameters and the report carries no wall-clock fields.
+configuration give a byte-identical JSON document, sequentially, on
+any number of workers or on the lockstep vector engine, because trials
+are pure functions of their parameters and the report carries no
+wall-clock fields.
 
 Trial fan-out reuses the DSE sweep engine
 (:func:`repro.cosim.sweep.sweep` with a custom ``evaluate``), so
 campaigns inherit its worker pool, per-trial timeouts, retry/backoff
-and resume journal for free.  Every per-trial record — a classified
-trial, an early exit, a lockstep lane's hang, or the ``crash`` record
-of a trial whose evaluation died — is built by :func:`_trial_record`,
-and :func:`_trial_from_evaluation` is the one step from a sweep-engine
-payload to a record (shared with the job farm's campaign shards).
+and resume journal for free; ``run_campaign(batch_width=N)`` instead
+runs N trials at a time as lanes of one
+:class:`~repro.cosim.batch.BatchedCoSimulation`.  Both paths drive
+every plan through the one :class:`~repro.faults.inject.FaultInjector`
+cursor.  Every per-trial record — a classified trial, an early exit, a
+lockstep lane's hang, or the ``crash`` record of a trial whose
+evaluation died — is built by :func:`_trial_record` (a finished run's
+through :func:`_end_record`), and :func:`_trial_from_evaluation` is
+the one step from a sweep-engine payload to a record (shared with the
+job farm's campaign shards).
 """
 
 from __future__ import annotations
@@ -48,7 +55,11 @@ from repro.cosim.environment import CoSimDeadlock, CoSimulation
 from repro.cosim.partition import DesignSpec
 from repro.cosim.sweep import SweepProgress, point_payload, sweep
 from repro.faults.detect import check_invariants
-from repro.faults.inject import FaultInjector, MultiFaultInjector
+from repro.faults.inject import (
+    FaultInjector,
+    MultiFaultInjector,
+    run_state,
+)
 from repro.faults.plan import (
     FAULT_KINDS,
     MULTI_FAULT_KINDS,
@@ -199,18 +210,14 @@ def _classify_state(sim, design) -> tuple[str, str]:
     """Classify an already-finished simulation (the non-raising half of
     :func:`_finish_and_classify`; the batched path shares it so lockstep
     lanes land on exactly the scalar classification)."""
-    multi = hasattr(sim, "topology")
-    exit_code = sim.exit_code if multi else sim.cpu.exit_code
-    if exit_code is None:
+    if run_state(sim).exit_code is None:
         return OUTCOME_HANG, "cycle budget exhausted without exit"
     anomalies = check_invariants(sim)
     if anomalies:
         return OUTCOME_DETECTED, "; ".join(anomalies)
     try:
-        if multi:  # the K-CPU verify reads the sink node's BRAM
-            design._verify(sim)
-        else:
-            design._verify(sim.cpu)
+        # a K-CPU design's verify reads the sink node's BRAM
+        design._verify(run_state(sim))
     except AssertionError as exc:
         return OUTCOME_SDC, str(exc)
     return OUTCOME_MASKED, ""
@@ -247,6 +254,31 @@ def _trial_record(
         "cycles": cycles,
         "exit_code": exit_code,
     }
+
+
+def _end_record(
+    plan: FaultPlan,
+    state,
+    outcome: str,
+    detail: str,
+    *,
+    checkpoint_cycle: int | None = None,
+    injected: Sequence[dict[str, Any]] = (),
+    **recovery: Any,
+) -> dict[str, Any]:
+    """The record of a trial whose run ended, read off its run-state
+    facade ``state``.  Without a ``checkpoint_cycle`` the program ended
+    before its first fault (nothing landed, rollback never reached);
+    otherwise it is the classified record of the faulted run, with
+    ``recovery`` carrying :func:`run_trial`'s rollback fields."""
+    if checkpoint_cycle is None:
+        detail = detail or "program ended before the fault cycle"
+        injected = ()
+    return _trial_record(
+        plan.to_dict(), outcome, detail, injected=injected,
+        checkpoint_cycle=checkpoint_cycle, cycles=state.cycle,
+        exit_code=state.exit_code, **recovery,
+    )
 
 
 def run_trial(
@@ -286,20 +318,13 @@ def run_trial(
                   if _design_factory is None else _design_factory())
         sim = _make_sim(design, deadlock_window)
     multi = hasattr(sim, "topology")
-    # the run-state facade: MultiCoSimulation exposes the same
-    # halted/halt_reason/cycle/exit_code/resume() surface as one CPU
-    cpu = sim if multi else sim.cpu
+    cpu = run_state(sim)
 
-    first = min(fault_plan.first_cycle, max_cycles)
-    sim.run(until=first)
+    sim.run(until=min(fault_plan.first_cycle, max_cycles))
     if cpu.halted and cpu.halt_reason is not HaltReason.MAX_CYCLES:
         # The program finished before the fault cycle — nothing landed.
         outcome, detail = _finish_and_classify(sim, design, lambda: None)
-        return _trial_record(
-            fault_plan.to_dict(), outcome,
-            detail or "program ended before the fault cycle",
-            cycles=cpu.cycle, exit_code=cpu.exit_code,
-        )
+        return _end_record(fault_plan, cpu, outcome, detail)
 
     checkpoint = checkpoint_to_dict(sim, label=f"pre-fault {fault_plan.seed}")
 
@@ -341,16 +366,14 @@ def run_trial(
                 )
                 break
 
-    return _trial_record(
-        fault_plan.to_dict(), outcome,
+    return _end_record(
+        fault_plan, cpu, outcome,
         detail if outcome != original_outcome else original_detail,
-        original_outcome=original_outcome,
+        checkpoint_cycle=checkpoint["cycle"],
         injected=injector.log,
+        original_outcome=original_outcome,
         rollbacks=rollbacks,
         backoff_s=backoffs,
-        checkpoint_cycle=checkpoint["cycle"],
-        cycles=cpu.cycle,
-        exit_code=cpu.exit_code,
     )
 
 
@@ -592,8 +615,8 @@ def run_campaign(
     forwarded to the sweep engine; retries only re-run trials whose
     *evaluation* failed (worker crash), never reclassify outcomes.
 
-    ``batch_width=N`` routes the campaign through the lockstep vector
-    engine instead: trials run N at a time on one
+    ``batch_width=N`` runs the trials through the lockstep vector
+    engine instead: N at a time on one
     :class:`~repro.cosim.batch.BatchedCoSimulation`, sharing one
     program build and one fault-free prefix per batch, with
     unvectorizable trials evicted to the scalar engine.  The report is
@@ -608,29 +631,32 @@ def run_campaign(
                 "batched campaigns do not support --journal/--resume; "
                 "drop --batch or run the journal on the scalar engine"
             )
-        return _run_campaign_batched(config, batch_width, progress=progress)
     design, baseline, channels, ports, cpus, mem_words = (
         _campaign_setup(config))
-
     specs = campaign_specs(
         config, baseline.cycles, channels, ports, mem_words, cpus
     )
-    report = sweep(
-        specs,
-        workers=workers,
-        timeout_s=timeout_s,
-        retries=retries,
-        journal=journal,
-        resume=resume,
-        progress=progress,
-        evaluate=_evaluate_trial,
-    )
 
-    trials: list[dict[str, Any]] = []
-    for i, r in enumerate(report.results):
-        trial = _trial_from_evaluation(specs[i], r.status, r.metrics, r.error)
+    if batch_width is None:
+        report = sweep(
+            specs,
+            workers=workers,
+            timeout_s=timeout_s,
+            retries=retries,
+            journal=journal,
+            resume=resume,
+            progress=progress,
+            evaluate=_evaluate_trial,
+        )
+        trials = [
+            _trial_from_evaluation(spec, r.status, r.metrics, r.error)
+            for spec, r in zip(specs, report.results)
+        ]
+    else:
+        workers = 0  # the lockstep engine runs in this process
+        trials = _run_batched(config, design, specs, batch_width, progress)
+    for i, trial in enumerate(trials):
         trial["trial"] = i
-        trials.append(trial)
 
     return CampaignReport(
         config=config,
@@ -656,6 +682,35 @@ def _scalar_trial(
     )
 
 
+def _lane_stop(batch, lane: int, injector: FaultInjector,
+               until_cycle: int) -> int | None:
+    """Apply one lane's due faults, mirroring each on the lockstep
+    engine; the lane's next target cycle, or ``None`` once its plan is
+    finished or the lane is evicted."""
+    from repro.sysgen.batched import BatchUnsupported
+
+    while True:
+        due = injector.apply_due(until_cycle)
+        if any(spec.kind != "stuck_at" for spec in due):
+            # reg/mem/FIFO faults mutate only this lane's CPU and
+            # channel objects — the vector arrays stay coherent, but
+            # quiescence evidence is stale now
+            batch.hw_touched()
+        if due and injector.window is not None:
+            # a stuck_at window just opened: the engine pins the port
+            spec = due[-1]
+            block_name, _, port_name = spec.target.partition(":")
+            try:
+                batch.force_port(lane, block_name, port_name, spec.value,
+                                 injector.window.end)
+            except BatchUnsupported as exc:
+                batch.pending_evictions[lane] = str(exc)
+                return None
+        stop = injector.next_stop(until_cycle)
+        if stop is None or stop > injector.state.cycle:
+            return stop
+
+
 def _run_trial_batch(
     config: CampaignConfig, specs: list[DesignSpec], design
 ) -> list[dict[str, Any]]:
@@ -664,26 +719,23 @@ def _run_trial_batch(
     Every lane starts from cycle 0 on the shared program (one compile
     for the whole batch) and stays phase-aligned with its neighbours
     until its own faults diverge it, so the vector engine's all-active
-    step and its quiescence fast-forward both engage.  The drive loop
-    is ``FaultInjector.run`` unrolled across lanes: each round computes
-    the next event cycle per lane (next fault, the end of a ``stuck_at``
-    window, or the final ``max_cycles`` advance), applies due faults to
-    the lane's own CPU/FIFO objects, pins ``stuck_at`` ports through
-    the engine's per-cycle forcing, and lets the lockstep kernel
-    advance every lane together.
+    step and its quiescence fast-forward both engage.  Each lane's
+    :class:`~repro.faults.inject.FaultInjector` cursor applies its
+    faults to the lane's own CPU/FIFO objects and names the lane's next
+    stop; ``stuck_at`` windows are pinned through the engine's
+    per-cycle forcing, and the lockstep kernel advances every lane to
+    its stop together.
 
     Lanes the vector engine cannot finish faithfully — CPU crashes,
-    vector-step crashes, watchdog trips inside an active ``stuck_at``
+    vector-step crashes, watchdog trips inside an open ``stuck_at``
     window, forced ports the vector schedule does not track, rollback
     recovery — are evicted to a full scalar :func:`run_trial` replay,
-    which determinism makes bit-identical.  A watchdog trip with no
-    forcing active is classified in lane: the lockstep tripwire fires
-    at the same absolute boundary with the same state as the scalar
-    watchdog, so its exact diagnostic is synthesized instead of paying
-    a replay.
+    which determinism makes bit-identical.  A watchdog trip outside a
+    window is classified in lane: the lockstep tripwire fires at the
+    same absolute boundary with the same state as the scalar watchdog,
+    so its exact diagnostic is synthesized instead of paying a replay.
     """
     from repro.cosim.batch import BatchedCoSimulation
-    from repro.sysgen.batched import BatchUnsupported
 
     n = len(specs)
     records: list[dict[str, Any] | None] = [None] * n
@@ -692,141 +744,30 @@ def _run_trial_batch(
     firsts = [min(plan.first_cycle, config.max_cycles) for plan in plans]
 
     def lane_design():
-        # the shared design with fresh hardware: scalar replays skip
-        # the (deterministic) per-trial program compile
+        # the shared design with fresh hardware: lanes and scalar
+        # replays skip the (deterministic) per-trial program compile
         clone = copy.copy(design)
         clone.model, clone.mb = design.fresh_hardware()
         return clone
 
     # --- build the lanes and the lockstep engine ---------------------
-    sims: list[CoSimulation] = []
     try:
         with engine_scope("interpreter"):
-            for _ in range(n):
-                lmodel, lmb = design.fresh_hardware()
-                sims.append(CoSimulation(
-                    design.program, lmodel, lmb,
-                    cpu_config=design.cpu_config,
-                    deadlock_window=config.deadlock_window,
-                ))
+            sims = [_make_sim(lane_design(), config.deadlock_window)
+                    for _ in specs]
         batch = BatchedCoSimulation(sims=sims)
     except Exception:  # noqa: BLE001 - scalar replays reproduce it
         return [_scalar_trial(spec, lane_design) for spec in specs]
 
     # --- drive every lane through its fault plan ---------------------
-    injectors = [FaultInjector(batch.lane(li), plans[li]) for li in range(n)]
-    faults = [sorted(plan.faults, key=lambda f: f.cycle) for plan in plans]
-    fault_i = [0] * n
-    applied_any = [False] * n          # i.e. run_trial got past `first`
-    stuck: list[tuple[Any, int] | None] = [None] * n
-    finished = [False] * n
+    injectors = [FaultInjector(sim, plan) for sim, plan in zip(sims, plans)]
     while True:
         targets: dict[int, int] = {}
-        for li in range(n):
-            if finished[li] or li in batch.pending_evictions:
-                continue
-            cpu = batch.lane(li).cpu
-            while True:
-                if stuck[li] is not None:
-                    spec, end = stuck[li]
-                    if cpu.halted or cpu.cycle >= end:
-                        # the scalar injector logs the whole window as
-                        # one entry, after it, at the post-window (or
-                        # halt) cycle
-                        injectors[li].log.append({
-                            "fault": spec.describe(),
-                            "cycle": cpu.cycle,
-                            "applied": True,
-                            "note": "",
-                        })
-                        stuck[li] = None
-                        fault_i[li] += 1
-                        continue
-                    targets[li] = end
-                    break
-                if fault_i[li] < len(faults[li]):
-                    spec = faults[li][fault_i[li]]
-                    if spec.cycle >= config.max_cycles:
-                        fault_i[li] = len(faults[li])
-                        continue
-                    if cpu.halted:
-                        if cpu.halt_reason is not HaltReason.MAX_CYCLES:
-                            if applied_any[li]:
-                                injectors[li].log.append({
-                                    "fault": spec.describe(),
-                                    "cycle": cpu.cycle,
-                                    "applied": False,
-                                    "note": "program ended before the "
-                                            "fault cycle",
-                                })
-                            finished[li] = True
-                            break
-                        cpu.resume()
-                    if spec.cycle > cpu.cycle:
-                        targets[li] = spec.cycle
-                        break
-                    applied_any[li] = True
-                    if spec.kind == "stuck_at":
-                        # the scalar injector's port resolution, on
-                        # this lane's own (clone) model
-                        lane_sim = batch.lane(li)
-                        block_name, _, port_name = \
-                            spec.target.partition(":")
-                        port = None
-                        for model in lane_sim._models:
-                            for block in model.blocks:
-                                if block.name == block_name and \
-                                        port_name in block.outputs:
-                                    port = block.outputs[port_name]
-                        if port is None:
-                            injectors[li].log.append({
-                                "fault": spec.describe(),
-                                "cycle": cpu.cycle,
-                                "applied": False,
-                                "note": f"no output port {spec.target!r}",
-                            })
-                            fault_i[li] += 1
-                            continue
-                        end = min(cpu.cycle + spec.duration,
-                                  config.max_cycles)
-                        try:
-                            batch.force_port(li, block_name, port_name,
-                                             spec.value, end)
-                        except BatchUnsupported as exc:
-                            batch.pending_evictions[li] = str(exc)
-                            break
-                        if cpu.cycle >= end:
-                            # zero-length window: the forced value is
-                            # left on the port, logged at this cycle
-                            injectors[li].log.append({
-                                "fault": spec.describe(),
-                                "cycle": cpu.cycle,
-                                "applied": True,
-                                "note": "",
-                            })
-                            fault_i[li] += 1
-                            continue
-                        stuck[li] = (spec, end)
-                        targets[li] = end
-                        break
-                    # reg/mem/FIFO faults mutate only this lane's CPU
-                    # and channel objects — the vector arrays stay
-                    # coherent, but quiescence evidence is stale now
-                    injectors[li]._apply(spec, config.max_cycles)
-                    batch.hw_touched()
-                    fault_i[li] += 1
-                    continue
-                # all faults applied or beyond budget: final advance
-                if cpu.halted:
-                    if cpu.halt_reason is not HaltReason.MAX_CYCLES:
-                        finished[li] = True
-                        break
-                    cpu.resume()
-                if cpu.cycle < config.max_cycles:
-                    targets[li] = config.max_cycles
-                else:
-                    finished[li] = True
-                break
+        for li, injector in enumerate(injectors):
+            if li not in batch.pending_evictions:
+                stop = _lane_stop(batch, li, injector, config.max_cycles)
+                if stop is not None:
+                    targets[li] = stop
         if not targets:
             break
         if len(targets) <= n // 8:
@@ -836,143 +777,104 @@ def _run_trial_batch(
             # the stragglers to the (bit-identical) scalar replay
             for li in targets:
                 records[li] = _scalar_trial(specs[li], lane_design)
-                finished[li] = True
             break
         batch.advance(targets)
 
     # --- classify ----------------------------------------------------
-    window = config.deadlock_window
-    for li in range(n):
+    for li, injector in enumerate(injectors):
         if records[li] is not None:
             continue
         lane_sim = batch.lane(li)
         cpu = lane_sim.cpu
-        if li in batch.pending_evictions:
-            if batch.pending_evictions[li] == "deadlock watchdog" and \
-                    li not in batch._forcings:
-                # Same absolute boundary, same retire history, no
-                # forcing in flight: synthesize the scalar watchdog's
-                # exact diagnostic in lane instead of paying a replay.
-                msg = (
-                    f"no instruction retired in {window} cycles at "
-                    f"pc={cpu.pc:#010x}; FSL occupancies: "
-                    f"{lane_sim.mb_block.channel_occupancies()}"
-                )
-                if not applied_any[li]:
-                    # scalar run_trial raises during the fault-free
-                    # prefix — the sweep wrapper's crash-filler record
-                    records[li] = _trial_record(
-                        plans[li].to_dict(), OUTCOME_CRASH,
-                        f"trial failed: CoSimDeadlock: {msg}",
-                    )
-                elif config.recovery == "rollback":
-                    # hang is recoverable: rollback runs on the scalar
-                    # engine, so replay the whole trial there
-                    records[li] = _scalar_trial(specs[li], lane_design)
-                else:
-                    records[li] = _trial_record(
-                        plans[li].to_dict(), OUTCOME_HANG,
-                        f"watchdog: {msg}",
-                        injected=injectors[li].log,
-                        checkpoint_cycle=firsts[li],
-                        cycles=cpu.cycle, exit_code=cpu.exit_code,
-                    )
-                continue
-            # CPU crash / vector-step crash / watchdog inside a stuck
-            # window / untracked forced port: the scalar replay
-            # reproduces the event and its diagnostics exactly
-            records[li] = _scalar_trial(specs[li], lane_design)
-            continue
-        if not applied_any[li] and cpu.halted and \
-                cpu.halt_reason is not HaltReason.MAX_CYCLES:
-            # ended before the first fault landed: run_trial's early
-            # record (no checkpoint, empty log, rollback never reached)
+        # stopped at or before run_trial's checkpoint: no fault landed
+        prefix = cpu.cycle <= firsts[li]
+        evicted = batch.pending_evictions.get(li)
+        # None: the lane cannot be classified in lane — CPU crash,
+        # vector-step crash, watchdog inside a stuck window, untracked
+        # forced port, raising classification — and the scalar replay
+        # reproduces the event and its diagnostics exactly
+        outcome = None
+        if evicted is None:
+            early = cpu.halted and \
+                cpu.halt_reason is not HaltReason.MAX_CYCLES and prefix
+            if not cpu.halted:
+                cpu.halted = True
+                cpu.halt_reason = HaltReason.MAX_CYCLES
             try:
                 outcome, detail = _classify_state(lane_sim, design)
-            except Exception:  # noqa: BLE001
-                records[li] = _scalar_trial(specs[li], lane_design)
-                continue
-            records[li] = _trial_record(
-                plans[li].to_dict(), outcome,
-                detail or "program ended before the fault cycle",
-                cycles=cpu.cycle, exit_code=cpu.exit_code,
+            except Exception:  # noqa: BLE001 - replayed below
+                pass
+        elif evicted == "deadlock watchdog" and injector.window is None:
+            # Same absolute boundary, same retire history, no forcing
+            # in flight: synthesize the scalar watchdog's exact
+            # diagnostic in lane instead of paying a replay.
+            msg = (
+                f"no instruction retired in {config.deadlock_window} "
+                f"cycles at pc={cpu.pc:#010x}; FSL occupancies: "
+                f"{lane_sim.mb_block.channel_occupancies()}"
             )
-            continue
-        if not cpu.halted:
-            cpu.halted = True
-            cpu.halt_reason = HaltReason.MAX_CYCLES
-        try:
-            outcome, detail = _classify_state(lane_sim, design)
-        except Exception:  # noqa: BLE001 - classification itself raised
+            if prefix:
+                # scalar run_trial raises during the fault-free prefix
+                # — the sweep wrapper's crash-filler record
+                records[li] = _trial_record(
+                    plans[li].to_dict(), OUTCOME_CRASH,
+                    f"trial failed: CoSimDeadlock: {msg}",
+                )
+                continue
+            outcome, detail, early = OUTCOME_HANG, f"watchdog: {msg}", False
+        if outcome is None or (not early and config.recovery == "rollback"
+                               and outcome in RECOVERABLE):
+            # rollback re-runs from the checkpoint on the scalar engine,
+            # so a recoverable lane replays the whole trial there too
             records[li] = _scalar_trial(specs[li], lane_design)
-            continue
-        if config.recovery == "rollback" and outcome in RECOVERABLE:
-            # rollback re-runs from the checkpoint on the scalar
-            # engine; replay the whole trial there
-            records[li] = _scalar_trial(specs[li], lane_design)
-            continue
-        records[li] = _trial_record(
-            plans[li].to_dict(), outcome, detail,
-            injected=injectors[li].log, checkpoint_cycle=firsts[li],
-            cycles=cpu.cycle, exit_code=cpu.exit_code,
-        )
+        else:
+            records[li] = _end_record(
+                plans[li], cpu, outcome, detail,
+                checkpoint_cycle=None if early else firsts[li],
+                injected=injector.log,
+            )
     return records
 
 
-def _run_campaign_batched(
+def _run_batched(
     config: CampaignConfig,
+    design,
+    specs: list[DesignSpec],
     batch_width: int,
-    *,
-    progress: Callable[[SweepProgress], None] | None = None,
-) -> CampaignReport:
-    """The ``run_campaign(batch_width=...)`` engine: same report, one
+    progress: Callable[[SweepProgress], None] | None,
+) -> list[dict[str, Any]]:
+    """The ``run_campaign(batch_width=...)`` trial executor: one
     program build and one lockstep vector run per ``batch_width``
     trials instead of ``batch_width`` full scalar simulations.
 
     K-CPU designs have no lockstep vector engine (lanes would need a
     whole topology each); their trials replay on the scalar path one by
     one, sharing the design's one-time program builds.  Determinism
-    keeps the report byte-identical to ``run_campaign`` without
-    ``batch_width``."""
-    design, baseline, channels, ports, cpus, mem_words = (
-        _campaign_setup(config))
-    specs = campaign_specs(
-        config, baseline.cycles, channels, ports, mem_words, cpus
-    )
+    keeps the records equal to the sweep path's."""
     multi = getattr(design, "is_multi", False)
-
-    def run_chunk(chunk: list[DesignSpec]) -> list[dict[str, Any]]:
-        if multi:
-            return [_scalar_trial(spec, lambda: design)
-                    for spec in chunk]
-        return _run_trial_batch(config, chunk, design)
-
     start = time.perf_counter()
     trials: list[dict[str, Any]] = []
     cycles_done = 0
-    for lo in range(0, config.trials, batch_width):
+    for lo in range(0, len(specs), batch_width):
         chunk = specs[lo:lo + batch_width]
-        for off, record in enumerate(run_chunk(chunk)):
-            record["trial"] = lo + off
+        if multi:
+            records = [_scalar_trial(spec, lambda: design) for spec in chunk]
+        else:
+            records = _run_trial_batch(config, chunk, design)
+        for spec, record in zip(chunk, records):
             trials.append(record)
             cycles_done += record.get("cycles") or 0
             if progress is not None:
                 progress(SweepProgress(
-                    total=config.trials,
+                    total=len(specs),
                     done=len(trials),
                     cache_hits=0,
                     active_workers=1,
                     wall_seconds=time.perf_counter() - start,
                     cycles_done=cycles_done,
                     last=DSEResult(
-                        point=chunk[off], result=None, estimate=None,
+                        point=spec, result=None, estimate=None,
                         status=STATUS_OK, metrics=record,
                     ),
                 ))
-
-    return CampaignReport(
-        config=config,
-        baseline_cycles=baseline.cycles,
-        trials=trials,
-        workers=0,
-    )
+    return trials

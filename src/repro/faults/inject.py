@@ -1,21 +1,30 @@
 """Fault injection into a running co-simulation.
 
-The injector drives the simulation in segments — run to the next
-scheduled fault cycle, perturb the exact piece of state the
-:class:`~repro.faults.plan.FaultSpec` names, continue — using the same
-run-to-cycle primitive as checkpointing (``run(until=K)`` halts
-with ``MAX_CYCLES``; ``cpu.resume()`` clears it).  Injection therefore
-composes with both per-cycle and fast-forward execution, except during
-a ``stuck_at`` window, which steps per-cycle so the forced output is
-visible every cycle regardless of quiescence.
+A :class:`FaultInjector` is a cursor over its plan, sorted by cycle; it
+never advances the simulation itself.  :meth:`~FaultInjector.next_stop`
+names the next absolute cycle a driver must reach — the next fault, the
+end of an open window, or the budget — and
+:meth:`~FaultInjector.apply_due` perturbs the exact piece of state each
+fault due at the current cycle names.  ``stuck_at`` and ``node_stall``
+open a *window* of ``duration`` cycles that the driver steps per cycle,
+so the forced output (or the gated-off CPU) holds every cycle
+regardless of quiescence.
 
-Every applied (or skipped) fault is logged, and a ``FAULT_INJECTED``
-telemetry event is emitted when the simulation has telemetry attached.
+Two drivers consume the cursor: :meth:`FaultInjector.run` advances one
+scalar or K-CPU simulation with the run-to-cycle primitive of
+checkpointing (``run(until=K)`` parks the CPU on ``MAX_CYCLES``; the
+driver clears that park before every segment), and the batched
+campaign advances lockstep lanes through the vector engine
+(:func:`repro.faults.campaign._run_trial_batch`).
+
+Every applied (or skipped) fault is logged here and only here, and a
+``FAULT_INJECTED`` telemetry event is emitted when the simulation has
+telemetry attached.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from repro.bus.fsl import FSLChannel, FSLWord
 from repro.cosim.environment import CoSimulation
@@ -28,69 +37,140 @@ from repro.telemetry.events import (
 )
 
 
+def run_state(sim):
+    """The run-state facade of a simulation: a :class:`CoSimulation`'s
+    CPU, or a K-CPU :class:`~repro.cosim.multicpu.MultiCoSimulation`
+    itself — both expose ``halted`` / ``halt_reason`` / ``cycle`` /
+    ``exit_code`` / ``resume()``."""
+    return sim if hasattr(sim, "topology") else sim.cpu
+
+
+class FaultWindow(NamedTuple):
+    """A ``stuck_at`` or ``node_stall`` fault in force until absolute
+    cycle ``end``; ``step`` advances the simulation one cycle under
+    it."""
+
+    spec: FaultSpec
+    end: int
+    step: Callable[[], None]
+
+
 class FaultInjector:
     """Applies one :class:`FaultPlan` to one :class:`CoSimulation`.
 
-    :class:`MultiFaultInjector` retargets the same drive loop at a
-    K-CPU :class:`~repro.cosim.multicpu.MultiCoSimulation` by
-    overriding the clock/halt/CPU-resolution hooks below.
+    :class:`MultiFaultInjector` retargets it at a K-CPU
+    :class:`~repro.cosim.multicpu.MultiCoSimulation` by overriding how
+    a fault resolves its CPU and channel.
     """
 
     def __init__(self, sim: CoSimulation, plan: FaultPlan):
         self.sim = sim
         self.plan = plan
         #: one entry per scheduled fault: description, the cycle it
-        #: landed on, and whether it actually perturbed state (a FIFO
-        #: fault on an empty FIFO is a recorded no-op)
+        #: landed on (a window's: the cycle it closed), and whether it
+        #: actually perturbed state (a FIFO fault on an empty FIFO is a
+        #: recorded no-op)
         self.log: list[dict[str, Any]] = []
+        self.state = run_state(sim)
+        #: the open ``stuck_at``/``node_stall`` window, if any
+        self.window: FaultWindow | None = None
+        self._faults = sorted(plan.faults, key=lambda f: f.cycle)
+        self._next = 0
 
-    # -- simulation-shape hooks ----------------------------------------
-    def _cycle_now(self) -> int:
-        return self.sim.cpu.cycle
+    # -- the cursor ----------------------------------------------------
+    def _ended(self) -> bool:
+        """The program stopped for good (a ``MAX_CYCLES`` park is a
+        segment end, not an end)."""
+        state = self.state
+        return state.halted and state.halt_reason is not HaltReason.MAX_CYCLES
 
-    def _halted(self) -> bool:
-        return self.sim.cpu.halted
+    def _pending(self, until_cycle: int) -> FaultSpec | None:
+        """The next unapplied fault, unless it lies at or past the
+        budget (then so does every later one)."""
+        if self._next < len(self._faults) and \
+                self._faults[self._next].cycle < until_cycle:
+            return self._faults[self._next]
+        return None
 
-    def _target_cpu(self, spec: FaultSpec):
-        """The CPU a register/memory fault lands on."""
-        return self.sim.cpu
+    def next_stop(self, until_cycle: int) -> int | None:
+        """The next absolute cycle the driver must reach: the end of the
+        open window, the next fault, or ``until_cycle``.  ``None`` once
+        the plan is finished — the budget reached, or the program ended
+        (the fault it ended before is then logged as not applied)."""
+        if self.window is not None:
+            return self.window.end
+        pending = self._pending(until_cycle)
+        if self._ended():
+            if pending is not None:
+                self._log(pending, False,
+                          "program ended before the fault cycle")
+                self._next = len(self._faults)
+            return None
+        if pending is not None:
+            return pending.cycle
+        return until_cycle if self.state.cycle < until_cycle else None
 
-    # ------------------------------------------------------------------
-    def _advance_to(self, cycle: int) -> bool:
-        """Run to absolute ``cycle``; True while the program is still
-        continuable (running, or force-halted at the segment end)."""
-        cpu = self.sim.cpu
-        if cpu.halted:
-            if cpu.halt_reason is not HaltReason.MAX_CYCLES:
-                return False
-            cpu.resume()
-        if cycle > cpu.cycle:
-            self.sim.run(until=cycle - cpu.cycle)
-        return not cpu.halted or cpu.halt_reason is HaltReason.MAX_CYCLES
+    def apply_due(self, until_cycle: int) -> list[FaultSpec]:
+        """Close the open window once it has expired, then apply every
+        fault due at the current cycle, stopping after one that opens a
+        window (later faults wait for it to close).  Returns the faults
+        applied by this call, in order."""
+        state = self.state
+        if self.window is not None:
+            if not state.halted and state.cycle < self.window.end:
+                return []
+            self._close_window()
+        applied: list[FaultSpec] = []
+        while self.window is None and not self._ended():
+            spec = self._pending(until_cycle)
+            if spec is None or spec.cycle > state.cycle:
+                break
+            self._next += 1
+            applied.append(spec)
+            self._inject(spec, until_cycle)
+        return applied
 
+    def _close_window(self) -> None:
+        spec = self.window.spec
+        self.window = None
+        self._log(spec, True, "")
+
+    def _log(self, spec: FaultSpec, applied: bool, note: str) -> None:
+        fault, cycle = spec.describe(), self.state.cycle
+        self.log.append(
+            {"fault": fault, "cycle": cycle, "applied": applied, "note": note}
+        )
+        if applied and self.sim.telemetry is not None:
+            self.sim.telemetry.bus.emit(
+                TelemetryEvent(FAULT_INJECTED, cycle, COSIM_TRACK, text=fault)
+            )
+
+    # -- the scalar driver ---------------------------------------------
     def run(self, until_cycle: int) -> None:
         """Advance to absolute ``until_cycle``, injecting every planned
         fault at its exact cycle.  Deadlocks and bus faults propagate
         to the caller (they are detection outcomes, not engine bugs).
         """
-        for spec in sorted(self.plan.faults, key=lambda f: f.cycle):
-            if spec.cycle >= until_cycle:
-                break
-            if not self._advance_to(spec.cycle):
-                self.log.append(
-                    {
-                        "fault": spec.describe(),
-                        "cycle": self._cycle_now(),
-                        "applied": False,
-                        "note": "program ended before the fault cycle",
-                    }
-                )
-                return
-            self._apply(spec, until_cycle)
-        self._advance_to(until_cycle)
+        state = self.state
+        while (stop := self.next_stop(until_cycle)) is not None:
+            if state.halted:  # parked on MAX_CYCLES by the last segment
+                state.resume()
+            if self.window is None:
+                if stop > state.cycle:
+                    self.sim.run(until=stop - state.cycle)
+            else:
+                try:
+                    while not state.halted and state.cycle < stop:
+                        self.window.step()
+                except BaseException:
+                    self._close_window()  # a crash mid-window still logs it
+                    raise
+            self.apply_due(until_cycle)
 
-    # ------------------------------------------------------------------
-    def _apply(self, spec: FaultSpec, until_cycle: int) -> None:
+    # -- the faults ----------------------------------------------------
+    def _inject(self, spec: FaultSpec, until_cycle: int) -> None:
+        """Apply one fault; a window-opening fault is logged when its
+        window closes, every other one right here."""
         applied, note = True, ""
         try:
             if spec.kind == "reg_flip":
@@ -106,21 +186,18 @@ class FaultInjector:
             elif spec.kind == "stuck_at":
                 applied, note = self._stuck_at(spec, until_cycle)
         finally:
-            self.log.append(
-                {
-                    "fault": spec.describe(),
-                    "cycle": self._cycle_now(),
-                    "applied": applied,
-                    "note": note,
-                }
-            )
-        if applied and self.sim.telemetry is not None:
-            self.sim.telemetry.bus.emit(
-                TelemetryEvent(
-                    FAULT_INJECTED, self._cycle_now(), COSIM_TRACK,
-                    text=spec.describe(),
-                )
-            )
+            if self.window is None:
+                self._log(spec, applied, note)
+
+    def _open_window(self, spec: FaultSpec, until_cycle: int,
+                     step: Callable[[], None]) -> tuple[bool, str]:
+        end = min(self.state.cycle + spec.duration, until_cycle)
+        self.window = FaultWindow(spec, end, step)
+        return True, ""
+
+    def _target_cpu(self, spec: FaultSpec):
+        """The CPU a register/memory fault lands on."""
+        return self.sim.cpu
 
     def _reg_flip(self, spec: FaultSpec) -> None:
         # r0 is hardwired zero on MicroBlaze; fault the other 31.
@@ -197,35 +274,30 @@ class FaultInjector:
         if port is None:
             return False, f"no output port {spec.target!r}"
         forced = spec.value & 0xFFFFFFFF
-        end = min(self._cycle_now() + spec.duration, until_cycle)
-        # Per-cycle stepping: a fast-forward skip would treat the forced
-        # output as ordinary quiescent state, so pin it every cycle.
         port.value = forced
-        while not self._halted() and self._cycle_now() < end:
+
+        def step() -> None:
+            # per-cycle: a fast-forward skip would treat the forced
+            # output as ordinary quiescent state, so pin it every cycle
             self.sim.step(1)
-            if self._cycle_now() <= end:
-                port.value = forced
-        return True, ""
+            port.value = forced
+
+        return self._open_window(spec, until_cycle, step)
 
 
 class MultiFaultInjector(FaultInjector):
     """Applies a :class:`FaultPlan` to a K-CPU
     :class:`~repro.cosim.multicpu.MultiCoSimulation`.
 
-    The drive loop is inherited; only the simulation-shape hooks
-    change: the clock is the global lockstep cycle, "halted" means
-    every CPU has halted, register/memory faults resolve their node by
+    The cursor and the driver are inherited (the clock is the global
+    lockstep cycle, "halted" means every CPU has halted); only fault
+    resolution changes: register/memory faults resolve their node by
     name (``spec.target``) or index, FIFO faults see every channel in
-    the system (inter-CPU links included), and ``node_stall`` gates one
-    processor's clock off via ``step(skip_cpus=...)`` while the rest of
-    the topology keeps running.
+    the system (inter-CPU links included), and ``node_stall`` opens a
+    window that gates one processor's clock off via
+    ``step(skip_cpus=...)`` while the rest of the topology keeps
+    running.
     """
-
-    def _cycle_now(self) -> int:
-        return self.sim.cycle
-
-    def _halted(self) -> bool:
-        return self.sim.halted
 
     def _node_index(self, spec: FaultSpec) -> int:
         if spec.target:
@@ -243,16 +315,6 @@ class MultiFaultInjector(FaultInjector):
                 return channel
         return None
 
-    def _advance_to(self, cycle: int) -> bool:
-        sim = self.sim
-        if sim.halted:
-            if sim.halt_reason is not HaltReason.MAX_CYCLES:
-                return False
-            sim.resume()
-        if cycle > sim.cycle:
-            sim.run(until=cycle - sim.cycle)
-        return not sim.halted or sim.halt_reason is HaltReason.MAX_CYCLES
-
     def _node_stall(
         self, spec: FaultSpec, until_cycle: int
     ) -> tuple[bool, str]:
@@ -267,11 +329,6 @@ class MultiFaultInjector(FaultInjector):
         vcpu = self.sim.nodes[victim].cpu
         if vcpu.halted and vcpu.halt_reason is HaltReason.EXIT:
             return False, "node already exited at injection time"
-        # _advance_to parks every CPU on MAX_CYCLES at the segment end;
-        # clear it so the un-stalled processors actually run
-        self.sim.resume()
-        end = min(self.sim.cycle + spec.duration, until_cycle)
         skip = frozenset({victim})
-        while not self.sim.halted and self.sim.cycle < end:
-            self.sim.step(1, skip_cpus=skip)
-        return True, ""
+        return self._open_window(
+            spec, until_cycle, lambda: self.sim.step(1, skip_cpus=skip))

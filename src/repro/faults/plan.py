@@ -4,8 +4,8 @@ A :class:`FaultSpec` pins one fault to an exact simulation cycle and
 target — a register or memory bit flip, an FSL FIFO word corruption,
 drop or duplication, or a stuck-at output on a hardware block.  A
 :class:`FaultPlan` is the complete fault load of ONE simulation run;
-campaigns (:mod:`repro.faults.campaign`) generate many single-fault
-plans from a master seed, so every trial is reproducible from
+campaigns (:mod:`repro.faults.campaign`) generate many plans from a
+master seed, so every trial is reproducible from
 ``(seed, trial index)`` alone and plans round-trip through JSON for
 worker processes and reports.
 """

@@ -140,6 +140,47 @@ def test_fault_after_program_end_is_logged_not_crashed():
     assert sim.cpu.exit_code is not None
 
 
+#: a plan whose stuck_at window is not its first fault: the window must
+#: still hold for its full duration (the CPU is parked on MAX_CYCLES at
+#: every segment end, and the window must step past that park)
+FORCED = 0x5A5A5A5A
+
+
+def _late_window_plan(port, node=""):
+    return FaultPlan(faults=[
+        FaultSpec(kind="reg_flip", cycle=500, target=node, index=4, bit=3),
+        FaultSpec(kind="stuck_at", cycle=900, target=port, value=FORCED,
+                  duration=10),
+    ], seed="t")
+
+
+def _record_port(model, block, port):
+    """The value ``block:port`` holds entering each of ``model``'s
+    steps, keyed by the model cycle the step starts from."""
+    out = model.block(block).outputs[port]
+    seen: dict[int, int] = {}
+    step = model.step
+
+    def recording_step():
+        seen[model.cycle] = out.value
+        step()
+
+    model.step = recording_step
+    return seen
+
+
+def test_stuck_at_after_another_fault_holds_its_whole_window():
+    sim = _make_sim(build_design("cordic", {"p": 2, "iters": 8, "ndata": 8}),
+                    2_048)
+    seen = _record_port(sim.model, "pe0_rz", "q")
+    injector = FaultInjector(sim, _late_window_plan("pe0_rz:q"))
+    injector.run(until_cycle=MAX_CYCLES)
+    assert [(e["cycle"], e["applied"]) for e in injector.log] == \
+        [(500, True), (910, True)]
+    assert [seen.get(c) for c in range(900, 910)] == [FORCED] * 10
+    assert sim.cpu.exit_code == 0
+
+
 # ----------------------------------------------------------------------
 # trials and campaigns
 
@@ -290,6 +331,18 @@ BATCH_EQUIV_CONFIGS = [
     pytest.param(dict(app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
                       trials=10, seed=16, max_cycles=4_000,
                       deadlock_window=512), id="cordic-near-end"),
+    # three faults per trial: stuck_at windows that are not the plan's
+    # first fault must hold their full duration on both engines
+    pytest.param(dict(app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
+                      trials=8, seed=30, max_cycles=60_000,
+                      deadlock_window=512, faults_per_trial=3),
+                 id="cordic-multi-fault"),
+    pytest.param(dict(app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
+                      trials=8, seed=31, max_cycles=60_000,
+                      deadlock_window=512, faults_per_trial=3,
+                      kinds=("stuck_at", "reg_flip", "fifo_drop"),
+                      recovery="rollback"),
+                 id="cordic-multi-fault-rollback"),
 ]
 
 
@@ -486,6 +539,34 @@ def test_link_drop_on_a_busy_link_starves_the_sink():
     assert "dropped 1 word(s)" in injector.log[0]["note"]
 
 
+def test_multi_stuck_at_after_another_fault_holds_its_whole_window():
+    """The K-CPU face of the late-window regression: a 2x2 mesh whose
+    first node streams through node-local hardware."""
+    from repro.conformance.multicpu import (
+        MultiNodeSpec,
+        MultiScenario,
+        build_multi_sim,
+    )
+    from repro.conformance.scenario import StageSpec
+    from repro.faults import MultiFaultInjector
+
+    scenario = MultiScenario(
+        name="mesh-hw", seed="mesh-hw", topology_kind="mesh", n_cpus=4,
+        rows=2, cols=2, tokens=8,
+        nodes=(MultiNodeSpec(hw_stage=StageSpec("reg"), hw_rounds=64),)
+        + (MultiNodeSpec(),) * 3,
+    )
+    sim, _trace = build_multi_sim(scenario, fast_forward=True)
+    seen = _record_port(sim.nodes[0].model, "hw_s0_reg", "q")
+    injector = MultiFaultInjector(
+        sim, _late_window_plan("hw_s0_reg:q", node="cpu3"))
+    injector.run(until_cycle=120_000)
+    assert [(e["cycle"], e["applied"]) for e in injector.log] == \
+        [(500, True), (910, True)]
+    assert [seen.get(c) for c in range(900, 910)] == [FORCED] * 10
+    assert sim.exit_code is not None
+
+
 #: the multi-CPU face of BATCH_EQUIV_CONFIGS: --batch must replay
 #: K-CPU trials to a byte-identical report
 MULTI_BATCH_CONFIGS = [
@@ -496,6 +577,10 @@ MULTI_BATCH_CONFIGS = [
                       design={"stages": 2, "iters": 8, "ndata": 8},
                       trials=8, seed=7, max_cycles=200_000,
                       deadlock_window=2_048), id="cordic-pipe-all"),
+    pytest.param(dict(app="mesh", design=dict(MESH), trials=8, seed=5,
+                      max_cycles=120_000, deadlock_window=2_048,
+                      faults_per_trial=3),
+                 id="mesh-multi-fault"),
 ]
 
 
