@@ -15,9 +15,9 @@ Execution modes
                   (``verify_fast_forward=True``)
 ``reset_rerun``   run once, :meth:`~repro.cosim.CoSimulation.reset`,
                   run again — the second run must match a fresh one
-``subprocess``    the scenario rebuilt and run inside a worker process,
-                  the way the design-space sweep engine evaluates
-                  points
+``subprocess``    the scenario rebuilt and run on a pool worker
+                  (:class:`~repro.runapi.pool.Worker`), the process
+                  the design-space sweep engine and the farm run on
 
 Observable surface
 ------------------
@@ -35,7 +35,6 @@ claims is execution-mode-independent).
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 from dataclasses import dataclass, field
 
 from repro.asm.linker import Program
@@ -59,6 +58,7 @@ from repro.cosim.environment import (
 from repro.cosim.trace import FSLTrace
 from repro.iss.cpu import HaltReason
 from repro.runapi.engine import engine_scope
+from repro.runapi.pool import Worker
 from repro.telemetry import Telemetry
 
 ALL_MODES = ("per_cycle", "fast_forward", "verify", "reset_rerun",
@@ -415,50 +415,36 @@ def observe_batched(
 
 
 # --------------------------------------------------------------------------
-# subprocess mode — mirror of the sweep engine's worker-process shape
+# subprocess mode — one observation on a pool worker
 
 
-def _subprocess_worker(conn, scenario_dict: dict,
-                       engine: str = "auto") -> None:
-    try:
-        scenario = scenario_from_dict(scenario_dict)
-        obs = observe(scenario, "fast_forward", engine=engine)
-        payload = obs.to_dict()
-        payload["mode"] = "subprocess"
-        conn.send(("ok", payload))
-    except Exception as exc:  # noqa: BLE001 - report, parent decides
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
+def _observe_in_worker(scenario_dict: dict, engine: str) -> dict:
+    obs = observe(scenario_from_dict(scenario_dict), "fast_forward",
+                  engine=engine)
+    payload = obs.to_dict()
+    payload["mode"] = "subprocess"
+    return payload
 
 
 def _observe_subprocess(scenario: Scenario,
                         engine: str = "auto") -> Observation:
-    ctx = multiprocessing.get_context()
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_subprocess_worker,
-                       args=(send, scenario.to_dict(), engine), daemon=True)
-    proc.start()
-    send.close()
+    worker = Worker()
     try:
-        if not recv.poll(SUBPROCESS_TIMEOUT_S):
-            proc.terminate()
+        worker.send(_observe_in_worker, scenario.to_dict(), engine)
+        if not worker.conn.poll(SUBPROCESS_TIMEOUT_S):
             return Observation(mode="subprocess", status="error:WorkerTimeout",
                                error=f"no result in {SUBPROCESS_TIMEOUT_S}s")
-        kind, payload = recv.recv()
-    except (EOFError, OSError) as exc:
-        return Observation(mode="subprocess", status="error:WorkerDied",
-                           error=str(exc))
+        reply = worker.recv()
+        if reply.get("dead"):
+            return Observation(mode="subprocess", status="error:WorkerDied",
+                               error=reply["error"])
+        if not reply["ok"]:
+            return Observation(mode="subprocess", status="error:WorkerError",
+                               error=reply["error"])
+        worker.exit()
+        return Observation.from_dict(reply["value"])
     finally:
-        recv.close()
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - defensive
-            proc.kill()
-            proc.join()
-    if kind != "ok":
-        return Observation(mode="subprocess", status="error:WorkerError",
-                           error=str(payload))
-    return Observation.from_dict(payload)
+        worker.kill()
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The paper's whole point is making design-space iteration fast; this
 module evaluates many candidate partitions at once instead of one by
-one.  Design points travel to ``multiprocessing`` workers as picklable
+one.  Design points travel to persistent worker processes
+(:class:`~repro.runapi.pool.Worker`) as picklable
 :class:`~repro.cosim.partition.DesignSpec` records (workers ``build()``
 the instance locally), and every point comes back with a structured
 status — ``ok`` / ``self-check-failed`` / ``deadlock`` / ``timeout`` /
@@ -12,9 +13,10 @@ not an exception.
 
 Fault tolerance and speed come from five mechanisms:
 
-* **worker pool** — one process per in-flight point, up to ``workers``
-  at a time; a crashed or hung worker is reaped and reported without
-  disturbing its siblings,
+* **worker pool** — up to ``workers`` persistent processes, started
+  once per sweep, each evaluating one point at a time in the same
+  process (as ``workers=0`` does); a crashed or hung worker is reaped,
+  its point reported, and a replacement started while work remains,
 * **per-point timeout** — inside the worker, the
   :func:`~repro.cosim.environment.run_timeout` hook bounds the
   co-simulation's wall clock; the parent hard-kills workers that
@@ -48,7 +50,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import multiprocessing
 import os
 import pathlib
 import time
@@ -84,6 +85,7 @@ from repro.iss.cpu import HaltReason
 from repro.runapi.backoff import retry_backoff_delay
 from repro.runapi.engine import engine_scope
 from repro.runapi.fingerprint import design_fingerprint
+from repro.runapi.pool import Worker
 from repro.resources.estimator import DesignEstimate
 from repro.resources.types import Resources
 from repro.telemetry import Telemetry, telemetry_scope
@@ -152,8 +154,8 @@ class SweepCache:
     durable envelope (:mod:`repro.runapi.durable`: tmp + rename +
     fsync) so concurrent workers can share one directory and a host
     crash cannot leave a torn entry; reads verify the envelope and
-    quarantine damage as a miss.  Pre-envelope entries (raw JSON)
-    read transparently.
+    quarantine damage — a pre-envelope entry (raw JSON) included — as
+    a miss.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -502,28 +504,6 @@ def _evaluate_with_retries(
             time.sleep(delay)
 
 
-def _worker_main(point, cache_dir, timeout_s, conn,
-                 telemetry: bool = False, evaluate=None,
-                 engine: str = "auto") -> None:
-    """Entry point of a sweep worker process: evaluate one point and
-    ship the payload back over the pipe.  ``evaluate`` lets other
-    campaign engines (e.g. fault injection) reuse this pool with their
-    own module-level evaluation function.  ``engine`` becomes the
-    ambient :func:`~repro.runapi.engine_scope` of the evaluation."""
-    try:
-        evaluate_fn = evaluate if evaluate is not None else _evaluate
-        with engine_scope(engine):
-            payload = evaluate_fn(point, cache_dir, timeout_s, telemetry)
-    except BaseException as exc:  # never let a worker die silently
-        payload = point_payload(
-            error=f"worker failed: {type(exc).__name__}: {exc}"
-        )
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
 # ----------------------------------------------------------------------
 # Progress reporting
 # ----------------------------------------------------------------------
@@ -644,7 +624,7 @@ def sweep(
         :class:`DesignPoint` closures (in-process evaluation only).
     workers:
         ``0`` evaluates in-process, sequentially; ``N > 0`` fans points
-        out over up to ``N`` worker processes.
+        out over up to ``N`` persistent worker processes.
     timeout_s:
         Per-point wall-clock budget (``None`` = unlimited).  Enforced
         inside the co-simulation loop via
@@ -777,14 +757,16 @@ def sweep(
                         f"describe it as a DesignSpec"
                     )
             _run_parallel(
-                points, workers, timeout_s, retries, cache_path,
-                kill_grace_s, attempts, record, telemetry,
-                remaining=remaining,
+                points, remaining, workers, attempts, backoffs, record,
+                timeout_s=timeout_s,
+                kill_grace_s=kill_grace_s,
+                retries=retries,
                 retry_backoff_s=retry_backoff_s,
                 backoff_seed=backoff_seed,
-                backoffs=backoffs,
-                evaluate=evaluate,
+                cache_dir=cache_path,
+                telemetry=telemetry,
                 engine=engine,
+                evaluate=evaluate_fn,
             )
     finally:
         if journal_obj is not None:
@@ -799,55 +781,43 @@ def sweep(
 
 def _run_parallel(
     points: list[DesignSpec],
+    pending: list[int],
     workers: int,
-    timeout_s: float | None,
-    retries: int,
-    cache_path: str | None,
-    kill_grace_s: float,
     attempts: list[int],
+    backoffs: list[list[float]],
     record: Callable[..., None],
-    telemetry: bool = False,
-    remaining: list[int] | None = None,
-    retry_backoff_s: float = 0.0,
-    backoff_seed: int = 0,
-    backoffs: list[list[float]] | None = None,
-    evaluate: Callable[..., dict[str, Any]] | None = None,
-    engine: str = "auto",
+    *,
+    timeout_s: float | None,
+    kill_grace_s: float,
+    retries: int,
+    retry_backoff_s: float,
+    backoff_seed: int,
+    **evaluate_options: Any,
 ) -> None:
-    """Fan points out over a bounded pool of worker processes."""
-    ctx = multiprocessing.get_context()
-    pending: deque[int] = deque(
-        remaining if remaining is not None else range(len(points))
-    )
-    if backoffs is None:
-        backoffs = [[] for _ in points]
+    """Drive up to ``workers`` persistent worker processes over the
+    ``pending`` point indices.
+
+    Each attempt is one ``_evaluate_with_retries(..., retries=0)`` call
+    on an idle worker; retry, backoff, the hard deadline
+    (``timeout_s + kill_grace_s`` after the send) and recording stay
+    here.  A worker killed at its deadline or found dead is replaced
+    while work remains.
+    """
+    queue: deque[int] = deque(pending)
     # index -> earliest perf_counter() time it may be (re-)launched
     ready_at: dict[int, float] = {}
-    # index -> (process, parent_conn, hard_deadline or None)
-    active: dict[int, tuple[Any, Any, float | None]] = {}
+    idle = [Worker() for _ in range(min(workers, len(queue)))]
+    pool = list(idle)
+    # worker -> (point index, hard deadline or None)
+    busy: dict[Worker, tuple[int, float | None]] = {}
 
-    def launch(index: int) -> None:
-        attempts[index] += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(points[index], cache_path, timeout_s, child_conn,
-                  telemetry, evaluate, engine),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        deadline = (
-            time.perf_counter() + timeout_s + kill_grace_s
-            if timeout_s is not None
-            else None
-        )
-        active[index] = (proc, parent_conn, deadline)
-
-    def finish(index: int, payload: dict[str, Any]) -> None:
-        proc, conn, _ = active.pop(index)
-        conn.close()
-        proc.join()
+    def finish(worker: Worker, payload: dict[str, Any], alive: bool) -> None:
+        index, _ = busy.pop(worker)
+        if alive:
+            idle.append(worker)
+        else:
+            worker.kill()
+            pool.remove(worker)
         if payload["status"] in RETRIABLE and attempts[index] <= retries:
             delay = retry_backoff_delay(
                 retry_backoff_s, points[index].name,
@@ -856,66 +826,70 @@ def _run_parallel(
             backoffs[index].append(delay)
             if delay > 0:
                 ready_at[index] = time.perf_counter() + delay
-            pending.append(index)
+            queue.append(index)
         else:
-            record(index, payload, active=len(active))
+            record(index, payload, active=len(busy))
+        if not alive and queue:
+            replacement = Worker()
+            pool.append(replacement)
+            idle.append(replacement)
 
     try:
-        while pending or active:
-            while pending and len(active) < workers:
+        while queue or busy:
+            while queue and idle:
                 now = time.perf_counter()
                 index = next(
-                    (i for i in pending if ready_at.get(i, 0.0) <= now),
-                    None,
+                    (i for i in queue if ready_at.get(i, 0.0) <= now), None
                 )
                 if index is None:
                     break  # all queued points are backing off
-                pending.remove(index)
+                queue.remove(index)
                 ready_at.pop(index, None)
-                launch(index)
+                attempts[index] += 1
+                worker = idle.pop()
+                worker.send(
+                    _evaluate_with_retries, points[index],
+                    timeout_s=timeout_s, retries=0, **evaluate_options,
+                )
+                busy[worker] = (
+                    index,
+                    None if timeout_s is None
+                    else now + timeout_s + kill_grace_s,
+                )
 
-            conns = {conn: index for index, (_, conn, _) in active.items()}
-            if conns:
-                ready = _conn_wait(list(conns), timeout=0.05)
+            if busy:
+                by_conn = {w.conn: w for w in busy}
+                ready = _conn_wait(list(by_conn), timeout=0.05)
             else:
                 time.sleep(0.01)  # only backing-off points remain
                 ready = []
             for conn in ready:
-                index = conns[conn]
-                proc = active[index][0]
-                try:
-                    payload = conn.recv()
-                except (EOFError, OSError):
-                    # the worker died before sending (crash / kill)
-                    proc.join()
-                    payload = point_payload(
-                        error=f"worker exited without a result "
-                              f"(exit code {proc.exitcode})"
-                    )
-                finish(index, payload)
+                worker = by_conn[conn]
+                reply = worker.recv()
+                if reply["ok"]:
+                    finish(worker, reply["value"][0], alive=True)
+                elif reply.get("dead"):
+                    finish(worker, point_payload(error=reply["error"]),
+                           alive=False)
+                else:
+                    finish(worker, point_payload(
+                        error=f"worker failed: {reply['error']}"
+                    ), alive=True)
 
             now = time.perf_counter()
-            for index, (proc, conn, deadline) in list(active.items()):
+            for worker, (_, deadline) in list(busy.items()):
                 if deadline is not None and now >= deadline:
-                    proc.terminate()
-                    proc.join()
-                    finish(index, point_payload(
+                    finish(worker, point_payload(
                         status=STATUS_TIMEOUT,
                         error=f"worker killed after exceeding the "
                               f"{timeout_s}s point budget "
                               f"(+{kill_grace_s}s grace)",
-                    ))
-                elif not proc.is_alive() and not conn.poll():
-                    proc.join()
-                    finish(index, point_payload(
-                        error=f"worker exited without a result "
-                              f"(exit code {proc.exitcode})"
-                    ))
+                    ), alive=False)
+        for worker in pool:
+            worker.exit()
     finally:
-        for proc, conn, _ in active.values():
-            proc.terminate()
-            proc.join()
-            conn.close()
+        for worker in pool:
+            worker.kill()
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ that split to fleet scale: an asyncio **gateway**
 (:mod:`repro.farm.gateway`) accepts compile+simulate jobs over
 HTTP/JSON (stdlib-only: hand-rolled HTTP/1.1 on :mod:`asyncio`),
 multiplexes thousands of concurrent sessions, and dispatches work to a
-pool of process **workers** (:mod:`repro.farm.worker`).
+pool of persistent process **workers** (:class:`repro.runapi.pool
+.Worker`, the worker the local sweep engine runs on too) that execute
+:func:`repro.farm.jobs.execute`.
 
 The pieces that make it a farm rather than a queue:
 

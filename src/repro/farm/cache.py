@@ -14,7 +14,7 @@ the read side.  A torn, truncated or bit-flipped entry is **never**
 served — it classifies as damage, moves into the ``quarantine/``
 sidecar directory for post-mortem, and reads as a miss so the job
 re-executes.  Entries written by pre-envelope farms (raw JSON bytes)
-still read back verbatim.
+are treated the same way: quarantined, missed, re-executed.
 
 Gateways and workers may share a directory; a startup scavenge (and
 every ``clear()``) collects the orphaned ``.tmp.<pid>`` staging files

@@ -1,7 +1,8 @@
 """The asyncio farm gateway.
 
-One process, one event loop, N worker processes.  The gateway owns
-four cooperating pieces:
+One process, one event loop, N worker processes (the persistent
+:class:`~repro.runapi.pool.Worker` the sweep engine also runs on).
+The gateway owns four cooperating pieces:
 
 * the **HTTP front** — a hand-rolled asyncio HTTP/1.1 server
   (:mod:`repro.farm.httpio`) multiplexing thousands of concurrent
@@ -17,8 +18,9 @@ four cooperating pieces:
   a preempt request sets the worker's shared event, the worker yields
   a checkpoint (or its completed-unit journal) and the task re-queues
   **excluding that worker** — checkpoint migration.  A worker that
-  dies mid-task is detected by pipe EOF; its task re-dispatches and a
-  replacement worker is spawned,
+  dies mid-task is detected by pipe EOF; a replacement worker is
+  spawned and the task re-dispatches, until it has lost
+  :data:`MAX_WORKERS_LOST` workers and fails its job,
 * the **meters** — queue depth, busy workers, cache hit/coalesce/shed
   counters, simulated cycles and per-job latency live in a
   :class:`~repro.telemetry.metrics.MetricsRegistry`; per-tenant usage
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import multiprocessing
 import threading
 import time
 from collections import deque
@@ -52,7 +53,7 @@ from typing import Any
 
 from repro.farm import httpio
 from repro.farm.cache import FarmCache
-from repro.farm.jobs import PREEMPT_SLICE, _spec_from_payload
+from repro.farm.jobs import PREEMPT_SLICE, _spec_from_payload, execute
 from repro.farm.wal import (
     EV_DONE,
     EV_FAILED,
@@ -70,7 +71,7 @@ from repro.farm.protocol import (
     ProtocolError,
     job_fingerprint,
 )
-from repro.farm.worker import CMD_EXIT, CMD_JOB, worker_main
+from repro.runapi.pool import CMD_EXIT, Worker
 from repro.telemetry.metrics import MetricsRegistry
 
 #: per-job latency histogram buckets (milliseconds)
@@ -79,6 +80,10 @@ LATENCY_BOUNDS_MS = (1, 5, 10, 50, 250, 1_000, 5_000, 30_000)
 #: sharded job kinds (unit-boundary migration); everything else is a
 #: single task (cycle-boundary checkpoint migration where supported)
 SHARDED_KINDS = ("sweep", "campaign")
+
+#: a task whose worker died this many times fails its job with the
+#: pool's death message instead of re-queuing forever
+MAX_WORKERS_LOST = 3
 
 
 @dataclass
@@ -90,6 +95,7 @@ class Task:
     units: list[int] | None = None
     resume_state: dict[str, Any] | None = None
     exclude_worker: int | None = None
+    workers_lost: int = 0
 
 
 @dataclass
@@ -146,20 +152,14 @@ class Job:
         return out
 
 
-class _WorkerHandle:
-    """One worker process + its pipe, preempt event and reader thread."""
+class _WorkerHandle(Worker):
+    """One pool worker plus the gateway's view of it: the task it runs,
+    whether a death is still news (``alive``) and a reader thread that
+    hands every reply to the event loop."""
 
-    def __init__(self, worker_id: int, ctx, on_message, on_death):
+    def __init__(self, worker_id: int, on_message, on_death):
+        super().__init__()
         self.id = worker_id
-        self.preempt = ctx.Event()
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=worker_main,
-            args=(child_conn, self.preempt, worker_id),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
         self.task: Task | None = None
         self.alive = True
         self._on_message = on_message
@@ -172,26 +172,19 @@ class _WorkerHandle:
 
     def _read_loop(self) -> None:
         while True:
-            try:
-                msg = self.conn.recv()
-            except (EOFError, OSError, TypeError):
-                # the worker died, or kill() closed the pipe — possibly
-                # mid-message, which leaves recv() a None handle
-                # (TypeError); a pipe closed at shutdown is no death
+            reply = self.recv()
+            if reply.get("dead"):
+                # a pipe closed by kill() at shutdown is no death
                 if self.alive:
-                    self._on_death(self)
+                    self._on_death(self, reply["error"])
                 return
-            if msg.get("cmd") == CMD_EXIT:
+            if reply.get("cmd") == CMD_EXIT:
                 return
-            self._on_message(self, msg)
+            self._on_message(self, reply)
 
     def kill(self) -> None:
         self.alive = False
-        with contextlib.suppress(OSError, ValueError):
-            self.conn.close()
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5)
+        super().kill()
 
 
 class FarmGateway:
@@ -241,7 +234,6 @@ class FarmGateway:
         self._server: asyncio.AbstractServer | None = None
         self._address: tuple[str, int] | None = None
         self._conn_tasks: set[asyncio.Task] = set()
-        self._ctx = multiprocessing.get_context()
         self.started = False
 
     # ------------------------------------------------------------------
@@ -327,17 +319,11 @@ class FarmGateway:
         pending = [job for job in self.jobs.values() if not job.done.is_set()]
         for job in pending:
             await job.done.wait()
-        for handle in list(self._workers.values()):
-            if handle.alive:
-                with contextlib.suppress(OSError, ValueError):
-                    handle.conn.send({"cmd": CMD_EXIT})
         assert self._loop is not None
         for handle in list(self._workers.values()):
             handle.alive = False
-            # join in the executor: never block the event loop
-            await self._loop.run_in_executor(
-                None, handle.process.join, 5
-            )
+            # exit (and join) in the executor: never block the event loop
+            await self._loop.run_in_executor(None, handle.exit)
         if self._server is not None:
             self._server.close()
         completed = sum(
@@ -364,7 +350,6 @@ class FarmGateway:
         self._next_worker += 1
         handle = _WorkerHandle(
             worker_id,
-            self._ctx,
             on_message=self._on_worker_message_threadsafe,
             on_death=self._on_worker_death_threadsafe,
         )
@@ -377,8 +362,8 @@ class FarmGateway:
     def _on_worker_message_threadsafe(self, handle, msg) -> None:
         self._post(self._on_worker_message, handle, msg)
 
-    def _on_worker_death_threadsafe(self, handle) -> None:
-        self._post(self._on_worker_death, handle)
+    def _on_worker_death_threadsafe(self, handle, error: str) -> None:
+        self._post(self._on_worker_death, handle, error)
 
     def _post(self, callback, *args) -> None:
         """Hand a reader-thread event to the event loop — unless the
@@ -392,10 +377,10 @@ class FarmGateway:
             if not loop.is_closed():
                 raise
 
-    def _on_worker_death(self, handle: _WorkerHandle) -> None:
+    def _on_worker_death(self, handle: _WorkerHandle, error: str) -> None:
         if not handle.alive:
             return  # deliberate shutdown
-        handle.alive = False
+        handle.kill()  # reap it and close the pipe
         self._workers.pop(handle.id, None)
         self.metrics.counter("farm.workers.deaths").inc()
         task = handle.task
@@ -403,25 +388,31 @@ class FarmGateway:
         if not self._draining:
             self._spawn_worker()
         if task is not None:
-            # the stint died with the worker: re-dispatch from the last
-            # known state (the resume_state it was launched with)
-            self._queue.appendleft(task)
+            task.workers_lost += 1
+            if task.workers_lost >= MAX_WORKERS_LOST:
+                # a task that keeps killing its worker is a poison job
+                self._fail_job(task.job, error)
+            else:
+                # the stint died with the worker: re-dispatch from the
+                # last known state (the resume_state it was launched with)
+                self._queue.appendleft(task)
         self._pump()
 
-    def _on_worker_message(self, handle: _WorkerHandle, msg: dict) -> None:
+    def _on_worker_message(self, handle: _WorkerHandle, reply: dict) -> None:
         task = handle.task
         handle.task = None
         self._gauge_workers()
         if task is None:
             return  # stale reply from a reassigned worker; ignore
+        msg = reply.get("value") or {}
         job = task.job
         job.executions += 1
         job.workers_used.add(handle.id)
         job.cycles += int(msg.get("cycles") or 0)
         self.metrics.counter("farm.cycles").inc(int(msg.get("cycles") or 0))
 
-        if not msg.get("ok"):
-            self._fail_job(job, msg.get("error") or "worker error")
+        if not reply["ok"]:
+            self._fail_job(job, reply["error"])
         elif msg.get("outcome") == "preempted":
             job.preempts += 1
             self.metrics.counter("farm.jobs.preempts").inc()
@@ -531,24 +522,17 @@ class FarmGateway:
         job = task.job
         if job.state == STATE_QUEUED:
             job.state = STATE_RUNNING
-        cmd = {
-            "cmd": CMD_JOB,
-            "task": task.id,
-            "kind": job.spec.kind,
-            "payload": job.spec.payload,
-            "units": task.units,
-            "resume_state": task.resume_state,
-            "preempt_slice": self.preempt_slice,
-        }
         assert self._loop is not None
         # pipe sends can block when the buffer is full; keep the loop free
-        self._loop.run_in_executor(None, self._send_to_worker, handle, cmd)
+        self._loop.run_in_executor(None, self._send_to_worker, handle, task)
 
-    def _send_to_worker(self, handle: _WorkerHandle, cmd: dict) -> None:
-        try:
-            handle.conn.send(cmd)
-        except (OSError, ValueError):
-            pass  # the reader thread will surface the death
+    def _send_to_worker(self, handle: _WorkerHandle, task: Task) -> None:
+        handle.send(
+            execute, task.job.spec.kind, task.job.spec.payload,
+            units=task.units,
+            resume_state=task.resume_state,
+            preempt_slice=self.preempt_slice,
+        )
 
     # ------------------------------------------------------------------
     # job lifecycle

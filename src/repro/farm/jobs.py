@@ -1,7 +1,9 @@
 """Worker-side job execution: every farm job kind in one place.
 
-Each executor takes ``(payload, resume_state, should_preempt)`` and
-returns one of:
+:func:`execute` is the one function the gateway sends to its pool
+workers (:class:`~repro.runapi.pool.Worker`); it polls the worker's
+preempt flag through :func:`~repro.runapi.pool.preempt_requested`.
+Each executor returns one of:
 
 * ``{"outcome": "done", "result": <doc>, "cycles": n}`` — the job
   finished; ``result`` is the JSON document the gateway serializes
@@ -36,7 +38,9 @@ from repro.cosim.checkpoint import checkpoint_to_dict, restore_from_dict
 from repro.cosim.environment import CoSimDeadlock
 from repro.cosim.partition import DesignSpec
 from repro.cosim.sweep import _evaluate_with_retries, _payload_to_jsonable
+from repro.faults.inject import run_state
 from repro.iss.cpu import HaltReason
+from repro.runapi.pool import preempt_requested
 
 #: cycles between preempt-flag checks inside a scenario run — small
 #: enough that a preempt lands within microseconds of simulated work,
@@ -54,49 +58,44 @@ class JobError(RuntimeError):
 # ----------------------------------------------------------------------
 # scenario / multi_scenario: cycle-granular, checkpoint-preemptible
 # ----------------------------------------------------------------------
-def _load_scenario(payload: dict[str, Any]):
-    from repro.conformance.scenario import Scenario, ScenarioGenerator
-
-    if "scenario" in payload:
-        return Scenario.from_dict(payload["scenario"])
-    if "seed" in payload and "index" in payload:
-        gen = ScenarioGenerator(
-            seed=int(payload["seed"]),
-            max_cycles=int(payload.get("max_cycles", 60_000)),
+def _scenario_family(kind: str):
+    """What separates the single-CPU and K-CPU scenario kinds:
+    ``(scenario class, generator class, default max_cycles, sim
+    builder, capture function)``."""
+    if kind == "scenario":
+        from repro.conformance.oracle import _capture, _make_sim
+        from repro.conformance.scenario import (
+            Scenario,
+            ScenarioGenerator,
+            build_program,
         )
-        return gen.scenario(int(payload["index"]))
-    raise JobError(
-        'scenario payload needs {"scenario": {...}} or '
-        '{"seed": S, "index": I}'
-    )
 
+        def build(scenario, fast_forward):
+            program = build_program(scenario)
+            return _make_sim(scenario, program, fast_forward=fast_forward)
 
-def _load_multi_scenario(payload: dict[str, Any]):
+        return Scenario, ScenarioGenerator, 60_000, build, _capture
+
     from repro.conformance.multicpu import (
         MultiScenario,
         MultiScenarioGenerator,
+        build_multi_sim,
+        build_programs,
     )
+    from repro.conformance.oracle import _capture_multi
 
-    if "scenario" in payload:
-        return MultiScenario.from_dict(payload["scenario"])
-    if "seed" in payload and "index" in payload:
-        gen = MultiScenarioGenerator(
-            seed=int(payload["seed"]),
-            max_cycles=int(payload.get("max_cycles", 120_000)),
-        )
-        return gen.scenario(int(payload["index"]))
-    raise JobError(
-        'multi_scenario payload needs {"scenario": {...}} or '
-        '{"seed": S, "index": I}'
-    )
+    def build_multi(scenario, fast_forward):
+        programs = build_programs(scenario)
+        return build_multi_sim(scenario, programs, fast_forward=fast_forward)
+
+    return (MultiScenario, MultiScenarioGenerator, 120_000, build_multi,
+            _capture_multi)
 
 
 def _run_preemptible(
     sim,
     *,
     max_cycles: int,
-    cycle_of: Callable[[], int],
-    resume: Callable[[], None],
     should_preempt: ShouldPreempt,
     preempt_slice: int,
 ) -> tuple[str, str] | None:
@@ -109,10 +108,10 @@ def _run_preemptible(
     restore is bit-identical, so N slices ≡ one uninterrupted run
     (``tests/test_farm_migrate.py`` enforces this end to end).
     """
+    state = run_state(sim)
     slices_done = 0
     while True:
-        done = cycle_of()
-        remaining = max_cycles - done
+        remaining = max_cycles - state.cycle
         if remaining <= 0:
             return "max_cycles", ""
         if slices_done > 0 and should_preempt():
@@ -128,41 +127,51 @@ def _run_preemptible(
         except Exception as exc:  # any crash is an observable
             return f"error:{type(exc).__name__}", str(exc)
         if result.halt_reason is HaltReason.MAX_CYCLES:
-            if cycle_of() >= max_cycles:
+            if state.cycle >= max_cycles:
                 return "max_cycles", ""
-            resume()  # clear the slice-budget halt and continue
+            state.resume()  # clear the slice-budget halt and continue
             slices_done += 1
             continue
         return "exit", ""
 
 
 def run_scenario_job(
+    kind: str,
     payload: dict[str, Any],
     resume_state: dict[str, Any] | None,
     should_preempt: ShouldPreempt,
     preempt_slice: int = PREEMPT_SLICE,
 ) -> dict[str, Any]:
-    """Execute one single-CPU conformance scenario, checkpointably."""
-    from repro.conformance.oracle import _capture, _make_sim
-    from repro.conformance.scenario import build_program
-
-    scenario = _load_scenario(payload)
-    fast_forward = bool(payload.get("fast_forward", True))
-    program = build_program(scenario)
-    sim, _trace = _make_sim(scenario, program, fast_forward=fast_forward)
+    """Execute one single-CPU (``kind="scenario"``) or K-CPU
+    (``"multi_scenario"``) conformance scenario, checkpointably."""
+    scenario_cls, generator_cls, default_max_cycles, build, capture = (
+        _scenario_family(kind))
+    if "scenario" in payload:
+        scenario = scenario_cls.from_dict(payload["scenario"])
+    elif "seed" in payload and "index" in payload:
+        gen = generator_cls(
+            seed=int(payload["seed"]),
+            max_cycles=int(payload.get("max_cycles", default_max_cycles)),
+        )
+        scenario = gen.scenario(int(payload["index"]))
+    else:
+        raise JobError(
+            f'{kind} payload needs {{"scenario": {{...}}}} or '
+            f'{{"seed": S, "index": I}}'
+        )
+    sim, _trace = build(scenario, bool(payload.get("fast_forward", True)))
+    state = run_state(sim)
     if resume_state is not None:
         restore_from_dict(sim, resume_state)
-        sim.cpu.resume()  # clear the halt at the preemption point
-    start_cycle = sim.cpu.cycle
+        state.resume()  # clear the halt at the preemption point
+    start_cycle = state.cycle
     finished = _run_preemptible(
         sim,
         max_cycles=scenario.max_cycles,
-        cycle_of=lambda: sim.cpu.cycle,
-        resume=sim.cpu.resume,
         should_preempt=should_preempt,
         preempt_slice=preempt_slice,
     )
-    stint = sim.cpu.cycle - start_cycle
+    stint = state.cycle - start_cycle
     if finished is None:
         return {
             "outcome": "preempted",
@@ -173,59 +182,11 @@ def run_scenario_job(
     # trace=None: the FSL transaction log is a tracer, not simulation
     # state, so it cannot migrate — captured uniformly as empty to keep
     # fresh and migrated runs byte-identical.
-    obs = _capture(sim, "farm", status, error, None)
+    obs = capture(sim, "farm", status, error, None)
     return {
         "outcome": "done",
         "result": {
-            "family": "scenario",
-            "name": scenario.name,
-            "observation": obs.comparable(),
-        },
-        "cycles": stint,
-    }
-
-
-def run_multi_scenario_job(
-    payload: dict[str, Any],
-    resume_state: dict[str, Any] | None,
-    should_preempt: ShouldPreempt,
-    preempt_slice: int = PREEMPT_SLICE,
-) -> dict[str, Any]:
-    """Execute one K-CPU conformance scenario, checkpointably."""
-    from repro.conformance.multicpu import build_multi_sim, build_programs
-    from repro.conformance.oracle import _capture_multi
-
-    scenario = _load_multi_scenario(payload)
-    fast_forward = bool(payload.get("fast_forward", True))
-    programs = build_programs(scenario)
-    sim, _trace = build_multi_sim(
-        scenario, programs, fast_forward=fast_forward
-    )
-    if resume_state is not None:
-        restore_from_dict(sim, resume_state)
-        sim.resume()
-    start_cycle = sim.cycle
-    finished = _run_preemptible(
-        sim,
-        max_cycles=scenario.max_cycles,
-        cycle_of=lambda: sim.cycle,
-        resume=sim.resume,
-        should_preempt=should_preempt,
-        preempt_slice=preempt_slice,
-    )
-    stint = sim.cycle - start_cycle
-    if finished is None:
-        return {
-            "outcome": "preempted",
-            "state": checkpoint_to_dict(sim, label=scenario.name),
-            "cycles": stint,
-        }
-    status, error = finished
-    obs = _capture_multi(sim, "farm", status, error, None)
-    return {
-        "outcome": "done",
-        "result": {
-            "family": "multi_scenario",
+            "family": kind,
             "name": scenario.name,
             "observation": obs.comparable(),
         },
@@ -257,14 +218,8 @@ def _retry_options(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def run_simulate_job(
-    payload: dict[str, Any],
-    resume_state: dict[str, Any] | None,
-    should_preempt: ShouldPreempt,
-    preempt_slice: int = PREEMPT_SLICE,
-) -> dict[str, Any]:
+def run_simulate_job(payload: dict[str, Any]) -> dict[str, Any]:
     """Evaluate one design point (build + run + classify + estimate)."""
-    del resume_state, should_preempt, preempt_slice
     spec = _spec_from_payload(
         payload.get("design", payload), default_name="farm-design"
     )
@@ -418,23 +373,18 @@ def execute(
     *,
     units: list[int] | None = None,
     resume_state: dict[str, Any] | None = None,
-    should_preempt: ShouldPreempt = lambda: False,
+    should_preempt: ShouldPreempt = preempt_requested,
     preempt_slice: int = PREEMPT_SLICE,
 ) -> dict[str, Any]:
-    """Run one worker command; the single entry point of
-    :mod:`repro.farm.worker`."""
-    if kind == "scenario":
+    """Run one farm task: the function the gateway sends to its pool
+    workers.  ``should_preempt`` defaults to the serving worker's
+    preempt flag."""
+    if kind in ("scenario", "multi_scenario"):
         return run_scenario_job(
-            payload, resume_state, should_preempt, preempt_slice
-        )
-    if kind == "multi_scenario":
-        return run_multi_scenario_job(
-            payload, resume_state, should_preempt, preempt_slice
+            kind, payload, resume_state, should_preempt, preempt_slice
         )
     if kind == "simulate":
-        return run_simulate_job(
-            payload, resume_state, should_preempt, preempt_slice
-        )
+        return run_simulate_job(payload)
     if kind == "sweep":
         return run_sweep_shard(payload, units or [], should_preempt)
     if kind == "campaign":

@@ -20,6 +20,9 @@ engine; this package is the one surface that ties them together:
 * :func:`retry_backoff_delay` — the shared seeded jittered-retry
   backoff policy used by sweep retries and farm worker retries
   (:mod:`repro.runapi.backoff`).
+* :class:`~repro.runapi.pool.Worker` — the one persistent worker
+  process the parallel sweep, the conformance oracle's ``subprocess``
+  mode and the farm gateway drive (:mod:`repro.runapi.pool`).
 """
 
 from repro.runapi.backoff import retry_backoff_delay

@@ -26,8 +26,9 @@ This module is the shared fix, three pieces:
   payload or ``None`` (a *miss*, so the caller re-executes instead of
   serving garbage), moving any damaged file into a ``quarantine/``
   sidecar directory for post-mortem rather than deleting the evidence.
-  Files that predate the envelope (legacy raw bytes) read back
-  verbatim, so existing caches stay valid.
+  A file without the envelope (a pre-envelope cache entry included) is
+  damage too: a cache miss is always safe.  Checkpoints keep their own
+  reader for pre-envelope files (:mod:`repro.cosim.checkpoint`).
 
 Append-only journals (the sweep resume journal, the farm gateway's
 write-ahead log) cannot use a whole-file envelope; they get the same
@@ -228,9 +229,9 @@ def read_verified(
 ) -> bytes | None:
     """Read and verify a durable artifact.
 
-    Returns the payload bytes, the raw bytes verbatim for a legacy
-    (pre-envelope) file, or ``None`` — missing *or damaged*; a damaged
-    file is moved to ``quarantine_dir`` (when given) and reported to
+    Returns the payload bytes, or ``None`` — missing *or damaged*.  A
+    damaged file, and any file without the envelope, is moved to
+    ``quarantine_dir`` (when given) and reported to
     ``on_damage(reason)``, and the caller treats the ``None`` exactly
     like a miss: re-execute, never serve garbage.
     """
@@ -239,26 +240,14 @@ def read_verified(
         blob = target.read_bytes()
     except OSError:
         return None
-
-    def damaged(reason: str) -> None:
-        if on_damage is not None:
-            on_damage(reason)
-        if quarantine_dir is not None:
-            try:
-                quarantine_file(target, quarantine_dir)
-            except OSError:
-                pass
-
-    if not is_envelope(blob):
-        if blob and (MAGIC + b" ").startswith(blob):
-            # torn inside the magic itself: unmistakably ours, damaged
-            damaged(REASON_TRUNCATED)
-            return None
-        return blob  # legacy artifact: transparent read
     try:
         return decode_envelope(blob)
     except DurableError as exc:
-        damaged(exc.reason)
+        if on_damage is not None:
+            on_damage(exc.reason)
+        if quarantine_dir is not None:
+            with contextlib.suppress(OSError):
+                quarantine_file(target, quarantine_dir)
         return None
 
 

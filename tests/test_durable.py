@@ -90,10 +90,13 @@ class TestDurableWrite:
         durable_write(target, b"new")
         assert read_verified(target) == b"new"
 
-    def test_legacy_file_reads_verbatim(self, tmp_path):
+    def test_legacy_file_is_quarantined_miss(self, tmp_path):
         target = tmp_path / "legacy.json"
         target.write_bytes(b'{"pre": "envelope"}')
-        assert read_verified(target) == b'{"pre": "envelope"}'
+        qdir = tmp_path / QUARANTINE_DIR
+        assert read_verified(target, quarantine_dir=qdir) is None
+        assert not target.exists()
+        assert [p.name for p in qdir.iterdir()] == ["legacy.json"]
 
     def test_missing_file_is_none(self, tmp_path):
         assert read_verified(tmp_path / "nope.json") is None

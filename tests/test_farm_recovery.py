@@ -9,6 +9,7 @@ free farm would have produced; a damaged cache entry is never served.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import time
 
@@ -22,6 +23,7 @@ from repro.farm import (
     GatewayJournal,
     start_farm_thread,
 )
+from repro.cosim.sweep import SyntheticDesign
 from repro.farm.wal import EV_DONE, EV_SUBMIT
 from repro.runapi.durable import QUARANTINE_DIR
 
@@ -183,11 +185,14 @@ class TestFarmCacheDurability:
         assert cache.stats["scavenged"] == 1
         assert young.exists() and not stale.exists()
 
-    def test_legacy_raw_entry_reads_verbatim(self, tmp_path):
+    def test_legacy_raw_entry_is_quarantined_miss(self, tmp_path):
         raw = b'{"pre": "envelope entry"}'
         (tmp_path / ("f" * 16 + ".json")).write_bytes(raw)
         cache = FarmCache(tmp_path)
-        assert cache.get("f" * 16) == raw
+        assert cache.get("f" * 16) is None
+        assert cache.stats["quarantined"] == 1
+        assert cache.quarantined() == 1
+        assert "f" * 16 not in cache
 
     def test_farm_reexecutes_after_cache_damage(self, tmp_path):
         """End to end: damage the cached result of a completed job; a
@@ -402,6 +407,38 @@ class TestGatewayRecovery:
 # ----------------------------------------------------------------------
 # client resilience (typed errors, idempotent retries)
 # ----------------------------------------------------------------------
+class ExitingDesign(SyntheticDesign):
+    """Takes its worker process down mid-run, as a crash would."""
+
+    def run(self):
+        os._exit(7)
+
+
+class TestWorkerDeaths:
+    def test_task_that_kills_its_workers_fails_its_job(self):
+        """A poison job fails after losing three workers instead of
+        re-queuing forever, and the farm keeps serving."""
+        farm = start_farm_thread(workers=1)
+        try:
+            with FarmClient(farm.host, farm.port) as client:
+                poison = client.submit(
+                    "simulate",
+                    {"design": {"factory": f"{__name__}:ExitingDesign"}},
+                    wait=True, timeout_s=30,
+                )
+                assert poison["state"] == "failed", poison
+                assert "exit code 7" in poison["error"]
+                metrics = client.farm_status()["metrics"]
+                assert metrics["farm.workers.deaths"] == 3
+                after = client.submit(
+                    "simulate", synth_payload(cycles=4_321),
+                    wait=True, timeout_s=30,
+                )
+                assert after["state"] == "done", after
+        finally:
+            farm.stop()
+
+
 def _dead_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))

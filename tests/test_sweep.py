@@ -8,6 +8,7 @@ equality, per-point timeouts and bounded retry.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 
 import pytest
@@ -25,6 +26,7 @@ from repro.cosim.environment import CoSimTimeout, run_timeout
 from repro.cosim.partition import DesignSpec, PartitionKind
 from repro.cosim.sweep import (
     SweepCache,
+    SyntheticDesign,
     sweep,
     synthetic_specs,
 )
@@ -114,6 +116,26 @@ class FlakyDesign:
 
     def estimate(self):
         return estimate_design(program=self.program)
+
+
+class ExitingDesign(SyntheticDesign):
+    """Takes its worker process down mid-run, as a crash would."""
+
+    def run(self):
+        os._exit(7)
+
+
+class PidRecordingDesign(SyntheticDesign):
+    """A quick point that writes the pid of the process evaluating it
+    to ``path``."""
+
+    def __init__(self, path: str):
+        super().__init__(seconds=0.0, cycles=1_000)
+        self.path = pathlib.Path(path)
+
+    def run(self):
+        self.path.write_text(str(os.getpid()))
+        return super().run()
 
 
 def _spec(cls, name: str, **params) -> DesignSpec:
@@ -279,6 +301,48 @@ class TestParallelSweep:
         assert events[-1].done == 3 and events[-1].total == 3
         assert events[-1].cycles_done > 0
         assert events[-1].cycles_per_second >= 0
+
+
+class TestWorkerPoolFailures:
+    """The pool's failure paths: a worker killed at its hard deadline,
+    a worker that dies mid-point, and worker reuse across points."""
+
+    def test_hung_worker_killed_at_deadline_and_replaced(self):
+        points = [
+            _spec(SyntheticDesign, "hung", seconds=30.0),
+            *synthetic_specs(2, seconds=0.0),
+        ]
+        report = sweep(points, workers=1, timeout_s=0.2, kill_grace_s=0.3,
+                       retries=1)
+        hung, *quick = report.results
+        assert hung.status == STATUS_TIMEOUT
+        assert hung.attempts == 2
+        assert hung.error == ("worker killed after exceeding the 0.2s "
+                              "point budget (+0.3s grace)")
+        assert [r.status for r in quick] == [STATUS_OK, STATUS_OK]
+
+    def test_crashed_worker_reported_and_replaced(self):
+        points = [
+            _spec(ExitingDesign, "crasher"),
+            *synthetic_specs(1, seconds=0.0),
+        ]
+        report = sweep(points, workers=1, retries=1)
+        crashed, after = report.results
+        assert crashed.status == STATUS_ERROR
+        assert crashed.attempts == 2
+        assert crashed.error == "worker exited without a result (exit code 7)"
+        assert after.status == STATUS_OK
+
+    def test_workers_persist_across_points(self, tmp_path):
+        points = [
+            _spec(PidRecordingDesign, f"pid-{i}",
+                  path=str(tmp_path / f"pid-{i}"))
+            for i in range(4)
+        ]
+        report = sweep(points, workers=2)
+        assert all(r.ok for r in report.results)
+        pids = {(tmp_path / f"pid-{i}").read_text() for i in range(4)}
+        assert len(pids) <= 2
 
 
 # ----------------------------------------------------------------------
