@@ -47,6 +47,7 @@ from repro.conformance.oracle import (
     Observation,
     ScenarioVerdict,
     check_scenario,
+    divergence,
     first_divergence,
     observe,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "build_programs",
     "check_golden",
     "check_scenario",
+    "divergence",
     "first_divergence",
     "load_golden",
     "observe",

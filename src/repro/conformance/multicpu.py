@@ -381,9 +381,11 @@ def build_multi_sim(
     *,
     fast_forward: bool,
     verify: bool = False,
-) -> tuple[MultiCoSimulation, FSLTrace]:
+    bus: bool = True,
+) -> tuple[MultiCoSimulation, FSLTrace | None]:
     """Build the K-CPU simulation (+ an installed FSL tracer spanning
-    every link and node-local channel)."""
+    every link and node-local channel, unless ``bus`` is off: then no
+    telemetry bus attaches and there is no tracer)."""
     if programs is None:
         programs = build_programs(scenario)
     nodes = []
@@ -405,8 +407,10 @@ def build_multi_sim(
         link_depth=scenario.link_depth,
         fast_forward=fast_forward,
         verify_fast_forward=verify,
-        telemetry=Telemetry(),
+        telemetry=Telemetry() if bus else None,
     )
+    if not bus:
+        return sim, None
     trace = FSLTrace(sim, clock=lambda: sim.cycle).install()
     return sim, trace
 

@@ -10,14 +10,20 @@ outcome as long as every mode reports exactly the same one.
 Execution modes
 ---------------
 ``per_cycle``     the reference loop (``fast_forward=False``)
-``fast_forward``  the event-horizon kernel (``fast_forward=True``)
-``verify``        per-cycle with every would-be skip cross-checked
+``fast_forward``  the default kernel (``fast_forward=True``) with no
+                  telemetry bus, so a lone running CPU takes the burst
+                  path; the FSL trace and the metrics snapshot need a
+                  bus and are not diffed in this mode
+``verify``        per-cycle with every would-be skip and every cycle a
+                  burst would run alone cross-checked
                   (``verify_fast_forward=True``)
-``reset_rerun``   run once, :meth:`~repro.cosim.CoSimulation.reset`,
-                  run again — the second run must match a fresh one
+``reset_rerun``   fast-forward with a bus attached (so lockstep): run
+                  once, :meth:`~repro.cosim.CoSimulation.reset`, run
+                  again — the second run must match a fresh one
 ``subprocess``    the scenario rebuilt and run on a pool worker
                   (:class:`~repro.runapi.pool.Worker`), the process
-                  the design-space sweep engine and the farm run on
+                  the design-space sweep engine and the farm run on,
+                  fast-forward with a bus attached
 
 Observable surface
 ------------------
@@ -29,7 +35,8 @@ and final occupancies, dropped-write counters, per-probe sample-trace
 digests, the FSL transaction log digest, per-model cycle counters and
 the telemetry invariant snapshot (per-channel stall/occupancy metrics
 plus the full CPU statistics record — everything the metrics pipeline
-claims is execution-mode-independent).
+claims is execution-mode-independent).  Every mode but ``fast_forward``
+is diffed on the whole surface (see :func:`divergence`).
 """
 
 from __future__ import annotations
@@ -283,7 +290,8 @@ def _capture_multi(sim, mode: str, status: str, error: str,
 
 
 def _make_sim(scenario: Scenario, program: Program, *,
-              fast_forward: bool, verify: bool = False) -> tuple[CoSimulation, FSLTrace]:
+              fast_forward: bool, verify: bool = False,
+              bus: bool = True) -> tuple[CoSimulation, FSLTrace | None]:
     model, mb = build_model(scenario)
     # telemetry attaches at construction so the FSLTrace installed
     # below subscribes to the same event bus instead of a private one
@@ -291,7 +299,9 @@ def _make_sim(scenario: Scenario, program: Program, *,
                        cpu_config=scenario.cpu_config(),
                        fast_forward=fast_forward,
                        verify_fast_forward=verify,
-                       telemetry=Telemetry())
+                       telemetry=Telemetry() if bus else None)
+    if not bus:
+        return sim, None
     trace = FSLTrace(mb, clock=lambda: sim.cpu.cycle).install()
     return sim, trace
 
@@ -329,7 +339,17 @@ def observe(scenario: Scenario | MultiScenario, mode: str,
                          f"choose from {', '.join(ALL_MODES)}")
     if mode == "subprocess":
         return _observe_subprocess(scenario, engine)
+    return _observe_here(scenario, mode, program, engine)
+
+
+def _observe_here(scenario: Scenario | MultiScenario, mode: str,
+                  program: Program | list[Program] | None,
+                  engine: str) -> Observation:
+    """Run ``scenario`` under ``mode`` in this process; a pool worker
+    runs ``subprocess`` mode here as fast-forward with a bus."""
     multi = isinstance(scenario, MultiScenario)
+    # without a bus a lone running CPU takes bursts (see the mode table)
+    bus = mode != "fast_forward"
     if program is None:
         program = (build_programs(scenario) if multi
                    else build_program(scenario))
@@ -337,14 +357,15 @@ def observe(scenario: Scenario | MultiScenario, mode: str,
     def make(*, fast_forward, verify=False):
         if multi:
             return build_multi_sim(scenario, program,
-                                   fast_forward=fast_forward, verify=verify)
+                                   fast_forward=fast_forward, verify=verify,
+                                   bus=bus)
         return _make_sim(scenario, program,
-                         fast_forward=fast_forward, verify=verify)
+                         fast_forward=fast_forward, verify=verify, bus=bus)
 
     with engine_scope(engine):
         if mode == "per_cycle":
             sim, trace = make(fast_forward=False)
-        elif mode == "fast_forward":
+        elif mode in ("fast_forward", "subprocess"):
             sim, trace = make(fast_forward=True)
         elif mode == "verify":
             sim, trace = make(fast_forward=True, verify=True)
@@ -419,11 +440,8 @@ def observe_batched(
 
 
 def _observe_in_worker(scenario_dict: dict, engine: str) -> dict:
-    obs = observe(scenario_from_dict(scenario_dict), "fast_forward",
-                  engine=engine)
-    payload = obs.to_dict()
-    payload["mode"] = "subprocess"
-    return payload
+    return _observe_here(scenario_from_dict(scenario_dict), "subprocess",
+                         None, engine).to_dict()
 
 
 def _observe_subprocess(scenario: Scenario,
@@ -481,6 +499,17 @@ def first_divergence(a: dict, b: dict, path: str = ""):
     return None
 
 
+def divergence(reference: Observation, obs: Observation):
+    """:func:`first_divergence` of ``obs`` from ``reference`` over
+    the surface ``obs``'s mode observes: a ``fast_forward`` observation
+    runs without a bus, so its FSL trace and metrics are not diffed."""
+    ref, got = reference.comparable(), obs.comparable()
+    if obs.mode == "fast_forward":
+        for key in ("trace_digest", "trace_count", "metrics"):
+            del ref[key], got[key]
+    return first_divergence(ref, got)
+
+
 @dataclass
 class ScenarioVerdict:
     """Outcome of checking one scenario across modes."""
@@ -535,14 +564,13 @@ def check_scenario(scenario: Scenario,
     reference = observe(scenario, REFERENCE_MODE, program, engine)
     verdict.reference = reference
     verdict.observations[REFERENCE_MODE] = reference
-    ref_surface = reference.comparable()
 
     for mode in modes:
         if mode == REFERENCE_MODE:
             continue
         obs = observe(scenario, mode, program, engine)
         verdict.observations[mode] = obs
-        hit = first_divergence(ref_surface, obs.comparable())
+        hit = divergence(reference, obs)
         if hit is not None:
             path, ref_value, obs_value = hit
             verdict.divergences[mode] = {

@@ -13,29 +13,56 @@ wall-clock budget, verify mode, ``RunPolicy`` resolution, reset and
 result building — and differ only in how their clock is read, their
 result type and the text of their deadlock/timeout messages.
 
-Per cycle:
+Per cycle
+---------
+The reference order of one clock cycle:
 
 1. every running CPU ticks (may push/pop FSL words, or stall on a
    blocking access),
 2. every hardware model steps (FSLRead/FSLWrite blocks see the FIFO
    state and produce/consume words at the clock edge).
 
+``fast_forward=False`` runs exactly this loop, cycle after cycle.
+
 Fast-forward kernel
 -------------------
-Cycle accuracy only has to be *observed* at interface events (FSL
-transfers, MMIO, instruction issue); in between, both worlds evolve
-trivially.  When every running CPU is occupying a multi-cycle
-instruction or is blocked on an FSL access, and every hardware model
-reports quiescence (:meth:`~repro.sysgen.model.Model.idle_horizon`),
-:meth:`CoSimulation.run` advances all clocks by the minimum of
-``cpu.advance_horizon()`` and ``model.idle_horizon()`` in one step
-instead of N ``tick()``/``step()`` round-trips.  Likewise, while the
-hardware side is quiescent, per-cycle CPU execution skips the (then
-no-op) ``model.step()``.  All counters, probe samples and FSL
-interleavings stay bit-identical with a per-cycle run; pass
-``fast_forward=False`` to force the classic loop, or
-``verify_fast_forward=True`` to cross-check every skip against
-per-cycle execution (debug mode).
+The two sides can observe each other only through FSL transfers and,
+when OPB register banks are mapped, loads and stores (a status
+register is rewritten by the hardware every cycle, so a load observes
+it).  Between two such instructions neither side can tell whether the
+other has run yet, so the default kernel (``fast_forward=True``)
+decouples them there and stays bit-identical with the per-cycle loop:
+
+* **Bursts.**  While exactly one CPU can run (the K=1 case, or K CPUs
+  after all but one halted), :meth:`CPU.burst
+  <repro.iss.cpu.CPU.burst>` runs it alone: its first tick may
+  complete a pending FSL transfer (or issue a load/store), then it
+  ticks until the next tick would do so, the CPU halts, or the
+  watchdog boundary or cycle budget is reached, retiring instruction
+  latency in bulk.  The models then catch up by the same number of
+  cycles in one call: ``fast_forward`` while
+  :meth:`~repro.sysgen.model.Model.idle_horizon` allows, else the
+  n-cycle ``Model.step(k)`` with ``k`` doubling from one and idleness
+  re-checked between chunks.  Several models step together, one cycle
+  at a time in list order.
+* **Joint skips.**  When every running CPU is blocked on an FSL access
+  (or, on the lockstep path, occupied by a multi-cycle instruction) and
+  every model is quiescent, all clocks advance by the minimum of
+  ``cpu.advance_horizon()`` and ``model.idle_horizon()`` at once; while
+  the hardware stays quiescent, per-cycle CPU execution skips the
+  (then no-op) ``model.step()``.
+* **Lockstep.**  A blocked CPU with busy hardware, several running
+  CPUs, and every run with an event bus attached (a telemetry bus, or
+  the private bus an :class:`~repro.cosim.trace.FSLTrace` puts on the
+  channels) take the per-cycle order above.  A bus stays lockstep so
+  exported traces, FSL transaction logs and VCDs receive their events
+  in cycle order, stamped with the cycle they happen in.
+
+Counters, probe samples, FIFO statistics and checkpoints match the
+per-cycle loop bit for bit.  ``verify_fast_forward=True`` runs lockstep
+and cross-checks every would-be skip, plus every cycle a burst would run
+alone (it must move no FSL or OPB counter) — a debug mode.  A model that
+raises during catch-up does so after its CPU has finished the burst.
 
 Phase profiling
 ---------------
@@ -360,6 +387,11 @@ class LockstepKernel:
         ]
         active = [cpu for cpu in cpus if not cpu.halted]
 
+        # Bursts need one clock order across every event, so a run with
+        # an event bus (telemetry, or an FSLTrace's private one on the
+        # channels) or verifying stays lockstep.
+        solo = (fast and not verify and events is None
+                and all(ch.events is None for ch in self.all_channels()))
         # Cached hardware quiescence: once every model is at a fixed
         # point it stays there until a CPU completes an FSL transfer
         # (or an OPB store lands), so the O(blocks) idle_horizon walk
@@ -369,17 +401,21 @@ class LockstepKernel:
         activity = 0
 
         while active and cycles < max_cycles:
-            if fast:
+            n = 0
+            if (solo and len(active) == 1
+                    and active[0].advance_horizon() < ADVANCE_FOREVER):
+                # One CPU that can run: a burst, then the hardware
+                # catches up (a blocked CPU takes the paths below).
+                n = self._burst(active[0], min(next_check, max_cycles)
+                                - cycles, stores_touch_hw)
+                hw_idle = False
+            elif fast:
                 if hw_idle:
                     hw_horizon = ADVANCE_FOREVER
                 else:
                     # IDLE_FOREVER and ADVANCE_FOREVER share a value, so
                     # one min covers both finite and unbounded horizons.
-                    hw_horizon = ADVANCE_FOREVER
-                    for m in models:
-                        h = m.idle_horizon()
-                        if h < hw_horizon:
-                            hw_horizon = h
+                    hw_horizon = _hw_horizon(models)
                     if hw_horizon >= ADVANCE_FOREVER:
                         hw_idle = True
                         activity = _hw_activity(cpus, stores_touch_hw)
@@ -398,44 +434,89 @@ class LockstepKernel:
                                 cpu.advance(skip)
                             for m in models:
                                 m.fast_forward(skip)
-                        cycles += skip
-                        self._cycle += skip
                         if events is not None:
                             # Condensed stand-in for the skipped window
                             # so exported traces stay cycle-faithful.
                             events.emit(TelemetryEvent(
-                                FAST_FORWARD, self._cycle, COSIM_TRACK, skip
+                                FAST_FORWARD, self._cycle + skip,
+                                COSIM_TRACK, skip
                             ))
-                        if cycles >= next_check:
-                            self._watchdog(cycles, window, active, deadline,
-                                           wall_timeout_s)
-                            next_check = cycles + window
-                        continue
-            halted = False
+                        n = skip
+            if not n:
+                for cpu in active:
+                    if verify:
+                        _tick_checked(cpu, stores_touch_hw)
+                    else:
+                        cpu.tick()
+                if hw_idle and _hw_activity(cpus, stores_touch_hw) \
+                        != activity:
+                    hw_idle = False
+                if hw_idle and not verify:
+                    # The models are frozen: advancing their clocks is
+                    # all a step() would do.
+                    for m in models:
+                        m.fast_forward(1)
+                else:
+                    for m in models:
+                        m.step()
+                n = 1
+            cycles += n
+            self._cycle += n
             for cpu in active:
-                cpu.tick()
                 if cpu.halted:
-                    halted = True
-            if hw_idle and _hw_activity(cpus, stores_touch_hw) != activity:
-                hw_idle = False
-            if hw_idle and not verify:
-                # The models are frozen: advancing their clocks is all
-                # a step() would do.
-                for m in models:
-                    m.fast_forward(1)
-            else:
-                for m in models:
-                    m.step()
-            cycles += 1
-            self._cycle += 1
-            if halted:
-                active = [cpu for cpu in active if not cpu.halted]
+                    active = [cpu for cpu in active if not cpu.halted]
+                    break
             if cycles >= next_check:
                 self._watchdog(cycles, window, active, deadline,
                                wall_timeout_s)
                 next_check = cycles + window
 
         return self._finish(start, baseline, self._cycle - cycle0)
+
+    def _burst(self, cpu: CPU, limit: int, memory: bool) -> int:
+        """Run ``cpu`` alone for up to ``limit`` cycles (see
+        :meth:`CPU.burst <repro.iss.cpu.CPU.burst>`), then catch the
+        models up by the same count; return it.  A tick that raises has
+        already counted its cycle, so the models and the global clock
+        then stop one cycle short of the CPU, as the per-cycle loop
+        leaves them."""
+        cycle0 = cpu.cycle
+        try:
+            n = cpu.burst(limit, memory)
+        except BaseException:
+            done = cpu.cycle - cycle0 - 1
+            self._catch_up(done)
+            self._cycle += done
+            raise
+        self._catch_up(n)
+        return n
+
+    def _catch_up(self, n: int) -> None:
+        """Advance every model ``n`` cycles: fast-forward while they are
+        quiescent, else step in chunks that double from one cycle,
+        re-checking quiescence between chunks (the hardware often goes
+        idle mid-burst).  Several models step together, one cycle at a
+        time in list order, so wiring between them stays exact."""
+        models = self._models
+        single = models[0] if len(models) == 1 else None
+        chunk = 1
+        while n > 0:
+            horizon = _hw_horizon(models)
+            if horizon > 0:
+                k = min(horizon, n)
+                for m in models:
+                    m.fast_forward(k)
+                chunk = 1
+            else:
+                k = min(chunk, n)
+                if single is not None:
+                    single.step(k)
+                else:
+                    for _ in range(k):
+                        for m in models:
+                            m.step()
+                chunk *= 2
+            n -= k
 
     def _watchdog(self, cycles: int, window: int, active: list[CPU],
                   deadline: float | None, budget: float | None) -> None:
@@ -551,6 +632,44 @@ def _hw_activity(cpus: list[CPU], stores_touch_hw: bool) -> int:
     return total
 
 
+def _hw_horizon(models: list[Model]) -> int:
+    """Cycles every model can skip right now (the minimum horizon)."""
+    horizon = ADVANCE_FOREVER
+    for m in models:
+        h = m.idle_horizon()
+        if h <= 0:
+            return 0
+        if h < horizon:
+            horizon = h
+    return horizon
+
+
+def _io_counters(cpu: CPU, memory: bool) -> tuple[int, ...]:
+    """The CPU counters an FSL transfer (or, with ``memory``, a load or
+    store that may reach OPB registers) moves."""
+    stats = cpu.stats
+    counters = (stats.fsl_puts, stats.fsl_gets, stats.stall_cycles)
+    if memory:
+        counters += (stats.loads, stats.stores)
+    return counters
+
+
+def _tick_checked(cpu: CPU, memory: bool) -> None:
+    """verify_fast_forward mode: tick ``cpu`` and prove that a cycle a
+    burst would run alone (one that does not :meth:`couple
+    <repro.iss.cpu.CPU.couples>`) touches no FSL or OPB counter."""
+    if cpu.couples(memory):
+        cpu.tick()
+        return
+    before = _io_counters(cpu, memory)
+    cpu.tick()
+    if _io_counters(cpu, memory) != before:
+        raise FastForwardError(
+            f"{cpu.track}: cycle {cpu.cycle} would run inside a burst "
+            f"but moved an FSL or OPB counter"
+        )
+
+
 class CoSimulation(LockstepKernel):
     """Couples one CPU with one hardware model over FSL channels."""
 
@@ -579,11 +698,13 @@ class CoSimulation(LockstepKernel):
         separate designs whose FSL channels were connected to spare
         channels of the same processor.
 
-        ``fast_forward`` enables the bulk time-advance kernel (see the
-        module docstring); ``verify_fast_forward`` keeps per-cycle
-        execution but asserts, window by window, that every skip the
-        kernel *would* take is quiescent — slower than both plain
-        modes, meant for debugging idle_horizon implementations.
+        ``fast_forward`` enables the bursts and bulk time advance of
+        the fast-forward kernel (see the module docstring);
+        ``verify_fast_forward`` keeps per-cycle execution but asserts,
+        window by window, that every skip the kernel *would* take is
+        quiescent and every cycle a burst would run alone moves no FSL
+        or OPB counter — slower than both plain modes, meant for
+        debugging idle_horizon implementations.
 
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry`
         instance to the CPU, FSL channels and interface blocks; when
@@ -703,7 +824,8 @@ class CoSimulation(LockstepKernel):
         FSL FIFOs and their statistics, and the telemetry metric
         registry when one is attached.  Loop-local fast-forward
         bookkeeping (``hw_idle``, the next watchdog check) is
-        recomputed by :meth:`run` and needs no serialization.
+        recomputed by :meth:`run` and needs no serialization; a run
+        stops only at whole cycles, so no burst is ever in flight.
         """
         state = {
             "cpu": self.cpu.state_dict(),

@@ -33,7 +33,11 @@ positive ``advance_horizon()`` — i.e. none can issue an instruction or
 complete a pending FSL transfer during the window — so no FIFO (link
 or peripheral) changes state inside it, and every hardware model is
 quiescent.  ``cpu.advance()`` itself re-validates the preconditions
-and mirrors the per-cycle reject/stall accounting per CPU.
+and mirrors the per-cycle reject/stall accounting per CPU.  Once all
+but one CPU halted, the survivor runs in bursts (see
+:mod:`repro.cosim.environment`): no other processor is left to observe
+its links, and every model catches up after each burst.  While two or
+more CPUs run, the loop stays lockstep.
 
 CPUs that exit stop ticking (their local cycle freezes at the exit
 cycle, as it would under per-cycle execution); the run ends when all

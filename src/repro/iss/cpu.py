@@ -52,6 +52,9 @@ _SIGN = 0x80000000
 #: stay frozen.
 ADVANCE_FOREVER = 1 << 62
 
+#: instruction kinds that access memory, and so any OPB-mapped registers
+_MEMORY_KINDS = frozenset(("load", "store"))
+
 
 def _s32(v: int) -> int:
     """Interpret a u32 as signed."""
@@ -245,12 +248,11 @@ class CPU:
 
     def run(self, max_cycles: int = 10_000_000) -> HaltReason:
         """Run until halt (or ``max_cycles``).  This is the fast path
-        used for software-only simulation (Table II)."""
-        tick = self.tick
-        for _ in range(max_cycles):
-            if self.halted:
-                break
-            tick()
+        used for software-only simulation (Table II): back-to-back
+        bursts, each opening with the tick of a pending FSL transfer."""
+        left = max_cycles
+        while left > 0 and not self.halted:
+            left -= self.burst(left)
         if not self.halted:
             self.halted = True
             self.halt_reason = HaltReason.MAX_CYCLES
@@ -262,6 +264,52 @@ class CPU:
         if self.halt_reason in (HaltReason.BREAKPOINT, HaltReason.MAX_CYCLES):
             self.halted = False
             self.halt_reason = None
+
+    # ------------------------------------------------------------------
+    # Bursts (the CPU alone between hardware couplings)
+    # ------------------------------------------------------------------
+    def couples(self, memory: bool = False) -> bool:
+        """Whether the next :meth:`tick` may touch the hardware: it
+        completes a pending FSL transfer or, with ``memory``, issues a
+        load or store (or an instruction not yet in the decode cache,
+        whose kind is unknown until fetched)."""
+        if self._busy:
+            return False
+        if self._pending is not None:
+            return True
+        if not memory:
+            return False
+        instr = self._decode_cache.get(self.pc)
+        return instr is None or instr.spec.kind in _MEMORY_KINDS
+
+    def burst(self, limit: int, memory: bool = False) -> int:
+        """Run alone for up to ``limit`` cycles; return the cycles run.
+
+        The first tick is unconditional: it may complete a pending FSL
+        transfer or (with ``memory``) issue a load or store, so the
+        caller must have brought the hardware up to date first.  After
+        it, the burst stops before any tick that :meth:`couples`, when
+        the CPU halts, or at ``limit``.  Instruction latency is retired
+        in bulk.  Equivalent to that many :meth:`tick` calls; a
+        breakpoint halt counts as one, as it does for a per-cycle loop.
+        """
+        ticks = 0
+        stats = self.stats
+        while ticks < limit and not self.halted:
+            busy = self._busy
+            if busy:
+                if busy > limit - ticks:
+                    busy = limit - ticks
+                self._busy -= busy
+                self.cycle += busy
+                stats.cycles += busy
+                ticks += busy
+                continue
+            if ticks and self.couples(memory):
+                break
+            self.tick()
+            ticks += 1
+        return ticks
 
     # ------------------------------------------------------------------
     # Fast-forward (bulk cycle retirement)

@@ -10,6 +10,8 @@ shipped with the kernel.
 """
 
 import collections
+import dataclasses
+import json
 
 import pytest
 
@@ -18,8 +20,12 @@ from repro.apps.matmul.design import MatmulDesign
 from repro.bus.fsl import FSLChannel
 from repro.bus.opb import OPBBus
 from repro.cosim import CoSimulation, FastForwardError, MicroBlazeBlock
+from repro.cosim.checkpoint import checkpoint_to_dict, restore_from_dict
 from repro.cosim.environment import CoSimDeadlock
-from repro.iss.cpu import CPUConfig, CPUError, HaltReason
+from repro.cosim.multicpu import CPUNode, MultiCoSimulation
+from repro.cosim.topology import TopologySpec
+from repro.iss.cpu import CPU, CPUConfig, CPUError, HaltReason
+from repro.iss.memory import BusFault
 from repro.iss.run import make_cpu
 from repro.mcc import CompileOptions, build_executable
 from repro.sysgen import IDLE_FOREVER, Model
@@ -43,6 +49,7 @@ from repro.sysgen.blocks import (
     Register,
     Shift,
 )
+from repro.telemetry import Telemetry
 
 
 # ----------------------------------------------------------------------
@@ -676,3 +683,229 @@ def test_compiled_horizon_default_rules_for_user_blocks(with_seq):
     model.step(3)
     assert model.engine == "compiled"
     assert _compiled_horizon(model) == (0 if with_seq else IDLE_FOREVER)
+
+
+# ----------------------------------------------------------------------
+# Bursts: the CPU runs alone between couplings, then the hardware
+# catches up.  Every case compares against the per-cycle loop on both
+# engines: the result, FIFO contents and statistics, probe samples and
+# the CPU and model state.
+# ----------------------------------------------------------------------
+ENGINES = ("compiled", "interpreter")
+
+
+def _without_wall(value):
+    if isinstance(value, dict):
+        return {k: _without_wall(v) for k, v in value.items()
+                if k != "wall_seconds"}
+    if isinstance(value, (list, tuple)):
+        return [_without_wall(v) for v in value]
+    return value
+
+
+def _surface(sim, result) -> dict:
+    return {"result": _without_wall(dataclasses.asdict(result)),
+            "state": sim.state_dict()}
+
+
+def _record_bursts(cpu) -> list[int]:
+    """Lengths of the bursts ``cpu`` runs from now on."""
+    lengths: list[int] = []
+    burst = cpu.burst
+
+    def recorded(limit, memory=False):
+        n = burst(limit, memory)
+        lengths.append(n)
+        return n
+
+    cpu.burst = recorded
+    return lengths
+
+
+def _design_sim(design, engine: str, fast_forward: bool,
+                **kwargs) -> CoSimulation:
+    model, mb = design.fresh_hardware()
+    _attach_interface_probes(model, mb)
+    return CoSimulation(design.program, model, mb,
+                        cpu_config=design.cpu_config,
+                        fast_forward=fast_forward, engine=engine, **kwargs)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("case", sorted(DESIGN_CASES))
+def test_burst_matches_per_cycle_on_applications(case, engine):
+    design = DESIGN_CASES[case]()
+    reference = _design_sim(design, engine, fast_forward=False)
+    expected = _surface(reference, reference.run())
+    sim = _design_sim(design, engine, fast_forward=True)
+    lengths = _record_bursts(sim.cpu)
+    assert _surface(sim, sim.run()) == expected
+    assert expected["result"]["exit_code"] == 0
+    assert max(lengths) > 1
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_burst_matches_per_cycle_with_extra_models(engine):
+    program = build_executable(ECHO_SUM_SRC, CompileOptions())
+    surfaces = {}
+    for fast in (False, True):
+        model, mb = doubler_design(extra_latency=3)
+        _attach_interface_probes(model, mb)
+        ticks = model.add(Counter("ticks", width=16))
+        # A second design wired to a signal of the first one that moves
+        # every cycle: the models must step together, one cycle at a
+        # time.
+        extra = Model("tap")
+        tap = extra.add(Register("tap", width=16))
+        extra.connect(ticks.o("q"), tap.i("d"))
+        extra.probe(tap.o("q"))
+        sim = CoSimulation(program, model, mb, extra_models=[extra],
+                           fast_forward=fast, engine=engine)
+        lengths = _record_bursts(sim.cpu)
+        surfaces[fast] = _surface(sim, sim.run())
+    assert surfaces[True] == surfaces[False]
+    assert surfaces[False]["result"]["exit_code"] == 30
+    assert max(lengths) > 1
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_burst_stops_at_until_and_round_trips_checkpoints(engine):
+    design = DESIGN_CASES["matmul_b2"]()
+    reference = _design_sim(design, engine, fast_forward=False)
+    reference.run()
+    expected = reference.state_dict()
+    for cut in (1, 7, 333, 1001, 2049):
+        per_cycle = _design_sim(design, engine, fast_forward=False)
+        sim = _design_sim(design, engine, fast_forward=True)
+        assert _surface(sim, sim.run(until=cut)) == \
+            _surface(per_cycle, per_cycle.run(until=cut)), cut
+        assert sim.cpu.cycle == cut
+        doc = json.loads(json.dumps(checkpoint_to_dict(sim)))
+        restored = _design_sim(design, engine, fast_forward=True)
+        restore_from_dict(restored, doc)
+        restored.cpu.resume()
+        restored.run()
+        assert restored.state_dict() == expected, cut
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_burst_halts_at_breakpoint_like_per_cycle(engine):
+    design = DESIGN_CASES["matmul_b2"]()
+    scout = _design_sim(design, engine, fast_forward=False)
+    scout.run(until=1500)
+    breakpoint_pc = scout.cpu.pc
+    surfaces = {}
+    for fast in (False, True):
+        sim = _design_sim(design, engine, fast_forward=fast)
+        lengths = _record_bursts(sim.cpu)
+        sim.cpu.breakpoints.add(breakpoint_pc)
+        stopped = sim.run()
+        assert stopped.halt_reason is HaltReason.BREAKPOINT
+        at_breakpoint = _surface(sim, stopped)
+        # the breakpoint halted the CPU inside a burst, not on its
+        # first tick
+        assert not fast or lengths[-1] > 1
+        sim.cpu.breakpoints.clear()
+        sim.cpu.resume()
+        surfaces[fast] = (at_breakpoint, _surface(sim, sim.run()))
+    assert surfaces[True] == surfaces[False]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_burst_runs_the_last_cpu_of_a_topology(engine):
+    design = DESIGN_CASES["matmul_b2"]()
+    short = build_executable("int main(void) { return 0; }")
+    surfaces = {}
+    for fast in (False, True):
+        nodes = []
+        for program, config in ((short, None),
+                                (design.program, design.cpu_config)):
+            model, mb = design.fresh_hardware()
+            _attach_interface_probes(model, mb)
+            nodes.append(CPUNode(program=program, cpu_config=config,
+                                 model=model, mb_block=mb))
+        sim = MultiCoSimulation(nodes, TopologySpec("custom", 2),
+                                fast_forward=fast, engine=engine)
+        lengths = _record_bursts(sim.cpus[1])
+        surfaces[fast] = _surface(sim, sim.run())
+    assert surfaces[True] == surfaces[False]
+    assert surfaces[False]["result"]["exit_code"] == 0
+    assert max(lengths) > 1
+
+
+def test_burst_is_not_taken_with_a_telemetry_bus():
+    design = DESIGN_CASES["matmul_b2"]()
+    sim = _design_sim(design, "compiled", fast_forward=True,
+                      telemetry=Telemetry())
+    lengths = _record_bursts(sim.cpu)
+    assert sim.run().exit_code == 0
+    assert lengths == []
+
+
+def test_burst_verify_catches_a_tick_that_couples(monkeypatch):
+    # verify mode checks every cycle a burst would run alone: a CPU
+    # that claims its FSL transfers do not couple is caught.
+    monkeypatch.setattr(CPU, "couples", lambda self, memory=False: False)
+    program = build_executable(ECHO_SUM_SRC, CompileOptions())
+    model, mb = doubler_design()
+    sim = CoSimulation(program, model, mb, verify_fast_forward=True)
+    with pytest.raises(FastForwardError, match="inside a burst"):
+        sim.run()
+
+
+FAULTING_SRC = """
+int main(void) {
+    int sum = 0;
+    for (int i = 1; i <= 3; i++) {
+        putfsl(i, 0);
+        sum += getfsl(0);
+    }
+    int *wild = (int *)0x7ffffff0;
+    return sum + *wild;
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_burst_fault_leaves_the_models_where_per_cycle_does(engine):
+    # A tick that raises mid-burst: the models stop one cycle short of
+    # the CPU, exactly as the per-cycle loop leaves them.
+    program = build_executable(FAULTING_SRC, CompileOptions())
+    states = {}
+    for fast in (False, True):
+        model, mb = doubler_design(extra_latency=3)
+        _attach_interface_probes(model, mb)
+        sim = CoSimulation(program, model, mb, fast_forward=fast,
+                           engine=engine)
+        lengths = _record_bursts(sim.cpu)
+        with pytest.raises(BusFault):
+            sim.run()
+        states[fast] = sim.state_dict()
+    assert states[True] == states[False]
+    assert states[False]["models"][0]["cycle"] == \
+        states[False]["cpu"]["cycle"] - 1
+    assert max(lengths) > 1
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_burst_fault_on_the_last_cpu_keeps_the_global_clock(engine):
+    # The same fault on the survivor of a 2-CPU topology: the global
+    # clock, like the models, stops where the per-cycle loop leaves it.
+    program = build_executable(FAULTING_SRC, CompileOptions())
+    short = build_executable("int main(void) { return 0; }")
+    runs = {}
+    for fast in (False, True):
+        model, mb = doubler_design(extra_latency=3)
+        _attach_interface_probes(model, mb)
+        nodes = [CPUNode(program=short),
+                 CPUNode(program=program, model=model, mb_block=mb)]
+        sim = MultiCoSimulation(nodes, TopologySpec("custom", 2),
+                                fast_forward=fast, engine=engine)
+        lengths = _record_bursts(sim.cpus[1])
+        with pytest.raises(BusFault):
+            sim.run()
+        runs[fast] = (sim.cycle, sim.state_dict())
+    assert runs[True] == runs[False]
+    cycle, state = runs[False]
+    assert state["cycle"] == cycle == state["models"][0]["cycle"]
+    assert max(lengths) > 1

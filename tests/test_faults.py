@@ -161,9 +161,10 @@ def _record_port(model, block, port):
     seen: dict[int, int] = {}
     step = model.step
 
-    def recording_step():
-        seen[model.cycle] = out.value
-        step()
+    def recording_step(cycles=1):
+        for _ in range(cycles):
+            seen[model.cycle] = out.value
+            step()
 
     model.step = recording_step
     return seen

@@ -20,6 +20,7 @@ from repro.conformance import (
     build_multi_sim,
     build_programs,
     check_scenario,
+    divergence,
     first_divergence,
     observe,
     scenario_from_dict,
@@ -153,8 +154,7 @@ def test_random_pipelines_agree_across_modes(sysgen_engine):
         ref = observe(scenario, "per_cycle")
         for mode in ALL_MODES:
             obs = observe(scenario, mode)
-            assert first_divergence(ref.comparable(),
-                                    obs.comparable()) is None, (
+            assert divergence(ref, obs) is None, (
                 scenario.name, mode)
 
 

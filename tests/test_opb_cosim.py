@@ -13,7 +13,7 @@ from repro.cosim import CoSimulation, MicroBlazeBlock
 from repro.iss.run import make_cpu
 from repro.mcc import build_executable
 from repro.sysgen import Model
-from repro.sysgen.blocks import Add, OPBRegisterBank
+from repro.sysgen.blocks import Accumulator, Add, OPBRegisterBank
 
 OPB_BASE = 0x0001_0000
 
@@ -117,3 +117,50 @@ class TestOPBCoSimulation:
         sim, bus = self.build_sim()
         with pytest.raises(ValueError):
             sim.cpu.mem.map_opb(bus, 0x10, 16)  # overlaps BRAM
+
+
+POLL_SOURCE = f"""
+int main(void) {{
+    int *cmd = (int *){OPB_BASE};
+    int *sts = (int *)({OPB_BASE} + 8);
+    int polls = 0;
+    for (int i = 1; i <= 3; i++) {{
+        cmd[0] = i;                 /* the accumulator adds i per cycle */
+        while (sts[0] < 50 * i * i) polls++;
+        cmd[1] = polls;
+    }}
+    cmd[0] = 0;
+    return polls;
+}}
+"""
+
+
+class TestOPBPolling:
+    """A load from a status register the hardware rewrites every cycle
+    is as observable as a store: a run that lets the CPU read ahead of
+    the hardware polls a different number of times."""
+
+    def build_sim(self, **kwargs):
+        model = Model("opb_accumulator")
+        bank = model.add(OPBRegisterBank("bank", n_command=2, n_status=1))
+        acc = model.add(Accumulator("acc", width=32))
+        model.connect(bank.o("cmd0"), acc.i("d"))
+        model.connect(acc.o("q"), bank.i("sts0"))
+        bus = OPBBus()
+        bus.attach(OPB_BASE, bank.opb_size, bank)
+        sim = CoSimulation(build_executable(POLL_SOURCE), model,
+                           MicroBlazeBlock(model), **kwargs)
+        sim.cpu.mem.map_opb(bus, OPB_BASE, bank.opb_size)
+        return sim, bank
+
+    def test_polling_loop_agrees_with_per_cycle(self):
+        runs = {}
+        for mode, kwargs in (("per_cycle", {"fast_forward": False}),
+                             ("default", {})):
+            sim, bank = self.build_sim(**kwargs)
+            result = sim.run()
+            runs[mode] = (result.exit_code, result.cycles,
+                          result.instructions, list(sim.cpu.regs),
+                          bank.out_value("wr_count"), sim.state_dict())
+        assert runs["per_cycle"][0] > 3  # the loop really polled
+        assert runs["default"] == runs["per_cycle"]

@@ -4,6 +4,8 @@ import pytest
 
 from repro.apps.cordic.design import CordicDesign
 from repro.cosim.environment import CoSimulation
+from repro.cosim.multicpu import CPUNode, MultiCoSimulation
+from repro.cosim.topology import TopologySpec
 from repro.cosim.trace import FSLTrace
 from repro.iss.run import make_cpu
 from repro.iss.trace import InstructionTracer
@@ -124,3 +126,43 @@ class TestFSLTrace:
         trace.uninstall()
         sim.run()
         assert trace.transactions == []
+
+
+class TestFSLTraceStampsCycles:
+    """An FSLTrace without telemetry puts its own bus on the channels;
+    the default kernel must then stamp every transaction with the cycle
+    the per-cycle loop stamps it with."""
+
+    def test_single_cpu_matches_per_cycle(self):
+        runs = {}
+        for fast in (False, True):
+            design = CordicDesign(p=2, iters=4, ndata=4)
+            sim = CoSimulation(design.program, design.model, design.mb,
+                               cpu_config=design.cpu_config,
+                               fast_forward=fast)
+            trace = FSLTrace(design.mb,
+                             clock=lambda sim=sim: sim.cpu.cycle).install()
+            assert sim.run().exit_code == 0
+            runs[fast] = trace.transactions
+        assert runs[True] == runs[False]
+        assert any(t.channel == "mb_in0" for t in runs[False])
+
+    def test_last_cpu_of_a_topology_matches_per_cycle(self):
+        # cpu0 exits at once, so cpu1 runs alone with its hardware; the
+        # trace reads the global clock.
+        design = CordicDesign(p=2, iters=4, ndata=4)
+        short = build_executable("int main(void) { return 0; }")
+        runs = {}
+        for fast in (False, True):
+            nodes = [CPUNode(program=short)]
+            model, mb = design.fresh_hardware()
+            nodes.append(CPUNode(program=design.program,
+                                 cpu_config=design.cpu_config,
+                                 model=model, mb_block=mb))
+            sim = MultiCoSimulation(nodes, TopologySpec("custom", 2),
+                                    fast_forward=fast)
+            trace = FSLTrace(sim, clock=lambda sim=sim: sim.cycle).install()
+            assert sim.run().exit_code == 0
+            runs[fast] = trace.transactions
+        assert runs[True] == runs[False]
+        assert any(t.channel == "mb_in0" for t in runs[False])
