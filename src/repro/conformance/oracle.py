@@ -151,12 +151,10 @@ class Observation:
         return cls(**data)
 
 
-def _capture(sim: CoSimulation, mode: str, status: str, error: str,
-             trace: FSLTrace | None) -> Observation:
-    cpu = sim.cpu
-    channels = {}
-    for ch in sim.mb_block.channels():
-        channels[ch.name] = {
+def _channel_surface(channels) -> dict:
+    """Per-channel FIFO statistics, keyed by channel name."""
+    return {
+        ch.name: {
             "total_pushed": ch.total_pushed,
             "total_popped": ch.total_popped,
             "push_rejects": ch.push_rejects,
@@ -164,24 +162,36 @@ def _capture(sim: CoSimulation, mode: str, status: str, error: str,
             "max_occupancy": ch.max_occupancy,
             "occupancy": ch.occupancy,
         }
+        for ch in channels
+    }
+
+
+def _probe_surface(samples: list) -> dict:
+    return {
+        "len": len(samples),
+        "last": samples[-1] if samples else None,
+        "digest": _digest(",".join(map(str, samples))),
+    }
+
+
+def _trace_surface(trace: FSLTrace | None) -> tuple[str, int]:
+    if trace is None:
+        return "", 0
+    payload = ";".join(
+        f"{t.cycle}:{t.channel}:{t.direction}:{t.data}:{int(t.control)}"
+        for t in trace.transactions)
+    return _digest(payload), len(trace.transactions)
+
+
+def _capture(sim: CoSimulation, mode: str, status: str, error: str,
+             trace: FSLTrace | None) -> Observation:
+    cpu = sim.cpu
+    channels = _channel_surface(sim.mb_block.channels())
     dropped = {blk.name: blk.dropped
                for blk in sim.mb_block.write_blocks.values()}
-    probes = {}
-    for probe in sim.model.probes:
-        samples = probe.samples
-        probes[probe.name] = {
-            "len": len(samples),
-            "last": samples[-1] if samples else None,
-            "digest": _digest(",".join(map(str, samples))),
-        }
-    trace_digest = ""
-    trace_count = 0
-    if trace is not None:
-        payload = ";".join(
-            f"{t.cycle}:{t.channel}:{t.direction}:{t.data}:{int(t.control)}"
-            for t in trace.transactions)
-        trace_digest = _digest(payload)
-        trace_count = len(trace.transactions)
+    probes = {probe.name: _probe_surface(probe.samples)
+              for probe in sim.model.probes}
+    trace_digest, trace_count = _trace_surface(trace)
     halt = cpu.halt_reason
     return Observation(
         mode=mode,
@@ -209,30 +219,12 @@ def _capture(sim: CoSimulation, mode: str, status: str, error: str,
     )
 
 
-def _trace_surface(trace: FSLTrace | None) -> tuple[str, int]:
-    if trace is None:
-        return "", 0
-    payload = ";".join(
-        f"{t.cycle}:{t.channel}:{t.direction}:{t.data}:{int(t.control)}"
-        for t in trace.transactions)
-    return _digest(payload), len(trace.transactions)
-
-
 def _capture_multi(sim, mode: str, status: str, error: str,
                    trace: FSLTrace | None) -> Observation:
     """Capture a K-CPU simulation: aggregates at the top level (so the
     single-CPU diffing machinery applies untouched), per-CPU detail in
     ``Observation.cpus``."""
-    channels = {}
-    for ch in sim.all_channels():
-        channels[ch.name] = {
-            "total_pushed": ch.total_pushed,
-            "total_popped": ch.total_popped,
-            "push_rejects": ch.push_rejects,
-            "pop_rejects": ch.pop_rejects,
-            "max_occupancy": ch.max_occupancy,
-            "occupancy": ch.occupancy,
-        }
+    channels = _channel_surface(sim.all_channels())
     dropped = {}
     probes = {}
     per_cpu = {}
@@ -242,12 +234,8 @@ def _capture_multi(sim, mode: str, status: str, error: str,
                 dropped[blk.name] = blk.dropped
         if node.model is not None:
             for probe in node.model.probes:
-                samples = probe.samples
-                probes[f"{node.name}.{probe.name}"] = {
-                    "len": len(samples),
-                    "last": samples[-1] if samples else None,
-                    "digest": _digest(",".join(map(str, samples))),
-                }
+                probes[f"{node.name}.{probe.name}"] = \
+                    _probe_surface(probe.samples)
         cpu = node.cpu
         halt = cpu.halt_reason
         per_cpu[node.name] = {

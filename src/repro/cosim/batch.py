@@ -16,12 +16,23 @@ while the other lanes keep vectoring.  Frozen lanes can thaw again —
 that is how segmented drivers (fault-injection campaigns) advance each
 lane to its own next event.
 
-Divergence the mask cannot express is handled in two further tiers.
 Per-cycle output pinning (``stuck_at`` faults) stays in lockstep via
-:meth:`BatchedCoSimulation.force_port`, and stall windows where every
-running CPU is blocked and the vector hardware is observably at a
-fixed point are bulk-skipped (:meth:`BatchedCoSimulation._maybe_skip`)
-— the lockstep twin of the scalar engine's fast-forward.
+:meth:`BatchedCoSimulation.force_port`.
+
+Idle hardware
+-------------
+The engine has one idle rule, the lockstep twin of the scalar engine's
+fast-forward.  A *probe* snapshots every port and state array before a
+step; when the step changed none of them
+(:meth:`~repro.sysgen.batched.BatchedModel.state_unchanged`) and every
+per-lane fallback block is idle forever, the batch is at a fixed point
+and a *quiet stretch* begins: the CPUs tick alone and the vector clock
+catches up in one :meth:`~repro.sysgen.batched.BatchedModel.fast_forward`
+as soon as any CPU's FSL (or, with OPB-mapped registers, store)
+activity reaches the hardware, which is then stepped through that very
+cycle.  A forced port or :meth:`BatchedCoSimulation.hw_touched` ends
+the stretch too.  A failed probe doubles the wait before the next one
+(up to 512 cycles); arming a stretch resets it.
 
 Lane eviction
 -------------
@@ -130,9 +141,7 @@ class BatchedCoSimulation:
 
     ``force_evict`` lists lanes to evict unconditionally once they have
     run ``force_evict_cycle`` cycles — a debug/CI knob proving the
-    eviction path is bit-exact.  ``rebuilt_hook(lane, sim)`` is invoked
-    after an eviction rebuilds a lane's scalar simulation, so harnesses
-    can re-attach observers (e.g. an FSL trace) to the fresh object.
+    eviction path is bit-exact.
     """
 
     def __init__(
@@ -142,7 +151,6 @@ class BatchedCoSimulation:
         sims: list[CoSimulation] | None = None,
         force_evict: Iterable[int] = (),
         force_evict_cycle: int = 64,
-        rebuilt_hook: Callable[[int, CoSimulation], None] | None = None,
     ):
         if sims is not None:
             # pre-built (possibly checkpoint-restored) lanes from a
@@ -161,7 +169,6 @@ class BatchedCoSimulation:
             self.factories = list(factories)
             with engine_scope("interpreter"):
                 self.sims = [factory() for factory in self.factories]
-        self.rebuilt_hook = rebuilt_hook
         for lane, sim in enumerate(self.sims):
             if sim.extra_models:
                 raise BatchUnsupported(
@@ -196,42 +203,7 @@ class BatchedCoSimulation:
         self._hw_sig = -1
         self._probe_wait = 0
         self._probe_backoff = 1
-        self._probe_image = None
         self._fb_watch: list | None = None
-        #: lane -> lane CPU signature at freeze: lanes individually
-        #: paused at their own hardware fixed point while their CPUs
-        #: compute (see advance)
-        self._frozen: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Per-lane freeze: the lockstep twin of the scalar engine's
-    # per-run fast-forward, but per lane — a lane whose slice of the
-    # vector state sat unchanged through a probe step with its fallback
-    # blocks idle forever is masked out of the step until its own CPU's
-    # FSL/store activity resumes, then caught up with frozen probe
-    # samples.
-    # ------------------------------------------------------------------
-    def _lane_sig(self, cpu) -> int:
-        stats = cpu.stats
-        sig = stats.fsl_puts + stats.fsl_gets
-        if self._stores_matter:
-            sig += stats.stores
-        return sig
-
-    def _thaw(self, lane: int, activate: bool = True) -> None:
-        """Flush a frozen lane's lag (probes + clone cycle counter) up
-        to the vector clock and optionally rejoin it to the stepping
-        set."""
-        self._frozen.pop(lane)
-        batched = self.batched
-        batched.fast_forward_lane(
-            lane, batched.cycle - batched.models[lane].cycle)
-        if activate:
-            batched.activate(lane)
-
-    def _thaw_all(self, activate: bool = False) -> None:
-        for lane in list(self._frozen):
-            self._thaw(lane, activate)
 
     # ------------------------------------------------------------------
     @property
@@ -291,20 +263,17 @@ class BatchedCoSimulation:
                 )
             )
             stride = max(stride, 1)
-            crashed = False
             try:
                 done = 0
-                halted = False
-                while done < stride:
+                stop = False
+                while done < stride and not stop:
                     if self._quiet and not self._forcings:
-                        # --- CPU-only stretch: the vector hardware has
-                        # been observed at a fixed point (see the probe
-                        # below), so while no CPU activity reaches it,
-                        # tick CPUs per cycle — bulk-advancing stalled
-                        # windows — and advance the frozen vector clock
-                        # in a single fast_forward at the end.  The
-                        # lockstep twin of the scalar engine's hw_idle
-                        # cycles and fast-forward skips.
+                        # --- quiet stretch: the vector hardware has been
+                        # observed at a fixed point (see the probe below),
+                        # so while no CPU activity reaches it, tick CPUs
+                        # per cycle — bulk-advancing stalled windows — and
+                        # advance the idle vector clock in a single
+                        # fast_forward at the end.
                         if self._fb_watch is not None and \
                                 not batched.fallback_outputs_unchanged(
                                     self._fb_watch):
@@ -312,7 +281,7 @@ class BatchedCoSimulation:
                             self._fb_watch = None
                             continue
                         ff = 0
-                        while done < stride:
+                        while done < stride and not stop:
                             horizon = min(
                                 cpu.advance_horizon() for cpu in cpus)
                             if horizon > 0:
@@ -322,39 +291,21 @@ class BatchedCoSimulation:
                                 done += k
                                 ff += k
                                 continue
-                            halted = False
-                            for lane, cpu in zip(running, cpus):
-                                try:
-                                    cpu.tick()
-                                except Exception as exc:  # noqa: BLE001
-                                    self.pending_evictions[lane] = (
-                                        f"cpu raised "
-                                        f"{type(exc).__name__}: {exc}"
-                                    )
-                                    batched.deactivate(lane)
-                                    crashed = True
-                            sig = self._signature(cpus)
-                            if sig != self._hw_sig:
+                            stop = self._tick(running, cpus)
+                            done += 1
+                            if self._signature(cpus) != self._hw_sig:
                                 # this cycle's activity reaches the
-                                # hardware: flush the frozen window,
-                                # then really simulate this cycle
+                                # hardware: flush the idle window, then
+                                # really simulate this cycle
                                 self._quiet = False
                                 self._fb_watch = None
                                 self._probe_wait = 0
                                 batched.fast_forward(ff)
                                 ff = 0
                                 batched.step(1)
-                                done += 1
                                 break
-                            for cpu in cpus:
-                                halted |= cpu.halted
-                            done += 1
                             ff += 1
-                            if halted or crashed:
-                                break
                         batched.fast_forward(ff)
-                        if halted or crashed:
-                            break
                         continue
                     probing = (
                         not self._quiet
@@ -362,86 +313,35 @@ class BatchedCoSimulation:
                         and self._probe_wait <= 0
                     )
                     if probing:
-                        self._probe_image = batched.state_image()
+                        image = batched.state_image()
                     elif not self._quiet:
                         self._probe_wait -= 1
                     if self._forcings:
                         self._apply_forcings(running)
-                    halted = False
-                    for lane, cpu in zip(running, cpus):
-                        try:
-                            cpu.tick()
-                        except Exception as exc:  # noqa: BLE001
-                            # attributable: this lane's CPU raised — its
-                            # scalar replay reproduces the crash exactly
-                            self.pending_evictions[lane] = (
-                                f"cpu raised {type(exc).__name__}: {exc}"
-                            )
-                            batched.deactivate(lane)
-                            if lane in self._frozen:
-                                del self._frozen[lane]
-                            crashed = True
-                        halted |= cpu.halted
-                    if self._frozen:
-                        # a frozen lane's CPU activity is about to reach
-                        # its hardware: catch the lane up and step it
-                        # through this very cycle, like the scalar
-                        # engine's fast-forward flush
-                        for lane, cpu in zip(running, cpus):
-                            if lane in self._frozen and \
-                                    self._lane_sig(cpu) != \
-                                    self._frozen[lane]:
-                                self._thaw(lane)
+                    stop = self._tick(running, cpus)
                     batched.step(1)
                     done += 1
                     if probing:
-                        # arm quiescence only on direct evidence: the
-                        # step changed nothing AND every per-lane
-                        # fallback block is at an unbounded fixed point
-                        changed = batched.changed_lanes(self._probe_image)
-                        if not changed.any() \
+                        # arm the quiet stretch only on direct evidence:
+                        # the step changed nothing AND every per-lane
+                        # fallback block is at an unbounded fixed point;
+                        # otherwise back off before probing again
+                        if batched.state_unchanged(image) \
                                 and batched.fallback_idle_horizon(running) \
                                 >= IDLE_FOREVER:
-                            self._thaw_all(activate=True)
                             self._quiet = True
                             self._probe_backoff = 1
                             self._hw_sig = self._signature(cpus)
                             self._fb_watch = batched.fallback_outputs_image()
                         else:
-                            # per-lane freeze: the same evidence, lane
-                            # by lane — an unchanged slice plus idle
-                            # fallback blocks pauses that lane alone
-                            froze = False
-                            for lane in running:
-                                if lane in self._frozen \
-                                        or lane in self._forcings \
-                                        or changed[lane]:
-                                    continue
-                                if batched.fallback_idle_horizon([lane]) \
-                                        < IDLE_FOREVER:
-                                    continue
-                                self._frozen[lane] = self._lane_sig(
-                                    self.sims[lane].cpu)
-                                batched.deactivate(lane)
-                                froze = True
-                            if froze:
-                                # lanes are reaching their idle points:
-                                # probe sooner to catch the rest
-                                self._probe_backoff = max(
-                                    1, self._probe_backoff // 4)
-                            else:
-                                self._probe_backoff = min(
-                                    self._probe_backoff * 2, 512)
+                            self._probe_backoff = min(
+                                self._probe_backoff * 2, 512)
                             self._probe_wait = self._probe_backoff
-                        self._probe_image = None
-                    if halted or crashed:
-                        break
             except Exception as exc:  # noqa: BLE001 - shared-step crash
                 # A crash inside the shared vector step cannot be
                 # attributed to one lane: evict every running lane and
                 # let the scalar replays produce per-lane outcomes.
                 reason = f"vector step raised {type(exc).__name__}: {exc}"
-                self._frozen.clear()  # evicted lanes replay from scratch
                 for lane in running:
                     if lane not in self.pending_evictions:
                         self.pending_evictions[lane] = reason
@@ -449,7 +349,6 @@ class BatchedCoSimulation:
                 return
 
             if deadline is not None and time.perf_counter() >= deadline:
-                self._thaw_all(activate=False)
                 for lane in running:
                     sim = self.sims[lane]
                     cycles = sim.cpu.cycle - self._st[lane].cycle0
@@ -464,31 +363,23 @@ class BatchedCoSimulation:
                 st = self._st[lane]
                 cpu = self.sims[lane].cpu
                 if lane in self.pending_evictions:
-                    self._frozen.pop(lane, None)  # replayed from scratch
                     continue
                 if cpu.halted:
-                    if lane in self._frozen:
-                        self._thaw(lane, activate=False)
                     batched.deactivate(lane)
                     continue
                 if st.evict_at is not None and cpu.cycle >= st.evict_at:
                     self.pending_evictions[lane] = "forced eviction"
                     st.evict_at = None
-                    self._frozen.pop(lane, None)
                     batched.deactivate(lane)
                     continue
                 if cpu.cycle >= st.next_check:
                     if no_progress(cpu.cycle, st.window,
                                    cpu.stats.last_retire_cycle):
                         self.pending_evictions[lane] = "deadlock watchdog"
-                        if lane in self._frozen:
-                            self._thaw(lane, activate=False)
                         batched.deactivate(lane)
                         continue
                     st.next_check = cpu.cycle + st.window
                 if cpu.cycle >= st.target:
-                    if lane in self._frozen:
-                        self._thaw(lane, activate=False)
                     batched.deactivate(lane)
                     continue
                 still.append(lane)
@@ -497,6 +388,23 @@ class BatchedCoSimulation:
     # ------------------------------------------------------------------
     # Vectorized fast-forward support
     # ------------------------------------------------------------------
+    def _tick(self, running: list[int], cpus: list) -> bool:
+        """Tick every running CPU one cycle.  A CPU that raises queues
+        its lane for eviction (its scalar replay reproduces the crash
+        exactly) and leaves the vector step.  True when any CPU halted
+        or raised, which ends the current stride."""
+        stop = False
+        for lane, cpu in zip(running, cpus):
+            try:
+                cpu.tick()
+            except Exception as exc:  # noqa: BLE001
+                self.pending_evictions[lane] = (
+                    f"cpu raised {type(exc).__name__}: {exc}")
+                self.batched.deactivate(lane)
+                stop = True
+            stop |= cpu.halted
+        return stop
+
     def _signature(self, cpus: list) -> int:
         """Monotonic count of CPU activity that can reach the hardware.
 
@@ -550,9 +458,7 @@ class BatchedCoSimulation:
         self._hw_sig = -1
         self._probe_wait = 0
         self._probe_backoff = 1
-        self._probe_image = None
         self._fb_watch = None
-        self._thaw_all()
 
     def _apply_forcings(self, running: list[int]) -> None:
         """Re-pin forced ports for the coming cycle.  An entry expires
@@ -668,8 +574,6 @@ class BatchedCoSimulation:
         st.done = True
         sim = self.factories[lane]()
         self.sims[lane] = sim
-        if self.rebuilt_hook is not None:
-            self.rebuilt_hook(lane, sim)
         try:
             result = sim.run(until=self._budgets[lane], policy=self._policy)
         except Exception as exc:  # noqa: BLE001 - outcome, not engine bug

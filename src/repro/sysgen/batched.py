@@ -78,12 +78,6 @@ _STRUCT_ATTRS = (
 )
 
 
-def _lane_diff(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    """(N,) bool: which lanes' rows of ``a`` differ from ``b``."""
-    neq = a != b
-    return neq.any(axis=1) if neq.ndim == 2 else neq
-
-
 def block_signature(block: "Block") -> tuple:
     """Hashable structural fingerprint of one block."""
     ins = tuple(
@@ -685,15 +679,17 @@ class BatchedModel:
                 [a.copy() for a in s.state_store])
 
     def state_unchanged(self, image: tuple[list, list]) -> bool:
-        """True when no port or state array differs from ``image``.
+        """True when no port or state array differs from ``image``
+        (stops at the first array that does).
 
-        With unchanged inputs the step function is deterministic, so an
-        unchanged step proves the whole vectorized design sits at a
-        fixed point: every further step is the identity until an
-        external input (CPU FSL transfer, fault poke, fallback-block
-        output) changes.  This is the hardware-idle test the batched
-        engine uses in place of the scalar per-block ``idle_horizon``
-        walk, whose per-lane state it cannot see."""
+        With unchanged inputs the step function is deterministic, so a
+        step that left every array as ``image`` recorded it proves the
+        whole vectorized design sits at a fixed point: every further
+        step is the identity until an external input (CPU FSL transfer,
+        fault poke, fallback-block output) changes.  This is the probe
+        that arms the batched co-simulation's quiet stretch, in place
+        of the scalar per-block ``idle_horizon`` walk, whose per-lane
+        state it cannot see."""
         ports, states = image
         s = self._schedule
         for a, b in zip(s.port_store, ports):
@@ -703,21 +699,6 @@ class BatchedModel:
             if not np.array_equal(a, b):
                 return False
         return True
-
-    def changed_lanes(self, image: tuple[list, list]) -> "np.ndarray":
-        """Per-lane OR of :meth:`state_unchanged`'s comparison: a
-        ``(N,)`` bool mask of lanes whose slice of any port or state
-        array differs from ``image``.  A False lane sits at its own
-        fixed point (the masked step is per-lane deterministic), which
-        is the evidence the per-lane freeze needs where the global
-        fast-forward needs the whole batch quiet."""
-        changed = np.zeros(self.n, dtype=bool)
-        s = self._schedule
-        for a, b in zip(s.port_store, image[0]):
-            np.logical_or(changed, _lane_diff(a, b), out=changed)
-        for a, b in zip(s.state_store, image[1]):
-            np.logical_or(changed, _lane_diff(a, b), out=changed)
-        return changed
 
     def fallback_idle_horizon(self, lanes: list[int] | None = None) -> int:
         """Min ``idle_horizon`` over the fallback blocks of the given
@@ -786,9 +767,11 @@ class BatchedModel:
 
         Caller contract (mirrors the scalar
         :meth:`~repro.sysgen.model.Model.fast_forward`): the design is
-        at a fixed point — :meth:`state_unchanged` held over a step and
-        :meth:`fallback_idle_horizon` covers the window — and no
-        external input changes meanwhile.  Probes record the frozen
+        at a fixed point — :meth:`state_unchanged` held over a probe
+        step and :meth:`fallback_idle_horizon` is unbounded — and no
+        external input changed during the ``cycles`` skipped; the
+        batched co-simulation's quiet stretch calls it once, when CPU
+        activity next reaches the hardware.  Probes record the frozen
         values so traces stay bit-identical with a per-cycle run; every
         block in the standard library has strict-fixed-point idleness,
         so there is no per-block state to catch up."""
@@ -808,21 +791,6 @@ class BatchedModel:
         for lane in self._lanes:
             self.models[lane].cycle += cycles
         self.cycle += cycles
-
-    def fast_forward_lane(self, lane: int, cycles: int) -> None:
-        """:meth:`fast_forward` for one (typically frozen) lane: extend
-        its probes with the frozen values and advance its clone's cycle
-        counter, without touching the shared vector clock — the lane is
-        catching up to it."""
-        if cycles <= 0:
-            return
-        for k, idx, clones in self._probe_sources():
-            if idx is not None:
-                v = int(self._schedule.port_store[idx][lane])
-            else:
-                v = int(clones[lane].value)
-            self.models[lane].probes[k].samples.extend((v,) * cycles)
-        self.models[lane].cycle += cycles
 
     def reset(self) -> None:
         """Reset every lane (clone models included) to cycle 0."""

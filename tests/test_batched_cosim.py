@@ -21,13 +21,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.bus.opb import OPBBus
 from repro.conformance.oracle import observe, observe_batched
 from repro.conformance.scenario import Scenario, ScenarioGenerator
 from repro.cosim.batch import BatchedCoSimulation, LaneResult, lane_factory
 from repro.cosim.environment import CoSimDeadlock, CoSimulation
+from repro.cosim.mb_block import MicroBlazeBlock
 from repro.faults.campaign import build_design
+from repro.mcc import build_executable
 from repro.runapi import RunPolicy
-from repro.sysgen.batched import BatchUnsupported
+from repro.sysgen.batched import BatchedModel, BatchUnsupported
+from repro.sysgen.blocks import OPBRegisterBank
 from repro.sysgen.model import Model
 
 N_SCENARIOS = int(os.environ.get("REPRO_BATCH_SMOKE_SCENARIOS", "4"))
@@ -36,6 +40,8 @@ WIDTH = int(os.environ.get("REPRO_BATCH_SMOKE_WIDTH", "8"))
 #: staggered per-lane budget divisors — every lane freezes at its own
 #: cycle, so the lane mask is exercised on every scenario
 _DIVISORS = (1, 3, 7, 2, 5, 9, 4, 13, 6, 11, 8, 15)
+
+OPB_BASE = 0x0001_0000
 
 
 def _lane_budgets(scenario: Scenario, width: int) -> list[int]:
@@ -115,6 +121,89 @@ def test_per_lane_budgets_and_forced_eviction():
                 got.stall_cycles, got.halt_reason) == (
             ref.exit_code, ref.cycles, ref.instructions,
             ref.stall_cycles, ref.halt_reason)
+
+
+def test_quiet_stretch_engages_and_stays_exact(monkeypatch):
+    # p=2 CORDIC idles its pipeline while the CPU prepares each datum,
+    # so a probe finds the whole batch at a fixed point; the budgets
+    # stop lanes inside and outside those stretches
+    params = [dict(p=2, iters=8, ndata=6, seed=s) for s in (1, 2, 3, 4)]
+    budgets = [2_000_000, 400, 1000, 700]
+
+    def probed(prm):
+        # one fallback-driven and one vectorized port: fast_forward
+        # fills the samples of both while the hardware is skipped
+        design = build_design("cordic", dict(prm))
+        for block, port in (("fsl_out0", "data"), ("in_c0", "q")):
+            design.model.probe(design.model.block(block).o(port))
+        return design
+
+    skipped = []
+    fast_forward = BatchedModel.fast_forward
+
+    def spy(self, cycles):
+        skipped.append(cycles)
+        return fast_forward(self, cycles)
+
+    monkeypatch.setattr(BatchedModel, "fast_forward", spy)
+    batch = BatchedCoSimulation(
+        [lane_factory(lambda prm=prm: probed(prm)) for prm in params])
+    results = batch.run(until=budgets)
+    assert sum(c for c in skipped if c > 0) > 0, "quiet stretch never engaged"
+
+    for lane, (prm, budget) in enumerate(zip(params, budgets)):
+        design = probed(prm)
+        sim = CoSimulation(design.program, design.model, design.mb,
+                           cpu_config=design.cpu_config)
+        ref = sim.run(until=budget)
+        got = results[lane]
+        assert not got.evicted and got.error is None
+        assert dataclasses.replace(got.result, wall_seconds=0.0) == \
+            dataclasses.replace(ref, wall_seconds=0.0), f"lane {lane}"
+        lane_model = batch.lane(lane).model
+        assert lane_model.cycle == sim.model.cycle
+        assert [p.samples for p in lane_model.probes] == \
+            [p.samples for p in sim.model.probes], f"lane {lane} probes"
+
+
+def test_halting_store_to_opb_hardware_ends_the_quiet_stretch_exactly():
+    # The exit store counts as hardware activity when OPB registers are
+    # mapped, so the halting cycle leaves the quiet stretch through the
+    # "activity reaches the hardware" path; the halted lane must still
+    # stop there, not step its hardware one cycle past the scalar run.
+    source = f"""
+    int main(void) {{
+        int *cmd = (int *){OPB_BASE};
+        int total = 0;
+        for (int i = 1; i <= 4; i++) {{
+            cmd[0] = i;
+            total += i;
+        }}
+        return total;
+    }}
+    """
+    program = build_executable(source)
+
+    def factory():
+        model = Model("opb_reg")
+        bank = model.add(OPBRegisterBank("bank", n_command=1, n_status=1))
+        model.connect(bank.o("cmd0"), bank.i("sts0"))
+        model.probe(bank.o("cmd0"))
+        bus = OPBBus()
+        bus.attach(OPB_BASE, bank.opb_size, bank)
+        sim = CoSimulation(program, model, MicroBlazeBlock(model))
+        sim.cpu.mem.map_opb(bus, OPB_BASE, bank.opb_size)
+        return sim
+
+    ref = factory()
+    expected = ref.run()
+    batch = BatchedCoSimulation([factory, factory])
+    for res in batch.run():
+        assert not res.evicted and res.result.exit_code == 10
+        assert res.result.cycles == expected.cycles
+        model = batch.lane(res.lane).model
+        assert model.cycle == ref.model.cycle
+        assert model.probes[0].samples == ref.model.probes[0].samples
 
 
 def test_lane_result_status_folding():
