@@ -40,7 +40,6 @@ from repro.cosim.partition import DesignPoint, DesignSpec, PartitionKind
 from repro.cosim.dse import DSEResult
 from repro.cosim.report import format_sweep, format_table
 from repro.cosim.sweep import (
-    SweepCache,
     SweepProgress,
     SweepReport,
     sweep,
@@ -71,7 +70,6 @@ __all__ = [
     "sweep_batched",
     "BatchedCoSimulation",
     "LaneResult",
-    "SweepCache",
     "SweepProgress",
     "SweepReport",
     "format_table",

@@ -67,6 +67,7 @@ from repro.cosim.environment import (
     CoSimTimeout,
     CoSimulation,
     check_window,
+    hw_activity,
     next_boundary,
     no_progress,
 )
@@ -196,7 +197,9 @@ class BatchedCoSimulation:
         #: lane -> (port-store index, clone port, value, until-cycle):
         #: per-cycle output pinning, the lockstep form of ``stuck_at``
         self._forcings: dict[int, tuple[int, Any, int, int]] = {}
-        # -- vectorized fast-forward state (see advance/_signature) --
+        # -- vectorized fast-forward state (see advance) --
+        #: stores reach the hardware (and count as activity) only when
+        #: some lane has OPB-mapped registers
         self._stores_matter = any(
             sim._stores_touch_hw for sim in self.sims)
         self._quiet = False
@@ -236,6 +239,7 @@ class BatchedCoSimulation:
         once with the final budgets.
         """
         batched = self.batched
+        stores_touch_hw = self._stores_matter
         running: list[int] = []
         for lane, target in targets.items():
             st = self._st[lane]
@@ -293,7 +297,8 @@ class BatchedCoSimulation:
                                 continue
                             stop = self._tick(running, cpus)
                             done += 1
-                            if self._signature(cpus) != self._hw_sig:
+                            if hw_activity(cpus, stores_touch_hw) \
+                                    != self._hw_sig:
                                 # this cycle's activity reaches the
                                 # hardware: flush the idle window, then
                                 # really simulate this cycle
@@ -331,7 +336,7 @@ class BatchedCoSimulation:
                                 >= IDLE_FOREVER:
                             self._quiet = True
                             self._probe_backoff = 1
-                            self._hw_sig = self._signature(cpus)
+                            self._hw_sig = hw_activity(cpus, stores_touch_hw)
                             self._fb_watch = batched.fallback_outputs_image()
                         else:
                             self._probe_backoff = min(
@@ -404,29 +409,6 @@ class BatchedCoSimulation:
                 stop = True
             stop |= cpu.halted
         return stop
-
-    def _signature(self, cpus: list) -> int:
-        """Monotonic count of CPU activity that can reach the hardware.
-
-        While this is unchanged and ``_quiet`` is armed (a probe step
-        observed the vector state at an exact fixed point with every
-        per-lane fallback block idle), nothing can perturb the models:
-        determinism turns the one observed no-op step into a standing
-        guarantee, so cycles are spent on the CPUs alone and the vector
-        clock catches up via :meth:`BatchedModel.fast_forward`.  Stores
-        count only when some lane has OPB-mapped hardware registers —
-        the same refinement the scalar engine's quiescence cache makes.
-        """
-        sig = 0
-        if self._stores_matter:
-            for cpu in cpus:
-                stats = cpu.stats
-                sig += stats.fsl_puts + stats.fsl_gets + stats.stores
-        else:
-            for cpu in cpus:
-                stats = cpu.stats
-                sig += stats.fsl_puts + stats.fsl_gets
-        return sig
 
     # ------------------------------------------------------------------
     # Per-cycle output forcing (lockstep ``stuck_at``)

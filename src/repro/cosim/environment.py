@@ -418,7 +418,7 @@ class LockstepKernel:
                     hw_horizon = _hw_horizon(models)
                     if hw_horizon >= ADVANCE_FOREVER:
                         hw_idle = True
-                        activity = _hw_activity(cpus, stores_touch_hw)
+                        activity = hw_activity(cpus, stores_touch_hw)
                 if hw_horizon > 0:
                     skip = min(hw_horizon, next_check - cycles,
                                max_cycles - cycles)
@@ -448,7 +448,7 @@ class LockstepKernel:
                         _tick_checked(cpu, stores_touch_hw)
                     else:
                         cpu.tick()
-                if hw_idle and _hw_activity(cpus, stores_touch_hw) \
+                if hw_idle and hw_activity(cpus, stores_touch_hw) \
                         != activity:
                     hw_idle = False
                 if hw_idle and not verify:
@@ -620,9 +620,11 @@ class LockstepKernel:
             self.telemetry.reset()
 
 
-def _hw_activity(cpus: list[CPU], stores_touch_hw: bool) -> int:
+def hw_activity(cpus: list[CPU], stores_touch_hw: bool) -> int:
     """Monotonic count of CPU activity that can reach the hardware:
-    FSL transfers, plus stores when OPB-mapped registers exist."""
+    FSL transfers, plus stores when OPB-mapped registers exist.  While
+    it is unchanged, idle hardware stays idle; the scalar loop and the
+    batched engine's quiet stretch both watch it."""
     total = 0
     for cpu in cpus:
         stats = cpu.stats

@@ -27,7 +27,9 @@ Fault tolerance and speed come from five mechanisms:
   recorded on the :class:`~repro.cosim.dse.DSEResult`,
 * **on-disk result cache** — results are keyed by a deterministic
   design-point fingerprint (program image hash + CPU configuration +
-  model parameters), so re-sweeps only pay for new points,
+  model parameters), so re-sweeps only pay for new points; entries
+  live in the durable result cache the job farm uses too
+  (:class:`~repro.runapi.durable.ResultCache`),
 * **resume journal** — with ``journal=`` every completed point is
   appended to a JSON-lines file as it lands; a killed sweep restarted
   with ``resume=True`` replays the journal and only evaluates the
@@ -51,19 +53,13 @@ import contextlib
 import hashlib
 import json
 import os
-import pathlib
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Iterable
 
-from repro.runapi.durable import (
-    QUARANTINE_DIR,
-    SealedJournal,
-    durable_write,
-    read_verified,
-)
+from repro.runapi.durable import ResultCache, SealedJournal
 from repro.cosim.dse import (
     DSEResult,
     STATUS_DEADLOCK,
@@ -145,62 +141,40 @@ def _estimate_from_dict(d: dict[str, Any]) -> DesignEstimate:
     )
 
 
-class SweepCache:
-    """On-disk result cache: one JSON file per design-point fingerprint.
-
-    Entries store the :class:`CoSimResult` and
-    :class:`DesignEstimate` of a successful run; failures are never
-    cached (they should re-evaluate).  Writes go through the shared
-    durable envelope (:mod:`repro.runapi.durable`: tmp + rename +
-    fsync) so concurrent workers can share one directory and a host
-    crash cannot leave a torn entry; reads verify the envelope and
-    quarantine damage — a pre-envelope entry (raw JSON) included — as
-    a miss.
-    """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = pathlib.Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-
-    def _entry(self, fingerprint: str) -> pathlib.Path:
-        return self.path / f"{fingerprint}.json"
-
-    def get(
-        self, fingerprint: str
-    ) -> tuple[CoSimResult, DesignEstimate] | None:
-        blob = read_verified(
-            self._entry(fingerprint),
-            quarantine_dir=self.path / QUARANTINE_DIR,
+def cache_lookup(
+    cache: ResultCache, fingerprint: str
+) -> tuple[CoSimResult, DesignEstimate] | None:
+    """The cached result and estimate of a design point, or None on a
+    miss (the durable cache quarantines damaged entries as misses; an
+    entry that is not a sweep record misses too)."""
+    blob = cache.get(fingerprint)
+    if blob is None:
+        return None
+    try:
+        data = json.loads(blob)
+        return (
+            _result_from_dict(data["result"]),
+            _estimate_from_dict(data["estimate"]),
         )
-        if blob is None:
-            return None  # missing or quarantined-as-damaged: miss
-        try:
-            data = json.loads(blob)
-            return (
-                _result_from_dict(data["result"]),
-                _estimate_from_dict(data["estimate"]),
-            )
-        except (ValueError, KeyError, TypeError):
-            return None  # legacy-format corruption also means "miss"
+    except (ValueError, KeyError, TypeError):
+        return None
 
-    def put(
-        self,
-        fingerprint: str,
-        result: CoSimResult,
-        estimate: DesignEstimate,
-    ) -> None:
-        durable_write(
-            self._entry(fingerprint),
-            json.dumps(
-                {
-                    "result": _result_to_dict(result),
-                    "estimate": _estimate_to_dict(estimate),
-                }
-            ).encode(),
-        )
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.path.glob("*.json"))
+def cache_store(cache: ResultCache | None, payload: dict[str, Any]) -> None:
+    """Cache a successful point's result and estimate under its
+    fingerprint, as one ``{result, estimate}`` JSON entry.  Failures
+    are never cached: they should re-evaluate."""
+    if cache is None or payload["status"] != STATUS_OK:
+        return
+    cache.put(
+        payload["fingerprint"],
+        json.dumps(
+            {
+                "result": _result_to_dict(payload["result"]),
+                "estimate": _estimate_to_dict(payload["estimate"]),
+            }
+        ).encode(),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -380,9 +354,9 @@ def _evaluate(
         )
 
     fingerprint = design_fingerprint(point, instance)
-    cache = SweepCache(cache_dir) if cache_dir else None
+    cache = ResultCache(cache_dir) if cache_dir else None
     if cache is not None:
-        hit = cache.get(fingerprint)
+        hit = cache_lookup(cache, fingerprint)
         if hit is not None:
             result, estimate = hit
             return point_payload(
@@ -392,8 +366,7 @@ def _evaluate(
 
     payload = point_payload(fingerprint=fingerprint)
     _run_and_classify(instance, payload, timeout_s, telemetry)
-    if payload["status"] == STATUS_OK and cache is not None:
-        cache.put(fingerprint, payload["result"], payload["estimate"])
+    cache_store(cache, payload)
     return payload
 
 

@@ -40,14 +40,16 @@ from repro.cosim.dse import DSEResult, STATUS_OK
 from repro.cosim.environment import CoSimResult, CoSimulation
 from repro.cosim.partition import DesignPoint, DesignSpec
 from repro.cosim.sweep import (
-    SweepCache,
     SweepProgress,
     SweepReport,
     _run_and_classify,
     _to_dse_result,
+    cache_lookup,
+    cache_store,
     point_payload,
 )
 from repro.runapi import RunPolicy
+from repro.runapi.durable import ResultCache
 from repro.runapi.engine import engine_scope
 from repro.runapi.fingerprint import design_fingerprint
 from repro.sysgen.batched import lockstep_signature
@@ -108,7 +110,7 @@ def sweep_batched(
     points = list(points)
     total = len(points)
     start = time.perf_counter()
-    cache = SweepCache(cache_dir) if cache_dir is not None else None
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
     payloads: list[dict[str, Any] | None] = [None] * total
     instances: list[Any] = [None] * total
     state = {"done": 0, "cache_hits": 0, "cycles": 0}
@@ -151,7 +153,7 @@ def sweep_batched(
         fingerprint = design_fingerprint(point, instance)
         payload["fingerprint"] = fingerprint
         if cache is not None:
-            hit = cache.get(fingerprint)
+            hit = cache_lookup(cache, fingerprint)
             if hit is not None:
                 result, estimate = hit
                 payload.update(
@@ -210,24 +212,14 @@ def sweep_batched(
                         batch.lane(lane).cpu,
                     ),
                 )
-                if payload["status"] == STATUS_OK and cache is not None:
-                    cache.put(
-                        payload["fingerprint"],
-                        payload["result"],
-                        payload["estimate"],
-                    )
+                cache_store(cache, payload)
                 record(index)
 
     # --- scalar fallbacks --------------------------------------------
     for index in sorted(scalar):
         payload = payloads[index]
         _run_and_classify(instances[index], payload, timeout_s)
-        if payload["status"] == STATUS_OK and cache is not None:
-            cache.put(
-                payload["fingerprint"],
-                payload["result"],
-                payload["estimate"],
-            )
+        cache_store(cache, payload)
         record(index)
 
     return SweepReport(

@@ -40,6 +40,10 @@ WAL tail).  :class:`SealedJournal` is the one implementation of such a
 file: header, sealed appends, intact-prefix replay, and a reopen that
 cuts a torn tail off before appending after it.
 
+:class:`ResultCache` is the one content-addressed result store built on
+the envelope: the sweep engine and the job farm both keep their results
+in it.
+
 Chaos hook: :func:`set_write_fault` installs a process-wide mutator
 applied to the encoded blob of the *next* durable writes — the
 deterministic chaos harness (:mod:`repro.farm.chaos`) uses it to
@@ -407,3 +411,98 @@ class SealedJournal:
                 os.fsync(self._fh.fileno())
             self._fh.close()
             self._fh = None
+
+
+# ----------------------------------------------------------------------
+# the result cache (sweep points and farm jobs)
+# ----------------------------------------------------------------------
+#: a startup scavenge only collects staging files at least this stale,
+#: so it cannot race a live writer sharing the directory
+STARTUP_SCAVENGE_AGE_S = 3600.0
+
+
+class ResultCache:
+    """Content-addressed result store: one enveloped file per
+    fingerprint under ``path``, holding the caller's bytes verbatim.
+
+    ``get`` hands back exactly the bytes ``put`` stored, or ``None`` —
+    a miss — for a missing entry or one that fails verification (torn,
+    truncated, bit-flipped, or written before the envelope existed);
+    damage moves into the ``quarantine/`` sidecar directory.  Writers
+    may share the directory: construction scavenges the ``.tmp.<pid>``
+    staging files that crashed writers left behind, once they are
+    :data:`STARTUP_SCAVENGE_AGE_S` old.  The sweep engine stores its
+    ``{result, estimate}`` JSON here, the job farm its result
+    documents (:mod:`repro.farm.cache`).
+    """
+
+    SUFFIX = ".json"
+
+    def __init__(self, path: str | os.PathLike, *, fsync: bool = True):
+        self.path = pathlib.Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.fsync = fsync
+        #: damage accounting, served via the gateway status document
+        self.stats = {"quarantined": 0, "scavenged": 0}
+        self.stats["scavenged"] += scavenge_tmp(
+            self.path, older_than_s=STARTUP_SCAVENGE_AGE_S
+        )
+
+    @property
+    def quarantine_path(self) -> pathlib.Path:
+        return self.path / QUARANTINE_DIR
+
+    def _entry(self, fingerprint: str) -> pathlib.Path:
+        if not fingerprint or "/" in fingerprint or "." in fingerprint:
+            raise ValueError(f"bad fingerprint {fingerprint!r}")
+        return self.path / f"{fingerprint}{self.SUFFIX}"
+
+    def get(self, fingerprint: str) -> bytes | None:
+        return read_verified(
+            self._entry(fingerprint),
+            quarantine_dir=self.quarantine_path,
+            on_damage=self._on_damage,
+        )
+
+    def _on_damage(self, reason: str) -> None:
+        self.stats["quarantined"] += 1
+        self.stats[f"quarantined.{reason}"] = \
+            self.stats.get(f"quarantined.{reason}", 0) + 1
+
+    def put(self, fingerprint: str, payload: bytes) -> None:
+        durable_write(self._entry(fingerprint), payload, fsync=self.fsync)
+
+    def __contains__(self, fingerprint: str) -> bool:
+        return self._entry(fingerprint).exists()
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.path.glob(f"*{self.SUFFIX}"))
+
+    def quarantined(self) -> int:
+        """Number of damaged entries sitting in the sidecar dir."""
+        if not self.quarantine_path.is_dir():
+            return 0
+        return sum(1 for p in self.quarantine_path.iterdir() if p.is_file())
+
+    def verify_all(self) -> int:
+        """Read-verify every entry in place (quarantining damage);
+        returns the number of intact entries.  Chaos-campaign epilogue:
+        after this, the directory serves no corrupt bytes."""
+        intact = 0
+        for entry in sorted(self.path.glob(f"*{self.SUFFIX}")):
+            if self.get(entry.name[:-len(self.SUFFIX)]) is not None:
+                intact += 1
+        return intact
+
+    def clear(self) -> int:
+        """Drop every entry (sweeping orphaned staging files too);
+        returns the number of entries removed."""
+        n = 0
+        for entry in self.path.glob(f"*{self.SUFFIX}"):
+            try:
+                entry.unlink()
+                n += 1
+            except OSError:
+                pass
+        self.stats["scavenged"] += scavenge_tmp(self.path)
+        return n

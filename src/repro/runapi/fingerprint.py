@@ -1,12 +1,12 @@
 """Public, stability-tested content fingerprints.
 
-Two subsystems key persistent state on a deterministic identity of a
-design point: the sweep engine's on-disk result cache
-(:class:`repro.cosim.sweep.SweepCache`) and the co-simulation farm's
-content-addressed job cache (:mod:`repro.farm.cache`).  A silent drift
-of the hash recipe would make every cached result unreachable (and,
-worse, could alias distinct designs), so the recipe lives here as a
-public API with a **pinned-digest regression test**
+Two subsystems key the shared durable result cache
+(:class:`repro.runapi.durable.ResultCache`) on a deterministic
+identity: the sweep engine keys its points by design, and the
+co-simulation farm keys its jobs by content (:mod:`repro.farm.cache`).
+A silent drift of the hash recipe would make every cached result
+unreachable (and, worse, could alias distinct designs), so the recipe
+lives here as a public API with a **pinned-digest regression test**
 (``tests/test_fingerprint.py``) that fails if any byte of the digest
 stream changes.
 

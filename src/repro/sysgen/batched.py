@@ -12,6 +12,14 @@ values, FIFO occupancies, pipeline stages) moves into arrays with a
 batch axis, so a register update costs one vectorized ``np.where``
 instead of N python statements.
 
+Code generation is shared with the scalar engine:
+:class:`BatchEmitContext` subclasses
+:class:`~repro.sysgen.compiled.EmitContext` and adds only the vector
+helpers, and the generated ``_step``/``_step_all``/``_settle`` functions
+and the C-kernel driver ``_step_c`` come from the scalar engine's
+:func:`~repro.sysgen.compiled.function_frame` and are compiled by its
+:func:`~repro.sysgen.compiled.exec_generated`.
+
 Blocks contribute vectorized source through
 :meth:`~repro.sysgen.block.Block.emit_batched`.  Blocks that cannot be
 vectorized (FSL endpoints whose channel objects are shared with the
@@ -47,7 +55,12 @@ except ImportError:  # pragma: no cover - baked into the toolchain image
     np = None  # type: ignore[assignment]
 
 from repro.sysgen.block import IDLE_FOREVER
-from repro.sysgen.compiled import CompileError, _reindent
+from repro.sysgen.compiled import (
+    CompileError,
+    EmitContext,
+    exec_generated,
+    function_frame,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sysgen.block import Block
@@ -111,113 +124,42 @@ def lockstep_signature(model: "Model") -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class BatchEmitContext:
+class BatchEmitContext(EmitContext):
     """Code-generation context handed to ``emit_batched``.
 
-    Mirrors :class:`repro.sysgen.compiled.EmitContext` — the same line
-    sinks (present / evaluate / clock / entry / exit) and value helpers
-    (inp / out / lit / bind / fresh / tmp) — but every port variable
-    holds an ``(N,)`` int64 array and sequential updates must be
-    masked by :attr:`act` (boolean active-lane array).  Extra helpers:
+    An :class:`~repro.sysgen.compiled.EmitContext` whose port variables
+    hold ``(N,)`` int64 arrays, one lane per batched variant: the line
+    sinks, name helpers (``bind``/``fresh``/``tmp``) and port helpers
+    (``inp``/``out``/``lit``) are inherited unchanged.  Sequential
+    updates must be masked by :attr:`act` (boolean active-lane array).
+    The vector helpers:
 
     * :meth:`state` — a persistent ``(N, ...)`` state array slot,
       (re)loadable from the per-lane clone blocks
-    * :meth:`lane_blocks` / :meth:`lane_ports` — the per-lane clone
-      objects behind a template block / port (fallback dispatch)
+    * :meth:`lane_blocks` / :meth:`lane_ports` / :meth:`lane_values` —
+      the per-lane clone objects behind a template block / port
+      (fallback dispatch) and their current values
     * :meth:`as_array` — force a possibly-literal expression to an
-      ``(N,)`` array (broadcast against a bound zeros array)
+      ``(N,)`` array (broadcast against the bound :attr:`zeros`)
+    * :meth:`where` / :meth:`masked_present` / :meth:`flag` — masked
+      ``np.where`` updates and literal-folded guard conditions
     * :attr:`act` / :attr:`lanes` — the mask array and active lane
       index list (function arguments, fixed for one ``step`` call)
     * :attr:`arange` — a bound ``np.arange(N)`` for fancy indexing
     """
 
     def __init__(self, batched: "BatchedModel"):
+        super().__init__(batched.template)
+        # ``np`` leads the generated signatures, ahead of every binding
+        self.ns["np"] = np
         self.batched = batched
-        self.model = batched.template
         self.n = batched.n
-        self.ns: dict[str, object] = {"np": np}
-        self._bound: dict[int, str] = {}
-        self._port_var: dict[int, str] = {}
-        self._ports: list["OutputPort"] = []
-        self._entry: list[str] = []
-        self._present: list[str] = []
-        self._evaluate: list[str] = []
-        self._probe: list[str] = []
-        self._clock: list[str] = []
-        self._exit: list[str] = []
-        self._names = 0
         self.state_loaders: list[Callable[[], "np.ndarray"]] = []
         self.act = "_act"
         self.lanes = "_ln"
         self.arange = self.bind(np.arange(self.n), "ar")
         self.zeros = self.bind(np.zeros(self.n, np.int64), "zz")
         self._lane_block_memo: dict[int, list["Block"]] = {}
-
-    # -- line sinks (same contract as EmitContext) ----------------------
-    def entry(self, line: str) -> None:
-        self._entry.append(line)
-
-    def present(self, line: str) -> None:
-        self._present.append(line)
-
-    def evaluate(self, line: str) -> None:
-        self._evaluate.append(line)
-
-    def probe_line(self, line: str) -> None:
-        self._probe.append(line)
-
-    def clock(self, line: str) -> None:
-        self._clock.append(line)
-
-    def exit(self, line: str) -> None:
-        self._exit.append(line)
-
-    # -- names ----------------------------------------------------------
-    def _fresh_name(self, prefix: str) -> str:
-        self._names += 1
-        return f"{prefix}{self._names}"
-
-    def tmp(self) -> str:
-        return self._fresh_name("_t")
-
-    def bind(self, obj: object, hint: str = "b") -> str:
-        key = id(obj)
-        name = self._bound.get(key)
-        if name is None:
-            name = self._fresh_name(f"_{hint}")
-            self._bound[key] = name
-            self.ns[name] = obj
-        return name
-
-    def fresh(self, obj: object, attr: str, hint: str = "a") -> str:
-        name = self._fresh_name(f"_{hint}")
-        self.entry(f"{name} = {self.bind(obj)}.{attr}")
-        return name
-
-    # -- ports ----------------------------------------------------------
-    def port_var(self, port: "OutputPort") -> str:
-        name = self._port_var.get(id(port))
-        if name is None:
-            name = f"v{len(self._ports)}"
-            self._port_var[id(port)] = name
-            self._ports.append(port)
-        return name
-
-    def out(self, block: "Block", name: str) -> str:
-        return self.port_var(block.outputs[name])
-
-    def inp(self, block: "Block", name: str) -> str:
-        port = block.inputs[name]
-        if port.source is None:
-            return repr(port.default)
-        return self.port_var(port.source)
-
-    @staticmethod
-    def lit(expr: str) -> int | None:
-        try:
-            return int(expr)
-        except ValueError:
-            return None
 
     def as_array(self, expr: str) -> str:
         """``expr`` broadcast to an ``(N,)`` int64 array (no-op values:
@@ -436,42 +378,24 @@ class BatchedSchedule:
         ctx.ns["_S"] = self.state_store = [None] * len(ctx.state_loaders)
         ctx.ns["_TRUE"] = np.ones(batched.n, dtype=bool)
 
-        args = ", ".join(f"{k}={k}" for k in ctx.ns)
-        head = f", {args}" if args else ""
+        self._prologue = ctx._entry + loads
+        self._advance = [f"for _l in _ln: {models}[_l].cycle += _done",
+                         f"{bref}.cycle += _done"]
+        stores += ctx._exit
         src = []
         for fname, body in (("_step", cycle_body),
                             ("_step_all", cycle_body_all)):
-            src += [f"def {fname}(_n, _act, _ln{head}):"]
-            src += _reindent(ctx._entry + loads, "    ")
-            src += ["    _done = 0",
-                    "    try:",
-                    "        while _done < _n:"]
-            src += _reindent(body, "            ") or ["            pass"]
-            src += ["            _done += 1",
-                    "    finally:"]
-            src += _reindent(stores + ctx._exit, "        ")
-            src += [f"        for _l in _ln: {models}[_l].cycle += _done",
-                    f"        {bref}.cycle += _done", ""]
-        src += [f"def _settle(_act, _ln{head}):"]
-        src += _reindent(ctx._entry + loads, "    ")
-        src += ["    try:"]
-        src += _reindent(settle_body, "        ") or ["        pass"]
-        src += ["    finally:"]
-        src += _reindent(stores + ctx._exit, "        ") or ["        pass"]
-        src.append("")
+            src += function_frame(fname, ["_n", "_act", "_ln"], ctx.ns,
+                                  self._prologue, body,
+                                  stores + self._advance)
+        src += function_frame("_settle", ["_act", "_ln"], ctx.ns,
+                              self._prologue, settle_body, stores,
+                              loop=False)
         self.source = "\n".join(src)
 
-        ns = dict(ctx.ns)
-        try:
-            code = compile(
-                self.source,
-                f"<sysgen-batched:{template.name}x{batched.n}>", "exec")
-            exec(code, ns)  # noqa: S102 - our own generated source
-        except SyntaxError as exc:  # pragma: no cover - emitter bug
-            raise CompileError(
-                f"generated lockstep schedule for model "
-                f"{template.name!r} does not compile: {exc}\n{self.source}"
-            ) from exc
+        ns = exec_generated(
+            self.source, f"<sysgen-batched:{template.name}x{batched.n}>",
+            ctx.ns, f"lockstep schedule for model {template.name!r}")
         self.step = ns["_step"]
         self.step_all = ns["_step_all"]
         self.settle = ns["_settle"]
@@ -493,13 +417,10 @@ class BatchedSchedule:
         if "_ck" in ctx.ns:  # pragma: no cover - name-collision paranoia
             return
         state_names = {}
-        entry_extra = []
         for line in ctx._entry:
             m = re.match(r"(\w+) = _S\[(\d+)\]$", line)
             if m:
                 state_names[m.group(1)] = int(m.group(2))
-            else:
-                entry_extra.append(line)
         try:
             built = build_step_kernel(
                 self._batched.n,
@@ -518,35 +439,18 @@ class BatchedSchedule:
         if built is None:
             return
         kernel, kbody = built
-        run = kernel.runner(self._batched)
-
-        loads = [f"v{k} = _P[{k}]" for k in range(len(ctx._ports))]
-        models = ctx.bind(self._batched.models, "lm")
-        bref = ctx.bind(self._batched, "bm")
-        args = ", ".join(f"{k}={k}" for k in ctx.ns)
-        head = f", {args}" if args else ""
-        src = [f"def _step_c(_n, _act, _ln{head}, _ck=_ck):"]
-        src += _reindent(ctx._entry + loads, "    ")
-        src += ["    _done = 0",
-                "    try:",
-                "        while _done < _n:"]
-        for item in kbody:
-            if isinstance(item, int):
-                src.append(f"            _ck({item})")
-            else:
-                src += _reindent([item], "            ")
-        src += ["            _done += 1",
-                "    finally:",
-                f"        for _l in _ln: {models}[_l].cycle += _done",
-                f"        {bref}.cycle += _done", ""]
-        source_c = "\n".join(src)
         ns = dict(ctx.ns)
-        ns["_ck"] = run
-        code = compile(
-            source_c,
-            f"<sysgen-batched-c:{self._batched.template.name}"
-            f"x{self._batched.n}>", "exec")
-        exec(code, ns)  # noqa: S102 - our own generated source
+        ns["_ck"] = kernel.runner(self._batched)
+        body = [f"_ck({item})" if isinstance(item, int) else item
+                for item in kbody]
+        # the kernel works on the slot arrays in place: nothing to store
+        source_c = "\n".join(function_frame(
+            "_step_c", ["_n", "_act", "_ln"], ns, self._prologue, body,
+            self._advance))
+        name = self._batched.template.name
+        ns = exec_generated(
+            source_c, f"<sysgen-batched-c:{name}x{self._batched.n}>", ns,
+            f"C-kernel driver for model {name!r}")
         self.ckernel = kernel
         self.step_c = ns["_step_c"]
         self._n_port_slots = len(ctx._ports)

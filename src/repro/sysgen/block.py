@@ -167,10 +167,20 @@ class Block:
         Same contract as :meth:`emit`, except every port variable holds
         an ``(N,)`` int64 array (one lane per batched variant) and any
         sequential state update must be masked by ``ctx.act`` so
-        inactive lanes stay frozen.  The default returns False: the
-        batch compiler then dispatches this block's interpreter methods
-        per active lane on the per-lane clone objects — bit-identical
-        with a scalar run, just not vectorized.
+        inactive lanes stay frozen.  ``ctx`` is a
+        :class:`~repro.sysgen.batched.BatchEmitContext`: every
+        :class:`~repro.sysgen.compiled.EmitContext` helper (the
+        ``present``/``evaluate``/``clock``/``entry``/``exit`` sinks,
+        ``inp``/``out``/``lit``, ``bind``/``fresh``/``tmp``) plus the
+        vector helpers ``state``, ``lane_blocks``/``lane_ports``/
+        ``lane_values``, ``as_array``, ``where``, ``masked_present`` and
+        ``flag``.  ``busy_if``/``horizon`` are inherited but unused: the
+        batched engine generates no vector idle horizon.
+
+        The default returns False: the batch compiler then dispatches
+        this block's interpreter methods per active lane on the
+        per-lane clone objects — bit-identical with a scalar run, just
+        not vectorized.
 
         Implementations must either emit the complete block and return
         True or emit nothing and return False — no partial output.

@@ -43,6 +43,12 @@ in a ``finally`` on exit, so external mutation between calls —
 gateway drives, OPB stores, fault injection poking ``port.value``,
 ``load_state`` — behaves exactly as under the interpreter.
 
+The lockstep batched engine (:mod:`repro.sysgen.batched`) generates
+its vector schedule with the same machinery: its context subclasses
+:class:`EmitContext`, :func:`function_frame` builds every generated
+step and settle function of both engines, and :func:`exec_generated`
+is the one compile site.
+
 Select ``engine="interpreter"`` (``model.set_engine``,
 ``CoSimulation(engine=...)`` or :func:`repro.runapi.engine_scope`) to
 disable compilation and run the classic interpreter loop;
@@ -94,6 +100,10 @@ class EmitContext:
       ``reset``/``load_state`` may replace)
     * :meth:`scalar_state` — cached scalar attribute with write-back
     * :meth:`tmp` — fresh temporary name
+
+    The batched engine's
+    :class:`~repro.sysgen.batched.BatchEmitContext` inherits all of
+    these and adds the vector helpers.
     """
 
     def __init__(self, model: "Model"):
@@ -318,6 +328,54 @@ def _reindent(lines: list[str], pad: str) -> list[str]:
     return out
 
 
+def function_frame(name: str, params: list[str], ns: dict[str, object],
+                   prologue: list[str], body: list[str],
+                   epilogue: list[str], loop: bool = True) -> list[str]:
+    """Source lines (ending in a blank line) of one generated function.
+
+    Every generated step and settle function has this shape.  The
+    signature is ``params`` followed by each ``ns`` name as a keyword
+    default bound to itself, so the hot loop reads closure objects as
+    fast locals.  ``prologue`` runs once on entry (state and port
+    loads).  ``body`` runs ``_n`` times, counting finished cycles in
+    ``_done`` — or once with ``loop=False`` (the settle functions).
+    ``epilogue`` runs in the ``finally`` however the body exits (port
+    stores, write-backs, cycle accounting)."""
+    sig = ", ".join(params + [f"{k}={k}" for k in ns])
+    src = [f"def {name}({sig}):"]
+    src += _reindent(prologue, "    ")
+    if loop:
+        src += ["    _done = 0",
+                "    try:",
+                "        while _done < _n:"]
+        src += _reindent(body, "            ") or ["            pass"]
+        src += ["            _done += 1"]
+    else:
+        src += ["    try:"]
+        src += _reindent(body, "        ") or ["        pass"]
+    src += ["    finally:"]
+    src += _reindent(epilogue, "        ") or ["        pass"]
+    src.append("")
+    return src
+
+
+def exec_generated(source: str, filename: str, ns: dict[str, object],
+                   what: str) -> dict[str, object]:
+    """Compile ``source`` and run it in a copy of ``ns``; returns that
+    namespace, which now holds the generated functions.  A block that
+    emitted invalid python raises :class:`CompileError` naming
+    ``what`` (the schedule and its model)."""
+    try:
+        code = compile(source, filename, "exec")
+    except SyntaxError as exc:
+        raise CompileError(
+            f"generated {what} does not compile: {exc}\n{source}"
+        ) from exc
+    ns = dict(ns)
+    exec(code, ns)  # noqa: S102 - our own generated source
+    return ns
+
+
 def _unconditionally_written_first(lines: list[str]) -> set[str]:
     """Port variables whose *first* textual occurrence in the cycle
     body is a top-level unconditional assignment — these need no entry
@@ -466,26 +524,13 @@ class CompiledSchedule:
         settle_loads = [f"{ctx.port_var(p)} = {ctx.bind(p, 'p')}.value"
                         for p in ctx._ports]
 
+        stores += ctx._exit
         mref = ctx.bind(model, "m")
-        args = ", ".join(f"{k}={k}" for k in ctx.ns)
-        head = f", {args}" if args else ""
-        src = [f"def _step(_n{head}):"]
-        src += _reindent(ctx._entry + loads, "    ")
-        src += ["    _done = 0",
-                "    try:",
-                "        while _done < _n:"]
-        src += _reindent(cycle_body, "            ") or ["            pass"]
-        src += ["            _done += 1",
-                "    finally:"]
-        src += _reindent(stores + ctx._exit, "        ")
-        src += [f"        {mref}.cycle += _done", ""]
-        src += [f"def _settle({args}):" if args else "def _settle():"]
-        src += _reindent(ctx._entry + settle_loads, "    ")
-        src += ["    try:"]
-        src += _reindent(settle_body, "        ") or ["        pass"]
-        src += ["    finally:"]
-        src += _reindent(stores + ctx._exit, "        ") or ["        pass"]
-        src.append("")
+        src = function_frame("_step", ["_n"], ctx.ns, ctx._entry + loads,
+                             cycle_body, stores + [f"{mref}.cycle += _done"])
+        src += function_frame("_settle", [], ctx.ns,
+                              ctx._entry + settle_loads, settle_body,
+                              stores, loop=False)
         # Bound names stay globals of the generated module here: each
         # is read at most once per call, so binding them as defaults
         # (as _step does for its hot loop) would cost more per call
@@ -496,16 +541,8 @@ class CompiledSchedule:
         src.append("")
         self.source = "\n".join(src)
 
-        ns = dict(ctx.ns)
-        try:
-            code = compile(self.source, f"<sysgen-compiled:{model.name}>",
-                           "exec")
-            exec(code, ns)  # noqa: S102 - our own generated source
-        except SyntaxError as exc:  # pragma: no cover - emitter bug
-            raise CompileError(
-                f"generated schedule for model {model.name!r} does not "
-                f"compile: {exc}\n{self.source}"
-            ) from exc
+        ns = exec_generated(self.source, f"<sysgen-compiled:{model.name}>",
+                            ctx.ns, f"schedule for model {model.name!r}")
         self.step = ns["_step"]
         self.settle = ns["_settle"]
         self.idle_horizon = ns["_idle_horizon"]

@@ -16,6 +16,7 @@ from repro.sysgen.batched import (
     lockstep_signature,
 )
 from repro.sysgen.block import SeqBlock
+from repro.sysgen.compiled import CompileError
 from repro.sysgen.blocks.arith import Accumulator, Add, AddSub, Mult, Negate, Shift
 from repro.sysgen.blocks.control import Constant, Counter
 from repro.sysgen.blocks.logic import Concat, Inverter, Logical, Mux, Relational, Slice
@@ -240,6 +241,27 @@ def test_wide_ports_rejected():
 
     with pytest.raises(BatchUnsupported, match="too wide"):
         BatchedModel([wide(), wide()])
+
+
+class BadScrambler(Scrambler):
+    """User block whose emit_batched() writes a line that does not
+    parse."""
+
+    def emit_batched(self, ctx):
+        ctx.clock(f"{ctx.out(self, 'q')} = np.where(")
+        return True
+
+
+def test_unparsable_emit_batched_raises_compile_error():
+    def build():
+        m = Model("badvec")
+        c = m.add(Counter("c", width=8))
+        s = m.add(BadScrambler("s"))
+        m.connect(c.o("q"), s.i("d"))
+        return m
+
+    with pytest.raises(CompileError, match="model 'badvec'"):
+        BatchedModel([build(), build()])
 
 
 def test_single_lane_batch():

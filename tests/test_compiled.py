@@ -12,6 +12,8 @@ alone.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.bus.fsl import FSLChannel
 from repro.sysgen import Model
 from repro.sysgen.block import CombBlock
@@ -43,6 +45,7 @@ from repro.sysgen.blocks import (
     Slice,
     Sub,
 )
+from repro.sysgen.compiled import CompileError
 
 
 def build_zoo():
@@ -299,6 +302,23 @@ def test_fallback_block_in_compiled_schedule():
     m2.set_engine("interpreter")
     m2.step(50)
     assert m1.state_dict() == m2.state_dict()
+
+
+class _BadEmit(_XorFold):
+    """A user block whose emit() writes a line that does not parse."""
+
+    def emit(self, ctx):
+        ctx.evaluate(f"{ctx.out(self, 'out')} = ((")
+        return True
+
+
+def test_unparsable_emit_raises_compile_error():
+    m = Model("badgen")
+    c = m.add(Counter("c", width=16))
+    x = m.add(_BadEmit("x"))
+    m.connect(c.o("q"), x.i("a"))
+    with pytest.raises(CompileError, match="model 'badgen'"):
+        m.compiled_source
 
 
 class _Recorder:

@@ -16,6 +16,7 @@ from repro.runapi.durable import (
     REASON_CORRUPT,
     REASON_TRUNCATED,
     DurableError,
+    ResultCache,
     decode_envelope,
     durable_write,
     encode_envelope,
@@ -256,22 +257,25 @@ class TestSweepCacheEnvelope:
 
     def _cached_entry(self, tmp_path):
         from repro.cosim.partition import DesignSpec
-        from repro.cosim.sweep import SweepCache, _evaluate
+        from repro.cosim.sweep import _evaluate, cache_store
 
         spec = DesignSpec(
             name="p0",
             factory="repro.cosim.sweep:SyntheticDesign",
             params={"seconds": 0.0, "cycles": 777},
         )
-        cache = SweepCache(tmp_path / "cache")
+        cache = ResultCache(tmp_path / "cache")
         payload = _evaluate(spec, None, None, False)
-        fp = "cafef00d" * 8  # any stable fingerprint works for the cache
-        cache.put(fp, payload["result"], payload["estimate"])
+        # any stable fingerprint works for the cache
+        payload["fingerprint"] = fp = "cafef00d" * 8
+        cache_store(cache, payload)
         return cache, fp
 
     def test_round_trip(self, tmp_path):
+        from repro.cosim.sweep import cache_lookup
+
         cache, fp = self._cached_entry(tmp_path)
-        hit = cache.get(fp)
+        hit = cache_lookup(cache, fp)
         assert hit is not None
         assert hit[0].cycles == 777
 

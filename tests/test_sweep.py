@@ -25,13 +25,13 @@ from repro.cosim.dse import (
 from repro.cosim.environment import CoSimTimeout, run_timeout
 from repro.cosim.partition import DesignSpec, PartitionKind
 from repro.cosim.sweep import (
-    SweepCache,
     SyntheticDesign,
     sweep,
     synthetic_specs,
 )
 from repro.mcc import build_executable
 from repro.runapi import RunPolicy, design_fingerprint
+from repro.runapi.durable import STARTUP_SCAVENGE_AGE_S, ResultCache
 from repro.resources.estimator import estimate_design
 from repro.sysgen import Model
 
@@ -221,7 +221,7 @@ class TestSweepCache:
         assert [r.slices for r in cold.results] == \
             [r.slices for r in warm.results]
         assert warm.cache_hits == 2
-        assert len(SweepCache(tmp_path)) == 2
+        assert len(ResultCache(tmp_path)) == 2
 
     def test_changed_point_misses(self, tmp_path):
         sweep(cordic_design_specs(ps=(2,), **TINY), workers=0,
@@ -233,7 +233,7 @@ class TestSweepCache:
     def test_failures_are_not_cached(self, tmp_path):
         sweep([_spec(DeadlockDesign, "deadlocker")], workers=0,
               cache_dir=tmp_path)
-        assert len(SweepCache(tmp_path)) == 0
+        assert len(ResultCache(tmp_path)) == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         specs = cordic_design_specs(ps=(2,), **TINY)
@@ -243,6 +243,18 @@ class TestSweepCache:
         again = sweep(specs, workers=0, cache_dir=tmp_path)
         assert again.results[0].status == STATUS_OK
         assert again.results[0].cache_hit is False
+
+    def test_stale_staging_file_is_scavenged(self, tmp_path):
+        # a writer killed inside durable_write leaves its staging file
+        orphan = tmp_path / "deadbeef.json.tmp.4242"
+        orphan.write_bytes(b"half an entry")
+        stale = os.stat(orphan).st_mtime - STARTUP_SCAVENGE_AGE_S - 60
+        os.utime(orphan, (stale, stale))
+        report = sweep(cordic_design_specs(ps=(2,), **TINY), workers=0,
+                       cache_dir=tmp_path)
+        assert report.results[0].status == STATUS_OK
+        assert not orphan.exists()
+        assert len(ResultCache(tmp_path)) == 1
 
     def test_fingerprint_depends_on_cpu_config(self):
         a, = cordic_design_specs(ps=(2,), **TINY)
