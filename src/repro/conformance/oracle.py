@@ -12,8 +12,10 @@ Execution modes
 ``per_cycle``     the reference loop (``fast_forward=False``)
 ``fast_forward``  the default kernel (``fast_forward=True``) with no
                   telemetry bus, so a lone running CPU takes the burst
-                  path; the FSL trace and the metrics snapshot need a
-                  bus and are not diffed in this mode
+                  path and runs translated basic blocks
+                  (:mod:`repro.iss.translate`); the FSL trace and the
+                  metrics snapshot need a bus and are not diffed in
+                  this mode
 ``verify``        per-cycle with every would-be skip and every cycle a
                   burst would run alone cross-checked
                   (``verify_fast_forward=True``)

@@ -23,6 +23,21 @@ Architectural notes
   so co-simulation interleaving remains cycle-accurate at the interface
   level — the abstraction the paper defines as "high-level
   cycle-accurate".
+
+Execution paths
+---------------
+:meth:`CPU.tick` (one cycle, dispatching each issue through
+:meth:`CPU._issue`) is the reference.  :meth:`CPU.burst`, which
+:meth:`CPU.run` and the co-simulation kernel use to run the CPU alone
+between hardware couplings, runs whole basic blocks as generated python
+functions (:mod:`repro.iss.translate`) and falls back to ``tick`` for
+everything a block cannot express exactly: pending FSL transfers,
+``imm``-latched or delay-slot states, a block longer than the remaining
+budget, breakpoints, a ``trace_hook`` or an event bus.  Translation is
+part of the decode cache (it relies on the cache's write hook to drop
+blocks a store overwrites), so ``CPUConfig(decode_cache=False)`` turns
+both off.  The per-cycle loop, lockstep and ``verify_fast_forward``
+runs, the batched lanes and gdb keep stepping through ``tick``.
 """
 
 from __future__ import annotations
@@ -54,6 +69,9 @@ ADVANCE_FOREVER = 1 << 62
 
 #: instruction kinds that access memory, and so any OPB-mapped registers
 _MEMORY_KINDS = frozenset(("load", "store"))
+
+#: ``_blocks`` marker for a pc not looked at yet
+_UNTRANSLATED = object()
 
 
 def _s32(v: int) -> int:
@@ -129,6 +147,13 @@ class CPU:
         self._delay_target: int | None = None
         self._in_delay_slot = False
         self._decode_cache: dict[int, DecodedInstr] = {}
+        #: translated blocks by pc (None: issue through _issue), part of
+        #: the decode cache; see :mod:`repro.iss.translate`
+        self._blocks: dict[int, tuple | None] | None = (
+            {} if self.config.decode_cache else None)
+        #: bumped when a store hits decoded code, so a running block
+        #: can tell that the words after the store may have changed
+        self._code_gen = 0
         #: optional callback (pc, instruction word) on every issue
         self.trace_hook = None
         #: optional :class:`~repro.telemetry.events.EventBus`; when set,
@@ -160,7 +185,7 @@ class CPU:
         self._delay_target = None
         self._in_delay_slot = False
         self._stall_since = None
-        self._decode_cache.clear()
+        self._clear_caches()
         self.stats.reset()
         self.fsl.error = False  # MSR[FSL] from a previous run must not leak
         self.mem.reset_devices()
@@ -224,7 +249,7 @@ class CPU:
         self.stats.load_state(state["stats"])
         self.fsl.load_state(state["fsl"])
         self.mem.load_state(state["mem"])
-        self._decode_cache.clear()
+        self._clear_caches()
 
     def tick(self) -> None:
         """Advance the processor by exactly one clock cycle."""
@@ -292,9 +317,20 @@ class CPU:
         the CPU halts, or at ``limit``.  Instruction latency is retired
         in bulk.  Equivalent to that many :meth:`tick` calls; a
         breakpoint halt counts as one, as it does for a per-cycle loop.
+
+        With the decode cache on, the burst runs whole basic blocks as
+        translated functions (:mod:`repro.iss.translate`) whenever the
+        CPU is in a clean state and the block's longest path fits the
+        remaining budget; everything else, and any run with breakpoints,
+        a ``trace_hook`` or an event bus, goes through :meth:`tick`,
+        which stays the reference.
         """
         ticks = 0
         stats = self.stats
+        blocks = self._blocks
+        if self.breakpoints or self.trace_hook is not None \
+                or self.events is not None:
+            blocks = None
         while ticks < limit and not self.halted:
             busy = self._busy
             if busy:
@@ -307,6 +343,17 @@ class CPU:
                 continue
             if ticks and self.couples(memory):
                 break
+            if (blocks is not None and self._pending is None
+                    and self.imm_latch is None and not self._in_delay_slot):
+                pc = self.pc
+                block = blocks.get(pc, _UNTRANSLATED)
+                if block is _UNTRANSLATED:
+                    # imported here: the translator builds on this module
+                    from repro.iss.translate import block_at
+                    block = blocks[pc] = block_at(self, pc)
+                if block is not None and block[1] <= limit - ticks:
+                    ticks += block[0](self)
+                    continue
             self.tick()
             ticks += 1
         return ticks
@@ -400,7 +447,15 @@ class CPU:
     # Fetch / decode
     # ------------------------------------------------------------------
     def _invalidate(self, addr: int) -> None:
-        self._decode_cache.pop(addr & ~3, None)
+        if self._decode_cache.pop(addr & ~3, None) is not None \
+                and self._blocks:
+            self._blocks.clear()
+            self._code_gen += 1
+
+    def _clear_caches(self) -> None:
+        self._decode_cache.clear()
+        if self._blocks is not None:
+            self._blocks.clear()
 
     def _fetch(self, pc: int) -> DecodedInstr:
         if self.config.decode_cache:

@@ -1,9 +1,13 @@
 """Tests for the cycle-accurate instruction-set simulator."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.asm import assemble, link
 from repro.bus.fsl import FSLChannel
+from repro.faults.inject import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.iss import BRAM, CPU, CPUConfig, CPUError, HaltReason
 from repro.iss.run import make_cpu, run_to_completion
 
@@ -549,21 +553,69 @@ _start:     addik r3, r0, 'H'
         assert cpu.mem.console.text == "Hi"
 
     def test_decode_cache_invalidation_on_store(self):
-        # Self-modifying code: overwrite the second instruction.
+        # Self-modifying code inside one translated block: on the first
+        # pass the block patches a word it has already run (A) and one
+        # it has not reached yet (B); the second pass must run both
+        # patched words.  Bursts run translated blocks, so this fails if
+        # a store into decoded code does not drop them and leave the
+        # running block at once.
         source = """
             .global _start
-_start:     lwi   r4, r0, patch    # load 'addik r3, r0, 99' encoding
-            swi   r4, r0, target
-target:     addik r3, r0, 1
+_start:     addik r5, r0, 2
+loop:       addik r3, r3, 1          # A: +1, then +100
+            lwi   r4, r0, patch_b
+            swi   r4, r0, later
+            lwi   r4, r0, patch_a
+            swi   r4, r0, loop
+later:      addik r3, r3, 10         # B: patched before it first runs
+            addik r5, r5, -1
+            bnei  r5, loop
             li    r12, 0xFFFF0000
             swi   r3, r12, 0
             .data
-patch:      .word 0x30600063       # addik r3, r0, 99
+patch_a:    .word 0x30630064         # addik r3, r3, 100
+patch_b:    .word 0x306303E8         # addik r3, r3, 1000
         """
         prog = link(assemble(source))
-        # Warm the decode cache by a first run, then re-run after reset.
         code, cpu = run_to_completion(prog)
-        assert code == 99
+        assert code == 1 + 1000 + 100 + 1000
+        reference = make_cpu(prog)
+        while not reference.halted:
+            reference.tick()
+        assert cpu.state_dict() == reference.state_dict()
+
+    def test_decode_cache_invalidation_on_fault_flip(self):
+        # A bit flip injected into a code word of a block that has
+        # already run translated: the remaining iterations must run the
+        # flipped word (+3), as per-cycle execution does.
+        source = """
+            .global _start
+_start:     addik r5, r0, 4
+loop:       addik r3, r3, 1          # bit 1 of the immediate flips
+            addik r5, r5, -1
+            bnei  r5, loop
+            li    r12, 0xFFFF0000
+            swi   r3, r12, 0
+        """
+        prog = link(assemble(source))
+        flip = FaultSpec("mem_flip", cycle=1,
+                         index=prog.symbols["loop"] // 4, bit=1)
+        two_passes = 1 + 2 * 5  # addik, then two 5-cycle iterations
+        cpu = make_cpu(prog)
+        cpu.run(max_cycles=two_passes)
+        assert cpu.pc == prog.symbols["loop"] and cpu._blocks[cpu.pc]
+        FaultInjector(SimpleNamespace(cpu=cpu), FaultPlan())._mem_flip(flip)
+        cpu.resume()
+        assert cpu.run() is HaltReason.EXIT
+        assert cpu.exit_code == 1 + 1 + 3 + 3
+        reference = make_cpu(prog)
+        for _ in range(two_passes):
+            reference.tick()
+        FaultInjector(SimpleNamespace(cpu=reference),
+                      FaultPlan())._mem_flip(flip)
+        while not reference.halted:
+            reference.tick()
+        assert cpu.state_dict() == reference.state_dict()
 
     def test_simulated_time(self):
         prog = link(assemble(".global _start\n_start: bri 0"))
