@@ -30,7 +30,9 @@ from __future__ import annotations
 import ast
 import ctypes
 import hashlib
+import multiprocessing.util
 import os
+import shutil
 import subprocess
 import tempfile
 from typing import Callable
@@ -603,6 +605,14 @@ def _compile(c_source: str, key: str) -> str | None:
     global _WORK_DIR
     if _WORK_DIR is None:
         _WORK_DIR = tempfile.mkdtemp(prefix="repro-ckernel-")
+        # Remove it when this process exits (a loaded library stays
+        # mapped after its file is unlinked).  Not ``atexit``: forked
+        # multiprocessing workers leave through ``os._exit`` and skip
+        # it, but run these finalizers; the main process runs them from
+        # multiprocessing's own ``atexit`` hook.
+        multiprocessing.util.Finalize(
+            None, shutil.rmtree, args=(_WORK_DIR,),
+            kwargs={"ignore_errors": True}, exitpriority=0)
     c_path = os.path.join(_WORK_DIR, f"{key[:16]}.c")
     so_path = os.path.join(_WORK_DIR, f"{key[:16]}.so")
     try:

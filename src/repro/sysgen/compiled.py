@@ -47,7 +47,11 @@ The lockstep batched engine (:mod:`repro.sysgen.batched`) generates
 its vector schedule with the same machinery: its context subclasses
 :class:`EmitContext`, :func:`function_frame` builds every generated
 step and settle function of both engines, and :func:`exec_generated`
-is the one compile site.
+is the one compile site.  It compiles each distinct generated source
+once per process: code objects are cached by content (filename and
+source text), so a rebuilt model -- a campaign's baseline, each lockstep
+batch, every scalar replay -- reuses the compiled code and only runs it
+to bind fresh functions to its own objects.
 
 Select ``engine="interpreter"`` (``model.set_engine``,
 ``CoSimulation(engine=...)`` or :func:`repro.runapi.engine_scope`) to
@@ -57,7 +61,10 @@ disable compilation and run the classic interpreter loop;
 
 from __future__ import annotations
 
+import hashlib
 import re
+import threading
+from types import CodeType
 from typing import TYPE_CHECKING, Callable
 
 from repro.sysgen.block import IDLE_FOREVER, Block
@@ -68,6 +75,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class CompileError(RuntimeError):
     """Schedule code generation failed (a block emitted bad source)."""
+
+
+#: most code objects the process-wide cache of :func:`exec_generated`
+#: keeps; the oldest are evicted first.  One schedule of a large design
+#: (CORDIC P=8) takes 50-70 KB, so a full cache stays under ~5 MB.
+CODE_CACHE_LIMIT = 64
+
+_code_cache: dict[bytes, CodeType] = {}
+_code_cache_lock = threading.Lock()
 
 
 #: matches generated port-variable tokens (see :meth:`EmitContext.out`)
@@ -361,16 +377,32 @@ def function_frame(name: str, params: list[str], ns: dict[str, object],
 
 def exec_generated(source: str, filename: str, ns: dict[str, object],
                    what: str) -> dict[str, object]:
-    """Compile ``source`` and run it in a copy of ``ns``; returns that
-    namespace, which now holds the generated functions.  A block that
-    emitted invalid python raises :class:`CompileError` naming
-    ``what`` (the schedule and its model)."""
-    try:
-        code = compile(source, filename, "exec")
-    except SyntaxError as exc:
-        raise CompileError(
-            f"generated {what} does not compile: {exc}\n{source}"
-        ) from exc
+    """Run ``source`` in a copy of ``ns``; returns that namespace, which
+    now holds the generated functions.
+
+    The source is compiled once per process: the code object is cached
+    by the content of ``filename`` and ``source``, so a rebuilt model
+    whose schedule emits the same text skips ``compile()``.  Each call
+    still executes the module in its own namespace, so every model gets
+    fresh functions whose keyword defaults bind its own ports, blocks
+    and arrays (code objects are immutable; sharing one couples
+    nothing).  A block that emitted invalid python raises
+    :class:`CompileError` naming ``what`` (the schedule and its model)
+    on every build: a failed compile is never cached."""
+    key = hashlib.sha256(
+        filename.encode() + b"\0" + source.encode()).digest()
+    code = _code_cache.get(key)
+    if code is None:
+        try:
+            code = compile(source, filename, "exec")
+        except SyntaxError as exc:
+            raise CompileError(
+                f"generated {what} does not compile: {exc}\n{source}"
+            ) from exc
+        with _code_cache_lock:
+            while len(_code_cache) >= CODE_CACHE_LIMIT:
+                del _code_cache[next(iter(_code_cache))]
+            _code_cache[key] = code
     ns = dict(ns)
     exec(code, ns)  # noqa: S102 - our own generated source
     return ns

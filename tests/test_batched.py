@@ -6,17 +6,23 @@ user-defined fallback block; N parameter variants run scalar
 must match bit for bit — including after lane deactivation and reset.
 """
 
+import builtins
+import shutil
+
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.apps.cordic.hardware import build_cordic_model
+from repro.apps.matmul.hardware import build_matmul_model
 from repro.sysgen.batched import (
     BatchedModel,
     BatchUnsupported,
     lockstep_signature,
 )
 from repro.sysgen.block import SeqBlock
-from repro.sysgen.compiled import CompileError
+from repro.sysgen.ckernel import ckernel_enabled
+from repro.sysgen.compiled import CompileError, exec_generated
 from repro.sysgen.blocks.arith import Accumulator, Add, AddSub, Mult, Negate, Shift
 from repro.sysgen.blocks.control import Constant, Counter
 from repro.sysgen.blocks.logic import Concat, Inverter, Logical, Mux, Relational, Slice
@@ -260,8 +266,10 @@ def test_unparsable_emit_batched_raises_compile_error():
         m.connect(c.o("q"), s.i("d"))
         return m
 
-    with pytest.raises(CompileError, match="model 'badvec'"):
-        BatchedModel([build(), build()])
+    # a failed compile is never cached: every build raises again
+    for _ in range(2):
+        with pytest.raises(CompileError, match="model 'badvec'"):
+            BatchedModel([build(), build()])
 
 
 def test_single_lane_batch():
@@ -270,3 +278,116 @@ def test_single_lane_batch():
     batch = BatchedModel([build_sink(**PARAMS[0])])
     batch.step(50)
     assert_lanes_match(batch, [ref])
+
+
+# ----------------------------------------------------------------------
+# Process-wide code cache
+# ----------------------------------------------------------------------
+def _images_equal(a, b) -> bool:
+    return all(len(x) == len(y) and all(np.array_equal(p, q)
+                                        for p, q in zip(x, y))
+               for x, y in zip(a, b))
+
+
+def build_native(value: int = 5, step: int = 1, init: int = 0) -> Model:
+    """A design the C kernel runs whole: no fallback block and no
+    delay-line state."""
+    m = Model("native")
+    cnt = m.add(Counter("cnt", width=8, step=step))
+    k = m.add(Constant("k", value, width=16))
+    add = m.add(Add("add", width=16))
+    m.connect(cnt.o("q"), add.i("a"))
+    m.connect(k.o("out"), add.i("b"))
+    mult = m.add(Mult("mult", width_a=16, width_b=8))
+    m.connect(add.o("s"), mult.i("a"))
+    m.connect(cnt.o("q"), mult.i("b"))
+    rel = m.add(Relational("rel", width=16, op="lt"))
+    m.connect(add.o("s"), rel.i("a"))
+    m.connect(k.o("out"), rel.i("b"))
+    reg = m.add(Register("reg", width=16, init=init))
+    m.connect(mult.o("p"), reg.i("d"))
+    m.connect(rel.o("out"), reg.i("en"))
+    acc = m.add(Accumulator("acc", width=24))
+    m.connect(reg.o("q"), acc.i("d"))
+    for ref in (mult.o("p"), reg.o("q"), acc.o("q")):
+        m.probe(ref)
+    return m
+
+
+def _assert_share_code_not_state(build, fns: tuple[str, ...]):
+    a = BatchedModel([build(**p) for p in PARAMS])
+    b = BatchedModel([build(**p) for p in PARAMS])
+    for fn in fns:
+        fa, fb = getattr(a._schedule, fn), getattr(b._schedule, fn)
+        assert fa is not None and fb is not None, fn
+        assert fa.__code__ is fb.__code__, fn
+        assert fa is not fb, fn
+    untouched = b.state_image()
+    a.step(60)
+    assert not _images_equal(a.state_image(), untouched)
+    assert _images_equal(b.state_image(), untouched)
+    assert all(not p.samples for m in b.models for p in m.probes)
+    b.step(60)
+    assert _images_equal(a.state_image(), b.state_image())
+    assert ([p.samples for m in a.models for p in m.probes]
+            == [p.samples for m in b.models for p in m.probes])
+
+
+def test_rebuilt_batches_share_code_not_state():
+    _assert_share_code_not_state(build_sink, ("step", "step_all", "settle"))
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None or not ckernel_enabled(),
+                    reason="the C kernel needs gcc and is not disabled")
+def test_rebuilt_batches_share_c_driver_code_not_state():
+    _assert_share_code_not_state(build_native, ("step_c",))
+
+
+def _cordic(p: int) -> Model:
+    return build_cordic_model(p)[0]
+
+
+def _matmul(block: int) -> Model:
+    return build_matmul_model(block)[0]
+
+
+@pytest.mark.parametrize("build,param", [
+    (_cordic, 2), (_cordic, 4), (_cordic, 8), (_matmul, 2), (_matmul, 4),
+])
+def test_generated_source_is_deterministic(monkeypatch, build, param):
+    """Two builds of one design from fresh hardware emit byte-identical
+    scalar, numpy and C-driver sources, so the second build compiles
+    nothing.  An emitter that embeds an ``id()`` or iterates a set
+    would silently defeat the code cache."""
+    sources: list[tuple[str, str]] = []
+    compiles: list[str] = []
+    real_compile = builtins.compile
+
+    def recording_exec(source, filename, ns, what):
+        sources.append((filename, source))
+        return exec_generated(source, filename, ns, what)
+
+    def counting_compile(source, filename, *args, **kwargs):
+        if str(filename).startswith("<sysgen"):
+            compiles.append(filename)
+        return real_compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr("repro.sysgen.compiled.exec_generated",
+                        recording_exec)
+    monkeypatch.setattr("repro.sysgen.batched.exec_generated",
+                        recording_exec)
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    build(param).compile()
+    BatchedModel([build(param), build(param)])
+    first = list(sources)
+    sources.clear()
+    compiles.clear()
+    build(param).compile()
+    BatchedModel([build(param), build(param)])
+    second = list(sources)
+    kinds = {name.partition(":")[0] for name, _ in first}
+    assert {"<sysgen-compiled", "<sysgen-batched"} <= kinds
+    if shutil.which("gcc") is not None and ckernel_enabled():
+        assert "<sysgen-batched-c" in kinds
+    assert second == first
+    assert compiles == []

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bus.fsl import FSLChannel
-from repro.sysgen import Model
+from repro.sysgen import Model, compiled
 from repro.sysgen.block import CombBlock
 from repro.sysgen.blocks import (
     FIFO,
@@ -267,6 +267,58 @@ def test_checkpoint_across_engine_switch():
 
 
 # ----------------------------------------------------------------------
+# Process-wide code cache
+# ----------------------------------------------------------------------
+def test_rebuilt_models_share_code_not_state():
+    a, gates_a, chans_a, bank_a = build_zoo()
+    b, gates_b, chans_b, bank_b = build_zoo()
+    assert a.compiled_source == b.compiled_source
+    for fn in ("step", "settle", "idle_horizon"):
+        fa, fb = getattr(a._compiled, fn), getattr(b._compiled, fn)
+        assert fa.__code__ is fb.__code__, fn
+        assert fa is not fb, fn
+    untouched = _snapshot(b, chans_b)
+    for i in range(80):
+        _apply(i, gates_a, chans_a, bank_a)
+        a.step()
+    assert _snapshot(a, chans_a) != untouched
+    assert _snapshot(b, chans_b) == untouched
+    for i in range(80):
+        _apply(i, gates_b, chans_b, bank_b)
+        b.step()
+    assert _snapshot(a, chans_a) == _snapshot(b, chans_b)
+
+
+def _chain(name: str, width: int = 8) -> Model:
+    m = Model(name)
+    c = m.add(Counter("c", width=width))
+    r = m.add(Register("r", width=width))
+    m.connect(c.o("q"), r.i("d"))
+    m.compile()
+    return m
+
+
+def test_code_cache_is_keyed_by_filename_too():
+    """Equal source under two model names compiles once per name, so a
+    traceback names the model that raised."""
+    a, b = _chain("left"), _chain("right")
+    assert a.compiled_source == b.compiled_source
+    assert a._compiled.step.__code__.co_filename == "<sysgen-compiled:left>"
+    assert b._compiled.step.__code__.co_filename == "<sysgen-compiled:right>"
+
+
+def test_code_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(compiled, "CODE_CACHE_LIMIT", 3)
+    monkeypatch.setattr(compiled, "_code_cache", {})
+    models = [_chain("bound", width) for width in range(4, 10)]
+    assert len({m.compiled_source for m in models}) == len(models)
+    assert len(compiled._code_cache) == 3
+    # the newest entry survived: rebuilding its model is a hit
+    newest = _chain("bound", 9)
+    assert newest._compiled.step.__code__ is models[-1]._compiled.step.__code__
+
+
+# ----------------------------------------------------------------------
 # Fallback dispatch and event hooks
 # ----------------------------------------------------------------------
 class _XorFold(CombBlock):
@@ -313,12 +365,14 @@ class _BadEmit(_XorFold):
 
 
 def test_unparsable_emit_raises_compile_error():
-    m = Model("badgen")
-    c = m.add(Counter("c", width=16))
-    x = m.add(_BadEmit("x"))
-    m.connect(c.o("q"), x.i("a"))
-    with pytest.raises(CompileError, match="model 'badgen'"):
-        m.compiled_source
+    # a failed compile is never cached: every build raises again
+    for _ in range(2):
+        m = Model("badgen")
+        c = m.add(Counter("c", width=16))
+        x = m.add(_BadEmit("x"))
+        m.connect(c.o("q"), x.i("a"))
+        with pytest.raises(CompileError, match="model 'badgen'"):
+            m.compiled_source
 
 
 class _Recorder:
