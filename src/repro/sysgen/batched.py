@@ -14,20 +14,27 @@ instead of N python statements.
 
 Code generation is shared with the scalar engine:
 :class:`BatchEmitContext` subclasses
-:class:`~repro.sysgen.compiled.EmitContext` and adds only the vector
-helpers, and the generated ``_step``/``_step_all``/``_settle`` functions
-and the C-kernel driver ``_step_c`` come from the scalar engine's
+:class:`~repro.sysgen.compiled.EmitContext`, overrides each of its
+rendering verbs once and adds the vector helpers, and the generated
+``_step``/``_step_all``/``_settle`` functions and the C-kernel driver
+``_step_c`` come from the scalar engine's
 :func:`~repro.sysgen.compiled.function_frame` and are compiled by its
 :func:`~repro.sysgen.compiled.exec_generated`.
 
 Blocks contribute vectorized source through
-:meth:`~repro.sysgen.block.Block.emit_batched`.  Blocks that cannot be
-vectorized (FSL endpoints whose channel objects are shared with the
-CPU, fixed-point Convert, user subclasses) *fall back per lane*: the
-generated code dispatches their interpreter methods on the per-lane
-clone objects with port synchronization around the call, exactly like
-the scalar compiled engine's fallback — so telemetry, channel
-statistics and drop counters stay bit-identical with a scalar run.
+:meth:`~repro.sysgen.block.Block.emit_batched`.  Most standard blocks
+(registers, counters, accumulators, constants, the combinational
+logic) write their step once, in ``emit`` through the verbs, and set
+``emit_batched = emit``; delay lines, FIFOs, RAMs and pipeline stages
+keep a lane emitter, because their lane state has another shape than
+their scalar state.  Blocks that cannot be vectorized (FSL endpoints
+whose channel objects are shared with the CPU, fixed-point Convert,
+user subclasses, combinational blocks with every input unconnected)
+*fall back per lane*: the generated code dispatches their interpreter
+methods on the per-lane clone objects with port synchronization around
+the call, exactly like the scalar compiled engine's fallback — so
+telemetry, channel statistics and drop counters stay bit-identical
+with a scalar run.
 
 Divergence between lanes is handled by masking: the step function
 takes a boolean active-lane array, sequential state updates are
@@ -132,7 +139,21 @@ class BatchEmitContext(EmitContext):
     sinks, name helpers (``bind``/``fresh``/``tmp``) and port helpers
     (``inp``/``out``/``lit``) are inherited unchanged.  Sequential
     updates must be masked by :attr:`act` (boolean active-lane array).
-    The vector helpers:
+
+    It overrides each rendering verb once, so a block whose ``emit``
+    uses only the verbs opts in with ``emit_batched = emit``:
+
+    * :meth:`state_slot` — a lane array loaded from the clones' attribute
+    * :meth:`param` — the clones' parameter values as a bound lane vector
+    * :meth:`drive` — the present masked to the active lanes
+    * :meth:`update` — the guarded update as a masked ``np.where`` chain
+    * :meth:`select` / :meth:`as_int` — ``np.where`` / ``.astype``
+
+    ``busy_if``/``horizon`` lines such an ``emit`` writes are collected
+    but not generated: the batched engine has no vector idle horizon
+    (it probes for fixed points with
+    :meth:`BatchedModel.state_unchanged`).  Lane emitters for state of
+    another shape (delay lines, FIFOs, RAMs, pipeline stages) use:
 
     * :meth:`state` — a persistent ``(N, ...)`` state array slot,
       (re)loadable from the per-lane clone blocks
@@ -141,8 +162,7 @@ class BatchEmitContext(EmitContext):
       (fallback dispatch) and their current values
     * :meth:`as_array` — force a possibly-literal expression to an
       ``(N,)`` array (broadcast against the bound :attr:`zeros`)
-    * :meth:`where` / :meth:`masked_present` / :meth:`flag` — masked
-      ``np.where`` updates and literal-folded guard conditions
+    * :meth:`flag` — literal-folded guard conditions
     * :attr:`act` / :attr:`lanes` — the mask array and active lane
       index list (function arguments, fixed for one ``step`` call)
     * :attr:`arange` — a bound ``np.arange(N)`` for fancy indexing
@@ -198,18 +218,6 @@ class BatchEmitContext(EmitContext):
         return np.fromiter((p.value for p in self.lane_ports(port)),
                            np.int64, self.n)
 
-    # -- masked-update helpers -------------------------------------------
-    def where(self, cond: str, a: str, b: str) -> str:
-        return f"np.where({cond}, {a}, {b})"
-
-    def masked_present(self, out: str, expr: str) -> None:
-        """Present ``out = expr`` for active lanes only.  Deactivated
-        lanes must keep the port value of their final executed cycle
-        (the scalar engine's value at the moment it stopped), so every
-        sequential present is masked; combinational re-evaluation then
-        reproduces the frozen values from these frozen inputs."""
-        self.present(f"{out} = np.where({self.act}, {expr}, {out})")
-
     def flag(self, expr: str) -> str:
         """Condition string for ``(expr) & 1`` with literal folding:
         returns ``"1"``/``"0"`` for compile-time-constant guards."""
@@ -218,29 +226,51 @@ class BatchEmitContext(EmitContext):
             return "1" if v & 1 else "0"
         return f"((({expr}) & 1) > 0)"
 
+    # -- rendering verbs -------------------------------------------------
+    def state_slot(self, block: "Block", attr: str, hint: str = "st") -> str:
+        lanes = self.lane_blocks(block)
+        return self.state(
+            lambda: np.fromiter((getattr(b, attr) for b in lanes),
+                                np.int64, self.n), hint)
 
-def guarded_update_batched(ctx: BatchEmitContext, rst: str, en: str,
-                           rst_val: str, en_val: str, old: str) -> str | None:
-    """Masked ``np.where`` chain for the registered-update pattern
-    (``if rst: old = rst_val elif en: old = en_val``), pruned when a
-    guard is a literal.  Returns an expression for the new state array,
-    or None when the update is dead."""
-    act = ctx.act
-    rflag = ctx.flag(rst)
-    eflag = ctx.flag(en)
-    if rflag == "0":
-        if eflag == "0":
-            return None
-        cond = act if eflag == "1" else f"{act} & {eflag}"
-        return ctx.where(cond, en_val, old)
-    if rflag == "1":
-        return ctx.where(act, rst_val, old)
-    inner = old
-    if eflag == "1":
-        inner = ctx.where(act, en_val, old)
-    elif eflag != "0":
-        inner = ctx.where(f"{act} & {eflag}", en_val, old)
-    return ctx.where(f"{act} & {rflag}", rst_val, inner)
+    def param(self, block: "Block", attr: str, hint: str,
+              live: bool = False) -> str:
+        # snapshot at codegen time: values may vary per lane (a common
+        # sweep axis); changing one after the batch is built is not
+        # supported
+        return self.bind(
+            np.fromiter((getattr(b, attr) for b in self.lane_blocks(block)),
+                        np.int64, self.n), hint)
+
+    def drive(self, out: str, expr: str) -> None:
+        """Present ``out = expr`` for active lanes only.  Deactivated
+        lanes must keep the port value of their final executed cycle
+        (the scalar engine's value at the moment it stopped), so every
+        sequential present is masked; combinational re-evaluation then
+        reproduces the frozen values from these frozen inputs."""
+        self.present(f"{out} = np.where({self.act}, {expr}, {out})")
+
+    def update(self, q: str, state: str, rst: str, en: str,
+               rst_val: str, en_val: str) -> None:
+        act = self.act
+        rflag, eflag = self.flag(rst), self.flag(en)
+        if rflag == "1":
+            nxt = f"np.where({act}, {rst_val}, {state})"
+        else:
+            nxt = state
+            if eflag != "0":
+                cond = act if eflag == "1" else f"{act} & {eflag}"
+                nxt = f"np.where({cond}, {en_val}, {state})"
+            if rflag != "0":
+                nxt = f"np.where({act} & {rflag}, {rst_val}, {nxt})"
+        if nxt != state:
+            self.clock(f"{state} = {nxt}")
+
+    def select(self, cond: str, a: str, b: str, mask: int) -> str:
+        return f"np.where({cond}, {a} & {mask}, {b} & {mask})"
+
+    def as_int(self, cond: str) -> str:
+        return f"({cond}).astype(np.int64)"
 
 
 _BARE_NAME = re.compile(r"[A-Za-z_]\w*\Z")
@@ -343,7 +373,12 @@ class BatchedSchedule:
         self.ctx = ctx
         self.fallback_blocks: list[str] = []
         for block in list(template._seq) + list(template._schedule):
-            if not block.emit_batched(ctx):
+            ctx.block = block
+            # a combinational block fed only by literals would compute a
+            # python scalar where the schedule needs an (N,) array
+            literal_fed = (not block.sequential and block.inputs and all(
+                p.source is None for p in block.inputs.values()))
+            if literal_fed or not block.emit_batched(ctx):
                 _emit_fallback_batched(ctx, block)
                 self.fallback_blocks.append(block.name)
 

@@ -151,6 +151,13 @@ class Block:
         ``present``/``evaluate``/``clock`` methods: same port values,
         same state transitions, same telemetry events, same exceptions.
 
+        An ``emit`` that states its step only through the context's
+        rendering verbs (``state_slot``, ``param``, ``drive``,
+        ``update``, ``select``, ``as_int``), the port helpers and pure
+        elementwise arithmetic also serves the lockstep schedule: its
+        class opts in with ``emit_batched = emit`` (see
+        :meth:`emit_batched`).
+
         A class that overrides :meth:`idle_horizon` as well emits its
         compiled form here too, through ``ctx.busy_if``/``ctx.horizon``
         (emitting nothing means "always idle").  The compiler trusts
@@ -168,19 +175,24 @@ class Block:
         an ``(N,)`` int64 array (one lane per batched variant) and any
         sequential state update must be masked by ``ctx.act`` so
         inactive lanes stay frozen.  ``ctx`` is a
-        :class:`~repro.sysgen.batched.BatchEmitContext`: every
-        :class:`~repro.sysgen.compiled.EmitContext` helper (the
-        ``present``/``evaluate``/``clock``/``entry``/``exit`` sinks,
-        ``inp``/``out``/``lit``, ``bind``/``fresh``/``tmp``) plus the
-        vector helpers ``state``, ``lane_blocks``/``lane_ports``/
-        ``lane_values``, ``as_array``, ``where``, ``masked_present`` and
-        ``flag``.  ``busy_if``/``horizon`` are inherited but unused: the
-        batched engine generates no vector idle horizon.
+        :class:`~repro.sysgen.batched.BatchEmitContext`, which renders
+        every verb of :meth:`emit` as masked numpy — so a verb-only
+        ``emit`` is assigned here unchanged (``emit_batched = emit``).
+        Blocks whose lane state has another shape than their scalar
+        state (delay lines, FIFOs, RAMs, pipeline stages) write a
+        separate lane emitter with the vector helpers (``state``,
+        ``lane_blocks``/``lane_ports``/``lane_values``, ``as_array``,
+        ``flag``).  ``busy_if``/``horizon`` lines are collected but not
+        generated: the batched engine has no vector idle horizon.
 
         The default returns False: the batch compiler then dispatches
         this block's interpreter methods per active lane on the
         per-lane clone objects — bit-identical with a scalar run, just
-        not vectorized.
+        not vectorized.  User blocks and the scalar-only standard
+        blocks (FSL endpoints, gateways, the OPB register bank) keep
+        it even when they define :meth:`emit`.  A combinational block
+        whose inputs are all unconnected runs per lane too, whatever
+        it defines.
 
         Implementations must either emit the complete block and return
         True or emit nothing and return False — no partial output.

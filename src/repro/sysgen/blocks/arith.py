@@ -13,7 +13,7 @@ from collections import deque
 
 from repro.fixedpoint import FixedFormat, Overflow, Rounding
 from repro.resources.types import Resources
-from repro.sysgen.batched import guarded_update_batched, np
+from repro.sysgen.batched import np
 from repro.sysgen.block import (
     IDLE_FOREVER,
     Block,
@@ -21,11 +21,7 @@ from repro.sysgen.block import (
     to_signed,
     wrap,
 )
-from repro.sysgen.compiled import (
-    emit_register_horizon,
-    guarded_update,
-    signed_expr,
-)
+from repro.sysgen.compiled import signed_expr
 
 
 class _PipelinedBlock(Block):
@@ -77,28 +73,23 @@ class _PipelinedBlock(Block):
 
     def _emit_compute(self, ctx) -> str | None:
         """Expression computing this block's (single) output value, or
-        None to fall back to a bound ``_compute()`` call."""
-        return None
-
-    #: scalar ``_emit_compute`` source is pure elementwise arithmetic
-    #: (no python branching, no int64 overflow risk), so it doubles as
-    #: the vectorized compute over (N,) arrays
-    batch_safe_compute = False
-
-    def _emit_compute_batched(self, ctx) -> str | None:
-        """Vectorized counterpart of :meth:`_emit_compute` over (N,)
-        int64 arrays, or None to fall back to per-lane dispatch."""
-        if self.batch_safe_compute:
-            return self._emit_compute(ctx)
+        None to fall back to a bound ``_compute()`` call.  The lockstep
+        schedule evaluates the same text over (N,) int64 arrays, so it
+        is elementwise arithmetic and rendering verbs only (or None to
+        run the block per lane there)."""
         return None
 
     def emit_batched(self, ctx) -> bool:
-        if all(p.source is None for p in self.inputs.values()):
-            # all-literal inputs would collapse the expression to a
-            # python scalar; per-lane dispatch keeps the array contract
-            return False
-        expr = self._emit_compute_batched(ctx)
-        if expr is None:
+        return self._emit_stages(ctx, self._emit_compute(ctx))
+
+    def _emit_stages(self, ctx, expr: str | None) -> bool:
+        """The lockstep form of :meth:`emit`: ``expr`` over (N,) arrays,
+        evaluated combinationally or through ``latency`` stage arrays
+        (the shape of the stage storage differs from the scalar deque
+        of dicts, so this stays a separate lane emitter)."""
+        if expr is None or (self.sequential and all(
+                p.source is None for p in self.inputs.values())):
+            # literal-fed stages would hold python scalars, not arrays
             return False
         key = next(iter(self.outputs))
         out = ctx.out(self, key)
@@ -183,8 +174,6 @@ class _PipelinedBlock(Block):
 class Add(_PipelinedBlock):
     """``s = a + b`` (wrap) over ``width`` bits."""
 
-    batch_safe_compute = True
-
     def __init__(self, name: str, width: int = 32, latency: int = 0):
         super().__init__(name, latency)
         self.width = width
@@ -206,8 +195,6 @@ class Add(_PipelinedBlock):
 
 class Sub(_PipelinedBlock):
     """``d = a - b`` (wrap)."""
-
-    batch_safe_compute = True
 
     def __init__(self, name: str, width: int = 32, latency: int = 0):
         super().__init__(name, latency)
@@ -256,18 +243,8 @@ class AddSub(_PipelinedBlock):
         if slit is not None:
             op = "-" if slit & 1 else "+"
             return f"(({a}) {op} ({b})) & {m}"
-        return (f"((({a}) - ({b})) if ({sub}) & 1"
-                f" else (({a}) + ({b}))) & {m}")
-
-    def _emit_compute_batched(self, ctx) -> str:
-        if ctx.lit(ctx.inp(self, "sub")) is not None:
-            return self._emit_compute(ctx)  # pruned to pure add/sub
-        a = ctx.inp(self, "a")
-        b = ctx.inp(self, "b")
-        sub = ctx.inp(self, "sub")
-        m = (1 << self.width) - 1
-        return (f"np.where(({sub}) & 1, (({a}) - ({b})) & {m}, "
-                f"(({a}) + ({b})) & {m})")
+        return ctx.select(f"({sub}) & 1", f"(({a}) - ({b}))",
+                          f"(({a}) + ({b}))", m)
 
     def resources(self) -> Resources:
         # add/sub sharing costs one extra LUT level: ~W LUTs + mode.
@@ -311,11 +288,10 @@ class Mult(_PipelinedBlock):
         b = signed_expr(ctx.inp(self, "b"), self.width_b)
         return f"({a} * {b}) & {(1 << self.out_width) - 1}"
 
-    def _emit_compute_batched(self, ctx) -> str | None:
+    def emit_batched(self, ctx) -> bool:
         # the signed product must fit an int64 lane
-        if self.width_a + self.width_b > 62:
-            return None
-        return self._emit_compute(ctx)
+        return (self.width_a + self.width_b <= 62
+                and super().emit_batched(ctx))
 
     def resources(self) -> Resources:
         regs = self.latency * slices_for_bits(self.out_width)
@@ -331,8 +307,6 @@ class Mult(_PipelinedBlock):
 
 
 class Negate(_PipelinedBlock):
-    batch_safe_compute = True
-
     def __init__(self, name: str, width: int = 32, latency: int = 0):
         super().__init__(name, latency)
         self.width = width
@@ -393,23 +367,23 @@ class Shift(_PipelinedBlock):
             return f"({signed_expr(a, self.width)} >> {self.amount}) & {m}"
         return f"((({a}) & {m}) >> {self.amount})"
 
-    def _emit_compute_batched(self, ctx) -> str | None:
+    def emit_batched(self, ctx) -> bool:
         # int64 lanes: pre-mask so shifted intermediates never exceed
         # ``width`` bits, and clamp shift counts below the word size
         # (python bigints make the scalar forms safe; numpy does not).
         a = ctx.inp(self, "a")
         m = (1 << self.width) - 1
-        if self.direction == "left":
-            if self.amount >= self.width:
-                return f"(({a}) & 0)"
-            keep = m >> self.amount
-            return f"((({a}) & {keep}) << {self.amount})"
-        if self.arithmetic:
+        if self.amount >= self.width and not (
+                self.direction == "right" and self.arithmetic):
+            expr = f"(({a}) & 0)"
+        elif self.direction == "left":
+            expr = f"((({a}) & {m >> self.amount}) << {self.amount})"
+        elif self.arithmetic:
             amt = min(self.amount, self.width)  # sign fill is complete
-            return f"({signed_expr(a, self.width)} >> {amt}) & {m}"
-        if self.amount >= self.width:
-            return f"(({a}) & 0)"
-        return f"((({a}) & {m}) >> {self.amount})"
+            expr = f"({signed_expr(a, self.width)} >> {amt}) & {m}"
+        else:
+            expr = f"((({a}) & {m}) >> {self.amount})"
+        return self._emit_stages(ctx, expr)
 
     def resources(self) -> Resources:
         return Resources(slices=self.latency * slices_for_bits(self.width))
@@ -439,37 +413,15 @@ class Accumulator(Block):
             self._state = wrap(self._state + self.in_value("d"), self.width)
 
     def emit(self, ctx) -> bool:
-        st = ctx.scalar_state(self, "_state")
-        ctx.present(f"{ctx.out(self, 'q')} = {st}")
-        upd = guarded_update(
-            ctx.inp(self, "rst"), ctx.inp(self, "en"),
-            f"{st} = 0",
-            f"{st} = ({st} + ({ctx.inp(self, 'd')}))"
-            f" & {(1 << self.width) - 1}",
-        )
-        if upd:
-            ctx.clock(upd)
-        emit_register_horizon(
-            ctx, self, "0",
-            f"(({st} + ({ctx.inp(self, 'd')})) & {(1 << self.width) - 1})",
-            st)
+        st = ctx.state_slot(self, "_state", "ac")
+        q = ctx.out(self, "q")
+        ctx.drive(q, st)
+        ctx.update(q, st, ctx.inp(self, "rst"), ctx.inp(self, "en"), "0",
+                   f"({st} + ({ctx.inp(self, 'd')}))"
+                   f" & {(1 << self.width) - 1}")
         return True
 
-    def emit_batched(self, ctx) -> bool:
-        lanes = ctx.lane_blocks(self)
-        st = ctx.state(
-            lambda: np.fromiter((b._state for b in lanes), np.int64, ctx.n),
-            "ac")
-        ctx.masked_present(ctx.out(self, "q"), st)
-        upd = guarded_update_batched(
-            ctx, ctx.inp(self, "rst"), ctx.inp(self, "en"),
-            "0",
-            f"({st} + ({ctx.inp(self, 'd')})) & {(1 << self.width) - 1}",
-            st,
-        )
-        if upd:
-            ctx.clock(f"{st} = {upd}")
-        return True
+    emit_batched = emit
 
     def reset(self) -> None:
         super().reset()

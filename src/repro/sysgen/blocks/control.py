@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.resources.types import Resources
-from repro.sysgen.batched import guarded_update_batched, np
 from repro.sysgen.block import (
     IDLE_FOREVER,
     CombBlock,
@@ -11,7 +10,6 @@ from repro.sysgen.block import (
     slices_for_bits,
     wrap,
 )
-from repro.sysgen.compiled import emit_register_horizon, guarded_update
 
 
 class Constant(CombBlock):
@@ -29,20 +27,12 @@ class Constant(CombBlock):
     def emit(self, ctx) -> bool:
         # ``value`` is read per call (not baked into the source) so a
         # rebuilt/loaded model never runs a stale constant.
-        val = ctx.fresh(self, "value", "k")
+        val = ctx.param(self, "value", "kc", live=True)
         ctx.evaluate(f"{ctx.out(self, 'out')} = {val}")
         ctx.busy_if(f"{ctx.out(self, 'out')} != {val}")
         return True
 
-    def emit_batched(self, ctx) -> bool:
-        # per-lane values snapshot at codegen time (``value`` is a
-        # construction parameter untouched by reset/load_state; poking
-        # it after the batch is built is not supported)
-        vals = ctx.bind(
-            np.fromiter((b.value for b in ctx.lane_blocks(self)),
-                        np.int64, ctx.n), "kc")
-        ctx.evaluate(f"{ctx.out(self, 'out')} = {vals}")
-        return True
+    emit_batched = emit
 
     def idle_horizon(self) -> int:
         return IDLE_FOREVER if self.outputs["out"].value == self.value else 0
@@ -57,7 +47,7 @@ class Counter(SeqBlock):
     def __init__(self, name: str, width: int = 16, step: int = 1):
         super().__init__(name)
         self.width = width
-        self.step = step
+        self.step = wrap(step, width)
         self.add_input("en", default=1)
         self.add_input("rst", default=0)
         self.add_output("q", width)
@@ -73,39 +63,15 @@ class Counter(SeqBlock):
             self._state = wrap(self._state + self.step, self.width)
 
     def emit(self, ctx) -> bool:
-        st = ctx.scalar_state(self, "_state")
-        ctx.present(f"{ctx.out(self, 'q')} = {st}")
-        upd = guarded_update(
-            ctx.inp(self, "rst"), ctx.inp(self, "en"),
-            f"{st} = 0",
-            f"{st} = ({st} + {self.step}) & {(1 << self.width) - 1}",
-        )
-        if upd:
-            ctx.clock(upd)
-        emit_register_horizon(
-            ctx, self, "0",
-            f"(({st} + {self.step}) & {(1 << self.width) - 1})", st)
+        st = ctx.state_slot(self, "_state", "cn")
+        step = ctx.param(self, "step", "kn")
+        q = ctx.out(self, "q")
+        ctx.drive(q, st)
+        ctx.update(q, st, ctx.inp(self, "rst"), ctx.inp(self, "en"), "0",
+                   f"({st} + {step}) & {(1 << self.width) - 1}")
         return True
 
-    def emit_batched(self, ctx) -> bool:
-        lanes = ctx.lane_blocks(self)
-        st = ctx.state(
-            lambda: np.fromiter((b._state for b in lanes), np.int64, ctx.n),
-            "cn")
-        # the step increment may vary per lane (a common sweep axis)
-        steps = ctx.bind(
-            np.fromiter((wrap(b.step, self.width) for b in lanes),
-                        np.int64, ctx.n), "kn")
-        ctx.masked_present(ctx.out(self, "q"), st)
-        upd = guarded_update_batched(
-            ctx, ctx.inp(self, "rst"), ctx.inp(self, "en"),
-            "0",
-            f"({st} + {steps}) & {(1 << self.width) - 1}",
-            st,
-        )
-        if upd:
-            ctx.clock(f"{st} = {upd}")
-        return True
+    emit_batched = emit
 
     def reset(self) -> None:
         super().reset()

@@ -202,7 +202,7 @@ class FSLWrite(SeqBlock):
         clit = ctx.lit(control)
         ctrl = (repr(bool(clit & 1)) if clit is not None
                 else f"bool(({control}) & 1)")
-        drop = ctx.scalar_state(self, "dropped")
+        drop = ctx.state_slot(self, "dropped")
         te = ctx.bind(TelemetryEvent, "TE")
         bf = ctx.bind(BLOCK_FIRE, "BF")
         ok = ctx.tmp()

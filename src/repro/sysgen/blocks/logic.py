@@ -127,23 +127,11 @@ class Relational(CombBlock):
             a = f"(({ctx.inp(self, 'a')}) & {m})"
             b = f"(({ctx.inp(self, 'b')}) & {m})"
         sym = _REL_SYMS[self.op]
-        ctx.evaluate(f"{ctx.out(self, 'out')} = 1 if {a} {sym} {b} else 0")
+        ctx.evaluate(
+            f"{ctx.out(self, 'out')} = {ctx.as_int(f'{a} {sym} {b}')}")
         return True
 
-    def emit_batched(self, ctx) -> bool:
-        if all(p.source is None for p in self.inputs.values()):
-            return False  # both constant: result would be a scalar
-        if self.signed:
-            a = signed_expr(ctx.inp(self, "a"), self.width)
-            b = signed_expr(ctx.inp(self, "b"), self.width)
-        else:
-            m = (1 << self.width) - 1
-            a = f"(({ctx.inp(self, 'a')}) & {m})"
-            b = f"(({ctx.inp(self, 'b')}) & {m})"
-        sym = _REL_SYMS[self.op]
-        ctx.evaluate(
-            f"{ctx.out(self, 'out')} = ({a} {sym} {b}).astype(np.int64)")
-        return True
+    emit_batched = emit
 
     def resources(self) -> Resources:
         return Resources(slices=slices_for_bits(self.width))
@@ -193,12 +181,7 @@ class Logical(CombBlock):
         ctx.evaluate(f"{ctx.out(self, 'out')} = ({expr}) & {m}")
         return True
 
-    def emit_batched(self, ctx) -> bool:
-        # the scalar source is pure bitwise arithmetic — elementwise
-        # safe on (N,) int64 arrays as long as one operand is an array
-        if all(p.source is None for p in self.inputs.values()):
-            return False
-        return self.emit(ctx)
+    emit_batched = emit
 
     def resources(self) -> Resources:
         return Resources(slices=slices_for_bits(self.width) * (self.n - 1))
@@ -223,10 +206,7 @@ class Inverter(CombBlock):
         )
         return True
 
-    def emit_batched(self, ctx) -> bool:
-        if self.inputs["a"].source is None:
-            return False
-        return self.emit(ctx)
+    emit_batched = emit
 
     def resources(self) -> Resources:
         return Resources(slices=slices_for_bits(self.width))
@@ -264,10 +244,7 @@ class Slice(CombBlock):
         ctx.evaluate(f"{ctx.out(self, 'out')} = ({shifted}) & {m}")
         return True
 
-    def emit_batched(self, ctx) -> bool:
-        if self.inputs["a"].source is None:
-            return False
-        return self.emit(ctx)
+    emit_batched = emit
 
     def resources(self) -> Resources:
         return Resources()  # pure wiring
@@ -301,10 +278,7 @@ class Concat(CombBlock):
         ctx.evaluate(f"{ctx.out(self, 'out')} = {' | '.join(parts)}")
         return True
 
-    def emit_batched(self, ctx) -> bool:
-        if all(p.source is None for p in self.inputs.values()):
-            return False
-        return self.emit(ctx)
+    emit_batched = emit
 
     def resources(self) -> Resources:
         return Resources()  # pure wiring

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.resources.types import Resources
-from repro.sysgen.batched import guarded_update_batched, np
+from repro.sysgen.batched import np
 from repro.sysgen.block import (
     IDLE_FOREVER,
     CombBlock,
@@ -13,7 +13,6 @@ from repro.sysgen.block import (
     slices_for_bits,
     wrap,
 )
-from repro.sysgen.compiled import emit_register_horizon, guarded_update
 
 
 class Register(SeqBlock):
@@ -39,38 +38,15 @@ class Register(SeqBlock):
             self._state = wrap(self.in_value("d"), self.width)
 
     def emit(self, ctx) -> bool:
-        st = ctx.scalar_state(self, "_state")
-        ctx.present(f"{ctx.out(self, 'q')} = {st}")
-        upd = guarded_update(
-            ctx.inp(self, "rst"), ctx.inp(self, "en"),
-            f"{st} = {self.init}",
-            f"{st} = ({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}",
-        )
-        if upd:
-            ctx.clock(upd)
-        emit_register_horizon(
-            ctx, self, repr(self.init),
-            f"(({ctx.inp(self, 'd')}) & {(1 << self.width) - 1})", st)
+        st = ctx.state_slot(self, "_state", "rg")
+        init = ctx.param(self, "init", "kr")
+        q = ctx.out(self, "q")
+        ctx.drive(q, st)
+        ctx.update(q, st, ctx.inp(self, "rst"), ctx.inp(self, "en"), init,
+                   f"({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}")
         return True
 
-    def emit_batched(self, ctx) -> bool:
-        lanes = ctx.lane_blocks(self)
-        st = ctx.state(
-            lambda: np.fromiter((b._state for b in lanes), np.int64, ctx.n),
-            "rg")
-        # reset values may vary per lane (a common sweep axis)
-        inits = ctx.bind(
-            np.fromiter((b.init for b in lanes), np.int64, ctx.n), "kr")
-        ctx.masked_present(ctx.out(self, "q"), st)
-        upd = guarded_update_batched(
-            ctx, ctx.inp(self, "rst"), ctx.inp(self, "en"),
-            inits,
-            f"({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}",
-            st,
-        )
-        if upd:
-            ctx.clock(f"{st} = {upd}")
-        return True
+    emit_batched = emit
 
     def reset(self) -> None:
         super().reset()
@@ -123,7 +99,7 @@ class Delay(SeqBlock):
         app = ctx.tmp()
         ctx.entry(f"{pop} = {line}.popleft")
         ctx.entry(f"{app} = {line}.append")
-        ctx.present(f"{ctx.out(self, 'q')} = {line}[0]")
+        ctx.drive(ctx.out(self, "q"), f"{line}[0]")
         ctx.clock(f"{pop}()")
         ctx.clock(
             f"{app}(({ctx.inp(self, 'd')}) & {(1 << self.width) - 1})"
@@ -142,7 +118,7 @@ class Delay(SeqBlock):
         line = ctx.state(
             lambda: np.array([list(b._line) for b in lanes], dtype=np.int64),
             "dl")
-        ctx.masked_present(ctx.out(self, "q"), f"{line}[:, 0]")
+        ctx.drive(ctx.out(self, "q"), f"{line}[:, 0]")
         d = ctx.as_array(
             f"({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}")
         t = ctx.tmp()
@@ -215,13 +191,11 @@ class FIFO(SeqBlock):
 
     def emit(self, ctx) -> bool:
         fifo = ctx.fresh(self, "_fifo", "fq")
-        ctx.present(f"{ctx.out(self, 'dout')} = {fifo}[0] if {fifo} else 0")
-        ctx.present(f"{ctx.out(self, 'empty')} = 0 if {fifo} else 1")
-        ctx.present(
-            f"{ctx.out(self, 'full')} = "
-            f"1 if len({fifo}) >= {self.depth} else 0"
-        )
-        ctx.present(f"{ctx.out(self, 'count')} = len({fifo})")
+        ctx.drive(ctx.out(self, "dout"), f"{fifo}[0] if {fifo} else 0")
+        ctx.drive(ctx.out(self, "empty"), f"0 if {fifo} else 1")
+        ctx.drive(ctx.out(self, "full"),
+                  f"1 if len({fifo}) >= {self.depth} else 0")
+        ctx.drive(ctx.out(self, "count"), f"len({fifo})")
         pop = ctx.inp(self, "pop")
         plit = ctx.lit(pop)
         if plit is None:
@@ -274,14 +248,12 @@ class FIFO(SeqBlock):
             lambda: np.fromiter((len(b._fifo) for b in lanes),
                                 np.int64, n), "fc")
         ar = ctx.arange
-        ctx.masked_present(
+        ctx.drive(
             ctx.out(self, "dout"),
             f"np.where({cnt} > 0, {store}[{ar}, {head}], 0)")
-        ctx.masked_present(
-            ctx.out(self, "empty"), f"({cnt} == 0).astype(np.int64)")
-        ctx.masked_present(
-            ctx.out(self, "full"), f"({cnt} >= {depth}).astype(np.int64)")
-        ctx.masked_present(ctx.out(self, "count"), cnt)
+        ctx.drive(ctx.out(self, "empty"), ctx.as_int(f"{cnt} == 0"))
+        ctx.drive(ctx.out(self, "full"), ctx.as_int(f"{cnt} >= {depth}"))
+        ctx.drive(ctx.out(self, "count"), cnt)
         act = ctx.act
         popf = ctx.flag(ctx.inp(self, "pop"))
         pushf = ctx.flag(ctx.inp(self, "push"))
@@ -370,8 +342,6 @@ class ROM(CombBlock):
 
     def emit_batched(self, ctx) -> bool:
         addr = ctx.inp(self, "addr")
-        if ctx.lit(addr) is not None:
-            return False  # constant address: keep per-lane dispatch
         lanes = ctx.lane_blocks(self)
         length = len(self.contents)
         # contents snapshot at codegen time (the table is a
@@ -418,9 +388,9 @@ class RAM(SeqBlock):
         self._read_reg = self._mem[addr]
 
     def emit(self, ctx) -> bool:
-        rreg = ctx.scalar_state(self, "_read_reg")
+        rreg = ctx.state_slot(self, "_read_reg")
         mem = ctx.fresh(self, "_mem", "mem")
-        ctx.present(f"{ctx.out(self, 'dout')} = {rreg}")
+        ctx.drive(ctx.out(self, "dout"), rreg)
         t = ctx.tmp()
         ctx.clock(f"{t} = ({ctx.inp(self, 'addr')}) % {self.depth}")
         we = ctx.inp(self, "we")
@@ -443,13 +413,10 @@ class RAM(SeqBlock):
 
     def emit_batched(self, ctx) -> bool:
         lanes = ctx.lane_blocks(self)
-        n = ctx.n
         mem = ctx.state(
             lambda: np.array([b._mem for b in lanes], dtype=np.int64), "rm")
-        rreg = ctx.state(
-            lambda: np.fromiter((b._read_reg for b in lanes), np.int64, n),
-            "rr")
-        ctx.masked_present(ctx.out(self, "dout"), rreg)
+        rreg = ctx.state_slot(self, "_read_reg", "rr")
+        ctx.drive(ctx.out(self, "dout"), rreg)
         act = ctx.act
         t = ctx.tmp()
         addr = ctx.as_array(f"({ctx.inp(self, 'addr')}) % {self.depth}")

@@ -45,13 +45,15 @@ gateway drives, OPB stores, fault injection poking ``port.value``,
 
 The lockstep batched engine (:mod:`repro.sysgen.batched`) generates
 its vector schedule with the same machinery: its context subclasses
-:class:`EmitContext`, :func:`function_frame` builds every generated
-step and settle function of both engines, and :func:`exec_generated`
-is the one compile site.  It compiles each distinct generated source
-once per process: code objects are cached by content (filename and
-source text), so a rebuilt model -- a campaign's baseline, each lockstep
-batch, every scalar replay -- reuses the compiled code and only runs it
-to bind fresh functions to its own objects.
+:class:`EmitContext` and renders the same verbs as masked numpy (so a
+block written with them has one ``emit`` for both engines),
+:func:`function_frame` builds every generated step and settle function
+of both engines, and :func:`exec_generated` is the one compile site.
+It compiles each distinct generated source once per process: code
+objects are cached by content (filename and source text), so a rebuilt
+model -- a campaign's baseline, each lockstep batch, every scalar
+replay -- reuses the compiled code and only runs it to bind fresh
+functions to its own objects.
 
 Select ``engine="interpreter"`` (``model.set_engine``,
 ``CoSimulation(engine=...)`` or :func:`repro.runapi.engine_scope`) to
@@ -114,12 +116,20 @@ class EmitContext:
     * :meth:`bind` — closure name for an arbitrary python object
     * :meth:`fresh` — per-call rebound attribute (collections that
       ``reset``/``load_state`` may replace)
-    * :meth:`scalar_state` — cached scalar attribute with write-back
     * :meth:`tmp` — fresh temporary name
 
-    The batched engine's
-    :class:`~repro.sysgen.batched.BatchEmitContext` inherits all of
-    these and adds the vector helpers.
+    Rendering verbs — scalar python here; the batched engine's
+    :class:`~repro.sysgen.batched.BatchEmitContext` overrides each once
+    with masked numpy over ``(N,)`` lane arrays, so an ``emit`` written
+    with only these, the value helpers and elementwise arithmetic
+    serves both schedules:
+
+    * :meth:`state_slot` — block state cached in a local (lane array)
+    * :meth:`param` — construction parameter: literal or per-call load
+      (lane vector)
+    * :meth:`drive` — sequential output drive (masked)
+    * :meth:`update` — guarded register update and its horizon check
+    * :meth:`select` / :meth:`as_int` — masked two-way select, 0/1 flag
     """
 
     def __init__(self, model: "Model"):
@@ -206,14 +216,6 @@ class EmitContext:
         self.entry(f"{name} = {self.bind(obj)}.{attr}")
         return name
 
-    def scalar_state(self, obj: object, attr: str) -> str:
-        """A scalar attribute cached in a local for the whole call:
-        loaded at entry, written back in the exit ``finally``."""
-        name = self._fresh_name("_s")
-        ref = f"{self.bind(obj)}.{attr}"
-        self.entry(f"{name} = {ref}")
-        self.exit(f"{ref} = {name}")
-        return name
 
     # -- ports ----------------------------------------------------------
     def port_var(self, port: "OutputPort") -> str:
@@ -244,6 +246,77 @@ class EmitContext:
         except ValueError:
             return None
 
+    # -- rendering verbs -------------------------------------------------
+    def state_slot(self, block: "Block", attr: str, hint: str = "st") -> str:
+        """The int attribute ``block.attr`` cached in a local for the
+        whole call: loaded at entry, written back in the exit
+        ``finally``.  (``hint`` names the lane array of the batched
+        rendering; the scalar local is always ``_sN``.)"""
+        name = self._fresh_name("_s")
+        ref = f"{self.bind(block)}.{attr}"
+        self.entry(f"{name} = {ref}")
+        self.exit(f"{ref} = {name}")
+        return name
+
+    def param(self, block: "Block", attr: str, hint: str,
+              live: bool = False) -> str:
+        """Construction parameter ``block.attr`` (an int): its literal,
+        or with ``live`` a local re-read at every call entry, so a
+        rebuilt or reloaded model never runs a stale value.  (``hint``
+        names the lane vector of the batched rendering.)"""
+        if live:
+            return self.fresh(block, attr, "k")
+        return repr(getattr(block, attr))
+
+    def drive(self, out: str, expr: str) -> None:
+        """Sequential output drive ``out = expr`` at the start of the
+        cycle."""
+        self.present(f"{out} = {expr}")
+
+    def update(self, q: str, state: str, rst: str, en: str,
+               rst_val: str, en_val: str) -> None:
+        """The registered update at the clock edge::
+
+            if rst & 1: state = rst_val
+            elif en & 1: state = en_val
+
+        with branches pruned when a guard is a literal (an unconnected
+        ``en``/``rst`` input folded to its default), plus its horizon
+        check: busy unless the state stored at the next edge equals the
+        current one and output ``q`` already presents it."""
+        rlit, elit = self.lit(rst), self.lit(en)
+        on_rst, on_en = f"{state} = {rst_val}", f"{state} = {en_val}"
+        if rlit is None:
+            tail = (f"\nelif {en} & 1: {on_en}" if elit is None
+                    else f"\nelse: {on_en}" if elit & 1 else "")
+            self.clock(f"if {rst} & 1: {on_rst}{tail}")
+        elif rlit & 1:
+            self.clock(on_rst)
+        elif elit is None:
+            self.clock(f"if {en} & 1: {on_en}")
+        elif elit & 1:
+            self.clock(on_en)
+        if elit is None:
+            nxt = f"(({en_val}) if ({en}) & 1 else {state})"
+        else:
+            nxt = f"({en_val})" if elit & 1 else state
+        if rlit is None:
+            nxt = f"({rst_val} if ({rst}) & 1 else {nxt})"
+        elif rlit & 1:
+            nxt = rst_val
+        if nxt == state:
+            self.busy_if(f"{q} != {state}")
+        else:
+            self.busy_if(f"{nxt} != {state}", f"{q} != {state}")
+
+    def select(self, cond: str, a: str, b: str, mask: int) -> str:
+        """``a`` where ``cond`` holds, else ``b``, masked to ``mask``."""
+        return f"({a} if {cond} else {b}) & {mask}"
+
+    def as_int(self, cond: str) -> str:
+        """The condition ``cond`` as an int: 1 when it holds, else 0."""
+        return f"1 if {cond} else 0"
+
     # -- fallback support ------------------------------------------------
     def flush_inputs(self, block: "Block", sink: Callable[[str], None]) -> None:
         """Write the source-port locals feeding ``block`` back to their
@@ -269,55 +342,6 @@ def signed_expr(expr: str, width: int) -> str:
     m = (1 << width) - 1
     sb = 1 << (width - 1)
     return f"((({expr}) & {m}) - ((({expr}) & {sb}) << 1))"
-
-
-def guarded_update(rst: str, en: str, rst_stmt: str, en_stmt: str) -> str | None:
-    """Source for the standard registered-update pattern::
-
-        if rst & 1: <rst_stmt>
-        elif en & 1: <en_stmt>
-
-    with branches pruned when a guard is a literal (an unconnected
-    ``en``/``rst`` input folded to its default).  Returns None when the
-    whole update is dead (rst=0, en=0)."""
-    rlit = EmitContext.lit(rst)
-    elit = EmitContext.lit(en)
-    if rlit is not None:
-        if rlit & 1:
-            return rst_stmt
-        if elit is not None:
-            return en_stmt if elit & 1 else None
-        return f"if {en} & 1: {en_stmt}"
-    if elit is not None:
-        if elit & 1:
-            return f"if {rst} & 1: {rst_stmt}\nelse: {en_stmt}"
-        return f"if {rst} & 1: {rst_stmt}"
-    return f"if {rst} & 1: {rst_stmt}\nelif {en} & 1: {en_stmt}"
-
-
-def emit_register_horizon(ctx: EmitContext, block: "Block", rst_val: str,
-                          en_val: str, state: str) -> None:
-    """Horizon check shared by the registered-update blocks (Register,
-    Counter, Accumulator): busy unless the state the
-    :func:`guarded_update` pattern would store at the next edge equals
-    the current one and output ``q`` already presents it.  Literal
-    ``rst``/``en`` guards are pruned as in :func:`guarded_update`."""
-    rst, en = ctx.inp(block, "rst"), ctx.inp(block, "en")
-    elit = ctx.lit(en)
-    if elit is None:
-        nxt = f"({en_val} if ({en}) & 1 else {state})"
-    else:
-        nxt = en_val if elit & 1 else state
-    rlit = ctx.lit(rst)
-    if rlit is None:
-        nxt = f"({rst_val} if ({rst}) & 1 else {nxt})"
-    elif rlit & 1:
-        nxt = rst_val
-    q = ctx.out(block, "q")
-    if nxt == state:
-        ctx.busy_if(f"{q} != {state}")
-    else:
-        ctx.busy_if(f"{nxt} != {state}", f"{q} != {state}")
 
 
 def _emit_fallback(ctx: EmitContext, block: "Block") -> None:

@@ -7,6 +7,7 @@ must match bit for bit — including after lane deactivation and reset.
 """
 
 import builtins
+import hashlib
 import shutil
 
 import pytest
@@ -28,6 +29,7 @@ from repro.sysgen.blocks.control import Constant, Counter
 from repro.sysgen.blocks.logic import Concat, Inverter, Logical, Mux, Relational, Slice
 from repro.sysgen.blocks.memory import FIFO, RAM, ROM, Delay, Register
 from repro.sysgen.model import Model
+from tests.folded import FOLDED_FALLBACK, build_folded
 
 
 class Scrambler(SeqBlock):
@@ -138,11 +140,11 @@ PARAMS = [
 ]
 
 
-def scalar_runs(cycles: int):
+def scalar_runs(cycles: int, build=build_sink, params=PARAMS):
     """Per-cycle scalar (compiled-engine) reference traces."""
     runs = []
-    for p in PARAMS:
-        m = build_sink(**p)
+    for p in params:
+        m = build(**p)
         m.step(cycles)
         runs.append(m)
     return runs
@@ -162,24 +164,28 @@ def assert_lanes_match(batched, refs, cycles_per_lane=None):
 
 def test_lockstep_matches_scalar():
     cycles = 200
-    refs = scalar_runs(cycles)
-    batch = BatchedModel([build_sink(**p) for p in PARAMS])
-    assert batch.fallback_blocks == ["scr"]
-    batch.step(cycles)
-    assert batch.cycle == cycles
-    assert_lanes_match(batch, refs)
-    # port arrays match the scalar ports too
-    for lane, ref in enumerate(refs):
-        for block in ref.blocks:
-            for port in block.outputs.values():
-                got = int(batch.peek(block.name, port.name)[lane])
-                assert got == port.value, (
-                    f"lane {lane} port {block.name}.{port.name}: "
-                    f"{got} != {port.value}"
-                )
-    # probe samples are plain ints (JSON-safe), not numpy scalars
-    sample = batch.models[0].probes[0].samples[5]
-    assert type(sample) is int
+    # a negative counter step wraps to the same pattern in both engines
+    params = PARAMS + [{"value": 9, "step": -1, "init": 3}]
+    for build, fallback in ((build_sink, ["scr"]),
+                            (build_folded, FOLDED_FALLBACK)):
+        refs = scalar_runs(cycles, build, params)
+        batch = BatchedModel([build(**p) for p in params])
+        assert batch.fallback_blocks == fallback
+        batch.step(cycles)
+        assert batch.cycle == cycles
+        assert_lanes_match(batch, refs)
+        # port arrays match the scalar ports too
+        for lane, ref in enumerate(refs):
+            for block in ref.blocks:
+                for port in block.outputs.values():
+                    got = int(batch.peek(block.name, port.name)[lane])
+                    assert got == port.value, (
+                        f"{build.__name__} lane {lane} port "
+                        f"{block.name}.{port.name}: {got} != {port.value}"
+                    )
+        # probe samples are plain ints (JSON-safe), not numpy scalars
+        sample = batch.models[0].probes[0].samples[5]
+        assert type(sample) is int
 
 
 def test_lane_masking_freezes_deactivated_lanes():
@@ -351,14 +357,51 @@ def _matmul(block: int) -> Model:
     return build_matmul_model(block)[0]
 
 
-@pytest.mark.parametrize("build,param", [
-    (_cordic, 2), (_cordic, 4), (_cordic, 8), (_matmul, 2), (_matmul, 4),
-])
+#: sha256 of the generated scalar (``sysgen-compiled``), numpy
+#: (``sysgen-batched``) and C-driver (``sysgen-batched-c``) sources of
+#: each design.  A pinned hash may change only together with a line in
+#: CHANGES.md stating why that generated source had to change.
+PINNED_SOURCES = {
+    (_cordic, 2): {
+        "sysgen-compiled": "27dc4d8ace25bedf953e7d2eca208f515452d57d27643a49c3752c74768ec763",
+        "sysgen-batched": "7dcfa58243b9aa26862708ba06064f79bcde2ed754de4fa8b80a6b0313574965",
+        "sysgen-batched-c": "fd415c656aa1143df2ae9cc16a7d7421d8cf1df71f2b4e40ba27b986621a250a",
+    },
+    (_cordic, 4): {
+        "sysgen-compiled": "6c4a3cb87750cbf4541f5a0cbc9efffcf0ce6789703808287589d175630476e4",
+        "sysgen-batched": "1af95fbdda1b06c851c5b117aba6f17e0dffda49490cf1676e8c890568023887",
+        "sysgen-batched-c": "8ff542bdd4c67a4796189f8e39960718a744006428e012cf5da4aef2356b4d32",
+    },
+    (_cordic, 8): {
+        "sysgen-compiled": "765f8385c6026bc795a589d319364709ea1027918b2091a087cfd157fc727c13",
+        "sysgen-batched": "460b03c8f237af74272e75339c974cd76e3c23c7928ecb4fb852deac2e662607",
+        "sysgen-batched-c": "1ec146d1ca6ca00db1213f8280f2a793cac61a4053ac4d6491f7ebe44f012d4a",
+    },
+    (_matmul, 2): {
+        "sysgen-compiled": "3d8d333a5ec2e4e2a67d193931bac63ea1b685e7e04c1a817951f9eb40bdda8d",
+        "sysgen-batched": "52b7c2db21c24745e22ae4599a0aa8475140d6353cd7953adf63ba3f3f86e8bc",
+        "sysgen-batched-c": "ac344bfa559569e412881eded6352288a581a8f459256ed403f35a0578c0be46",
+    },
+    (_matmul, 4): {
+        "sysgen-compiled": "39b6814bf80564a0863600780140af731d78a2a50d6929e917c53c469334f1e8",
+        "sysgen-batched": "90e2f0b2fd0d20e02a181f0e2c56888dd0ca5e8ab02cb2aa2d052b81cce6029d",
+        "sysgen-batched-c": "8043f7109328282c2208cb3e077495f1c5c26ed4b94fb25f7fd6062dd554e730",
+    },
+}
+
+
+@pytest.mark.parametrize("build,param", list(PINNED_SOURCES))
 def test_generated_source_is_deterministic(monkeypatch, build, param):
     """Two builds of one design from fresh hardware emit byte-identical
     scalar, numpy and C-driver sources, so the second build compiles
     nothing.  An emitter that embeds an ``id()`` or iterates a set
-    would silently defeat the code cache."""
+    would silently defeat the code cache.
+
+    Each recorded source also matches its hash in
+    :data:`PINNED_SOURCES` (the C driver only when the C kernel was
+    built), so an emitter refactor that changes what any design
+    generates fails here; a pinned hash may change only with a stated
+    reason in CHANGES.md.  Only the FSL endpoints fall back per lane."""
     sources: list[tuple[str, str]] = []
     compiles: list[str] = []
     real_compile = builtins.compile
@@ -391,3 +434,10 @@ def test_generated_source_is_deterministic(monkeypatch, build, param):
         assert "<sysgen-batched-c" in kinds
     assert second == first
     assert compiles == []
+    pins = PINNED_SOURCES[(build, param)]
+    for filename, source in first:
+        kind = filename.partition(":")[0].lstrip("<")
+        digest = hashlib.sha256(source.encode()).hexdigest()
+        assert digest == pins[kind], f"{filename} changed"
+    assert (BatchedModel([build(param), build(param)]).fallback_blocks
+            == ["fsl_out0", "fsl_in0"])

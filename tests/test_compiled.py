@@ -46,6 +46,7 @@ from repro.sysgen.blocks import (
     Sub,
 )
 from repro.sysgen.compiled import CompileError
+from tests.folded import build_folded
 
 
 def build_zoo():
@@ -199,6 +200,14 @@ def test_compiled_source_is_inspectable():
 # ----------------------------------------------------------------------
 def test_engines_bit_identical():
     assert _run_zoo(False, 300) == _run_zoo(True, 300)
+    # literal-folded guards and selects (see tests/folded.py)
+    runs = []
+    for engine in ("compiled", "interpreter"):
+        m = build_folded(value=40000, step=-1, init=7)
+        m.set_engine(engine)
+        m.step(200)
+        runs.append((m.state_dict(), [p.samples for p in m.probes]))
+    assert runs[0] == runs[1]
 
 
 def test_step_batching_matches_per_cycle():

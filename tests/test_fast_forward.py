@@ -403,6 +403,9 @@ def test_compiled_horizon_matches_walk_on_applications(case):
         design.program, design.model, design.mb, design.cpu_config)
     assert result.exit_code == 0
     assert seen[0] > 0 and seen[IDLE_FOREVER] > 0
+    # every block's horizon is trusted inline: an emit moved away from
+    # the class defining idle_horizon would splice per-block calls here
+    assert ".idle_horizon()" not in design.model.compiled_source
 
 
 @pytest.mark.parametrize("latency", [0, 1, 3, 8])
