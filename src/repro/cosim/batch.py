@@ -22,8 +22,9 @@ Per-cycle output pinning (``stuck_at`` faults) stays in lockstep via
 Idle hardware
 -------------
 The engine has one idle rule, the lockstep twin of the scalar engine's
-fast-forward.  A *probe* snapshots every port and state array before a
-step; when the step changed none of them
+fast-forward, under the same contract: the hardware is skipped only at
+a fixed point, never for a finite countdown.  A *probe* snapshots every
+port and state array before a step; when the step changed none of them
 (:meth:`~repro.sysgen.batched.BatchedModel.state_unchanged`) and every
 per-lane fallback block is idle forever, the batch is at a fixed point
 and a *quiet stretch* begins: the CPUs tick alone and the vector clock
@@ -31,8 +32,11 @@ catches up in one :meth:`~repro.sysgen.batched.BatchedModel.fast_forward`
 as soon as any CPU's FSL (or, with OPB-mapped registers, store)
 activity reaches the hardware, which is then stepped through that very
 cycle.  A forced port or :meth:`BatchedCoSimulation.hw_touched` ends
-the stretch too.  A failed probe doubles the wait before the next one
-(up to 512 cycles); arming a stretch resets it.
+the stretch too.  Nothing else rewrites a port array during a stretch
+(only a step, a poke or ``reset`` do), so the arrays the fallback
+blocks drive need no watch of their own.  A failed probe doubles the
+wait before the next one (up to 512 cycles); arming a stretch resets
+it.
 
 Lane eviction
 -------------
@@ -206,7 +210,6 @@ class BatchedCoSimulation:
         self._hw_sig = -1
         self._probe_wait = 0
         self._probe_backoff = 1
-        self._fb_watch: list | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -278,12 +281,6 @@ class BatchedCoSimulation:
                         # per cycle — bulk-advancing stalled windows — and
                         # advance the idle vector clock in a single
                         # fast_forward at the end.
-                        if self._fb_watch is not None and \
-                                not batched.fallback_outputs_unchanged(
-                                    self._fb_watch):
-                            self._quiet = False
-                            self._fb_watch = None
-                            continue
                         ff = 0
                         while done < stride and not stop:
                             horizon = min(
@@ -303,7 +300,6 @@ class BatchedCoSimulation:
                                 # hardware: flush the idle window, then
                                 # really simulate this cycle
                                 self._quiet = False
-                                self._fb_watch = None
                                 self._probe_wait = 0
                                 batched.fast_forward(ff)
                                 ff = 0
@@ -337,7 +333,6 @@ class BatchedCoSimulation:
                             self._quiet = True
                             self._probe_backoff = 1
                             self._hw_sig = hw_activity(cpus, stores_touch_hw)
-                            self._fb_watch = batched.fallback_outputs_image()
                         else:
                             self._probe_backoff = min(
                                 self._probe_backoff * 2, 512)
@@ -430,7 +425,6 @@ class BatchedCoSimulation:
         self.batched.poke_slot(idx, lane, forced)
         clone.value = forced
         self._quiet = False
-        self._fb_watch = None
 
     def hw_touched(self) -> None:
         """Invalidate the quiescence evidence after out-of-band state
@@ -440,7 +434,6 @@ class BatchedCoSimulation:
         self._hw_sig = -1
         self._probe_wait = 0
         self._probe_backoff = 1
-        self._fb_watch = None
 
     def _apply_forcings(self, running: list[int]) -> None:
         """Re-pin forced ports for the coming cycle.  An entry expires

@@ -40,17 +40,19 @@ decouples them there and stays bit-identical with the per-cycle loop:
   ticks until the next tick would do so, the CPU halts, or the
   watchdog boundary or cycle budget is reached, retiring instruction
   latency in bulk.  The models then catch up by the same number of
-  cycles in one call: ``fast_forward`` while
-  :meth:`~repro.sysgen.model.Model.idle_horizon` allows, else the
-  n-cycle ``Model.step(k)`` with ``k`` doubling from one and idleness
-  re-checked between chunks.  Several models step together, one cycle
-  at a time in list order.
+  cycles: the n-cycle ``Model.step(k)`` with ``k`` doubling from one
+  and idleness re-checked between chunks, and one ``fast_forward`` of
+  the whole remainder once every model is at a fixed point.  Several
+  models step together, one cycle at a time in list order.
 * **Joint skips.**  When every running CPU is blocked on an FSL access
   (or, on the lockstep path, occupied by a multi-cycle instruction) and
-  every model is quiescent, all clocks advance by the minimum of
-  ``cpu.advance_horizon()`` and ``model.idle_horizon()`` at once; while
-  the hardware stays quiescent, per-cycle CPU execution skips the
-  (then no-op) ``model.step()``.
+  every model is at a fixed point
+  (:meth:`~repro.sysgen.model.Model.idle_horizon` is ``IDLE_FOREVER``),
+  all clocks advance at once by the smallest
+  ``cpu.advance_horizon()``, cut at the next watchdog boundary and the
+  cycle budget; while the hardware stays idle, per-cycle CPU execution
+  skips the (then no-op) ``model.step()``.  A model that is not at a
+  fixed point is stepped: there is no finite idle countdown to replay.
 * **Lockstep.**  A blocked CPU with busy hardware, several running
   CPUs, and every run with an event bus attached (a telemetry bus, or
   the private bus an :class:`~repro.cosim.trace.FSLTrace` puts on the
@@ -108,6 +110,7 @@ from repro.runapi.engine import (
     EngineError,
     current_engine,
 )
+from repro.sysgen.block import IDLE_FOREVER
 from repro.sysgen.model import Model
 from repro.telemetry import Telemetry, current_telemetry
 from repro.telemetry.events import (
@@ -410,18 +413,11 @@ class LockstepKernel:
                                 - cycles, stores_touch_hw)
                 hw_idle = False
             elif fast:
+                if not hw_idle and _hw_idle(models):
+                    hw_idle = True
+                    activity = hw_activity(cpus, stores_touch_hw)
                 if hw_idle:
-                    hw_horizon = ADVANCE_FOREVER
-                else:
-                    # IDLE_FOREVER and ADVANCE_FOREVER share a value, so
-                    # one min covers both finite and unbounded horizons.
-                    hw_horizon = _hw_horizon(models)
-                    if hw_horizon >= ADVANCE_FOREVER:
-                        hw_idle = True
-                        activity = hw_activity(cpus, stores_touch_hw)
-                if hw_horizon > 0:
-                    skip = min(hw_horizon, next_check - cycles,
-                               max_cycles - cycles)
+                    skip = min(next_check, max_cycles) - cycles
                     for cpu in active:
                         h = cpu.advance_horizon()
                         if h < skip:
@@ -492,30 +488,28 @@ class LockstepKernel:
         return n
 
     def _catch_up(self, n: int) -> None:
-        """Advance every model ``n`` cycles: fast-forward while they are
-        quiescent, else step in chunks that double from one cycle,
-        re-checking quiescence between chunks (the hardware often goes
-        idle mid-burst).  Several models step together, one cycle at a
-        time in list order, so wiring between them stays exact."""
+        """Advance every model ``n`` cycles: step in chunks that double
+        from one cycle, re-checking idleness between chunks (the
+        hardware often goes idle mid-burst), and fast-forward the whole
+        remainder once every model is at a fixed point.  Several models
+        step together, one cycle at a time in list order, so wiring
+        between them stays exact."""
         models = self._models
         single = models[0] if len(models) == 1 else None
         chunk = 1
         while n > 0:
-            horizon = _hw_horizon(models)
-            if horizon > 0:
-                k = min(horizon, n)
+            if _hw_idle(models):
                 for m in models:
-                    m.fast_forward(k)
-                chunk = 1
+                    m.fast_forward(n)
+                return
+            k = min(chunk, n)
+            if single is not None:
+                single.step(k)
             else:
-                k = min(chunk, n)
-                if single is not None:
-                    single.step(k)
-                else:
-                    for _ in range(k):
-                        for m in models:
-                            m.step()
-                chunk *= 2
+                for _ in range(k):
+                    for m in models:
+                        m.step()
+            chunk *= 2
             n -= k
 
     def _watchdog(self, cycles: int, window: int, active: list[CPU],
@@ -634,16 +628,12 @@ def hw_activity(cpus: list[CPU], stores_touch_hw: bool) -> int:
     return total
 
 
-def _hw_horizon(models: list[Model]) -> int:
-    """Cycles every model can skip right now (the minimum horizon)."""
-    horizon = ADVANCE_FOREVER
+def _hw_idle(models: list[Model]) -> bool:
+    """True when every model is at a fixed point."""
     for m in models:
-        h = m.idle_horizon()
-        if h <= 0:
-            return 0
-        if h < horizon:
-            horizon = h
-    return horizon
+        if m.idle_horizon() < IDLE_FOREVER:
+            return False
+    return True
 
 
 def _io_counters(cpu: CPU, memory: bool) -> tuple[int, ...]:

@@ -806,13 +806,9 @@ def _run_trial_batch(
                 pass
         elif evicted == "deadlock watchdog" and injector.window is None:
             # Same absolute boundary, same retire history, no forcing
-            # in flight: synthesize the scalar watchdog's exact
-            # diagnostic in lane instead of paying a replay.
-            msg = (
-                f"no instruction retired in {config.deadlock_window} "
-                f"cycles at pc={cpu.pc:#010x}; FSL occupancies: "
-                f"{lane_sim.mb_block.channel_occupancies()}"
-            )
+            # in flight: the lane's own scalar watchdog message is the
+            # exact diagnostic, so no replay is needed.
+            msg = lane_sim._deadlock_message(config.deadlock_window)
             if prefix:
                 # scalar run_trial raises during the fault-free prefix
                 # — the sweep wrapper's crash-filler record

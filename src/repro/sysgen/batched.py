@@ -63,6 +63,7 @@ except ImportError:  # pragma: no cover - baked into the toolchain image
 
 from repro.sysgen.block import IDLE_FOREVER
 from repro.sysgen.compiled import (
+    _NAME,
     CompileError,
     EmitContext,
     exec_generated,
@@ -284,9 +285,11 @@ def _unmask(line: str) -> str:
     array name, because the masked form produced a fresh array and
     later in-place writes — fallback reloads, 2-D state stores — must
     not leak through an alias), ``_act & F`` is ``F``, and a bare
-    ``_act`` is the bound all-true array.  Purely textual: the masked
-    and unmasked variants come from the same emitted source, so they
-    cannot diverge behaviourally.
+    ``_act`` is the bound all-true array.  An ``np.where`` whose true
+    arm names no variable (a register fed only by literals) stays, over
+    the all-true array: the literal alone is a python int, not a lane
+    array.  Purely textual: the masked and unmasked variants come from
+    the same emitted source, so they cannot diverge behaviourally.
     """
     token = "np.where(_act"
     pos = 0
@@ -318,6 +321,9 @@ def _unmask(line: str) -> str:
         if split is None or end is None:  # pragma: no cover - emitter bug
             raise CompileError(f"unbalanced np.where in generated: {line}")
         a = line[k:split].strip()
+        if not _NAME.search(a):
+            pos = split
+            continue
         repl = f"{a}.copy()" if _BARE_NAME.match(a) else f"({a})"
         line = line[:j] + repl + line[end + 1:]
         pos = 0
@@ -640,50 +646,17 @@ class BatchedModel:
         return True
 
     def fallback_idle_horizon(self, lanes: list[int] | None = None) -> int:
-        """Min ``idle_horizon`` over the fallback blocks of the given
-        lanes (their clone state is live — the generated step dispatches
-        them per lane every cycle, unlike the vectorized blocks)."""
+        """:data:`~repro.sysgen.block.IDLE_FOREVER` when every fallback
+        block of the given lanes is at a fixed point, else 0 (their
+        clone state is live — the generated step dispatches them per
+        lane every cycle, unlike the vectorized blocks)."""
         names = self._schedule.fallback_blocks
-        if not names:
-            return IDLE_FOREVER
-        horizon = IDLE_FOREVER
         for lane in (self._lanes if lanes is None else lanes):
             bm = self._block_maps[lane]
             for name in names:
-                h = bm[name].idle_horizon()
-                if h <= 0:
+                if bm[name].idle_horizon() < IDLE_FOREVER:
                     return 0
-                if h < horizon:
-                    horizon = h
-        return horizon
-
-    def fallback_port_indices(self) -> list[int]:
-        """Port-store indices driven by fallback blocks (the external
-        inputs of the vectorized subgraph, alongside the CPU's FSL
-        traffic)."""
-        got = getattr(self, "_fb_ports", None)
-        if got is None:
-            ctx = self._schedule.ctx
-            got = []
-            for name in self._schedule.fallback_blocks:
-                for port in self.template.block(name).outputs.values():
-                    if id(port) in ctx._port_var:
-                        got.append(ctx._ports.index(port))
-            self._fb_ports = got
-        return got
-
-    def fallback_outputs_image(self) -> list:
-        """Copies of the fallback-driven port arrays — the frozen-input
-        evidence a fast-forward skip re-checks before committing."""
-        store = self._schedule.port_store
-        return [store[k].copy() for k in self.fallback_port_indices()]
-
-    def fallback_outputs_unchanged(self, image) -> bool:
-        store = self._schedule.port_store
-        for k, saved in zip(self.fallback_port_indices(), image):
-            if not np.array_equal(store[k], saved):
-                return False
-        return True
+        return IDLE_FOREVER
 
     def _probe_sources(self) -> list[tuple]:
         """(probe index, port-store index | None, clone ports) per
@@ -711,9 +684,8 @@ class BatchedModel:
         external input changed during the ``cycles`` skipped; the
         batched co-simulation's quiet stretch calls it once, when CPU
         activity next reaches the hardware.  Probes record the frozen
-        values so traces stay bit-identical with a per-cycle run; every
-        block in the standard library has strict-fixed-point idleness,
-        so there is no per-block state to catch up."""
+        values so traces stay bit-identical with a per-cycle run; a
+        block at a fixed point has no state to catch up."""
         if cycles <= 0:
             return
         srcs = self._probe_sources()

@@ -112,28 +112,22 @@ class Block:
 
     # -- fast-forward (activity tracking) -----------------------------------
     def idle_horizon(self) -> int:
-        """Cycles this block can safely be *not simulated at all*,
-        assuming its input signals hold their current values.
+        """:data:`IDLE_FOREVER` when the block is at a fixed point,
+        assuming its input signals hold their current values; else 0.
 
+        At a fixed point, re-running present/evaluate/clock would
+        change neither the outputs nor the internal state, so the model
+        may skip any number of cycles without simulating the block.
         Return 0 when the block has (or may have) pending work — any
-        state transition or output change on the next clock edge.
-        Return :data:`IDLE_FOREVER` when the block is at a fixed point.
-        A finite positive value promises the outputs stay constant for
-        that many cycles *and* that :meth:`fast_forward` can replay the
-        skipped internal state evolution.
+        state transition or output change on the next clock edge.  Any
+        value below :data:`IDLE_FOREVER` counts as busy: the block is
+        stepped, never caught up after a skip.
 
         The default is conservative: combinational blocks are pure
         functions of their inputs (idle whenever the rest of the design
         is), sequential blocks must opt in by overriding.
         """
         return 0 if self.sequential else IDLE_FOREVER
-
-    def fast_forward(self, cycles: int) -> None:
-        """Catch internal state up after the model skipped ``cycles``
-        clock cycles.  Only called for the window a prior
-        :meth:`idle_horizon` allowed; blocks whose idle condition is a
-        strict fixed point (everything in the standard library) have
-        nothing to do."""
 
     # -- compiled-schedule code generation -----------------------------------
     def emit(self, ctx) -> bool:

@@ -31,8 +31,9 @@ to their interpreter methods, spliced into the generated function with
 port synchronization around the call, so compiled and interpreted
 execution remain bit-identical for arbitrary block mixes.  Likewise a
 block whose ``idle_horizon`` has no compiled form (it overrides the
-method without emitting a matching check) gets a bound
-``block.idle_horizon()`` call spliced into ``_idle_horizon``.
+method without emitting a matching check) gets a bound call spliced
+into ``_idle_horizon``, ``if block.idle_horizon() < IDLE_FOREVER:
+return 0``: the scan is binary, so a finite horizon counts as busy.
 
 Observable equivalence is the contract: port values, block state,
 probe samples, telemetry events, exception behaviour and the
@@ -470,7 +471,6 @@ def _horizon_body(ctx: EmitContext, model: "Model",
     spliced ``idle_horizon()`` calls run exactly when they would
     there)."""
     body: list[str] = []
-    fallback = False
     for block in model.blocks:
         owner = _defining_class(type(block), "idle_horizon")
         # A method patched onto the instance is always called.  (Probe
@@ -491,12 +491,8 @@ def _horizon_body(ctx: EmitContext, model: "Model",
             # horizon it emitted (possibly nothing: always idle)
             body += ctx._horizon.get(id(block), [])
         else:
-            fallback = True
-            body += [f"_h = {ctx.bind(block)}.idle_horizon()",
-                     "if _h <= 0: return 0",
-                     "if _h < _hz: _hz = _h"]
-    if fallback:
-        return [f"_hz = {IDLE_FOREVER}"] + body + ["return _hz"]
+            body.append(f"if {ctx.bind(block)}.idle_horizon() < "
+                        f"{IDLE_FOREVER}: return 0")
     return body + [f"return {IDLE_FOREVER}"]
 
 

@@ -51,7 +51,6 @@ class Model:
         self.cycle = 0
         self._schedule: list[Block] | None = None
         self._seq: list[Block] = []
-        self._ff_blocks: list[Block] = []
         #: generated-code engine (None = interpreter; see compile())
         self._compiled: CompiledSchedule | None = None
         #: unified engine request; see repro.runapi.engine
@@ -167,10 +166,6 @@ class Model:
                 + " (insert a Register/Delay)"
             )
         self._schedule = order
-        self._ff_blocks = [
-            b for b in self.blocks
-            if type(b).fast_forward is not Block.fast_forward
-        ]
         self._settled = False
         self._codegen()
 
@@ -246,15 +241,16 @@ class Model:
     # Fast-forward (bulk time advance between interface events)
     # ------------------------------------------------------------------
     def idle_horizon(self) -> int:
-        """How many cycles the whole design can skip without simulation.
+        """:data:`~repro.sysgen.block.IDLE_FOREVER` when the whole design
+        sits at a fixed point, else 0.
 
-        Returns 0 unless every block reports a positive
-        :meth:`~repro.sysgen.block.Block.idle_horizon` — i.e. the design
-        is quiescent: no sequential block or FSL endpoint has pending
-        work and every output already holds its settled value.  The
-        co-simulation kernel uses this as the hardware side of the event
-        horizon; :data:`~repro.sysgen.block.IDLE_FOREVER` means "idle
-        until an external input (FSL push/pop, gateway drive) changes".
+        The design is at a fixed point when every block's
+        :meth:`~repro.sysgen.block.Block.idle_horizon` is
+        ``IDLE_FOREVER``: no sequential block or FSL endpoint has
+        pending work and every output already holds its settled value,
+        so the design stays idle until an external input (FSL push/pop,
+        gateway drive, OPB store) changes.  The co-simulation kernel
+        uses this as the hardware side of the event horizon.
 
         A compiled model runs the generated ``_idle_horizon`` (see
         :mod:`repro.sysgen.compiled`); the interpreter walks the blocks.
@@ -263,29 +259,24 @@ class Model:
             return 0
         if self._compiled is not None:
             return self._compiled.idle_horizon()
-        horizon = IDLE_FOREVER
         for block in self.blocks:
-            h = block.idle_horizon()
-            if h <= 0:
+            if block.idle_horizon() < IDLE_FOREVER:
                 return 0
-            if h < horizon:
-                horizon = h
-        return horizon
+        return IDLE_FOREVER
 
     def fast_forward(self, cycles: int) -> None:
         """Advance the clock ``cycles`` cycles without simulating them.
 
-        Caller contract: a preceding :meth:`idle_horizon` returned at
-        least ``cycles`` and no external input changed since.  Probes
-        record the (unchanged) settled values so traces stay
-        bit-identical with a per-cycle run.
+        Caller contract: a preceding :meth:`idle_horizon` returned
+        ``IDLE_FOREVER`` and no external input changed since, so no
+        block has state to catch up.  Probes record the (unchanged)
+        settled values so traces stay bit-identical with a per-cycle
+        run.
         """
         if cycles <= 0:
             return
         for probe in self.probes:
             probe.samples.extend((probe.port.value,) * cycles)
-        for block in self._ff_blocks:
-            block.fast_forward(cycles)
         self.cycle += cycles
 
     def settle(self) -> None:

@@ -22,7 +22,7 @@ from repro.sysgen.batched import (
     lockstep_signature,
 )
 from repro.sysgen.block import SeqBlock
-from repro.sysgen.ckernel import ckernel_enabled
+from repro.sysgen.ckernel import DISABLE_ENV, ckernel_enabled
 from repro.sysgen.compiled import CompileError, exec_generated
 from repro.sysgen.blocks.arith import Accumulator, Add, AddSub, Mult, Negate, Shift
 from repro.sysgen.blocks.control import Constant, Counter
@@ -284,6 +284,33 @@ def test_single_lane_batch():
     batch = BatchedModel([build_sink(**PARAMS[0])])
     batch.step(50)
     assert_lanes_match(batch, [ref])
+
+
+def build_literal_register(init: int = 0) -> Model:
+    """A register with every input unconnected beside a counter: the
+    register's update is a literal on every lane."""
+    m = Model("literal")
+    cnt = m.add(Counter("cnt", width=8))
+    reg = m.add(Register("reg", width=8, init=init))
+    m.probe(cnt.o("q"))
+    m.probe(reg.o("q"))
+    return m
+
+
+def test_literal_fed_register_on_the_all_lanes_path(monkeypatch):
+    # Without the C kernel a step with every lane active runs the
+    # unmasked numpy schedule, where the literal update must still
+    # produce a lane array.
+    monkeypatch.setenv(DISABLE_ENV, "1")
+    params = [{"init": 5}, {"init": 0}, {"init": 200}]
+    refs = scalar_runs(5, build_literal_register, params)
+    batch = BatchedModel([build_literal_register(**p) for p in params])
+    assert batch._schedule.step_c is None
+    batch.step(5)
+    assert_lanes_match(batch, refs)
+    for lane, ref in enumerate(refs):
+        assert int(batch.peek("reg", "q")[lane]) == \
+            ref.block("reg").outputs["q"].value
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.apps.matmul.design import MatmulDesign
 from repro.bus.fsl import FSLChannel
 from repro.bus.opb import OPBBus
 from repro.cosim import CoSimulation, FastForwardError, MicroBlazeBlock
+from repro.cosim.batch import BatchedCoSimulation
 from repro.cosim.checkpoint import checkpoint_to_dict, restore_from_dict
 from repro.cosim.environment import CoSimDeadlock
 from repro.cosim.multicpu import CPUNode, MultiCoSimulation
@@ -912,3 +913,104 @@ def test_burst_fault_on_the_last_cpu_keeps_the_global_clock(engine):
     cycle, state = runs[False]
     assert state["cycle"] == cycle == state["models"][0]["cycle"]
     assert max(lengths) > 1
+
+
+# ----------------------------------------------------------------------
+# The idle contract is binary: IDLE_FOREVER is a fixed point, anything
+# else is busy.  A finite horizon is stepped, never skipped and caught up.
+# ----------------------------------------------------------------------
+class Prescaler(SeqBlock):
+    """User block with a finite idle horizon: an internal count ticks
+    every cycle and output ``q`` advances only when it wraps.  It
+    reports the cycles until ``q`` next changes and defines a
+    ``fast_forward`` catch-up; the kernels must step it instead."""
+
+    horizons: list[int] = []
+    caught_up: list[int] = []
+
+    def __init__(self, name: str, period: int = 8):
+        super().__init__(name)
+        self.period = period
+        self.add_output("q", 8)
+        self._count = 0
+        self._q = 0
+
+    def present(self) -> None:
+        self.outputs["q"].value = self._q
+
+    def clock(self) -> None:
+        self._count = (self._count + 1) % self.period
+        if self._count == 0:
+            self._q = (self._q + 1) & 0xFF
+
+    def reset(self) -> None:
+        super().reset()
+        self._count = self._q = 0
+
+    def extra_state(self) -> dict:
+        return {"count": self._count, "q": self._q}
+
+    def load_extra_state(self, extra: dict) -> None:
+        self._count, self._q = extra["count"], extra["q"]
+
+    def idle_horizon(self) -> int:
+        h = 0 if self.outputs["q"].value != self._q \
+            else self.period - self._count
+        Prescaler.horizons.append(h)
+        return h
+
+    def fast_forward(self, cycles: int) -> None:
+        Prescaler.caught_up.append(cycles)
+        total = self._count + cycles
+        self._count = total % self.period
+        self._q = (self._q + total // self.period) & 0xFF
+
+
+def _prescaled_sim(engine: str, mode: str, period: int = 8) -> CoSimulation:
+    program = build_executable(ECHO_SUM_SRC, CompileOptions())
+    model, mb = doubler_design(extra_latency=1)
+    _attach_interface_probes(model, mb)
+    model.probe(model.add(Prescaler("pre", period)).o("q"))
+    return CoSimulation(program, model, mb, engine=engine,
+                        fast_forward=(mode != "per_cycle"),
+                        verify_fast_forward=(mode == "verify"))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_finite_idle_horizon_is_stepped_not_caught_up(monkeypatch, engine):
+    monkeypatch.setattr(Prescaler, "horizons", [])
+    monkeypatch.setattr(Prescaler, "caught_up", [])
+    surfaces = {}
+    for mode in ("per_cycle", "fast", "verify"):
+        sim = _prescaled_sim(engine, mode)
+        surfaces[mode] = _surface(sim, sim.run())
+    assert surfaces["fast"] == surfaces["per_cycle"]
+    assert surfaces["verify"] == surfaces["per_cycle"]
+    assert surfaces["per_cycle"]["result"]["exit_code"] == 30
+    assert any(0 < h < IDLE_FOREVER for h in Prescaler.horizons)
+    assert Prescaler.caught_up == []
+
+
+def test_finite_idle_horizon_matches_as_a_batched_lane(monkeypatch):
+    monkeypatch.setattr(Prescaler, "horizons", [])
+    monkeypatch.setattr(Prescaler, "caught_up", [])
+    periods = (8, 3)
+    batch = BatchedCoSimulation(
+        [lambda p=p: _prescaled_sim("compiled", "fast", p) for p in periods])
+    assert "pre" in batch.fallback_blocks
+    results = batch.run()
+    for lane, period in enumerate(periods):
+        ref = _prescaled_sim("compiled", "fast", period)
+        expected = ref.run()
+        got = results[lane]
+        assert not got.evicted and got.error is None
+        assert dataclasses.replace(got.result, wall_seconds=0.0) == \
+            dataclasses.replace(expected, wall_seconds=0.0), f"lane {lane}"
+        model = batch.lane(lane).model
+        assert model.cycle == ref.model.cycle
+        assert [p.samples for p in model.probes] == \
+            [p.samples for p in ref.model.probes], f"lane {lane}"
+        assert model.block("pre").state_dict() == \
+            ref.model.block("pre").state_dict()
+    assert any(0 < h < IDLE_FOREVER for h in Prescaler.horizons)
+    assert Prescaler.caught_up == []
