@@ -5,9 +5,13 @@ each with its own program image, FSL channels and telemetry) with ONE
 :class:`~repro.sysgen.batched.BatchedModel` that steps all N hardware
 models as ``(N,)`` numpy arrays.  Per cycle: every running lane's CPU
 ticks, then the vector model advances one clock for the running lanes.
-The FSL interface blocks dispatch per lane onto the real channel
-objects, so blocking semantics, drop counters and telemetry events are
-bit-identical to N independent scalar runs.
+The FSL interface blocks are vectorized like the rest of the design,
+but each lane's channel object stays shared with that lane's CPU: only
+lanes whose FIFO moved are re-read, and only lanes that pop, push or
+drop a word touch their channel at the edge, so blocking semantics,
+drop counters and telemetry events are bit-identical to N independent
+scalar runs.  :meth:`BatchedCoSimulation.lane` writes a lane's vector
+state back into its clone model before handing it out.
 
 Divergence is handled by lane masking: a lane that halts, reaches its
 cycle budget or pauses at a per-lane target freezes (its state arrays,
@@ -31,12 +35,16 @@ and a *quiet stretch* begins: the CPUs tick alone and the vector clock
 catches up in one :meth:`~repro.sysgen.batched.BatchedModel.fast_forward`
 as soon as any CPU's FSL (or, with OPB-mapped registers, store)
 activity reaches the hardware, which is then stepped through that very
-cycle.  A forced port or :meth:`BatchedCoSimulation.hw_touched` ends
-the stretch too.  Nothing else rewrites a port array during a stretch
-(only a step, a poke or ``reset`` do), so the arrays the fallback
-blocks drive need no watch of their own.  A failed probe doubles the
-wait before the next one (up to 512 cycles); arming a stretch resets
-it.
+cycle.  The FSL endpoints' busy rule (a pop, push or counted drop at
+the next edge) is part of that evidence: they count their transfers in
+state arrays, so a step that moved a FIFO never reads as unchanged.  A
+running lane's forced port, a lane that was not running when the
+stretch was armed, or :meth:`BatchedCoSimulation.hw_touched` ends the
+stretch too; a lane's forcing goes when the lane halts or is evicted.
+Nothing else rewrites a port array during a stretch (only a step, a
+poke or ``reset`` do), so the arrays the fallback blocks drive need no
+watch of their own.  A failed probe doubles the wait before the next
+one (up to 512 cycles); arming a stretch resets it.
 
 Lane eviction
 -------------
@@ -207,6 +215,8 @@ class BatchedCoSimulation:
         self._stores_matter = any(
             sim._stores_touch_hw for sim in self.sims)
         self._quiet = False
+        #: the lanes running when the quiet stretch was armed
+        self._quiet_lanes: frozenset[int] = frozenset()
         self._hw_sig = -1
         self._probe_wait = 0
         self._probe_backoff = 1
@@ -221,8 +231,14 @@ class BatchedCoSimulation:
         """The per-lane simulation view — a real scalar
         :class:`CoSimulation` (after eviction: the replacement one), so
         capture/diagnosis code written for scalar runs works unchanged.
+        A lane still in the batch first gets its hardware state written
+        back from the vector arrays
+        (:meth:`~repro.sysgen.batched.BatchedModel.write_back`).
         """
-        return self.sims[lane]
+        sim = self.sims[lane]
+        if sim.model is self.batched.models[lane]:
+            self.batched.write_back(lane)
+        return sim
 
     # ------------------------------------------------------------------
     # The lockstep advance kernel
@@ -258,6 +274,10 @@ class BatchedCoSimulation:
                 batched.activate(lane)
             else:
                 batched.deactivate(lane)
+        if not self._quiet_lanes.issuperset(running):
+            # a lane not running when the evidence was armed has its
+            # own hardware state: the fixed point is not proven for it
+            self._quiet = False
 
         while running:
             cpus = [self.sims[lane].cpu for lane in running]
@@ -270,11 +290,12 @@ class BatchedCoSimulation:
                 )
             )
             stride = max(stride, 1)
+            forced = any(lane in self._forcings for lane in running)
             try:
                 done = 0
                 stop = False
                 while done < stride and not stop:
-                    if self._quiet and not self._forcings:
+                    if self._quiet and not forced:
                         # --- quiet stretch: the vector hardware has been
                         # observed at a fixed point (see the probe below),
                         # so while no CPU activity reaches it, tick CPUs
@@ -310,15 +331,15 @@ class BatchedCoSimulation:
                         continue
                     probing = (
                         not self._quiet
-                        and not self._forcings
+                        and not forced
                         and self._probe_wait <= 0
                     )
                     if probing:
                         image = batched.state_image()
                     elif not self._quiet:
                         self._probe_wait -= 1
-                    if self._forcings:
-                        self._apply_forcings(running)
+                    if forced:
+                        forced = self._apply_forcings(running)
                     stop = self._tick(running, cpus)
                     batched.step(1)
                     done += 1
@@ -331,6 +352,7 @@ class BatchedCoSimulation:
                                 and batched.fallback_idle_horizon(running) \
                                 >= IDLE_FOREVER:
                             self._quiet = True
+                            self._quiet_lanes = frozenset(running)
                             self._probe_backoff = 1
                             self._hw_sig = hw_activity(cpus, stores_touch_hw)
                         else:
@@ -343,9 +365,7 @@ class BatchedCoSimulation:
                 # let the scalar replays produce per-lane outcomes.
                 reason = f"vector step raised {type(exc).__name__}: {exc}"
                 for lane in running:
-                    if lane not in self.pending_evictions:
-                        self.pending_evictions[lane] = reason
-                    batched.deactivate(lane)
+                    self._stop_lane(lane, reason)
                 return
 
             if deadline is not None and time.perf_counter() >= deadline:
@@ -365,18 +385,16 @@ class BatchedCoSimulation:
                 if lane in self.pending_evictions:
                     continue
                 if cpu.halted:
-                    batched.deactivate(lane)
+                    self._stop_lane(lane)
                     continue
                 if st.evict_at is not None and cpu.cycle >= st.evict_at:
-                    self.pending_evictions[lane] = "forced eviction"
+                    self._stop_lane(lane, "forced eviction")
                     st.evict_at = None
-                    batched.deactivate(lane)
                     continue
                 if cpu.cycle >= st.next_check:
                     if no_progress(cpu.cycle, st.window,
                                    cpu.stats.last_retire_cycle):
-                        self.pending_evictions[lane] = "deadlock watchdog"
-                        batched.deactivate(lane)
+                        self._stop_lane(lane, "deadlock watchdog")
                         continue
                     st.next_check = cpu.cycle + st.window
                 if cpu.cycle >= st.target:
@@ -384,6 +402,15 @@ class BatchedCoSimulation:
                     continue
                 still.append(lane)
             running = still
+
+    def _stop_lane(self, lane: int, reason: str | None = None) -> None:
+        """Take a lane out of the vector step for good: its CPU halted
+        or, with a ``reason``, it is queued for eviction (the first
+        reason stands).  Its forcing, if any, goes with it."""
+        if reason is not None:
+            self.pending_evictions.setdefault(lane, reason)
+        self._forcings.pop(lane, None)
+        self.batched.deactivate(lane)
 
     # ------------------------------------------------------------------
     # Vectorized fast-forward support
@@ -398,9 +425,8 @@ class BatchedCoSimulation:
             try:
                 cpu.tick()
             except Exception as exc:  # noqa: BLE001
-                self.pending_evictions[lane] = (
-                    f"cpu raised {type(exc).__name__}: {exc}")
-                self.batched.deactivate(lane)
+                self._stop_lane(
+                    lane, f"cpu raised {type(exc).__name__}: {exc}")
                 stop = True
             stop |= cpu.halted
         return stop
@@ -435,23 +461,25 @@ class BatchedCoSimulation:
         self._probe_wait = 0
         self._probe_backoff = 1
 
-    def _apply_forcings(self, running: list[int]) -> None:
-        """Re-pin forced ports for the coming cycle.  An entry expires
-        one cycle after its window — the scalar loop's final post-step
-        force leaves the port pinned entering the end cycle's step, and
-        only producer writes after that overwrite it."""
-        rs = set(running)
-        expired = []
-        for lane, (idx, clone, value, until) in self._forcings.items():
-            if lane not in rs:
+    def _apply_forcings(self, running: list[int]) -> bool:
+        """Re-pin the running lanes' forced ports for the coming cycle;
+        True while any running lane still has a forcing.  An entry
+        expires one cycle after its window — the scalar loop's final
+        post-step force leaves the port pinned entering the end cycle's
+        step, and only producer writes after that overwrite it."""
+        forced = False
+        for lane in running:
+            entry = self._forcings.get(lane)
+            if entry is None:
                 continue
+            idx, clone, value, until = entry
             if self.sims[lane].cpu.cycle > until:
-                expired.append(lane)
+                del self._forcings[lane]
                 continue
             self.batched.poke_slot(idx, lane, value)
             clone.value = value
-        for lane in expired:
-            del self._forcings[lane]
+            forced = True
+        return forced
 
     # ------------------------------------------------------------------
     def run(

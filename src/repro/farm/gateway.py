@@ -1170,25 +1170,29 @@ class FarmThread:
 
     def stop(self, timeout: float = 30.0) -> None:
         """Hard-stop the gateway and join the loop thread."""
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.gateway.close(), self.loop
-            )
-            with contextlib.suppress(Exception):
-                future.result(timeout=timeout)
-        self._thread.join(timeout=timeout)
+        self._end(self.gateway.close, timeout)
 
     def crash(self, timeout: float = 30.0) -> None:
         """Kill the gateway as a crash would: no drain, no job-state
         bookkeeping, only the write-ahead journal survives.  Pair with
         ``start_farm_thread(..., recover=True)`` on the same journal
         and cache to exercise the recovery path."""
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.gateway.crash(), self.loop
-            )
-            with contextlib.suppress(Exception):
-                future.result(timeout=timeout)
+        self._end(self.gateway.crash, timeout)
+
+    def _end(self, shutdown, timeout: float) -> None:
+        """Run ``shutdown()`` on the loop thread, then join it.  A
+        finished drain closes the loop as its thread exits, so a closed
+        loop means the gateway has already stopped; the coroutine is
+        created only when it is scheduled, so none is left un-awaited."""
+        if self._thread.is_alive() and not self.loop.is_closed():
+            coro = shutdown()
+            try:
+                future = asyncio.run_coroutine_threadsafe(coro, self.loop)
+            except RuntimeError:  # the loop closed since the check
+                coro.close()
+            else:
+                with contextlib.suppress(Exception):
+                    future.result(timeout=timeout)
         self._thread.join(timeout=timeout)
 
 

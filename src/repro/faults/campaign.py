@@ -723,8 +723,9 @@ def _run_trial_batch(
     :class:`~repro.faults.inject.FaultInjector` cursor applies its
     faults to the lane's own CPU/FIFO objects and names the lane's next
     stop; ``stuck_at`` windows are pinned through the engine's
-    per-cycle forcing, and the lockstep kernel advances every lane to
-    its stop together.
+    per-cycle forcing.  Every pending lane advances by the same number
+    of cycles, the nearest stop of any lane, so lanes that start
+    together stay phase-aligned and the vector step runs nearly full.
 
     Lanes the vector engine cannot finish faithfully — CPU crashes,
     vector-step crashes, watchdog trips inside an open ``stuck_at``
@@ -762,29 +763,31 @@ def _run_trial_batch(
     # --- drive every lane through its fault plan ---------------------
     injectors = [FaultInjector(sim, plan) for sim, plan in zip(sims, plans)]
     while True:
-        targets: dict[int, int] = {}
+        stops: dict[int, int] = {}
         for li, injector in enumerate(injectors):
             if li not in batch.pending_evictions:
                 stop = _lane_stop(batch, li, injector, config.max_cycles)
                 if stop is not None:
-                    targets[li] = stop
-        if not targets:
+                    stops[li] = stop
+        if not stops:
             break
-        if len(targets) <= n // 8:
+        if len(stops) <= n // 8:
             # tail eviction: with most lanes finished, the lockstep
             # step's fixed per-cycle cost is spread over too few lanes
             # to beat the scalar engine's per-lane fast-forward — hand
             # the stragglers to the (bit-identical) scalar replay
-            for li in targets:
+            for li in stops:
                 records[li] = _scalar_trial(specs[li], lane_design)
             break
-        batch.advance(targets)
+        cycles = {li: batch.sims[li].cpu.cycle for li in stops}
+        delta = min(stops[li] - cycles[li] for li in stops)
+        batch.advance({li: cycles[li] + delta for li in stops})
 
     # --- classify ----------------------------------------------------
     for li, injector in enumerate(injectors):
         if records[li] is not None:
             continue
-        lane_sim = batch.lane(li)
+        lane_sim = batch.sims[li]
         cpu = lane_sim.cpu
         # stopped at or before run_trial's checkpoint: no fault landed
         prefix = cpu.cycle <= firsts[li]

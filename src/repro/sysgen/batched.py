@@ -27,14 +27,17 @@ Blocks contribute vectorized source through
 logic) write their step once, in ``emit`` through the verbs, and set
 ``emit_batched = emit``; delay lines, FIFOs, RAMs and pipeline stages
 keep a lane emitter, because their lane state has another shape than
-their scalar state.  Blocks that cannot be vectorized (FSL endpoints
-whose channel objects are shared with the CPU, fixed-point Convert,
-user subclasses, combinational blocks with every input unconnected)
-*fall back per lane*: the generated code dispatches their interpreter
-methods on the per-lane clone objects with port synchronization around
-the call, exactly like the scalar compiled engine's fallback — so
-telemetry, channel statistics and drop counters stay bit-identical
-with a scalar run.
+their scalar state.  The FSL endpoints vectorize their ports too, while
+each lane's channel object, shared with that lane's CPU, stays the
+state they read and write (see :mod:`repro.sysgen.blocks.fsl`).  Blocks
+that cannot be vectorized (fixed-point Convert, user subclasses,
+combinational blocks with every input unconnected) *fall back per
+lane*: the generated code dispatches their interpreter methods on the
+per-lane clone objects with port synchronization around the call,
+exactly like the scalar compiled engine's fallback — so telemetry,
+channel statistics and drop counters stay bit-identical with a scalar
+run.  The clones of vectorized blocks are written only on request
+(:meth:`BatchedModel.write_back`).
 
 Divergence between lanes is handled by masking: the step function
 takes a boolean active-lane array, sequential state updates are
@@ -53,6 +56,7 @@ numpy all raise it, and callers fall back to scalar simulation.
 
 from __future__ import annotations
 
+import bisect
 import re
 from typing import TYPE_CHECKING, Callable
 
@@ -157,7 +161,8 @@ class BatchEmitContext(EmitContext):
     another shape (delay lines, FIFOs, RAMs, pipeline stages) use:
 
     * :meth:`state` — a persistent ``(N, ...)`` state array slot,
-      (re)loadable from the per-lane clone blocks
+      (re)loadable from the per-lane clone blocks, and
+      :meth:`write_back` — its inverse, one lane at a time
     * :meth:`lane_blocks` / :meth:`lane_ports` / :meth:`lane_values` —
       the per-lane clone objects behind a template block / port
       (fallback dispatch) and their current values
@@ -176,6 +181,10 @@ class BatchEmitContext(EmitContext):
         self.batched = batched
         self.n = batched.n
         self.state_loaders: list[Callable[[], "np.ndarray"]] = []
+        #: state array name -> its index in the ``_S`` store
+        self.state_slots: dict[str, int] = {}
+        #: ``fn(lane, get)`` per lane emitter: see :meth:`write_back`
+        self.write_backs: list[Callable[[int, Callable], None]] = []
         self.act = "_act"
         self.lanes = "_ln"
         self.arange = self.bind(np.arange(self.n), "ar")
@@ -198,9 +207,18 @@ class BatchEmitContext(EmitContext):
         idx = len(self.state_loaders)
         self.state_loaders.append(loader)
         name = self._fresh_name(f"_{hint}")
+        self.state_slots[name] = idx
         self.entry(f"{name} = _S[{idx}]")
         self.exit(f"_S[{idx}] = {name}")
         return name
+
+    def write_back(self, fn: Callable[[int, Callable], None]) -> None:
+        """Register ``fn(lane, get)``, the inverse of a block's state
+        loaders: it writes one lane's state back into that lane's clone
+        block, reading each state array as ``get(name)``.
+        :meth:`BatchedModel.write_back` calls it, so scalar code that
+        inspects a lane's model sees the lockstep run's state."""
+        self.write_backs.append(fn)
 
     # -- per-lane clone access -------------------------------------------
     def lane_blocks(self, block: "Block") -> list["Block"]:
@@ -230,9 +248,12 @@ class BatchEmitContext(EmitContext):
     # -- rendering verbs -------------------------------------------------
     def state_slot(self, block: "Block", attr: str, hint: str = "st") -> str:
         lanes = self.lane_blocks(block)
-        return self.state(
+        name = self.state(
             lambda: np.fromiter((getattr(b, attr) for b in lanes),
                                 np.int64, self.n), hint)
+        self.write_back(lambda lane, get: setattr(
+            lanes[lane], attr, int(get(name)[lane])))
+        return name
 
     def param(self, block: "Block", attr: str, hint: str,
               live: bool = False) -> str:
@@ -457,11 +478,6 @@ class BatchedSchedule:
         ctx = self.ctx
         if "_ck" in ctx.ns:  # pragma: no cover - name-collision paranoia
             return
-        state_names = {}
-        for line in ctx._entry:
-            m = re.match(r"(\w+) = _S\[(\d+)\]$", line)
-            if m:
-                state_names[m.group(1)] = int(m.group(2))
         try:
             built = build_step_kernel(
                 self._batched.n,
@@ -469,7 +485,7 @@ class BatchedSchedule:
                 self.port_store,
                 self.state_store,
                 {f"v{k}": k for k in range(len(ctx._ports))},
-                state_names,
+                ctx.state_slots,
                 ctx.ns,
                 ctx.act,
                 "_TRUE",
@@ -508,6 +524,20 @@ class BatchedSchedule:
         for j, arr in enumerate(self.state_store):
             kernel.arrays[base + j] = arr
         kernel._gen = -1
+
+    def write_back(self, lane: int) -> None:
+        """Write one lane's port and state arrays into its clone model
+        (the inverse of :meth:`sync_from_clones`, for one lane)."""
+        ctx = self.ctx
+        for k, port in enumerate(ctx._ports):
+            clone = ctx.lane_blocks(port.block)[lane]
+            clone.outputs[port.name].value = int(self.port_store[k][lane])
+
+        def get(name: str) -> "np.ndarray":
+            return self.state_store[ctx.state_slots[name]]
+
+        for fn in ctx.write_backs:
+            fn(lane, get)
 
     def sync_from_clones(self) -> None:
         """(Re)build every port and state array from the per-lane clone
@@ -583,16 +613,18 @@ class BatchedModel:
     def deactivate(self, lane: int) -> None:
         """Freeze a lane: its state, probes and clone objects keep
         their current values; subsequent steps skip it."""
-        self.active[lane] = False
-        self._lanes = [int(i) for i in np.flatnonzero(self.active)]
+        if self.active[lane]:
+            self.active[lane] = False
+            self._lanes.remove(lane)
 
     def activate(self, lane: int) -> None:
         """Thaw a frozen lane.  Masked updates keep every lane's state
         arrays exact while frozen, so a reactivated lane continues bit-
         identically from the cycle it was frozen at — this is how the
         batched co-simulation pauses lanes at per-lane cycle targets."""
-        self.active[lane] = True
-        self._lanes = [int(i) for i in np.flatnonzero(self.active)]
+        if not self.active[lane]:
+            self.active[lane] = True
+            bisect.insort(self._lanes, lane)
 
     @property
     def any_active(self) -> bool:
@@ -631,7 +663,11 @@ class BatchedModel:
         step that left every array as ``image`` recorded it proves the
         whole vectorized design sits at a fixed point: every further
         step is the identity until an external input (CPU FSL transfer,
-        fault poke, fallback-block output) changes.  This is the probe
+        fault poke, fallback-block output) changes.  The FSL endpoints
+        count their pops, pushes and drops in state arrays, so a step
+        that moved a FIFO is never unchanged, even when it left every
+        port as it was (a drop into a full channel, or a pop whose next
+        word is identical).  This is the probe
         that arms the batched co-simulation's quiet stretch, in place
         of the scalar per-block ``idle_horizon`` walk, whose per-lane
         state it cannot see."""
@@ -711,6 +747,18 @@ class BatchedModel:
         self.active = np.ones(self.n, dtype=bool)
         self._lanes = list(range(self.n))
         self._schedule.sync_from_clones()
+
+    def write_back(self, lane: int) -> None:
+        """Bring lane ``lane``'s clone model up to date with the vector
+        arrays: port values, block state, and the settled flag a scalar
+        model has after its first step.  The clones are not written
+        while the batch runs; call this before reading a lane's model
+        (:meth:`BatchedCoSimulation.lane
+        <repro.cosim.batch.BatchedCoSimulation.lane>` does)."""
+        self._schedule.write_back(lane)
+        model = self.models[lane]
+        if model.cycle > 0:
+            model._settled = True
 
     # -- introspection / pokes -------------------------------------------
     @property

@@ -176,15 +176,17 @@ class Block:
         state (delay lines, FIFOs, RAMs, pipeline stages) write a
         separate lane emitter with the vector helpers (``state``,
         ``lane_blocks``/``lane_ports``/``lane_values``, ``as_array``,
-        ``flag``).  ``busy_if``/``horizon`` lines are collected but not
-        generated: the batched engine has no vector idle horizon.
+        ``flag``) and register a ``write_back`` that writes one lane's
+        state back into its clone.  ``busy_if``/``horizon`` lines are
+        collected but not generated: the batched engine has no vector
+        idle horizon.
 
         The default returns False: the batch compiler then dispatches
         this block's interpreter methods per active lane on the
         per-lane clone objects — bit-identical with a scalar run, just
         not vectorized.  User blocks and the scalar-only standard
-        blocks (FSL endpoints, gateways, the OPB register bank) keep
-        it even when they define :meth:`emit`.  A combinational block
+        blocks (gateways, the OPB register bank) keep it even when
+        they define :meth:`emit`.  A combinational block
         whose inputs are all unconnected runs per lane too, whatever
         it defines.
 

@@ -111,6 +111,13 @@ class _PipelinedBlock(Block):
                 lambda k=k: np.fromiter(
                     (key in b._pipe[k] for b in lanes), np.bool_, n),
                 "po"))
+
+        def write_back(lane, get):
+            lanes[lane]._pipe = deque(
+                {key: int(get(v)[lane])} if get(ok)[lane] else {}
+                for v, ok in zip(vals, oks))
+
+        ctx.write_back(write_back)
         act = ctx.act
         ctx.present(
             f"{out} = np.where({act} & {oks[0]}, {vals[0]}, {out})")

@@ -13,18 +13,92 @@ edge when the design asserts ``read`` while data exists.
 Both are *bound* to an :class:`~repro.bus.fsl.FSLChannel` by the
 co-simulation environment (:class:`repro.cosim.mb_block.MicroBlazeBlock`),
 which owns the channel objects shared with the CPU's FSL unit.
+
+In the lockstep schedule (:mod:`repro.sysgen.batched`) each lane's
+channel stays the one source of truth, shared with that lane's CPU, the
+fault injector, checkpoints and telemetry.  The vector endpoint keeps a
+lane array mirroring what the channel presents (the head word; the
+``full`` flag) and drives its ports from it under the active-lane mask.
+Per step only lanes whose FIFO head word (reader) or occupancy
+(writer) moved since the last present are rewritten, and only lanes
+that pop, push or drop a word at the edge run per-lane python: the
+transfer itself is ``pop()``/``push()`` on the lane's channel, so
+channel statistics, drop counters and telemetry events are those of a
+scalar run.  A lane array counts each endpoint's transfers: a step that
+moved a FIFO never reads as unchanged to the lockstep engine's
+fixed-point probe, even when every port array kept its value.
 """
 
 from __future__ import annotations
 
 from repro.bus.fsl import FSLChannel
 from repro.resources.types import Resources
+from repro.sysgen.batched import np
 from repro.sysgen.block import IDLE_FOREVER, SeqBlock
 from repro.telemetry.events import BLOCK_FIRE, TelemetryEvent
 
 
 class FSLBindError(RuntimeError):
     """Raised when stepping an FSL block that has no bound channel."""
+
+
+def _lane_channels(ctx, lanes: list) -> tuple[str, str, str]:
+    """Names of the bound lane clones and of two per-call locals: each
+    lane's channel and its FIFO deque.  Binding happens after the
+    schedule compiles, so both are fetched at every call entry; an
+    active lane without a channel raises :class:`FSLBindError`.  The
+    deque is read directly so that one list comprehension compares
+    every lane's head word or occupancy per step."""
+    fb = ctx.bind(lanes, "fb")
+    ch, q = ctx.tmp(), ctx.tmp()
+    ctx.entry(f"{ch} = [b.channel for b in {fb}]\n"
+              f"if None in {ch}:\n"
+              f"    for _l in {ctx.lanes}: {fb}[_l]._require()")
+    ctx.entry(f"{q} = [() if c is None else c._fifo for c in {ch}]")
+    return fb, ch, q
+
+
+def _mirror(ctx, now: str, cache: str, update: str) -> None:
+    """The present of a vector endpoint: ``now`` (a list comprehension
+    over every lane) is compared with the bound ``cache`` list, and for
+    each active lane whose entry changed the cache takes the new entry
+    ``_w`` and ``update`` (python over lane ``_l``) rewrites that lane
+    of the mirror array."""
+    cur = ctx.tmp()
+    ctx.present(f"{cur} = {now}\n"
+                f"if {cur} != {cache}:\n"
+                f"    for _l in {ctx.lanes}:\n"
+                f"        _w = {cur}[_l]\n"
+                f"        if _w != {cache}[_l]:\n"
+                f"            {cache}[_l] = _w\n"
+                f"            {update}")
+
+
+def _lane_transfers(ctx, flag: str, test: str, body: str) -> None:
+    """The edge of a vector endpoint: ``body`` (python over lane
+    ``_l``) runs for each active lane whose input ``flag`` (a port
+    array, or a literal) has bit 0 set and for which ``test`` holds."""
+    lit = ctx.lit(flag)
+    pick = ""
+    conds = [test] if test else []
+    if lit is None:
+        bits = ctx.tmp()
+        pick = f"{bits} = ({flag}).tolist()\n"
+        conds.insert(0, f"{bits}[_l] & 1")
+    lanes = (f"[_l for _l in {ctx.lanes} if {' and '.join(conds)}]"
+             if conds else ctx.lanes)
+    indented = "\n".join("    " + ln for ln in body.split("\n"))
+    ctx.clock(f"{pick}for _l in {lanes}:\n{indented}")
+
+
+def _fire(ctx, b: str, name: str, aux: str = "") -> str:
+    """Python emitting a ``BLOCK_FIRE`` event for clone ``b`` when a
+    telemetry bus is attached to it."""
+    te = ctx.bind(TelemetryEvent, "TE")
+    bf = ctx.bind(BLOCK_FIRE, "BF")
+    return (f"if {b}.events is not None:\n"
+            f"    {b}.events.emit({te}({bf}, {b}.telemetry_clock() "
+            f"if {b}.telemetry_clock else 0, {name!r}{aux}))")
 
 
 class FSLRead(SeqBlock):
@@ -107,15 +181,42 @@ class FSLRead(SeqBlock):
         )
         if rlit is not None and not (rlit & 1):
             return True
-        te = ctx.bind(TelemetryEvent, "TE")
-        bf = ctx.bind(BLOCK_FIRE, "BF")
-        ctx.clock(
-            f"if {guard}:\n"
-            f"    {ch}.pop()\n"
-            f"    if {b}.events is not None:\n"
-            f"        {b}.events.emit({te}({bf}, {b}.telemetry_clock() "
-            f"if {b}.telemetry_clock else 0, {self.name!r}))"
-        )
+        fire = _fire(ctx, b, self.name).replace("\n", "\n    ")
+        ctx.clock(f"if {guard}:\n    {ch}.pop()\n    {fire}")
+        return True
+
+    def emit_batched(self, ctx) -> bool:
+        lanes = ctx.lane_blocks(self)
+        fb, ch, q = _lane_channels(ctx, lanes)
+        # the head word each lane's mirror holds (compared by value:
+        # the ports depend on nothing else); the mirror packs
+        # data | control << 32 | exists << 33
+        heads: list = [None] * ctx.n
+        hh = ctx.bind(heads, "hh")
+
+        def load_mirror():
+            heads[:] = [None if b.channel is None else b.channel.peek()
+                        for b in lanes]
+            return np.fromiter(
+                (0 if w is None else w.data | w.control << 32 | 1 << 33
+                 for w in heads), np.int64, ctx.n)
+
+        hm = ctx.state(load_mirror, "hm")
+        pops = ctx.state(lambda: np.zeros(ctx.n, np.int64), "pc")
+        _mirror(ctx, f"[q[0] if q else None for q in {q}]", hh,
+                f"{hm}[_l] = 0 if _w is None else "
+                f"_w.data | _w.control << 32 | {1 << 33}")
+        ctx.drive(ctx.out(self, "data"), f"{hm} & {0xFFFFFFFF}")
+        ctx.drive(ctx.out(self, "control"), f"({hm} >> 32) & 1")
+        ctx.drive(ctx.out(self, "exists"), f"{hm} >> 33")
+        read = ctx.inp(self, "read")
+        rlit = ctx.lit(read)
+        if rlit is not None and not (rlit & 1):
+            return True
+        _lane_transfers(ctx, read, f"{q}[_l]",
+                        f"{ch}[_l].pop()\n"
+                        f"{pops}[_l] += 1\n"
+                        f"_b = {fb}[_l]\n" + _fire(ctx, "_b", self.name))
         return True
 
     def idle_horizon(self) -> int:
@@ -219,6 +320,52 @@ class FSLWrite(SeqBlock):
         else:
             indented = "\n".join("    " + ln for ln in body.split("\n"))
             ctx.clock(f"if ({write}) & 1:\n{indented}")
+        return True
+
+    def emit_batched(self, ctx) -> bool:
+        lanes = ctx.lane_blocks(self)
+        fb, ch, q = _lane_channels(ctx, lanes)
+        # the occupancy behind each lane's mirrored ``full`` flag, and
+        # the channels it was read from: a rebound channel may have
+        # another depth, so its lanes are re-read
+        occupancy = [0] * ctx.n
+        oc = ctx.bind(occupancy, "oc")
+        seen = ctx.bind([None] * ctx.n, "cs")
+        ctx.entry(f"if {ch} != {seen}:\n"
+                  f"    {seen}[:] = {ch}\n"
+                  f"    {oc}[:] = [-1] * {ctx.n}")
+
+        def load_mirror():
+            occupancy[:] = [0 if b.channel is None else len(b.channel)
+                            for b in lanes]
+            return np.fromiter(
+                (b.channel is not None and b.channel.full for b in lanes),
+                np.int64, ctx.n)
+
+        fm = ctx.state(load_mirror, "fm")
+        moves = ctx.state(lambda: np.zeros(ctx.n, np.int64), "wc")
+        _mirror(ctx, f"[len(q) for q in {q}]", oc,
+                f"{fm}[_l] = 1 if {ch}[_l].full else 0")
+        ctx.drive(ctx.out(self, "full"), fm)
+        write = ctx.inp(self, "write")
+        wlit = ctx.lit(write)
+        if wlit is not None and not (wlit & 1):
+            return True
+        data = ctx.inp(self, "data")
+        if ctx.lit(data) is None:
+            data = f"int({data}[_l])"
+        control = ctx.inp(self, "control")
+        clit = ctx.lit(control)
+        ctrl = (repr(bool(clit & 1)) if clit is not None
+                else f"bool({control}[_l] & 1)")
+        ok = ctx.tmp()
+        _lane_transfers(ctx, write, "",
+                        f"{ok} = {ch}[_l].push({data}, {ctrl})\n"
+                        f"{moves}[_l] += 1\n"
+                        f"_b = {fb}[_l]\n"
+                        f"if not {ok}: _b.dropped += 1\n"
+                        + _fire(ctx, "_b", self.name,
+                                f", aux=0 if {ok} else 1"))
         return True
 
     def reset(self) -> None:

@@ -118,6 +118,12 @@ class Delay(SeqBlock):
         line = ctx.state(
             lambda: np.array([list(b._line) for b in lanes], dtype=np.int64),
             "dl")
+
+        def write_back(lane, get):
+            lanes[lane]._line.clear()
+            lanes[lane]._line.extend(get(line)[lane].tolist())
+
+        ctx.write_back(write_back)
         ctx.drive(ctx.out(self, "q"), f"{line}[:, 0]")
         d = ctx.as_array(
             f"({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}")
@@ -247,6 +253,16 @@ class FIFO(SeqBlock):
         cnt = ctx.state(
             lambda: np.fromiter((len(b._fifo) for b in lanes),
                                 np.int64, n), "fc")
+
+        def write_back(lane, get):
+            first = int(get(head)[lane])
+            words = get(store)[lane].tolist()
+            fifo = lanes[lane]._fifo
+            fifo.clear()
+            fifo.extend(words[(first + i) % depth]
+                        for i in range(int(get(cnt)[lane])))
+
+        ctx.write_back(write_back)
         ar = ctx.arange
         ctx.drive(
             ctx.out(self, "dout"),
@@ -415,6 +431,11 @@ class RAM(SeqBlock):
         lanes = ctx.lane_blocks(self)
         mem = ctx.state(
             lambda: np.array([b._mem for b in lanes], dtype=np.int64), "rm")
+
+        def write_back(lane, get):
+            lanes[lane]._mem[:] = get(mem)[lane].tolist()
+
+        ctx.write_back(write_back)
         rreg = ctx.state_slot(self, "_read_reg", "rr")
         ctx.drive(ctx.out(self, "dout"), rreg)
         act = ctx.act

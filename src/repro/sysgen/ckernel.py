@@ -231,9 +231,11 @@ class CStepKernel:
         self._gen = -1
 
     def rebind(self, slot: int, array: "np.ndarray") -> None:
-        """Point a slot at a replacement array (copy-on-write pokes)."""
+        """Point a slot at a replacement array (copy-on-write pokes):
+        only that slot's table entry is rewritten."""
         self.arrays[slot] = array
-        self._gen = -1
+        if self._gen >= 0:
+            self._table[slot] = array.ctypes.data
 
     def _refresh(self) -> None:
         table = self._table

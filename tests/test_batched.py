@@ -391,28 +391,28 @@ def _matmul(block: int) -> Model:
 PINNED_SOURCES = {
     (_cordic, 2): {
         "sysgen-compiled": "27dc4d8ace25bedf953e7d2eca208f515452d57d27643a49c3752c74768ec763",
-        "sysgen-batched": "7dcfa58243b9aa26862708ba06064f79bcde2ed754de4fa8b80a6b0313574965",
-        "sysgen-batched-c": "fd415c656aa1143df2ae9cc16a7d7421d8cf1df71f2b4e40ba27b986621a250a",
+        "sysgen-batched": "c151c39131c04cae1592140039ec8a30b092ea7ccf0cbf4617a604fffdb1c0a2",
+        "sysgen-batched-c": "b445631b08403e836d5fc5dca575bd6e5238d84ba4c3eaaa2653836df790f900",
     },
     (_cordic, 4): {
         "sysgen-compiled": "6c4a3cb87750cbf4541f5a0cbc9efffcf0ce6789703808287589d175630476e4",
-        "sysgen-batched": "1af95fbdda1b06c851c5b117aba6f17e0dffda49490cf1676e8c890568023887",
-        "sysgen-batched-c": "8ff542bdd4c67a4796189f8e39960718a744006428e012cf5da4aef2356b4d32",
+        "sysgen-batched": "4d9346ee800f0b532dcb04471e70e45d050f740e95dd574b318cbf16d7e68323",
+        "sysgen-batched-c": "888534a7b2b9bc5e92b4b0172ca819de3beff17d40d5c81b16ebe52dce6162b7",
     },
     (_cordic, 8): {
         "sysgen-compiled": "765f8385c6026bc795a589d319364709ea1027918b2091a087cfd157fc727c13",
-        "sysgen-batched": "460b03c8f237af74272e75339c974cd76e3c23c7928ecb4fb852deac2e662607",
-        "sysgen-batched-c": "1ec146d1ca6ca00db1213f8280f2a793cac61a4053ac4d6491f7ebe44f012d4a",
+        "sysgen-batched": "b1c72b72fd99ec3729efaab69d19b85fadde2e1f2c4d4fd0a55d4e53d438e4e0",
+        "sysgen-batched-c": "b4a09e45455d867771af8280be2cac5c4e5d7f236f095fdd0a476c70c83f1a61",
     },
     (_matmul, 2): {
         "sysgen-compiled": "3d8d333a5ec2e4e2a67d193931bac63ea1b685e7e04c1a817951f9eb40bdda8d",
-        "sysgen-batched": "52b7c2db21c24745e22ae4599a0aa8475140d6353cd7953adf63ba3f3f86e8bc",
-        "sysgen-batched-c": "ac344bfa559569e412881eded6352288a581a8f459256ed403f35a0578c0be46",
+        "sysgen-batched": "a8386ab0b8c2347a44cfff77a07c3871c853964b56221242c6ee4738ae3552b0",
+        "sysgen-batched-c": "3deb8f04ec48570c3906f39e61048f77a60c7c2be19ba262590f34d5a3b958f1",
     },
     (_matmul, 4): {
         "sysgen-compiled": "39b6814bf80564a0863600780140af731d78a2a50d6929e917c53c469334f1e8",
-        "sysgen-batched": "90e2f0b2fd0d20e02a181f0e2c56888dd0ca5e8ab02cb2aa2d052b81cce6029d",
-        "sysgen-batched-c": "8043f7109328282c2208cb3e077495f1c5c26ed4b94fb25f7fd6062dd554e730",
+        "sysgen-batched": "90fe5919d7c91ffa6de48bab4ed300258bf32f0e4944acb2c58e4f7b17c70597",
+        "sysgen-batched-c": "9c1e664e215724145c6816802bb823d88aee1e9719a18ef497ee79ef5ce7748b",
     },
 }
 
@@ -428,7 +428,7 @@ def test_generated_source_is_deterministic(monkeypatch, build, param):
     :data:`PINNED_SOURCES` (the C driver only when the C kernel was
     built), so an emitter refactor that changes what any design
     generates fails here; a pinned hash may change only with a stated
-    reason in CHANGES.md.  Only the FSL endpoints fall back per lane."""
+    reason in CHANGES.md.  No block falls back per lane."""
     sources: list[tuple[str, str]] = []
     compiles: list[str] = []
     real_compile = builtins.compile
@@ -466,5 +466,4 @@ def test_generated_source_is_deterministic(monkeypatch, build, param):
         kind = filename.partition(":")[0].lstrip("<")
         digest = hashlib.sha256(source.encode()).hexdigest()
         assert digest == pins[kind], f"{filename} changed"
-    assert (BatchedModel([build(param), build(param)]).fallback_blocks
-            == ["fsl_out0", "fsl_in0"])
+    assert BatchedModel([build(param), build(param)]).fallback_blocks == []

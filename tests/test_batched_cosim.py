@@ -31,7 +31,7 @@ from repro.faults.campaign import build_design
 from repro.mcc import build_executable
 from repro.runapi import RunPolicy
 from repro.sysgen.batched import BatchedModel, BatchUnsupported
-from repro.sysgen.blocks import OPBRegisterBank
+from repro.sysgen.blocks import Constant, Logical, OPBRegisterBank
 from repro.sysgen.model import Model
 
 N_SCENARIOS = int(os.environ.get("REPRO_BATCH_SMOKE_SCENARIOS", "4"))
@@ -109,7 +109,7 @@ def test_per_lane_budgets_and_forced_eviction():
         [_cordic_factory(**prm) for prm in params],
         force_evict=[2], force_evict_cycle=100,
     )
-    assert batch.fallback_blocks == ["fsl_out0", "fsl_in0"]
+    assert batch.fallback_blocks == []
     results = batch.run(until=budgets)
 
     assert [r.evicted for r in results] == [False, False, True, False]
@@ -204,6 +204,88 @@ def test_halting_store_to_opb_hardware_ends_the_quiet_stretch_exactly():
         model = batch.lane(res.lane).model
         assert model.cycle == ref.model.cycle
         assert model.probes[0].samples == ref.model.probes[0].samples
+
+
+def _endpoint_factory(case: str, words: int):
+    """A design whose FIFOs move while its port arrays do not.
+
+    ``pop``: the CPU queues identical words while the reader is gated
+    off, then opens the gate (a word on a second channel) and idles;
+    the reader pops one identical word per edge.  ``drop``: the writer
+    holds ``write`` high into a channel the program never drains, so
+    every edge after it fills drops a word."""
+    gate = "putfsl(1, 1);" if case == "pop" else ""
+    source = f"""
+    int main(void) {{
+        for (int i = 0; i < {words}; i++) putfsl(5, 0);
+        {gate}
+        int s = 0;
+        for (int i = 0; i < 300; i++) s += i;
+        return s & 255;
+    }}
+    """
+    program = build_executable(source)
+
+    def build():
+        model = Model("endpoints")
+        mb = MicroBlazeBlock(model, fifo_depth=words if case == "pop" else 4)
+        rd = mb.master_fsl(0)
+        wr = mb.slave_fsl(0)
+        probes = [rd.o("data"), rd.o("exists"), wr.o("full")]
+        if case == "pop":
+            opened = mb.master_fsl(1)
+            read = model.add(Logical("read", width=1, op="and"))
+            model.connect(rd.o("exists"), read.i("d0"))
+            model.connect(opened.o("exists"), read.i("d1"))
+            model.connect(read.o("out"), rd.i("read"))
+            probes.append(opened.o("exists"))
+        else:
+            model.connect(rd.o("exists"), rd.i("read"))
+            high = model.add(Constant("high", 1, width=1))
+            model.connect(high.o("out"), wr.i("write"))
+            word = model.add(Constant("word", 9))
+            model.connect(word.o("out"), wr.i("data"))
+        for port in probes:
+            model.probe(port)
+        return CoSimulation(program, model, mb)
+
+    return build
+
+
+@pytest.mark.parametrize("case", ["pop", "drop"])
+def test_vector_endpoints_move_fifos_like_scalar_runs(case):
+    # Neither case moves a port array while its FIFO moves, so the
+    # lockstep fixed-point probe must see the transfers themselves.
+    factories = [_endpoint_factory(case, 4), _endpoint_factory(case, 6)]
+    batch = BatchedCoSimulation(factories)
+    assert batch.fallback_blocks == []
+    results = batch.run()
+    for lane, make in enumerate(factories):
+        ref = make()
+        expected = ref.run()
+        got = batch.lane(lane)
+        assert not results[lane].evicted
+        assert results[lane].result.cycles == expected.cycles
+        assert got.model.block("fsl_in0").dropped == \
+            ref.model.block("fsl_in0").dropped
+        assert [c.state_dict() for c in got.mb_block.channels()] == \
+            [c.state_dict() for c in ref.mb_block.channels()]
+        assert [p.samples for p in got.model.probes] == \
+            [p.samples for p in ref.model.probes], f"lane {lane} probes"
+    if case == "drop":
+        assert ref.model.block("fsl_in0").dropped > 0
+
+
+def test_lane_view_reports_the_lockstep_hardware_state():
+    params = [dict(p=2, iters=8, ndata=4, seed=s) for s in (1, 2)]
+    batch = BatchedCoSimulation([_cordic_factory(**prm) for prm in params])
+    batch.run()
+    for lane, prm in enumerate(params):
+        design = build_design("cordic", dict(prm))
+        sim = CoSimulation(design.program, design.model, design.mb,
+                           cpu_config=design.cpu_config)
+        sim.run()
+        assert batch.lane(lane).state_dict() == sim.state_dict()
 
 
 def test_lane_result_status_folding():

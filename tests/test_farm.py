@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -287,6 +288,21 @@ class TestSheddingAndDrain:
                 assert not probe.healthz()
         finally:
             handle.stop()
+
+
+    def test_stop_and_crash_after_the_loop_closed(self):
+        # A finished drain closes the loop before its thread exits:
+        # stop() and crash() in that window find the thread alive and
+        # the loop closed, and must read it as already stopped.
+        handle = start_farm_thread(workers=1)
+        handle.stop()
+        assert handle.loop.is_closed()
+        thread = handle._thread
+        handle._thread = types.SimpleNamespace(is_alive=lambda: True,
+                                               join=thread.join)
+        handle.stop()
+        handle.crash()
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------

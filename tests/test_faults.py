@@ -409,6 +409,92 @@ def test_crash_records_agree_across_every_campaign_path():
         json.dumps(ref["trials"], sort_keys=True)
 
 
+#: the benchmark's campaign shape: CORDIC P=8, four samples, rollback,
+#: every default fault kind, a budget several times the fault-free run
+SEU_SHAPE = dict(app="cordic", design={"p": 8, "ndata": 4},
+                 recovery="rollback", max_cycles=8_192)
+
+
+@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
+def test_batched_campaign_matches_scalar_at_benchmark_shape(monkeypatch,
+                                                            ckernel):
+    from repro.sysgen import ckernel as ck
+
+    if not ckernel:
+        monkeypatch.setenv(ck.DISABLE_ENV, "1")
+    config = CampaignConfig(trials=32, seed=5, **SEU_SHAPE)
+    scalar = run_campaign(config).to_dict()
+    batched = run_campaign(config, batch_width=32).to_dict()
+    assert json.dumps(batched, sort_keys=True) == \
+        json.dumps(scalar, sort_keys=True)
+
+
+def test_batched_campaign_lanes_advance_together(monkeypatch):
+    # Every pending lane advances by the same amount, so a batch takes
+    # about as many vector steps as its longest lane runs cycles (fewer,
+    # with quiet stretches); lanes that drift apart step each offset
+    # separately.
+    from repro.cosim.batch import BatchedCoSimulation
+    from repro.sysgen.batched import BatchedModel
+
+    steps: dict[int, int] = {}
+    batches: list[BatchedCoSimulation] = []
+    step, init = BatchedModel.step, BatchedCoSimulation.__init__
+
+    def counting_step(self, cycles=1):
+        steps[id(self)] = steps.get(id(self), 0) + 1
+        return step(self, cycles)
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        batches.append(self)
+
+    monkeypatch.setattr(BatchedModel, "step", counting_step)
+    monkeypatch.setattr(BatchedCoSimulation, "__init__", recording_init)
+    run_campaign(CampaignConfig(trials=64, seed=1, **SEU_SHAPE),
+                 batch_width=32)
+    assert len(batches) == 2
+    for batch in batches:
+        longest = max(sim.cpu.cycle for sim in batch.sims)
+        assert steps[id(batch.batched)] <= longest + 64
+
+
+def test_lane_halting_in_a_stuck_window_leaves_the_hang_quiet(monkeypatch):
+    # Lane 0 halts inside an open stuck_at window; lane 1 lost a result
+    # word and blocks on its get until the watchdog.  The halted lane's
+    # forcing must not keep the idle hang stepping cycle by cycle.
+    from repro.faults import campaign
+    from repro.sysgen.batched import BatchedModel
+
+    plans = [
+        [FaultSpec(kind="stuck_at", cycle=800, target="in_c0:q", value=5,
+                   duration=200)],
+        [FaultSpec(kind="fifo_drop", cycle=251, target="mb_in0")],
+    ]
+
+    def planned(seed, **_):
+        return FaultPlan(faults=plans[int(seed.split("/")[1])], seed=seed)
+
+    skipped: list[int] = []
+    fast_forward = BatchedModel.fast_forward
+
+    def spy(self, cycles):
+        skipped.append(cycles)
+        return fast_forward(self, cycles)
+
+    monkeypatch.setattr(campaign, "generate_plan", planned)
+    monkeypatch.setattr(BatchedModel, "fast_forward", spy)
+    config = CampaignConfig(app="cordic",
+                            design={"p": 2, "iters": 8, "ndata": 4},
+                            trials=2, deadlock_window=1_024,
+                            max_cycles=20_000)
+    batched = run_campaign(config, batch_width=2).to_dict()
+    assert [t["outcome"] for t in batched["trials"]] == ["masked", "hang"]
+    assert max(skipped) >= 512
+    assert json.dumps(batched, sort_keys=True) == \
+        json.dumps(run_campaign(config).to_dict(), sort_keys=True)
+
+
 def test_batched_campaign_rejects_journal():
     config = CampaignConfig(app="cordic", design=dict(DESIGN), trials=2)
     with pytest.raises(ValueError, match="journal"):
