@@ -142,7 +142,6 @@ class CordicPipelineDesign:
     link_depth: int = 16
     cpu_config: CPUConfig = field(default_factory=CPUConfig)
     verify: bool = True
-    fast_forward: bool = True
     max_cycles: int = 2_000_000
 
     #: campaign dispatch marker: this design runs on MultiCoSimulation
@@ -185,7 +184,6 @@ class CordicPipelineDesign:
             nodes,
             self.topology(),
             link_depth=self.link_depth,
-            fast_forward=self.fast_forward,
             deadlock_window=deadlock_window,
         )
 

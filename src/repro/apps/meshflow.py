@@ -79,7 +79,6 @@ class MeshFlowDesign:
     link_depth: int = 8
     max_cycles: int = 120_000
     verify: bool = True
-    fast_forward: bool = True
 
     #: campaign dispatch marker: this design runs on MultiCoSimulation
     is_multi = True
@@ -128,7 +127,6 @@ class MeshFlowDesign:
             nodes,
             self.topology(),
             link_depth=self.link_depth,
-            fast_forward=self.fast_forward,
             deadlock_window=deadlock_window,
         )
 

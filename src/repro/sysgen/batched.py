@@ -16,8 +16,8 @@ Code generation is shared with the scalar engine:
 :class:`BatchEmitContext` subclasses
 :class:`~repro.sysgen.compiled.EmitContext`, overrides each of its
 rendering verbs once and adds the vector helpers, and the generated
-``_step``/``_step_all``/``_settle`` functions and the C-kernel driver
-``_step_c`` come from the scalar engine's
+``_step``/``_settle`` functions and the C-kernel driver ``_step_c``
+come from the scalar engine's
 :func:`~repro.sysgen.compiled.function_frame` and are compiled by its
 :func:`~repro.sysgen.compiled.exec_generated`.
 
@@ -27,7 +27,11 @@ Blocks contribute vectorized source through
 logic) write their step once, in ``emit`` through the verbs, and set
 ``emit_batched = emit``; delay lines, FIFOs, RAMs and pipeline stages
 keep a lane emitter, because their lane state has another shape than
-their scalar state.  The FSL endpoints vectorize their ports too, while
+their scalar state.  The first three share one table idiom: an ``(N,
+depth)`` int64 table, read by the gather ``T[ar, i]`` and written by
+the masked scatter ``T[m, p[m]] = (v)[m]`` — the forms the native
+kernel (:mod:`repro.sysgen.ckernel`) translates, so every standard
+block runs inside it.  The FSL endpoints vectorize their ports too, while
 each lane's channel object, shared with that lane's CPU, stays the
 state they read and write (see :mod:`repro.sysgen.blocks.fsl`).  Blocks
 that cannot be vectorized (fixed-point Convert, user subclasses,
@@ -57,7 +61,6 @@ numpy all raise it, and callers fall back to scalar simulation.
 from __future__ import annotations
 
 import bisect
-import re
 from typing import TYPE_CHECKING, Callable
 
 try:  # numpy is the only dependency; gate it so scalar paths never pay
@@ -66,13 +69,7 @@ except ImportError:  # pragma: no cover - baked into the toolchain image
     np = None  # type: ignore[assignment]
 
 from repro.sysgen.block import IDLE_FOREVER
-from repro.sysgen.compiled import (
-    _NAME,
-    CompileError,
-    EmitContext,
-    exec_generated,
-    function_frame,
-)
+from repro.sysgen.compiled import EmitContext, exec_generated, function_frame
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sysgen.block import Block
@@ -160,8 +157,10 @@ class BatchEmitContext(EmitContext):
     :meth:`BatchedModel.state_unchanged`).  Lane emitters for state of
     another shape (delay lines, FIFOs, RAMs, pipeline stages) use:
 
-    * :meth:`state` — a persistent ``(N, ...)`` state array slot,
-      (re)loadable from the per-lane clone blocks, and
+    * :meth:`state` — a persistent ``(N,)`` lane array or ``(N, depth)``
+      lane table, (re)loadable from the per-lane clone blocks (a table
+      is read only as ``T[arange, i]`` and written only as
+      ``T[m, p[m]] = (v)[m]``), and
       :meth:`write_back` — its inverse, one lane at a time
     * :meth:`lane_blocks` / :meth:`lane_ports` / :meth:`lane_values` —
       the per-lane clone objects behind a template block / port
@@ -295,63 +294,6 @@ class BatchEmitContext(EmitContext):
         return f"({cond}).astype(np.int64)"
 
 
-_BARE_NAME = re.compile(r"[A-Za-z_]\w*\Z")
-
-
-def _unmask(line: str) -> str:
-    """Rewrite one generated line for the all-lanes-active fast path.
-
-    With every lane active the mask is the identity:
-    ``np.where(_act, A, B)`` is ``A`` (copied when ``A`` is a bare
-    array name, because the masked form produced a fresh array and
-    later in-place writes — fallback reloads, 2-D state stores — must
-    not leak through an alias), ``_act & F`` is ``F``, and a bare
-    ``_act`` is the bound all-true array.  An ``np.where`` whose true
-    arm names no variable (a register fed only by literals) stays, over
-    the all-true array: the literal alone is a python int, not a lane
-    array.  Purely textual: the masked and unmasked variants come from
-    the same emitted source, so they cannot diverge behaviourally.
-    """
-    token = "np.where(_act"
-    pos = 0
-    while True:
-        j = line.find(token, pos)
-        if j < 0:
-            break
-        k = j + len(token)
-        if line.startswith("[:, None], ", k):
-            k += len("[:, None], ")
-        elif line.startswith(", ", k):
-            k += 2
-        else:  # np.where(_act & F, …): the `_act & ` strip handles it
-            pos = k
-            continue
-        # split `A, B)` at the top-level comma, then the closing paren
-        depth, split, end = 0, None, None
-        for i in range(k, len(line)):
-            c = line[i]
-            if c in "([":
-                depth += 1
-            elif c in ")]":
-                if depth == 0:
-                    end = i
-                    break
-                depth -= 1
-            elif c == "," and depth == 0 and split is None:
-                split = i
-        if split is None or end is None:  # pragma: no cover - emitter bug
-            raise CompileError(f"unbalanced np.where in generated: {line}")
-        a = line[k:split].strip()
-        if not _NAME.search(a):
-            pos = split
-            continue
-        repl = f"{a}.copy()" if _BARE_NAME.match(a) else f"({a})"
-        line = line[:j] + repl + line[end + 1:]
-        pos = 0
-    line = line.replace("_act & ", "")
-    return re.sub(r"\b_act\b", "_TRUE", line)
-
-
 def _emit_fallback_batched(ctx: BatchEmitContext, block: "Block") -> None:
     """Per-lane interpreter dispatch for a block without a vectorized
     emitter: sync the clone's feeding ports from the lane arrays, run
@@ -425,10 +367,6 @@ class BatchedSchedule:
                 )
 
         cycle_body = (ctx._present + ctx._evaluate + ctx._probe + ctx._clock)
-        # the all-lanes-active variant: identical source with the mask
-        # arithmetic elided — the hot path of campaign tails, where
-        # every lane advances together between divergence events
-        cycle_body_all = [_unmask(line) for line in cycle_body]
         settle_body = ctx._present + ctx._evaluate
 
         loads = [f"v{k} = _P[{k}]" for k in range(len(ctx._ports))]
@@ -438,18 +376,14 @@ class BatchedSchedule:
         bref = ctx.bind(batched, "bm")
         ctx.ns["_P"] = self.port_store = [None] * len(ctx._ports)
         ctx.ns["_S"] = self.state_store = [None] * len(ctx.state_loaders)
-        ctx.ns["_TRUE"] = np.ones(batched.n, dtype=bool)
 
         self._prologue = ctx._entry + loads
         self._advance = [f"for _l in _ln: {models}[_l].cycle += _done",
                          f"{bref}.cycle += _done"]
         stores += ctx._exit
-        src = []
-        for fname, body in (("_step", cycle_body),
-                            ("_step_all", cycle_body_all)):
-            src += function_frame(fname, ["_n", "_act", "_ln"], ctx.ns,
-                                  self._prologue, body,
-                                  stores + self._advance)
+        src = function_frame("_step", ["_n", "_act", "_ln"], ctx.ns,
+                             self._prologue, cycle_body,
+                             stores + self._advance)
         src += function_frame("_settle", ["_act", "_ln"], ctx.ns,
                               self._prologue, settle_body, stores,
                               loop=False)
@@ -459,7 +393,6 @@ class BatchedSchedule:
             self.source, f"<sysgen-batched:{template.name}x{batched.n}>",
             ctx.ns, f"lockstep schedule for model {template.name!r}")
         self.step = ns["_step"]
-        self.step_all = ns["_step_all"]
         self.settle = ns["_settle"]
         self._cycle_body = cycle_body
         self._batched = batched
@@ -488,7 +421,7 @@ class BatchedSchedule:
                 ctx.state_slots,
                 ctx.ns,
                 ctx.act,
-                "_TRUE",
+                ctx.arange,
                 ctx.zeros,
             )
         except CUnsupported:
@@ -635,13 +568,8 @@ class BatchedModel:
         """Advance every active lane ``cycles`` clock cycles."""
         if cycles <= 0:
             return
-        step_c = self._schedule.step_c
-        if step_c is not None:
-            step_c(cycles, self.active, self._lanes)
-        elif len(self._lanes) == self.n:
-            self._schedule.step_all(cycles, self.active, self._lanes)
-        else:
-            self._schedule.step(cycles, self.active, self._lanes)
+        step = self._schedule.step_c or self._schedule.step
+        step(cycles, self.active, self._lanes)
 
     def settle(self) -> None:
         """Propagate combinational logic without a clock edge."""
@@ -649,15 +577,13 @@ class BatchedModel:
         self._schedule.resync_kernel()
 
     # -- fast-forward ----------------------------------------------------
-    def state_image(self) -> tuple[list, list]:
-        """Snapshot of every port and state array (deep copies)."""
+    def state_image(self) -> "np.ndarray":
+        """Every port and state array, flattened into one fresh array."""
         s = self._schedule
-        return ([a.copy() for a in s.port_store],
-                [a.copy() for a in s.state_store])
+        return np.concatenate(s.port_store + [a.ravel() for a in s.state_store])
 
-    def state_unchanged(self, image: tuple[list, list]) -> bool:
-        """True when no port or state array differs from ``image``
-        (stops at the first array that does).
+    def state_unchanged(self, image: "np.ndarray") -> bool:
+        """True when no port or state array differs from ``image``.
 
         With unchanged inputs the step function is deterministic, so a
         step that left every array as ``image`` recorded it proves the
@@ -671,15 +597,7 @@ class BatchedModel:
         that arms the batched co-simulation's quiet stretch, in place
         of the scalar per-block ``idle_horizon`` walk, whose per-lane
         state it cannot see."""
-        ports, states = image
-        s = self._schedule
-        for a, b in zip(s.port_store, ports):
-            if not np.array_equal(a, b):
-                return False
-        for a, b in zip(s.state_store, states):
-            if not np.array_equal(a, b):
-                return False
-        return True
+        return np.array_equal(self.state_image(), image)
 
     def fallback_idle_horizon(self, lanes: list[int] | None = None) -> int:
         """:data:`~repro.sysgen.block.IDLE_FOREVER` when every fallback

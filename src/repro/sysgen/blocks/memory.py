@@ -114,23 +114,49 @@ class Delay(SeqBlock):
         return True
 
     def emit_batched(self, ctx) -> bool:
+        # circular table, like FIFO's: the oldest word sits at the head,
+        # and a clock edge overwrites it with the new word and advances
+        # the head.  A head that turned every cycle would hide a line at
+        # a fixed point from the state-image probe, so each lane also
+        # counts how many trailing words equal the newest one (capped at
+        # n): a full run fed its own word again leaves the table as is.
+        # The clone deques load at head 0.
         lanes = ctx.lane_blocks(self)
+        n = self.n
+
+        def trailing_run(words) -> int:
+            run = 1
+            while run < n and words[-1 - run] == words[-1]:
+                run += 1
+            return run
+
         line = ctx.state(
             lambda: np.array([list(b._line) for b in lanes], dtype=np.int64),
             "dl")
+        head = ctx.state(lambda: np.zeros(ctx.n, dtype=np.int64), "dh")
+        run = ctx.state(
+            lambda: np.fromiter((trailing_run(b._line) for b in lanes),
+                                np.int64, ctx.n), "dr")
 
         def write_back(lane, get):
+            row = get(line)[lane].tolist()
+            first = int(get(head)[lane])
             lanes[lane]._line.clear()
-            lanes[lane]._line.extend(get(line)[lane].tolist())
+            lanes[lane]._line.extend(row[first:] + row[:first])
 
         ctx.write_back(write_back)
-        ctx.drive(ctx.out(self, "q"), f"{line}[:, 0]")
+        ar, act = ctx.arange, ctx.act
+        ctx.drive(ctx.out(self, "q"), f"{line}[{ar}, {head}]")
         d = ctx.as_array(
             f"({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}")
-        t = ctx.tmp()
-        ctx.clock(f"{t} = np.concatenate(({line}[:, 1:], "
-                  f"({d})[:, None]), axis=1)")
-        ctx.clock(f"{line} = np.where({ctx.act}[:, None], {t}, {line})")
+        same, wr = ctx.tmp(), ctx.tmp()
+        ctx.clock(f"{same} = {d} == {line}[{ar}, ({head} + {n - 1}) % {n}]")
+        # ``== 0``, not ``~``: the C kernel holds the flag as an int64
+        ctx.clock(f"{wr} = {act} & (({run} < {n}) | ({same} == 0))")
+        ctx.clock(f"{line}[{wr}, {head}[{wr}]] = ({d})[{wr}]")
+        ctx.clock(f"{head} = np.where({wr}, ({head} + 1) % {n}, {head})")
+        ctx.clock(f"{run} = np.where({act}, "
+                  f"np.where({same}, {run} + ({run} < {n}), 1), {run})")
         return True
 
     def reset(self) -> None:

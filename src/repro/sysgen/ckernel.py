@@ -5,24 +5,30 @@ The generated numpy cycle body (:mod:`repro.sysgen.batched`) pays
 caps the amortization the batch axis exists to deliver: at width 32 a
 ~350-op design costs as much per cycle as 20 scalar lanes.  This
 module translates the same generated lines — a deliberately tiny
-expression grammar over ``(N,)`` int64 arrays — into one C loop over
-lanes, compiled with the system ``gcc`` at run time and driven through
-:mod:`ctypes`.  Per-lane semantics are preserved exactly:
+expression grammar over ``(N,)`` int64 lane arrays and ``(N, D)``
+int64 lane tables — into one C loop over lanes, compiled with the
+system ``gcc`` at run time and driven through :mod:`ctypes`.  Per-lane
+semantics are preserved exactly:
 
 * ``np.where(c, a, b)`` becomes the C ternary (numpy truthiness of a
   nonzero int64 equals C truthiness),
 * masked updates skip frozen lanes through the same ``act`` test the
   numpy code applies element-wise,
+* a table is read only by the gather ``T[ar, i]`` (``ar`` the bound
+  ``np.arange(N)``: each lane reads its own row) and written only by
+  the masked scatter ``T[m, p[m]] = (v)[m]`` (a lane writes its own
+  row where ``m`` holds), so running the lines lane by lane equals
+  running them line by line,
 * ``%`` uses Python/numpy floored-modulo semantics via a helper,
 * the translation unit is compiled ``-fwrapv`` so signed arithmetic
   wraps like numpy int64.
 
-Anything outside the grammar — 2-D delay-line state, unsupported
-calls, non-int64 or non-contiguous arrays — raises
-:class:`CUnsupported` and the caller silently keeps the numpy path,
-as does a missing or failing compiler.  Compiled objects are cached
-in-process by source hash, so the per-chunk rebuilds of a fault
-campaign share one ``gcc`` invocation.
+Anything outside the grammar — unsupported calls or subscripts,
+non-int64 or non-contiguous arrays — raises :class:`CUnsupported` and
+the caller silently keeps the numpy path, as does a missing or failing
+compiler.  Compiled objects are cached in-process by source hash, so
+the per-chunk rebuilds of a fault campaign share one ``gcc``
+invocation.
 """
 
 from __future__ import annotations
@@ -75,17 +81,18 @@ _CMPOPS = {
 class _ExprEmitter:
     """Emit one C expression for one generated numpy line.
 
-    ``resolve(name)`` returns a ``("lane", slot)`` / ``("shared",
-    slot, length)`` / ``("const", int)`` / ``("act",)`` / ``("zero",)``
-    / ``("one",)`` tag for every identifier, raising
-    :class:`CUnsupported` for names it cannot place.
+    ``resolve(name, base=False)`` returns a ``("lane", slot)`` /
+    ``("table", slot, depth)`` / ``("shared", slot, length)`` /
+    ``("const", int)`` / ``("act",)`` / ``("arange",)`` / ``("zero",)``
+    tag for every identifier (``base``: the name is subscripted),
+    raising :class:`CUnsupported` for names it cannot place.
     """
 
-    def __init__(self, resolve: Callable[[str], tuple]):
+    def __init__(self, resolve: Callable[..., tuple]):
         self.resolve = resolve
         self.reads: set[int] = set()
         self.shared_reads: set[int] = set()
-        self.dline_reads: set[int] = set()
+        self.tables: set[int] = set()
 
     def emit(self, node: ast.expr) -> str:
         if isinstance(node, ast.Constant):
@@ -133,8 +140,6 @@ class _ExprEmitter:
             return "_a"
         if kind == "zero":
             return "INT64_C(0)"
-        if kind == "one":
-            return "INT64_C(1)"
         raise CUnsupported(f"name {name!r} used as a scalar ({kind})")
 
     def _call(self, node: ast.Call) -> str:
@@ -161,19 +166,15 @@ class _ExprEmitter:
     def _subscript(self, node: ast.Subscript) -> str:
         if not isinstance(node.value, ast.Name):
             raise CUnsupported("computed subscript base")
-        kind, *info = self.resolve(node.value.id)
-        if kind == "dline":
-            # delay-line column read: ``_dl[:, K]``
-            slot, depth = info
+        kind, *info = self.resolve(node.value.id, base=True)
+        if kind == "table":
+            # gather ``T[ar, i]``: each lane reads its own row
             sl = node.slice
-            if (isinstance(sl, ast.Tuple) and len(sl.elts) == 2
-                    and _is_full_slice(sl.elts[0])
-                    and isinstance(sl.elts[1], ast.Constant)
-                    and isinstance(sl.elts[1].value, int)
-                    and 0 <= sl.elts[1].value < depth):
-                self.dline_reads.add(slot)
-                return f"_d{slot}[_i * {depth} + {sl.elts[1].value}]"
-            raise CUnsupported(f"delay-line access {ast.dump(sl)}")
+            if not (isinstance(sl, ast.Tuple) and len(sl.elts) == 2
+                    and isinstance(sl.elts[0], ast.Name)
+                    and self.resolve(sl.elts[0].id)[0] == "arange"):
+                raise CUnsupported(f"table access {ast.dump(sl)}")
+            return self.cell(*info, sl.elts[1])
         if kind != "shared":
             raise CUnsupported(
                 f"subscript of non-shared array {node.value.id!r}")
@@ -185,18 +186,35 @@ class _ExprEmitter:
         # modulo is exact for in-range indices and keeps C memory-safe.
         return f"_T{slot}[(size_t)pymod({index}, INT64_C({length}))]"
 
+    def cell(self, slot: int, depth: int, index: ast.expr) -> str:
+        """Lane ``_i``'s cell ``index`` of table ``slot`` (clamped by
+        floored modulo, like a shared-array gather)."""
+        self.tables.add(slot)
+        return (f"_d{slot}[_i * {depth} + "
+                f"(size_t)pymod({self.emit(index)}, INT64_C({depth}))]")
 
-def _is_full_slice(node: ast.expr) -> bool:
-    return (isinstance(node, ast.Slice) and node.lower is None
-            and node.upper is None and node.step is None)
 
-
-def _is_tail_slice(node: ast.expr) -> bool:
-    """``1:`` — the shift-left half of a delay-line update."""
-    return (isinstance(node, ast.Slice)
-            and isinstance(node.lower, ast.Constant)
-            and node.lower.value == 1
-            and node.upper is None and node.step is None)
+def _match_scatter(assign: ast.Assign, emitter: _ExprEmitter) -> str | None:
+    """``T[m, p[m]] = (v)[m]`` → the C statement
+    ``if (m) T[lane, p] = v;`` or None for any other target."""
+    target = assign.targets[0]
+    if not (isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Name)):
+        return None
+    kind, *info = emitter.resolve(target.value.id)
+    sl, v = target.slice, assign.value
+    if not (kind == "table"
+            and isinstance(sl, ast.Tuple) and len(sl.elts) == 2
+            and isinstance(sl.elts[0], ast.Name)
+            and isinstance(sl.elts[1], ast.Subscript)
+            and isinstance(v, ast.Subscript)):
+        return None
+    mask = ast.dump(sl.elts[0])
+    if ast.dump(sl.elts[1].slice) != mask or ast.dump(v.slice) != mask:
+        return None
+    return (f"if ({emitter.emit(sl.elts[0])}) "
+            f"{emitter.cell(*info, sl.elts[1].value)} = "
+            f"{emitter.emit(v.value)};")
 
 
 # ---------------------------------------------------------------------------
@@ -264,76 +282,9 @@ class CStepKernel:
         return run
 
 
-def _match_dline_shift(assign: ast.Assign, resolve, n: int):
-    """``_t = np.concatenate((_dl[:, 1:], (EXPR)[:, None]), axis=1)``
-    → ``(slot, depth, EXPR-node)`` or None."""
-    v = assign.value
-    if not (isinstance(v, ast.Call) and isinstance(v.func, ast.Attribute)
-            and v.func.attr == "concatenate"
-            and isinstance(v.func.value, ast.Name)
-            and v.func.value.id == "np"
-            and len(v.args) == 1 and isinstance(v.args[0], ast.Tuple)
-            and len(v.args[0].elts) == 2
-            and len(v.keywords) == 1 and v.keywords[0].arg == "axis"
-            and isinstance(v.keywords[0].value, ast.Constant)
-            and v.keywords[0].value.value == 1):
-        return None
-    left, right = v.args[0].elts
-    if not (isinstance(left, ast.Subscript)
-            and isinstance(left.value, ast.Name)):
-        return None
-    sl = left.slice
-    if not (isinstance(sl, ast.Tuple) and len(sl.elts) == 2
-            and _is_full_slice(sl.elts[0]) and _is_tail_slice(sl.elts[1])):
-        return None
-    kind = resolve(left.value.id)
-    if kind[0] != "dline":
-        return None
-    if not isinstance(right, ast.Subscript):
-        return None
-    rs = right.slice
-    if not (isinstance(rs, ast.Tuple) and len(rs.elts) == 2
-            and _is_full_slice(rs.elts[0])
-            and isinstance(rs.elts[1], ast.Constant)
-            and rs.elts[1].value is None):
-        return None
-    return kind[1], kind[2], right.value
-
-
-def _match_dline_commit(assign: ast.Assign, resolve, act_name: str):
-    """``_dl = np.where(_act[:, None], _t, _dl)``
-    → ``(tmp_name, slot, depth)`` or None."""
-    target = assign.targets[0].id
-    v = assign.value
-    if not (isinstance(v, ast.Call) and isinstance(v.func, ast.Attribute)
-            and v.func.attr == "where"
-            and isinstance(v.func.value, ast.Name)
-            and v.func.value.id == "np"
-            and len(v.args) == 3 and not v.keywords):
-        return None
-    cond, a, b = v.args
-    if not (isinstance(cond, ast.Subscript)
-            and isinstance(cond.value, ast.Name)
-            and cond.value.id == act_name):
-        return None
-    cs = cond.slice
-    if not (isinstance(cs, ast.Tuple) and len(cs.elts) == 2
-            and _is_full_slice(cs.elts[0])
-            and isinstance(cs.elts[1], ast.Constant)
-            and cs.elts[1].value is None):
-        return None
-    if not (isinstance(a, ast.Name) and isinstance(b, ast.Name)
-            and b.id == target):
-        return None
-    kind = resolve(target)
-    if kind[0] != "dline":
-        return None
-    return a.id, kind[1], kind[2]
-
-
 def _slot_kind(arr, n: int, what: str) -> tuple:
     """Classify a backing array: ``("i64",)`` / ``("u8",)`` lane arrays
-    or ``("dline", depth)`` for 2-D delay-line state."""
+    or a ``("table", depth)`` of ``depth`` int64 cells per lane."""
     if not isinstance(arr, np.ndarray) or not arr.flags["C_CONTIGUOUS"]:
         raise CUnsupported(f"{what}: not a contiguous ndarray")
     if arr.shape == (n,) and arr.dtype == np.int64:
@@ -342,7 +293,7 @@ def _slot_kind(arr, n: int, what: str) -> tuple:
         return ("u8",)
     if arr.ndim == 2 and arr.shape[0] == n and arr.shape[1] >= 1 \
             and arr.dtype == np.int64:
-        return ("dline", arr.shape[1])
+        return ("table", arr.shape[1])
     raise CUnsupported(f"{what}: shape {arr.shape}, dtype {arr.dtype}")
 
 
@@ -355,7 +306,7 @@ def build_step_kernel(
     state_names: dict[str, int],
     bound: dict[str, object],
     act_name: str,
-    true_name: str,
+    arange_name: str,
     zeros_name: str,
 ) -> tuple["CStepKernel", list[object]] | None:
     """Translate + compile the numpy runs of one cycle body.
@@ -372,16 +323,21 @@ def build_step_kernel(
     # -- slot layout: ports, then states, then shared/scratch ----------
     arrays: list["np.ndarray"] = []
     slot_of: dict[str, int] = {}
-    elem: dict[int, tuple] = {}  # slot -> ("i64",) | ("u8",) | ("dline", D)
+    elem: dict[int, tuple] = {}  # slot -> ("i64",) | ("u8",) | ("table", D)
     shared: dict[str, tuple[int, int]] = {}
 
-    def add_slot(name: str, arr, what: str) -> int:
+    def add_slot(name: str, arr, what: str) -> tuple:
         kind = _slot_kind(arr, n, what)
         slot = len(arrays)
         slot_of[name] = slot
         elem[slot] = kind
         arrays.append(arr)
-        return slot
+        return slot_tag(slot)
+
+    def slot_tag(slot: int) -> tuple:
+        if elem[slot][0] == "table":
+            return ("table", slot, elem[slot][1])
+        return ("lane", slot)
 
     for name, k in port_names.items():
         add_slot(name, port_store[k], f"port {name}")
@@ -389,47 +345,32 @@ def build_step_kernel(
         add_slot(name, state_store[k], f"state {name}")
 
     consts: dict[str, int] = {}
-    scratch: list["np.ndarray"] = []
+    fixed = {act_name: ("act",), arange_name: ("arange",),
+             zeros_name: ("zero",)}
 
-    def resolve(name: str) -> tuple:
+    def resolve(name: str, base: bool = False) -> tuple:
+        # ``base``: ``name`` is subscripted, so a bound 1-D array is a
+        # shared table whatever its length (a lane vector otherwise)
         if name in slot_of:
-            slot = slot_of[name]
-            if elem[slot][0] == "dline":
-                return ("dline", slot, elem[slot][1])
-            return ("lane", slot)
+            return slot_tag(slot_of[name])
         if name in consts:
             return ("const", consts[name])
         if name in shared:
             return ("shared", *shared[name])
-        if name == act_name:
-            return ("act",)
-        if name == true_name:
-            return ("one",)
-        if name == zeros_name:
-            return ("zero",)
+        if name in fixed:
+            return fixed[name]
         obj = bound.get(name)
         if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
             consts[name] = int(obj)
             return ("const", consts[name])
         if isinstance(obj, np.ndarray):
-            if obj.shape != (n,) and obj.ndim == 1 \
+            if base and obj.ndim == 1 \
                     and obj.dtype == np.int64 and obj.flags["C_CONTIGUOUS"]:
                 shared[name] = (len(arrays), obj.shape[0])
                 arrays.append(obj)
                 return ("shared", *shared[name])
-            return resolve_slot_array(name, obj)
+            return add_slot(name, obj, f"array {name}")
         raise CUnsupported(f"unresolvable name {name!r} ({type(obj)})")
-
-    def resolve_slot_array(name: str, obj) -> tuple:
-        slot = add_slot(name, obj, f"array {name}")
-        if elem[slot][0] == "dline":
-            return ("dline", slot, elem[slot][1])
-        return ("lane", slot)
-
-    def fresh_scratch(name: str) -> int:
-        arr = np.zeros(n, dtype=np.int64)
-        scratch.append(arr)
-        return add_slot(name, arr, f"scratch {name}")
 
     # -- partition into python runs and C segments ---------------------
     # seg stmt: ("a", slot, c_expr) or ("raw", c_code)
@@ -439,29 +380,10 @@ def build_step_kernel(
     current: list[tuple] | None = None
     seg_reads: list[set[int]] = []
     seg_shared: list[set[int]] = []
-    seg_dlines: list[set[int]] = []
-    # one-line lookahead state for the delay-line idiom:
-    #   _t = np.concatenate((_dl[:, 1:], (EXPR)[:, None]), axis=1)
-    #   _dl = np.where(_act[:, None], _t, _dl)
-    pending: tuple | None = None  # (tmp_name, slot, depth, c_expr)
-
-    def open_segment():
-        nonlocal current
-        if current is None:
-            current = []
-            seg_reads.append(set())
-            seg_shared.append(set())
-            seg_dlines.append(set())
-
-    def track(emitter):
-        seg_reads[-1] |= emitter.reads
-        seg_shared[-1] |= emitter.shared_reads
-        seg_dlines[-1] |= emitter.dline_reads
+    seg_tables: list[set[int]] = []
 
     for line in cycle_lines:
         if "\n" in line or "[_l]" in line or line.lstrip().startswith("for "):
-            if pending:
-                raise CUnsupported("uncommitted delay-line shift")
             if current:
                 seg_stmts.append(current)
                 body.append(len(seg_stmts) - 1)
@@ -472,60 +394,38 @@ def build_step_kernel(
             tree = ast.parse(line.strip(), mode="exec")
         except SyntaxError as exc:  # pragma: no cover - emitter bug
             raise CUnsupported(f"unparsable line {line!r}: {exc}")
-        if len(tree.body) != 1 or not isinstance(tree.body[0], ast.Assign):
+        if len(tree.body) != 1 or not isinstance(tree.body[0], ast.Assign) \
+                or len(tree.body[0].targets) != 1:
             raise CUnsupported(f"not a single assignment: {line!r}")
         assign = tree.body[0]
-        if len(assign.targets) != 1 \
-                or not isinstance(assign.targets[0], ast.Name):
-            raise CUnsupported(f"compound target: {line!r}")
-        target = assign.targets[0].id
-
-        commit = _match_dline_commit(assign, resolve, act_name)
-        if commit is not None:
-            tmp_name, slot, depth = commit
-            if pending is None or pending[0] != tmp_name \
-                    or pending[1] != slot:
-                raise CUnsupported(f"unmatched delay-line commit: {line!r}")
-            open_segment()
-            seg_dlines[-1].add(slot)
-            d = depth
-            code = (f"if (_a) {{ "
-                    f"for (i64 _j = 0; _j < {d - 1}; _j++) "
-                    f"_d{slot}[_i * {d} + _j] = _d{slot}[_i * {d} + _j + 1]; "
-                    f"_d{slot}[_i * {d} + {d - 1}] = {pending[3]}; }}")
-            current.append(("raw", code))
-            pending = None
-            continue
-        if pending:
-            raise CUnsupported("uncommitted delay-line shift")
-
-        shift = _match_dline_shift(assign, resolve, n)
-        if shift is not None:
-            slot, depth, expr_node = shift
-            emitter = _ExprEmitter(resolve)
-            c_expr = emitter.emit(expr_node)
-            if slot in emitter.dline_reads:
-                raise CUnsupported("delay-line shift reads itself")
-            open_segment()
-            track(emitter)
-            pending = (target, slot, depth, c_expr)
-            continue
-
         emitter = _ExprEmitter(resolve)
-        expr = emitter.emit(assign.value)
-        if target not in slot_of:
-            if target in consts or target in shared \
-                    or target in (act_name, true_name, zeros_name) \
-                    or bound.get(target) is not None:
-                raise CUnsupported(f"assignment to bound name {target!r}")
-            fresh_scratch(target)
-        if elem[slot_of[target]][0] == "dline":
-            raise CUnsupported(f"whole-array delay-line write: {line!r}")
-        open_segment()
-        track(emitter)
-        current.append(("a", slot_of[target], expr))
-    if pending:
-        raise CUnsupported("uncommitted delay-line shift")
+        if isinstance(assign.targets[0], ast.Name):
+            target = assign.targets[0].id
+            expr = emitter.emit(assign.value)
+            if target not in slot_of:
+                if target in consts or target in shared or target in fixed \
+                        or bound.get(target) is not None:
+                    raise CUnsupported(
+                        f"assignment to bound name {target!r}")
+                add_slot(target, np.zeros(n, dtype=np.int64),
+                         f"scratch {target}")
+            if elem[slot_of[target]][0] == "table":
+                raise CUnsupported(f"whole-table write: {line!r}")
+            stmt = ("a", slot_of[target], expr)
+        else:
+            code = _match_scatter(assign, emitter)
+            if code is None:
+                raise CUnsupported(f"compound target: {line!r}")
+            stmt = ("raw", code)
+        if current is None:
+            current = []
+            seg_reads.append(set())
+            seg_shared.append(set())
+            seg_tables.append(set())
+        seg_reads[-1] |= emitter.reads
+        seg_shared[-1] |= emitter.shared_reads
+        seg_tables[-1] |= emitter.tables
+        current.append(stmt)
     if current:
         seg_stmts.append(current)
         body.append(len(seg_stmts) - 1)
@@ -554,7 +454,7 @@ def build_step_kernel(
                    "i64 N) {")
         for s in sorted(seg_shared[j]):
             src.append(f"    const i64 *_T{s} = (const i64 *)T[{s}];")
-        for s in sorted(seg_dlines[j]):
+        for s in sorted(seg_tables[j]):
             src.append(f"    i64 *_d{s} = (i64 *)T[{s}];")
         for s in lane_slots:
             ctyp = "unsigned char" if elem[s][0] == "u8" else "i64"

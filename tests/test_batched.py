@@ -298,9 +298,9 @@ def build_literal_register(init: int = 0) -> Model:
 
 
 def test_literal_fed_register_on_the_all_lanes_path(monkeypatch):
-    # Without the C kernel a step with every lane active runs the
-    # unmasked numpy schedule, where the literal update must still
-    # produce a lane array.
+    # Without the C kernel every step runs the masked numpy schedule;
+    # with every lane active the literal update must still produce a
+    # lane array.
     monkeypatch.setenv(DISABLE_ENV, "1")
     params = [{"init": 5}, {"init": 0}, {"init": 200}]
     refs = scalar_runs(5, build_literal_register, params)
@@ -317,14 +317,11 @@ def test_literal_fed_register_on_the_all_lanes_path(monkeypatch):
 # Process-wide code cache
 # ----------------------------------------------------------------------
 def _images_equal(a, b) -> bool:
-    return all(len(x) == len(y) and all(np.array_equal(p, q)
-                                        for p, q in zip(x, y))
-               for x, y in zip(a, b))
+    return np.array_equal(a, b)
 
 
 def build_native(value: int = 5, step: int = 1, init: int = 0) -> Model:
-    """A design the C kernel runs whole: no fallback block and no
-    delay-line state."""
+    """A design the C kernel runs whole: no fallback block."""
     m = Model("native")
     cnt = m.add(Counter("cnt", width=8, step=step))
     k = m.add(Constant("k", value, width=16))
@@ -367,7 +364,7 @@ def _assert_share_code_not_state(build, fns: tuple[str, ...]):
 
 
 def test_rebuilt_batches_share_code_not_state():
-    _assert_share_code_not_state(build_sink, ("step", "step_all", "settle"))
+    _assert_share_code_not_state(build_sink, ("step", "settle"))
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None or not ckernel_enabled(),
@@ -391,28 +388,28 @@ def _matmul(block: int) -> Model:
 PINNED_SOURCES = {
     (_cordic, 2): {
         "sysgen-compiled": "27dc4d8ace25bedf953e7d2eca208f515452d57d27643a49c3752c74768ec763",
-        "sysgen-batched": "c151c39131c04cae1592140039ec8a30b092ea7ccf0cbf4617a604fffdb1c0a2",
-        "sysgen-batched-c": "b445631b08403e836d5fc5dca575bd6e5238d84ba4c3eaaa2653836df790f900",
+        "sysgen-batched": "ed5039041f238f86cd19d90a9aac196f2ab9b7c6c03c91e0897a6ed5dd83a951",
+        "sysgen-batched-c": "2de4410652a2e7273dd9712ecde80073ece20b939753186ff42b749c947df71e",
     },
     (_cordic, 4): {
         "sysgen-compiled": "6c4a3cb87750cbf4541f5a0cbc9efffcf0ce6789703808287589d175630476e4",
-        "sysgen-batched": "4d9346ee800f0b532dcb04471e70e45d050f740e95dd574b318cbf16d7e68323",
-        "sysgen-batched-c": "888534a7b2b9bc5e92b4b0172ca819de3beff17d40d5c81b16ebe52dce6162b7",
+        "sysgen-batched": "3afde0ab4b21e2a548ecdde8d3190b6d96af598553723b60bfc40d9a124be5ea",
+        "sysgen-batched-c": "969b57f6bff2e1e57d2778bcb0c440a2bb090bdc10081ba4a83622dee0db8788",
     },
     (_cordic, 8): {
         "sysgen-compiled": "765f8385c6026bc795a589d319364709ea1027918b2091a087cfd157fc727c13",
-        "sysgen-batched": "b1c72b72fd99ec3729efaab69d19b85fadde2e1f2c4d4fd0a55d4e53d438e4e0",
-        "sysgen-batched-c": "b4a09e45455d867771af8280be2cac5c4e5d7f236f095fdd0a476c70c83f1a61",
+        "sysgen-batched": "04f7af91885002f709dacaf307f9c8e23e0a7bf488c0d045968e05002946aff9",
+        "sysgen-batched-c": "3ceaad3343bf82822e8e9aa73fd9c19d472b4de198d9cf28fbabfb50dc4f6621",
     },
     (_matmul, 2): {
         "sysgen-compiled": "3d8d333a5ec2e4e2a67d193931bac63ea1b685e7e04c1a817951f9eb40bdda8d",
-        "sysgen-batched": "a8386ab0b8c2347a44cfff77a07c3871c853964b56221242c6ee4738ae3552b0",
-        "sysgen-batched-c": "3deb8f04ec48570c3906f39e61048f77a60c7c2be19ba262590f34d5a3b958f1",
+        "sysgen-batched": "3a8e31c3b724241db01b7daee8fbdb7fb2c45dbf6a8b7487bc56690ecf1d826d",
+        "sysgen-batched-c": "de5a02eeb4ef91396a61a00975cba4fe6e9c9f300ae70417c32fe3c677f43ead",
     },
     (_matmul, 4): {
         "sysgen-compiled": "39b6814bf80564a0863600780140af731d78a2a50d6929e917c53c469334f1e8",
-        "sysgen-batched": "90fe5919d7c91ffa6de48bab4ed300258bf32f0e4944acb2c58e4f7b17c70597",
-        "sysgen-batched-c": "9c1e664e215724145c6816802bb823d88aee1e9719a18ef497ee79ef5ce7748b",
+        "sysgen-batched": "cd0b11199a1d1ee3970cb49444c935c101554322e2d40b16c261c105fecc2adb",
+        "sysgen-batched-c": "fcd9daf2957e13a96092806171a3686c3e97e9c0115f6cdb943ea1a01ccd9234",
     },
 }
 

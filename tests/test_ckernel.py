@@ -1,9 +1,18 @@
-"""The C kernel's build directory lives only as long as its process.
+"""The native C step kernel of the lockstep schedule.
 
-Each process that builds a kernel compiles it into a private temporary
-directory.  The directory must be gone once the process exits, whether
-it is a main process or a forked worker of :mod:`repro.runapi.pool`
-(which leaves through ``os._exit`` and skips ``atexit``).
+* Every standard design builds a kernel when ``gcc`` is present: the
+  five designs pinned in ``tests/test_batched.py`` and the seed-0
+  conformance scenarios.
+* Lane tables — an ``(N, depth)`` array read by the gather
+  ``T[ar, i]`` and written by the masked scatter ``T[m, p[m]] =
+  (v)[m]`` (delay lines, FIFOs, RAMs, per-lane ROMs) — run the same in
+  the scalar engine, the numpy schedule and the C kernel, with lanes
+  frozen and thawed mid-run.
+* Each process that builds a kernel compiles it into a private
+  temporary directory, which must be gone once the process exits,
+  whether it is a main process or a forked worker of
+  :mod:`repro.runapi.pool` (which leaves through ``os._exit`` and
+  skips ``atexit``).
 """
 
 from __future__ import annotations
@@ -16,9 +25,158 @@ import textwrap
 
 import pytest
 
-from repro.sysgen.ckernel import ckernel_enabled
+np = pytest.importorskip("numpy")
+
+from repro.conformance.scenario import ScenarioGenerator, build_model
+from repro.sysgen.batched import BatchedModel
+from repro.sysgen.blocks.control import Constant, Counter
+from repro.sysgen.blocks.logic import Relational, Slice
+from repro.sysgen.blocks.memory import FIFO, RAM, ROM, Delay
+from repro.sysgen.ckernel import DISABLE_ENV, ckernel_enabled
+from repro.sysgen.model import Model
+from tests.test_batched import PINNED_SOURCES
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+needs_ckernel = pytest.mark.skipif(
+    shutil.which("gcc") is None or not ckernel_enabled(),
+    reason="the C kernel needs gcc and is not disabled")
+
+
+@needs_ckernel
+@pytest.mark.parametrize("build,param", list(PINNED_SOURCES))
+def test_pinned_designs_build_a_kernel(build, param):
+    batch = BatchedModel([build(param), build(param)])
+    assert batch._schedule.step_c is not None
+
+
+@needs_ckernel
+def test_conformance_scenarios_build_a_kernel():
+    gen = ScenarioGenerator(seed=0)
+    missing = []
+    for index in range(25):
+        scenario = gen.scenario(index)
+        batch = BatchedModel([build_model(scenario)[0] for _ in range(2)])
+        if batch._schedule.step_c is None:
+            missing.append(scenario.name)
+    assert missing == []
+
+
+def build_rom(words: int) -> Model:
+    m = Model("rom")
+    cnt = m.add(Counter("cnt", width=8))
+    rom = m.add(ROM("rom", [7 * i + 3 for i in range(words)], width=8))
+    m.connect(cnt.o("q"), rom.i("addr"))
+    m.probe(rom.o("data"))
+    return m
+
+
+@needs_ckernel
+@pytest.mark.parametrize("words", [3, 4, 5])
+def test_shared_rom_as_long_as_the_batch_builds_a_kernel(words):
+    # a ROM of four words in a batch of four is a shared table, not a
+    # lane vector, although its shape is (N,)
+    ref = build_rom(words)
+    ref.step(12)
+    batch = BatchedModel([build_rom(words) for _ in range(4)])
+    assert batch._schedule.step_c is not None
+    batch.step(12)
+    for model in batch.models:
+        assert model.probes[0].samples == ref.probes[0].samples
+
+
+def build_tables(step: int = 1, limit: int = 40, rom_base: int = 3) -> Model:
+    """Every lane-table block, fed so that its edge cases come up:
+    delay lines of one word and of three (the head wraps), one of them
+    fed runs of equal words (a full run fed its own word again), a depth-3
+    FIFO whose pushes meet a full FIFO and whose pops meet an empty one,
+    a RAM written under a per-lane enable, and a ROM with per-lane
+    contents."""
+    m = Model("tables")
+    cnt = m.add(Counter("cnt", width=8, step=step))
+    bit0 = m.add(Slice("bit0", 0, 0))
+    bit2 = m.add(Slice("bit2", 2, 2))
+    bit3 = m.add(Slice("bit3", 3, 3))
+    bit4 = m.add(Slice("bit4", 4, 4))
+    low = m.add(Slice("low", 2, 0))
+    for s in (bit0, bit2, bit3, bit4, low):
+        m.connect(cnt.o("q"), s.i("a"))
+    d1 = m.add(Delay("d1", width=8, n=1))
+    m.connect(cnt.o("q"), d1.i("d"))
+    d3 = m.add(Delay("d3", width=1, n=3))
+    m.connect(bit2.o("out"), d3.i("d"))
+    dc = m.add(Delay("dc", width=8, n=3))
+    m.connect(cnt.o("q"), dc.i("d"))
+    fifo = m.add(FIFO("fifo", width=8, depth=3))
+    m.connect(cnt.o("q"), fifo.i("din"))
+    m.connect(bit3.o("out"), fifo.i("push"))
+    m.connect(bit4.o("out"), fifo.i("pop"))
+    k = m.add(Constant("k", limit, width=8))
+    we = m.add(Relational("we", width=8, op="lt"))
+    m.connect(cnt.o("q"), we.i("a"))
+    m.connect(k.o("out"), we.i("b"))
+    ram = m.add(RAM("ram", depth=8, width=8))
+    m.connect(low.o("out"), ram.i("addr"))
+    m.connect(cnt.o("q"), ram.i("din"))
+    m.connect(we.o("out"), ram.i("we"))
+    rom = m.add(ROM("rom", [rom_base * (i + 1) + i * i for i in range(8)],
+                    width=8))
+    m.connect(low.o("out"), rom.i("addr"))
+    for ref in (d1.o("q"), d3.o("q"), dc.o("q"), fifo.o("dout"), fifo.o("count"),
+                fifo.o("full"), fifo.o("empty"), ram.o("dout"),
+                rom.o("data")):
+        m.probe(ref)
+    return m
+
+
+TABLE_PARAMS = [
+    {"step": 1, "limit": 40, "rom_base": 3},
+    {"step": 3, "limit": 200, "rom_base": 5},
+    {"step": 1, "limit": 0, "rom_base": 7},
+    {"step": 5, "limit": 90, "rom_base": 11},
+]
+
+#: (lane, freeze at batch cycle, thaw at batch cycle)
+FREEZES = [(1, 10, 34), (2, 25, 61), (3, 0, 7)]
+CYCLES = 80
+
+
+def _state_rows(batch, lane: int) -> list:
+    return [a[lane].tolist() for a in batch._schedule.state_store]
+
+
+@pytest.mark.parametrize("engine", ["numpy", "c"])
+def test_lane_tables_match_scalar_across_freezes(monkeypatch, engine):
+    if engine == "numpy":
+        monkeypatch.setenv(DISABLE_ENV, "1")
+    elif shutil.which("gcc") is None or not ckernel_enabled():
+        pytest.skip("the C kernel needs gcc and is not disabled")
+    batch = BatchedModel([build_tables(**p) for p in TABLE_PARAMS])
+    assert batch.fallback_blocks == []
+    assert (batch._schedule.step_c is not None) == (engine == "c")
+    frozen_rows = {}
+    for cycle in range(CYCLES):
+        for lane, stop, go in FREEZES:
+            if cycle == stop:
+                batch.deactivate(lane)
+                frozen_rows[lane] = _state_rows(batch, lane)
+            if cycle == go:
+                # no masked update — the tables' scatters included —
+                # wrote the lane while it was frozen
+                assert _state_rows(batch, lane) == frozen_rows.pop(lane)
+                batch.activate(lane)
+        batch.step(1)
+    for lane, params in enumerate(TABLE_PARAMS):
+        frozen = sum(go - stop for ln, stop, go in FREEZES if ln == lane)
+        ref = build_tables(**params)
+        ref.step(CYCLES - frozen)
+        batch.write_back(lane)
+        assert batch.models[lane].state_dict() == ref.state_dict(), lane
+    # the FIFO filled up, and the lanes' ROMs answered differently
+    samples = [p.samples for m in batch.models for p in m.probes]
+    assert any(1 in s for s in samples[5::9])  # fifo.full
+    assert len({tuple(m.probes[8].samples[:8]) for m in batch.models}) > 1
+
 
 SCRIPT = textwrap.dedent("""
     import os
@@ -44,8 +202,7 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None or not ckernel_enabled(),
-                    reason="the C kernel needs gcc and is not disabled")
+@needs_ckernel
 def test_build_directories_removed_at_exit(tmp_path):
     scratch = tmp_path / "tmp"
     scratch.mkdir()
