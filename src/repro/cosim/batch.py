@@ -25,26 +25,21 @@ Per-cycle output pinning (``stuck_at`` faults) stays in lockstep via
 
 Idle hardware
 -------------
-The engine has one idle rule, the lockstep twin of the scalar engine's
-fast-forward, under the same contract: the hardware is skipped only at
-a fixed point, never for a finite countdown.  A *probe* snapshots every
-port and state array before a step; when the step changed none of them
-(:meth:`~repro.sysgen.batched.BatchedModel.state_unchanged`) and every
-per-lane fallback block is idle forever, the batch is at a fixed point
-and a *quiet stretch* begins: the CPUs tick alone and the vector clock
+The engine has the scalar engine's idle rule: the hardware is skipped
+only at a fixed point, never for a finite countdown.  Each step leaves
+a busy bit per lane, computed from the blocks' own ``busy_if`` checks
+(:meth:`~repro.sysgen.batched.BatchedModel.idle_horizon`, which also
+asks the per-lane fallback blocks).  When no running lane is busy, a
+*quiet stretch* begins: the CPUs tick alone and the vector clock
 catches up in one :meth:`~repro.sysgen.batched.BatchedModel.fast_forward`
 as soon as any CPU's FSL (or, with OPB-mapped registers, store)
 activity reaches the hardware, which is then stepped through that very
-cycle.  The FSL endpoints' busy rule (a pop, push or counted drop at
-the next edge) is part of that evidence: they count their transfers in
-state arrays, so a step that moved a FIFO never reads as unchanged.  A
-running lane's forced port, a lane that was not running when the
-stretch was armed, or :meth:`BatchedCoSimulation.hw_touched` ends the
-stretch too; a lane's forcing goes when the lane halts or is evicted.
-Nothing else rewrites a port array during a stretch (only a step, a
-poke or ``reset`` do), so the arrays the fallback blocks drive need no
-watch of their own.  A failed probe doubles the wait before the next
-one (up to 512 cycles); arming a stretch resets it.
+cycle.  A running lane's forced port, a lane that was not running when
+the stretch was armed, or :meth:`BatchedCoSimulation.hw_touched` ends
+the stretch too; a lane's forcing goes when the lane halts or is
+evicted.  Nothing else rewrites a port array during a stretch (only a
+step, a poke or ``reset`` do), so the arrays the fallback blocks drive
+need no watch of their own.
 
 Lane eviction
 -------------
@@ -218,8 +213,6 @@ class BatchedCoSimulation:
         #: the lanes running when the quiet stretch was armed
         self._quiet_lanes: frozenset[int] = frozenset()
         self._hw_sig = -1
-        self._probe_wait = 0
-        self._probe_backoff = 1
 
     # ------------------------------------------------------------------
     @property
@@ -296,12 +289,11 @@ class BatchedCoSimulation:
                 stop = False
                 while done < stride and not stop:
                     if self._quiet and not forced:
-                        # --- quiet stretch: the vector hardware has been
-                        # observed at a fixed point (see the probe below),
-                        # so while no CPU activity reaches it, tick CPUs
-                        # per cycle — bulk-advancing stalled windows — and
-                        # advance the idle vector clock in a single
-                        # fast_forward at the end.
+                        # --- quiet stretch: the vector hardware sits at a
+                        # fixed point, so while no CPU activity reaches
+                        # it, tick CPUs per cycle — bulk-advancing stalled
+                        # windows — and advance the idle vector clock in
+                        # a single fast_forward at the end.
                         ff = 0
                         while done < stride and not stop:
                             horizon = min(
@@ -321,44 +313,24 @@ class BatchedCoSimulation:
                                 # hardware: flush the idle window, then
                                 # really simulate this cycle
                                 self._quiet = False
-                                self._probe_wait = 0
-                                batched.fast_forward(ff)
-                                ff = 0
-                                batched.step(1)
                                 break
                             ff += 1
                         batched.fast_forward(ff)
-                        continue
-                    probing = (
-                        not self._quiet
-                        and not forced
-                        and self._probe_wait <= 0
-                    )
-                    if probing:
-                        image = batched.state_image()
-                    elif not self._quiet:
-                        self._probe_wait -= 1
-                    if forced:
-                        forced = self._apply_forcings(running)
-                    stop = self._tick(running, cpus)
+                        if self._quiet:
+                            continue
+                    else:
+                        if forced:
+                            forced = self._apply_forcings(running)
+                        stop = self._tick(running, cpus)
+                        done += 1
                     batched.step(1)
-                    done += 1
-                    if probing:
-                        # arm the quiet stretch only on direct evidence:
-                        # the step changed nothing AND every per-lane
-                        # fallback block is at an unbounded fixed point;
-                        # otherwise back off before probing again
-                        if batched.state_unchanged(image) \
-                                and batched.fallback_idle_horizon(running) \
-                                >= IDLE_FOREVER:
-                            self._quiet = True
-                            self._quiet_lanes = frozenset(running)
-                            self._probe_backoff = 1
-                            self._hw_sig = hw_activity(cpus, stores_touch_hw)
-                        else:
-                            self._probe_backoff = min(
-                                self._probe_backoff * 2, 512)
-                            self._probe_wait = self._probe_backoff
+                    if not forced and batched.idle_horizon(running) \
+                            >= IDLE_FOREVER:
+                        # the step left every running lane at a fixed
+                        # point: the quiet stretch begins
+                        self._quiet = True
+                        self._quiet_lanes = frozenset(running)
+                        self._hw_sig = hw_activity(cpus, stores_touch_hw)
             except Exception as exc:  # noqa: BLE001 - shared-step crash
                 # A crash inside the shared vector step cannot be
                 # attributed to one lane: evict every running lane and
@@ -458,8 +430,6 @@ class BatchedCoSimulation:
         behind the engine's back)."""
         self._quiet = False
         self._hw_sig = -1
-        self._probe_wait = 0
-        self._probe_backoff = 1
 
     def _apply_forcings(self, running: list[int]) -> bool:
         """Re-pin the running lanes' forced ports for the coming cycle;

@@ -16,10 +16,9 @@ Code generation is shared with the scalar engine:
 :class:`BatchEmitContext` subclasses
 :class:`~repro.sysgen.compiled.EmitContext`, overrides each of its
 rendering verbs once and adds the vector helpers, and the generated
-``_step``/``_settle`` functions and the C-kernel driver ``_step_c``
-come from the scalar engine's
-:func:`~repro.sysgen.compiled.function_frame` and are compiled by its
-:func:`~repro.sysgen.compiled.exec_generated`.
+``_step`` and the C-kernel driver ``_step_c`` come from the scalar
+engine's :func:`~repro.sysgen.compiled.function_frame` and are
+compiled by its :func:`~repro.sysgen.compiled.exec_generated`.
 
 Blocks contribute vectorized source through
 :meth:`~repro.sysgen.block.Block.emit_batched`.  Most standard blocks
@@ -42,6 +41,11 @@ exactly like the scalar compiled engine's fallback — so telemetry,
 channel statistics and drop counters stay bit-identical with a scalar
 run.  The clones of vectorized blocks are written only on request
 (:meth:`BatchedModel.write_back`).
+
+Idle hardware has the scalar rule: the blocks' ``busy_if`` checks,
+rendered lane-wise, close every cycle body and leave a busy bit per
+lane (:meth:`BatchedModel.idle_horizon`), set whenever the lane's
+scalar :meth:`~repro.sysgen.model.Model.idle_horizon` would say busy.
 
 Divergence between lanes is handled by masking: the step function
 takes a boolean active-lane array, sequential state updates are
@@ -69,7 +73,12 @@ except ImportError:  # pragma: no cover - baked into the toolchain image
     np = None  # type: ignore[assignment]
 
 from repro.sysgen.block import IDLE_FOREVER
-from repro.sysgen.compiled import EmitContext, exec_generated, function_frame
+from repro.sysgen.compiled import (
+    EmitContext,
+    exec_generated,
+    function_frame,
+    horizon_rule,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sysgen.block import Block
@@ -148,14 +157,16 @@ class BatchEmitContext(EmitContext):
     * :meth:`state_slot` — a lane array loaded from the clones' attribute
     * :meth:`param` — the clones' parameter values as a bound lane vector
     * :meth:`drive` — the present masked to the active lanes
-    * :meth:`update` — the guarded update as a masked ``np.where`` chain
+    * :meth:`update` — the guarded update as a masked ``np.where``
+      chain, and the scalar register check over lane arrays
     * :meth:`select` / :meth:`as_int` — ``np.where`` / ``.astype``
+    * :meth:`busy_if` — 0/1 lane conditions, OR-ed into the busy bits
+      at the end of the cycle body (a statement-form :meth:`horizon`
+      has no lane rendering: the block counts as always busy)
 
-    ``busy_if``/``horizon`` lines such an ``emit`` writes are collected
-    but not generated: the batched engine has no vector idle horizon
-    (it probes for fixed points with
-    :meth:`BatchedModel.state_unchanged`).  Lane emitters for state of
-    another shape (delay lines, FIFOs, RAMs, pipeline stages) use:
+    Lane emitters for state of another shape (delay lines, FIFOs, RAMs,
+    pipeline stages, the FSL endpoints) state their ``busy_if`` rule
+    from their tables and mirror arrays, and use:
 
     * :meth:`state` — a persistent ``(N,)`` lane array or ``(N, depth)``
       lane table, (re)loadable from the per-lane clone blocks (a table
@@ -189,6 +200,10 @@ class BatchEmitContext(EmitContext):
         self.arange = self.bind(np.arange(self.n), "ar")
         self.zeros = self.bind(np.zeros(self.n, np.int64), "zz")
         self._lane_block_memo: dict[int, list["Block"]] = {}
+        #: lane -> 1 when a fallback block's clock() rewrote an output
+        #: in the lane's last step: the busy rules take that cycle's
+        #: ports for the values its edge used, so the lane is busy
+        self.moved = [0] * self.n
 
     def as_array(self, expr: str) -> str:
         """``expr`` broadcast to an ``(N,)`` int64 array (no-op values:
@@ -273,19 +288,26 @@ class BatchEmitContext(EmitContext):
 
     def update(self, q: str, state: str, rst: str, en: str,
                rst_val: str, en_val: str) -> None:
-        act = self.act
         rflag, eflag = self.flag(rst), self.flag(en)
         if rflag == "1":
-            nxt = f"np.where({act}, {rst_val}, {state})"
+            nxt = rst_val
         else:
-            nxt = state
-            if eflag != "0":
-                cond = act if eflag == "1" else f"{act} & {eflag}"
-                nxt = f"np.where({cond}, {en_val}, {state})"
+            nxt = (state if eflag == "0" else f"({en_val})" if eflag == "1"
+                   else f"np.where({eflag}, {en_val}, {state})")
             if rflag != "0":
-                nxt = f"np.where({act} & {rflag}, {rst_val}, {nxt})"
+                nxt = f"np.where({rflag}, {rst_val}, {nxt})"
         if nxt != state:
-            self.clock(f"{state} = {nxt}")
+            self.clock(f"{state} = np.where({self.act}, {nxt}, {state})")
+        # the scalar check, after the edge: ``q`` shows the state from
+        # before it.  A state the edge kept stays put at every later
+        # edge with the same inputs, so busy is a state that moved.
+        self.busy_if(f"{q} != {state}")
+
+    def busy_if(self, *conds: str) -> None:
+        self._horizon.setdefault(id(self.block), []).extend(conds)
+
+    def horizon(self, line: str) -> None:
+        self.busy_if("1")
 
     def select(self, cond: str, a: str, b: str, mask: int) -> str:
         return f"np.where({cond}, {a} & {mask}, {b} & {mask})"
@@ -307,18 +329,22 @@ def _emit_fallback_batched(ctx: BatchEmitContext, block: "Block") -> None:
             var = ctx.port_var(port.source)
             pl = ctx.bind(ctx.lane_ports(port.source), "fp")
             flush.append(f"    {pl}[_l].value = int({var}[_l])")
-    reload = []
+    reload, edge = [], []
+    mv = ctx.bind(ctx.moved, "mv") if block.sequential else None
     for port in block.outputs.values():
         var = ctx.port_var(port)
         pl = ctx.bind(ctx.lane_ports(port), "fp")
         reload.append(f"    {var}[_l] = {pl}[_l].value")
+        edge.append(f"    if {var}[_l] != {pl}[_l].value: "
+                    f"{var}[_l] = {pl}[_l].value; {mv}[_l] = 1")
 
     def loop(body: list[str], sink) -> None:
         sink("\n".join([f"for _l in {ctx.lanes}:"] + body))
 
     if block.sequential:
-        loop([f"    {clones}[_l].present()"] + reload, ctx.present)
-        loop(flush + [f"    {clones}[_l].clock()"] + reload, ctx.clock)
+        loop([f"    {mv}[_l] = 0", f"    {clones}[_l].present()"] + reload,
+             ctx.present)
+        loop(flush + [f"    {clones}[_l].clock()"] + edge, ctx.clock)
     else:
         loop(flush + [f"    {clones}[_l].evaluate()"] + reload, ctx.evaluate)
 
@@ -329,7 +355,7 @@ def _emit_fallback_batched(ctx: BatchEmitContext, block: "Block") -> None:
 
 
 class BatchedSchedule:
-    """Generated lockstep step/settle functions for one batch.
+    """Generated lockstep step function for one batch.
 
     ``source`` holds the generated python; ``step(cycles, act, lanes)``
     advances every lane where ``act`` is True by ``cycles`` cycles.
@@ -351,6 +377,10 @@ class BatchedSchedule:
                 _emit_fallback_batched(ctx, block)
                 self.fallback_blocks.append(block.name)
 
+        #: (probe index, port-store index | None, clone ports) per
+        #: probe — where :meth:`BatchedModel.fast_forward` reads the
+        #: frozen samples
+        self.probe_sources: list[tuple] = []
         for k, probe in enumerate(template.probes):
             apps = [m.probes[k].samples.append for m in batched.models]
             ap = ctx.bind(apps, "ap")
@@ -360,14 +390,16 @@ class BatchedSchedule:
                 ctx.probe_line(
                     f"for _l in {ctx.lanes}: {ap}[_l](int({var}[_l]))"
                 )
+                self.probe_sources.append((k, ctx._ports.index(port), None))
             else:  # probe on a port no block drives through the batch
                 pl = ctx.bind(ctx.lane_ports(port), "fp")
                 ctx.probe_line(
                     f"for _l in {ctx.lanes}: {ap}[_l](int({pl}[_l].value))"
                 )
+                self.probe_sources.append((k, None, ctx.lane_ports(port)))
 
-        cycle_body = (ctx._present + ctx._evaluate + ctx._probe + ctx._clock)
-        settle_body = ctx._present + ctx._evaluate
+        cycle_body = (ctx._present + ctx._evaluate + ctx._probe + ctx._clock
+                      + self._busy_lines(template))
 
         loads = [f"v{k} = _P[{k}]" for k in range(len(ctx._ports))]
         stores = [f"_P[{k}] = v{k}" for k in range(len(ctx._ports))]
@@ -381,23 +413,43 @@ class BatchedSchedule:
         self._advance = [f"for _l in _ln: {models}[_l].cycle += _done",
                          f"{bref}.cycle += _done"]
         stores += ctx._exit
-        src = function_frame("_step", ["_n", "_act", "_ln"], ctx.ns,
-                             self._prologue, cycle_body,
-                             stores + self._advance)
-        src += function_frame("_settle", ["_act", "_ln"], ctx.ns,
-                              self._prologue, settle_body, stores,
-                              loop=False)
-        self.source = "\n".join(src)
+        self.source = "\n".join(function_frame(
+            "_step", ["_n", "_act", "_ln"], ctx.ns, self._prologue,
+            cycle_body, stores + self._advance))
 
         ns = exec_generated(
             self.source, f"<sysgen-batched:{template.name}x{batched.n}>",
             ctx.ns, f"lockstep schedule for model {template.name!r}")
         self.step = ns["_step"]
-        self.settle = ns["_settle"]
         self._cycle_body = cycle_body
         self._batched = batched
         self.ckernel = None
         self.step_c = None
+
+    def _busy_lines(self, template: "Model") -> list[str]:
+        """The closing lines of the cycle body: each vectorized block's
+        idle rule (:func:`~repro.sysgen.compiled.horizon_rule`) OR-ed
+        into an accumulator, stored under the active-lane mask in the
+        busy lane array (a frozen lane keeps its last step's bit; before
+        any step every lane is busy, like an unsettled model).  The
+        fallback blocks' rules stay with their live clones."""
+        ctx = self.ctx
+        busy = ctx.state(lambda: np.ones(ctx.n, np.int64), "bz")
+        self.busy_slot = ctx.state_slots[busy]
+        acc = ctx.tmp()
+        lines = []
+        for block in template.blocks:
+            if block.name in self.fallback_blocks:
+                continue
+            rule = horizon_rule(block, "emit_batched")
+            conds = (ctx._horizon.get(id(block), []) if rule == "emitted"
+                     else [] if rule == "idle" else ["1"])
+            if conds:
+                head = f"{acc} | " if lines else ""
+                lines.append(f"{acc} = {head}"
+                             + " | ".join(f"({c})" for c in conds))
+        return lines + [f"{busy} = np.where({ctx.act}, "
+                        f"{acc if lines else 0}, {busy})"]
 
     # -- native kernel (optional) ---------------------------------------
     def build_ckernel(self) -> None:
@@ -443,20 +495,6 @@ class BatchedSchedule:
             f"C-kernel driver for model {name!r}")
         self.ckernel = kernel
         self.step_c = ns["_step_c"]
-        self._n_port_slots = len(ctx._ports)
-
-    def resync_kernel(self) -> None:
-        """Re-point the kernel's slot table after anything replaced a
-        port/state array object (numpy ``settle``, pokes, resets)."""
-        kernel = self.ckernel
-        if kernel is None:
-            return
-        for k, arr in enumerate(self.port_store):
-            kernel.arrays[k] = arr
-        base = self._n_port_slots
-        for j, arr in enumerate(self.state_store):
-            kernel.arrays[base + j] = arr
-        kernel._gen = -1
 
     def write_back(self, lane: int) -> None:
         """Write one lane's port and state arrays into its clone model
@@ -480,7 +518,11 @@ class BatchedSchedule:
             self.port_store[k] = ctx.lane_values(port)
         for k, loader in enumerate(ctx.state_loaders):
             self.state_store[k] = loader()
-        self.resync_kernel()
+        if self.ckernel is not None:
+            # re-point the kernel's slot table (ports, then states)
+            stores = self.port_store + self.state_store
+            self.ckernel.arrays[:len(stores)] = stores
+            self.ckernel._gen = -1
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +601,6 @@ class BatchedModel:
             self.active[lane] = True
             bisect.insort(self._lanes, lane)
 
-    @property
-    def any_active(self) -> bool:
-        return bool(self._lanes)
-
     # -- simulation ------------------------------------------------------
     def step(self, cycles: int = 1) -> None:
         """Advance every active lane ``cycles`` clock cycles."""
@@ -571,79 +609,49 @@ class BatchedModel:
         step = self._schedule.step_c or self._schedule.step
         step(cycles, self.active, self._lanes)
 
-    def settle(self) -> None:
-        """Propagate combinational logic without a clock edge."""
-        self._schedule.settle(self.active, self._lanes)
-        self._schedule.resync_kernel()
-
-    # -- fast-forward ----------------------------------------------------
-    def state_image(self) -> "np.ndarray":
-        """Every port and state array, flattened into one fresh array."""
-        s = self._schedule
-        return np.concatenate(s.port_store + [a.ravel() for a in s.state_store])
-
-    def state_unchanged(self, image: "np.ndarray") -> bool:
-        """True when no port or state array differs from ``image``.
-
-        With unchanged inputs the step function is deterministic, so a
-        step that left every array as ``image`` recorded it proves the
-        whole vectorized design sits at a fixed point: every further
-        step is the identity until an external input (CPU FSL transfer,
-        fault poke, fallback-block output) changes.  The FSL endpoints
-        count their pops, pushes and drops in state arrays, so a step
-        that moved a FIFO is never unchanged, even when it left every
-        port as it was (a drop into a full channel, or a pop whose next
-        word is identical).  This is the probe
-        that arms the batched co-simulation's quiet stretch, in place
-        of the scalar per-block ``idle_horizon`` walk, whose per-lane
-        state it cannot see."""
-        return np.array_equal(self.state_image(), image)
+    def idle_horizon(self, lanes: list[int] | None = None) -> int:
+        """:data:`~repro.sysgen.block.IDLE_FOREVER` when the given lanes
+        (default: the active ones) sit at a fixed point, else 0 — the
+        contract of :meth:`~repro.sysgen.model.Model.idle_horizon`,
+        lane by lane.  A lane's bit was computed by its last step, from
+        its vectorized blocks' ``busy_if`` rules; then the fallback
+        blocks' clones are asked (:meth:`fallback_idle_horizon`)."""
+        busy = self._schedule.state_store[self._schedule.busy_slot]
+        if busy[self._lanes if lanes is None else lanes].any():
+            return 0
+        return self.fallback_idle_horizon(lanes)
 
     def fallback_idle_horizon(self, lanes: list[int] | None = None) -> int:
         """:data:`~repro.sysgen.block.IDLE_FOREVER` when every fallback
         block of the given lanes is at a fixed point, else 0 (their
         clone state is live — the generated step dispatches them per
-        lane every cycle, unlike the vectorized blocks)."""
+        lane every cycle, unlike the vectorized blocks), and no lane
+        has :attr:`BatchEmitContext.moved` set."""
         names = self._schedule.fallback_blocks
+        moved = self._schedule.ctx.moved
         for lane in (self._lanes if lanes is None else lanes):
+            if moved[lane]:
+                return 0
             bm = self._block_maps[lane]
             for name in names:
                 if bm[name].idle_horizon() < IDLE_FOREVER:
                     return 0
         return IDLE_FOREVER
 
-    def _probe_sources(self) -> list[tuple]:
-        """(probe index, port-store index | None, clone ports) per
-        probe — where frozen probe samples are read from."""
-        srcs = getattr(self, "_probe_srcs", None)
-        if srcs is None:
-            ctx = self._schedule.ctx
-            srcs = []
-            for k, probe in enumerate(self.template.probes):
-                port = probe.port
-                if id(port) in ctx._port_var:
-                    srcs.append((k, ctx._ports.index(port), None))
-                else:
-                    srcs.append((k, None, ctx.lane_ports(port)))
-            self._probe_srcs = srcs
-        return srcs
-
     def fast_forward(self, cycles: int) -> None:
         """Advance every active lane ``cycles`` cycles without stepping.
 
         Caller contract (mirrors the scalar
-        :meth:`~repro.sysgen.model.Model.fast_forward`): the design is
-        at a fixed point — :meth:`state_unchanged` held over a probe
-        step and :meth:`fallback_idle_horizon` is unbounded — and no
-        external input changed during the ``cycles`` skipped; the
+        :meth:`~repro.sysgen.model.Model.fast_forward`): the lanes sit
+        at a fixed point (:meth:`idle_horizon` returned ``IDLE_FOREVER``)
+        and no external input changed during the ``cycles`` skipped; the
         batched co-simulation's quiet stretch calls it once, when CPU
         activity next reaches the hardware.  Probes record the frozen
         values so traces stay bit-identical with a per-cycle run; a
         block at a fixed point has no state to catch up."""
         if cycles <= 0:
             return
-        srcs = self._probe_sources()
-        for k, idx, clones in srcs:
+        for k, idx, clones in self._schedule.probe_sources:
             if idx is not None:
                 arr = self._schedule.port_store[idx]
                 for lane in self._lanes:
@@ -683,10 +691,6 @@ class BatchedModel:
     def fallback_blocks(self) -> list[str]:
         """Blocks running per-lane interpreter dispatch (not vectorized)."""
         return list(self._schedule.fallback_blocks)
-
-    @property
-    def batched_source(self) -> str:
-        return self._schedule.source
 
     def _port_index(self, block_name: str, port_name: str) -> int:
         port = self.template.block(block_name).outputs[port_name]

@@ -181,9 +181,9 @@ class Block:
         an ``(N, depth)`` int64 table, read only by the gather
         ``T[ctx.arange, i]`` and written only by the masked scatter
         ``T[m, p[m]] = (v)[m]``: the native kernel translates exactly
-        these forms.  ``busy_if``/``horizon`` lines are
-        collected but not generated: the batched engine has no vector
-        idle horizon.
+        these forms.  The idle rule is stated as in :meth:`emit`, with
+        0/1 lane conditions to ``ctx.busy_if``; a block whose
+        ``idle_horizon`` comes from another class is always busy.
 
         The default returns False: the batch compiler then dispatches
         this block's interpreter methods per active lane on the

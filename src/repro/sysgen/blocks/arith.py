@@ -79,8 +79,12 @@ class _PipelinedBlock(Block):
         run the block per lane there)."""
         return None
 
+    def _emit_lane_compute(self, ctx) -> str | None:
+        """:meth:`_emit_compute` over int64 lanes (None: run per lane)."""
+        return self._emit_compute(ctx)
+
     def emit_batched(self, ctx) -> bool:
-        return self._emit_stages(ctx, self._emit_compute(ctx))
+        return self._emit_stages(ctx, self._emit_lane_compute(ctx))
 
     def _emit_stages(self, ctx, expr: str | None) -> bool:
         """The lockstep form of :meth:`emit`: ``expr`` over (N,) arrays,
@@ -128,6 +132,12 @@ class _PipelinedBlock(Block):
         last = self.latency - 1
         ctx.clock(f"{vals[last]} = np.where({act}, {expr}, {vals[last]})")
         ctx.clock(f"{oks[last]} = {oks[last]} | {act}")
+        # the scalar rule: the entering value ``expr`` now sits in the
+        # last stage of every active lane; busy unless every stage
+        # holds it and the output presents it
+        ctx.busy_if(*(f"{ok} == 0" for ok in oks[:last]),
+                    *(f"{v} != {vals[last]}" for v in vals[:last]),
+                    f"{out} != {vals[last]}")
         return True
 
     def emit(self, ctx) -> bool:
@@ -295,10 +305,11 @@ class Mult(_PipelinedBlock):
         b = signed_expr(ctx.inp(self, "b"), self.width_b)
         return f"({a} * {b}) & {(1 << self.out_width) - 1}"
 
-    def emit_batched(self, ctx) -> bool:
+    def _emit_lane_compute(self, ctx) -> str | None:
         # the signed product must fit an int64 lane
-        return (self.width_a + self.width_b <= 62
-                and super().emit_batched(ctx))
+        if self.width_a + self.width_b > 62:
+            return None
+        return self._emit_compute(ctx)
 
     def resources(self) -> Resources:
         regs = self.latency * slices_for_bits(self.out_width)
@@ -374,7 +385,7 @@ class Shift(_PipelinedBlock):
             return f"({signed_expr(a, self.width)} >> {self.amount}) & {m}"
         return f"((({a}) & {m}) >> {self.amount})"
 
-    def emit_batched(self, ctx) -> bool:
+    def _emit_lane_compute(self, ctx) -> str:
         # int64 lanes: pre-mask so shifted intermediates never exceed
         # ``width`` bits, and clamp shift counts below the word size
         # (python bigints make the scalar forms safe; numpy does not).
@@ -382,15 +393,13 @@ class Shift(_PipelinedBlock):
         m = (1 << self.width) - 1
         if self.amount >= self.width and not (
                 self.direction == "right" and self.arithmetic):
-            expr = f"(({a}) & 0)"
-        elif self.direction == "left":
-            expr = f"((({a}) & {m >> self.amount}) << {self.amount})"
-        elif self.arithmetic:
+            return f"(({a}) & 0)"
+        if self.direction == "left":
+            return f"((({a}) & {m >> self.amount}) << {self.amount})"
+        if self.arithmetic:
             amt = min(self.amount, self.width)  # sign fill is complete
-            expr = f"({signed_expr(a, self.width)} >> {amt}) & {m}"
-        else:
-            expr = f"((({a}) & {m}) >> {self.amount})"
-        return self._emit_stages(ctx, expr)
+            return f"({signed_expr(a, self.width)} >> {amt}) & {m}"
+        return f"((({a}) & {m}) >> {self.amount})"
 
     def resources(self) -> Resources:
         return Resources(slices=self.latency * slices_for_bits(self.width))

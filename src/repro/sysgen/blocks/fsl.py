@@ -24,9 +24,11 @@ Per step only lanes whose FIFO head word (reader) or occupancy
 that pop, push or drop a word at the edge run per-lane python: the
 transfer itself is ``pop()``/``push()`` on the lane's channel, so
 channel statistics, drop counters and telemetry events are those of a
-scalar run.  A lane array counts each endpoint's transfers: a step that
-moved a FIFO never reads as unchanged to the lockstep engine's
-fixed-point probe, even when every port array kept its value.
+scalar run.  The idle rule is the scalar one, read off the port arrays:
+a reader is busy while ``read`` and ``exists`` are both high, a writer
+while ``write`` is (a push or a counted drop at the next edge).  The
+rest of the scalar rule compares the ports with the channel, and within
+one step only the endpoint's own transfer can move the channel.
 """
 
 from __future__ import annotations
@@ -202,20 +204,20 @@ class FSLRead(SeqBlock):
                  for w in heads), np.int64, ctx.n)
 
         hm = ctx.state(load_mirror, "hm")
-        pops = ctx.state(lambda: np.zeros(ctx.n, np.int64), "pc")
         _mirror(ctx, f"[q[0] if q else None for q in {q}]", hh,
                 f"{hm}[_l] = 0 if _w is None else "
                 f"_w.data | _w.control << 32 | {1 << 33}")
         ctx.drive(ctx.out(self, "data"), f"{hm} & {0xFFFFFFFF}")
         ctx.drive(ctx.out(self, "control"), f"({hm} >> 32) & 1")
-        ctx.drive(ctx.out(self, "exists"), f"{hm} >> 33")
+        exists = ctx.out(self, "exists")
+        ctx.drive(exists, f"{hm} >> 33")
         read = ctx.inp(self, "read")
-        rlit = ctx.lit(read)
-        if rlit is not None and not (rlit & 1):
+        rflag = ctx.flag(read)
+        if rflag == "0":
             return True
+        ctx.busy_if(exists if rflag == "1" else f"{rflag} & {exists}")
         _lane_transfers(ctx, read, f"{q}[_l]",
                         f"{ch}[_l].pop()\n"
-                        f"{pops}[_l] += 1\n"
                         f"_b = {fb}[_l]\n" + _fire(ctx, "_b", self.name))
         return True
 
@@ -343,14 +345,14 @@ class FSLWrite(SeqBlock):
                 np.int64, ctx.n)
 
         fm = ctx.state(load_mirror, "fm")
-        moves = ctx.state(lambda: np.zeros(ctx.n, np.int64), "wc")
         _mirror(ctx, f"[len(q) for q in {q}]", oc,
                 f"{fm}[_l] = 1 if {ch}[_l].full else 0")
         ctx.drive(ctx.out(self, "full"), fm)
         write = ctx.inp(self, "write")
-        wlit = ctx.lit(write)
-        if wlit is not None and not (wlit & 1):
+        wflag = ctx.flag(write)
+        if wflag == "0":
             return True
+        ctx.busy_if(wflag)
         data = ctx.inp(self, "data")
         if ctx.lit(data) is None:
             data = f"int({data}[_l])"
@@ -361,7 +363,6 @@ class FSLWrite(SeqBlock):
         ok = ctx.tmp()
         _lane_transfers(ctx, write, "",
                         f"{ok} = {ch}[_l].push({data}, {ctrl})\n"
-                        f"{moves}[_l] += 1\n"
                         f"_b = {fb}[_l]\n"
                         f"if not {ok}: _b.dropped += 1\n"
                         + _fire(ctx, "_b", self.name,

@@ -116,27 +116,13 @@ class Delay(SeqBlock):
     def emit_batched(self, ctx) -> bool:
         # circular table, like FIFO's: the oldest word sits at the head,
         # and a clock edge overwrites it with the new word and advances
-        # the head.  A head that turned every cycle would hide a line at
-        # a fixed point from the state-image probe, so each lane also
-        # counts how many trailing words equal the newest one (capped at
-        # n): a full run fed its own word again leaves the table as is.
-        # The clone deques load at head 0.
+        # the head.  The clone deques load at head 0.
         lanes = ctx.lane_blocks(self)
         n = self.n
-
-        def trailing_run(words) -> int:
-            run = 1
-            while run < n and words[-1 - run] == words[-1]:
-                run += 1
-            return run
-
         line = ctx.state(
             lambda: np.array([list(b._line) for b in lanes], dtype=np.int64),
             "dl")
         head = ctx.state(lambda: np.zeros(ctx.n, dtype=np.int64), "dh")
-        run = ctx.state(
-            lambda: np.fromiter((trailing_run(b._line) for b in lanes),
-                                np.int64, ctx.n), "dr")
 
         def write_back(lane, get):
             row = get(line)[lane].tolist()
@@ -146,17 +132,19 @@ class Delay(SeqBlock):
 
         ctx.write_back(write_back)
         ar, act = ctx.arange, ctx.act
-        ctx.drive(ctx.out(self, "q"), f"{line}[{ar}, {head}]")
+        q = ctx.out(self, "q")
+        ctx.drive(q, f"{line}[{ar}, {head}]")
         d = ctx.as_array(
             f"({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}")
-        same, wr = ctx.tmp(), ctx.tmp()
-        ctx.clock(f"{same} = {d} == {line}[{ar}, ({head} + {n - 1}) % {n}]")
-        # ``== 0``, not ``~``: the C kernel holds the flag as an int64
-        ctx.clock(f"{wr} = {act} & (({run} < {n}) | ({same} == 0))")
-        ctx.clock(f"{line}[{wr}, {head}[{wr}]] = ({d})[{wr}]")
-        ctx.clock(f"{head} = np.where({wr}, ({head} + 1) % {n}, {head})")
-        ctx.clock(f"{run} = np.where({act}, "
-                  f"np.where({same}, {run} + ({run} < {n}), 1), {run})")
+        ctx.clock(f"{line}[{act}, {head}[{act}]] = ({d})[{act}]")
+        ctx.clock(f"{head} = np.where({act}, ({head} + 1) % {n}, {head})")
+        # the scalar rule over the new line: busy unless ``q`` and every
+        # word equal the oldest (``d`` is the newest word, so it is
+        # among them)
+        oldest = ctx.tmp()
+        ctx.clock(f"{oldest} = {line}[{ar}, {head}]")
+        ctx.busy_if(f"{q} != {oldest}",
+                    *(f"{line}[{ar}, {i}] != {oldest}" for i in range(n)))
         return True
 
     def reset(self) -> None:
@@ -323,6 +311,14 @@ class FIFO(SeqBlock):
             ctx.clock(f"{cnt} = {after} + {t_push}")
         elif popf != "0":
             ctx.clock(f"{cnt} = {after}")
+        # the scalar rule over the new count.  This cycle's ports show
+        # the old state, which differs from the new one only after a
+        # transfer; one that kept the count was a pop and a push, and
+        # the held ``pop`` keeps the block busy then anyway.
+        for flag, room in ((popf, f"{cnt} > 0"), (pushf, f"{cnt} < {depth}")):
+            if flag != "0":
+                ctx.busy_if(room if flag == "1" else f"{flag} & ({room})")
+        ctx.busy_if(f"{ctx.out(self, 'count')} != {cnt}")
         return True
 
     def reset(self) -> None:
@@ -478,6 +474,11 @@ class RAM(SeqBlock):
             ctx.clock(f"{mem}[{wm}, {t}[{wm}]] = ({din})[{wm}]")
         ctx.clock(f"{rreg} = "
                   f"np.where({act}, {mem}[{ctx.arange}, {t}], {rreg})")
+        # the scalar rule; the clock just loaded ``rreg`` from the word
+        # at ``t``, so it matches that word on every active lane
+        if wef != "0":
+            ctx.busy_if(wef)
+        ctx.busy_if(f"{ctx.out(self, 'dout')} != {rreg}")
         return True
 
     def reset(self) -> None:

@@ -48,8 +48,8 @@ The lockstep batched engine (:mod:`repro.sysgen.batched`) generates
 its vector schedule with the same machinery: its context subclasses
 :class:`EmitContext` and renders the same verbs as masked numpy (so a
 block written with them has one ``emit`` for both engines),
-:func:`function_frame` builds every generated step and settle function
-of both engines, and :func:`exec_generated` is the one compile site.
+:func:`function_frame` builds every generated function of both
+engines, and :func:`exec_generated` is the one compile site.
 It compiles each distinct generated source once per process: code
 objects are cached by content (filename and source text), so a rebuilt
 model -- a campaign's baseline, each lockstep batch, every scalar
@@ -464,6 +464,28 @@ def _defining_class(cls: type, name: str) -> type:
     return next(k for k in cls.__mro__ if name in vars(k))
 
 
+def horizon_rule(block: "Block", emitter: str) -> str:
+    """Where ``block``'s idle rule comes from in a schedule whose step
+    code its method ``emitter`` (``"emit"``/``"emit_batched"``) wrote:
+    ``"idle"``/``"busy"`` for the :class:`Block` default (combinational
+    blocks are idle whenever the rest of the design is, sequential ones
+    always busy), ``"emitted"`` when the class that wrote the step code
+    also wrote the horizon it emitted (possibly nothing: always idle),
+    else ``"call"``: only ``idle_horizon()`` itself knows."""
+    owner = _defining_class(type(block), "idle_horizon")
+    # A method patched onto the instance is always called.  (Probe the
+    # bound method rather than ``vars(block)``: materializing an
+    # instance __dict__ slows every later attribute access on the
+    # block, including the generated _step's.)
+    if (getattr(block.idle_horizon, "__func__", None)
+            is not vars(owner)["idle_horizon"]):
+        return "call"
+    if owner is Block:
+        return "busy" if block.sequential else "idle"
+    return "emitted" if _defining_class(type(block), emitter) is owner \
+        else "call"
+
+
 def _horizon_body(ctx: EmitContext, model: "Model",
                   emitted: set[int]) -> list[str]:
     """The ``_idle_horizon`` statements, block by block in
@@ -472,25 +494,12 @@ def _horizon_body(ctx: EmitContext, model: "Model",
     there)."""
     body: list[str] = []
     for block in model.blocks:
-        owner = _defining_class(type(block), "idle_horizon")
-        # A method patched onto the instance is always called.  (Probe
-        # the bound method rather than ``vars(block)``: materializing
-        # an instance __dict__ slows every later attribute access on
-        # the block, including the generated _step's.)
-        if (getattr(block.idle_horizon, "__func__", None)
-                is not vars(owner)["idle_horizon"]):
-            owner = None
-        if owner is Block:
-            # the default: combinational blocks are idle whenever the
-            # rest of the design is, sequential ones are always busy
-            if block.sequential:
-                body.append("return 0")
-        elif (owner is not None and id(block) in emitted
-              and _defining_class(type(block), "emit") is owner):
-            # the class that emitted the step code also wrote the
-            # horizon it emitted (possibly nothing: always idle)
+        rule = horizon_rule(block, "emit")
+        if rule == "busy":
+            body.append("return 0")
+        elif rule == "emitted" and id(block) in emitted:
             body += ctx._horizon.get(id(block), [])
-        else:
+        elif rule != "idle":
             body.append(f"if {ctx.bind(block)}.idle_horizon() < "
                         f"{IDLE_FOREVER}: return 0")
     return body + [f"return {IDLE_FOREVER}"]

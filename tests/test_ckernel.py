@@ -88,7 +88,7 @@ def test_shared_rom_as_long_as_the_batch_builds_a_kernel(words):
 def build_tables(step: int = 1, limit: int = 40, rom_base: int = 3) -> Model:
     """Every lane-table block, fed so that its edge cases come up:
     delay lines of one word and of three (the head wraps), one of them
-    fed runs of equal words (a full run fed its own word again), a depth-3
+    fed runs of equal words, a depth-3
     FIFO whose pushes meet a full FIFO and whose pops meet an empty one,
     a RAM written under a per-lane enable, and a ROM with per-lane
     contents."""
