@@ -46,12 +46,19 @@ Lane eviction
 Some events cannot be vectorized faithfully: a watchdog trip while a
 forcing is active (the scalar engine checks no boundaries inside a
 ``stuck_at`` window), a crash inside the shared vector step, a raising
-CPU, or a forced port the vector schedule does not track.  An evicted
-lane is *restarted
-from cycle 0 on the scalar engine* by calling its factory again —
-simulations here are deterministic, so the replay reproduces the lane
-bit-for-bit and then produces the canonical scalar outcome.  The
-equivalence suite forces evictions to prove this.
+CPU, or a forced port the vector schedule does not track.  Each is
+attributed as narrowly as it can be: a CPU that raises — from
+``tick()``, or from ``advance_horizon()``/``advance()`` inside a quiet
+stretch — evicts its own lane alone (reason ``cpu raised T: msg``, the
+scalar crash's text), while a raising vector step or fast-forward
+evicts every running lane.  :meth:`BatchedCoSimulation.run` *restarts*
+an evicted lane *from cycle 0 on the scalar engine* by calling its
+factory again — simulations here are deterministic, so the replay
+reproduces the lane bit-for-bit and then produces the canonical scalar
+outcome.  The equivalence suite forces evictions to prove this.  A
+segmented driver reads :attr:`BatchedCoSimulation.pending_evictions`
+itself: the batched fault campaign classifies a ``cpu raised`` lane in
+lane when the record can be derived exactly, and replays the rest.
 
 Wire-up
 -------
@@ -78,11 +85,16 @@ from repro.cosim.environment import (
     next_boundary,
     no_progress,
 )
-from repro.iss.cpu import HaltReason
+from repro.iss.cpu import ADVANCE_FOREVER, HaltReason
 from repro.runapi import RunPolicy
 from repro.sysgen.block import IDLE_FOREVER
 from repro.runapi.engine import engine_scope
 from repro.sysgen.batched import BatchedModel, BatchUnsupported
+
+
+#: eviction-reason prefix of a lane whose CPU raised; the rest of the
+#: reason is ``T: msg``, the exception's type name and text
+CPU_RAISED = "cpu raised "
 
 
 @dataclass
@@ -296,12 +308,24 @@ class BatchedCoSimulation:
                         # a single fast_forward at the end.
                         ff = 0
                         while done < stride and not stop:
-                            horizon = min(
-                                cpu.advance_horizon() for cpu in cpus)
+                            horizon = ADVANCE_FOREVER
+                            for lane, cpu in zip(running, cpus):
+                                try:
+                                    h = cpu.advance_horizon()
+                                except Exception as exc:  # noqa: BLE001
+                                    stop = self._cpu_raised(lane, exc)
+                                    continue
+                                if h < horizon:
+                                    horizon = h
+                            if stop:
+                                break
                             if horizon > 0:
                                 k = min(horizon, stride - done)
-                                for cpu in cpus:
-                                    cpu.advance(k)
+                                for lane, cpu in zip(running, cpus):
+                                    try:
+                                        cpu.advance(k)
+                                    except Exception as exc:  # noqa: BLE001
+                                        stop = self._cpu_raised(lane, exc)
                                 done += k
                                 ff += k
                                 continue
@@ -333,7 +357,8 @@ class BatchedCoSimulation:
                         self._hw_sig = hw_activity(cpus, stores_touch_hw)
             except Exception as exc:  # noqa: BLE001 - shared-step crash
                 # A crash inside the shared vector step cannot be
-                # attributed to one lane: evict every running lane and
+                # attributed to one lane (a raising CPU is, and was
+                # evicted alone above): evict every running lane and
                 # let the scalar replays produce per-lane outcomes.
                 reason = f"vector step raised {type(exc).__name__}: {exc}"
                 for lane in running:
@@ -388,20 +413,24 @@ class BatchedCoSimulation:
     # Vectorized fast-forward support
     # ------------------------------------------------------------------
     def _tick(self, running: list[int], cpus: list) -> bool:
-        """Tick every running CPU one cycle.  A CPU that raises queues
-        its lane for eviction (its scalar replay reproduces the crash
-        exactly) and leaves the vector step.  True when any CPU halted
+        """Tick every running CPU one cycle.  True when any CPU halted
         or raised, which ends the current stride."""
         stop = False
         for lane, cpu in zip(running, cpus):
             try:
                 cpu.tick()
             except Exception as exc:  # noqa: BLE001
-                self._stop_lane(
-                    lane, f"cpu raised {type(exc).__name__}: {exc}")
-                stop = True
+                stop = self._cpu_raised(lane, exc)
             stop |= cpu.halted
         return stop
+
+    def _cpu_raised(self, lane: int, exc: Exception) -> bool:
+        """A lane's CPU raised: queue that lane alone for eviction as
+        ``cpu raised T: msg`` (the lockstep CPU holds the scalar CPU's
+        state every cycle, so the text is the scalar crash's) and take
+        it out of the vector step.  True: the stride ends."""
+        self._stop_lane(lane, f"{CPU_RAISED}{type(exc).__name__}: {exc}")
+        return True
 
     # ------------------------------------------------------------------
     # Per-cycle output forcing (lockstep ``stuck_at``)

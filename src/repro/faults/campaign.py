@@ -45,6 +45,7 @@ job farm's campaign shards).
 from __future__ import annotations
 
 import copy
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -333,48 +334,57 @@ def run_trial(
     outcome, detail = _finish_and_classify(
         sim, design, lambda: injector.run(max_cycles)
     )
-    original_outcome, original_detail = outcome, detail
+    original = (outcome, detail)
     rollbacks = 0
-    backoffs: list[float] = []
 
     if recovery == "rollback" and outcome in RECOVERABLE:
-        for attempt in range(1, max_retries + 1):
-            backoffs.append(
-                retry_backoff_delay(
-                    backoff_s, f"trial/{fault_plan.seed}", attempt
-                )
-            )
+        for rollbacks in range(1, max_retries + 1):
             restore_from_dict(sim, checkpoint)
             cpu.resume()
-            rollbacks = attempt
             if sim.telemetry is not None:
                 sim.telemetry.bus.emit(
                     TelemetryEvent(
                         ROLLBACK, checkpoint["cycle"], COSIM_TRACK,
-                        value=attempt,
+                        value=rollbacks,
                     )
                 )
-            outcome, detail = _finish_and_classify(
+            retried = _finish_and_classify(
                 sim, design,
                 lambda: sim.run(until=max_cycles - checkpoint["cycle"]),
             )
-            if outcome == OUTCOME_MASKED:
-                outcome = OUTCOME_RECOVERED
-                detail = (
-                    f"recovered after {attempt} rollback(s) from "
-                    f"{original_outcome}"
-                )
+            if retried[0] == OUTCOME_MASKED:
                 break
+        if rollbacks:
+            outcome, detail = _after_rollback(original, retried, rollbacks)
 
     return _end_record(
-        fault_plan, cpu, outcome,
-        detail if outcome != original_outcome else original_detail,
+        fault_plan, cpu, outcome, detail,
         checkpoint_cycle=checkpoint["cycle"],
         injected=injector.log,
-        original_outcome=original_outcome,
+        original_outcome=original[0],
         rollbacks=rollbacks,
-        backoff_s=backoffs,
+        backoff_s=_backoff_schedule(backoff_s, fault_plan.seed, rollbacks),
     )
+
+
+def _after_rollback(original: tuple[str, str], retried: tuple[str, str],
+                    rollbacks: int) -> tuple[str, str]:
+    """The ``(outcome, detail)`` a trial reports after ``rollbacks``
+    re-runs from its checkpoint, the last of which classified as
+    ``retried``; ``original`` is the faulted run's classification."""
+    outcome, detail = retried
+    if outcome == OUTCOME_MASKED:
+        return (OUTCOME_RECOVERED,
+                f"recovered after {rollbacks} rollback(s) from {original[0]}")
+    return outcome, detail if outcome != original[0] else original[1]
+
+
+def _backoff_schedule(backoff_s: float, seed: str,
+                      rollbacks: int) -> list[float]:
+    """The retry delays of ``rollbacks`` rollbacks: seeded jitter,
+    recorded and never slept."""
+    return [retry_backoff_delay(backoff_s, f"trial/{seed}", attempt)
+            for attempt in range(1, rollbacks + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -712,7 +722,8 @@ def _lane_stop(batch, lane: int, injector: FaultInjector,
 
 
 def _run_trial_batch(
-    config: CampaignConfig, specs: list[DesignSpec], design
+    config: CampaignConfig, specs: list[DesignSpec], design,
+    tail: Callable[[], tuple[Any, tuple[str, str]]],
 ) -> list[dict[str, Any]]:
     """Run up to ``batch_width`` trials of one campaign in lockstep.
 
@@ -727,29 +738,34 @@ def _run_trial_batch(
     of cycles, the nearest stop of any lane, so lanes that start
     together stay phase-aligned and the vector step runs nearly full.
 
-    Lanes the vector engine cannot finish faithfully — CPU crashes,
-    vector-step crashes, watchdog trips inside an open ``stuck_at``
-    window, forced ports the vector schedule does not track, rollback
-    recovery — are evicted to a full scalar :func:`run_trial` replay,
-    which determinism makes bit-identical.  A watchdog trip outside a
-    window is classified in lane: the lockstep tripwire fires at the
-    same absolute boundary with the same state as the scalar watchdog,
-    so its exact diagnostic is synthesized instead of paying a replay.
+    A lane is classified in lane wherever its record can be derived
+    exactly.  A watchdog trip outside a ``stuck_at`` window fires at the
+    scalar watchdog's absolute boundary with the same state, so its
+    exact diagnostic is synthesized.  Under ``recovery="rollback"`` a
+    recoverable lane keeps its own faulted classification, and a lane
+    whose CPU raised past its checkpoint is the ``crash`` the scalar
+    run reports.  Every rollback re-run restores the fault-free state
+    at the checkpoint and re-runs without faults, so its end is the
+    campaign's fault-free run to ``max_cycles``: ``tail()``, run once
+    per campaign, gives that run's end state and classification.
+
+    What the lane cannot give is replayed by a full scalar
+    :func:`run_trial`, which determinism makes bit-identical: crashes
+    of the shared vector step, watchdog trips and CPU crashes inside an
+    open ``stuck_at`` window, forced ports the vector schedule does not
+    track, and a CPU crash the record must end on (no rollback re-run).
+    Lanes run to their end in lockstep, the last few included: on
+    campaign-shaped batches those few cost less there than replays.
     """
-    from repro.cosim.batch import BatchedCoSimulation
+    from repro.cosim.batch import CPU_RAISED, BatchedCoSimulation
 
     n = len(specs)
     records: list[dict[str, Any] | None] = [None] * n
     plans = [FaultPlan.from_dict(s.params["plan"]) for s in specs]
     # run_trial's pre-fault checkpoint cycle; also the early/late pivot
     firsts = [min(plan.first_cycle, config.max_cycles) for plan in plans]
-
-    def lane_design():
-        # the shared design with fresh hardware: lanes and scalar
-        # replays skip the (deterministic) per-trial program compile
-        clone = copy.copy(design)
-        clone.model, clone.mb = design.fresh_hardware()
-        return clone
+    rollback = config.recovery == "rollback" and config.max_retries > 0
+    lane_design = functools.partial(_fresh_design, design)
 
     # --- build the lanes and the lockstep engine ---------------------
     try:
@@ -771,14 +787,6 @@ def _run_trial_batch(
                     stops[li] = stop
         if not stops:
             break
-        if len(stops) <= n // 8:
-            # tail eviction: with most lanes finished, the lockstep
-            # step's fixed per-cycle cost is spread over too few lanes
-            # to beat the scalar engine's per-lane fast-forward — hand
-            # the stragglers to the (bit-identical) scalar replay
-            for li in stops:
-                records[li] = _scalar_trial(specs[li], lane_design)
-            break
         cycles = {li: batch.sims[li].cpu.cycle for li in stops}
         delta = min(stops[li] - cycles[li] for li in stops)
         batch.advance({li: cycles[li] + delta for li in stops})
@@ -792,10 +800,8 @@ def _run_trial_batch(
         # stopped at or before run_trial's checkpoint: no fault landed
         prefix = cpu.cycle <= firsts[li]
         evicted = batch.pending_evictions.get(li)
-        # None: the lane cannot be classified in lane — CPU crash,
-        # vector-step crash, watchdog inside a stuck window, untracked
-        # forced port, raising classification — and the scalar replay
-        # reproduces the event and its diagnostics exactly
+        # None: the lane cannot be classified in lane (see above) and
+        # the scalar replay reproduces the event and its diagnostics
         outcome = None
         if evicted is None:
             early = cpu.halted and \
@@ -821,11 +827,19 @@ def _run_trial_batch(
                 )
                 continue
             outcome, detail, early = OUTCOME_HANG, f"watchdog: {msg}", False
-        if outcome is None or (not early and config.recovery == "rollback"
-                               and outcome in RECOVERABLE):
-            # rollback re-runs from the checkpoint on the scalar engine,
-            # so a recoverable lane replays the whole trial there too
+        elif (rollback and evicted.startswith(CPU_RAISED)
+              and injector.window is None and injector.log):
+            # raised after its first fault landed (the faulted run's
+            # crash), with no window left open to log: the rollback
+            # re-runs decide where the record ends
+            outcome, detail = OUTCOME_CRASH, evicted[len(CPU_RAISED):]
+            early = False
+        if outcome is None:
             records[li] = _scalar_trial(specs[li], lane_design)
+        elif not early and rollback and outcome in RECOVERABLE:
+            records[li] = _rollback_record(
+                config, plans[li], (outcome, detail), injector.log,
+                firsts[li], *tail())
         else:
             records[li] = _end_record(
                 plans[li], cpu, outcome, detail,
@@ -833,6 +847,53 @@ def _run_trial_batch(
                 injected=injector.log,
             )
     return records
+
+
+def _fresh_design(design):
+    """The shared design with fresh hardware: lanes and scalar replays
+    skip the (deterministic) per-trial program compile."""
+    clone = copy.copy(design)
+    clone.model, clone.mb = design.fresh_hardware()
+    return clone
+
+
+def _fault_free_tail(config: CampaignConfig,
+                     design) -> tuple[Any, tuple[str, str]]:
+    """The campaign's fault-free run to ``config.max_cycles`` on its
+    scalar engine and watchdog: the end state (run-state facade) and
+    classification of every rollback re-run of the campaign."""
+    with engine_scope(config.engine):
+        design = _fresh_design(design)
+        sim = _make_sim(design, config.deadlock_window)
+    verdict = _finish_and_classify(
+        sim, design, lambda: sim.run(until=config.max_cycles))
+    return run_state(sim), verdict
+
+
+def _rollback_record(
+    config: CampaignConfig,
+    plan: FaultPlan,
+    original: tuple[str, str],
+    injected: Sequence[dict[str, Any]],
+    checkpoint_cycle: int,
+    tail_state,
+    retried: tuple[str, str],
+) -> dict[str, Any]:
+    """:func:`run_trial`'s record of a recoverable trial whose faulted
+    run classified as ``original``: every re-run from its checkpoint
+    ends as the fault-free tail (``tail_state``, classified
+    ``retried``), so one rollback recovers it or all ``max_retries``
+    fail alike."""
+    rollbacks = 1 if retried[0] == OUTCOME_MASKED else config.max_retries
+    outcome, detail = _after_rollback(original, retried, rollbacks)
+    return _end_record(
+        plan, tail_state, outcome, detail,
+        checkpoint_cycle=checkpoint_cycle,
+        injected=injected,
+        original_outcome=original[0],
+        rollbacks=rollbacks,
+        backoff_s=_backoff_schedule(config.backoff_s, plan.seed, rollbacks),
+    )
 
 
 def _run_batched(
@@ -851,6 +912,7 @@ def _run_batched(
     one, sharing the design's one-time program builds.  Determinism
     keeps the records equal to the sweep path's."""
     multi = getattr(design, "is_multi", False)
+    tail = functools.cache(lambda: _fault_free_tail(config, design))
     start = time.perf_counter()
     trials: list[dict[str, Any]] = []
     cycles_done = 0
@@ -859,7 +921,7 @@ def _run_batched(
         if multi:
             records = [_scalar_trial(spec, lambda: design) for spec in chunk]
         else:
-            records = _run_trial_batch(config, chunk, design)
+            records = _run_trial_batch(config, chunk, design, tail)
         for spec, record in zip(chunk, records):
             trials.append(record)
             cycles_done += record.get("cycles") or 0

@@ -25,14 +25,25 @@ class Constant(CombBlock):
         self.outputs["out"].value = self.value
 
     def emit(self, ctx) -> bool:
+        out, val = self._drive(ctx)
+        ctx.busy_if(f"{out} != {val}")
+        return True
+
+    def emit_batched(self, ctx) -> bool:
+        # The lockstep step drives ``out`` from its snapshot of
+        # ``value`` every cycle and nothing else writes it there, so
+        # the busy rule could never hold: it would only cost a load and
+        # a compare per lane per cycle.
+        self._drive(ctx)
+        return True
+
+    def _drive(self, ctx) -> tuple[str, str]:
         # ``value`` is read per call (not baked into the source) so a
         # rebuilt/loaded model never runs a stale constant.
         val = ctx.param(self, "value", "kc", live=True)
-        ctx.evaluate(f"{ctx.out(self, 'out')} = {val}")
-        ctx.busy_if(f"{ctx.out(self, 'out')} != {val}")
-        return True
-
-    emit_batched = emit
+        out = ctx.out(self, "out")
+        ctx.evaluate(f"{out} = {val}")
+        return out, val
 
     def idle_horizon(self) -> int:
         return IDLE_FOREVER if self.outputs["out"].value == self.value else 0

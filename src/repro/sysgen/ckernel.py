@@ -41,6 +41,8 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
+from dataclasses import dataclass
 from typing import Callable
 
 try:  # pragma: no cover - numpy is baked into the environment
@@ -297,6 +299,76 @@ def _slot_kind(arr, n: int, what: str) -> tuple:
     raise CUnsupported(f"{what}: shape {arr.shape}, dtype {arr.dtype}")
 
 
+@dataclass(frozen=True)
+class _Translation:
+    """The C translation of one cycle body, free of the arrays it runs
+    on: the C source, the ``body`` plan (python lines and segment
+    indices), and the slot layout by name — per slot its origin
+    (``port``/``state``/``bound``/``shared``/``scratch``), name and
+    kind — plus the bound integers the source inlines."""
+
+    c_source: str
+    body: tuple[object, ...]
+    seg_count: int
+    slots: tuple[tuple[str, str, tuple], ...]
+    consts: tuple[tuple[str, int], ...]
+
+    def bind(self, n: int, port_store: list, state_store: list,
+             port_names: dict[str, int], state_names: dict[str, int],
+             bound: dict[str, object]) -> list["np.ndarray"] | None:
+        """This batch's slot arrays, or ``None`` when its bindings
+        differ from the translated ones (another inlined constant,
+        shared-table length or slot kind): then translate afresh."""
+        for name, value in self.consts:
+            if _const_value(bound.get(name)) != value:
+                return None
+        arrays: list["np.ndarray"] = []
+        for origin, name, kind in self.slots:
+            if origin == "port":
+                arr = port_store[port_names[name]]
+            elif origin == "state":
+                arr = state_store[state_names[name]]
+            elif origin == "scratch":
+                if bound.get(name) is not None:
+                    return None
+                arr = np.zeros(n, dtype=np.int64)
+            else:
+                arr = bound.get(name)
+            if _kind(arr, n, origin == "shared") != kind:
+                return None
+            arrays.append(arr)
+        return arrays
+
+
+def _const_value(obj) -> int | None:
+    """A bound name's value when the C source may inline it."""
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return int(obj)
+    return None
+
+
+def _kind(arr, n: int, shared: bool) -> tuple | None:
+    """A slot's kind (:func:`_slot_kind`, or ``("shared", length)`` for
+    a shared table), ``None`` when ``arr`` cannot fill that slot."""
+    if shared:
+        if isinstance(arr, np.ndarray) and arr.ndim == 1 \
+                and arr.dtype == np.int64 and arr.flags["C_CONTIGUOUS"]:
+            return ("shared", arr.shape[0])
+        return None
+    try:
+        return _slot_kind(arr, n, "slot")
+    except CUnsupported:
+        return None
+
+
+#: translations by cycle body; the oldest are evicted first.  The
+#: compiled libraries stay in :data:`_LIB_CACHE` alone.
+TRANSLATION_CACHE_LIMIT = 64
+
+_TRANSLATIONS: dict[bytes, _Translation] = {}
+_TRANSLATIONS_LOCK = threading.Lock()
+
+
 def build_step_kernel(
     n: int,
     cycle_lines: list[str],
@@ -316,22 +388,62 @@ def build_step_kernel(
     or ``None`` when the native kernel is disabled or no ``gcc`` is
     available.  Raises :class:`CUnsupported` when any numpy line falls
     outside the grammar.
+
+    The translation is cached in-process by the cycle body and its
+    names (a campaign builds one batch per chunk of the same design);
+    each build re-resolves the slot arrays by name.
     """
     if np is None or not ckernel_enabled():
         return None
+    names = (n, act_name, arange_name, zeros_name,
+             list(port_names.items()), list(state_names.items()))
+    key = hashlib.sha256(
+        "\0".join([repr(names), *cycle_lines]).encode()).digest()
+    stores = (n, port_store, state_store, port_names, state_names, bound)
+    plan = _TRANSLATIONS.get(key)
+    arrays = plan.bind(*stores) if plan is not None else None
+    if arrays is None:
+        plan, arrays = _translate(cycle_lines, *stores, act_name,
+                                  arange_name, zeros_name)
+        with _TRANSLATIONS_LOCK:
+            while len(_TRANSLATIONS) >= TRANSLATION_CACHE_LIMIT:
+                del _TRANSLATIONS[next(iter(_TRANSLATIONS))]
+            _TRANSLATIONS[key] = plan
+    lib_path = _compile_cached(plan.c_source)
+    if lib_path is None:
+        return None
+    kernel = CStepKernel(n, arrays, lib_path, plan.seg_count, plan.c_source)
+    return kernel, list(plan.body)
 
+
+def _translate(
+    cycle_lines: list[str],
+    n: int,
+    port_store: list,
+    state_store: list,
+    port_names: dict[str, int],
+    state_names: dict[str, int],
+    bound: dict[str, object],
+    act_name: str,
+    arange_name: str,
+    zeros_name: str,
+) -> tuple[_Translation, list["np.ndarray"]]:
+    """Translate one cycle body: its :class:`_Translation` and the slot
+    arrays it resolved."""
     # -- slot layout: ports, then states, then shared/scratch ----------
     arrays: list["np.ndarray"] = []
+    slots: list[tuple[str, str, tuple]] = []
     slot_of: dict[str, int] = {}
     elem: dict[int, tuple] = {}  # slot -> ("i64",) | ("u8",) | ("table", D)
     shared: dict[str, tuple[int, int]] = {}
 
-    def add_slot(name: str, arr, what: str) -> tuple:
-        kind = _slot_kind(arr, n, what)
+    def add_slot(name: str, arr, origin: str) -> tuple:
+        kind = _slot_kind(arr, n, f"{origin} {name}")
         slot = len(arrays)
         slot_of[name] = slot
         elem[slot] = kind
         arrays.append(arr)
+        slots.append((origin, name, kind))
         return slot_tag(slot)
 
     def slot_tag(slot: int) -> tuple:
@@ -340,9 +452,9 @@ def build_step_kernel(
         return ("lane", slot)
 
     for name, k in port_names.items():
-        add_slot(name, port_store[k], f"port {name}")
+        add_slot(name, port_store[k], "port")
     for name, k in state_names.items():
-        add_slot(name, state_store[k], f"state {name}")
+        add_slot(name, state_store[k], "state")
 
     consts: dict[str, int] = {}
     fixed = {act_name: ("act",), arange_name: ("arange",),
@@ -360,16 +472,18 @@ def build_step_kernel(
         if name in fixed:
             return fixed[name]
         obj = bound.get(name)
-        if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-            consts[name] = int(obj)
-            return ("const", consts[name])
+        value = _const_value(obj)
+        if value is not None:
+            consts[name] = value
+            return ("const", value)
         if isinstance(obj, np.ndarray):
-            if base and obj.ndim == 1 \
-                    and obj.dtype == np.int64 and obj.flags["C_CONTIGUOUS"]:
-                shared[name] = (len(arrays), obj.shape[0])
+            kind = _kind(obj, n, shared=True) if base else None
+            if kind is not None:
+                shared[name] = (len(arrays), kind[1])
                 arrays.append(obj)
+                slots.append(("shared", name, kind))
                 return ("shared", *shared[name])
-            return add_slot(name, obj, f"array {name}")
+            return add_slot(name, obj, "bound")
         raise CUnsupported(f"unresolvable name {name!r} ({type(obj)})")
 
     # -- partition into python runs and C segments ---------------------
@@ -407,8 +521,7 @@ def build_step_kernel(
                         or bound.get(target) is not None:
                     raise CUnsupported(
                         f"assignment to bound name {target!r}")
-                add_slot(target, np.zeros(n, dtype=np.int64),
-                         f"scratch {target}")
+                add_slot(target, np.zeros(n, dtype=np.int64), "scratch")
             if elem[slot_of[target]][0] == "table":
                 raise CUnsupported(f"whole-table write: {line!r}")
             stmt = ("a", slot_of[target], expr)
@@ -479,11 +592,9 @@ def build_step_kernel(
         src.append("")
     c_source = "\n".join(src)
 
-    lib_path = _compile_cached(c_source)
-    if lib_path is None:
-        return None
-    kernel = CStepKernel(n, arrays, lib_path, len(seg_stmts), c_source)
-    return kernel, body
+    plan = _Translation(c_source, tuple(body), len(seg_stmts), tuple(slots),
+                        tuple(consts.items()))
+    return plan, arrays
 
 
 # ---------------------------------------------------------------------------

@@ -394,27 +394,27 @@ def _matmul(block: int) -> Model:
 PINNED_SOURCES = {
     (_cordic, 2): {
         "sysgen-compiled": "27dc4d8ace25bedf953e7d2eca208f515452d57d27643a49c3752c74768ec763",
-        "sysgen-batched": "45c206dc647f89487dc9caaf0898d841d1c1a66a63e92de10452e78aa4909fc9",
+        "sysgen-batched": "f407802f0e123c41f1daf3763dccd8b1286613043c9aad85cfed81e5bb10647a",
         "sysgen-batched-c": "46015d7d7094323bb4f58fdcacd9806a9e6ac86de09574df0b77b463c9cdbb99",
     },
     (_cordic, 4): {
         "sysgen-compiled": "6c4a3cb87750cbf4541f5a0cbc9efffcf0ce6789703808287589d175630476e4",
-        "sysgen-batched": "0fff6f33a82bdb857365f93bed6e2897524924fd2a593587033ac295d95b712c",
+        "sysgen-batched": "b6f07718b177652190892b172dadcc04498dbaa9156331a73c89d758e1b1f03e",
         "sysgen-batched-c": "1a4687c8e60dad9fb215edf66be7e8dd87110a599a8087b11de1969e78b143c3",
     },
     (_cordic, 8): {
         "sysgen-compiled": "765f8385c6026bc795a589d319364709ea1027918b2091a087cfd157fc727c13",
-        "sysgen-batched": "77288013fa11d11b22125764152fcd9ef95d78984d7cc76b71ce79026de04384",
+        "sysgen-batched": "b1256d9e7c5ae22a1b8f3889429a1100ac001011e98a06763dd7c3f616092a8d",
         "sysgen-batched-c": "6b6463073dfa035b8cbbf7254b0193718487702e9a9d7cadfbfeac18ac99e12c",
     },
     (_matmul, 2): {
         "sysgen-compiled": "3d8d333a5ec2e4e2a67d193931bac63ea1b685e7e04c1a817951f9eb40bdda8d",
-        "sysgen-batched": "5eefdc2889ed220566e252e3cd87ea647173c8ed52f0c38fe9ecd0cb0403dc67",
+        "sysgen-batched": "15b71c31488b9e50b9a9a6938a9643890c55095f5ced8f9f9a59c1d1bbfee7dc",
         "sysgen-batched-c": "3c804791530261a391ca8c713500048c8ab1a360cc91b169dbb3edb08042464a",
     },
     (_matmul, 4): {
         "sysgen-compiled": "39b6814bf80564a0863600780140af731d78a2a50d6929e917c53c469334f1e8",
-        "sysgen-batched": "7f23fc885e72255b9c95cf431a584b19e1dc7e013ee2cd77c93b0be872747e6e",
+        "sysgen-batched": "c3a975842d84359f282f6dc205eff6b3e2d5ff7057abdcf9a7c34de9cfb7745f",
         "sysgen-batched-c": "5dc42cf95ac4c3315ff7a7829041aec6040d95b335c658fe1c11fcaad8136f62",
     },
 }

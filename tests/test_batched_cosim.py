@@ -166,6 +166,45 @@ def test_quiet_stretch_engages_and_stays_exact(monkeypatch):
             [p.samples for p in sim.model.probes], f"lane {lane} probes"
 
 
+@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
+def test_cpu_raising_in_a_quiet_stretch_evicts_only_its_lane(monkeypatch,
+                                                            ckernel):
+    # Lane 2's CPU raises from advance_horizon(), which only the quiet
+    # stretch calls: that lane alone is evicted, and the other lanes
+    # run on to their scalar results.
+    from repro.sysgen.ckernel import DISABLE_ENV
+
+    if not ckernel:
+        monkeypatch.setenv(DISABLE_ENV, "1")
+    params = [dict(p=2, iters=8, ndata=6, seed=s) for s in (1, 2, 3, 4)]
+    batch = BatchedCoSimulation([_cordic_factory(**prm) for prm in params])
+    victim = batch.sims[2].cpu
+    horizon = victim.advance_horizon
+
+    def failing_horizon():
+        if victim.cycle >= 300:
+            raise RuntimeError("corrupted pipeline")
+        return horizon()
+
+    victim.advance_horizon = failing_horizon
+    batch.advance({lane: 2_000_000 for lane in range(4)})
+    reason = "cpu raised RuntimeError: corrupted pipeline"
+    assert batch.pending_evictions == {2: reason}
+    assert 300 <= victim.cycle < 2_000
+
+    results = batch.run(until=2_000_000)
+    assert [r.evicted for r in results] == [False, False, True, False]
+    assert results[2].eviction_reason == reason
+    for lane, prm in enumerate(params):
+        design = build_design("cordic", dict(prm))
+        ref = CoSimulation(design.program, design.model, design.mb,
+                           cpu_config=design.cpu_config).run()
+        got = results[lane]
+        assert got.error is None
+        assert dataclasses.replace(got.result, wall_seconds=0.0) == \
+            dataclasses.replace(ref, wall_seconds=0.0), f"lane {lane}"
+
+
 def test_halting_store_to_opb_hardware_ends_the_quiet_stretch_exactly():
     # The exit store counts as hardware activity when OPB registers are
     # mapped, so the halting cycle leaves the quiet stretch through the

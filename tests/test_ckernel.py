@@ -8,6 +8,10 @@
   (v)[m]`` (delay lines, FIFOs, RAMs, per-lane ROMs) — run the same in
   the scalar engine, the numpy schedule and the C kernel, with lanes
   frozen and thawed mid-run.
+* A rebuilt batch of one design reuses the translation of its cycle
+  body (no ``ast.parse``) but binds its own arrays; the compiled
+  library is cached apart from it, so clearing that cache still pays
+  ``gcc``.
 * Each process that builds a kernel compiles it into a private
   temporary directory, which must be gone once the process exits,
   whether it is a main process or a forked worker of
@@ -17,11 +21,13 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +38,8 @@ from repro.sysgen.batched import BatchedModel
 from repro.sysgen.blocks.control import Constant, Counter
 from repro.sysgen.blocks.logic import Relational, Slice
 from repro.sysgen.blocks.memory import FIFO, RAM, ROM, Delay
-from repro.sysgen.ckernel import DISABLE_ENV, ckernel_enabled
+from repro.sysgen import ckernel
+from repro.sysgen.ckernel import DISABLE_ENV, build_step_kernel, ckernel_enabled
 from repro.sysgen.model import Model
 from tests.test_batched import PINNED_SOURCES
 
@@ -62,13 +69,17 @@ def test_conformance_scenarios_build_a_kernel():
     assert missing == []
 
 
-def build_rom(words: int) -> Model:
+def build_rom_of(contents: list[int]) -> Model:
     m = Model("rom")
     cnt = m.add(Counter("cnt", width=8))
-    rom = m.add(ROM("rom", [7 * i + 3 for i in range(words)], width=8))
+    rom = m.add(ROM("rom", contents, width=8))
     m.connect(cnt.o("q"), rom.i("addr"))
     m.probe(rom.o("data"))
     return m
+
+
+def build_rom(words: int) -> Model:
+    return build_rom_of([7 * i + 3 for i in range(words)])
 
 
 @needs_ckernel
@@ -83,6 +94,59 @@ def test_shared_rom_as_long_as_the_batch_builds_a_kernel(words):
     batch.step(12)
     for model in batch.models:
         assert model.probes[0].samples == ref.probes[0].samples
+
+
+def _spy_translation(monkeypatch) -> dict[str, int]:
+    calls = {"parse": 0, "gcc": 0}
+    parse, compile_ = ast.parse, ckernel._compile
+
+    def counting_parse(*args, **kwargs):
+        calls["parse"] += 1
+        return parse(*args, **kwargs)
+
+    def counting_compile(*args, **kwargs):
+        calls["gcc"] += 1
+        return compile_(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(ckernel, "_compile", counting_compile)
+    return calls
+
+
+@needs_ckernel
+def test_rebuilt_batch_reuses_the_translation_with_its_own_arrays(
+        monkeypatch):
+    # Equal contents length, so equal cycle bodies: the second batch
+    # reuses the translation and must read its own (shared) ROM table.
+    first, second = [5, 9, 13, 17, 21], [2, 4, 6, 8, 10]
+    BatchedModel([build_rom_of(first) for _ in range(3)])
+    calls = _spy_translation(monkeypatch)
+    batch = BatchedModel([build_rom_of(second) for _ in range(3)])
+    assert batch._schedule.step_c is not None
+    assert calls == {"parse": 0, "gcc": 0}
+    ref = build_rom_of(second)
+    ref.step(12)
+    batch.step(12)
+    for model in batch.models:
+        assert model.probes[0].samples == ref.probes[0].samples
+    # the library cache alone holds compiled code: clearing it pays gcc
+    ckernel._LIB_CACHE.clear()
+    BatchedModel([build_rom_of(second) for _ in range(3)])
+    assert calls == {"parse": 0, "gcc": 1}
+
+
+@needs_ckernel
+def test_translation_is_redone_when_an_inlined_constant_changes():
+    n = 4
+    owner = SimpleNamespace(active=np.ones(n, dtype=np.bool_))
+    for k in (3, 5, 3):
+        ports = [np.arange(n, dtype=np.int64)]
+        kernel, body = build_step_kernel(
+            n, ["v0 = v0 + K"], ports, [], {"v0": 0}, {},
+            {"K": k}, "_act", "_ar", "_z")
+        assert body == [0]
+        kernel.runner(owner)(0)
+        assert ports[0].tolist() == [k + i for i in range(n)]
 
 
 def build_tables(step: int = 1, limit: int = 40, rom_base: int = 3) -> Model:

@@ -312,6 +312,30 @@ def test_cli_resume_needs_journal(capsys):
 # the lockstep vector engine: batched campaigns are byte-identical
 
 
+#: rollback campaigns whose re-runs the batched engine takes from one
+#: fault-free tail run instead of replaying the trial
+ROLLBACK_TAIL_CONFIGS = [
+    pytest.param(dict(app="matmul", design={"block": 2, "matn": 6},
+                      trials=12, seed=17, max_cycles=120_000,
+                      deadlock_window=512, recovery="rollback"),
+                 id="matmul-rollback"),
+    # no re-run at all: each lane keeps its own faulted record
+    pytest.param(dict(app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
+                      trials=16, seed=20, max_cycles=60_000,
+                      deadlock_window=512, recovery="rollback",
+                      max_retries=0, backoff_s=0.25),
+                 id="cordic-rollback-no-retries"),
+    # a budget below the fault-free run: the tail hangs, so every
+    # trial fails all three re-runs, and a crash or an sdc reports the
+    # tail's detail
+    pytest.param(dict(app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
+                      trials=16, seed=23, max_cycles=1_200,
+                      deadlock_window=512, recovery="rollback",
+                      max_retries=3, backoff_s=0.5,
+                      kinds=("reg_flip", "mem_flip")),
+                 id="cordic-rollback-short-budget"),
+]
+
 #: divergence axes of the batched engine: fault mix, app, recovery,
 #: and plans scheduled at/after the cycle budget (early-exit shapes)
 BATCH_EQUIV_CONFIGS = [
@@ -344,7 +368,23 @@ BATCH_EQUIV_CONFIGS = [
                       kinds=("stuck_at", "reg_flip", "fifo_drop"),
                       recovery="rollback"),
                  id="cordic-multi-fault-rollback"),
+    *ROLLBACK_TAIL_CONFIGS,
 ]
+
+
+def _spy_replays(monkeypatch) -> list[str]:
+    """Record the plan seed of every scalar ``run_trial`` from here on."""
+    from repro.faults import campaign
+
+    calls: list[str] = []
+    real = campaign.run_trial
+
+    def spy(app, design, plan, **kw):
+        calls.append(plan["seed"])
+        return real(app, design, plan, **kw)
+
+    monkeypatch.setattr(campaign, "run_trial", spy)
+    return calls
 
 
 @pytest.mark.parametrize("kw", BATCH_EQUIV_CONFIGS)
@@ -354,6 +394,21 @@ def test_batched_campaign_matches_scalar(kw):
     batched = run_campaign(config, batch_width=8).to_dict()
     assert json.dumps(batched, sort_keys=True) == \
         json.dumps(scalar, sort_keys=True)
+
+
+@pytest.mark.parametrize("kw", ROLLBACK_TAIL_CONFIGS)
+def test_batched_rollback_matches_scalar_without_ckernel(monkeypatch, kw):
+    # every lane is classified in lockstep: nothing is replayed
+    from repro.sysgen import ckernel
+
+    monkeypatch.setenv(ckernel.DISABLE_ENV, "1")
+    config = CampaignConfig(**kw)
+    scalar = run_campaign(config).to_dict()
+    replays = _spy_replays(monkeypatch)
+    batched = run_campaign(config, batch_width=8).to_dict()
+    assert json.dumps(batched, sort_keys=True) == \
+        json.dumps(scalar, sort_keys=True)
+    assert replays == []
 
 
 def test_batched_campaign_matches_scalar_without_ckernel(monkeypatch):
@@ -427,6 +482,45 @@ def test_batched_campaign_matches_scalar_at_benchmark_shape(monkeypatch,
     batched = run_campaign(config, batch_width=32).to_dict()
     assert json.dumps(batched, sort_keys=True) == \
         json.dumps(scalar, sort_keys=True)
+
+
+#: benchmark-shape campaign seeds: in 2042780741 and 1038164037 a
+#: lane's corrupted instruction raises in ``CPU.advance_horizon`` inside
+#: a quiet stretch; seed 3's batches end on a few long-running lanes
+SEU_SEEDS = (2042780741, 1038164037, 3)
+#: the scalar reports of SEU_SEEDS, shared by both kernels' runs
+_SEU_SCALAR: dict[int, str] = {}
+
+
+@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
+def test_benchmark_shape_replays_no_classified_lane(monkeypatch, ckernel):
+    # A rollback lane, or a lane whose CPU raised, is classified in
+    # lockstep and takes its re-runs from the tail: none is replayed.
+    from repro.cosim.batch import BatchedCoSimulation
+    from repro.sysgen import ckernel as ck
+
+    if not ckernel:
+        monkeypatch.setenv(ck.DISABLE_ENV, "1")
+    raised: list[str] = []
+    cpu_raised = BatchedCoSimulation._cpu_raised
+
+    def recording_raise(self, lane, exc):
+        raised.append(type(exc).__name__)
+        return cpu_raised(self, lane, exc)
+
+    monkeypatch.setattr(BatchedCoSimulation, "_cpu_raised", recording_raise)
+    for seed in SEU_SEEDS:
+        config = CampaignConfig(trials=64, seed=seed, **SEU_SHAPE)
+        if seed not in _SEU_SCALAR:
+            _SEU_SCALAR[seed] = json.dumps(run_campaign(config).to_dict(),
+                                           sort_keys=True)
+        raised.clear()
+        replays = _spy_replays(monkeypatch)
+        batched = run_campaign(config, batch_width=32).to_dict()
+        assert json.dumps(batched, sort_keys=True) == _SEU_SCALAR[seed]
+        assert replays == []
+        if seed != 3:
+            assert "FSLConfigError" in raised
 
 
 def test_batched_campaign_lanes_advance_together(monkeypatch):
