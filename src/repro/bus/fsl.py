@@ -16,13 +16,27 @@ The channel exposes both endpoints:
 Handshake flags match the paper's signal names: ``exists`` (data
 available at the slave side, the paper's ``Out#_exists``) and ``full``
 (FIFO cannot accept more data, the paper's ``In#_full``).
+
+A channel keeps all of its state in one *row* of int64 values: the ring
+head, the word count, the depth, the five statistics counters
+(:data:`ROW_FIELDS`), then a ring of ``2 * depth`` words packed as
+``data | control << 32``.  The spare half of the ring holds words a
+fault pushed past the physical depth (a duplicated word on a full
+FIFO), which :mod:`repro.faults.detect` reports as an overflow.  The
+processor, the scalar hardware engines, the fault injector and
+checkpoints all go through the methods below.  A channel that stands
+alone keeps its row in a python list, the fastest to index from
+python; the lockstep engine copies the rows of its lanes' channels into
+one int64 lane table and each channel *adopts* its row of that table
+(:meth:`FSLChannel.adopt`), so the vector FSL endpoints and the native
+kernel read and write the very state the lane's CPU sees
+(:mod:`repro.sysgen.blocks.fsl`).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import Deque
 
 from repro.telemetry.events import FSL_POP, FSL_PUSH, TelemetryEvent
 
@@ -39,6 +53,31 @@ class FSLWord:
             raise ValueError(f"FSL data must be a 32-bit word, got {self.data:#x}")
 
 
+#: the leading cells of a channel's row, in order; the ring follows
+ROW_FIELDS = ("head", "count", "depth", "total_pushed", "total_popped",
+              "push_rejects", "pop_rejects", "max_occupancy")
+(HEAD, COUNT, DEPTH, PUSHED, POPPED, PUSH_REJECTS, POP_REJECTS,
+ MAX_OCCUPANCY, RING) = range(len(ROW_FIELDS) + 1)
+_STATS = ROW_FIELDS[PUSHED:]
+_MASK = 0xFFFFFFFF
+
+
+def row_width(depth: int) -> int:
+    """Cells in the row of a channel ``depth`` words deep: the fields,
+    then a ring of twice the depth (room for fault-injected words)."""
+    return RING + 2 * depth
+
+
+def _counter(k: int, doc: str) -> property:
+    def get(self) -> int:
+        return self._row[k]
+
+    def put(self, value: int) -> None:
+        self._row[k] = value
+
+    return property(get, put, doc=doc)
+
+
 class FSLChannel:
     """A single unidirectional FSL FIFO.
 
@@ -52,24 +91,43 @@ class FSLChannel:
 
     DEFAULT_DEPTH = 16
 
+    # --- statistics -----------------------------------------------------
+    total_pushed = _counter(PUSHED, "Words accepted.")
+    total_popped = _counter(POPPED, "Words consumed.")
+    push_rejects = _counter(PUSH_REJECTS, "Push attempts while full.")
+    pop_rejects = _counter(POP_REJECTS, "Pop attempts while empty.")
+    max_occupancy = _counter(MAX_OCCUPANCY, "Highest occupancy a push left.")
+
     def __init__(self, depth: int = DEFAULT_DEPTH, name: str = "fsl"):
         if depth < 1:
             raise ValueError("FSL depth must be >= 1")
-        self.depth = depth
         self.name = name
-        self._fifo: Deque[FSLWord] = deque()
+        self._depth = depth
+        #: the state (see the module docstring): a list until a lane
+        #: table's int64 row is adopted
+        self._row = [0] * row_width(depth)
+        self._row[DEPTH] = depth
         #: optional :class:`~repro.telemetry.events.EventBus`; when set,
         #: successful pushes/pops emit events timestamped via ``clock``
         self.events = None
         #: zero-arg callable giving the current simulation cycle for
         #: telemetry timestamps (set together with ``events``)
         self.clock = None
-        # --- statistics -------------------------------------------------
-        self.total_pushed = 0
-        self.total_popped = 0
-        self.push_rejects = 0  # attempts while full
-        self.pop_rejects = 0  # attempts while empty
-        self.max_occupancy = 0
+
+    @property
+    def depth(self) -> int:
+        """FIFO depth in words (fixed at construction)."""
+        return self._depth
+
+    def adopt(self, row) -> None:
+        """Move the channel's state into ``row``, a writable contiguous
+        int64 buffer of at least :func:`row_width` cells (a lockstep
+        lane table's row), and keep it there: every later access reads
+        and writes ``row``."""
+        row = memoryview(row).cast("B").cast("q")
+        width = row_width(self._depth)
+        row[:width] = array("q", self._row[:width])
+        self._row = row
 
     # ------------------------------------------------------------------
     # Status flags (the paper's handshake signals)
@@ -77,16 +135,16 @@ class FSLChannel:
     @property
     def exists(self) -> bool:
         """True when data is available (``Out#_exists`` high)."""
-        return bool(self._fifo)
+        return self._row[COUNT] > 0
 
     @property
     def full(self) -> bool:
         """True when the FIFO cannot accept more data (``In#_full``)."""
-        return len(self._fifo) >= self.depth
+        return self._row[COUNT] >= self._depth
 
     @property
     def occupancy(self) -> int:
-        return len(self._fifo)
+        return self._row[COUNT]
 
     # ------------------------------------------------------------------
     # Master (writer) side
@@ -98,18 +156,23 @@ class FSLChannel:
         """Try to append a word.  Returns False (and counts a reject)
         when the FIFO is full — the caller decides whether to stall
         (blocking mode) or continue (non-blocking mode)."""
-        if self.full:
-            self.push_rejects += 1
+        row = self._row
+        count, depth = row[COUNT], self._depth
+        if count >= depth:
+            row[PUSH_REJECTS] += 1
             return False
-        self._fifo.append(FSLWord(data & 0xFFFFFFFF, bool(control)))
-        self.total_pushed += 1
-        if len(self._fifo) > self.max_occupancy:
-            self.max_occupancy = len(self._fifo)
+        data &= _MASK
+        row[RING + (row[HEAD] + count) % (2 * depth)] = \
+            data | (1 << 32 if control else 0)
+        count += 1
+        row[COUNT] = count
+        row[PUSHED] += 1
+        if count > row[MAX_OCCUPANCY]:
+            row[MAX_OCCUPANCY] = count
         if self.events is not None:
             self.events.emit(TelemetryEvent(
                 FSL_PUSH, self.clock() if self.clock is not None else 0,
-                self.name, data & 0xFFFFFFFF, len(self._fifo),
-                "ctrl" if control else "",
+                self.name, data, count, "ctrl" if control else "",
             ))
         return True
 
@@ -117,69 +180,121 @@ class FSLChannel:
     # Slave (reader) side
     # ------------------------------------------------------------------
     def can_pop(self) -> bool:
-        return bool(self._fifo)
+        return self._row[COUNT] > 0
+
+    def head(self) -> int:
+        """The head word packed as ``data | control << 32 | 1 << 33``
+        (bit 33: ``exists``), or 0 when the FIFO is empty — the three
+        signals a reader presents, with no :class:`FSLWord` built."""
+        row = self._row
+        return row[RING + row[HEAD]] | 1 << 33 if row[COUNT] else 0
 
     def peek(self) -> FSLWord | None:
         """Head of the FIFO without consuming it (combinational read
         of the data/control/exists signals)."""
-        return self._fifo[0] if self._fifo else None
+        word = self.head()
+        return FSLWord(word & _MASK, bool(word >> 32 & 1)) if word else None
 
     def pop(self) -> FSLWord | None:
         """Consume and return the head word, or None when empty."""
-        if not self._fifo:
-            self.pop_rejects += 1
-            return None
-        self.total_popped += 1
-        word = self._fifo.popleft()
+        word = self.take()
+        return None if word < 0 else FSLWord(word & _MASK, bool(word >> 32))
+
+    def take(self) -> int:
+        """:meth:`pop`, returning the word packed as ``data | control
+        << 32`` (-1 when empty) instead of building an :class:`FSLWord`."""
+        row = self._row
+        count = row[COUNT]
+        if not count:
+            row[POP_REJECTS] += 1
+            return -1
+        head = row[HEAD]
+        word = row[RING + head]
+        row[HEAD] = (head + 1) % (2 * self._depth)
+        row[COUNT] = count - 1
+        row[POPPED] += 1
         if self.events is not None:
             self.events.emit(TelemetryEvent(
                 FSL_POP, self.clock() if self.clock is not None else 0,
-                self.name, word.data, len(self._fifo),
-                "ctrl" if word.control else "",
+                self.name, word & _MASK, count - 1,
+                "ctrl" if word >> 32 else "",
             ))
         return word
 
     # ------------------------------------------------------------------
+    # Faults: the queue changes, the statistics do not
+    # ------------------------------------------------------------------
+    def flip(self, pos: int, bit: int) -> None:
+        """Flip data bit ``bit`` of the word ``pos`` places behind the
+        head (``0 <= pos < occupancy``)."""
+        row = self._row
+        row[RING + (row[HEAD] + pos) % (2 * self._depth)] ^= 1 << (bit % 32)
+
+    def lose(self, words: int) -> int:
+        """Lose up to ``words`` words at the head; returns how many."""
+        row = self._row
+        lost = min(words, row[COUNT])
+        row[HEAD] = (row[HEAD] + lost) % (2 * self._depth)
+        row[COUNT] -= lost
+        return lost
+
+    def duplicate(self, pos: int) -> bool:
+        """Queue a copy of the word ``pos`` places behind the head right
+        before it — past the depth, if the FIFO is full.  False (and no
+        change) when the ring has no free slot left."""
+        words = self._words()
+        if len(words) >= 2 * self._depth:
+            return False
+        words.insert(pos, words[pos])
+        self._store(words)
+        return True
+
+    # ------------------------------------------------------------------
+    def _words(self) -> list[int]:
+        """The queued words, head first, packed."""
+        row = self._row
+        head, count, ring = row[HEAD], row[COUNT], 2 * self._depth
+        return [row[RING + (head + i) % ring] for i in range(count)]
+
+    def _store(self, words: list[int]) -> None:
+        """Queue exactly ``words`` (packed), head at ring slot 0."""
+        row = self._row
+        if len(words) > 2 * self._depth:
+            raise ValueError(f"{len(words)} words overflow the ring of "
+                             f"depth-{self._depth} FSL {self.name!r}")
+        for i, word in enumerate(words):
+            row[RING + i] = word
+        row[HEAD] = 0
+        row[COUNT] = len(words)
+
     def reset(self, reset_stats: bool = True) -> None:
         """Drop all queued words and, unless ``reset_stats=False``,
         clear the accumulated statistics too — a re-run after
         :meth:`reset` must not report the previous run's FIFO traffic.
         Pass ``reset_stats=False`` to keep counters accumulating across
         runs (e.g. multi-run profiling)."""
-        self._fifo.clear()
+        row = self._row
+        row[HEAD] = row[COUNT] = 0
         if reset_stats:
-            self.total_pushed = 0
-            self.total_popped = 0
-            self.push_rejects = 0
-            self.pop_rejects = 0
-            self.max_occupancy = 0
+            for k in range(PUSHED, RING):
+                row[k] = 0
 
     def state_dict(self) -> dict:
         """Queued words plus statistics, JSON-safe (checkpointing)."""
-        return {
-            "fifo": [[w.data, int(w.control)] for w in self._fifo],
-            "total_pushed": self.total_pushed,
-            "total_popped": self.total_popped,
-            "push_rejects": self.push_rejects,
-            "pop_rejects": self.pop_rejects,
-            "max_occupancy": self.max_occupancy,
-        }
+        state = {"fifo": [[w & _MASK, w >> 32] for w in self._words()]}
+        state.update((name, getattr(self, name)) for name in _STATS)
+        return state
 
     def load_state(self, state: dict) -> None:
-        self._fifo.clear()
-        self._fifo.extend(FSLWord(data, bool(control))
-                          for data, control in state["fifo"])
-        self.total_pushed = state["total_pushed"]
-        self.total_popped = state["total_popped"]
-        self.push_rejects = state["push_rejects"]
-        self.pop_rejects = state["pop_rejects"]
-        self.max_occupancy = state["max_occupancy"]
+        self._store([FSLWord(data, bool(control)).data
+                     | (1 << 32 if control else 0)
+                     for data, control in state["fifo"]])
+        for name in _STATS:
+            setattr(self, name, state[name])
 
     def __len__(self) -> int:
-        return len(self._fifo)
+        return self._row[COUNT]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FSLChannel({self.name!r}, depth={self.depth}, "
-            f"occupancy={len(self._fifo)})"
-        )
+        return (f"FSLChannel({self.name!r}, depth={self.depth}, "
+                f"occupancy={len(self)})")

@@ -5,13 +5,14 @@ each with its own program image, FSL channels and telemetry) with ONE
 :class:`~repro.sysgen.batched.BatchedModel` that steps all N hardware
 models as ``(N,)`` numpy arrays.  Per cycle: every running lane's CPU
 ticks, then the vector model advances one clock for the running lanes.
-The FSL interface blocks are vectorized like the rest of the design,
-but each lane's channel object stays shared with that lane's CPU: only
-lanes whose FIFO moved are re-read, and only lanes that pop, push or
-drop a word touch their channel at the edge, so blocking semantics,
-drop counters and telemetry events are bit-identical to N independent
-scalar runs.  :meth:`BatchedCoSimulation.lane` writes a lane's vector
-state back into its clone model before handing it out.
+The FSL interface blocks are vectorized like the rest of the design:
+each lane's channel keeps its state in its row of the endpoint's lane
+table, so the lane's CPU and the vector step move one FIFO, and
+blocking semantics and drop counters are bit-identical to N
+independent scalar runs.  A lane with telemetry on its endpoints or
+channels runs those endpoints per lane, so its events are too.
+:meth:`BatchedCoSimulation.lane` writes a lane's vector state back into
+its clone model before handing it out.
 
 Divergence is handled by lane masking: a lane that halts, reaches its
 cycle budget or pauses at a per-lane target freezes (its state arrays,

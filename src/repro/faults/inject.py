@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, NamedTuple
 
-from repro.bus.fsl import FSLChannel, FSLWord
+from repro.bus.fsl import FSLChannel
 from repro.cosim.environment import CoSimulation
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.iss.cpu import HaltReason
@@ -224,21 +224,15 @@ class FaultInjector:
         channel = self._channel(spec.target)
         if channel is None:
             return False, f"no channel named {spec.target!r}"
-        fifo = channel._fifo
-        if not fifo:
+        if not channel.occupancy:
             return False, "FIFO empty at injection time"
-        pos = spec.index % len(fifo)
+        pos = spec.index % channel.occupancy
         if spec.kind == "fifo_corrupt":
-            word = fifo[pos]
-            fifo[pos] = FSLWord(
-                (word.data ^ (1 << (spec.bit % 32))) & 0xFFFFFFFF,
-                word.control,
-            )
+            channel.flip(pos, spec.bit)
         elif spec.kind == "fifo_drop":
-            fifo.popleft()  # physically lost: statistics left untouched
-        else:  # fifo_dup
-            word = fifo[pos]
-            fifo.insert(pos, FSLWord(word.data, word.control))
+            channel.lose(1)  # physically lost: statistics left untouched
+        elif not channel.duplicate(pos):
+            return False, "no free FIFO slot for the duplicate"
         return True, ""
 
     def _link_drop(self, spec: FaultSpec) -> tuple[bool, str]:
@@ -249,12 +243,9 @@ class FaultInjector:
         channel = self._channel(spec.target)
         if channel is None:
             return False, f"no channel named {spec.target!r}"
-        fifo = channel._fifo
-        if not fifo:
+        if not channel.occupancy:
             return False, "link idle at injection time"
-        lost = min(max(1, spec.duration), len(fifo))
-        for _ in range(lost):
-            fifo.popleft()
+        lost = channel.lose(max(1, spec.duration))
         return True, f"dropped {lost} word(s)"
 
     def _node_stall(

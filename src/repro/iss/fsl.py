@@ -71,13 +71,12 @@ class FSLPorts:
     # ------------------------------------------------------------------
     def get(self, channel_id: int, control: bool) -> tuple[bool, int | None]:
         """``get``/``cget`` semantics: pop one word if available."""
-        ch = self._input(channel_id)
-        word = ch.pop()
-        if word is None:
+        word = self._input(channel_id).take()
+        if word < 0:
             return False, None
-        if word.control != control:
+        if bool(word >> 32) != control:
             self.error = True
-        return True, word.data
+        return True, word & 0xFFFFFFFF
 
     def put(self, channel_id: int, value: int, control: bool) -> bool:
         """``put``/``cput`` semantics: push one word if space."""

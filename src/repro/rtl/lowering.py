@@ -488,18 +488,12 @@ class _Lowerer:
             if not kern.is_rising(clk):
                 return
             if read.value & 1 and channel.exists:
-                channel.pop()
-            head = channel.peek()
-            if head is None:
-                kern.schedule(exists, 0)
-                kern.schedule(control, 0)
-                for bit in data:
-                    kern.schedule(bit, 0)
-            else:
-                kern.schedule(exists, 1)
-                kern.schedule(control, int(head.control))
-                for i, bit in enumerate(data):
-                    kern.schedule(bit, (head.data >> i) & 1)
+                channel.take()
+            head = channel.head()  # 0 when empty
+            kern.schedule(exists, head >> 33)
+            kern.schedule(control, (head >> 32) & 1)
+            for i, bit in enumerate(data):
+                kern.schedule(bit, (head >> i) & 1)
 
         self.kernel.process(proc, sensitive=[clk], name=f"{b.name}_bfm")
 

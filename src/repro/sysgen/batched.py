@@ -24,15 +24,16 @@ Blocks contribute vectorized source through
 :meth:`~repro.sysgen.block.Block.emit_batched`.  Most standard blocks
 (registers, counters, accumulators, constants, the combinational
 logic) write their step once, in ``emit`` through the verbs, and set
-``emit_batched = emit``; delay lines, FIFOs, RAMs and pipeline stages
-keep a lane emitter, because their lane state has another shape than
-their scalar state.  The first three share one table idiom: an ``(N,
-depth)`` int64 table, read by the gather ``T[ar, i]`` and written by
-the masked scatter ``T[m, p[m]] = (v)[m]`` — the forms the native
-kernel (:mod:`repro.sysgen.ckernel`) translates, so every standard
-block runs inside it.  The FSL endpoints vectorize their ports too, while
-each lane's channel object, shared with that lane's CPU, stays the
-state they read and write (see :mod:`repro.sysgen.blocks.fsl`).  Blocks
+``emit_batched = emit``; delay lines, FIFOs, RAMs, pipeline stages and
+the FSL endpoints keep a lane emitter, because their lane state has
+another shape than their scalar state.  All but the pipeline stages
+share one table idiom: an ``(N, depth)`` int64 table, read by the
+gather ``T[ar, i]`` and written by the masked scatter ``T[m, p[m]] =
+(v)[m]`` — the forms the native kernel (:mod:`repro.sysgen.ckernel`)
+translates, so every standard block runs inside it.  An FSL endpoint's
+table holds its lanes' channel rows, which the channels adopt: the
+lane's CPU, fault injector and checkpoints read and write that very
+table (see :mod:`repro.sysgen.blocks.fsl`).  Blocks
 that cannot be vectorized (fixed-point Convert, user subclasses,
 combinational blocks with every input unconnected) *fall back per
 lane*: the generated code dispatches their interpreter methods on the
@@ -166,7 +167,7 @@ class BatchEmitContext(EmitContext):
 
     Lane emitters for state of another shape (delay lines, FIFOs, RAMs,
     pipeline stages, the FSL endpoints) state their ``busy_if`` rule
-    from their tables and mirror arrays, and use:
+    from their tables and lane arrays, and use:
 
     * :meth:`state` — a persistent ``(N,)`` lane array or ``(N, depth)``
       lane table, (re)loadable from the per-lane clone blocks (a table

@@ -14,104 +14,85 @@ Both are *bound* to an :class:`~repro.bus.fsl.FSLChannel` by the
 co-simulation environment (:class:`repro.cosim.mb_block.MicroBlazeBlock`),
 which owns the channel objects shared with the CPU's FSL unit.
 
-In the lockstep schedule (:mod:`repro.sysgen.batched`) each lane's
-channel stays the one source of truth, shared with that lane's CPU, the
-fault injector, checkpoints and telemetry.  The vector endpoint keeps a
-lane array mirroring what the channel presents (the head word; the
-``full`` flag) and drives its ports from it under the active-lane mask.
-Per step only lanes whose FIFO head word (reader) or occupancy
-(writer) moved since the last present are rewritten, and only lanes
-that pop, push or drop a word at the edge run per-lane python: the
-transfer itself is ``pop()``/``push()`` on the lane's channel, so
-channel statistics, drop counters and telemetry events are those of a
-scalar run.  The idle rule is the scalar one, read off the port arrays:
-a reader is busy while ``read`` and ``exists`` are both high, a writer
-while ``write`` is (a push or a counted drop at the next edge).  The
-rest of the scalar rule compares the ports with the channel, and within
-one step only the endpoint's own transfer can move the channel.
+In the lockstep schedule (:mod:`repro.sysgen.batched`) an endpoint's
+lanes keep their channel state where the channels keep it: when the
+schedule loads, the endpoint copies each lane's channel row
+(:mod:`repro.bus.fsl`) into one ``(N, W)`` lane table (``W`` fits the
+deepest lane) and each channel adopts its row of that table, so the
+lane's CPU, the fault injector and checkpoints read and write the very
+cells the vector endpoint does.  The present gathers the head word and
+the count; the edge updates head, count, ring word and counters with
+masked scatters — the FIFO ring idiom of
+:mod:`repro.sysgen.blocks.memory`, which the native kernel translates.
+A lane whose endpoint or channel carries an event bus when the
+schedule is built, or has no channel, or a channel another endpoint
+also holds, makes the endpoint fall back per lane: the clones' own ``present``/``clock`` then emit
+every ``BLOCK_FIRE``/``FSL_PUSH``/``FSL_POP`` event and raise
+:class:`FSLBindError` exactly as a scalar run does.  The idle rule is
+the scalar one, read off the port arrays: a reader is busy while
+``read`` and ``exists`` are both high, a writer while ``write`` is (a
+push or a counted drop at the next edge).  The rest of the scalar rule
+compares the ports with the channel, and within one step only the
+endpoint's own transfer can move the channel.
 """
 
 from __future__ import annotations
 
-from repro.bus.fsl import FSLChannel
+from collections import Counter
+
+from repro.bus.fsl import (
+    COUNT, DEPTH, HEAD, MAX_OCCUPANCY, POPPED, PUSH_REJECTS, PUSHED, RING,
+    FSLChannel, row_width,
+)
 from repro.resources.types import Resources
 from repro.sysgen.batched import np
 from repro.sysgen.block import IDLE_FOREVER, SeqBlock
 from repro.telemetry.events import BLOCK_FIRE, TelemetryEvent
+
+_MASK = 0xFFFFFFFF
 
 
 class FSLBindError(RuntimeError):
     """Raised when stepping an FSL block that has no bound channel."""
 
 
-def _lane_channels(ctx, lanes: list) -> tuple[str, str, str]:
-    """Names of the bound lane clones and of two per-call locals: each
-    lane's channel and its FIFO deque.  Binding happens after the
-    schedule compiles, so both are fetched at every call entry; an
-    active lane without a channel raises :class:`FSLBindError`.  The
-    deque is read directly so that one list comprehension compares
-    every lane's head word or occupancy per step."""
-    fb = ctx.bind(lanes, "fb")
-    ch, q = ctx.tmp(), ctx.tmp()
-    ctx.entry(f"{ch} = [b.channel for b in {fb}]\n"
-              f"if None in {ch}:\n"
-              f"    for _l in {ctx.lanes}: {fb}[_l]._require()")
-    ctx.entry(f"{q} = [() if c is None else c._fifo for c in {ch}]")
-    return fb, ch, q
+def _lane_table(ctx, block) -> str | None:
+    """The lane table of a vector endpoint (see the module docstring),
+    or None when the endpoint must fall back per lane."""
+    lanes = ctx.lane_blocks(block)
+    channels = [b.channel for b in lanes]
+    if any(ch is None or ch.events is not None or b.events is not None
+           for b, ch in zip(lanes, channels)):
+        return None
+    held = Counter(id(b.channel) for other in ctx.batched.template.blocks
+                   if isinstance(other, _Endpoint)
+                   for b in ctx.lane_blocks(other))
+    if any(held[id(ch)] > 1 for ch in channels):
+        return None
+
+    def load():
+        table = np.zeros(
+            (ctx.n, max(row_width(b.channel.depth) for b in lanes)),
+            np.int64)
+        for lane, b in enumerate(lanes):
+            b.channel.adopt(table[lane])
+        return table
+
+    return ctx.state(load, "fq")
 
 
-def _mirror(ctx, now: str, cache: str, update: str) -> None:
-    """The present of a vector endpoint: ``now`` (a list comprehension
-    over every lane) is compared with the bound ``cache`` list, and for
-    each active lane whose entry changed the cache takes the new entry
-    ``_w`` and ``update`` (python over lane ``_l``) rewrites that lane
-    of the mirror array."""
-    cur = ctx.tmp()
-    ctx.present(f"{cur} = {now}\n"
-                f"if {cur} != {cache}:\n"
-                f"    for _l in {ctx.lanes}:\n"
-                f"        _w = {cur}[_l]\n"
-                f"        if _w != {cache}[_l]:\n"
-                f"            {cache}[_l] = _w\n"
-                f"            {update}")
+def _edge(ctx, table: str, mask: str, col, value: str) -> None:
+    """At the edge, lanes in ``mask`` write ``value`` to cell ``col``
+    of their row (a masked scatter)."""
+    ctx.clock(f"{table}[{mask}, ({ctx.zeros} + {col})[{mask}]] = "
+              f"({value})[{mask}]")
 
 
-def _lane_transfers(ctx, flag: str, test: str, body: str) -> None:
-    """The edge of a vector endpoint: ``body`` (python over lane
-    ``_l``) runs for each active lane whose input ``flag`` (a port
-    array, or a literal) has bit 0 set and for which ``test`` holds."""
-    lit = ctx.lit(flag)
-    pick = ""
-    conds = [test] if test else []
-    if lit is None:
-        bits = ctx.tmp()
-        pick = f"{bits} = ({flag}).tolist()\n"
-        conds.insert(0, f"{bits}[_l] & 1")
-    lanes = (f"[_l for _l in {ctx.lanes} if {' and '.join(conds)}]"
-             if conds else ctx.lanes)
-    indented = "\n".join("    " + ln for ln in body.split("\n"))
-    ctx.clock(f"{pick}for _l in {lanes}:\n{indented}")
-
-
-def _fire(ctx, b: str, name: str, aux: str = "") -> str:
-    """Python emitting a ``BLOCK_FIRE`` event for clone ``b`` when a
-    telemetry bus is attached to it."""
-    te = ctx.bind(TelemetryEvent, "TE")
-    bf = ctx.bind(BLOCK_FIRE, "BF")
-    return (f"if {b}.events is not None:\n"
-            f"    {b}.events.emit({te}({bf}, {b}.telemetry_clock() "
-            f"if {b}.telemetry_clock else 0, {name!r}{aux}))")
-
-
-class FSLRead(SeqBlock):
-    """Peripheral-side reader of a processor→peripheral FSL."""
+class _Endpoint(SeqBlock):
+    """The channel binding and telemetry hooks both endpoints share."""
 
     def __init__(self, name: str):
         super().__init__(name)
-        self.add_input("read", default=0)
-        self.add_output("data", 32)
-        self.add_output("exists", 1)
-        self.add_output("control", 1)
         self.channel: FSLChannel | None = None
         #: optional telemetry bus + cycle source (set by the attach
         #: helpers in :mod:`repro.telemetry`)
@@ -123,30 +104,42 @@ class FSLRead(SeqBlock):
 
     def _require(self) -> FSLChannel:
         if self.channel is None:
-            raise FSLBindError(f"FSLRead {self.name!r} has no bound channel")
+            raise FSLBindError(f"{type(self).__name__} {self.name!r} "
+                               "has no bound channel")
         return self.channel
 
+    def _fire(self, aux: int = 0) -> None:
+        """Emit ``BLOCK_FIRE`` (``events`` is set)."""
+        self.events.emit(TelemetryEvent(
+            BLOCK_FIRE, self.telemetry_clock() if self.telemetry_clock else 0,
+            self.name, aux=aux))
+
+    def resources(self) -> Resources:
+        return Resources(slices=4)  # handshake decode logic
+
+
+class FSLRead(_Endpoint):
+    """Peripheral-side reader of a processor→peripheral FSL."""
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.add_input("read", default=0)
+        self.add_output("data", 32)
+        self.add_output("exists", 1)
+        self.add_output("control", 1)
+
     def present(self) -> None:
-        word = self._require().peek()
-        if word is None:
-            self.outputs["data"].value = 0
-            self.outputs["control"].value = 0
-            self.outputs["exists"].value = 0
-        else:
-            self.outputs["data"].value = word.data
-            self.outputs["control"].value = int(word.control)
-            self.outputs["exists"].value = 1
+        word = self._require().head()
+        self.outputs["data"].value = word & _MASK
+        self.outputs["control"].value = (word >> 32) & 1
+        self.outputs["exists"].value = word >> 33
 
     def clock(self) -> None:
         ch = self._require()
         if self.in_value("read") & 1 and ch.exists:
-            ch.pop()
+            ch.take()
             if self.events is not None:
-                self.events.emit(TelemetryEvent(
-                    BLOCK_FIRE,
-                    self.telemetry_clock() if self.telemetry_clock else 0,
-                    self.name,
-                ))
+                self._fire()
 
     def emit(self, ctx) -> bool:
         b = ctx.bind(self)
@@ -159,12 +152,9 @@ class FSLRead(SeqBlock):
         vc = ctx.out(self, "control")
         w = ctx.tmp()
         ctx.present(f"if {ch} is None: {b}._require()")
-        ctx.present(f"{w} = {ch}.peek()")
-        ctx.present(
-            f"if {w} is None: {vd} = 0; {vc} = 0; {ve} = 0\n"
-            f"else: {vd} = {w}.data; "
-            f"{vc} = 1 if {w}.control else 0; {ve} = 1"
-        )
+        ctx.present(f"{w} = {ch}.head()")
+        ctx.present(f"{vd} = {w} & {_MASK}; {vc} = ({w} >> 32) & 1; "
+                    f"{ve} = {w} >> 33")
         read = ctx.inp(self, "read")
         rlit = ctx.lit(read)
         guard = (f"{ch}.exists" if rlit is not None
@@ -174,51 +164,40 @@ class FSLRead(SeqBlock):
             ctx.busy_if(f"{ch} is None", guard)
         else:
             ctx.busy_if(f"{ch} is None")
-        ctx.horizon(
-            f"{w} = {ch}.peek()\n"
-            f"if {w} is None:\n"
-            f"    if {vd} != 0 or {vc} != 0 or {ve} != 0: return 0\n"
-            f"elif ({vd} != {w}.data or {vc} != int({w}.control)"
-            f" or {ve} != 1): return 0"
-        )
+        ctx.horizon(f"{w} = {ch}.head()\n"
+                    f"if {vd} != {w} & {_MASK} or {vc} != ({w} >> 32) & 1"
+                    f" or {ve} != {w} >> 33: return 0")
         if rlit is not None and not (rlit & 1):
             return True
-        fire = _fire(ctx, b, self.name).replace("\n", "\n    ")
-        ctx.clock(f"if {guard}:\n    {ch}.pop()\n    {fire}")
+        ctx.clock(f"if {guard}:\n    {ch}.take()\n"
+                  f"    if {b}.events is not None: {b}._fire()")
         return True
 
     def emit_batched(self, ctx) -> bool:
-        lanes = ctx.lane_blocks(self)
-        fb, ch, q = _lane_channels(ctx, lanes)
-        # the head word each lane's mirror holds (compared by value:
-        # the ports depend on nothing else); the mirror packs
-        # data | control << 32 | exists << 33
-        heads: list = [None] * ctx.n
-        hh = ctx.bind(heads, "hh")
-
-        def load_mirror():
-            heads[:] = [None if b.channel is None else b.channel.peek()
-                        for b in lanes]
-            return np.fromiter(
-                (0 if w is None else w.data | w.control << 32 | 1 << 33
-                 for w in heads), np.int64, ctx.n)
-
-        hm = ctx.state(load_mirror, "hm")
-        _mirror(ctx, f"[q[0] if q else None for q in {q}]", hh,
-                f"{hm}[_l] = 0 if _w is None else "
-                f"_w.data | _w.control << 32 | {1 << 33}")
-        ctx.drive(ctx.out(self, "data"), f"{hm} & {0xFFFFFFFF}")
-        ctx.drive(ctx.out(self, "control"), f"({hm} >> 32) & 1")
+        fq = _lane_table(ctx, self)
+        if fq is None:
+            return False
+        ar = ctx.arange
+        count = f"{fq}[{ar}, {COUNT}]"
+        head = f"{fq}[{ar}, {HEAD}]"
+        word = ctx.tmp()  # what FSLChannel.head() gives
+        ctx.present(f"{word} = np.where({count} > 0, "
+                    f"{fq}[{ar}, {RING} + {head}] | {1 << 33}, 0)")
+        ctx.drive(ctx.out(self, "data"), f"{word} & {_MASK}")
+        ctx.drive(ctx.out(self, "control"), f"({word} >> 32) & 1")
         exists = ctx.out(self, "exists")
-        ctx.drive(exists, f"{hm} >> 33")
-        read = ctx.inp(self, "read")
-        rflag = ctx.flag(read)
+        ctx.drive(exists, f"{word} >> 33")
+        rflag = ctx.flag(ctx.inp(self, "read"))
         if rflag == "0":
             return True
         ctx.busy_if(exists if rflag == "1" else f"{rflag} & {exists}")
-        _lane_transfers(ctx, read, f"{q}[_l]",
-                        f"{ch}[_l].pop()\n"
-                        f"_b = {fb}[_l]\n" + _fire(ctx, "_b", self.name))
+        pop = ctx.tmp()
+        ctx.clock(f"{pop} = {ctx.act} & ({count} > 0)"
+                  + ("" if rflag == "1" else f" & {rflag}"))
+        _edge(ctx, fq, pop, HEAD,
+              f"({head} + 1) % (2 * {fq}[{ar}, {DEPTH}])")
+        _edge(ctx, fq, pop, COUNT, f"{count} - 1")
+        _edge(ctx, fq, pop, POPPED, f"{fq}[{ar}, {POPPED}] + 1")
         return True
 
     def idle_horizon(self) -> int:
@@ -227,22 +206,14 @@ class FSLRead(SeqBlock):
             return 0
         if self.in_value("read") & 1 and ch.exists:
             return 0  # a word would be consumed at the next edge
-        word = ch.peek()
-        outs = self.outputs
-        if word is None:
-            settled = (outs["data"].value == 0 and outs["control"].value == 0
-                       and outs["exists"].value == 0)
-        else:
-            settled = (outs["data"].value == word.data
-                       and outs["control"].value == int(word.control)
-                       and outs["exists"].value == 1)
+        word, outs = ch.head(), self.outputs
+        settled = (outs["data"].value == word & _MASK
+                   and outs["control"].value == (word >> 32) & 1
+                   and outs["exists"].value == word >> 33)
         return IDLE_FOREVER if settled else 0
 
-    def resources(self) -> Resources:
-        return Resources(slices=4)  # handshake decode logic
 
-
-class FSLWrite(SeqBlock):
+class FSLWrite(_Endpoint):
     """Peripheral-side writer of a peripheral→processor FSL."""
 
     def __init__(self, name: str):
@@ -251,20 +222,7 @@ class FSLWrite(SeqBlock):
         self.add_input("write", default=0)
         self.add_input("control", default=0)
         self.add_output("full", 1)
-        self.channel: FSLChannel | None = None
         self.dropped = 0  # writes attempted while full
-        #: optional telemetry bus + cycle source (set by the attach
-        #: helpers in :mod:`repro.telemetry`)
-        self.events = None
-        self.telemetry_clock = None
-
-    def bind(self, channel: FSLChannel) -> None:
-        self.channel = channel
-
-    def _require(self) -> FSLChannel:
-        if self.channel is None:
-            raise FSLBindError(f"FSLWrite {self.name!r} has no bound channel")
-        return self.channel
 
     def present(self) -> None:
         self.outputs["full"].value = int(self._require().full)
@@ -276,12 +234,7 @@ class FSLWrite(SeqBlock):
             if not ok:
                 self.dropped += 1
             if self.events is not None:
-                self.events.emit(TelemetryEvent(
-                    BLOCK_FIRE,
-                    self.telemetry_clock() if self.telemetry_clock else 0,
-                    self.name,
-                    aux=0 if ok else 1,
-                ))
+                self._fire(0 if ok else 1)
 
     def emit(self, ctx) -> bool:
         b = ctx.bind(self)
@@ -300,73 +253,50 @@ class FSLWrite(SeqBlock):
         ctx.busy_if(f"{ctx.out(self, 'full')} != int({ch}.full)")
         if wlit is not None and not (wlit & 1):
             return True
-        data = ctx.inp(self, "data")
         control = ctx.inp(self, "control")
         clit = ctx.lit(control)
         ctrl = (repr(bool(clit & 1)) if clit is not None
                 else f"bool(({control}) & 1)")
         drop = ctx.state_slot(self, "dropped")
-        te = ctx.bind(TelemetryEvent, "TE")
-        bf = ctx.bind(BLOCK_FIRE, "BF")
         ok = ctx.tmp()
-        body = (
-            f"{ok} = {ch}.push({data}, {ctrl})\n"
-            f"if not {ok}: {drop} = {drop} + 1\n"
-            f"if {b}.events is not None:\n"
-            f"    {b}.events.emit({te}({bf}, {b}.telemetry_clock() "
-            f"if {b}.telemetry_clock else 0, {self.name!r}, "
-            f"aux=0 if {ok} else 1))"
-        )
-        if wlit is not None:
-            ctx.clock(body)
-        else:
-            indented = "\n".join("    " + ln for ln in body.split("\n"))
-            ctx.clock(f"if ({write}) & 1:\n{indented}")
+        body = (f"{ok} = {ch}.push({ctx.inp(self, 'data')}, {ctrl})\n"
+                f"if not {ok}: {drop} = {drop} + 1\n"
+                f"if {b}.events is not None: {b}._fire(0 if {ok} else 1)")
+        if wlit is None:
+            body = f"if ({write}) & 1:\n    " + body.replace("\n", "\n    ")
+        ctx.clock(body)
         return True
 
     def emit_batched(self, ctx) -> bool:
-        lanes = ctx.lane_blocks(self)
-        fb, ch, q = _lane_channels(ctx, lanes)
-        # the occupancy behind each lane's mirrored ``full`` flag, and
-        # the channels it was read from: a rebound channel may have
-        # another depth, so its lanes are re-read
-        occupancy = [0] * ctx.n
-        oc = ctx.bind(occupancy, "oc")
-        seen = ctx.bind([None] * ctx.n, "cs")
-        ctx.entry(f"if {ch} != {seen}:\n"
-                  f"    {seen}[:] = {ch}\n"
-                  f"    {oc}[:] = [-1] * {ctx.n}")
-
-        def load_mirror():
-            occupancy[:] = [0 if b.channel is None else len(b.channel)
-                            for b in lanes]
-            return np.fromiter(
-                (b.channel is not None and b.channel.full for b in lanes),
-                np.int64, ctx.n)
-
-        fm = ctx.state(load_mirror, "fm")
-        _mirror(ctx, f"[len(q) for q in {q}]", oc,
-                f"{fm}[_l] = 1 if {ch}[_l].full else 0")
-        ctx.drive(ctx.out(self, "full"), fm)
-        write = ctx.inp(self, "write")
-        wflag = ctx.flag(write)
+        fq = _lane_table(ctx, self)
+        if fq is None:
+            return False
+        ar = ctx.arange
+        depth = f"{fq}[{ar}, {DEPTH}]"
+        ctx.drive(ctx.out(self, "full"),
+                  ctx.as_int(f"{fq}[{ar}, {COUNT}] >= {depth}"))
+        wflag = ctx.flag(ctx.inp(self, "write"))
         if wflag == "0":
             return True
         ctx.busy_if(wflag)
-        data = ctx.inp(self, "data")
-        if ctx.lit(data) is None:
-            data = f"int({data}[_l])"
-        control = ctx.inp(self, "control")
-        clit = ctx.lit(control)
-        ctrl = (repr(bool(clit & 1)) if clit is not None
-                else f"bool({control}[_l] & 1)")
-        ok = ctx.tmp()
-        _lane_transfers(ctx, write, "",
-                        f"{ok} = {ch}[_l].push({data}, {ctrl})\n"
-                        f"_b = {fb}[_l]\n"
-                        f"if not {ok}: _b.dropped += 1\n"
-                        + _fire(ctx, "_b", self.name,
-                                f", aux=0 if {ok} else 1"))
+        fire = ctx.act if wflag == "1" else f"{ctx.act} & {wflag}"
+        count, ok, drop = ctx.tmp(), ctx.tmp(), ctx.tmp()
+        ctx.clock(f"{count} = {fq}[{ar}, {COUNT}]")
+        ctx.clock(f"{ok} = {fire} & ({count} < {depth})")
+        ctx.clock(f"{drop} = {fire} & ({count} >= {depth})")
+        word = ctx.as_array(
+            f"(({ctx.inp(self, 'data')}) & {_MASK})"
+            f" | ((({ctx.inp(self, 'control')}) & 1) << 32)")
+        _edge(ctx, fq, ok, f"{RING} + ({fq}[{ar}, {HEAD}] + {count})"
+              f" % (2 * {depth})", word)
+        _edge(ctx, fq, ok, COUNT, f"{count} + 1")
+        _edge(ctx, fq, ok, PUSHED, f"{fq}[{ar}, {PUSHED}] + 1")
+        peak = f"{fq}[{ar}, {MAX_OCCUPANCY}]"
+        _edge(ctx, fq, ok, MAX_OCCUPANCY,
+              f"np.where({count} >= {peak}, {count} + 1, {peak})")
+        _edge(ctx, fq, drop, PUSH_REJECTS, f"{fq}[{ar}, {PUSH_REJECTS}] + 1")
+        dropped = ctx.state_slot(self, "dropped", "dr")
+        ctx.clock(f"{dropped} = np.where({drop}, {dropped} + 1, {dropped})")
         return True
 
     def reset(self) -> None:
@@ -390,6 +320,3 @@ class FSLWrite(SeqBlock):
         if self.outputs["full"].value == int(ch.full):
             return IDLE_FOREVER
         return 0
-
-    def resources(self) -> Resources:
-        return Resources(slices=4)

@@ -19,6 +19,9 @@ semantics are preserved exactly:
   the masked scatter ``T[m, p[m]] = (v)[m]`` (a lane writes its own
   row where ``m`` holds), so running the lines lane by lane equals
   running them line by line,
+* a temporary that one segment writes before it reads it, and no
+  other segment or python line names, is a C local; any other name a
+  line assigns lives in an ``(N,)`` lane array between segments,
 * ``%`` uses Python/numpy floored-modulo semantics via a helper,
 * the translation unit is compiled ``-fwrapv`` so signed arithmetic
   wraps like numpy int64.
@@ -38,6 +41,7 @@ import ctypes
 import hashlib
 import multiprocessing.util
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -85,8 +89,9 @@ class _ExprEmitter:
 
     ``resolve(name, base=False)`` returns a ``("lane", slot)`` /
     ``("table", slot, depth)`` / ``("shared", slot, length)`` /
-    ``("const", int)`` / ``("act",)`` / ``("arange",)`` / ``("zero",)``
-    tag for every identifier (``base``: the name is subscripted),
+    ``("local", k)`` / ``("const", int)`` / ``("act",)`` /
+    ``("arange",)`` / ``("zero",)`` tag for every identifier
+    (``base``: the name is subscripted),
     raising :class:`CUnsupported` for names it cannot place.
     """
 
@@ -95,6 +100,7 @@ class _ExprEmitter:
         self.reads: set[int] = set()
         self.shared_reads: set[int] = set()
         self.tables: set[int] = set()
+        self.locals: set[int] = set()
 
     def emit(self, node: ast.expr) -> str:
         if isinstance(node, ast.Constant):
@@ -136,6 +142,8 @@ class _ExprEmitter:
         if kind == "lane":
             self.reads.add(info[0])
             return f"_v{info[0]}"
+        if kind == "local":
+            return f"_s{info[0]}"
         if kind == "const":
             return f"INT64_C({info[0]})"
         if kind == "act":
@@ -465,6 +473,8 @@ def _translate(
         # shared table whatever its length (a lane vector otherwise)
         if name in slot_of:
             return slot_tag(slot_of[name])
+        if name in local_of:
+            return ("local", local_of[name])
         if name in consts:
             return ("const", consts[name])
         if name in shared:
@@ -487,22 +497,11 @@ def _translate(
         raise CUnsupported(f"unresolvable name {name!r} ({type(obj)})")
 
     # -- partition into python runs and C segments ---------------------
-    # seg stmt: ("a", slot, c_expr) or ("raw", c_code)
-    body: list[object] = []
-    seg_stmts: list[list[tuple]] = []
-
-    current: list[tuple] | None = None
-    seg_reads: list[set[int]] = []
-    seg_shared: list[set[int]] = []
-    seg_tables: list[set[int]] = []
-
+    # each numpy line parsed; a python line stays a string
+    groups: list[list] = []
     for line in cycle_lines:
         if "\n" in line or "[_l]" in line or line.lstrip().startswith("for "):
-            if current:
-                seg_stmts.append(current)
-                body.append(len(seg_stmts) - 1)
-                current = None
-            body.append(line)
+            groups.append(line)
             continue
         try:
             tree = ast.parse(line.strip(), mode="exec")
@@ -511,36 +510,46 @@ def _translate(
         if len(tree.body) != 1 or not isinstance(tree.body[0], ast.Assign) \
                 or len(tree.body[0].targets) != 1:
             raise CUnsupported(f"not a single assignment: {line!r}")
-        assign = tree.body[0]
+        if not groups or isinstance(groups[-1], str):
+            groups.append([])
+        groups[-1].append((line, tree.body[0]))
+    local_of = _scratch_locals(groups, set(slot_of) | set(fixed), bound)
+
+    # seg stmt: ("a", slot, c_expr) or ("raw", c_code)
+    body: list[object] = []
+    seg_stmts: list[list[tuple]] = []
+    segs: list[_ExprEmitter] = []  # per segment: what its lines name
+    for group in groups:
+        if isinstance(group, str):
+            body.append(group)
+            continue
         emitter = _ExprEmitter(resolve)
-        if isinstance(assign.targets[0], ast.Name):
-            target = assign.targets[0].id
+        stmts: list[tuple] = []
+        for line, assign in group:
+            target = assign.targets[0]
+            if not isinstance(target, ast.Name):
+                code = _match_scatter(assign, emitter)
+                if code is None:
+                    raise CUnsupported(f"compound target: {line!r}")
+                stmts.append(("raw", code))
+                continue
             expr = emitter.emit(assign.value)
-            if target not in slot_of:
-                if target in consts or target in shared or target in fixed \
-                        or bound.get(target) is not None:
+            if target.id in local_of:
+                emitter.locals.add(local_of[target.id])
+                stmts.append(("raw", f"_s{local_of[target.id]} = {expr};"))
+                continue
+            if target.id not in slot_of:
+                if target.id in consts or target.id in shared \
+                        or target.id in fixed \
+                        or bound.get(target.id) is not None:
                     raise CUnsupported(
-                        f"assignment to bound name {target!r}")
-                add_slot(target, np.zeros(n, dtype=np.int64), "scratch")
-            if elem[slot_of[target]][0] == "table":
+                        f"assignment to bound name {target.id!r}")
+                add_slot(target.id, np.zeros(n, dtype=np.int64), "scratch")
+            if elem[slot_of[target.id]][0] == "table":
                 raise CUnsupported(f"whole-table write: {line!r}")
-            stmt = ("a", slot_of[target], expr)
-        else:
-            code = _match_scatter(assign, emitter)
-            if code is None:
-                raise CUnsupported(f"compound target: {line!r}")
-            stmt = ("raw", code)
-        if current is None:
-            current = []
-            seg_reads.append(set())
-            seg_shared.append(set())
-            seg_tables.append(set())
-        seg_reads[-1] |= emitter.reads
-        seg_shared[-1] |= emitter.shared_reads
-        seg_tables[-1] |= emitter.tables
-        current.append(stmt)
-    if current:
-        seg_stmts.append(current)
+            stmts.append(("a", slot_of[target.id], expr))
+        segs.append(emitter)
+        seg_stmts.append(stmts)
         body.append(len(seg_stmts) - 1)
 
     if not seg_stmts:
@@ -562,12 +571,12 @@ def _translate(
     ]
     for j, stmts in enumerate(seg_stmts):
         writes = {st[1] for st in stmts if st[0] == "a"}
-        lane_slots = sorted(seg_reads[j] | writes)
+        lane_slots = sorted(segs[j].reads | writes)
         src.append(f"void seg{j}(void **T, const unsigned char *ACT, "
                    "i64 N) {")
-        for s in sorted(seg_shared[j]):
+        for s in sorted(segs[j].shared_reads):
             src.append(f"    const i64 *_T{s} = (const i64 *)T[{s}];")
-        for s in sorted(seg_tables[j]):
+        for s in sorted(segs[j].tables):
             src.append(f"    i64 *_d{s} = (i64 *)T[{s}];")
         for s in lane_slots:
             ctyp = "unsigned char" if elem[s][0] == "u8" else "i64"
@@ -576,6 +585,8 @@ def _translate(
         src.append("        const i64 _a = (i64)ACT[_i];")
         for s in lane_slots:
             src.append(f"        i64 _v{s} = (i64)_p{s}[_i];")
+        for k in sorted(segs[j].locals):
+            src.append(f"        i64 _s{k};")
         for st in stmts:
             if st[0] == "a":
                 src.append(f"        _v{st[1]} = {st[2]};")
@@ -595,6 +606,38 @@ def _translate(
     plan = _Translation(c_source, tuple(body), len(seg_stmts), tuple(slots),
                         tuple(consts.items()))
     return plan, arrays
+
+
+def _scratch_locals(groups: list, placed: set[str],
+                    bound: dict[str, object]) -> dict[str, int]:
+    """The temporaries that become C locals, numbered: names assigned
+    in the numpy lines that are no port, state or binding, which one
+    segment writes before it reads them and nothing else names (no
+    other segment, no python line) — so no lane array has to carry
+    them from one segment or cycle to the next."""
+    home: dict[str, int] = {}  # name -> its one segment, or -1
+    python: set[str] = set()
+    for j, group in enumerate(groups):
+        if isinstance(group, str):
+            python.update(_IDENTIFIER.findall(group))
+            continue
+        for _line, assign in group:
+            target = assign.targets[0]
+            named = isinstance(target, ast.Name)
+            for node in ast.walk(assign.value if named else assign):
+                if isinstance(node, ast.Name):
+                    # read before this segment wrote it, or elsewhere
+                    home[node.id] = j if home.get(node.id) == j else -1
+            if named:
+                home[target.id] = j if home.get(target.id, j) == j else -1
+    names = sorted(name for name, j in home.items()
+                   if j >= 0 and name not in python and name not in placed
+                   and bound.get(name) is None)
+    return {name: k for k, name in enumerate(names)}
+
+
+#: a python identifier (the names a generated python line uses)
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 # ---------------------------------------------------------------------------

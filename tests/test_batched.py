@@ -393,29 +393,29 @@ def _matmul(block: int) -> Model:
 #: CHANGES.md stating why that generated source had to change.
 PINNED_SOURCES = {
     (_cordic, 2): {
-        "sysgen-compiled": "27dc4d8ace25bedf953e7d2eca208f515452d57d27643a49c3752c74768ec763",
-        "sysgen-batched": "f407802f0e123c41f1daf3763dccd8b1286613043c9aad85cfed81e5bb10647a",
-        "sysgen-batched-c": "46015d7d7094323bb4f58fdcacd9806a9e6ac86de09574df0b77b463c9cdbb99",
+        "sysgen-compiled": "d9e96df2a11849c80cf27146720e29a92dcaf58e0dc934d9c66b21ced17ea8d0",
+        "sysgen-batched": "0f53af7454b5ecb5fbf65cf3cf8465a493772b92871e1edc2e5c8b2e48f1c8ca",
+        "sysgen-batched-c": "f1b4a9bef7b0b944ad82ac6cabe86af330d54de0d9d77aa111926135a62082a9",
     },
     (_cordic, 4): {
-        "sysgen-compiled": "6c4a3cb87750cbf4541f5a0cbc9efffcf0ce6789703808287589d175630476e4",
-        "sysgen-batched": "b6f07718b177652190892b172dadcc04498dbaa9156331a73c89d758e1b1f03e",
-        "sysgen-batched-c": "1a4687c8e60dad9fb215edf66be7e8dd87110a599a8087b11de1969e78b143c3",
+        "sysgen-compiled": "9050dd53d22c527dc6c9ac5b3bc26cf3f42a2273e49212a506a4d3eb8e3b6198",
+        "sysgen-batched": "867d7d9e5dc2271e82be2fb0683003bdedba8fa44c6282f800e19d265f0ce0a2",
+        "sysgen-batched-c": "a471a27731b1f973160ca0779dc788e302410f06e2a18a0eecb84d1aad490826",
     },
     (_cordic, 8): {
-        "sysgen-compiled": "765f8385c6026bc795a589d319364709ea1027918b2091a087cfd157fc727c13",
-        "sysgen-batched": "b1256d9e7c5ae22a1b8f3889429a1100ac001011e98a06763dd7c3f616092a8d",
-        "sysgen-batched-c": "6b6463073dfa035b8cbbf7254b0193718487702e9a9d7cadfbfeac18ac99e12c",
+        "sysgen-compiled": "bb32f76d232e7caf008428bce952f96f81eee5a41210dbc72340a8bd0a2e3c5f",
+        "sysgen-batched": "993cb73fafaf7ea605acc0feb98eab0a00d551186a38e0ae52e56695ad42ed72",
+        "sysgen-batched-c": "a5f1f28d2fc9e156e5bf24ad0570dc667cdce56b78ce1a63975afbaa20a1c37b",
     },
     (_matmul, 2): {
-        "sysgen-compiled": "3d8d333a5ec2e4e2a67d193931bac63ea1b685e7e04c1a817951f9eb40bdda8d",
-        "sysgen-batched": "15b71c31488b9e50b9a9a6938a9643890c55095f5ced8f9f9a59c1d1bbfee7dc",
-        "sysgen-batched-c": "3c804791530261a391ca8c713500048c8ab1a360cc91b169dbb3edb08042464a",
+        "sysgen-compiled": "e1b106d2edd9545a60ebe53820f2389e6b21643d63d60d7537fdfd8a70dde55c",
+        "sysgen-batched": "7e08463c8ab6ac010ddaf73b35d7a528bc64632bb3f077d8b8236edd31ccd3a5",
+        "sysgen-batched-c": "4b26a6e677ab8abb1d75055ae1a287ee0863e578f63cff10567b5d132fd67ca1",
     },
     (_matmul, 4): {
-        "sysgen-compiled": "39b6814bf80564a0863600780140af731d78a2a50d6929e917c53c469334f1e8",
-        "sysgen-batched": "c3a975842d84359f282f6dc205eff6b3e2d5ff7057abdcf9a7c34de9cfb7745f",
-        "sysgen-batched-c": "5dc42cf95ac4c3315ff7a7829041aec6040d95b335c658fe1c11fcaad8136f62",
+        "sysgen-compiled": "4fc5dbd2af3ac03a7ec8a461c7dbb9725f382c2cc68db8bd0b320b8a279bedbc",
+        "sysgen-batched": "83f17ef19186962e1f5f57545f4b66ca17b98b43d75e4ec621ebdf706d93e9f5",
+        "sysgen-batched-c": "1aa8d3cd1e1ce17c145aae1c266fc940397b1dff93488efc94d0957b0fe1e5fd",
     },
 }
 

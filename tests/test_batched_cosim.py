@@ -21,9 +21,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.bus.fsl import FSLChannel
 from repro.bus.opb import OPBBus
-from repro.conformance.oracle import observe, observe_batched
-from repro.conformance.scenario import Scenario, ScenarioGenerator
+from repro.conformance.oracle import _make_sim, _run, observe, observe_batched
+from repro.conformance.scenario import (
+    Scenario,
+    ScenarioGenerator,
+    build_program,
+)
 from repro.cosim.batch import BatchedCoSimulation, LaneResult, lane_factory
 from repro.cosim.environment import CoSimDeadlock, CoSimulation
 from repro.cosim.mb_block import MicroBlazeBlock
@@ -31,7 +36,15 @@ from repro.faults.campaign import build_design
 from repro.mcc import build_executable
 from repro.runapi import RunPolicy
 from repro.sysgen.batched import BatchedModel, BatchUnsupported
-from repro.sysgen.blocks import Constant, Logical, OPBRegisterBank
+from repro.sysgen.blocks import (
+    Constant,
+    Counter,
+    FSLRead,
+    FSLWrite,
+    Logical,
+    OPBRegisterBank,
+    Slice,
+)
 from repro.sysgen.model import Model
 
 N_SCENARIOS = int(os.environ.get("REPRO_BATCH_SMOKE_SCENARIOS", "4"))
@@ -75,6 +88,31 @@ def test_lockstep_matches_scalar_over_corpus(index):
             f"lane {lane} (budget {budgets[lane]}, mode {obs.mode}) "
             f"diverged from the scalar engine on scenario {scenario.name}"
         )
+
+
+@pytest.mark.parametrize("index", range(N_SCENARIOS))
+def test_lockstep_matches_scalar_over_corpus_without_a_bus(index):
+    # observe_batched attaches telemetry, so its FSL endpoints fall back
+    # per lane; without a bus they run vectorized (in the C kernel when
+    # gcc is present) and every lane must end in a scalar run's state.
+    scenario = ScenarioGenerator(seed=0).scenario(index)
+    budgets = _lane_budgets(scenario, WIDTH)
+    program = build_program(scenario)
+
+    def make() -> CoSimulation:
+        return _make_sim(scenario, program, fast_forward=False, bus=False)[0]
+
+    batch = BatchedCoSimulation([make] * WIDTH, force_evict=(1 % WIDTH,),
+                                force_evict_cycle=50)
+    assert batch.fallback_blocks == []
+    results = batch.run(until=budgets)
+    assert any(r.evicted for r in results)
+    for lane, budget in enumerate(budgets):
+        ref = make()
+        _run(ref, budget)
+        assert batch.lane(lane).state_dict() == ref.state_dict(), (
+            f"lane {lane} (budget {budget}) diverged from the scalar "
+            f"engine on scenario {scenario.name}")
 
 
 def test_watchdog_eviction_reproduces_scalar_deadlock():
@@ -369,3 +407,45 @@ def test_mismatched_budget_list_rejected():
     )
     with pytest.raises(ValueError, match="per-lane budgets"):
         batch.run(until=[100, 200])
+
+
+def _loopback(depth: int) -> Model:
+    """One channel behind both endpoints: the writer pushes a counter
+    every cycle, the reader pops only while the counter's bit 1 is set,
+    so the FIFO fills, drops and drains."""
+    model = Model("loopback")
+    channel = FSLChannel(depth=depth, name="loop")
+    rd = model.add(FSLRead("rd"))
+    wr = model.add(FSLWrite("wr"))
+    rd.bind(channel)
+    wr.bind(channel)
+    cnt = model.add(Counter("cnt", width=8))
+    bit = model.add(Slice("bit", msb=1, lsb=1))
+    read = model.add(Logical("read", width=1, op="and"))
+    model.connect(cnt.o("q"), bit.i("a"))
+    model.connect(bit.o("out"), read.i("d0"))
+    model.connect(rd.o("exists"), read.i("d1"))
+    model.connect(read.o("out"), rd.i("read"))
+    model.connect(cnt.o("q"), wr.i("data"))
+    model.connect(model.add(Constant("high", 1, width=1)).o("out"),
+                  wr.i("write"))
+    for port in (rd.o("data"), rd.o("exists"), wr.o("full")):
+        model.probe(port)
+    return model
+
+
+def test_endpoints_sharing_a_channel_run_per_lane():
+    # Two lane tables cannot both hold one channel's row, so endpoints
+    # that share a channel keep the clones' own present/clock.
+    refs = [_loopback(depth) for depth in (2, 3)]
+    for ref in refs:
+        ref.step(40)
+    batch = BatchedModel([_loopback(depth) for depth in (2, 3)])
+    assert sorted(batch.fallback_blocks) == ["rd", "wr"]
+    batch.step(40)
+    for model, ref in zip(batch.models, refs):
+        assert [p.samples for p in model.probes] == \
+            [p.samples for p in ref.probes]
+        assert model.block("rd").channel.state_dict() == \
+            ref.block("rd").channel.state_dict()
+        assert model.block("wr").dropped == ref.block("wr").dropped > 0

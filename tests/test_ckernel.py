@@ -1,8 +1,8 @@
 """The native C step kernel of the lockstep schedule.
 
 * Every standard design builds a kernel when ``gcc`` is present: the
-  five designs pinned in ``tests/test_batched.py`` and the seed-0
-  conformance scenarios.
+  five designs pinned in ``tests/test_batched.py`` (each cycle in one
+  C call) and the seed-0 conformance scenarios.
 * Lane tables — an ``(N, depth)`` array read by the gather
   ``T[ar, i]`` and written by the masked scatter ``T[m, p[m]] =
   (v)[m]`` (delay lines, FIFOs, RAMs, per-lane ROMs) — run the same in
@@ -55,6 +55,16 @@ needs_ckernel = pytest.mark.skipif(
 def test_pinned_designs_build_a_kernel(build, param):
     batch = BatchedModel([build(param), build(param)])
     assert batch._schedule.step_c is not None
+
+
+@needs_ckernel
+@pytest.mark.parametrize("build,param", list(PINNED_SOURCES))
+def test_pinned_designs_run_a_cycle_in_one_c_call(build, param):
+    # the FSL endpoints are lane tables too: nothing in the cycle body
+    # is left to python, so no python line splits the kernel
+    batch = BatchedModel([build(param), build(param)])
+    assert batch._schedule.ckernel.seg_count == 1
+    assert batch.fallback_blocks == []
 
 
 @needs_ckernel
@@ -147,6 +157,30 @@ def test_translation_is_redone_when_an_inlined_constant_changes():
         assert body == [0]
         kernel.runner(owner)(0)
         assert ports[0].tolist() == [k + i for i in range(n)]
+
+
+@needs_ckernel
+def test_temporaries_only_carry_lane_arrays_across_segments():
+    # A temporary only its own segment names is a C local; one that a
+    # later segment reads, after a python line, keeps a lane array.
+    n = 3
+    owner = SimpleNamespace(active=np.ones(n, dtype=np.bool_))
+    ports = [np.arange(n, dtype=np.int64), np.zeros(n, np.int64)]
+    kernel, body = build_step_kernel(
+        n, ["_t1 = v0 + 1", "_t2 = _t1 * 2", "for _l in _ln: pass",
+            "v1 = _t2 + _t1 * 0"], ports, [], {"v0": 0, "v1": 1}, {}, {},
+        "_act", "_ar", "_z")
+    assert body == [0, "for _l in _ln: pass", 1]
+    assert len(kernel.arrays) == 2 + 2  # both read in segment 1
+    kernel, body = build_step_kernel(
+        n, ["_t1 = v0 + 1", "_t2 = _t1 * 2", "for _l in _ln: pass",
+            "v1 = _t2"], ports, [], {"v0": 0, "v1": 1}, {}, {},
+        "_act", "_ar", "_z")
+    assert len(kernel.arrays) == 2 + 1 and "i64 _s0;" in kernel.source
+    run = kernel.runner(owner)
+    run(0)
+    run(1)
+    assert ports[1].tolist() == [2, 4, 6]
 
 
 def build_tables(step: int = 1, limit: int = 40, rom_base: int = 3) -> Model:

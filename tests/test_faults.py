@@ -13,9 +13,11 @@ import json
 import pytest
 
 from repro.apps.cordic.design import CordicDesign
+from repro.bus.fsl import FSLChannel
 from repro.cli import faultsim_main
 from repro.faults import (
     ALL_OUTCOMES,
+    FAULT_KINDS,
     CampaignConfig,
     FaultInjector,
     FaultPlan,
@@ -786,3 +788,108 @@ def test_cli_mesh_smoke_writes_report(tmp_path, capsys):
     assert sum(doc["counts"].values()) == 4
     assert "link_drop" in doc["config"]["kinds"]
     assert "node_stall" in doc["config"]["kinds"]
+
+
+# ----------------------------------------------------------------------
+# every fault kind perturbs a run, on every engine
+
+
+@pytest.mark.parametrize("path", ["scalar", "ckernel", "numpy"])
+@pytest.mark.parametrize("kind", [
+    pytest.param(kind, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: stuck_at never reaches "
+        "the hardware")) if kind == "stuck_at" else kind
+    for kind in FAULT_KINDS])
+def test_fault_kind_efficacy(monkeypatch, kind, path):
+    # A kind whose faults are all masked tests nothing: eight seeded
+    # CORDIC trials of one kind must change at least one outcome, on
+    # the scalar engine and in lockstep (the fifo_* kinds drive the
+    # channel ring through the vector endpoints there).
+    from repro.sysgen import ckernel as ck
+
+    if path == "numpy":
+        monkeypatch.setenv(ck.DISABLE_ENV, "1")
+    config = CampaignConfig(app="cordic", design={"p": 2, "ndata": 4},
+                            trials=8, seed=1, max_cycles=20_000,
+                            kinds=(kind,))
+    report = run_campaign(
+        config, batch_width=None if path == "scalar" else 8).to_dict()
+    assert {t["outcome"] for t in report["trials"]} != {"masked"}
+
+
+# ----------------------------------------------------------------------
+# a duplicated word past the FIFO depth
+
+
+def _overdepth_run(dups: int, lockstep: bool):
+    """The ``drop`` endpoint design (``fsl_in0`` holds ``write`` high
+    into ``mb_in0``, which the program never drains, so it stays full)
+    with ``dups`` ``fifo_dup`` faults on it from cycle 200, run to
+    the end on the scalar engine or as lane 0 of a lockstep batch."""
+    from repro.cosim.batch import BatchedCoSimulation
+    from repro.faults.campaign import _lane_stop
+    from tests.test_batched_cosim import _endpoint_factory
+
+    make = _endpoint_factory("drop", 4)
+    plan = FaultPlan([FaultSpec("fifo_dup", 200 + k, "mb_in0", index=k)
+                      for k in range(dups)], seed="overdepth")
+    if not lockstep:
+        sim = make()
+        injector = FaultInjector(sim, plan)
+        injector.run(MAX_CYCLES)
+        return sim, injector
+    batch = BatchedCoSimulation(sims=[make(), make()])
+    assert batch.fallback_blocks == []
+    injector = FaultInjector(batch.sims[0], plan)
+    while (stop := _lane_stop(batch, 0, injector, MAX_CYCLES)) is not None:
+        batch.advance({0: stop})
+    return batch.lane(0), injector
+
+
+def _overdepth_record(sim, injector) -> dict:
+    from repro.faults.detect import check_invariants
+
+    return {"log": injector.log, "anomalies": check_invariants(sim),
+            "exit": sim.cpu.exit_code, "cycles": sim.cpu.cycle,
+            "channels": [c.state_dict() for c in sim.mb_block.channels()],
+            "dropped": sim.model.block("fsl_in0").dropped}
+
+
+@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
+def test_fifo_dup_on_a_full_fifo_overflows_it(monkeypatch, ckernel):
+    from repro.cosim.checkpoint import checkpoint_to_dict, restore_from_dict
+    from repro.sysgen import ckernel as ck
+    from tests.test_batched_cosim import _endpoint_factory
+
+    if not ckernel:
+        monkeypatch.setenv(ck.DISABLE_ENV, "1")
+    sim, injector = _overdepth_run(1, lockstep=False)
+    record = _overdepth_record(sim, injector)
+    assert record["log"][0]["applied"]
+    assert sim.mb_block.from_hw_channel(0).occupancy == 4 + 1
+    assert "fifo-overflow: mb_in0 holds 5 words (depth 4)" in \
+        record["anomalies"]
+    assert _overdepth_record(*_overdepth_run(1, lockstep=True)) == record
+    # the over-depth word survives a checkpoint round trip
+    doc = json.loads(json.dumps(checkpoint_to_dict(sim)))
+    fresh = _endpoint_factory("drop", 4)()
+    restore_from_dict(fresh, doc)
+    assert [c.state_dict() for c in fresh.mb_block.channels()] == \
+        record["channels"]
+    assert fresh.mb_block.from_hw_channel(0).occupancy == 5
+
+
+def test_fifo_dup_without_a_free_slot_is_not_applied():
+    # The ring holds twice the depth: four duplicates fill a full
+    # depth-4 FIFO's spare slots, and the fifth is logged, not applied
+    # — the same on the scalar engine and in lockstep.
+    sim, injector = _overdepth_run(5, lockstep=False)
+    record = _overdepth_record(sim, injector)
+    assert [e["applied"] for e in record["log"]] == [True] * 4 + [False]
+    assert record["log"][-1]["note"] == "no free FIFO slot for the duplicate"
+    assert sim.mb_block.from_hw_channel(0).occupancy == 8
+    assert _overdepth_record(*_overdepth_run(5, lockstep=True)) == record
+    channel = FSLChannel(depth=1)
+    channel.push(7)
+    assert channel.duplicate(0) and not channel.duplicate(0)
+    assert channel.state_dict()["fifo"] == [[7, 0], [7, 0]]
