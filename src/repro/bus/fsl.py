@@ -53,6 +53,17 @@ class FSLWord:
             raise ValueError(f"FSL data must be a 32-bit word, got {self.data:#x}")
 
 
+def _unpacked(word: int) -> FSLWord:
+    """The :class:`FSLWord` of a ring cell packed ``data | control <<
+    32`` (bit 33 ignored), built without the range check: the ring
+    holds masked words only."""
+    unpacked = object.__new__(FSLWord)
+    fields = unpacked.__dict__
+    fields["data"] = word & _MASK
+    fields["control"] = bool(word >> 32 & 1)
+    return unpacked
+
+
 #: the leading cells of a channel's row, in order; the ring follows
 ROW_FIELDS = ("head", "count", "depth", "total_pushed", "total_popped",
               "push_rejects", "pop_rejects", "max_occupancy")
@@ -193,12 +204,12 @@ class FSLChannel:
         """Head of the FIFO without consuming it (combinational read
         of the data/control/exists signals)."""
         word = self.head()
-        return FSLWord(word & _MASK, bool(word >> 32 & 1)) if word else None
+        return _unpacked(word) if word else None
 
     def pop(self) -> FSLWord | None:
         """Consume and return the head word, or None when empty."""
         word = self.take()
-        return None if word < 0 else FSLWord(word & _MASK, bool(word >> 32))
+        return None if word < 0 else _unpacked(word)
 
     def take(self) -> int:
         """:meth:`pop`, returning the word packed as ``data | control

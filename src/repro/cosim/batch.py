@@ -2,17 +2,22 @@
 
 A :class:`BatchedCoSimulation` couples N scalar CPUs (one per lane,
 each with its own program image, FSL channels and telemetry) with ONE
-:class:`~repro.sysgen.batched.BatchedModel` that steps all N hardware
-models as ``(N,)`` numpy arrays.  Per cycle: every running lane's CPU
-ticks, then the vector model advances one clock for the running lanes.
-The FSL interface blocks are vectorized like the rest of the design:
-each lane's channel keeps its state in its row of the endpoint's lane
-table, so the lane's CPU and the vector step move one FIFO, and
-blocking semantics and drop counters are bit-identical to N
+:class:`~repro.sysgen.batched.BatchedModel` that steps the hardware of
+all N lanes as ``(N,)`` numpy arrays.  Per cycle: every running lane's
+CPU ticks, then the vector model advances one clock for the running
+lanes.  The FSL interface blocks are vectorized like the rest of the
+design: each lane's channel keeps its state in its row of the
+endpoint's lane table, so the lane's CPU and the vector step move one
+FIFO, and blocking semantics and drop counters are bit-identical to N
 independent scalar runs.  A lane with telemetry on its endpoints or
 channels runs those endpoints per lane, so its events are too.
-:meth:`BatchedCoSimulation.lane` writes a lane's vector state back into
-its clone model before handing it out.
+
+Each lane brings its own model (a sweep, whose lanes may differ in
+value-like parameters), or N lanes of one design share one template
+(:meth:`~BatchedCoSimulation.from_template`, a fault campaign): each
+lane then owns only its CPU, memory and FSL channels.
+:meth:`BatchedCoSimulation.lane` writes a lane's vector state into its
+model — built then, for a template lane — before handing it out.
 
 Divergence is handled by lane masking: a lane that halts, reaches its
 cycle budget or pauses at a per-lane target freezes (its state arrays,
@@ -86,11 +91,13 @@ from repro.cosim.environment import (
     next_boundary,
     no_progress,
 )
+from repro.cosim.mb_block import MicroBlazeBlock
 from repro.iss.cpu import ADVANCE_FOREVER, HaltReason
 from repro.runapi import RunPolicy
 from repro.sysgen.block import IDLE_FOREVER
 from repro.runapi.engine import engine_scope
 from repro.sysgen.batched import BatchedModel, BatchUnsupported
+from repro.sysgen.model import Model
 
 
 #: eviction-reason prefix of a lane whose CPU raised; the rest of the
@@ -146,7 +153,7 @@ class _LaneState:
 
 
 class BatchedCoSimulation:
-    """N structurally identical co-simulations advancing in lockstep.
+    """N co-simulations of one design advancing in lockstep.
 
     ``factories`` are zero-argument callables, each returning a fresh
     :class:`~repro.cosim.environment.CoSimulation` for its lane.  They
@@ -154,11 +161,12 @@ class BatchedCoSimulation:
     ``engine_scope("interpreter")`` so no per-lane scalar codegen is
     wasted — the lane models become interpreter-pinned clones of the
     one vector schedule) and called again, under the default scalar
-    engine, whenever a lane is evicted.
-
-    The lane models must be structurally identical (same blocks, ports,
-    wiring and probes; value-like parameters may differ) and must not
-    use ``extra_models`` — otherwise :class:`BatchUnsupported`.
+    engine, whenever a lane is evicted.  ``sims`` gives the lanes
+    already built instead (a segmented driver that owns eviction), and
+    ``batched`` their lockstep model if it is built too.  Lanes may
+    differ in value-like parameters but must be structurally identical
+    (:func:`~repro.sysgen.batched.lockstep_signature`) and must not use
+    ``extra_models`` — otherwise :class:`BatchUnsupported`.
 
     ``force_evict`` lists lanes to evict unconditionally once they have
     run ``force_evict_cycle`` cycles — a debug/CI knob proving the
@@ -170,34 +178,27 @@ class BatchedCoSimulation:
         factories: list[Callable[[], CoSimulation]] | None = None,
         *,
         sims: list[CoSimulation] | None = None,
+        batched: BatchedModel | None = None,
         force_evict: Iterable[int] = (),
         force_evict_cycle: int = 64,
     ):
-        if sims is not None:
-            # pre-built (possibly checkpoint-restored) lanes from a
-            # segmented driver such as the batched fault campaign; the
-            # driver owns eviction, so factories are optional
-            self.sims = list(sims)
-            self.factories = list(factories) if factories else \
-                [None] * len(self.sims)
-            if not self.sims:
-                raise BatchUnsupported(
-                    "batched co-simulation needs >= 1 lane")
-        else:
-            if not factories:
-                raise BatchUnsupported(
-                    "batched co-simulation needs >= 1 lane")
-            self.factories = list(factories)
+        if sims is None and factories:
             with engine_scope("interpreter"):
-                self.sims = [factory() for factory in self.factories]
-        for lane, sim in enumerate(self.sims):
+                sims = [factory() for factory in factories]
+        if not sims:
+            raise BatchUnsupported("batched co-simulation needs >= 1 lane")
+        for lane, sim in enumerate(sims):
             if sim.extra_models:
                 raise BatchUnsupported(
                     f"lane {lane} uses extra_models; the lockstep engine "
                     "batches single-model designs only"
                 )
-        self.batched = BatchedModel([sim.model for sim in self.sims])
+        if batched is None:
+            batched = BatchedModel([sim.model for sim in sims])
+        self.sims = list(sims)
         self.n = len(self.sims)
+        self.factories = list(factories) if factories else [None] * self.n
+        self.batched = batched
         self._force_evict = set(force_evict)
         if force_evict_cycle < 1:
             raise ValueError("force_evict_cycle must be >= 1")
@@ -214,18 +215,67 @@ class BatchedCoSimulation:
         self._timeouts: dict[int, Exception] = {}
         self._budgets: list[int] = [0] * self.n
         self._policy = RunPolicy()
-        #: lane -> (port-store index, clone port, value, until-cycle):
-        #: per-cycle output pinning, the lockstep form of ``stuck_at``
-        self._forcings: dict[int, tuple[int, Any, int, int]] = {}
+        #: lane -> (port-store index, value, until-cycle): per-cycle
+        #: output pinning, the lockstep form of ``stuck_at``
+        self._forcings: dict[int, tuple[int, int, int]] = {}
         # -- vectorized fast-forward state (see advance) --
         #: stores reach the hardware (and count as activity) only when
-        #: some lane has OPB-mapped registers
+        #: the design has OPB-mapped registers
         self._stores_matter = any(
-            sim._stores_touch_hw for sim in self.sims)
+            hasattr(block, "opb_write") for block in batched.template.blocks)
         self._quiet = False
         #: the lanes running when the quiet stretch was armed
         self._quiet_lanes: frozenset[int] = frozenset()
         self._hw_sig = -1
+
+    @classmethod
+    def from_template(
+        cls,
+        program,
+        hardware: Callable[[], tuple[Model, MicroBlazeBlock]],
+        n: int,
+        *,
+        template: tuple[Model, MicroBlazeBlock] | None = None,
+        cpu_config=None,
+        deadlock_window: int | None = None,
+    ) -> "BatchedCoSimulation":
+        """N lanes of one design running ``program``.
+
+        ``hardware()`` returns a new ``(model, hub)`` pair of the design
+        (e.g. a design's ``fresh_hardware``); ``template`` (default: one
+        ``hardware()`` call) is compiled once, never stepped, and may
+        serve several batches in turn.  Each lane owns its CPU and a
+        copy of the hub's channels (:meth:`MicroBlazeBlock.channel_copy`);
+        a lane's own model — a ``hardware()`` call with its endpoints on
+        the lane's channels — is built by :meth:`lane`, or for every
+        lane when blocks run per lane.  An evicted lane replays on new
+        hardware."""
+        if n < 1:
+            raise BatchUnsupported("batched co-simulation needs >= 1 lane")
+        model, hub = template if template is not None else hardware()
+        with engine_scope("interpreter"):
+            sims = [CoSimulation(program, None, hub.channel_copy(),
+                                 cpu_config=cpu_config,
+                                 deadlock_window=deadlock_window)
+                    for _ in range(n)]
+        hubs = [sim.mb_block for sim in sims]
+
+        def lane_model(lane: int) -> Model:
+            lane_hw, fresh_hub = hardware()
+            hubs[lane].bind_endpoints(fresh_hub)
+            return lane_hw
+
+        def factory() -> CoSimulation:
+            return CoSimulation(program, *hardware(), cpu_config=cpu_config,
+                                deadlock_window=deadlock_window)
+
+        batched = BatchedModel(
+            [model], [{ch.name: ch for ch in hub.channels()} for hub in hubs],
+            lane_model)
+        for sim, built in zip(sims, batched.models):
+            if built is not None:  # blocks run per lane: all are built
+                sim.set_model(built)
+        return cls([factory] * n, sims=sims, batched=batched)
 
     # ------------------------------------------------------------------
     @property
@@ -239,9 +289,13 @@ class BatchedCoSimulation:
         capture/diagnosis code written for scalar runs works unchanged.
         A lane still in the batch first gets its hardware state written
         back from the vector arrays
-        (:meth:`~repro.sysgen.batched.BatchedModel.write_back`).
+        (:meth:`~repro.sysgen.batched.BatchedModel.write_back`), into
+        its own model — built now if a template batch has none for it
+        yet.  The lane may keep running in the batch afterwards.
         """
         sim = self.sims[lane]
+        if sim.model is None:
+            sim.set_model(self.batched.lane_model(lane))
         if sim.model is self.batched.models[lane]:
             self.batched.write_back(lane)
         return sim
@@ -447,11 +501,10 @@ class BatchedCoSimulation:
         Raises :class:`~repro.sysgen.batched.BatchUnsupported` when the
         port is not tracked by the vector schedule; the caller evicts.
         """
-        idx, clone = self.batched.force_handle(block_name, port_name, lane)
+        idx = self.batched.port_index(block_name, port_name)
         forced = value & 0xFFFFFFFF
-        self._forcings[lane] = (idx, clone, forced, until_cycle)
+        self._forcings[lane] = (idx, forced, until_cycle)
         self.batched.poke_slot(idx, lane, forced)
-        clone.value = forced
         self._quiet = False
 
     def hw_touched(self) -> None:
@@ -472,12 +525,11 @@ class BatchedCoSimulation:
             entry = self._forcings.get(lane)
             if entry is None:
                 continue
-            idx, clone, value, until = entry
+            idx, value, until = entry
             if self.sims[lane].cpu.cycle > until:
                 del self._forcings[lane]
                 continue
             self.batched.poke_slot(idx, lane, value)
-            clone.value = value
             forced = True
         return forced
 

@@ -317,9 +317,23 @@ class LockstepKernel:
     ) -> None:
         self._programs = programs
         self.cpus = cpus
-        self._models = models
         self.fast_forward = fast_forward
         self.verify_fast_forward = verify_fast_forward
+        self._set_models(models)
+        if deadlock_window is not None:
+            # Instance attribute shadows the class-level default.
+            self.DEADLOCK_WINDOW = check_window(deadlock_window)
+        #: the global clock the run loop advances (see _read_clock)
+        self._cycle = 0
+        self.telemetry = telemetry if telemetry is not None \
+            else current_telemetry()
+        if self.telemetry is not None:
+            self._attach_telemetry(self.telemetry)
+
+    def _set_models(self, models: list[Model]) -> None:
+        """Make ``models`` the hardware the run loop steps, compiled for
+        this kernel's engine."""
+        self._models = models
         for model in models:
             if self.engine_request in SCALAR_ENGINES:
                 model.set_engine(self.engine_request)
@@ -332,15 +346,6 @@ class LockstepKernel:
             for m in models
             for block in m.blocks
         )
-        if deadlock_window is not None:
-            # Instance attribute shadows the class-level default.
-            self.DEADLOCK_WINDOW = check_window(deadlock_window)
-        #: the global clock the run loop advances (see _read_clock)
-        self._cycle = 0
-        self.telemetry = telemetry if telemetry is not None \
-            else current_telemetry()
-        if self.telemetry is not None:
-            self._attach_telemetry(self.telemetry)
 
     def channel_occupancies(self) -> dict[str, int]:
         """Current FIFO occupancy per channel, keyed by channel name."""
@@ -674,7 +679,7 @@ class CoSimulation(LockstepKernel):
     def __init__(
         self,
         program: Program,
-        model: Model,
+        model: Model | None,
         mb_block: MicroBlazeBlock,
         cpu_config: CPUConfig | None = None,
         memory_size: int | None = None,
@@ -713,7 +718,12 @@ class CoSimulation(LockstepKernel):
         attached model: ``"compiled"`` / ``"interpreter"`` pin it,
         ``"auto"`` (default) honors an enclosing
         :func:`repro.runapi.engine_scope`, else compiles;
-        ``"batched"`` is rejected (see the module docstring)."""
+        ``"batched"`` is rejected (see the module docstring).
+
+        ``model=None`` builds a lane of a template lockstep batch
+        (:meth:`repro.cosim.batch.BatchedCoSimulation.from_template`):
+        its hardware runs in the batch until :meth:`set_model` attaches
+        a model of its own."""
         self.program = program
         self.model = model
         self.mb_block = mb_block
@@ -726,12 +736,23 @@ class CoSimulation(LockstepKernel):
             memory_size=memory_size,
         )
         self._init_kernel(
-            [program], [self.cpu], [model, *self.extra_models],
+            [program], [self.cpu],
+            self.extra_models if model is None
+            else [model, *self.extra_models],
             fast_forward=fast_forward,
             verify_fast_forward=verify_fast_forward,
             deadlock_window=deadlock_window,
             telemetry=telemetry,
         )
+
+    def set_model(self, model: Model) -> None:
+        """Attach the hardware model of a simulation built with
+        ``model=None``, compiled for its engine and wired to its
+        telemetry like a model given at construction."""
+        self.model = model
+        self._set_models([model, *self.extra_models])
+        if self.telemetry is not None:
+            self._attach_telemetry(self.telemetry)
 
     def _attach_telemetry(self, telemetry: Telemetry) -> None:
         telemetry.attach_cpu(self.cpu)

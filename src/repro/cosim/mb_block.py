@@ -34,7 +34,8 @@ from repro.sysgen.model import Model
 class MicroBlazeBlock:
     """FSL hub between one CPU and one sysgen model."""
 
-    def __init__(self, model: Model, fifo_depth: int = FSLChannel.DEFAULT_DEPTH,
+    def __init__(self, model: Model | None,
+                 fifo_depth: int = FSLChannel.DEFAULT_DEPTH,
                  prefix: str = "mb_"):
         """``prefix`` namespaces the channel names (``{prefix}out{id}`` /
         ``{prefix}in{id}``).  The default keeps the historical single-CPU
@@ -86,6 +87,28 @@ class MicroBlazeBlock:
             raise ValueError(f"FSL channel id out of range: {channel_id}")
         if channel_id in table:
             raise ValueError(f"FSL channel {channel_id} already created")
+
+    def channel_copy(self) -> "MicroBlazeBlock":
+        """A hub with this one's channel set — the same ids, names and
+        depths, empty — and its own FSL ports, but no model and no
+        endpoint blocks: what a lockstep lane owns of the hub while its
+        hardware runs in a batch (:mod:`repro.cosim.batch`)."""
+        copy = MicroBlazeBlock(None, self.fifo_depth, self.prefix)
+        for cid, ch in self._to_hw.items():
+            copy._to_hw[cid] = FSLChannel(depth=ch.depth, name=ch.name)
+            copy.fsl_ports.connect_output(cid, copy._to_hw[cid])
+        for cid, ch in self._from_hw.items():
+            copy._from_hw[cid] = FSLChannel(depth=ch.depth, name=ch.name)
+            copy.fsl_ports.connect_input(cid, copy._from_hw[cid])
+        return copy
+
+    def bind_endpoints(self, hub: "MicroBlazeBlock") -> None:
+        """Bind ``hub``'s endpoint blocks to this hub's channels of the
+        same ids (a lane's model built after :meth:`channel_copy`)."""
+        for cid, block in hub.read_blocks.items():
+            block.bind(self._to_hw[cid])
+        for cid, block in hub.write_blocks.items():
+            block.bind(self._from_hw[cid])
 
     # ------------------------------------------------------------------
     def to_hw_channel(self, channel_id: int) -> FSLChannel:

@@ -552,13 +552,12 @@ def _campaign_setup(config: CampaignConfig):
         design = build_design(config.app, config.design)
         baseline = design.run()  # also validates the fault-free partition
         sim = _make_sim(design, config.deadlock_window)
+    channels = tuple(c.name for c in sim.all_channels())
     if hasattr(sim, "topology"):  # K-CPU design
-        channels = tuple(c.name for c in sim.all_channels())
         cpus = tuple(node.name for node in sim.nodes)
         mem_words = max(
             1, max(len(p.image) for p in design.programs) // 4)
     else:
-        channels = tuple(c.name for c in sim.mb_block.channels())
         cpus = ()
         mem_words = max(1, len(design.program.image) // 4)
     ports = tuple(
@@ -692,30 +691,48 @@ def _scalar_trial(
     )
 
 
+class _LaneInjector(FaultInjector):
+    """The injector of lane ``lane`` of a lockstep batch: its
+    ``stuck_at`` opens the window without a step (the lockstep driver
+    advances the lane) and pins the port in the lane's array through
+    :meth:`~repro.cosim.batch.BatchedCoSimulation.force_port`.  It
+    writes no port object: in a template batch the only ones are the
+    template's, which every lane reads."""
+
+    def __init__(self, batch, lane: int, plan: FaultPlan):
+        super().__init__(batch.sims[lane], plan)
+        self._batch, self._lane = batch, lane
+
+    def _stuck_at(self, spec, until_cycle: int) -> tuple[bool, str]:
+        block_name, _, port_name = spec.target.partition(":")
+        if not any(block.name == block_name and port_name in block.outputs
+                   for block in self._batch.batched.template.blocks):
+            return False, f"no output port {spec.target!r}"
+        opened = self._open_window(spec, until_cycle, None)
+        self._batch.force_port(self._lane, block_name, port_name,
+                               spec.value, self.window.end)
+        return opened
+
+
 def _lane_stop(batch, lane: int, injector: FaultInjector,
                until_cycle: int) -> int | None:
-    """Apply one lane's due faults, mirroring each on the lockstep
-    engine; the lane's next target cycle, or ``None`` once its plan is
-    finished or the lane is evicted."""
+    """Apply one lane's due faults (a :class:`_LaneInjector` pins its
+    ``stuck_at`` ports on the lockstep engine); the lane's next target
+    cycle, or ``None`` once its plan is finished or the lane is
+    evicted."""
     from repro.sysgen.batched import BatchUnsupported
 
     while True:
-        due = injector.apply_due(until_cycle)
+        try:
+            due = injector.apply_due(until_cycle)
+        except BatchUnsupported as exc:  # a port the schedule lacks
+            batch.pending_evictions[lane] = str(exc)
+            return None
         if any(spec.kind != "stuck_at" for spec in due):
             # reg/mem/FIFO faults mutate only this lane's CPU and
             # channel objects — the vector arrays stay coherent, but
             # quiescence evidence is stale now
             batch.hw_touched()
-        if due and injector.window is not None:
-            # a stuck_at window just opened: the engine pins the port
-            spec = due[-1]
-            block_name, _, port_name = spec.target.partition(":")
-            try:
-                batch.force_port(lane, block_name, port_name, spec.value,
-                                 injector.window.end)
-            except BatchUnsupported as exc:
-                batch.pending_evictions[lane] = str(exc)
-                return None
         stop = injector.next_stop(until_cycle)
         if stop is None or stop > injector.state.cycle:
             return stop
@@ -723,14 +740,16 @@ def _lane_stop(batch, lane: int, injector: FaultInjector,
 
 def _run_trial_batch(
     config: CampaignConfig, specs: list[DesignSpec], design,
+    template: Callable[[], tuple[Any, Any]],
     tail: Callable[[], tuple[Any, tuple[str, str]]],
 ) -> list[dict[str, Any]]:
     """Run up to ``batch_width`` trials of one campaign in lockstep.
 
-    Every lane starts from cycle 0 on the shared program (one compile
-    for the whole batch) and stays phase-aligned with its neighbours
-    until its own faults diverge it, so the vector engine's all-active
-    step and its quiescence fast-forward both engage.  Each lane's
+    Every lane starts from cycle 0 on the shared program and the
+    campaign's one hardware ``template()`` (a lane owns only its CPU,
+    memory and FSL channels) and stays phase-aligned with its
+    neighbours until its own faults diverge it, so the vector engine's
+    all-active step and its quiescence fast-forward both engage.  Each lane's
     :class:`~repro.faults.inject.FaultInjector` cursor applies its
     faults to the lane's own CPU/FIFO objects and names the lane's next
     stop; ``stuck_at`` windows are pinned through the engine's
@@ -769,15 +788,16 @@ def _run_trial_batch(
 
     # --- build the lanes and the lockstep engine ---------------------
     try:
-        with engine_scope("interpreter"):
-            sims = [_make_sim(lane_design(), config.deadlock_window)
-                    for _ in specs]
-        batch = BatchedCoSimulation(sims=sims)
+        batch = BatchedCoSimulation.from_template(
+            design.program, design.fresh_hardware, n, template=template(),
+            cpu_config=design.cpu_config,
+            deadlock_window=config.deadlock_window)
     except Exception:  # noqa: BLE001 - scalar replays reproduce it
         return [_scalar_trial(spec, lane_design) for spec in specs]
 
     # --- drive every lane through its fault plan ---------------------
-    injectors = [FaultInjector(sim, plan) for sim, plan in zip(sims, plans)]
+    injectors = [_LaneInjector(batch, li, plan)
+                 for li, plan in enumerate(plans)]
     while True:
         stops: dict[int, int] = {}
         for li, injector in enumerate(injectors):
@@ -793,8 +813,6 @@ def _run_trial_batch(
 
     # --- classify ----------------------------------------------------
     for li, injector in enumerate(injectors):
-        if records[li] is not None:
-            continue
         lane_sim = batch.sims[li]
         cpu = lane_sim.cpu
         # stopped at or before run_trial's checkpoint: no fault landed
@@ -850,8 +868,9 @@ def _run_trial_batch(
 
 
 def _fresh_design(design):
-    """The shared design with fresh hardware: lanes and scalar replays
-    skip the (deterministic) per-trial program compile."""
+    """The shared design with fresh hardware: scalar replays and the
+    fault-free tail skip the (deterministic) per-trial program
+    compile."""
     clone = copy.copy(design)
     clone.model, clone.mb = design.fresh_hardware()
     return clone
@@ -913,6 +932,7 @@ def _run_batched(
     keeps the records equal to the sweep path's."""
     multi = getattr(design, "is_multi", False)
     tail = functools.cache(lambda: _fault_free_tail(config, design))
+    template = functools.cache(lambda: design.fresh_hardware())
     start = time.perf_counter()
     trials: list[dict[str, Any]] = []
     cycles_done = 0
@@ -921,7 +941,8 @@ def _run_batched(
         if multi:
             records = [_scalar_trial(spec, lambda: design) for spec in chunk]
         else:
-            records = _run_trial_batch(config, chunk, design, tail)
+            records = _run_trial_batch(config, chunk, design, template,
+                                       tail)
         for spec, record in zip(chunk, records):
             trials.append(record)
             cycles_done += record.get("cycles") or 0

@@ -36,38 +36,27 @@ def check_invariants(sim) -> list[str]:
     string per tripped invariant (empty list = clean) and mirrors each
     to the telemetry bus.
     """
-    anomalies: list[str] = []
+    # (whose FSL interface, who exited, the CPU) per processor
     if hasattr(sim, "topology"):  # MultiCoSimulation
         cycle = sim.cycle
-        for node in sim.nodes:
-            if node.cpu.fsl is not None and node.cpu.fsl.error:
-                anomalies.append(
-                    f"fsl-error: control-bit mismatch flagged by "
-                    f"{node.name}'s FSL interface")
-        for channel in sim.all_channels():
-            if channel.occupancy > channel.depth:
-                anomalies.append(
-                    f"fifo-overflow: {channel.name} holds "
-                    f"{channel.occupancy} words (depth {channel.depth})"
-                )
-        for node in sim.nodes:
-            if node.cpu.halted and node.cpu.exit_code not in (0, None):
-                anomalies.append(f"exit-code: {node.name} exited with "
-                                 f"{node.cpu.exit_code}")
+        cpus = [(f"{node.name}'s", node.name, node.cpu) for node in sim.nodes]
     else:
         cycle = sim.cpu.cycle
-        if sim.cpu.fsl is not None and sim.cpu.fsl.error:
-            anomalies.append("fsl-error: control-bit mismatch flagged by "
-                             "the FSL interface")
-        for channel in sim.mb_block.channels():
-            if channel.occupancy > channel.depth:
-                anomalies.append(
-                    f"fifo-overflow: {channel.name} holds "
-                    f"{channel.occupancy} words (depth {channel.depth})"
-                )
-        if sim.cpu.halted and sim.cpu.exit_code not in (0, None):
-            anomalies.append(f"exit-code: program exited with "
-                             f"{sim.cpu.exit_code}")
+        cpus = [("the", "program", sim.cpu)]
+    anomalies = [
+        f"fsl-error: control-bit mismatch flagged by {whose} FSL interface"
+        for whose, _, cpu in cpus if cpu.fsl is not None and cpu.fsl.error
+    ]
+    anomalies += [
+        f"fifo-overflow: {channel.name} holds {channel.occupancy} words "
+        f"(depth {channel.depth})"
+        for channel in sim.all_channels() if channel.occupancy > channel.depth
+    ]
+    anomalies += [
+        f"exit-code: {who} exited with {cpu.exit_code}"
+        for _, who, cpu in cpus
+        if cpu.halted and cpu.exit_code not in (0, None)
+    ]
     if sim.telemetry is not None:
         for anomaly in anomalies:
             name = anomaly.split(":", 1)[0]

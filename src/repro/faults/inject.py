@@ -215,7 +215,7 @@ class FaultInjector:
         cpu.mem.write_u32(addr, word ^ (1 << (spec.bit % 32)))
 
     def _channel(self, name: str) -> FSLChannel | None:
-        for channel in self.sim.mb_block.channels():
+        for channel in self.sim.all_channels():
             if channel.name == name:
                 return channel
         return None
@@ -299,12 +299,6 @@ class MultiFaultInjector(FaultInjector):
 
     def _target_cpu(self, spec: FaultSpec):
         return self.sim.nodes[self._node_index(spec)].cpu
-
-    def _channel(self, name: str) -> FSLChannel | None:
-        for channel in self.sim.all_channels():
-            if channel.name == name:
-                return channel
-        return None
 
     def _node_stall(
         self, spec: FaultSpec, until_cycle: int

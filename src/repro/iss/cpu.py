@@ -43,7 +43,9 @@ runs, the batched lanes and gdb keep stepping through ``tick``.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.isa.decoder import DecodedInstr, decode
 from repro.iss.fsl import FSLPorts
@@ -165,7 +167,7 @@ class CPU:
         self.track = CPU_TRACK
         self._stall_since: int | None = None
         if self.config.decode_cache:
-            self.mem.write_hook = self._invalidate
+            self.mem.write_hook = self._invalidator()
 
     # ------------------------------------------------------------------
     # Public control
@@ -446,11 +448,21 @@ class CPU:
     # ------------------------------------------------------------------
     # Fetch / decode
     # ------------------------------------------------------------------
-    def _invalidate(self, addr: int) -> None:
-        if self._decode_cache.pop(addr & ~3, None) is not None \
-                and self._blocks:
-            self._blocks.clear()
-            self._code_gen += 1
+    def _invalidator(self) -> Callable[[int], None]:
+        """The memory's write hook: drop a stored-to word's decode.  It
+        holds the CPU weakly, so a CPU is freed as soon as it is
+        dropped rather than at the next full garbage collection."""
+        decoded, blocks, ref = self._decode_cache, self._blocks, \
+            weakref.ref(self)
+
+        def invalidate(addr: int) -> None:
+            if decoded.pop(addr & ~3, None) is not None and blocks:
+                blocks.clear()
+                cpu = ref()
+                if cpu is not None:
+                    cpu._code_gen += 1
+
+        return invalidate
 
     def _clear_caches(self) -> None:
         self._decode_cache.clear()

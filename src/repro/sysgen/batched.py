@@ -1,4 +1,4 @@
-"""Batched lockstep execution of N structurally identical models.
+"""Batched lockstep execution of N models of one design.
 
 A parameter sweep or fault campaign simulates the *same* design many
 times with different constants, programs or seeds.  Run scalar, each
@@ -43,6 +43,12 @@ channel statistics and drop counters stay bit-identical with a scalar
 run.  The clones of vectorized blocks are written only on request
 (:meth:`BatchedModel.write_back`).
 
+The lanes bring their own models, or a template batch's identical
+lanes own none: every per-lane read of the emitters
+(:meth:`BatchEmitContext.lane_blocks`) then sees the template, so the
+lane arrays start as broadcasts of its state, and a lane's model is
+built only on request (:meth:`BatchedModel.lane_model`).
+
 Idle hardware has the scalar rule: the blocks' ``busy_if`` checks,
 rendered lane-wise, close every cycle body and leave a busy bit per
 lane (:meth:`BatchedModel.idle_horizon`), set whenever the lane's
@@ -80,6 +86,7 @@ from repro.sysgen.compiled import (
     function_frame,
     horizon_rule,
 )
+from repro.sysgen.model import Probe
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sysgen.block import Block
@@ -173,10 +180,11 @@ class BatchEmitContext(EmitContext):
       lane table, (re)loadable from the per-lane clone blocks (a table
       is read only as ``T[arange, i]`` and written only as
       ``T[m, p[m]] = (v)[m]``), and
-      :meth:`write_back` — its inverse, one lane at a time
+      :meth:`write_back` — its inverse, one lane's clone at a time
     * :meth:`lane_blocks` / :meth:`lane_ports` / :meth:`lane_values` —
-      the per-lane clone objects behind a template block / port
-      (fallback dispatch) and their current values
+      the per-lane objects behind a template block / port (the clones;
+      the template itself in a template batch) and their current
+      values
     * :meth:`as_array` — force a possibly-literal expression to an
       ``(N,)`` array (broadcast against the bound :attr:`zeros`)
     * :meth:`flag` — literal-folded guard conditions
@@ -194,8 +202,9 @@ class BatchEmitContext(EmitContext):
         self.state_loaders: list[Callable[[], "np.ndarray"]] = []
         #: state array name -> its index in the ``_S`` store
         self.state_slots: dict[str, int] = {}
-        #: ``fn(lane, get)`` per lane emitter: see :meth:`write_back`
-        self.write_backs: list[Callable[[int, Callable], None]] = []
+        #: (block name, ``fn(clone, lane, get)``) per lane emitter: see
+        #: :meth:`write_back`
+        self.write_backs: list[tuple[str, Callable]] = []
         self.act = "_act"
         self.lanes = "_ln"
         self.arange = self.bind(np.arange(self.n), "ar")
@@ -227,20 +236,25 @@ class BatchEmitContext(EmitContext):
         self.exit(f"_S[{idx}] = {name}")
         return name
 
-    def write_back(self, fn: Callable[[int, Callable], None]) -> None:
-        """Register ``fn(lane, get)``, the inverse of a block's state
-        loaders: it writes one lane's state back into that lane's clone
-        block, reading each state array as ``get(name)``.
-        :meth:`BatchedModel.write_back` calls it, so scalar code that
-        inspects a lane's model sees the lockstep run's state."""
-        self.write_backs.append(fn)
+    def write_back(self, block: "Block",
+                   fn: Callable[["Block", int, Callable], None]) -> None:
+        """Register ``fn(clone, lane, get)``, the inverse of ``block``'s
+        state loaders: it writes one lane's state into ``clone``, that
+        lane's copy of ``block``, reading each state array as
+        ``get(name)``.  :meth:`BatchedModel.write_back` calls it, so
+        scalar code that inspects a lane's model sees the lockstep
+        run's state."""
+        self.write_backs.append((block.name, fn))
 
     # -- per-lane clone access -------------------------------------------
     def lane_blocks(self, block: "Block") -> list["Block"]:
-        """The clone of ``block`` in every lane (template included)."""
+        """The block each lane's values start from: the lane's clone of
+        ``block`` — in a template batch, ``block`` itself for every
+        lane (its lanes own no blocks while the batch is built)."""
         got = self._lane_block_memo.get(id(block))
         if got is None:
-            got = [bm[block.name] for bm in self.batched._block_maps]
+            got = [block if bm is None else bm[block.name]
+                   for bm in self.batched._block_maps]
             self._lane_block_memo[id(block)] = got
         return got
 
@@ -266,8 +280,8 @@ class BatchEmitContext(EmitContext):
         name = self.state(
             lambda: np.fromiter((getattr(b, attr) for b in lanes),
                                 np.int64, self.n), hint)
-        self.write_back(lambda lane, get: setattr(
-            lanes[lane], attr, int(get(name)[lane])))
+        self.write_back(block, lambda clone, lane, get: setattr(
+            clone, attr, int(get(name)[lane])))
         return name
 
     def param(self, block: "Block", attr: str, hint: str,
@@ -383,7 +397,7 @@ class BatchedSchedule:
         #: frozen samples
         self.probe_sources: list[tuple] = []
         for k, probe in enumerate(template.probes):
-            apps = [m.probes[k].samples.append for m in batched.models]
+            apps = [m.probes[k].samples.append for m in batched._clocks]
             ap = ctx.bind(apps, "ap")
             port = probe.port
             if id(port) in ctx._port_var:
@@ -405,7 +419,7 @@ class BatchedSchedule:
         loads = [f"v{k} = _P[{k}]" for k in range(len(ctx._ports))]
         stores = [f"_P[{k}] = v{k}" for k in range(len(ctx._ports))]
 
-        models = ctx.bind(batched.models, "lm")
+        models = ctx.bind(batched._clocks, "lm")
         bref = ctx.bind(batched, "bm")
         ctx.ns["_P"] = self.port_store = [None] * len(ctx._ports)
         ctx.ns["_S"] = self.state_store = [None] * len(ctx.state_loaders)
@@ -501,15 +515,16 @@ class BatchedSchedule:
         """Write one lane's port and state arrays into its clone model
         (the inverse of :meth:`sync_from_clones`, for one lane)."""
         ctx = self.ctx
+        blocks = self._batched._block_maps[lane]
         for k, port in enumerate(ctx._ports):
-            clone = ctx.lane_blocks(port.block)[lane]
-            clone.outputs[port.name].value = int(self.port_store[k][lane])
+            blocks[port.block.name].outputs[port.name].value = \
+                int(self.port_store[k][lane])
 
         def get(name: str) -> "np.ndarray":
             return self.state_store[ctx.state_slots[name]]
 
-        for fn in ctx.write_backs:
-            fn(lane, get)
+        for name, fn in ctx.write_backs:
+            fn(blocks[name], lane, get)
 
     def sync_from_clones(self) -> None:
         """(Re)build every port and state array from the per-lane clone
@@ -531,32 +546,54 @@ class BatchedSchedule:
 # ---------------------------------------------------------------------------
 
 
-class BatchedModel:
-    """N structurally identical models advancing in lockstep.
+class _LaneClock:
+    """A template lane's clock and probe samples until the lane's model
+    is built and takes both over (:meth:`BatchedModel.lane_model`)."""
 
-    Construct with the N per-lane :class:`~repro.sysgen.model.Model`
-    instances (typically the same builder called N times with variant
-    parameters).  Lane 0's model doubles as the structural template.
-    Raises :class:`BatchUnsupported` when the models cannot share one
+    def __init__(self, template: "Model"):
+        self.cycle = 0
+        self.probes = [Probe(p.port, p.name) for p in template.probes]
+
+    def reset(self) -> None:
+        self.cycle = 0
+        for probe in self.probes:
+            probe.samples.clear()
+
+
+class BatchedModel:
+    """N models of one design advancing in lockstep.
+
+    ``models[0]`` is the structural template.  Without ``channels``,
+    ``models`` are the N lanes' own models (lane 0's included), which
+    may differ in value-like parameters but must match the template
+    (:func:`lockstep_signature`).  With ``channels`` — per lane, channel
+    name -> the lane's own FSL channel of that name — the batch has
+    ``len(channels)`` identical lanes of the template, which is
+    compiled once and never stepped or written: the lanes own no
+    blocks until :meth:`lane_model` builds one with ``build(lane)`` (a
+    new model of the design, its endpoints on the lane's channels) —
+    every lane's at once when blocks run per lane (fallback).
+    Raises :class:`BatchUnsupported` when the lanes cannot share one
     lockstep schedule — callers fall back to scalar simulation.
     """
 
-    def __init__(self, models: list["Model"]):
+    def __init__(self, models: list["Model"],
+                 channels: list[dict] | None = None,
+                 build: Callable[[int], "Model"] | None = None):
         if np is None:  # pragma: no cover - numpy is baked in
             raise BatchUnsupported("numpy is not available")
         if not models:
             raise BatchUnsupported("empty batch")
-        self.models = list(models)
-        self.n = len(self.models)
-        self.template = self.models[0]
-        for m in self.models:
+        template = models[0]
+        lanes = list(models) if channels is None else [template]
+        for m in lanes:
             # clone models only ever run their interpreter methods (per
             # lane, via fallback dispatch); skip their scalar codegen.
             m.set_engine("interpreter")
             if m._schedule is None:
                 m.compile()
-        sig0 = lockstep_signature(self.template)
-        for lane, m in enumerate(self.models[1:], start=1):
+        sig0 = lockstep_signature(template) if len(models) > 1 else None
+        for lane, m in enumerate(models[1:], start=1):
             if lockstep_signature(m) != sig0:
                 raise BatchUnsupported(
                     f"lane {lane} is not structurally identical to lane 0"
@@ -564,21 +601,63 @@ class BatchedModel:
                 )
         wide = [
             f"{b.name}.{p.name}({p.width})"
-            for b in self.template.blocks
+            for b in template.blocks
             for p in b.outputs.values() if p.width > MAX_VEC_WIDTH
         ]
         if wide:
             raise BatchUnsupported(
                 "ports too wide for int64 lanes: " + ", ".join(wide)
             )
+        self.template = template
+        self._build = build
+        self._lay_out(lanes if channels is None else [None] * len(channels),
+                      channels)
+        if channels is not None and self._schedule.fallback_blocks:
+            # per-lane dispatch runs on the lanes' own blocks
+            self._lay_out([self._built(lane, build(lane))
+                           for lane in range(self.n)], None)
+        self._schedule.sync_from_clones()
+        self._schedule.build_ckernel()
+
+    def _lay_out(self, models: list, channels: list[dict] | None) -> None:
+        #: the lanes' own models (None: not built yet)
+        self.models = models
+        self.n = len(models)
+        self.channels = channels
+        #: per lane, its model or the :class:`_LaneClock` standing in
+        self._clocks = [_LaneClock(self.template) if m is None else m
+                        for m in models]
+        #: per lane, block name -> the lane's own block (None: unbuilt)
+        self._block_maps = [
+            None if m is None else {b.name: b for b in m.blocks}
+            for m in models]
         self.cycle = 0
         self.active = np.ones(self.n, dtype=bool)
         self._lanes = list(range(self.n))
-        self._block_maps = [{b.name: b for b in m.blocks}
-                            for m in self.models]
         self._schedule = BatchedSchedule(self)
-        self._schedule.sync_from_clones()
-        self._schedule.build_ckernel()
+
+    def _built(self, lane: int, model: "Model") -> "Model":
+        """Make ``model`` lane ``lane``'s: interpreter-pinned like every
+        clone, holding the lane's clock and probe samples."""
+        model.set_engine("interpreter")
+        if model._schedule is None:
+            model.compile()
+        clock = self._clocks[lane]
+        model.cycle = clock.cycle
+        for probe, kept in zip(model.probes, clock.probes):
+            probe.samples = kept.samples
+        self.models[lane] = self._clocks[lane] = model
+        self._block_maps[lane] = {b.name: b for b in model.blocks}
+        return model
+
+    def lane_model(self, lane: int) -> "Model":
+        """Lane ``lane``'s own model, built on the first request in a
+        template batch; its state is the lane's as of the last
+        :meth:`write_back`."""
+        model = self.models[lane]
+        if model is None:
+            model = self._built(lane, self._build(lane))
+        return model
 
     # -- lane lifecycle --------------------------------------------------
     @property
@@ -653,22 +732,18 @@ class BatchedModel:
         if cycles <= 0:
             return
         for k, idx, clones in self._schedule.probe_sources:
-            if idx is not None:
-                arr = self._schedule.port_store[idx]
-                for lane in self._lanes:
-                    self.models[lane].probes[k].samples.extend(
-                        (int(arr[lane]),) * cycles)
-            else:
-                for lane in self._lanes:
-                    self.models[lane].probes[k].samples.extend(
-                        (int(clones[lane].value),) * cycles)
+            arr = None if idx is None else self._schedule.port_store[idx]
+            for lane in self._lanes:
+                value = clones[lane].value if arr is None else arr[lane]
+                self._clocks[lane].probes[k].samples.extend(
+                    (int(value),) * cycles)
         for lane in self._lanes:
-            self.models[lane].cycle += cycles
+            self._clocks[lane].cycle += cycles
         self.cycle += cycles
 
     def reset(self) -> None:
         """Reset every lane (clone models included) to cycle 0."""
-        for m in self.models:
+        for m in self._clocks:
             m.reset()
         self.cycle = 0
         self.active = np.ones(self.n, dtype=bool)
@@ -681,7 +756,8 @@ class BatchedModel:
         model has after its first step.  The clones are not written
         while the batch runs; call this before reading a lane's model
         (:meth:`BatchedCoSimulation.lane
-        <repro.cosim.batch.BatchedCoSimulation.lane>` does)."""
+        <repro.cosim.batch.BatchedCoSimulation.lane>` does).  In a
+        template batch, build it first (:meth:`lane_model`)."""
         self._schedule.write_back(lane)
         model = self.models[lane]
         if model.cycle > 0:
@@ -693,7 +769,11 @@ class BatchedModel:
         """Blocks running per-lane interpreter dispatch (not vectorized)."""
         return list(self._schedule.fallback_blocks)
 
-    def _port_index(self, block_name: str, port_name: str) -> int:
+    def port_index(self, block_name: str, port_name: str) -> int:
+        """The port-store index of an output port.  Raises
+        :class:`BatchUnsupported` when the schedule does not track the
+        port (a lane forcing it must then be evicted to a scalar
+        replay)."""
         port = self.template.block(block_name).outputs[port_name]
         ctx = self._schedule.ctx
         var = ctx._port_var.get(id(port))
@@ -707,28 +787,17 @@ class BatchedModel:
     def peek(self, block_name: str, port_name: str) -> "np.ndarray":
         """Copy of the (N,) value array behind an output port."""
         return self._schedule.port_store[
-            self._port_index(block_name, port_name)].copy()
+            self.port_index(block_name, port_name)].copy()
 
     def poke(self, block_name: str, port_name: str, lane: int,
              value: int) -> None:
         """Write one lane of an output port (fault injection's
         ``stuck_at``).  Copy-on-write: port arrays may alias state
         arrays, so the slot is replaced, never mutated."""
-        self.poke_slot(self._port_index(block_name, port_name), lane, value)
-
-    def force_handle(self, block_name: str, port_name: str,
-                     lane: int) -> tuple[int, "OutputPort"]:
-        """Resolve a (port-store index, per-lane clone port) pair for a
-        repeated per-cycle force — the ``stuck_at`` fast path.  Raises
-        :class:`BatchUnsupported` when the schedule does not track the
-        port (the lane must then be evicted to a scalar replay)."""
-        k = self._port_index(block_name, port_name)
-        port = self.template.block(block_name).outputs[port_name]
-        clone = self._schedule.ctx.lane_ports(port)[lane]
-        return k, clone
+        self.poke_slot(self.port_index(block_name, port_name), lane, value)
 
     def poke_slot(self, k: int, lane: int, value: int) -> None:
-        """:meth:`poke` by pre-resolved port-store index."""
+        """:meth:`poke` by port-store index (:meth:`port_index`)."""
         arr = self._schedule.port_store[k].copy()
         arr[lane] = value
         self._schedule.port_store[k] = arr

@@ -177,7 +177,7 @@ class Block:
         separate lane emitter with the vector helpers (``state``,
         ``lane_blocks``/``lane_ports``/``lane_values``, ``as_array``,
         ``flag``) and register a ``write_back`` that writes one lane's
-        state back into its clone.  Lane state wider than one word is
+        state into that lane's clone.  Lane state wider than one word is
         an ``(N, depth)`` int64 table, read only by the gather
         ``T[ctx.arange, i]`` and written only by the masked scatter
         ``T[m, p[m]] = (v)[m]``: the native kernel translates exactly

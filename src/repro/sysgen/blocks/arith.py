@@ -116,12 +116,12 @@ class _PipelinedBlock(Block):
                     (key in b._pipe[k] for b in lanes), np.bool_, n),
                 "po"))
 
-        def write_back(lane, get):
-            lanes[lane]._pipe = deque(
+        def write_back(clone, lane, get):
+            clone._pipe = deque(
                 {key: int(get(v)[lane])} if get(ok)[lane] else {}
                 for v, ok in zip(vals, oks))
 
-        ctx.write_back(write_back)
+        ctx.write_back(self, write_back)
         act = ctx.act
         ctx.present(
             f"{out} = np.where({act} & {oks[0]}, {vals[0]}, {out})")

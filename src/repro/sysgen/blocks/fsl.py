@@ -17,10 +17,12 @@ which owns the channel objects shared with the CPU's FSL unit.
 In the lockstep schedule (:mod:`repro.sysgen.batched`) an endpoint's
 lanes keep their channel state where the channels keep it: when the
 schedule loads, the endpoint copies each lane's channel row
-(:mod:`repro.bus.fsl`) into one ``(N, W)`` lane table (``W`` fits the
-deepest lane) and each channel adopts its row of that table, so the
-lane's CPU, the fault injector and checkpoints read and write the very
-cells the vector endpoint does.  The present gathers the head word and
+(:mod:`repro.bus.fsl`; the channel the lane's clone is bound to, or in
+a template batch the lane's channel named like the template's) into
+one ``(N, W)`` lane table (``W`` fits the deepest lane) and each
+channel adopts its row of that table, so the lane's CPU, the fault
+injector and checkpoints read and write the very cells the vector
+endpoint does.  The present gathers the head word and
 the count; the edge updates head, count, ring word and counters with
 masked scatters — the FIFO ring idiom of
 :mod:`repro.sysgen.blocks.memory`, which the native kernel translates.
@@ -56,26 +58,37 @@ class FSLBindError(RuntimeError):
     """Raised when stepping an FSL block that has no bound channel."""
 
 
+def _lane_channels(ctx, block) -> list:
+    """The channel lane ``i`` of endpoint ``block`` moves, for every
+    lane: the one its clone is bound to, or in a template batch (whose
+    lanes own no blocks) the lane's channel named like the template
+    endpoint's (``ctx.batched.channels``)."""
+    sets = ctx.batched.channels
+    if sets is None:
+        return [b.channel for b in ctx.lane_blocks(block)]
+    name = None if block.channel is None else block.channel.name
+    return [channels.get(name) for channels in sets]
+
+
 def _lane_table(ctx, block) -> str | None:
     """The lane table of a vector endpoint (see the module docstring),
     or None when the endpoint must fall back per lane."""
     lanes = ctx.lane_blocks(block)
-    channels = [b.channel for b in lanes]
+    channels = _lane_channels(ctx, block)
     if any(ch is None or ch.events is not None or b.events is not None
            for b, ch in zip(lanes, channels)):
         return None
-    held = Counter(id(b.channel) for other in ctx.batched.template.blocks
+    held = Counter(id(ch) for other in ctx.batched.template.blocks
                    if isinstance(other, _Endpoint)
-                   for b in ctx.lane_blocks(other))
+                   for ch in _lane_channels(ctx, other))
     if any(held[id(ch)] > 1 for ch in channels):
         return None
 
     def load():
         table = np.zeros(
-            (ctx.n, max(row_width(b.channel.depth) for b in lanes)),
-            np.int64)
-        for lane, b in enumerate(lanes):
-            b.channel.adopt(table[lane])
+            (ctx.n, max(row_width(ch.depth) for ch in channels)), np.int64)
+        for lane, ch in enumerate(channels):
+            ch.adopt(table[lane])
         return table
 
     return ctx.state(load, "fq")

@@ -124,13 +124,13 @@ class Delay(SeqBlock):
             "dl")
         head = ctx.state(lambda: np.zeros(ctx.n, dtype=np.int64), "dh")
 
-        def write_back(lane, get):
+        def write_back(clone, lane, get):
             row = get(line)[lane].tolist()
             first = int(get(head)[lane])
-            lanes[lane]._line.clear()
-            lanes[lane]._line.extend(row[first:] + row[:first])
+            clone._line.clear()
+            clone._line.extend(row[first:] + row[:first])
 
-        ctx.write_back(write_back)
+        ctx.write_back(self, write_back)
         ar, act = ctx.arange, ctx.act
         q = ctx.out(self, "q")
         ctx.drive(q, f"{line}[{ar}, {head}]")
@@ -268,15 +268,15 @@ class FIFO(SeqBlock):
             lambda: np.fromiter((len(b._fifo) for b in lanes),
                                 np.int64, n), "fc")
 
-        def write_back(lane, get):
+        def write_back(clone, lane, get):
             first = int(get(head)[lane])
             words = get(store)[lane].tolist()
-            fifo = lanes[lane]._fifo
+            fifo = clone._fifo
             fifo.clear()
             fifo.extend(words[(first + i) % depth]
                         for i in range(int(get(cnt)[lane])))
 
-        ctx.write_back(write_back)
+        ctx.write_back(self, write_back)
         ar = ctx.arange
         ctx.drive(
             ctx.out(self, "dout"),
@@ -454,10 +454,10 @@ class RAM(SeqBlock):
         mem = ctx.state(
             lambda: np.array([b._mem for b in lanes], dtype=np.int64), "rm")
 
-        def write_back(lane, get):
-            lanes[lane]._mem[:] = get(mem)[lane].tolist()
+        def write_back(clone, lane, get):
+            clone._mem[:] = get(mem)[lane].tolist()
 
-        ctx.write_back(write_back)
+        ctx.write_back(self, write_back)
         rreg = ctx.state_slot(self, "_read_reg", "rr")
         ctx.drive(ctx.out(self, "dout"), rreg)
         act = ctx.act

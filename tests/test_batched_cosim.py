@@ -33,6 +33,7 @@ from repro.cosim.batch import BatchedCoSimulation, LaneResult, lane_factory
 from repro.cosim.environment import CoSimDeadlock, CoSimulation
 from repro.cosim.mb_block import MicroBlazeBlock
 from repro.faults.campaign import build_design
+from repro.iss.cpu import HaltReason
 from repro.mcc import build_executable
 from repro.runapi import RunPolicy
 from repro.sysgen.batched import BatchedModel, BatchUnsupported
@@ -363,6 +364,121 @@ def test_lane_view_reports_the_lockstep_hardware_state():
                            cpu_config=design.cpu_config)
         sim.run()
         assert batch.lane(lane).state_dict() == sim.state_dict()
+
+
+#: one design per lane emitter family the template path must broadcast:
+#: CORDIC (registers, FSL endpoints) and matmul (accumulators, FIFOs)
+TEMPLATE_DESIGNS = [
+    pytest.param("cordic", {"p": 2, "iters": 8, "ndata": 4}, id="cordic"),
+    pytest.param("matmul", {"block": 2, "matn": 4}, id="matmul"),
+]
+
+
+def _scalar_at(sim: CoSimulation, cycle: int) -> dict:
+    """``sim`` run on to absolute ``cycle`` (or its exit), then its
+    state with the run-to-cycle park cleared, like a lockstep lane's."""
+    sim.cpu.resume()
+    sim.run(until=cycle - sim.cpu.cycle)
+    sim.cpu.resume()
+    return sim.state_dict()
+
+
+@pytest.mark.parametrize("app, params", TEMPLATE_DESIGNS)
+def test_template_lanes_match_model_lanes_and_scalar_runs(app, params):
+    # Lanes built from one template own no model; each lane(i) builds
+    # one and writes the lane's state into it.  Lane 1 is built early
+    # and keeps running in the batch, lane 2 stops early, lane 0 is
+    # built only at the end.
+    design = build_design(app, dict(params))
+
+    def scalar() -> CoSimulation:
+        return CoSimulation(design.program, *design.fresh_hardware(),
+                            cpu_config=design.cpu_config)
+
+    built = []
+    hardware = design.fresh_hardware
+
+    def counted():
+        built.append(1)
+        return hardware()
+
+    template = BatchedCoSimulation.from_template(
+        design.program, counted, 3, cpu_config=design.cpu_config)
+    models = BatchedCoSimulation([scalar] * 3)
+    assert template.fallback_blocks == models.fallback_blocks == []
+    assert len(built) == 1 and template.batched.models == [None] * 3
+    refs = [scalar() for _ in range(3)]
+    end = 2_000_000
+    for cycle in (97, 400, 1_333, end):
+        targets = {0: cycle, 1: cycle, 2: min(cycle, 400)}
+        template.advance(targets)
+        models.advance(targets)
+        for lane in (1, 2) if cycle < end else (0, 1, 2):
+            want = _scalar_at(refs[lane], targets[lane])
+            assert models.lane(lane).state_dict() == want, (cycle, lane)
+            assert template.lane(lane).state_dict() == want, (cycle, lane)
+    assert refs[0].cpu.halt_reason is HaltReason.EXIT
+    assert len(built) == 4
+    assert all(template.batched.models)
+
+
+def test_template_lanes_with_per_lane_blocks_build_every_model():
+    # Telemetry on the lanes' channels sends the FSL endpoints back to
+    # per-lane dispatch, which needs each lane's own blocks: every lane
+    # model is built up front, and the lanes still end as scalar runs.
+    from repro.telemetry import Telemetry, telemetry_scope
+
+    design = build_design("cordic", {"p": 2, "iters": 8, "ndata": 4})
+    shared = Telemetry()
+    with telemetry_scope(shared):
+        batch = BatchedCoSimulation.from_template(
+            design.program, design.fresh_hardware, 2,
+            cpu_config=design.cpu_config)
+    assert sorted(batch.fallback_blocks) == ["fsl_in0", "fsl_out0"]
+    assert all(sim.model is model for sim, model
+               in zip(batch.sims, batch.batched.models))
+    batch.advance({0: 2_000_000, 1: 2_000_000})
+    with telemetry_scope(Telemetry()):
+        ref = CoSimulation(design.program, *design.fresh_hardware(),
+                           cpu_config=design.cpu_config)
+    want = _scalar_at(ref, 2_000_000)
+    counters = want.pop("telemetry")["registry"]["counters"]
+    for lane in (0, 1):
+        got = batch.lane(lane).state_dict()
+        got.pop("telemetry")
+        assert got == want, lane
+    # both lanes' endpoints fired into the one shared bus
+    both = shared.state_dict()["registry"]["counters"]
+    for name in ("block.fires.fsl_in0", "block.fires.fsl_out0"):
+        assert both[name] == 2 * counters[name] > 0, name
+
+
+def test_template_lane_stuck_at_writes_no_shared_port():
+    # A stuck_at on lane 0 pins lane 0's array only: the template's
+    # port and lane 1's (array, model and all) stay a fault-free run's.
+    from repro.faults import FaultPlan, FaultSpec
+    from repro.faults.campaign import _LaneInjector, _lane_stop
+
+    design = build_design("cordic", {"p": 2, "iters": 8, "ndata": 4})
+    batch = BatchedCoSimulation.from_template(
+        design.program, design.fresh_hardware, 2,
+        cpu_config=design.cpu_config)
+    port = batch.batched.template.block("in_c0").outputs["q"]
+    before = port.value
+    plan = FaultPlan([FaultSpec("stuck_at", 300, "in_c0:q", value=0x5A,
+                                duration=100)], seed="stuck")
+    injector = _LaneInjector(batch, 0, plan)
+    forced = []
+    while (stop := _lane_stop(batch, 0, injector, 350)) is not None:
+        forced.append(dict(batch._forcings))
+        batch.advance({0: stop, 1: stop})
+    assert [sorted(f) for f in forced] == [[], [0]]
+    assert port.value == before
+    ref = CoSimulation(design.program, *design.fresh_hardware(),
+                       cpu_config=design.cpu_config)
+    assert batch.lane(1).state_dict() == _scalar_at(ref, 350)
+    assert batch.lane(0).model.block("in_c0").outputs["q"] is not port
+    assert port.value == before
 
 
 def test_lane_result_status_folding():

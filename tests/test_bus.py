@@ -64,6 +64,27 @@ class TestFSLChannel:
         ch.push(0x1_FFFF_FFFF)
         assert ch.pop().data == 0xFFFFFFFF
 
+    def test_words_out_of_the_ring_skip_the_range_check(self, monkeypatch):
+        # The ring holds masked words, so pop()/peek() build theirs
+        # without FSLWord's range check; a word built by hand keeps it.
+        from repro.bus.fsl import FSLWord
+
+        for bad in (0x1_0000_0000, -1):
+            with pytest.raises(ValueError):
+                FSLWord(bad)
+        ch = FSLChannel()
+        ch.push(0xFFFFFFFF, control=True)
+        ch.push(0)
+        checked = []
+        monkeypatch.setattr(FSLWord, "__post_init__", checked.append)
+        words = [ch.peek(), ch.pop(), ch.pop(), ch.peek(), ch.pop()]
+        assert checked == []
+        monkeypatch.undo()
+        want = [FSLWord(0xFFFFFFFF, True)] * 2 + [FSLWord(0), None, None]
+        assert words == want
+        assert [hash(w) for w in words] == [hash(w) for w in want]
+        assert [type(w.control) for w in words[:3]] == [bool] * 3
+
     def test_reset(self):
         ch = FSLChannel()
         ch.push(1)

@@ -555,6 +555,32 @@ def test_batched_campaign_lanes_advance_together(monkeypatch):
         assert steps[id(batch.batched)] <= longest + 64
 
 
+def test_batched_campaign_builds_its_hardware_once(monkeypatch):
+    # The lanes of a batched campaign share one template: the hardware
+    # is built once per campaign, plus once per scalar replay and once
+    # for the fault-free tail run of rollback — never per lane — and no
+    # lane's structure is walked to prove it matches the template.
+    from repro.sysgen import batched
+
+    builds, walks = [], []
+    fresh_hardware = CordicDesign.fresh_hardware
+
+    def counted(self):
+        builds.append(1)
+        return fresh_hardware(self)
+
+    monkeypatch.setattr(CordicDesign, "fresh_hardware", counted)
+    monkeypatch.setattr(batched, "lockstep_signature", walks.append)
+    replays = _spy_replays(monkeypatch)
+    width = 8
+    run_campaign(CampaignConfig(
+        app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
+        trials=2 * width, seed=15, max_cycles=60_000, deadlock_window=512,
+        recovery="rollback"), batch_width=width)
+    assert walks == []
+    assert 1 <= len(builds) <= 1 + len(replays) + 1
+
+
 def test_lane_halting_in_a_stuck_window_leaves_the_hang_quiet(monkeypatch):
     # Lane 0 halts inside an open stuck_at window; lane 1 lost a result
     # word and blocks on its get until the watchdog.  The halted lane's
@@ -893,3 +919,43 @@ def test_fifo_dup_without_a_free_slot_is_not_applied():
     channel.push(7)
     assert channel.duplicate(0) and not channel.duplicate(0)
     assert channel.state_dict()["fifo"] == [[7, 0], [7, 0]]
+
+
+def _overfill(channel: FSLChannel) -> None:
+    """Fill ``channel`` and queue one duplicated word past its depth."""
+    while channel.push(1):
+        pass
+    assert channel.duplicate(0)
+
+
+def test_invariant_diagnostics_keep_their_text():
+    # Campaign reports quote these strings, so their words and order
+    # are pinned: every processor's FSL error, then every over-depth
+    # FIFO, then every nonzero exit — one CPU or K.
+    from repro.faults.detect import check_invariants
+
+    _design, sim = _fresh_sim()
+    assert check_invariants(sim) == []
+    sim.cpu.fsl.error = True
+    _overfill(sim.mb_block.from_hw_channel(0))
+    sim.cpu.halted, sim.cpu.exit_code = True, 3
+    depth = sim.mb_block.from_hw_channel(0).depth
+    assert check_invariants(sim) == [
+        "fsl-error: control-bit mismatch flagged by the FSL interface",
+        f"fifo-overflow: mb_in0 holds {depth + 1} words (depth {depth})",
+        "exit-code: program exited with 3",
+    ]
+
+    mesh = _make_sim(build_design("mesh", dict(MESH)), 2_048)
+    assert check_invariants(mesh) == []
+    for node in (mesh.nodes[3], mesh.nodes[0]):
+        node.cpu.fsl.error = True
+        node.cpu.halted, node.cpu.exit_code = True, 5
+    _overfill(mesh.all_channels()[1])
+    assert check_invariants(mesh) == [
+        "fsl-error: control-bit mismatch flagged by cpu0's FSL interface",
+        "fsl-error: control-bit mismatch flagged by cpu3's FSL interface",
+        "fifo-overflow: link_1o1_0i0 holds 9 words (depth 8)",
+        "exit-code: cpu0 exited with 5",
+        "exit-code: cpu3 exited with 5",
+    ]
