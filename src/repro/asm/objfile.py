@@ -79,6 +79,3 @@ class ObjectModule:
         if name in self.symbols:
             raise ValueError(f"duplicate symbol {name!r} (line {line})")
         self.symbols[name] = Symbol(name, section, offset)
-
-    def global_symbols(self) -> list[Symbol]:
-        return [s for s in self.symbols.values() if s.is_global]

@@ -24,7 +24,7 @@ good *observable* as long as every execution mode reports the same one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.asm.linker import Program
 from repro.cosim.mb_block import MicroBlazeBlock
@@ -569,8 +569,3 @@ class ScenarioGenerator:
     def scenarios(self, count: int, start: int = 0):
         for index in range(start, start + count):
             yield self.scenario(index)
-
-
-def drop_op(scenario: Scenario, index: int) -> Scenario:
-    ops = scenario.ops[:index] + scenario.ops[index + 1:]
-    return replace(scenario, ops=ops)

@@ -12,12 +12,13 @@ FIFO, and blocking semantics and drop counters are bit-identical to N
 independent scalar runs.  A lane with telemetry on its endpoints or
 channels runs those endpoints per lane, so its events are too.
 
-Each lane brings its own model (a sweep, whose lanes may differ in
-value-like parameters), or N lanes of one design share one template
-(:meth:`~BatchedCoSimulation.from_template`, a fault campaign): each
-lane then owns only its CPU, memory and FSL channels.
+A lane owns its CPU, memory and FSL channels, and a model only if it
+brings one: a sweep's lanes do (they may differ in value-like
+parameters), while the N lanes of
+:meth:`~BatchedCoSimulation.from_template` (a fault campaign) share the
+template's schedule and get a model on request.
 :meth:`BatchedCoSimulation.lane` writes a lane's vector state into its
-model — built then, for a template lane — before handing it out.
+model — built then, if the lane has none — before handing it out.
 
 Divergence is handled by lane masking: a lane that halts, reaches its
 cycle budget or pauses at a per-lane target freezes (its state arrays,
@@ -269,9 +270,14 @@ class BatchedCoSimulation:
             return CoSimulation(program, *hardware(), cpu_config=cpu_config,
                                 deadlock_window=deadlock_window)
 
-        batched = BatchedModel(
-            [model], [{ch.name: ch for ch in hub.channels()} for hub in hubs],
-            lane_model)
+        # a lane's channel set: endpoint block name -> the lane's channel
+        channels = [
+            {**{b.name: lane.to_hw_channel(c)
+                for c, b in hub.read_blocks.items()},
+             **{b.name: lane.from_hw_channel(c)
+                for c, b in hub.write_blocks.items()}}
+            for lane in hubs]
+        batched = BatchedModel([model], channels, lane_model)
         for sim, built in zip(sims, batched.models):
             if built is not None:  # blocks run per lane: all are built
                 sim.set_model(built)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from repro.bus.fsl import FSLChannel
 from repro.iss.fsl import FSLPorts, NUM_FSL
-from repro.resources.types import Resources
 from repro.sysgen.blocks.fsl import FSLRead, FSLWrite
 from repro.sysgen.model import Model
 
@@ -121,11 +120,6 @@ class MicroBlazeBlock:
     def n_links(self) -> int:
         """Total FSL links instantiated (for resource estimation)."""
         return len(self._to_hw) + len(self._from_hw)
-
-    def link_resources(self) -> Resources:
-        from repro.resources.datasheet import FSL_LINK_RESOURCES
-
-        return self.n_links * FSL_LINK_RESOURCES
 
     def channels(self) -> tuple[FSLChannel, ...]:
         """All FSL channels of the block, processor→peripheral first —

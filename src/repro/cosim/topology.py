@@ -179,15 +179,6 @@ class TopologySpec:
             raise TopologyError("node_coord is only defined for meshes")
         return divmod(node, self.cols)
 
-    def links_from(self, node: int) -> tuple[LinkSpec, ...]:
-        return tuple(l for l in self.links if l.src == node)
-
-    def links_into(self, node: int) -> tuple[LinkSpec, ...]:
-        return tuple(l for l in self.links if l.dst == node)
-
-    def link_names(self) -> tuple[str, ...]:
-        return tuple(l.name for l in self.links)
-
     def signature(self) -> tuple:
         """Structural identity for lockstep grouping and checkpoint
         fingerprints: two systems with the same signature have the same

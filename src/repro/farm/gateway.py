@@ -44,6 +44,7 @@ Endpoints
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import threading
 import time
@@ -1180,19 +1181,34 @@ class FarmThread:
         self._end(self.gateway.crash, timeout)
 
     def _end(self, shutdown, timeout: float) -> None:
-        """Run ``shutdown()`` on the loop thread, then join it.  A
-        finished drain closes the loop as its thread exits, so a closed
-        loop means the gateway has already stopped; the coroutine is
-        created only when it is scheduled, so none is left un-awaited."""
-        if self._thread.is_alive() and not self.loop.is_closed():
-            coro = shutdown()
+        """Run ``shutdown()`` on the loop thread, then join it.  The
+        coroutine is made on the loop thread, by a callback: a finished
+        drain closes the loop as its thread exits, and a loop that
+        closes before running the callback drops it, so no coroutine
+        exists to be left un-awaited.  Waits for ``shutdown`` to finish
+        or the thread to exit."""
+        finished = concurrent.futures.Future()
+        tasks = []  # a strong reference: the loop holds tasks weakly
+
+        def done(task: asyncio.Task) -> None:
+            if not task.cancelled():
+                task.exception()  # retrieved: a failed shutdown is quiet
+            finished.set_result(None)
+
+        def start() -> None:
+            tasks.append(self.loop.create_task(shutdown()))
+            tasks[0].add_done_callback(done)
+
+        if self._thread.is_alive():
             try:
-                future = asyncio.run_coroutine_threadsafe(coro, self.loop)
-            except RuntimeError:  # the loop closed since the check
-                coro.close()
+                self.loop.call_soon_threadsafe(start)
+            except RuntimeError:  # the loop closed: the gateway stopped
+                pass
             else:
-                with contextlib.suppress(Exception):
-                    future.result(timeout=timeout)
+                deadline = time.monotonic() + timeout
+                while (not finished.done() and self._thread.is_alive()
+                       and time.monotonic() < deadline):
+                    concurrent.futures.wait([finished], timeout=0.05)
         self._thread.join(timeout=timeout)
 
 

@@ -63,10 +63,6 @@ def extract_packets(buffer: bytes) -> tuple[list[str], bytes]:
     return payloads, buffer[pos:]
 
 
-def hex_encode(data: bytes) -> str:
-    return data.hex()
-
-
 def hex_decode(text: str) -> bytes:
     return bytes.fromhex(text)
 

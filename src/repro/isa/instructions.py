@@ -51,9 +51,6 @@ class InstrSpec:
     fixed: tuple[tuple[str, int, int], ...] = ()
     props: Mapping[str, object] = field(default_factory=lambda: MappingProxyType({}))
 
-    def prop(self, name: str, default=None):
-        return self.props.get(name, default)
-
 
 def _p(**kw) -> Mapping[str, object]:
     return MappingProxyType(dict(kw))

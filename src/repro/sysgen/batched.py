@@ -43,11 +43,16 @@ channel statistics and drop counters stay bit-identical with a scalar
 run.  The clones of vectorized blocks are written only on request
 (:meth:`BatchedModel.write_back`).
 
-The lanes bring their own models, or a template batch's identical
-lanes own none: every per-lane read of the emitters
-(:meth:`BatchEmitContext.lane_blocks`) then sees the template, so the
-lane arrays start as broadcasts of its state, and a lane's model is
-built only on request (:meth:`BatchedModel.lane_model`).
+One :class:`BatchedModel` is the whole batch: its lanes, the
+generated step, the port and state arrays and the native kernel.  A
+lane is its FSL channel set plus, only if it has one, its own model.
+A sweep's lanes bring models, which may differ in value-like
+parameters; a campaign's lanes of one template own none until asked
+(:meth:`BatchedModel.lane_model`), and every per-lane read of the
+emitters (:meth:`BatchEmitContext.lane_blocks`) sees the template
+instead, so those lane arrays start as broadcasts of its state.  Both
+are laid out by one path, and nothing the batch generates refers back
+to it: a dropped batch is freed by reference counting.
 
 Idle hardware has the scalar rule: the blocks' ``busy_if`` checks,
 rendered lane-wise, close every cycle body and leave a busy bit per
@@ -181,10 +186,9 @@ class BatchEmitContext(EmitContext):
       is read only as ``T[arange, i]`` and written only as
       ``T[m, p[m]] = (v)[m]``), and
       :meth:`write_back` — its inverse, one lane's clone at a time
-    * :meth:`lane_blocks` / :meth:`lane_ports` / :meth:`lane_values` —
-      the per-lane objects behind a template block / port (the clones;
-      the template itself in a template batch) and their current
-      values
+    * :meth:`lane_blocks` / :meth:`lane_ports` — the per-lane objects
+      behind a template block / port: the lane's own, or the template's
+      while the lane has no model
     * :meth:`as_array` — force a possibly-literal expression to an
       ``(N,)`` array (broadcast against the bound :attr:`zeros`)
     * :meth:`flag` — literal-folded guard conditions
@@ -193,12 +197,18 @@ class BatchEmitContext(EmitContext):
     * :attr:`arange` — a bound ``np.arange(N)`` for fancy indexing
     """
 
-    def __init__(self, batched: "BatchedModel"):
-        super().__init__(batched.template)
+    def __init__(self, template: "Model", block_maps: list,
+                 channels: list[dict], lane_model: Callable[[int], "Model"]):
+        super().__init__(template)
         # ``np`` leads the generated signatures, ahead of every binding
         self.ns["np"] = np
-        self.batched = batched
-        self.n = batched.n
+        self.n = len(block_maps)
+        #: per lane, block name -> the lane's own block (None: the lane
+        #: has no model); :meth:`own_lane_blocks` fills it in
+        self.block_maps = block_maps
+        #: per lane, endpoint block name -> the FSL channel it moves
+        self.channels = channels
+        self._lane_model = lane_model
         self.state_loaders: list[Callable[[], "np.ndarray"]] = []
         #: state array name -> its index in the ``_S`` store
         self.state_slots: dict[str, int] = {}
@@ -209,7 +219,6 @@ class BatchEmitContext(EmitContext):
         self.lanes = "_ln"
         self.arange = self.bind(np.arange(self.n), "ar")
         self.zeros = self.bind(np.zeros(self.n, np.int64), "zz")
-        self._lane_block_memo: dict[int, list["Block"]] = {}
         #: lane -> 1 when a fallback block's clock() rewrote an output
         #: in the lane's last step: the busy rules take that cycle's
         #: ports for the values its edge used, so the lane is busy
@@ -227,7 +236,8 @@ class BatchEmitContext(EmitContext):
         """A persistent state array: loaded from the ``_S`` store at
         call entry, written back in the exit ``finally``.
         ``loader()`` rebuilds the array from the per-lane clone blocks
-        (used at construction and on :meth:`BatchedModel.reset`)."""
+        (used at construction and on :meth:`BatchedModel.reset`); it
+        outlives this context, so it must not refer to it."""
         idx = len(self.state_loaders)
         self.state_loaders.append(loader)
         name = self._fresh_name(f"_{hint}")
@@ -249,22 +259,22 @@ class BatchEmitContext(EmitContext):
     # -- per-lane clone access -------------------------------------------
     def lane_blocks(self, block: "Block") -> list["Block"]:
         """The block each lane's values start from: the lane's clone of
-        ``block`` — in a template batch, ``block`` itself for every
-        lane (its lanes own no blocks while the batch is built)."""
-        got = self._lane_block_memo.get(id(block))
-        if got is None:
-            got = [block if bm is None else bm[block.name]
-                   for bm in self.batched._block_maps]
-            self._lane_block_memo[id(block)] = got
-        return got
+        ``block``, or ``block`` itself while the lane has no model (a
+        template lane: the template is never stepped, so its state is
+        the lane's until the batch runs)."""
+        return _lane_blocks(self.block_maps, block)
+
+    def own_lane_blocks(self, block: "Block") -> list["Block"]:
+        """Every lane's own clone of ``block``, building the lane
+        models that are missing (per-lane dispatch needs live blocks)."""
+        for lane, bm in enumerate(self.block_maps):
+            if bm is None:
+                self._lane_model(lane)
+        return self.lane_blocks(block)
 
     def lane_ports(self, port: "OutputPort") -> list["OutputPort"]:
         return [b.outputs[port.name]
                 for b in self.lane_blocks(port.block)]
-
-    def lane_values(self, port: "OutputPort") -> "np.ndarray":
-        return np.fromiter((p.value for p in self.lane_ports(port)),
-                           np.int64, self.n)
 
     def flag(self, expr: str) -> str:
         """Condition string for ``(expr) & 1`` with literal folding:
@@ -279,7 +289,7 @@ class BatchEmitContext(EmitContext):
         lanes = self.lane_blocks(block)
         name = self.state(
             lambda: np.fromiter((getattr(b, attr) for b in lanes),
-                                np.int64, self.n), hint)
+                                np.int64, len(lanes)), hint)
         self.write_back(block, lambda clone, lane, get: setattr(
             clone, attr, int(get(name)[lane])))
         return name
@@ -331,13 +341,19 @@ class BatchEmitContext(EmitContext):
         return f"({cond}).astype(np.int64)"
 
 
+def _lane_blocks(block_maps: list, block: "Block") -> list["Block"]:
+    """Per lane, the lane's own block named like ``block``, or
+    ``block`` itself where the lane has no model."""
+    return [block if bm is None else bm[block.name] for bm in block_maps]
+
+
 def _emit_fallback_batched(ctx: BatchEmitContext, block: "Block") -> None:
     """Per-lane interpreter dispatch for a block without a vectorized
     emitter: sync the clone's feeding ports from the lane arrays, run
     the clone's method, read the outputs back — for active lanes only.
     Bit-identical with a scalar run of each lane (same channel objects,
     telemetry hooks and drop counters fire on the clones)."""
-    clones = ctx.bind(ctx.lane_blocks(block), "fb")
+    clones = ctx.bind(ctx.own_lane_blocks(block), "fb")
     flush = []
     for port in block.inputs.values():
         if port.source is not None:
@@ -365,183 +381,6 @@ def _emit_fallback_batched(ctx: BatchEmitContext, block: "Block") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Schedule
-# ---------------------------------------------------------------------------
-
-
-class BatchedSchedule:
-    """Generated lockstep step function for one batch.
-
-    ``source`` holds the generated python; ``step(cycles, act, lanes)``
-    advances every lane where ``act`` is True by ``cycles`` cycles.
-    """
-
-    def __init__(self, batched: "BatchedModel"):
-        template = batched.template
-        assert template._schedule is not None
-        ctx = BatchEmitContext(batched)
-        self.ctx = ctx
-        self.fallback_blocks: list[str] = []
-        for block in list(template._seq) + list(template._schedule):
-            ctx.block = block
-            # a combinational block fed only by literals would compute a
-            # python scalar where the schedule needs an (N,) array
-            literal_fed = (not block.sequential and block.inputs and all(
-                p.source is None for p in block.inputs.values()))
-            if literal_fed or not block.emit_batched(ctx):
-                _emit_fallback_batched(ctx, block)
-                self.fallback_blocks.append(block.name)
-
-        #: (probe index, port-store index | None, clone ports) per
-        #: probe — where :meth:`BatchedModel.fast_forward` reads the
-        #: frozen samples
-        self.probe_sources: list[tuple] = []
-        for k, probe in enumerate(template.probes):
-            apps = [m.probes[k].samples.append for m in batched._clocks]
-            ap = ctx.bind(apps, "ap")
-            port = probe.port
-            if id(port) in ctx._port_var:
-                var = ctx.port_var(port)
-                ctx.probe_line(
-                    f"for _l in {ctx.lanes}: {ap}[_l](int({var}[_l]))"
-                )
-                self.probe_sources.append((k, ctx._ports.index(port), None))
-            else:  # probe on a port no block drives through the batch
-                pl = ctx.bind(ctx.lane_ports(port), "fp")
-                ctx.probe_line(
-                    f"for _l in {ctx.lanes}: {ap}[_l](int({pl}[_l].value))"
-                )
-                self.probe_sources.append((k, None, ctx.lane_ports(port)))
-
-        cycle_body = (ctx._present + ctx._evaluate + ctx._probe + ctx._clock
-                      + self._busy_lines(template))
-
-        loads = [f"v{k} = _P[{k}]" for k in range(len(ctx._ports))]
-        stores = [f"_P[{k}] = v{k}" for k in range(len(ctx._ports))]
-
-        models = ctx.bind(batched._clocks, "lm")
-        bref = ctx.bind(batched, "bm")
-        ctx.ns["_P"] = self.port_store = [None] * len(ctx._ports)
-        ctx.ns["_S"] = self.state_store = [None] * len(ctx.state_loaders)
-
-        self._prologue = ctx._entry + loads
-        self._advance = [f"for _l in _ln: {models}[_l].cycle += _done",
-                         f"{bref}.cycle += _done"]
-        stores += ctx._exit
-        self.source = "\n".join(function_frame(
-            "_step", ["_n", "_act", "_ln"], ctx.ns, self._prologue,
-            cycle_body, stores + self._advance))
-
-        ns = exec_generated(
-            self.source, f"<sysgen-batched:{template.name}x{batched.n}>",
-            ctx.ns, f"lockstep schedule for model {template.name!r}")
-        self.step = ns["_step"]
-        self._cycle_body = cycle_body
-        self._batched = batched
-        self.ckernel = None
-        self.step_c = None
-
-    def _busy_lines(self, template: "Model") -> list[str]:
-        """The closing lines of the cycle body: each vectorized block's
-        idle rule (:func:`~repro.sysgen.compiled.horizon_rule`) OR-ed
-        into an accumulator, stored under the active-lane mask in the
-        busy lane array (a frozen lane keeps its last step's bit; before
-        any step every lane is busy, like an unsettled model).  The
-        fallback blocks' rules stay with their live clones."""
-        ctx = self.ctx
-        busy = ctx.state(lambda: np.ones(ctx.n, np.int64), "bz")
-        self.busy_slot = ctx.state_slots[busy]
-        acc = ctx.tmp()
-        lines = []
-        for block in template.blocks:
-            if block.name in self.fallback_blocks:
-                continue
-            rule = horizon_rule(block, "emit_batched")
-            conds = (ctx._horizon.get(id(block), []) if rule == "emitted"
-                     else [] if rule == "idle" else ["1"])
-            if conds:
-                head = f"{acc} | " if lines else ""
-                lines.append(f"{acc} = {head}"
-                             + " | ".join(f"({c})" for c in conds))
-        return lines + [f"{busy} = np.where({ctx.act}, "
-                        f"{acc if lines else 0}, {busy})"]
-
-    # -- native kernel (optional) ---------------------------------------
-    def build_ckernel(self) -> None:
-        """Translate the numpy runs of the cycle body into a compiled C
-        kernel (see :mod:`repro.sysgen.ckernel`).  Called after the
-        first :meth:`sync_from_clones`, when the port/state arrays
-        exist.  Any unsupported construct or missing compiler leaves
-        the pure-numpy step in place."""
-        from repro.sysgen.ckernel import CUnsupported, build_step_kernel
-
-        ctx = self.ctx
-        if "_ck" in ctx.ns:  # pragma: no cover - name-collision paranoia
-            return
-        try:
-            built = build_step_kernel(
-                self._batched.n,
-                self._cycle_body,
-                self.port_store,
-                self.state_store,
-                {f"v{k}": k for k in range(len(ctx._ports))},
-                ctx.state_slots,
-                ctx.ns,
-                ctx.act,
-                ctx.arange,
-                ctx.zeros,
-            )
-        except CUnsupported:
-            return
-        if built is None:
-            return
-        kernel, kbody = built
-        ns = dict(ctx.ns)
-        ns["_ck"] = kernel.runner(self._batched)
-        body = [f"_ck({item})" if isinstance(item, int) else item
-                for item in kbody]
-        # the kernel works on the slot arrays in place: nothing to store
-        source_c = "\n".join(function_frame(
-            "_step_c", ["_n", "_act", "_ln"], ns, self._prologue, body,
-            self._advance))
-        name = self._batched.template.name
-        ns = exec_generated(
-            source_c, f"<sysgen-batched-c:{name}x{self._batched.n}>", ns,
-            f"C-kernel driver for model {name!r}")
-        self.ckernel = kernel
-        self.step_c = ns["_step_c"]
-
-    def write_back(self, lane: int) -> None:
-        """Write one lane's port and state arrays into its clone model
-        (the inverse of :meth:`sync_from_clones`, for one lane)."""
-        ctx = self.ctx
-        blocks = self._batched._block_maps[lane]
-        for k, port in enumerate(ctx._ports):
-            blocks[port.block.name].outputs[port.name].value = \
-                int(self.port_store[k][lane])
-
-        def get(name: str) -> "np.ndarray":
-            return self.state_store[ctx.state_slots[name]]
-
-        for name, fn in ctx.write_backs:
-            fn(blocks[name], lane, get)
-
-    def sync_from_clones(self) -> None:
-        """(Re)build every port and state array from the per-lane clone
-        objects — at construction, and after ``reset``/``load``."""
-        ctx = self.ctx
-        for k, port in enumerate(ctx._ports):
-            self.port_store[k] = ctx.lane_values(port)
-        for k, loader in enumerate(ctx.state_loaders):
-            self.state_store[k] = loader()
-        if self.ckernel is not None:
-            # re-point the kernel's slot table (ports, then states)
-            stores = self.port_store + self.state_store
-            self.ckernel.arrays[:len(stores)] = stores
-            self.ckernel._gen = -1
-
-
-# ---------------------------------------------------------------------------
 # Batched model
 # ---------------------------------------------------------------------------
 
@@ -560,19 +399,38 @@ class _LaneClock:
             probe.samples.clear()
 
 
-class BatchedModel:
-    """N models of one design advancing in lockstep.
+def _pinned(model: "Model") -> "Model":
+    """``model`` as a lane model: lane models only ever run their
+    interpreter methods (per lane, via fallback dispatch), so their
+    scalar codegen is skipped."""
+    model.set_engine("interpreter")
+    if model._schedule is None:
+        model.compile()
+    return model
 
-    ``models[0]`` is the structural template.  Without ``channels``,
+
+class BatchedModel:
+    """N lanes of one design advancing in lockstep through one
+    generated step function.
+
+    ``models[0]`` is the structural template.  A lane is its FSL channel
+    set — endpoint block name -> the channel that lane's endpoint moves
+    — plus, only if it has one, its own model.  Without ``channels``,
     ``models`` are the N lanes' own models (lane 0's included), which
     may differ in value-like parameters but must match the template
-    (:func:`lockstep_signature`).  With ``channels`` — per lane, channel
-    name -> the lane's own FSL channel of that name — the batch has
-    ``len(channels)`` identical lanes of the template, which is
-    compiled once and never stepped or written: the lanes own no
-    blocks until :meth:`lane_model` builds one with ``build(lane)`` (a
-    new model of the design, its endpoints on the lane's channels) —
-    every lane's at once when blocks run per lane (fallback).
+    (:func:`lockstep_signature`); their channel sets are the channels
+    their endpoints are bound to.  With ``channels`` the batch has
+    ``len(channels)`` lanes of the template, which is compiled once and
+    never stepped or written: the lanes own no model until
+    :meth:`lane_model` builds one with ``build(lane)`` (a new model of
+    the design, its endpoints on the lane's channels) — every lane's at
+    once when blocks run per lane (fallback).
+
+    The batch owns the generated step (``step_numpy``, and ``step_c``
+    over the native kernel ``ckernel`` when one is built), the port and
+    state arrays behind it (``port_store``/``state_store``) and the
+    probe sources; nothing it generates points back at it, so a dropped
+    batch is freed by reference counting.
     Raises :class:`BatchUnsupported` when the lanes cannot share one
     lockstep schedule — callers fall back to scalar simulation.
     """
@@ -584,14 +442,9 @@ class BatchedModel:
             raise BatchUnsupported("numpy is not available")
         if not models:
             raise BatchUnsupported("empty batch")
-        template = models[0]
-        lanes = list(models) if channels is None else [template]
-        for m in lanes:
-            # clone models only ever run their interpreter methods (per
-            # lane, via fallback dispatch); skip their scalar codegen.
-            m.set_engine("interpreter")
-            if m._schedule is None:
-                m.compile()
+        for m in models:
+            _pinned(m)
+        self.template = template = models[0]
         sig0 = lockstep_signature(template) if len(models) > 1 else None
         for lane, m in enumerate(models[1:], start=1):
             if lockstep_signature(m) != sig0:
@@ -608,55 +461,184 @@ class BatchedModel:
             raise BatchUnsupported(
                 "ports too wide for int64 lanes: " + ", ".join(wide)
             )
-        self.template = template
+        if channels is None:  # the lanes' endpoints name their channels
+            own = list(models)
+            channels = [{b.name: b.channel for b in m.blocks
+                         if hasattr(b, "channel")} for m in models]
+        else:
+            own = [None] * len(channels)
         self._build = build
-        self._lay_out(lanes if channels is None else [None] * len(channels),
-                      channels)
-        if channels is not None and self._schedule.fallback_blocks:
-            # per-lane dispatch runs on the lanes' own blocks
-            self._lay_out([self._built(lane, build(lane))
-                           for lane in range(self.n)], None)
-        self._schedule.sync_from_clones()
-        self._schedule.build_ckernel()
+        self._lay_out(own, channels)
 
-    def _lay_out(self, models: list, channels: list[dict] | None) -> None:
+    def _lay_out(self, own: list, channels: list[dict]) -> None:
+        """Generate the lockstep step over lanes ``own`` (a model or
+        None each) moving ``channels``, load its arrays from the lanes
+        and build the native kernel."""
+        template = self.template
         #: the lanes' own models (None: not built yet)
-        self.models = models
-        self.n = len(models)
-        self.channels = channels
+        self.models = own
+        self.n = len(own)
         #: per lane, its model or the :class:`_LaneClock` standing in
-        self._clocks = [_LaneClock(self.template) if m is None else m
-                        for m in models]
+        self._clocks = [_LaneClock(template) if m is None else m
+                        for m in own]
         #: per lane, block name -> the lane's own block (None: unbuilt)
         self._block_maps = [
             None if m is None else {b.name: b for b in m.blocks}
-            for m in models]
+            for m in own]
         self.cycle = 0
         self.active = np.ones(self.n, dtype=bool)
         self._lanes = list(range(self.n))
-        self._schedule = BatchedSchedule(self)
 
-    def _built(self, lane: int, model: "Model") -> "Model":
-        """Make ``model`` lane ``lane``'s: interpreter-pinned like every
-        clone, holding the lane's clock and probe samples."""
-        model.set_engine("interpreter")
-        if model._schedule is None:
-            model.compile()
-        clock = self._clocks[lane]
-        model.cycle = clock.cycle
-        for probe, kept in zip(model.probes, clock.probes):
-            probe.samples = kept.samples
-        self.models[lane] = self._clocks[lane] = model
-        self._block_maps[lane] = {b.name: b for b in model.blocks}
-        return model
+        ctx = BatchEmitContext(template, self._block_maps, channels,
+                               self.lane_model)
+        #: blocks running per-lane interpreter dispatch (not vectorized)
+        self.fallback_blocks: list[str] = []
+        for block in list(template._seq) + list(template._schedule):
+            ctx.block = block
+            # a combinational block fed only by literals would compute a
+            # python scalar where the schedule needs an (N,) array
+            literal_fed = (not block.sequential and block.inputs and all(
+                p.source is None for p in block.inputs.values()))
+            if literal_fed or not block.emit_batched(ctx):
+                _emit_fallback_batched(ctx, block)
+                self.fallback_blocks.append(block.name)
+
+        #: (probe index, port-store index | None, clone ports) per
+        #: probe — where :meth:`fast_forward` reads the frozen samples
+        self._probe_sources: list[tuple] = []
+        for k, probe in enumerate(template.probes):
+            apps = [m.probes[k].samples.append for m in self._clocks]
+            ap = ctx.bind(apps, "ap")
+            port = probe.port
+            if id(port) in ctx._port_var:
+                var = ctx.port_var(port)
+                ctx.probe_line(
+                    f"for _l in {ctx.lanes}: {ap}[_l](int({var}[_l]))"
+                )
+                self._probe_sources.append((k, ctx._ports.index(port), None))
+            else:  # probe on a port no block drives through the batch
+                pl = ctx.bind(ctx.lane_ports(port), "fp")
+                ctx.probe_line(
+                    f"for _l in {ctx.lanes}: {ap}[_l](int({pl}[_l].value))"
+                )
+                self._probe_sources.append((k, None, ctx.lane_ports(port)))
+
+        cycle_body = (ctx._present + ctx._evaluate + ctx._probe + ctx._clock
+                      + self._busy_lines(ctx))
+
+        loads = [f"v{k} = _P[{k}]" for k in range(len(ctx._ports))]
+        stores = [f"_P[{k}] = v{k}" for k in range(len(ctx._ports))]
+
+        models = ctx.bind(self._clocks, "lm")
+        ctx.ns["_P"] = self.port_store = [None] * len(ctx._ports)
+        ctx.ns["_S"] = self.state_store = [None] * len(ctx.state_loaders)
+
+        prologue = ctx._entry + loads
+        advance = [f"for _l in _ln: {models}[_l].cycle += _done"]
+        source = "\n".join(function_frame(
+            "_step", ["_n", "_act", "_ln"], ctx.ns, prologue,
+            cycle_body, stores + ctx._exit + advance))
+        # popped: a function left in its own namespace is a cycle
+        self.step_numpy = exec_generated(
+            source, f"<sysgen-batched:{template.name}x{self.n}>",
+            ctx.ns, f"lockstep schedule for model {template.name!r}",
+        ).pop("_step")
+        self._ports = ctx._ports
+        self._port_slots = {id(p): k for k, p in enumerate(ctx._ports)}
+        self._state_loaders = ctx.state_loaders
+        self._state_slots = ctx.state_slots
+        self._write_backs = ctx.write_backs
+        self._moved = ctx.moved
+        self.ckernel = None
+        self.step_c = None
+        self.sync_from_clones()
+        self._build_ckernel(ctx, cycle_body, prologue, advance)
+
+    def _busy_lines(self, ctx: BatchEmitContext) -> list[str]:
+        """The closing lines of the cycle body: each vectorized block's
+        idle rule (:func:`~repro.sysgen.compiled.horizon_rule`) OR-ed
+        into an accumulator, stored under the active-lane mask in the
+        busy lane array (a frozen lane keeps its last step's bit; before
+        any step every lane is busy, like an unsettled model).  The
+        fallback blocks' rules stay with their live clones."""
+        n = ctx.n
+        busy = ctx.state(lambda: np.ones(n, np.int64), "bz")
+        self._busy_slot = ctx.state_slots[busy]
+        acc = ctx.tmp()
+        lines = []
+        for block in self.template.blocks:
+            if block.name in self.fallback_blocks:
+                continue
+            rule = horizon_rule(block, "emit_batched")
+            conds = (ctx._horizon.get(id(block), []) if rule == "emitted"
+                     else [] if rule == "idle" else ["1"])
+            if conds:
+                head = f"{acc} | " if lines else ""
+                lines.append(f"{acc} = {head}"
+                             + " | ".join(f"({c})" for c in conds))
+        return lines + [f"{busy} = np.where({ctx.act}, "
+                        f"{acc if lines else 0}, {busy})"]
+
+    def _build_ckernel(self, ctx: BatchEmitContext, cycle_body: list[str],
+                       prologue: list[str], advance: list[str]) -> None:
+        """Translate the numpy runs of the cycle body into a compiled C
+        kernel (see :mod:`repro.sysgen.ckernel`) driven by ``step_c``.
+        Any unsupported construct or missing compiler leaves the
+        pure-numpy step in place."""
+        from repro.sysgen.ckernel import CUnsupported, build_step_kernel
+
+        try:
+            built = build_step_kernel(
+                self.n, cycle_body, self.port_store, self.state_store,
+                {f"v{k}": k for k in range(len(self._ports))},
+                self._state_slots, ctx.ns, ctx.act, ctx.arange, ctx.zeros)
+        except CUnsupported:
+            return
+        if built is None:
+            return
+        self.ckernel, kbody = built
+        ns = dict(ctx.ns)
+        ns["_ck"] = self.ckernel.runner()
+        body = [f"_ck({item}, {ctx.act})" if isinstance(item, int) else item
+                for item in kbody]
+        # the kernel works on the slot arrays in place: nothing to store
+        source_c = "\n".join(function_frame(
+            "_step_c", ["_n", "_act", "_ln"], ns, prologue, body, advance))
+        name = self.template.name
+        self.step_c = exec_generated(
+            source_c, f"<sysgen-batched-c:{name}x{self.n}>", ns,
+            f"C-kernel driver for model {name!r}").pop("_step_c")
+
+    def sync_from_clones(self) -> None:
+        """(Re)build every port and state array from the lanes' blocks
+        — at construction, and after :meth:`reset`."""
+        for k, port in enumerate(self._ports):
+            self.port_store[k] = np.fromiter(
+                (b.outputs[port.name].value
+                 for b in _lane_blocks(self._block_maps, port.block)),
+                np.int64, self.n)
+        for k, loader in enumerate(self._state_loaders):
+            self.state_store[k] = loader()
+        if self.ckernel is not None:
+            # re-point the kernel's slot table (ports, then states)
+            stores = self.port_store + self.state_store
+            self.ckernel.arrays[:len(stores)] = stores
+            self.ckernel._gen = -1
 
     def lane_model(self, lane: int) -> "Model":
         """Lane ``lane``'s own model, built on the first request in a
-        template batch; its state is the lane's as of the last
-        :meth:`write_back`."""
+        template batch (interpreter-pinned like every lane model, taking
+        over the lane's clock and probe samples); its state is the
+        lane's as of the last :meth:`write_back`."""
         model = self.models[lane]
         if model is None:
-            model = self._built(lane, self._build(lane))
+            model = _pinned(self._build(lane))
+            clock = self._clocks[lane]
+            model.cycle = clock.cycle
+            for probe, kept in zip(model.probes, clock.probes):
+                probe.samples = kept.samples
+            self.models[lane] = self._clocks[lane] = model
+            self._block_maps[lane] = {b.name: b for b in model.blocks}
         return model
 
     # -- lane lifecycle --------------------------------------------------
@@ -686,8 +668,9 @@ class BatchedModel:
         """Advance every active lane ``cycles`` clock cycles."""
         if cycles <= 0:
             return
-        step = self._schedule.step_c or self._schedule.step
+        step = self.step_c or self.step_numpy
         step(cycles, self.active, self._lanes)
+        self.cycle += cycles
 
     def idle_horizon(self, lanes: list[int] | None = None) -> int:
         """:data:`~repro.sysgen.block.IDLE_FOREVER` when the given lanes
@@ -696,7 +679,7 @@ class BatchedModel:
         lane by lane.  A lane's bit was computed by its last step, from
         its vectorized blocks' ``busy_if`` rules; then the fallback
         blocks' clones are asked (:meth:`fallback_idle_horizon`)."""
-        busy = self._schedule.state_store[self._schedule.busy_slot]
+        busy = self.state_store[self._busy_slot]
         if busy[self._lanes if lanes is None else lanes].any():
             return 0
         return self.fallback_idle_horizon(lanes)
@@ -707,8 +690,7 @@ class BatchedModel:
         clone state is live — the generated step dispatches them per
         lane every cycle, unlike the vectorized blocks), and no lane
         has :attr:`BatchEmitContext.moved` set."""
-        names = self._schedule.fallback_blocks
-        moved = self._schedule.ctx.moved
+        names, moved = self.fallback_blocks, self._moved
         for lane in (self._lanes if lanes is None else lanes):
             if moved[lane]:
                 return 0
@@ -731,8 +713,8 @@ class BatchedModel:
         block at a fixed point has no state to catch up."""
         if cycles <= 0:
             return
-        for k, idx, clones in self._schedule.probe_sources:
-            arr = None if idx is None else self._schedule.port_store[idx]
+        for k, idx, clones in self._probe_sources:
+            arr = None if idx is None else self.port_store[idx]
             for lane in self._lanes:
                 value = clones[lane].value if arr is None else arr[lane]
                 self._clocks[lane].probes[k].samples.extend(
@@ -748,7 +730,7 @@ class BatchedModel:
         self.cycle = 0
         self.active = np.ones(self.n, dtype=bool)
         self._lanes = list(range(self.n))
-        self._schedule.sync_from_clones()
+        self.sync_from_clones()
 
     def write_back(self, lane: int) -> None:
         """Bring lane ``lane``'s clone model up to date with the vector
@@ -758,36 +740,38 @@ class BatchedModel:
         (:meth:`BatchedCoSimulation.lane
         <repro.cosim.batch.BatchedCoSimulation.lane>` does).  In a
         template batch, build it first (:meth:`lane_model`)."""
-        self._schedule.write_back(lane)
+        blocks = self._block_maps[lane]
+        for k, port in enumerate(self._ports):
+            blocks[port.block.name].outputs[port.name].value = \
+                int(self.port_store[k][lane])
+
+        def get(name: str) -> "np.ndarray":
+            return self.state_store[self._state_slots[name]]
+
+        for name, fn in self._write_backs:
+            fn(blocks[name], lane, get)
         model = self.models[lane]
         if model.cycle > 0:
             model._settled = True
 
     # -- introspection / pokes -------------------------------------------
-    @property
-    def fallback_blocks(self) -> list[str]:
-        """Blocks running per-lane interpreter dispatch (not vectorized)."""
-        return list(self._schedule.fallback_blocks)
-
     def port_index(self, block_name: str, port_name: str) -> int:
         """The port-store index of an output port.  Raises
         :class:`BatchUnsupported` when the schedule does not track the
         port (a lane forcing it must then be evicted to a scalar
         replay)."""
         port = self.template.block(block_name).outputs[port_name]
-        ctx = self._schedule.ctx
-        var = ctx._port_var.get(id(port))
-        if var is None:
+        k = self._port_slots.get(id(port))
+        if k is None:
             raise BatchUnsupported(
                 f"port {block_name}.{port_name} is not tracked by the "
                 "lockstep schedule"
             )
-        return ctx._ports.index(port)
+        return k
 
     def peek(self, block_name: str, port_name: str) -> "np.ndarray":
         """Copy of the (N,) value array behind an output port."""
-        return self._schedule.port_store[
-            self.port_index(block_name, port_name)].copy()
+        return self.port_store[self.port_index(block_name, port_name)].copy()
 
     def poke(self, block_name: str, port_name: str, lane: int,
              value: int) -> None:
@@ -798,12 +782,11 @@ class BatchedModel:
 
     def poke_slot(self, k: int, lane: int, value: int) -> None:
         """:meth:`poke` by port-store index (:meth:`port_index`)."""
-        arr = self._schedule.port_store[k].copy()
+        arr = self.port_store[k].copy()
         arr[lane] = value
-        self._schedule.port_store[k] = arr
-        kernel = self._schedule.ckernel
-        if kernel is not None:
-            kernel.rebind(k, arr)
+        self.port_store[k] = arr
+        if self.ckernel is not None:
+            self.ckernel.rebind(k, arr)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<BatchedModel {self.template.name!r} x{self.n}: "

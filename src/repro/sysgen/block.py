@@ -175,7 +175,7 @@ class Block:
         Blocks whose lane state has another shape than their scalar
         state (delay lines, FIFOs, RAMs, pipeline stages) write a
         separate lane emitter with the vector helpers (``state``,
-        ``lane_blocks``/``lane_ports``/``lane_values``, ``as_array``,
+        ``lane_blocks``/``lane_ports``, ``as_array``,
         ``flag``) and register a ``write_back`` that writes one lane's
         state into that lane's clone.  Lane state wider than one word is
         an ``(N, depth)`` int64 table, read only by the gather

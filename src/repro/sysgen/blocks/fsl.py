@@ -15,27 +15,27 @@ co-simulation environment (:class:`repro.cosim.mb_block.MicroBlazeBlock`),
 which owns the channel objects shared with the CPU's FSL unit.
 
 In the lockstep schedule (:mod:`repro.sysgen.batched`) an endpoint's
-lanes keep their channel state where the channels keep it: when the
-schedule loads, the endpoint copies each lane's channel row
-(:mod:`repro.bus.fsl`; the channel the lane's clone is bound to, or in
-a template batch the lane's channel named like the template's) into
-one ``(N, W)`` lane table (``W`` fits the deepest lane) and each
-channel adopts its row of that table, so the lane's CPU, the fault
-injector and checkpoints read and write the very cells the vector
-endpoint does.  The present gathers the head word and
-the count; the edge updates head, count, ring word and counters with
-masked scatters — the FIFO ring idiom of
+lanes keep their channel state where the channels keep it.  Each lane
+of a batch brings a channel set, keyed by endpoint block name, so the
+endpoint finds the channel each lane moves whether or not the lane has
+a model of its own.  When the schedule loads, the endpoint copies each
+lane's channel row (:mod:`repro.bus.fsl`) into one ``(N, W)`` lane
+table (``W`` fits the deepest lane) and each channel adopts its row of
+that table, so the lane's CPU, the fault injector and checkpoints read
+and write the very cells the vector endpoint does.  The present
+gathers the head word and the count; the edge updates head, count,
+ring word and counters with masked scatters — the FIFO ring idiom of
 :mod:`repro.sysgen.blocks.memory`, which the native kernel translates.
 A lane whose endpoint or channel carries an event bus when the
 schedule is built, or has no channel, or a channel another endpoint
-also holds, makes the endpoint fall back per lane: the clones' own ``present``/``clock`` then emit
-every ``BLOCK_FIRE``/``FSL_PUSH``/``FSL_POP`` event and raise
-:class:`FSLBindError` exactly as a scalar run does.  The idle rule is
-the scalar one, read off the port arrays: a reader is busy while
-``read`` and ``exists`` are both high, a writer while ``write`` is (a
-push or a counted drop at the next edge).  The rest of the scalar rule
-compares the ports with the channel, and within one step only the
-endpoint's own transfer can move the channel.
+also holds, makes the endpoint fall back per lane: the clones' own
+``present``/``clock`` then emit every ``BLOCK_FIRE``/``FSL_PUSH``/
+``FSL_POP`` event and raise :class:`FSLBindError` exactly as a scalar
+run does.  The idle rule is the scalar one, read off the port arrays:
+a reader is busy while ``read`` and ``exists`` are both high, a writer
+while ``write`` is (a push or a counted drop at the next edge).  The
+rest of the scalar rule compares the ports with the channel, and
+within one step only the endpoint's own transfer can move the channel.
 """
 
 from __future__ import annotations
@@ -58,35 +58,23 @@ class FSLBindError(RuntimeError):
     """Raised when stepping an FSL block that has no bound channel."""
 
 
-def _lane_channels(ctx, block) -> list:
-    """The channel lane ``i`` of endpoint ``block`` moves, for every
-    lane: the one its clone is bound to, or in a template batch (whose
-    lanes own no blocks) the lane's channel named like the template
-    endpoint's (``ctx.batched.channels``)."""
-    sets = ctx.batched.channels
-    if sets is None:
-        return [b.channel for b in ctx.lane_blocks(block)]
-    name = None if block.channel is None else block.channel.name
-    return [channels.get(name) for channels in sets]
-
-
 def _lane_table(ctx, block) -> str | None:
     """The lane table of a vector endpoint (see the module docstring),
     or None when the endpoint must fall back per lane."""
     lanes = ctx.lane_blocks(block)
-    channels = _lane_channels(ctx, block)
+    # each lane's channel set names the channel its endpoint moves
+    channels = [lane.get(block.name) for lane in ctx.channels]
     if any(ch is None or ch.events is not None or b.events is not None
            for b, ch in zip(lanes, channels)):
         return None
-    held = Counter(id(ch) for other in ctx.batched.template.blocks
-                   if isinstance(other, _Endpoint)
-                   for ch in _lane_channels(ctx, other))
+    held = Counter(id(ch) for lane in ctx.channels for ch in lane.values())
     if any(held[id(ch)] > 1 for ch in channels):
         return None
 
     def load():
         table = np.zeros(
-            (ctx.n, max(row_width(ch.depth) for ch in channels)), np.int64)
+            (len(channels), max(row_width(ch.depth) for ch in channels)),
+            np.int64)
         for lane, ch in enumerate(channels):
             ch.adopt(table[lane])
         return table

@@ -122,7 +122,8 @@ class Delay(SeqBlock):
         line = ctx.state(
             lambda: np.array([list(b._line) for b in lanes], dtype=np.int64),
             "dl")
-        head = ctx.state(lambda: np.zeros(ctx.n, dtype=np.int64), "dh")
+        head = ctx.state(lambda: np.zeros(len(lanes), dtype=np.int64),
+                         "dh")
 
         def write_back(clone, lane, get):
             row = get(line)[lane].tolist()

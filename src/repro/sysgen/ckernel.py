@@ -271,19 +271,18 @@ class CStepKernel:
             table[k] = arr.ctypes.data
         self._gen = 0
 
-    def runner(self, owner) -> Callable[[int], None]:
-        """A ``run(j)`` closure reading the live active-lane mask off
-        ``owner.active`` each call (``reset`` replaces that array).
-        The ctypes pointer is cached per mask-array identity."""
+    def runner(self) -> Callable[[int, "np.ndarray"], None]:
+        """A ``run(j, act)`` closure: segment ``j`` over the lanes where
+        the boolean mask ``act`` holds.  The ctypes pointer is cached
+        per mask-array identity (``reset`` replaces the mask)."""
         segs = self._segs
         table = self._table
         n = ctypes.c_longlong(self.n)
         cache: list = [None, None]  # [mask array, its c_char_p]
 
-        def run(j: int, _self=self) -> None:
+        def run(j: int, act: "np.ndarray", _self=self) -> None:
             if _self._gen < 0:
                 _self._refresh()
-            act = owner.active
             if act is not cache[0]:
                 cache[0] = act
                 cache[1] = act.ctypes.data_as(ctypes.c_char_p)

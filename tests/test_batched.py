@@ -305,7 +305,7 @@ def test_literal_fed_register_on_the_all_lanes_path(monkeypatch):
     params = [{"init": 5}, {"init": 0}, {"init": 200}]
     refs = scalar_runs(5, build_literal_register, params)
     batch = BatchedModel([build_literal_register(**p) for p in params])
-    assert batch._schedule.step_c is None
+    assert batch.step_c is None
     batch.step(5)
     assert_lanes_match(batch, refs)
     for lane, ref in enumerate(refs):
@@ -318,8 +318,8 @@ def test_literal_fed_register_on_the_all_lanes_path(monkeypatch):
 # ----------------------------------------------------------------------
 def _state_image(batch) -> "np.ndarray":
     """Every port and state array of ``batch``, flattened."""
-    s = batch._schedule
-    return np.concatenate(s.port_store + [a.ravel() for a in s.state_store])
+    return np.concatenate(batch.port_store
+                          + [a.ravel() for a in batch.state_store])
 
 
 def _images_equal(a, b) -> bool:
@@ -354,7 +354,7 @@ def _assert_share_code_not_state(build, fns: tuple[str, ...]):
     a = BatchedModel([build(**p) for p in PARAMS])
     b = BatchedModel([build(**p) for p in PARAMS])
     for fn in fns:
-        fa, fb = getattr(a._schedule, fn), getattr(b._schedule, fn)
+        fa, fb = getattr(a, fn), getattr(b, fn)
         assert fa is not None and fb is not None, fn
         assert fa.__code__ is fb.__code__, fn
         assert fa is not fb, fn
@@ -370,7 +370,7 @@ def _assert_share_code_not_state(build, fns: tuple[str, ...]):
 
 
 def test_rebuilt_batches_share_code_not_state():
-    _assert_share_code_not_state(build_sink, ("step",))
+    _assert_share_code_not_state(build_sink, ("step_numpy",))
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None or not ckernel_enabled(),
@@ -394,28 +394,28 @@ def _matmul(block: int) -> Model:
 PINNED_SOURCES = {
     (_cordic, 2): {
         "sysgen-compiled": "d9e96df2a11849c80cf27146720e29a92dcaf58e0dc934d9c66b21ced17ea8d0",
-        "sysgen-batched": "0f53af7454b5ecb5fbf65cf3cf8465a493772b92871e1edc2e5c8b2e48f1c8ca",
-        "sysgen-batched-c": "f1b4a9bef7b0b944ad82ac6cabe86af330d54de0d9d77aa111926135a62082a9",
+        "sysgen-batched": "2b89ec082e537dbed0819db21b3841c247e0fb07e6cf03188904280634aa0a31",
+        "sysgen-batched-c": "e93b0695f97cee562b1efbca6c87c45d4369dd2676843e76480c64622670e3a1",
     },
     (_cordic, 4): {
         "sysgen-compiled": "9050dd53d22c527dc6c9ac5b3bc26cf3f42a2273e49212a506a4d3eb8e3b6198",
-        "sysgen-batched": "867d7d9e5dc2271e82be2fb0683003bdedba8fa44c6282f800e19d265f0ce0a2",
-        "sysgen-batched-c": "a471a27731b1f973160ca0779dc788e302410f06e2a18a0eecb84d1aad490826",
+        "sysgen-batched": "e4a71df80a083d42e33ce46d87efd686e47afec075a608606b67c41942e58845",
+        "sysgen-batched-c": "7626a61d492974f3c6a9bc8ea96fea3d96414cfc61ca799e39f75ea4c351b66d",
     },
     (_cordic, 8): {
         "sysgen-compiled": "bb32f76d232e7caf008428bce952f96f81eee5a41210dbc72340a8bd0a2e3c5f",
-        "sysgen-batched": "993cb73fafaf7ea605acc0feb98eab0a00d551186a38e0ae52e56695ad42ed72",
-        "sysgen-batched-c": "a5f1f28d2fc9e156e5bf24ad0570dc667cdce56b78ce1a63975afbaa20a1c37b",
+        "sysgen-batched": "6b1b6e321b48bd79ca4f51389ca7c3129f93bb54fd88cfdcf299534d756247a4",
+        "sysgen-batched-c": "efa3932740539c2c97eb4d3824558dcea83289e7c66b6bc71e85544f9c9c2945",
     },
     (_matmul, 2): {
         "sysgen-compiled": "e1b106d2edd9545a60ebe53820f2389e6b21643d63d60d7537fdfd8a70dde55c",
-        "sysgen-batched": "7e08463c8ab6ac010ddaf73b35d7a528bc64632bb3f077d8b8236edd31ccd3a5",
-        "sysgen-batched-c": "4b26a6e677ab8abb1d75055ae1a287ee0863e578f63cff10567b5d132fd67ca1",
+        "sysgen-batched": "0a1c84a63ba314f2bd669c214f95177686ecbbd1419eef8600b8d42d11928109",
+        "sysgen-batched-c": "18e530b79f3b662ffeb361466dbe96cc266da793c3f97ab70921a3c7e5ad20a2",
     },
     (_matmul, 4): {
         "sysgen-compiled": "4fc5dbd2af3ac03a7ec8a461c7dbb9725f382c2cc68db8bd0b320b8a279bedbc",
-        "sysgen-batched": "83f17ef19186962e1f5f57545f4b66ca17b98b43d75e4ec621ebdf706d93e9f5",
-        "sysgen-batched-c": "1aa8d3cd1e1ce17c145aae1c266fc940397b1dff93488efc94d0957b0fe1e5fd",
+        "sysgen-batched": "b0ad28c432fa4f64c8b34deb105e8ee2e80e9f36be5186bf43fe0814d70a738c",
+        "sysgen-batched-c": "269d3c99727fabb0ff5277a38482357052093feac42897f64d8f3908f53b5f6a",
     },
 }
 
@@ -470,3 +470,73 @@ def test_generated_source_is_deterministic(monkeypatch, build, param):
         digest = hashlib.sha256(source.encode()).hexdigest()
         assert digest == pins[kind], f"{filename} changed"
     assert BatchedModel([build(param), build(param)]).fallback_blocks == []
+
+
+# ----------------------------------------------------------------------
+# Batch lifetime
+# ----------------------------------------------------------------------
+def _cordic_design():
+    from repro.faults.campaign import build_design
+
+    return build_design("cordic", {"p": 2, "iters": 8, "ndata": 4})
+
+
+def _model_batch():
+    """A batch over 4 CORDIC models and the channels its lanes move."""
+    design = _cordic_design()
+    batch = BatchedModel([design.fresh_hardware()[0] for _ in range(4)])
+    channels = [b.channel for m in batch.models for b in m.blocks
+                if hasattr(b, "channel")]
+    return batch, batch, channels
+
+
+def _template_batch():
+    """A template batch advanced 500 cycles and its lanes' channels."""
+    from repro.cosim.batch import BatchedCoSimulation
+
+    design = _cordic_design()
+    sim = BatchedCoSimulation.from_template(
+        design.program, design.fresh_hardware, 4,
+        cpu_config=design.cpu_config)
+    sim.advance({lane: 500 for lane in range(4)})
+    channels = [ch for lane in sim.sims for ch in lane.mb_block.channels()]
+    return sim, sim.batched, channels
+
+
+def _weak_batch(make):
+    """Weak references to a dropped batch and to each of its port and
+    state arrays, each array's with those to the channels that adopted
+    one of its rows (only they may keep it alive)."""
+    import weakref
+
+    owner, batch, channels = make()
+    arrays = []
+    for arr in batch.port_store + batch.state_store:
+        holders = [weakref.ref(ch) for ch in channels
+                   if np.shares_memory(arr, np.asarray(ch._row))]
+        arrays.append((weakref.ref(arr), holders))
+    return weakref.ref(batch), arrays
+
+
+@pytest.mark.parametrize("make", [_model_batch, _template_batch])
+@pytest.mark.parametrize("engine", ["c", "numpy"])
+def test_a_dropped_batch_is_freed_without_the_cycle_collector(
+        monkeypatch, engine, make):
+    # Nothing the batch generates points back at it, so dropping the
+    # last reference frees it and every array no live channel adopted.
+    import gc
+
+    if engine == "numpy":
+        monkeypatch.setenv(DISABLE_ENV, "1")
+    elif shutil.which("gcc") is None or not ckernel_enabled():
+        pytest.skip("the C kernel needs gcc and is not disabled")
+    gc.collect()
+    gc.disable()
+    try:
+        batch, arrays = _weak_batch(make)
+        assert batch() is None
+        assert arrays
+        for arr, holders in arrays:
+            assert arr() is None or any(ch() is not None for ch in holders)
+    finally:
+        gc.enable()

@@ -157,7 +157,7 @@ def test_busy_bits_match_the_scalar_idle_horizon(monkeypatch, engine,
     _engine(monkeypatch, engine)
     build, can_idle = DESIGNS[design]
     batch = BatchedModel([build(lane) for lane in range(LANES)])
-    assert (batch._schedule.step_c is not None) == (engine == "c")
+    assert (batch.step_c is not None) == (engine == "c")
     rngs = [random.Random(f"{design}/{lane}") for lane in range(LANES)]
     seen = set()
     for cycle in range(CYCLES):

@@ -27,7 +27,6 @@ import shutil
 import subprocess
 import sys
 import textwrap
-from types import SimpleNamespace
 
 import pytest
 
@@ -54,7 +53,7 @@ needs_ckernel = pytest.mark.skipif(
 @pytest.mark.parametrize("build,param", list(PINNED_SOURCES))
 def test_pinned_designs_build_a_kernel(build, param):
     batch = BatchedModel([build(param), build(param)])
-    assert batch._schedule.step_c is not None
+    assert batch.step_c is not None
 
 
 @needs_ckernel
@@ -63,7 +62,7 @@ def test_pinned_designs_run_a_cycle_in_one_c_call(build, param):
     # the FSL endpoints are lane tables too: nothing in the cycle body
     # is left to python, so no python line splits the kernel
     batch = BatchedModel([build(param), build(param)])
-    assert batch._schedule.ckernel.seg_count == 1
+    assert batch.ckernel.seg_count == 1
     assert batch.fallback_blocks == []
 
 
@@ -74,7 +73,7 @@ def test_conformance_scenarios_build_a_kernel():
     for index in range(25):
         scenario = gen.scenario(index)
         batch = BatchedModel([build_model(scenario)[0] for _ in range(2)])
-        if batch._schedule.step_c is None:
+        if batch.step_c is None:
             missing.append(scenario.name)
     assert missing == []
 
@@ -100,7 +99,7 @@ def test_shared_rom_as_long_as_the_batch_builds_a_kernel(words):
     ref = build_rom(words)
     ref.step(12)
     batch = BatchedModel([build_rom(words) for _ in range(4)])
-    assert batch._schedule.step_c is not None
+    assert batch.step_c is not None
     batch.step(12)
     for model in batch.models:
         assert model.probes[0].samples == ref.probes[0].samples
@@ -132,7 +131,7 @@ def test_rebuilt_batch_reuses_the_translation_with_its_own_arrays(
     BatchedModel([build_rom_of(first) for _ in range(3)])
     calls = _spy_translation(monkeypatch)
     batch = BatchedModel([build_rom_of(second) for _ in range(3)])
-    assert batch._schedule.step_c is not None
+    assert batch.step_c is not None
     assert calls == {"parse": 0, "gcc": 0}
     ref = build_rom_of(second)
     ref.step(12)
@@ -148,14 +147,14 @@ def test_rebuilt_batch_reuses_the_translation_with_its_own_arrays(
 @needs_ckernel
 def test_translation_is_redone_when_an_inlined_constant_changes():
     n = 4
-    owner = SimpleNamespace(active=np.ones(n, dtype=np.bool_))
+    act = np.ones(n, dtype=np.bool_)
     for k in (3, 5, 3):
         ports = [np.arange(n, dtype=np.int64)]
         kernel, body = build_step_kernel(
             n, ["v0 = v0 + K"], ports, [], {"v0": 0}, {},
             {"K": k}, "_act", "_ar", "_z")
         assert body == [0]
-        kernel.runner(owner)(0)
+        kernel.runner()(0, act)
         assert ports[0].tolist() == [k + i for i in range(n)]
 
 
@@ -164,7 +163,7 @@ def test_temporaries_only_carry_lane_arrays_across_segments():
     # A temporary only its own segment names is a C local; one that a
     # later segment reads, after a python line, keeps a lane array.
     n = 3
-    owner = SimpleNamespace(active=np.ones(n, dtype=np.bool_))
+    act = np.ones(n, dtype=np.bool_)
     ports = [np.arange(n, dtype=np.int64), np.zeros(n, np.int64)]
     kernel, body = build_step_kernel(
         n, ["_t1 = v0 + 1", "_t2 = _t1 * 2", "for _l in _ln: pass",
@@ -177,9 +176,9 @@ def test_temporaries_only_carry_lane_arrays_across_segments():
             "v1 = _t2"], ports, [], {"v0": 0, "v1": 1}, {}, {},
         "_act", "_ar", "_z")
     assert len(kernel.arrays) == 2 + 1 and "i64 _s0;" in kernel.source
-    run = kernel.runner(owner)
-    run(0)
-    run(1)
+    run = kernel.runner()
+    run(0, act)
+    run(1, act)
     assert ports[1].tolist() == [2, 4, 6]
 
 
@@ -240,7 +239,7 @@ CYCLES = 80
 
 
 def _state_rows(batch, lane: int) -> list:
-    return [a[lane].tolist() for a in batch._schedule.state_store]
+    return [a[lane].tolist() for a in batch.state_store]
 
 
 @pytest.mark.parametrize("engine", ["numpy", "c"])
@@ -251,7 +250,7 @@ def test_lane_tables_match_scalar_across_freezes(monkeypatch, engine):
         pytest.skip("the C kernel needs gcc and is not disabled")
     batch = BatchedModel([build_tables(**p) for p in TABLE_PARAMS])
     assert batch.fallback_blocks == []
-    assert (batch._schedule.step_c is not None) == (engine == "c")
+    assert (batch.step_c is not None) == (engine == "c")
     frozen_rows = {}
     for cycle in range(CYCLES):
         for lane, stop, go in FREEZES:
@@ -285,7 +284,7 @@ SCRIPT = textwrap.dedent("""
 
     def build_kernel():
         batch = BatchedModel([build_cordic_model(2)[0] for _ in range(2)])
-        assert batch._schedule.ckernel is not None, "no kernel was built"
+        assert batch.ckernel is not None, "no kernel was built"
         assert os.listdir(ckernel._WORK_DIR)
         return ckernel._WORK_DIR
 

@@ -304,6 +304,43 @@ class TestSheddingAndDrain:
         handle.crash()
         assert not thread.is_alive()
 
+    def test_stop_on_a_loop_that_closes_without_running_it(self):
+        # The loop thread may close its loop just after stop() queued
+        # the shutdown: that loop never runs the callback, and no
+        # shutdown coroutine may be left un-awaited.
+        import asyncio
+        import gc
+        import threading
+        import warnings
+
+        from repro.farm.gateway import FarmThread
+
+        queued = threading.Event()
+
+        class ClosingLoop(asyncio.SelectorEventLoop):
+            def call_soon_threadsafe(self, *args, **kwargs):
+                handle = super().call_soon_threadsafe(*args, **kwargs)
+                queued.set()
+                return handle
+
+        def loop_thread():
+            queued.wait()
+            farm.loop.close()
+
+        async def shutdown():
+            pass
+
+        farm = FarmThread.__new__(FarmThread)
+        farm.loop = ClosingLoop()
+        farm._thread = threading.Thread(target=loop_thread)
+        farm._thread.start()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            farm._end(shutdown, timeout=2)
+            gc.collect()
+        assert not farm._thread.is_alive()
+        assert not [w for w in caught if "never awaited" in str(w.message)]
+
 
 # ----------------------------------------------------------------------
 # CLI surface
