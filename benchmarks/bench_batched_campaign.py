@@ -10,10 +10,11 @@ width).  Here we measure what that buys: campaign *points per second*
 The workload is the CORDIC P=8 pipeline (24 iterations, 32 divisions,
 the deepest Figure-5 partition), 128 trials of the standard SEU mix at
 the EXPERIMENTS.md campaign settings.  The remaining gap to the ideal
-N× is dominated by the per-lane CPU ticks — the instruction simulator
-is inherently scalar and costs the same per trial on both engines — so
-the speedup measures how far the *hardware* side of co-simulation
-vectorizes.
+N× is dominated by the per-lane instruction simulator — each lane's CPU
+bursts through translated blocks between its FSL couplings, one lane
+at a time — so the speedup measures how far the *hardware* side of
+co-simulation vectorizes, plus what a batch's shared decodes and
+translations save.
 
 Results land in ``results/ablation_batched_campaign.txt`` and, as
 machine-readable points/sec, ``results/ablation_batched_campaign.json``.

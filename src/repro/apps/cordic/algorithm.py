@@ -9,6 +9,7 @@ must match *exactly*, not approximately.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 _M32 = 0xFFFFFFFF
@@ -104,6 +105,22 @@ def generate_dataset(
         b = (state % 9000) / 10000.0 * a  # 0 .. 0.9*a
         pairs.append((to_fixed(a, frac), to_fixed(b, frac)))
     return pairs
+
+
+@functools.lru_cache(maxsize=64)
+def _golden(ndata: int, frac: int, seed: int,
+            iterations: int) -> tuple[tuple[int, int], ...]:
+    return tuple(cordic_divide_fixed(b, a, iterations, frac)
+                 for a, b in generate_dataset(ndata, frac, seed))
+
+
+def golden_results(ndata: int, frac: int, seed: int,
+                   iterations: int) -> list[tuple[int, int]]:
+    """The (y, z) golden outputs of :func:`cordic_divide_fixed` for the
+    ``ndata`` pairs of :func:`generate_dataset`, computed once per
+    process and argument set (a fault campaign verifies every trial
+    against them); the list is a fresh copy each call."""
+    return list(_golden(ndata, frac, seed, iterations))
 
 
 def quotient_error(a_raw: int, b_raw: int, z_raw: int,

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.apps.common import VerificationError, read_int32_array, run_software_only
-from repro.apps.cordic.algorithm import cordic_divide_fixed, generate_dataset
+from repro.apps.cordic.algorithm import golden_results
 from repro.apps.cordic.hardware import build_cordic_model
 from repro.apps.cordic.software import cordic_hw_source, cordic_sw_source
 from repro.cosim.environment import CoSimResult, CoSimulation
@@ -72,11 +72,8 @@ class CordicDesign:
 
     def expected_results(self) -> list[tuple[int, int]]:
         """(y, z) golden outputs for every datum."""
-        pairs = generate_dataset(self.ndata, self.frac, self.seed)
-        return [
-            cordic_divide_fixed(b, a, self.effective_iterations, self.frac)
-            for a, b in pairs
-        ]
+        return golden_results(self.ndata, self.frac, self.seed,
+                              self.effective_iterations)
 
     # ------------------------------------------------------------------
     def run(self) -> CoSimResult:

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.apps.common import VerificationError, read_int32_array
-from repro.apps.cordic.algorithm import cordic_divide_fixed, generate_dataset
+from repro.apps.cordic.algorithm import golden_results
 from repro.apps.cordic.software import _dataset_decls
 from repro.asm.linker import Program
 from repro.cosim.multicpu import CPUNode, MultiCoSimResult, MultiCoSimulation
@@ -188,9 +188,7 @@ class CordicPipelineDesign:
         )
 
     def expected_results(self) -> list[tuple[int, int]]:
-        pairs = generate_dataset(self.ndata, self.frac, self.seed)
-        return [cordic_divide_fixed(b, a, self.iters, self.frac)
-                for a, b in pairs]
+        return golden_results(self.ndata, self.frac, self.seed, self.iters)
 
     # ------------------------------------------------------------------
     def run(self) -> MultiCoSimResult:

@@ -6,6 +6,8 @@ against both the software program and the hardware peripheral.
 
 from __future__ import annotations
 
+import functools
+
 _M32 = 0xFFFFFFFF
 
 
@@ -73,3 +75,16 @@ def block_matmul_reference(
                             )
                         out[ii * block + i][jj * block + j] = acc
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _product(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, matmul_reference(*generate_matrices(n, seed))))
+
+
+def reference_product(n: int, seed: int = 2005) -> list[list[int]]:
+    """:func:`matmul_reference` of the :func:`generate_matrices` pair,
+    computed once per process and ``(n, seed)`` (a fault campaign
+    verifies every trial against it); the rows are fresh lists each
+    call."""
+    return [list(row) for row in _product(n, seed)]

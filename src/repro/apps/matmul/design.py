@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.apps.common import VerificationError, read_int32_array, run_software_only
-from repro.apps.matmul.algorithm import generate_matrices, matmul_reference
+from repro.apps.matmul.algorithm import reference_product
 from repro.apps.matmul.hardware import build_matmul_model
 from repro.apps.matmul.software import matmul_hw_source, matmul_sw_source
 from repro.cosim.environment import CoSimResult, CoSimulation
@@ -49,8 +49,7 @@ class MatmulDesign:
 
     # ------------------------------------------------------------------
     def expected_result(self) -> list[list[int]]:
-        a, b = generate_matrices(self.matn, self.seed)
-        return matmul_reference(a, b)
+        return reference_product(self.matn, self.seed)
 
     def run(self) -> CoSimResult:
         if self.block == 0:

@@ -3,10 +3,12 @@
 A :class:`BatchedCoSimulation` couples N scalar CPUs (one per lane,
 each with its own program image, FSL channels and telemetry) with ONE
 :class:`~repro.sysgen.batched.BatchedModel` that steps the hardware of
-all N lanes as ``(N,)`` numpy arrays.  Per cycle: every running lane's
-CPU ticks, then the vector model advances one clock for the running
-lanes.  The FSL interface blocks are vectorized like the rest of the
-design: each lane's channel keeps its state in its row of the
+all N lanes as ``(N,)`` numpy arrays.  A lane's CPU and its hardware
+lane see each other only through FSL transfers (and, with OPB-mapped
+registers, loads and stores), so each lane's CPU runs ahead alone
+between those couplings and its hardware lane catches up (see *Lane
+bursts* below).  The FSL interface blocks are vectorized like the rest
+of the design: each lane's channel keeps its state in its row of the
 endpoint's lane table, so the lane's CPU and the vector step move one
 FIFO, and blocking semantics and drop counters are bit-identical to N
 independent scalar runs.  A lane with telemetry on its endpoints or
@@ -30,23 +32,48 @@ lane to its own next event.
 Per-cycle output pinning (``stuck_at`` faults) stays in lockstep via
 :meth:`BatchedCoSimulation.force_port`.
 
-Idle hardware
--------------
-The engine has the scalar engine's idle rule: the hardware is skipped
-only at a fixed point, never for a finite countdown.  Each step leaves
-a busy bit per lane, computed from the blocks' own ``busy_if`` checks
-(:meth:`~repro.sysgen.batched.BatchedModel.idle_horizon`, which also
-asks the per-lane fallback blocks).  When no running lane is busy, a
-*quiet stretch* begins: the CPUs tick alone and the vector clock
-catches up in one :meth:`~repro.sysgen.batched.BatchedModel.fast_forward`
-as soon as any CPU's FSL (or, with OPB-mapped registers, store)
-activity reaches the hardware, which is then stepped through that very
-cycle.  A running lane's forced port, a lane that was not running when
-the stretch was armed, or :meth:`BatchedCoSimulation.hw_touched` ends
-the stretch too; a lane's forcing goes when the lane halts or is
-evicted.  Nothing else rewrites a port array during a stretch (only a
-step, a poke or ``reset`` do), so the arrays the fallback blocks drive
-need no watch of their own.
+Lane bursts
+-----------
+:meth:`BatchedCoSimulation.advance` runs in rounds, and every lane is
+at one cycle (CPU and hardware lane alike) at the start and end of
+each.  A round has two halves:
+
+* **Burst, park or step.**  Each running lane's CPU runs ahead of its
+  hardware lane by itself, up to the earliest of its target, its
+  watchdog boundary and its forced-eviction cycle.  A CPU that can run
+  bursts (:meth:`~repro.iss.cpu.CPU.burst`): its first tick may couple,
+  then it runs translated blocks until the tick before its next
+  coupling, exactly as the scalar run loop's bursts do.  A CPU blocked
+  on an FSL access parks: it retires its retries in one
+  :meth:`~repro.iss.cpu.CPU.advance` up to the limit while its
+  hardware lane sits at a fixed point that nothing has disturbed, since
+  nothing can then change the flag it waits on, and one retry per
+  round otherwise.  A lane with an open forcing, or whose CPU, channels
+  or endpoint blocks carry an event bus, steps one cycle per round, so
+  forced ports are re-pinned before every step and events reach their
+  bus in cycle order (block and channel events read the CPU's clock).
+* **Catch-up.**  The vector hardware then brings every lane up to its
+  CPU's cycle: the lanes still behind step together, ``k`` cycles per
+  call with ``k`` doubling from one, and a lane leaves the vector step
+  when it arrives.  Once every lane still behind sits at a fixed point
+  and no input of theirs changed since their busy bits were computed,
+  they fast-forward together instead.
+
+The idle rule is the scalar engine's: hardware is skipped only at a
+fixed point, never for a finite countdown.  Each step leaves a busy bit
+per lane, computed from the blocks' own ``busy_if`` checks
+(:meth:`~repro.sysgen.batched.BatchedModel.idle_lanes`, which also
+asks the per-lane fallback blocks).  A lane's inputs change when its
+CPU moves an FSL word (or, with OPB-mapped registers, stores), when a
+port of the lane is forced, and on :meth:`BatchedCoSimulation.hw_touched`
+(fault injection behind the engine's back); after any of these the lane
+steps at least once before it may fast-forward.  A lane's forcing goes
+when the lane halts or is evicted.
+
+Lanes whose memory holds one program text share one decode cache and
+one map of translated blocks (:class:`~repro.iss.cpu.SharedCode`), so
+a batch decodes and translates each pc of the text once; a lane that
+writes its text, or fetches outside it, uses its own.
 
 Lane eviction
 -------------
@@ -54,12 +81,13 @@ Some events cannot be vectorized faithfully: a watchdog trip while a
 forcing is active (the scalar engine checks no boundaries inside a
 ``stuck_at`` window), a crash inside the shared vector step, a raising
 CPU, or a forced port the vector schedule does not track.  Each is
-attributed as narrowly as it can be: a CPU that raises — from
-``tick()``, or from ``advance_horizon()``/``advance()`` inside a quiet
-stretch — evicts its own lane alone (reason ``cpu raised T: msg``, the
-scalar crash's text), while a raising vector step or fast-forward
-evicts every running lane.  :meth:`BatchedCoSimulation.run` *restarts*
-an evicted lane *from cycle 0 on the scalar engine* by calling its
+attributed as narrowly as it can be: a CPU that raises — mid-burst,
+or from ``advance_horizon()``/``advance()`` — evicts its own lane alone
+(reason ``cpu raised T: msg``, the scalar crash's text), its hardware
+one cycle short of it as the scalar run loop leaves a raising burst,
+while a raising vector step or fast-forward evicts every running lane.
+:meth:`BatchedCoSimulation.run` *restarts* an evicted lane *from cycle
+0 on the scalar engine* by calling its
 factory again — simulations here are deterministic, so the replay
 reproduces the lane bit-for-bit and then produces the canonical scalar
 outcome.  The equivalence suite forces evictions to prove this.  A
@@ -93,9 +121,9 @@ from repro.cosim.environment import (
     no_progress,
 )
 from repro.cosim.mb_block import MicroBlazeBlock
-from repro.iss.cpu import ADVANCE_FOREVER, HaltReason
+from repro.iss.cpu import ADVANCE_FOREVER, HaltReason, SharedCode
+from repro.iss.memory import AddressSpace
 from repro.runapi import RunPolicy
-from repro.sysgen.block import IDLE_FOREVER
 from repro.runapi.engine import engine_scope
 from repro.sysgen.batched import BatchedModel, BatchUnsupported
 from repro.sysgen.model import Model
@@ -138,7 +166,7 @@ class _LaneState:
     """Per-lane bookkeeping of the lockstep loop (absolute cycles)."""
 
     __slots__ = ("cycle0", "instr0", "stall0", "window", "next_check",
-                 "target", "evict_at", "done")
+                 "target", "evict_at", "done", "seen")
 
     def __init__(self, cpu, window: int):
         self.cycle0 = cpu.cycle
@@ -151,6 +179,10 @@ class _LaneState:
         self.target = cpu.cycle
         self.evict_at: int | None = None
         self.done = False
+        #: the lane's hardware activity count (:func:`hw_activity`) when
+        #: its hardware last stepped; -1 when its inputs were disturbed
+        #: since, or before its first step
+        self.seen = -1
 
 
 class BatchedCoSimulation:
@@ -219,15 +251,11 @@ class BatchedCoSimulation:
         #: lane -> (port-store index, value, until-cycle): per-cycle
         #: output pinning, the lockstep form of ``stuck_at``
         self._forcings: dict[int, tuple[int, int, int]] = {}
-        # -- vectorized fast-forward state (see advance) --
         #: stores reach the hardware (and count as activity) only when
         #: the design has OPB-mapped registers
         self._stores_matter = any(
             hasattr(block, "opb_write") for block in batched.template.blocks)
-        self._quiet = False
-        #: the lanes running when the quiet stretch was armed
-        self._quiet_lanes: frozenset[int] = frozenset()
-        self._hw_sig = -1
+        _share_code(self.sims)
 
     @classmethod
     def from_template(
@@ -317,14 +345,15 @@ class BatchedCoSimulation:
         A lane stops early when its CPU halts, its watchdog boundary
         shows no progress (queued in :attr:`pending_evictions`), or its
         forced-eviction cycle arrives.  Lanes not in ``targets`` (and
-        already-done / eviction-pending lanes) stay frozen.  All
-        running lanes advance one clock per iteration — true lockstep.
-        Segmented drivers (the batched fault campaign) call this
-        repeatedly with per-lane event cycles; :meth:`run` calls it
-        once with the final budgets.
+        already-done / eviction-pending lanes) stay frozen.  The lanes
+        advance in rounds (see the module docstring): each CPU runs
+        ahead to its next coupling, then the vector hardware catches
+        every lane up to its CPU, so every lane is at one cycle again
+        when this returns.  Segmented drivers (the batched fault
+        campaign) call this repeatedly with per-lane event cycles;
+        :meth:`run` calls it once with the final budgets.
         """
         batched = self.batched
-        stores_touch_hw = self._stores_matter
         running: list[int] = []
         for lane, target in targets.items():
             st = self._st[lane]
@@ -335,95 +364,25 @@ class BatchedCoSimulation:
             if not cpu.halted and cpu.cycle < target:
                 running.append(lane)
         running.sort()
-        for lane in range(self.n):
-            if lane in running:
-                batched.activate(lane)
-            else:
-                batched.deactivate(lane)
-        if not self._quiet_lanes.issuperset(running):
-            # a lane not running when the evidence was armed has its
-            # own hardware state: the fixed point is not proven for it
-            self._quiet = False
+        # the vector step runs only the lanes catching up (_catch_up)
+        for lane in batched.lanes:
+            batched.deactivate(lane)
+        bus = self._bus_lanes(running)
 
         while running:
-            cpus = [self.sims[lane].cpu for lane in running]
-            stride = min(
-                min(st.target, st.next_check,
-                    st.evict_at if st.evict_at is not None else st.target)
-                - cpu.cycle
-                for st, cpu in (
-                    (self._st[lane], self.sims[lane].cpu) for lane in running
-                )
-            )
-            stride = max(stride, 1)
-            forced = any(lane in self._forcings for lane in running)
+            lags = self._run_cpus(running, bus)
             try:
-                done = 0
-                stop = False
-                while done < stride and not stop:
-                    if self._quiet and not forced:
-                        # --- quiet stretch: the vector hardware sits at a
-                        # fixed point, so while no CPU activity reaches
-                        # it, tick CPUs per cycle — bulk-advancing stalled
-                        # windows — and advance the idle vector clock in
-                        # a single fast_forward at the end.
-                        ff = 0
-                        while done < stride and not stop:
-                            horizon = ADVANCE_FOREVER
-                            for lane, cpu in zip(running, cpus):
-                                try:
-                                    h = cpu.advance_horizon()
-                                except Exception as exc:  # noqa: BLE001
-                                    stop = self._cpu_raised(lane, exc)
-                                    continue
-                                if h < horizon:
-                                    horizon = h
-                            if stop:
-                                break
-                            if horizon > 0:
-                                k = min(horizon, stride - done)
-                                for lane, cpu in zip(running, cpus):
-                                    try:
-                                        cpu.advance(k)
-                                    except Exception as exc:  # noqa: BLE001
-                                        stop = self._cpu_raised(lane, exc)
-                                done += k
-                                ff += k
-                                continue
-                            stop = self._tick(running, cpus)
-                            done += 1
-                            if hw_activity(cpus, stores_touch_hw) \
-                                    != self._hw_sig:
-                                # this cycle's activity reaches the
-                                # hardware: flush the idle window, then
-                                # really simulate this cycle
-                                self._quiet = False
-                                break
-                            ff += 1
-                        batched.fast_forward(ff)
-                        if self._quiet:
-                            continue
-                    else:
-                        if forced:
-                            forced = self._apply_forcings(running)
-                        stop = self._tick(running, cpus)
-                        done += 1
-                    batched.step(1)
-                    if not forced and batched.idle_horizon(running) \
-                            >= IDLE_FOREVER:
-                        # the step left every running lane at a fixed
-                        # point: the quiet stretch begins
-                        self._quiet = True
-                        self._quiet_lanes = frozenset(running)
-                        self._hw_sig = hw_activity(cpus, stores_touch_hw)
+                self._catch_up(lags)
             except Exception as exc:  # noqa: BLE001 - shared-step crash
                 # A crash inside the shared vector step cannot be
                 # attributed to one lane (a raising CPU is, and was
-                # evicted alone above): evict every running lane and
-                # let the scalar replays produce per-lane outcomes.
+                # evicted alone): evict every running lane and let the
+                # scalar replays produce per-lane outcomes.
                 reason = f"vector step raised {type(exc).__name__}: {exc}"
                 for lane in running:
                     self._stop_lane(lane, reason)
+                for lane in batched.lanes:
+                    batched.deactivate(lane)
                 return
 
             if deadline is not None and time.perf_counter() >= deadline:
@@ -433,7 +392,6 @@ class BatchedCoSimulation:
                     self._st[lane].done = True
                     self._timeouts[lane] = CoSimTimeout(
                         sim._timeout_message(wall_timeout_s, cycles))
-                    batched.deactivate(lane)
                 return
 
             still: list[int] = []
@@ -455,43 +413,139 @@ class BatchedCoSimulation:
                         self._stop_lane(lane, "deadlock watchdog")
                         continue
                     st.next_check = cpu.cycle + st.window
-                if cpu.cycle >= st.target:
-                    batched.deactivate(lane)
-                    continue
-                still.append(lane)
+                if cpu.cycle < st.target:
+                    still.append(lane)
             running = still
 
+    def _bus_lanes(self, lanes: list[int]) -> set[int]:
+        """The lanes whose CPU, channels or endpoint blocks carry an
+        event bus: they run one cycle per round, so every event is
+        emitted in cycle order and stamped with the cycle it happens in
+        (block and channel events read the CPU's clock)."""
+        out = set()
+        for lane in lanes:
+            sim = self.sims[lane]
+            if (sim.cpu.events is not None
+                    or any(ch.events is not None for ch in sim.all_channels())
+                    or (sim.model is not None and any(
+                        getattr(b, "events", None) is not None
+                        for b in sim.model.blocks))):
+                out.add(lane)
+        return out
+
+    def _run_cpus(self, running: list[int],
+                  bus: set[int]) -> dict[int, int]:
+        """One round's CPU half: run every running lane's CPU ahead of
+        its (synced) hardware and return the cycles each ran.
+
+        A lane's limit is the earliest of its target, its watchdog
+        boundary and its forced-eviction cycle.  A CPU blocked on an FSL
+        access retires its retries in bulk (:meth:`CPU.advance`) while
+        its hardware lane sits at a fixed point with nothing new on its
+        inputs, so nothing can change the flag it waits on; otherwise
+        it retries for one cycle.  A lane with an open forcing or an
+        event bus runs one cycle; every other lane bursts
+        (:meth:`CPU.burst`) up to the tick before its next coupling.  A
+        CPU that raises is evicted alone, its hardware one cycle short
+        of it, as the scalar run loop leaves a raising burst."""
+        memory = self._stores_matter
+        idle: set[int] | None = None
+        lags: dict[int, int] = {}
+        for lane in running:
+            st = self._st[lane]
+            cpu = self.sims[lane].cpu
+            start = cpu.cycle
+            limit = min(st.target, st.next_check,
+                        st.target if st.evict_at is None else st.evict_at)
+            one = lane in bus
+            if lane in self._forcings:
+                one |= self._apply_forcing(lane, start)
+            try:
+                if cpu.advance_horizon() >= ADVANCE_FOREVER:
+                    if not one:
+                        if idle is None:
+                            idle = set(self._resting_lanes(running, {
+                                other: self._activity(other)
+                                for other in running}))
+                        if lane in idle:
+                            cpu.advance(limit - start)
+                            lags[lane] = limit - start
+                            continue
+                    cpu.advance(1)
+                elif one:
+                    cpu.tick()
+                else:
+                    cpu.burst(limit - start, memory)
+            except Exception as exc:  # noqa: BLE001
+                self._cpu_raised(lane, exc)
+                lags[lane] = max(0, cpu.cycle - start - 1)
+                continue
+            lags[lane] = cpu.cycle - start
+        return lags
+
+    def _activity(self, lane: int) -> int:
+        """Lane ``lane``'s CPU activity that reaches its hardware
+        (:func:`hw_activity`)."""
+        return hw_activity((self.sims[lane].cpu,), self._stores_matter)
+
+    def _resting_lanes(self, lanes: list[int],
+                       acts: dict[int, int]) -> list[int]:
+        """The lanes of ``lanes`` whose hardware sits at a fixed point
+        that nothing has disturbed since it was computed: the lane's
+        activity ``acts[lane]`` is what its hardware last stepped with,
+        so no CPU activity reached it, no port was forced and
+        :meth:`hw_touched` was not called since."""
+        st = self._st
+        return self.batched.idle_lanes(
+            [lane for lane in lanes if st[lane].seen == acts[lane]])
+
+    def _catch_up(self, lags: dict[int, int]) -> None:
+        """One round's hardware half: advance each lane's hardware
+        ``lags[lane]`` cycles.  The lanes still behind step together,
+        ``k`` cycles per call with ``k`` doubling from one (the hardware
+        often goes idle mid-burst); a lane leaves the vector step when
+        it arrives.  Once every lane still behind is resting
+        (:meth:`_resting_lanes`), they fast-forward together instead."""
+        batched = self.batched
+        st = self._st
+        pending = {lane: k for lane, k in lags.items() if k > 0}
+        # the CPUs wait: their activity is fixed for the whole catch-up
+        acts = {lane: self._activity(lane) for lane in pending}
+        for lane in pending:
+            batched.activate(lane)
+        chunk = 1
+        while pending:
+            lanes = batched.lanes
+            k = min(pending.values())
+            if len(self._resting_lanes(lanes, acts)) == len(lanes):
+                batched.fast_forward(k)
+            else:
+                k = min(k, chunk)
+                chunk *= 2
+                batched.step(k)
+                for lane in lanes:
+                    st[lane].seen = acts[lane]
+            for lane in lanes:
+                left = pending[lane] - k
+                if left:
+                    pending[lane] = left
+                else:
+                    del pending[lane]
+                    batched.deactivate(lane)
+
     def _stop_lane(self, lane: int, reason: str | None = None) -> None:
-        """Take a lane out of the vector step for good: its CPU halted
-        or, with a ``reason``, it is queued for eviction (the first
-        reason stands).  Its forcing, if any, goes with it."""
+        """Stop a lane for good: its CPU halted or, with a ``reason``,
+        it is queued for eviction (the first reason stands).  Its
+        forcing, if any, goes with it."""
         if reason is not None:
             self.pending_evictions.setdefault(lane, reason)
         self._forcings.pop(lane, None)
-        self.batched.deactivate(lane)
 
-    # ------------------------------------------------------------------
-    # Vectorized fast-forward support
-    # ------------------------------------------------------------------
-    def _tick(self, running: list[int], cpus: list) -> bool:
-        """Tick every running CPU one cycle.  True when any CPU halted
-        or raised, which ends the current stride."""
-        stop = False
-        for lane, cpu in zip(running, cpus):
-            try:
-                cpu.tick()
-            except Exception as exc:  # noqa: BLE001
-                stop = self._cpu_raised(lane, exc)
-            stop |= cpu.halted
-        return stop
-
-    def _cpu_raised(self, lane: int, exc: Exception) -> bool:
+    def _cpu_raised(self, lane: int, exc: Exception) -> None:
         """A lane's CPU raised: queue that lane alone for eviction as
-        ``cpu raised T: msg`` (the lockstep CPU holds the scalar CPU's
-        state every cycle, so the text is the scalar crash's) and take
-        it out of the vector step.  True: the stride ends."""
+        ``cpu raised T: msg`` (the lane's CPU holds the scalar CPU's
+        state, so the text is the scalar crash's)."""
         self._stop_lane(lane, f"{CPU_RAISED}{type(exc).__name__}: {exc}")
-        return True
 
     # ------------------------------------------------------------------
     # Per-cycle output forcing (lockstep ``stuck_at``)
@@ -511,33 +565,29 @@ class BatchedCoSimulation:
         forced = value & 0xFFFFFFFF
         self._forcings[lane] = (idx, forced, until_cycle)
         self.batched.poke_slot(idx, lane, forced)
-        self._quiet = False
+        self._st[lane].seen = -1
 
     def hw_touched(self) -> None:
         """Invalidate the quiescence evidence after out-of-band state
         mutation (fault injection writing memory, channels or ports
-        behind the engine's back)."""
-        self._quiet = False
-        self._hw_sig = -1
+        behind the engine's back): every lane's hardware steps before
+        it may fast-forward again."""
+        for st in self._st:
+            st.seen = -1
 
-    def _apply_forcings(self, running: list[int]) -> bool:
-        """Re-pin the running lanes' forced ports for the coming cycle;
-        True while any running lane still has a forcing.  An entry
-        expires one cycle after its window — the scalar loop's final
-        post-step force leaves the port pinned entering the end cycle's
-        step, and only producer writes after that overwrite it."""
-        forced = False
-        for lane in running:
-            entry = self._forcings.get(lane)
-            if entry is None:
-                continue
-            idx, value, until = entry
-            if self.sims[lane].cpu.cycle > until:
-                del self._forcings[lane]
-                continue
-            self.batched.poke_slot(idx, lane, value)
-            forced = True
-        return forced
+    def _apply_forcing(self, lane: int, cycle: int) -> bool:
+        """Re-pin ``lane``'s forced port for the cycle after ``cycle``;
+        False once its forcing has expired.  An entry expires one cycle
+        after its window — the scalar loop's final post-step force
+        leaves the port pinned entering the end cycle's step, and only
+        producer writes after that overwrite it."""
+        idx, value, until = self._forcings[lane]
+        if cycle > until:
+            del self._forcings[lane]
+            return False
+        self.batched.poke_slot(idx, lane, value)
+        self._st[lane].seen = -1
+        return True
 
     # ------------------------------------------------------------------
     def run(
@@ -644,6 +694,27 @@ class BatchedCoSimulation:
 
 
 # --------------------------------------------------------------------------
+def _share_code(sims: list[CoSimulation]) -> None:
+    """Give the lanes whose memory holds the same program text, under
+    the same CPU configuration and memory map, one
+    :class:`~repro.iss.cpu.SharedCode`: a word is decoded and a block
+    translated once per batch, not once per lane.  The grouping key is
+    the text itself, so lanes share only what is equal word for word."""
+    groups: dict[tuple, SharedCode] = {}
+    for sim in sims:
+        cpu = sim.cpu
+        mem = cpu.mem
+        if type(mem) is not AddressSpace:
+            continue
+        end = min(sim.program.text_size, mem.bram.size)
+        key = (end, cpu.config, mem.bram.size, mem._opb is not None,
+               mem.bram.dump(0, end))
+        shared = groups.get(key)
+        if shared is None:
+            shared = groups[key] = SharedCode(end)
+        cpu.share_code(shared)
+
+
 def lane_factory(build: Callable[[], Any]) -> Callable[[], CoSimulation]:
     """Adapt a design-instance builder (anything exposing ``program``,
     ``model``, ``mb`` and ``cpu_config``) into a lane factory."""

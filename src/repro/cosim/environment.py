@@ -623,7 +623,7 @@ def hw_activity(cpus: list[CPU], stores_touch_hw: bool) -> int:
     """Monotonic count of CPU activity that can reach the hardware:
     FSL transfers, plus stores when OPB-mapped registers exist.  While
     it is unchanged, idle hardware stays idle; the scalar loop and the
-    batched engine's quiet stretch both watch it."""
+    batched engine's catch-up (per lane) both watch it."""
     total = 0
     for cpu in cpus:
         stats = cpu.stats

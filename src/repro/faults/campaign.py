@@ -747,15 +747,13 @@ def _run_trial_batch(
 
     Every lane starts from cycle 0 on the shared program and the
     campaign's one hardware ``template()`` (a lane owns only its CPU,
-    memory and FSL channels) and stays phase-aligned with its
-    neighbours until its own faults diverge it, so the vector engine's
-    all-active step and its quiescence fast-forward both engage.  Each lane's
+    memory and FSL channels).  Each lane's
     :class:`~repro.faults.inject.FaultInjector` cursor applies its
     faults to the lane's own CPU/FIFO objects and names the lane's next
     stop; ``stuck_at`` windows are pinned through the engine's
-    per-cycle forcing.  Every pending lane advances by the same number
-    of cycles, the nearest stop of any lane, so lanes that start
-    together stay phase-aligned and the vector step runs nearly full.
+    per-cycle forcing.  Every pending lane advances to its own next
+    stop, so its CPU bursts run whole blocks up to it rather than up to
+    the nearest stop of any lane.
 
     A lane is classified in lane wherever its record can be derived
     exactly.  A watchdog trip outside a ``stuck_at`` window fires at the
@@ -773,7 +771,7 @@ def _run_trial_batch(
     of the shared vector step, watchdog trips and CPU crashes inside an
     open ``stuck_at`` window, forced ports the vector schedule does not
     track, and a CPU crash the record must end on (no rollback re-run).
-    Lanes run to their end in lockstep, the last few included: on
+    Lanes run to their end in the batch, the last few included: on
     campaign-shaped batches those few cost less there than replays.
     """
     from repro.cosim.batch import CPU_RAISED, BatchedCoSimulation
@@ -807,9 +805,7 @@ def _run_trial_batch(
                     stops[li] = stop
         if not stops:
             break
-        cycles = {li: batch.sims[li].cpu.cycle for li in stops}
-        delta = min(stops[li] - cycles[li] for li in stops)
-        batch.advance({li: cycles[li] + delta for li in stops})
+        batch.advance(stops)
 
     # --- classify ----------------------------------------------------
     for li, injector in enumerate(injectors):

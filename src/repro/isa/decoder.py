@@ -7,10 +7,17 @@ branch-variant bits in ``ra``, …).  Candidates for each opcode are
 ordered most-constrained first so that, e.g., ``cmp`` (opcode 0x05,
 func 0x001) wins over ``rsubk`` (opcode 0x05, func 0x000) only when the
 func bits actually match.
+
+A decode depends on the word alone and :class:`DecodedInstr` is frozen,
+so ``decode`` keeps each decoded word in a bounded process-wide memo:
+every fresh CPU (a campaign builds dozens per batch) then decodes its
+program once per distinct word, not once per pc it reaches.  Words that
+fail to decode are not kept; they raise on every call.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from repro.isa.instructions import (
@@ -91,8 +98,27 @@ for _lst in _BY_OPCODE.values():
     _lst.sort(key=lambda s: -len(s.fixed))
 
 
+#: most decoded words the process-wide memo keeps; the oldest are
+#: evicted first (a program has at most a few thousand distinct words)
+DECODE_CACHE_LIMIT = 8192
+
+_memo: dict[int, DecodedInstr] = {}
+_memo_lock = threading.Lock()
+
+
 def decode(word: int) -> DecodedInstr:
-    """Decode the 32-bit instruction ``word``."""
+    """Decode the 32-bit instruction ``word`` (memoised by word)."""
+    instr = _memo.get(word)
+    if instr is None:
+        instr = _decode(word)
+        with _memo_lock:
+            while len(_memo) >= DECODE_CACHE_LIMIT:
+                del _memo[next(iter(_memo))]
+            _memo[word] = instr
+    return instr
+
+
+def _decode(word: int) -> DecodedInstr:
     opcode = (word >> 26) & 0x3F
     candidates = _BY_OPCODE.get(opcode)
     if not candidates:

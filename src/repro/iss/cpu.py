@@ -28,16 +28,19 @@ Execution paths
 ---------------
 :meth:`CPU.tick` (one cycle, dispatching each issue through
 :meth:`CPU._issue`) is the reference.  :meth:`CPU.burst`, which
-:meth:`CPU.run` and the co-simulation kernel use to run the CPU alone
-between hardware couplings, runs whole basic blocks as generated python
+:meth:`CPU.run`, the co-simulation kernel and the lanes of a batched
+co-simulation use to run the CPU alone between hardware couplings,
+runs whole basic blocks as generated python
 functions (:mod:`repro.iss.translate`) and falls back to ``tick`` for
 everything a block cannot express exactly: pending FSL transfers,
 ``imm``-latched or delay-slot states, a block longer than the remaining
 budget, breakpoints, a ``trace_hook`` or an event bus.  Translation is
 part of the decode cache (it relies on the cache's write hook to drop
 blocks a store overwrites), so ``CPUConfig(decode_cache=False)`` turns
-both off.  The per-cycle loop, lockstep and ``verify_fast_forward``
-runs, the batched lanes and gdb keep stepping through ``tick``.
+both off.  The per-cycle loop, runs with an event bus or
+``verify_fast_forward`` and gdb keep stepping through ``tick``.  CPUs
+running one program text (a batch's lanes) may share their decodes and
+translations of it (:class:`SharedCode`).
 """
 
 from __future__ import annotations
@@ -74,6 +77,26 @@ _MEMORY_KINDS = frozenset(("load", "store"))
 
 #: ``_blocks`` marker for a pc not looked at yet
 _UNTRANSLATED = object()
+
+
+class SharedCode:
+    """Decoded words and translated blocks of one program text, shared
+    by the CPUs that run it (the lanes of a batch).
+
+    Every entry is a function of the memory words in ``[0, text_end)``
+    and of the CPUs' configuration alone, so it may only be shared by
+    CPUs whose memory held the same words there when they joined
+    (:meth:`CPU.share_code`) and that have not written that range
+    since: a CPU that does drops out and keeps private caches from then
+    on.  Fetches outside the range never use the shared maps.
+    """
+
+    __slots__ = ("text_end", "decoded", "blocks")
+
+    def __init__(self, text_end: int):
+        self.text_end = text_end
+        self.decoded: dict[int, DecodedInstr] = {}
+        self.blocks: dict[int, tuple | None] = {}
 
 
 def _s32(v: int) -> int:
@@ -156,6 +179,9 @@ class CPU:
         #: bumped when a store hits decoded code, so a running block
         #: can tell that the words after the store may have changed
         self._code_gen = 0
+        #: the decodes and translations this CPU shares with others
+        #: running the same text, behind its own (see share_code)
+        self._shared: SharedCode | None = None
         #: optional callback (pc, instruction word) on every issue
         self.trace_hook = None
         #: optional :class:`~repro.telemetry.events.EventBus`; when set,
@@ -307,6 +333,8 @@ class CPU:
         if not memory:
             return False
         instr = self._decode_cache.get(self.pc)
+        if instr is None and self._shared is not None:
+            instr = self._shared.decoded.get(self.pc)
         return instr is None or instr.spec.kind in _MEMORY_KINDS
 
     def burst(self, limit: int, memory: bool = False) -> int:
@@ -325,7 +353,17 @@ class CPU:
         CPU is in a clean state and the block's longest path fits the
         remaining budget; everything else, and any run with breakpoints,
         a ``trace_hook`` or an event bus, goes through :meth:`tick`,
-        which stays the reference.
+        which stays the reference.  A block in the text of a
+        :class:`SharedCode` (:meth:`share_code`) is translated once for
+        every CPU sharing it.
+
+        Callers: :meth:`run` back to back; the scalar co-simulation
+        kernel while one CPU can run, then its hardware catches up; and
+        every lane of a batched co-simulation each round, up to its own
+        target, watchdog boundary or forced-eviction cycle, before the
+        vector hardware catches the lane up.  A tick that raises has
+        counted its cycle, so a caller catches its hardware up to one
+        cycle short of the CPU.
         """
         ticks = 0
         stats = self.stats
@@ -350,9 +388,7 @@ class CPU:
                 pc = self.pc
                 block = blocks.get(pc, _UNTRANSLATED)
                 if block is _UNTRANSLATED:
-                    # imported here: the translator builds on this module
-                    from repro.iss.translate import block_at
-                    block = blocks[pc] = block_at(self, pc)
+                    block = blocks[pc] = self._translate(pc)
                 if block is not None and block[1] <= limit - ticks:
                     ticks += block[0](self)
                     continue
@@ -449,14 +485,20 @@ class CPU:
     # Fetch / decode
     # ------------------------------------------------------------------
     def _invalidator(self) -> Callable[[int], None]:
-        """The memory's write hook: drop a stored-to word's decode.  It
-        holds the CPU weakly, so a CPU is freed as soon as it is
-        dropped rather than at the next full garbage collection."""
+        """The memory's write hook: drop a stored-to word's decode, and
+        leave the shared maps on a store into their text.  It holds the
+        CPU weakly, so a CPU is freed as soon as it is dropped rather
+        than at the next full garbage collection."""
         decoded, blocks, ref = self._decode_cache, self._blocks, \
             weakref.ref(self)
+        text_end = self._shared.text_end if self._shared is not None else 0
 
         def invalidate(addr: int) -> None:
-            if decoded.pop(addr & ~3, None) is not None and blocks:
+            if addr < text_end:
+                cpu = ref()
+                if cpu is not None:
+                    cpu._unshare(addr)
+            elif decoded.pop(addr & ~3, None) is not None and blocks:
                 blocks.clear()
                 cpu = ref()
                 if cpu is not None:
@@ -468,12 +510,60 @@ class CPU:
         self._decode_cache.clear()
         if self._blocks is not None:
             self._blocks.clear()
+        if self._shared is not None:
+            # the memory was reloaded or restored: its text need not be
+            # the shared one any more
+            self._unshare()
+
+    def share_code(self, shared: SharedCode) -> None:
+        """Look up decodes and translated blocks of ``shared``'s text
+        range in ``shared`` (filling it on a miss) behind this CPU's own
+        caches.  The caller guarantees that this CPU's memory holds the
+        text the other sharers joined with; a store into the range ends
+        the sharing for this CPU before the next fetch.  No-op with the
+        decode cache off."""
+        if self._blocks is None:
+            return
+        self._shared = shared
+        self.mem.write_hook = self._invalidator()
+
+    def _unshare(self, addr: int | None = None) -> None:
+        """Leave the shared maps for private caches, on a store at
+        ``addr`` into their text: the private caches take a copy of
+        every shared entry the stored-to word is not part of, and the
+        code generation is bumped, so a running block leaves after the
+        store.  Without ``addr`` (the memory was reloaded) they start
+        empty."""
+        shared = self._shared
+        self._shared = None
+        decoded, blocks = self._decode_cache, self._blocks
+        decoded.clear()
+        blocks.clear()
+        if addr is not None:
+            word = addr & ~3
+            decoded.update(shared.decoded)
+            decoded.pop(word, None)
+            for pc, block in shared.blocks.items():
+                if block is not None and not pc <= word < block[2]:
+                    blocks[pc] = block
+        self._code_gen += 1
+        self.mem.write_hook = self._invalidator()
 
     def _fetch(self, pc: int) -> DecodedInstr:
+        shared = None
         if self.config.decode_cache:
             cached = self._decode_cache.get(pc)
             if cached is not None:
                 return cached
+            shared = self._shared
+            if shared is not None:
+                if pc + 4 > shared.text_end:
+                    shared = None
+                else:
+                    cached = shared.decoded.get(pc)
+                    if cached is not None:
+                        self._decode_cache[pc] = cached
+                        return cached
         try:
             word = self.mem.read_u32(pc)
             instr = decode(word)
@@ -481,7 +571,25 @@ class CPU:
             raise CPUError(f"fetch/decode failed at pc={pc:#010x}: {exc}") from exc
         if self.config.decode_cache:
             self._decode_cache[pc] = instr
+            if shared is not None:
+                shared.decoded[pc] = instr
         return instr
+
+    def _translate(self, pc: int) -> tuple | None:
+        """The translated block at ``pc`` (see
+        :func:`repro.iss.translate.block_at`), from the shared maps when
+        ``pc`` lies in the shared text; such a block is scanned within
+        that text only."""
+        # imported here: the translator builds on this module
+        from repro.iss.translate import block_at
+
+        shared = self._shared
+        if shared is None or pc + 4 > shared.text_end:
+            return block_at(self, pc)
+        block = shared.blocks.get(pc, _UNTRANSLATED)
+        if block is _UNTRANSLATED:
+            block = shared.blocks[pc] = block_at(self, pc, shared.text_end)
+        return block
 
     # ------------------------------------------------------------------
     # Execute

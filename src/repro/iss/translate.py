@@ -41,7 +41,11 @@ values, which the generated expressions rely on (``r0`` reads fold to
 every CPU that runs the same words at the same address: a bounded
 process-wide cache keyed by content (address, words, timing, optional
 units, memory mode) keeps them across simulations, which matters when a
-fresh CPU is built for every run.
+fresh CPU is built for every run.  CPUs that share a
+:class:`~repro.iss.cpu.SharedCode` (the lanes of a batch) also share
+the lookup: a block in the shared text is scanned once per batch, within
+that text only (``block_at(..., end)``), and its ``stop`` bounds the
+words a store must miss for a lane leaving the sharing to keep it.
 """
 
 from __future__ import annotations
@@ -72,10 +76,13 @@ _shared: dict[tuple, tuple] = {}
 _shared_lock = threading.Lock()
 
 
-def block_at(cpu, pc: int) -> tuple | None:
-    """The translation of the block at ``pc`` as ``(function, span)``,
-    ``span`` being the cycles of its longest path; ``None`` when the
-    instruction at ``pc`` must issue through ``_issue``."""
+def block_at(cpu, pc: int, end: int | None = None) -> tuple | None:
+    """The translation of the block at ``pc`` as ``(function, span,
+    stop)``, ``span`` being the cycles of its longest path and the
+    block's words lying in ``[pc, stop)``; ``None`` when the
+    instruction at ``pc`` must issue through ``_issue``.  With ``end``
+    the block reads no word at or past it (a block shared by the CPUs
+    running one program text must depend on that text alone)."""
     timing = cpu.config.timing
     mem = cpu.mem
     if (type(mem) is not AddressSpace or type(mem.bram) is not BRAM
@@ -85,7 +92,8 @@ def block_at(cpu, pc: int) -> tuple | None:
     # latency and BRAM addresses cannot reach a device
     inline_mem = (mem._opb is None
                   and mem.bram.size <= AddressSpace.DEVICE_BASE)
-    body, slot = _scan(cpu, pc, inline_mem)
+    limit = mem.bram.size if end is None else min(end, mem.bram.size)
+    body, slot = _scan(cpu, pc, inline_mem, limit)
     if not body:
         return None
     cfg = cpu.config
@@ -96,7 +104,7 @@ def block_at(cpu, pc: int) -> tuple | None:
            cfg.use_barrel_shifter, cfg.use_hw_divider, inline_mem)
     block = _shared.get(key)
     if block is None:
-        block = _compile(pc, body, slot, timing)
+        block = _compile(pc, body, slot, timing) + (pc + 4 * len(words),)
         with _shared_lock:
             while len(_shared) >= SHARED_CACHE_LIMIT:
                 del _shared[next(iter(_shared))]
@@ -120,10 +128,10 @@ def _allowed(instr: DecodedInstr, cfg, inline_mem: bool) -> bool:
     return True
 
 
-def _decoded(cpu, addr: int) -> DecodedInstr | None:
+def _decoded(cpu, addr: int, end: int) -> DecodedInstr | None:
     """The decoded word at ``addr`` (through the CPU's decode cache),
-    or ``None`` outside BRAM or when it does not decode."""
-    if addr + 4 > cpu.mem.bram.size:
+    or ``None`` at or past ``end`` or when it does not decode."""
+    if addr + 4 > end:
         return None
     try:
         return cpu._fetch(addr)
@@ -131,19 +139,20 @@ def _decoded(cpu, addr: int) -> DecodedInstr | None:
         return None
 
 
-def _scan(cpu, pc: int, inline_mem: bool):
-    """The block's instructions and, for a delayed branch, its slot."""
+def _scan(cpu, pc: int, inline_mem: bool, end: int):
+    """The block's instructions and, for a delayed branch, its slot;
+    no word at or past ``end`` is read."""
     cfg = cpu.config
     body: list[DecodedInstr] = []
     addr = pc
     while len(body) < MAX_BLOCK_INSTRUCTIONS:
-        instr = _decoded(cpu, addr)
+        instr = _decoded(cpu, addr, end)
         if instr is None or not _allowed(instr, cfg, inline_mem):
             break
         spec = instr.spec
         if spec.kind in _BRANCH_KINDS:
             if spec.kind == "rtsd" or spec.props.get("delayed"):
-                slot = _decoded(cpu, addr + 4)
+                slot = _decoded(cpu, addr + 4, end)
                 if (slot is None or slot.spec.kind not in _SLOT_KINDS
                         or not _allowed(slot, cfg, inline_mem)):
                     break

@@ -676,13 +676,22 @@ class BatchedModel:
         """:data:`~repro.sysgen.block.IDLE_FOREVER` when the given lanes
         (default: the active ones) sit at a fixed point, else 0 — the
         contract of :meth:`~repro.sysgen.model.Model.idle_horizon`,
-        lane by lane.  A lane's bit was computed by its last step, from
-        its vectorized blocks' ``busy_if`` rules; then the fallback
-        blocks' clones are asked (:meth:`fallback_idle_horizon`)."""
-        busy = self.state_store[self._busy_slot]
-        if busy[self._lanes if lanes is None else lanes].any():
-            return 0
-        return self.fallback_idle_horizon(lanes)
+        lane by lane (:meth:`idle_lanes`)."""
+        lanes = self._lanes if lanes is None else lanes
+        return IDLE_FOREVER if len(self.idle_lanes(lanes)) == len(lanes) \
+            else 0
+
+    def idle_lanes(self, lanes: list[int]) -> list[int]:
+        """The lanes of ``lanes`` that sit at a fixed point.  A lane's
+        bit was computed by its last step, from its vectorized blocks'
+        ``busy_if`` rules; then the fallback blocks' clones are asked
+        (:meth:`fallback_idle_horizon`)."""
+        busy = self.state_store[self._busy_slot].tolist()
+        quiet = [lane for lane in lanes if not busy[lane]]
+        if self.fallback_blocks:
+            quiet = [lane for lane in quiet
+                     if self.fallback_idle_horizon([lane]) >= IDLE_FOREVER]
+        return quiet
 
     def fallback_idle_horizon(self, lanes: list[int] | None = None) -> int:
         """:data:`~repro.sysgen.block.IDLE_FOREVER` when every fallback
@@ -707,8 +716,8 @@ class BatchedModel:
         :meth:`~repro.sysgen.model.Model.fast_forward`): the lanes sit
         at a fixed point (:meth:`idle_horizon` returned ``IDLE_FOREVER``)
         and no external input changed during the ``cycles`` skipped; the
-        batched co-simulation's quiet stretch calls it once, when CPU
-        activity next reaches the hardware.  Probes record the frozen
+        batched co-simulation calls it to catch lanes whose CPUs ran
+        ahead up to them.  Probes record the frozen
         values so traces stay bit-identical with a per-cycle run; a
         block at a fixed point has no state to catch up."""
         if cycles <= 0:

@@ -23,6 +23,7 @@ import pytest
 
 from repro.bus.fsl import FSLChannel
 from repro.bus.opb import OPBBus
+from repro.asm import assemble, link
 from repro.conformance.oracle import _make_sim, _run, observe, observe_batched
 from repro.conformance.scenario import (
     Scenario,
@@ -33,7 +34,10 @@ from repro.cosim.batch import BatchedCoSimulation, LaneResult, lane_factory
 from repro.cosim.environment import CoSimDeadlock, CoSimulation
 from repro.cosim.mb_block import MicroBlazeBlock
 from repro.faults.campaign import build_design
+from repro.isa.encoding import encode
+from repro.isa.instructions import BY_MNEMONIC
 from repro.iss.cpu import HaltReason
+from repro.iss.memory import BusFault
 from repro.mcc import build_executable
 from repro.runapi import RunPolicy
 from repro.sysgen.batched import BatchedModel, BatchUnsupported
@@ -164,8 +168,8 @@ def test_per_lane_budgets_and_forced_eviction():
 
 def test_quiet_stretch_engages_and_stays_exact(monkeypatch):
     # p=2 CORDIC idles its pipeline while the CPU prepares each datum,
-    # so a probe finds the whole batch at a fixed point; the budgets
-    # stop lanes inside and outside those stretches
+    # so the lanes' hardware catches up by fast-forwarding from a fixed
+    # point; the budgets stop lanes inside and outside those stretches
     params = [dict(p=2, iters=8, ndata=6, seed=s) for s in (1, 2, 3, 4)]
     budgets = [2_000_000, 400, 1000, 700]
 
@@ -188,7 +192,7 @@ def test_quiet_stretch_engages_and_stays_exact(monkeypatch):
     batch = BatchedCoSimulation(
         [lane_factory(lambda prm=prm: probed(prm)) for prm in params])
     results = batch.run(until=budgets)
-    assert sum(c for c in skipped if c > 0) > 0, "quiet stretch never engaged"
+    assert sum(c for c in skipped if c > 0) > 0, "idle hardware never skipped"
 
     for lane, (prm, budget) in enumerate(zip(params, budgets)):
         design = probed(prm)
@@ -208,9 +212,9 @@ def test_quiet_stretch_engages_and_stays_exact(monkeypatch):
 @pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
 def test_cpu_raising_in_a_quiet_stretch_evicts_only_its_lane(monkeypatch,
                                                             ckernel):
-    # Lane 2's CPU raises from advance_horizon(), which only the quiet
-    # stretch calls: that lane alone is evicted, and the other lanes
-    # run on to their scalar results.
+    # Lane 2's CPU raises from advance_horizon(), which each round asks
+    # before the lane bursts or parks: that lane alone is evicted, and
+    # the other lanes run on to their scalar results.
     from repro.sysgen.ckernel import DISABLE_ENV
 
     if not ckernel:
@@ -246,9 +250,9 @@ def test_cpu_raising_in_a_quiet_stretch_evicts_only_its_lane(monkeypatch,
 
 def test_halting_store_to_opb_hardware_ends_the_quiet_stretch_exactly():
     # The exit store counts as hardware activity when OPB registers are
-    # mapped, so the halting cycle leaves the quiet stretch through the
-    # "activity reaches the hardware" path; the halted lane must still
-    # stop there, not step its hardware one cycle past the scalar run.
+    # mapped, so the halting cycle ends a burst whose catch-up must step
+    # the hardware for real; the halted lane must still stop there, not
+    # step its hardware one cycle past the scalar run.
     source = f"""
     int main(void) {{
         int *cmd = (int *){OPB_BASE};
@@ -479,6 +483,150 @@ def test_template_lane_stuck_at_writes_no_shared_port():
     assert batch.lane(1).state_dict() == _scalar_at(ref, 350)
     assert batch.lane(0).model.block("in_c0").outputs["q"] is not port
     assert port.value == before
+
+
+# --------------------------------------------------------------------------
+# lane bursts: shared code, and a CPU raising mid-burst
+
+
+def _loopback_hardware():
+    """A design that echoes every word the CPU puts on FSL 0 back to
+    its get side."""
+    model = Model("loopback")
+    mb = MicroBlazeBlock(model)
+    rd, wr = mb.master_fsl(0), mb.slave_fsl(0)
+    model.connect(rd.o("exists"), rd.i("read"))
+    model.connect(rd.o("exists"), wr.i("write"))
+    model.connect(rd.o("data"), wr.i("data"))
+    return model, mb
+
+
+def _flip(sim: CoSimulation, addr: int, mask: int) -> None:
+    mem = sim.cpu.mem
+    mem.write_u32(addr, mem.read_u32(addr) ^ mask)
+
+
+#: calls code in .data (``thunk`` adds 7 to r3) on every pass
+SHARED_CODE_SOURCE = f"""
+            .global _start
+_start:     addik r5, r0, 8
+            addik r6, r0, thunk
+loop:       addik r3, r3, 1
+            brald r15, r6
+            or    r0, r0, r0
+later:      addik r3, r3, 10
+            put   r3, rfsl0
+            get   r7, rfsl0
+            add   r3, r3, r7
+            addik r5, r5, -1
+            bnei  r5, loop
+            li    r12, 0xFFFF0000
+            swi   r3, r12, 0
+            .data
+thunk:      .word {encode(BY_MNEMONIC["addik"], rd=3, ra=3, imm=7):#x}
+            .word {encode(BY_MNEMONIC["rtsd"], ra=15, imm=8):#x}
+            .word {encode(BY_MNEMONIC["or"], rd=0, ra=0, rb=0):#x}
+"""
+
+
+def test_lanes_share_code_only_where_their_text_is_the_programs():
+    # Four lanes of one program in one batch: lane 0 runs it as linked,
+    # lane 1 flips a text word before it first runs, lane 2 one that
+    # has run, and lane 3 runs other code at the .data address.  Lanes
+    # share decodes and translations of the program text only, and a
+    # lane that writes the text leaves them before the write lands.
+    program = link(assemble(SHARED_CODE_SOURCE))
+    later, loop, thunk = (program.symbols[s]
+                          for s in ("later", "loop", "thunk"))
+    assert later < program.text_size <= thunk
+    #: lane -> (cycle, address, xor mask)
+    edits = {1: (0, later, 1 << 2), 2: (40, loop, 1 << 1),
+             3: (0, thunk, 7 ^ 70)}
+    budget = 5_000
+    refs = []
+    for lane in range(4):
+        ref = CoSimulation(program, *_loopback_hardware())
+        if lane in edits:
+            cycle, addr, mask = edits[lane]
+            ref.run(until=cycle)
+            if lane == 2:
+                assert loop in ref.cpu._decode_cache  # it has run
+            ref.cpu.resume()
+            _flip(ref, addr, mask)
+        refs.append(_scalar_at(ref, budget))
+
+    batch = BatchedCoSimulation.from_template(program, _loopback_hardware, 4)
+    for lane in (1, 3):
+        _flip(batch.sims[lane], *edits[lane][1:])
+    batch.hw_touched()
+    batch.advance({lane: 40 for lane in range(4)})
+    _flip(batch.sims[2], *edits[2][1:])
+    batch.hw_touched()
+    results = batch.run(until=budget)
+    for lane, want in enumerate(refs):
+        assert not results[lane].evicted
+        assert batch.lane(lane).state_dict() == want, lane
+    assert len({r.result.exit_code for r in results}) == 4
+    cpus = [sim.cpu for sim in batch.sims]
+    assert cpus[0]._shared is not None and cpus[3]._shared is cpus[0]._shared
+    assert cpus[1]._shared is None and cpus[2]._shared is None
+
+
+#: lanes fault on a load through ``pointer`` when it points off BRAM
+FAULTING_SOURCE = """
+            .global _start
+_start:     addik r5, r0, 4
+loop:       put   r5, rfsl0
+            get   r7, rfsl0
+            add   r3, r3, r7
+            lwi   r6, r0, pointer
+            lw    r8, r6, r0
+            add   r3, r3, r8
+            addik r4, r4, 3
+            addik r5, r5, -1
+            bnei  r5, loop
+            li    r12, 0xFFFF0000
+            swi   r3, r12, 0
+            .data
+pointer:    .word 0
+"""
+
+
+@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
+def test_a_cpu_raising_mid_burst_leaves_its_hardware_one_cycle_short(
+        monkeypatch, ckernel):
+    # Lane 1's load raises inside a burst, several cycles after the get
+    # that coupled it: its hardware stops one cycle short of its CPU,
+    # as a scalar run leaves them, and the other lanes run on.
+    from repro.sysgen.ckernel import DISABLE_ENV
+
+    if not ckernel:
+        monkeypatch.setenv(DISABLE_ENV, "1")
+    program = link(assemble(FAULTING_SOURCE))
+    pointer = program.symbols["pointer"]
+    targets = [pointer, 0x7FFF_FFF0, pointer, pointer]
+
+    def aim(sim: CoSimulation, lane: int) -> CoSimulation:
+        sim.cpu.mem.write_u32(pointer, targets[lane])
+        return sim
+
+    batch = BatchedCoSimulation.from_template(program, _loopback_hardware, 4)
+    for lane, sim in enumerate(batch.sims):
+        aim(sim, lane)
+    batch.advance({lane: 2_000 for lane in range(4)})
+    assert list(batch.pending_evictions) == [1]
+    assert batch.pending_evictions[1].startswith("cpu raised BusFault: ")
+    for lane in range(4):
+        ref = aim(CoSimulation(program, *_loopback_hardware()), lane)
+        if lane == 1:
+            with pytest.raises(BusFault):
+                ref.run()
+            assert ref.model.cycle == ref.cpu.cycle - 1
+            assert ref.cpu.stats.instructions > 4  # past the coupling
+            want = ref.state_dict()
+        else:
+            want = _scalar_at(ref, 2_000)
+        assert batch.lane(lane).state_dict() == want, lane
 
 
 def test_lane_result_status_folding():

@@ -8,7 +8,7 @@ written-back clone model, ``Model.idle_horizon() < IDLE_FOREVER``.
 The FSL designs get seeded traffic on their channels between steps,
 and lanes freeze and thaw mid-run.
 
-A delay line must still let the co-simulation's quiet stretch arm:
+A delay line must still let the co-simulation fast-forward idle lanes:
 matmul spends most of its lane-cycles waiting for the CPU with its
 delay lines at a fixed point.
 """

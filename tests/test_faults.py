@@ -370,6 +370,14 @@ BATCH_EQUIV_CONFIGS = [
                       kinds=("stuck_at", "reg_flip", "fifo_drop"),
                       recovery="rollback"),
                  id="cordic-multi-fault-rollback"),
+    # bit flips alone, three per trial: flips into the program text
+    # land on words whose decodes and translations the lanes share,
+    # before and after those words first run
+    pytest.param(dict(app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
+                      trials=12, seed=41, max_cycles=60_000,
+                      deadlock_window=512, faults_per_trial=3,
+                      kinds=("mem_flip",)),
+                 id="cordic-mem-flip"),
     *ROLLBACK_TAIL_CONFIGS,
 ]
 
@@ -389,6 +397,20 @@ def _spy_replays(monkeypatch) -> list[str]:
     return calls
 
 
+def _text_flips(kw: dict, report: dict) -> int:
+    """Applied ``mem_flip`` faults of ``report`` whose word lies in the
+    program text of the campaign's design."""
+    from repro.iss.run import make_cpu
+
+    design = build_design(kw["app"], dict(kw["design"]))
+    words = make_cpu(design.program).mem.bram.size // 4
+    return sum(
+        1 for trial in report["trials"] for entry in trial["injected"]
+        if entry["applied"] and entry["fault"].startswith("mem_flip ")
+        and int(entry["fault"].split()[2]) % words * 4
+        < design.program.text_size)
+
+
 @pytest.mark.parametrize("kw", BATCH_EQUIV_CONFIGS)
 def test_batched_campaign_matches_scalar(kw):
     config = CampaignConfig(**kw)
@@ -396,6 +418,9 @@ def test_batched_campaign_matches_scalar(kw):
     batched = run_campaign(config, batch_width=8).to_dict()
     assert json.dumps(batched, sort_keys=True) == \
         json.dumps(scalar, sort_keys=True)
+    if kw.get("kinds") == ("mem_flip",):
+        # the case exists for the lanes' shared code: it must flip it
+        assert _text_flips(kw, scalar) >= 1
 
 
 @pytest.mark.parametrize("kw", ROLLBACK_TAIL_CONFIGS)
@@ -486,9 +511,37 @@ def test_batched_campaign_matches_scalar_at_benchmark_shape(monkeypatch,
         json.dumps(scalar, sort_keys=True)
 
 
+#: CPU.tick calls of the SEU_SHAPE campaign below (32 trials, seed 5)
+#: with a per-cycle lane loop, which ticked every lane's CPU on each
+#: cycle it was not blocked on an FSL access behind idle hardware
+PER_CYCLE_LANE_TICKS = 26_688
+
+
+def test_lane_bursts_cut_cpu_ticks_at_benchmark_shape(monkeypatch):
+    # Lane CPUs run alone between couplings (translated blocks, bulk
+    # latency), so the campaign makes under a third of the per-cycle
+    # loop's ticks and still reports what the scalar runs report.
+    from repro.iss.cpu import CPU
+
+    config = CampaignConfig(trials=32, seed=5, **SEU_SHAPE)
+    scalar = run_campaign(config).to_dict()
+    ticks = [0]
+    tick = CPU.tick
+
+    def counted(self):
+        ticks[0] += 1
+        return tick(self)
+
+    monkeypatch.setattr(CPU, "tick", counted)
+    batched = run_campaign(config, batch_width=32).to_dict()
+    assert json.dumps(batched, sort_keys=True) == \
+        json.dumps(scalar, sort_keys=True)
+    assert 3 * ticks[0] <= PER_CYCLE_LANE_TICKS, ticks[0]
+
+
 #: benchmark-shape campaign seeds: in 2042780741 and 1038164037 a
-#: lane's corrupted instruction raises in ``CPU.advance_horizon`` inside
-#: a quiet stretch; seed 3's batches end on a few long-running lanes
+#: lane's corrupted instruction raises in ``CPU.advance_horizon`` while
+#: its hardware idles; seed 3's batches end on a few long-running lanes
 SEU_SEEDS = (2042780741, 1038164037, 3)
 #: the scalar reports of SEU_SEEDS, shared by both kernels' runs
 _SEU_SCALAR: dict[int, str] = {}
@@ -526,10 +579,10 @@ def test_benchmark_shape_replays_no_classified_lane(monkeypatch, ckernel):
 
 
 def test_batched_campaign_lanes_advance_together(monkeypatch):
-    # Every pending lane advances by the same amount, so a batch takes
-    # about as many vector steps as its longest lane runs cycles (fewer,
-    # with quiet stretches); lanes that drift apart step each offset
-    # separately.
+    # The lanes catch their hardware up together each round, in
+    # doubling chunks and fast-forwarding idle stretches, so a batch
+    # takes no more vector steps than its longest lane runs cycles even
+    # though every lane runs to its own stops.
     from repro.cosim.batch import BatchedCoSimulation
     from repro.sysgen.batched import BatchedModel
 

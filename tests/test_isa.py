@@ -106,6 +106,31 @@ class TestEncodeDecode:
         with pytest.raises(DecodeError):
             decode(0xFFFFFFFF)
 
+    def test_equal_words_decode_to_one_shared_object(self):
+        word = encode(BY_MNEMONIC["addik"], rd=3, ra=4, imm=-12)
+        first = decode(word)
+        assert decode(int(str(word))) is first
+        assert first.imm == -12
+
+    def test_a_bad_word_raises_on_every_call(self):
+        from repro.isa import decoder
+
+        for _ in range(3):
+            with pytest.raises(DecodeError):
+                decode(0xFFFFFFFF)
+        assert 0xFFFFFFFF not in decoder._memo
+
+    def test_the_decode_memo_stays_bounded(self, monkeypatch):
+        from repro.isa import decoder
+
+        monkeypatch.setattr(decoder, "DECODE_CACHE_LIMIT", 4)
+        monkeypatch.setattr(decoder, "_memo", {})
+        words = [encode(BY_MNEMONIC["addik"], rd=1, ra=2, imm=i)
+                 for i in range(10)]
+        for word in words:
+            decode(word)
+        assert list(decoder._memo) == words[-4:]
+
     def test_shift_imm_discriminators(self):
         for mn in ("bsrli", "bsrai", "bslli"):
             word = encode(BY_MNEMONIC[mn], rd=1, ra=2, imm=7)
