@@ -58,12 +58,7 @@ from repro.conformance.scenario import (
     build_program,
     scenario_from_dict,
 )
-from repro.cosim.environment import (
-    CoSimDeadlock,
-    CoSimTimeout,
-    CoSimulation,
-    FastForwardError,
-)
+from repro.cosim.environment import CoSimulation, outcome
 from repro.cosim.trace import FSLTrace
 from repro.iss.cpu import HaltReason
 from repro.runapi.engine import engine_scope
@@ -300,15 +295,9 @@ def _run(sim: CoSimulation, max_cycles: int) -> tuple[str, str]:
     """Run to completion; fold the outcome into a (status, error) pair."""
     try:
         result = sim.run(until=max_cycles)
-    except CoSimDeadlock as exc:
-        return "deadlock", str(exc)
-    except (CoSimTimeout, FastForwardError) as exc:
-        return f"error:{type(exc).__name__}", str(exc)
     except Exception as exc:  # noqa: BLE001 - any crash is an observable
-        return f"error:{type(exc).__name__}", str(exc)
-    if result.halt_reason is HaltReason.MAX_CYCLES:
-        return "max_cycles", ""
-    return "exit", ""
+        return outcome(None, exc)
+    return outcome(result, None)
 
 
 def observe(scenario: Scenario | MultiScenario, mode: str,

@@ -36,39 +36,22 @@ Lane bursts
 -----------
 :meth:`BatchedCoSimulation.advance` runs in rounds, and every lane is
 at one cycle (CPU and hardware lane alike) at the start and end of
-each.  A round has two halves:
-
-* **Burst, park or step.**  Each running lane's CPU runs ahead of its
-  hardware lane by itself, up to the earliest of its target, its
-  watchdog boundary and its forced-eviction cycle.  A CPU that can run
-  bursts (:meth:`~repro.iss.cpu.CPU.burst`): its first tick may couple,
-  then it runs translated blocks until the tick before its next
-  coupling, exactly as the scalar run loop's bursts do.  A CPU blocked
-  on an FSL access parks: it retires its retries in one
-  :meth:`~repro.iss.cpu.CPU.advance` up to the limit while its
-  hardware lane sits at a fixed point that nothing has disturbed, since
-  nothing can then change the flag it waits on, and one retry per
-  round otherwise.  A lane with an open forcing, or whose CPU, channels
-  or endpoint blocks carry an event bus, steps one cycle per round, so
-  forced ports are re-pinned before every step and events reach their
-  bus in cycle order (block and channel events read the CPU's clock).
-* **Catch-up.**  The vector hardware then brings every lane up to its
-  CPU's cycle: the lanes still behind step together, ``k`` cycles per
-  call with ``k`` doubling from one, and a lane leaves the vector step
-  when it arrives.  Once every lane still behind sits at a fixed point
-  and no input of theirs changed since their busy bits were computed,
-  they fast-forward together instead.
-
-The idle rule is the scalar engine's: hardware is skipped only at a
-fixed point, never for a finite countdown.  Each step leaves a busy bit
-per lane, computed from the blocks' own ``busy_if`` checks
-(:meth:`~repro.sysgen.batched.BatchedModel.idle_lanes`, which also
-asks the per-lane fallback blocks).  A lane's inputs change when its
-CPU moves an FSL word (or, with OPB-mapped registers, stores), when a
-port of the lane is forced, and on :meth:`BatchedCoSimulation.hw_touched`
-(fault injection behind the engine's back); after any of these the lane
-steps at least once before it may fast-forward.  A lane's forcing goes
-when the lane halts or is evicted.
+each.  First each running lane's CPU takes one step of the run-ahead
+rule (:func:`~repro.cosim.environment.run_ahead`; the rule, its resting
+test and its raise contract are stated in :mod:`repro.cosim.environment`)
+up to its target, watchdog boundary or forced-eviction cycle, or for
+one cycle when the lane has an open forcing or an event bus on its CPU,
+channels or endpoints, so forced ports are re-pinned before every step
+and events reach their bus in cycle order.  Then the vector hardware
+catches every lane up: the lanes still behind step together, ``k``
+cycles per call with ``k`` doubling from one, leaving the vector step
+as they arrive, and fast-forward together once all of them rest.  A
+lane's resting evidence is the busy bit its last step left
+(:meth:`~repro.sysgen.batched.BatchedModel.idle_lanes`, from the
+blocks' own ``busy_if`` checks and the fallback blocks); a forced port
+and :meth:`BatchedCoSimulation.hw_touched` (fault injection behind the
+engine's back) make it stale too.  A lane's forcing goes when the lane
+halts or is evicted.
 
 Lanes whose memory holds one program text share one decode cache and
 one map of translated blocks (:class:`~repro.iss.cpu.SharedCode`), so
@@ -111,17 +94,19 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.cosim.environment import (
-    CoSimDeadlock,
     CoSimResult,
     CoSimTimeout,
     CoSimulation,
+    CPURun,
     check_window,
     hw_activity,
     next_boundary,
     no_progress,
+    outcome,
+    run_ahead,
 )
 from repro.cosim.mb_block import MicroBlazeBlock
-from repro.iss.cpu import ADVANCE_FOREVER, HaltReason, SharedCode
+from repro.iss.cpu import SharedCode
 from repro.iss.memory import AddressSpace
 from repro.runapi import RunPolicy
 from repro.runapi.engine import engine_scope
@@ -148,30 +133,22 @@ class LaneResult:
 
     @property
     def status(self) -> str:
-        if self.error is not None:
-            if isinstance(self.error, CoSimDeadlock):
-                return "deadlock"
-            return f"error:{type(self.error).__name__}"
-        if self.result is not None and \
-                self.result.halt_reason is HaltReason.MAX_CYCLES:
-            return "max_cycles"
-        return "exit"
+        return outcome(self.result, self.error)[0]
 
     @property
     def error_text(self) -> str:
-        return str(self.error) if self.error is not None else ""
+        return outcome(self.result, self.error)[1]
 
 
-class _LaneState:
-    """Per-lane bookkeeping of the lockstep loop (absolute cycles)."""
+class _LaneState(CPURun):
+    """A lane's run record plus its bookkeeping in the lockstep loop
+    (absolute cycles)."""
 
-    __slots__ = ("cycle0", "instr0", "stall0", "window", "next_check",
-                 "target", "evict_at", "done", "seen")
+    __slots__ = ("window", "next_check", "target", "evict_at", "done",
+                 "seen")
 
     def __init__(self, cpu, window: int):
-        self.cycle0 = cpu.cycle
-        self.instr0 = cpu.stats.instructions
-        self.stall0 = cpu.stats.stall_cycles
+        super().__init__(cpu)
         self.window = window
         # absolute-aligned watchdog boundaries, exactly as the scalar
         # run loop computes them — restore- and segment-transparent
@@ -179,9 +156,8 @@ class _LaneState:
         self.target = cpu.cycle
         self.evict_at: int | None = None
         self.done = False
-        #: the lane's hardware activity count (:func:`hw_activity`) when
-        #: its hardware last stepped; -1 when its inputs were disturbed
-        #: since, or before its first step
+        #: the resting test's ``seen``: the lane's activity when its
+        #: hardware last stepped; -1 before that, or once disturbed
         self.seen = -1
 
 
@@ -435,52 +411,38 @@ class BatchedCoSimulation:
 
     def _run_cpus(self, running: list[int],
                   bus: set[int]) -> dict[int, int]:
-        """One round's CPU half: run every running lane's CPU ahead of
-        its (synced) hardware and return the cycles each ran.
-
-        A lane's limit is the earliest of its target, its watchdog
-        boundary and its forced-eviction cycle.  A CPU blocked on an FSL
-        access retires its retries in bulk (:meth:`CPU.advance`) while
-        its hardware lane sits at a fixed point with nothing new on its
-        inputs, so nothing can change the flag it waits on; otherwise
-        it retries for one cycle.  A lane with an open forcing or an
-        event bus runs one cycle; every other lane bursts
-        (:meth:`CPU.burst`) up to the tick before its next coupling.  A
-        CPU that raises is evicted alone, its hardware one cycle short
-        of it, as the scalar run loop leaves a raising burst."""
+        """One round's CPU half (see *Lane bursts*): return the cycles
+        each lane's hardware must catch up.  A CPU that raises is
+        evicted alone."""
         memory = self._stores_matter
-        idle: set[int] | None = None
         lags: dict[int, int] = {}
+        idle: set[int] | None = None
+
+        # both callbacks answer for the lane the loop below is at
+        def resting() -> bool:
+            nonlocal idle
+            if idle is None:
+                idle = set(self._resting_lanes(running, {
+                    other: self._activity(other) for other in running}))
+            return lane in idle
+
+        def catch_up(n: int) -> None:
+            lags[lane] = n
+
         for lane in running:
             st = self._st[lane]
-            cpu = self.sims[lane].cpu
-            start = cpu.cycle
-            limit = min(st.target, st.next_check,
-                        st.target if st.evict_at is None else st.evict_at)
+            cpu = st.cpu
             one = lane in bus
             if lane in self._forcings:
-                one |= self._apply_forcing(lane, start)
+                one |= self._apply_forcing(lane, cpu.cycle)
+            limit = 1 if one else min(
+                st.target, st.next_check,
+                st.target if st.evict_at is None else st.evict_at,
+            ) - cpu.cycle
             try:
-                if cpu.advance_horizon() >= ADVANCE_FOREVER:
-                    if not one:
-                        if idle is None:
-                            idle = set(self._resting_lanes(running, {
-                                other: self._activity(other)
-                                for other in running}))
-                        if lane in idle:
-                            cpu.advance(limit - start)
-                            lags[lane] = limit - start
-                            continue
-                    cpu.advance(1)
-                elif one:
-                    cpu.tick()
-                else:
-                    cpu.burst(limit - start, memory)
+                run_ahead(cpu, limit, memory, resting, catch_up)
             except Exception as exc:  # noqa: BLE001
                 self._cpu_raised(lane, exc)
-                lags[lane] = max(0, cpu.cycle - start - 1)
-                continue
-            lags[lane] = cpu.cycle - start
         return lags
 
     def _activity(self, lane: int) -> int:
@@ -490,22 +452,15 @@ class BatchedCoSimulation:
 
     def _resting_lanes(self, lanes: list[int],
                        acts: dict[int, int]) -> list[int]:
-        """The lanes of ``lanes`` whose hardware sits at a fixed point
-        that nothing has disturbed since it was computed: the lane's
-        activity ``acts[lane]`` is what its hardware last stepped with,
-        so no CPU activity reached it, no port was forced and
-        :meth:`hw_touched` was not called since."""
+        """The lanes of ``lanes`` whose hardware rests, given each
+        lane's current activity ``acts[lane]``."""
         st = self._st
         return self.batched.idle_lanes(
             [lane for lane in lanes if st[lane].seen == acts[lane]])
 
     def _catch_up(self, lags: dict[int, int]) -> None:
-        """One round's hardware half: advance each lane's hardware
-        ``lags[lane]`` cycles.  The lanes still behind step together,
-        ``k`` cycles per call with ``k`` doubling from one (the hardware
-        often goes idle mid-burst); a lane leaves the vector step when
-        it arrives.  Once every lane still behind is resting
-        (:meth:`_resting_lanes`), they fast-forward together instead."""
+        """One round's hardware half (see *Lane bursts*): advance each
+        lane's hardware ``lags[lane]`` cycles."""
         batched = self.batched
         st = self._st
         pending = {lane: k for lane, k in lags.items() if k > 0}
@@ -644,32 +599,14 @@ class BatchedCoSimulation:
                     lane, None, error=self._timeouts[lane]
                 ))
             else:
+                st = self._st[lane]
+                st.done = True
+                # the batch shares one wall clock: a lane reports the
+                # time elapsed when it finished, not a conformance
+                # observable
                 results.append(LaneResult(
-                    lane, self._finish_lane(lane, start)
-                ))
+                    lane, st.result(time.perf_counter() - start)))
         return results
-
-    def _finish_lane(self, lane: int, start: float) -> CoSimResult:
-        st = self._st[lane]
-        st.done = True
-        cpu = self.sims[lane].cpu
-        if not cpu.halted:
-            cpu.halted = True
-            cpu.halt_reason = HaltReason.MAX_CYCLES
-        run_cycles = cpu.cycle - st.cycle0
-        stats = cpu.stats
-        return CoSimResult(
-            exit_code=cpu.exit_code,
-            cycles=run_cycles,
-            instructions=stats.instructions - st.instr0,
-            stall_cycles=stats.stall_cycles - st.stall0,
-            # wall time is shared by the whole batch; per-lane wall is
-            # reported as elapsed-at-finish and is not a conformance
-            # observable
-            wall_seconds=time.perf_counter() - start,
-            simulated_seconds=run_cycles / cpu.config.frequency_hz,
-            halt_reason=cpu.halt_reason,
-        )
 
     # ------------------------------------------------------------------
     def _evict(self, lane: int) -> LaneResult:

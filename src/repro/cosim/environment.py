@@ -31,34 +31,47 @@ when OPB register banks are mapped, loads and stores (a status
 register is rewritten by the hardware every cycle, so a load observes
 it).  Between two such instructions neither side can tell whether the
 other has run yet, so the default kernel (``fast_forward=True``)
-decouples them there and stays bit-identical with the per-cycle loop:
+decouples them there and stays bit-identical with the per-cycle loop.
 
-* **Bursts.**  While exactly one CPU can run (the K=1 case, or K CPUs
-  after all but one halted), :meth:`CPU.burst
-  <repro.iss.cpu.CPU.burst>` runs it alone: its first tick may
-  complete a pending FSL transfer (or issue a load/store), then it
-  ticks until the next tick would do so, the CPU halts, or the
-  watchdog boundary or cycle budget is reached, retiring instruction
-  latency in bulk.  The models then catch up by the same number of
-  cycles: the n-cycle ``Model.step(k)`` with ``k`` doubling from one
-  and idleness re-checked between chunks, and one ``fast_forward`` of
-  the whole remainder once every model is at a fixed point.  Several
-  models step together, one cycle at a time in list order.
-* **Joint skips.**  When every running CPU is blocked on an FSL access
-  (or, on the lockstep path, occupied by a multi-cycle instruction) and
-  every model is at a fixed point
-  (:meth:`~repro.sysgen.model.Model.idle_horizon` is ``IDLE_FOREVER``),
-  all clocks advance at once by the smallest
-  ``cpu.advance_horizon()``, cut at the next watchdog boundary and the
-  cycle budget; while the hardware stays idle, per-cycle CPU execution
-  skips the (then no-op) ``model.step()``.  A model that is not at a
-  fixed point is stepped: there is no finite idle countdown to replay.
-* **Lockstep.**  A blocked CPU with busy hardware, several running
-  CPUs, and every run with an event bus attached (a telemetry bus, or
-  the private bus an :class:`~repro.cosim.trace.FSLTrace` puts on the
-  channels) take the per-cycle order above.  A bus stays lockstep so
-  exported traces, FSL transaction logs and VCDs receive their events
-  in cycle order, stamped with the cycle they happen in.
+The run-ahead rule (:func:`run_ahead`, shared with the lanes of
+:class:`~repro.cosim.batch.BatchedCoSimulation`) runs one CPU ahead of
+its hardware up to a limit (watchdog boundary, cycle budget, a lane's
+target), then catches the hardware up by the cycles it ran:
+
+* a CPU that can run **bursts** (:meth:`CPU.burst
+  <repro.iss.cpu.CPU.burst>`): its first tick may complete a pending
+  FSL transfer (or issue a load/store), then it ticks until the next
+  tick would, it halts or the limit, retiring latency in bulk;
+* a CPU blocked on an FSL access while its hardware *rests* **parks**:
+  one ``advance`` to the limit, as nothing can change what it waits on;
+* any other CPU (blocked while its hardware is busy, or at a one-cycle
+  limit) **ticks** once; ``tick()`` measured no slower than
+  ``advance(1)``.
+
+A CPU that raises has counted its cycle, so its hardware stops one
+cycle short of it, as the per-cycle loop leaves them.  The hardware
+catches up in ``Model.step(k)`` chunks, ``k`` doubling from one (it
+often goes idle mid-burst), and fast-forwards the rest once it rests;
+several models step together, one cycle at a time in list order.
+
+Hardware *rests* when it is at a fixed point (every
+:meth:`~repro.sysgen.model.Model.idle_horizon` is ``IDLE_FOREVER``) and
+undisturbed since that evidence was taken: ``seen`` holds the CPU
+activity reaching the hardware then (:func:`hw_activity`), ``-1`` once
+the evidence is stale.  Here the evidence is a query of the models,
+stale once they step busy; in a lane, the busy bit its last vector step
+left.  Only a fixed point is skipped, never a finite countdown.
+
+The rule applies while exactly one CPU runs (K=1, or K CPUs after all
+but one halted).  Several running CPUs, verify mode and every run with
+an event bus (telemetry, or the private bus of an
+:class:`~repro.cosim.trace.FSLTrace`) keep the per-cycle order, so
+traces, transaction logs and VCDs receive their events in cycle order.
+They take one shortcut, the **joint skip**: when every running CPU is
+blocked or busy and the hardware rests, all clocks advance by the
+smallest ``cpu.advance_horizon()``, cut at the watchdog boundary and
+the budget (a bus gets one ``FAST_FORWARD`` event); while it keeps
+resting, the per-cycle loop skips the no-op ``model.step()``.
 
 Counters, probe samples, FIFO statistics and checkpoints match the
 per-cycle loop bit for bit.  ``verify_fast_forward=True`` runs lockstep
@@ -97,6 +110,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.asm.linker import Program
 from repro.bus.fsl import FSLChannel
@@ -264,6 +278,79 @@ class CoSimResult(RunOutcome):
         return self.simulated_seconds * 1e6
 
 
+def outcome(result: CoSimResult | None,
+            error: BaseException | None) -> tuple[str, str]:
+    """Fold a run into the ``(status, error text)`` pair the
+    conformance oracle compares: ``deadlock``, ``error:T``,
+    ``max_cycles`` or ``exit``."""
+    if error is not None:
+        if isinstance(error, CoSimDeadlock):
+            return "deadlock", str(error)
+        return f"error:{type(error).__name__}", str(error)
+    if result is not None and result.halt_reason is HaltReason.MAX_CYCLES:
+        return "max_cycles", ""
+    return "exit", ""
+
+
+class CPURun:
+    """One CPU's run record, for the scalar kernel and a lockstep lane
+    alike: its counters when the run began, from which :meth:`result`
+    reports the run's deltas."""
+
+    __slots__ = ("cpu", "cycle0", "instr0", "stall0")
+
+    def __init__(self, cpu: CPU):
+        self.cpu = cpu
+        self.cycle0 = cpu.cycle
+        self.instr0 = cpu.stats.instructions
+        self.stall0 = cpu.stats.stall_cycles
+
+    def result(self, wall: float) -> CoSimResult:
+        """The run's outcome; a CPU still running halts on its cycle
+        budget."""
+        cpu = self.cpu
+        if not cpu.halted:
+            cpu.halted = True
+            cpu.halt_reason = HaltReason.MAX_CYCLES
+        cycles = cpu.cycle - self.cycle0
+        return CoSimResult(
+            exit_code=cpu.exit_code,
+            cycles=cycles,
+            instructions=cpu.stats.instructions - self.instr0,
+            stall_cycles=cpu.stats.stall_cycles - self.stall0,
+            wall_seconds=wall,
+            simulated_seconds=cycles / cpu.config.frequency_hz,
+            halt_reason=cpu.halt_reason,
+        )
+
+
+def run_ahead(cpu: CPU, limit: int, memory: bool,
+              resting: Callable[[], bool],
+              catch_up: Callable[[int], None]) -> None:
+    """The run-ahead rule (see the module docstring): run ``cpu`` ahead
+    of its hardware for up to ``limit`` cycles, then ``catch_up`` the
+    hardware by the cycles it ran.  ``resting()`` is asked only when
+    the CPU is blocked; ``memory`` says whether loads and stores reach
+    the hardware.  A CPU that raises has counted its cycle: its
+    hardware catches up one cycle short of it before the exception
+    propagates."""
+    start = cpu.cycle
+    try:
+        blocked = cpu.advance_horizon() >= ADVANCE_FOREVER
+        if not blocked and limit > 1:
+            n = cpu.burst(limit, memory)
+        elif blocked and resting():
+            cpu.advance(limit)
+            n = limit
+        else:
+            cpu.tick()
+            n = 1
+    except BaseException:
+        catch_up(max(0, cpu.cycle - start - 1))
+        raise
+    catch_up(n)
+
+
 class LockstepKernel:
     """The one lock-step run loop over a list of CPUs and a list of
     hardware models (see the module docstring).
@@ -380,142 +467,122 @@ class LockstepKernel:
     def _loop(self, max_cycles: int, wall_timeout_s: float | None,
               fast: bool, verify: bool, window: int):
         events = self.telemetry.bus if self.telemetry is not None else None
-        cpus = self.cpus
-        models = self._models
-        stores_touch_hw = self._stores_touch_hw
-
+        memory = self._stores_touch_hw
         start = time.perf_counter()
         deadline = None if wall_timeout_s is None else start + wall_timeout_s
-        cycles = 0
         cycle0 = self._cycle = self._read_clock()
-        next_check = next_boundary(cycle0, window) - cycle0
-        baseline = [
-            (cpu.cycle, cpu.stats.instructions, cpu.stats.stall_cycles)
-            for cpu in cpus
-        ]
-        active = [cpu for cpu in cpus if not cpu.halted]
+        end = cycle0 + max_cycles
+        next_check = next_boundary(cycle0, window)
+        runs = [CPURun(cpu) for cpu in self.cpus]
+        active = [cpu for cpu in self.cpus if not cpu.halted]
+        self._seen = -1
 
-        # Bursts need one clock order across every event, so a run with
-        # an event bus (telemetry, or an FSLTrace's private one on the
-        # channels) or verifying stays lockstep.
+        # The run-ahead rule needs one clock order across every event,
+        # so a run with an event bus (telemetry, or an FSLTrace's
+        # private one on the channels) or verifying stays lockstep.
         solo = (fast and not verify and events is None
                 and all(ch.events is None for ch in self.all_channels()))
-        # Cached hardware quiescence: once every model is at a fixed
-        # point it stays there until a CPU completes an FSL transfer
-        # (or an OPB store lands), so the O(blocks) idle_horizon walk
-        # runs once per busy/blocked episode, not once per cycle.
-        # ``activity`` snapshots that CPU activity when the cache arms.
-        hw_idle = False
-        activity = 0
 
-        while active and cycles < max_cycles:
-            n = 0
-            if (solo and len(active) == 1
-                    and active[0].advance_horizon() < ADVANCE_FOREVER):
-                # One CPU that can run: a burst, then the hardware
-                # catches up (a blocked CPU takes the paths below).
-                n = self._burst(active[0], min(next_check, max_cycles)
-                                - cycles, stores_touch_hw)
-                hw_idle = False
-            elif fast:
-                if not hw_idle and _hw_idle(models):
-                    hw_idle = True
-                    activity = hw_activity(cpus, stores_touch_hw)
-                if hw_idle:
-                    skip = min(next_check, max_cycles) - cycles
-                    for cpu in active:
-                        h = cpu.advance_horizon()
-                        if h < skip:
-                            skip = h
-                    if skip > 0:
-                        if verify:
-                            self._skip_checked(skip, active)
-                        else:
-                            for cpu in active:
-                                cpu.advance(skip)
-                            for m in models:
-                                m.fast_forward(skip)
-                        if events is not None:
-                            # Condensed stand-in for the skipped window
-                            # so exported traces stay cycle-faithful.
-                            events.emit(TelemetryEvent(
-                                FAST_FORWARD, self._cycle + skip,
-                                COSIM_TRACK, skip
-                            ))
-                        n = skip
-            if not n:
-                for cpu in active:
-                    if verify:
-                        _tick_checked(cpu, stores_touch_hw)
-                    else:
-                        cpu.tick()
-                if hw_idle and hw_activity(cpus, stores_touch_hw) \
-                        != activity:
-                    hw_idle = False
-                if hw_idle and not verify:
-                    # The models are frozen: advancing their clocks is
-                    # all a step() would do.
-                    for m in models:
-                        m.fast_forward(1)
-                else:
-                    for m in models:
-                        m.step()
-                n = 1
-            cycles += n
-            self._cycle += n
+        resting, catch_up = self._resting, self._catch_up
+        while active and self._cycle < end:
+            limit = min(next_check, end) - self._cycle
+            if solo and len(active) == 1:
+                run_ahead(active[0], limit, memory, resting, catch_up)
+            else:
+                self._lockstep(active, limit, fast, verify, events)
             for cpu in active:
                 if cpu.halted:
                     active = [cpu for cpu in active if not cpu.halted]
                     break
-            if cycles >= next_check:
-                self._watchdog(cycles, window, active, deadline,
-                               wall_timeout_s)
-                next_check = cycles + window
+            if self._cycle >= next_check:
+                self._watchdog(self._cycle - cycle0, window, active,
+                               deadline, wall_timeout_s)
+                next_check = self._cycle + window
 
-        return self._finish(start, baseline, self._cycle - cycle0)
+        wall = time.perf_counter() - start
+        return self._result([run.result(wall) for run in runs],
+                            self._cycle - cycle0, wall)
 
-    def _burst(self, cpu: CPU, limit: int, memory: bool) -> int:
-        """Run ``cpu`` alone for up to ``limit`` cycles (see
-        :meth:`CPU.burst <repro.iss.cpu.CPU.burst>`), then catch the
-        models up by the same count; return it.  A tick that raises has
-        already counted its cycle, so the models and the global clock
-        then stop one cycle short of the CPU, as the per-cycle loop
-        leaves them."""
-        cycle0 = cpu.cycle
-        try:
-            n = cpu.burst(limit, memory)
-        except BaseException:
-            done = cpu.cycle - cycle0 - 1
-            self._catch_up(done)
-            self._cycle += done
-            raise
-        self._catch_up(n)
-        return n
+    def _lockstep(self, active: list[CPU], limit: int, fast: bool,
+                  verify: bool, events) -> None:
+        """The joint skip when every running CPU can wait and the
+        hardware rests, else one cycle in the per-cycle order."""
+        models = self._models
+        skip = 0
+        if fast and self._resting():
+            skip = limit
+            for cpu in active:
+                h = cpu.advance_horizon()
+                if h < skip:
+                    skip = h
+        if skip:
+            if verify:
+                self._skip_checked(skip, active)
+            else:
+                for cpu in active:
+                    cpu.advance(skip)
+                for m in models:
+                    m.fast_forward(skip)
+            if events is not None:
+                # Condensed stand-in for the skipped window so exported
+                # traces stay cycle-faithful.
+                events.emit(TelemetryEvent(
+                    FAST_FORWARD, self._cycle + skip, COSIM_TRACK, skip
+                ))
+            self._cycle += skip
+            return
+        for cpu in active:
+            if verify:
+                _tick_checked(cpu, self._stores_touch_hw)
+            else:
+                cpu.tick()
+        if fast and not verify and self._resting():
+            # The models are frozen: advancing their clocks is all a
+            # step() would do.
+            for m in models:
+                m.fast_forward(1)
+        else:
+            for m in models:
+                m.step()
+            self._seen = -1
+        self._cycle += 1
+
+    def _resting(self) -> bool:
+        """The resting test on this kernel's models: a fixed-point query,
+        retaken once CPU activity moved or the models stepped busy."""
+        activity = hw_activity(self.cpus, self._stores_touch_hw)
+        if activity != self._seen:
+            self._seen = activity
+            self._fixed = _hw_idle(self._models)
+        return self._fixed
 
     def _catch_up(self, n: int) -> None:
-        """Advance every model ``n`` cycles: step in chunks that double
-        from one cycle, re-checking idleness between chunks (the
-        hardware often goes idle mid-burst), and fast-forward the whole
-        remainder once every model is at a fixed point.  Several models
-        step together, one cycle at a time in list order, so wiring
-        between them stays exact."""
+        """Advance every model, and the global clock, ``n`` cycles (see
+        the module docstring); several models step together, one cycle
+        at a time in list order, so wiring between them stays exact."""
         models = self._models
         single = models[0] if len(models) == 1 else None
         chunk = 1
-        while n > 0:
-            if _hw_idle(models):
+        left = n
+        rests = left > 0 and self._resting()
+        while left > 0:
+            if rests:
                 for m in models:
-                    m.fast_forward(n)
-                return
-            k = min(chunk, n)
+                    m.fast_forward(left)
+                break
+            k = min(chunk, left)
             if single is not None:
                 single.step(k)
             else:
                 for _ in range(k):
                     for m in models:
                         m.step()
+            self._seen = -1
             chunk *= 2
-            n -= k
+            left -= k
+            # stepped busy: the evidence is stale, so take it afresh
+            rests = left > 0 and _hw_idle(models)
+        self._cycle += n
 
     def _watchdog(self, cycles: int, window: int, active: list[CPU],
                   deadline: float | None, budget: float | None) -> None:
@@ -579,26 +646,6 @@ class LockstepKernel:
                         f"(idle_horizon over-promised): {outs} -> {now}"
                     )
 
-    def _finish(self, start: float, baseline: list[tuple[int, int, int]],
-                cycles: int):
-        wall = time.perf_counter() - start
-        per_cpu = []
-        for cpu, (cycle0, instr0, stall0) in zip(self.cpus, baseline):
-            if not cpu.halted:
-                cpu.halted = True
-                cpu.halt_reason = HaltReason.MAX_CYCLES
-            run_cycles = cpu.cycle - cycle0
-            per_cpu.append(CoSimResult(
-                exit_code=cpu.exit_code,
-                cycles=run_cycles,
-                instructions=cpu.stats.instructions - instr0,
-                stall_cycles=cpu.stats.stall_cycles - stall0,
-                wall_seconds=wall,
-                simulated_seconds=run_cycles / cpu.config.frequency_hz,
-                halt_reason=cpu.halt_reason,
-            ))
-        return self._result(per_cpu, cycles, wall)
-
     # -- reuse ------------------------------------------------------------
     def reset(self) -> None:
         """Return the whole system to its freshly constructed state:
@@ -622,8 +669,8 @@ class LockstepKernel:
 def hw_activity(cpus: list[CPU], stores_touch_hw: bool) -> int:
     """Monotonic count of CPU activity that can reach the hardware:
     FSL transfers, plus stores when OPB-mapped registers exist.  While
-    it is unchanged, idle hardware stays idle; the scalar loop and the
-    batched engine's catch-up (per lane) both watch it."""
+    it is unchanged, idle hardware stays idle: the resting test's
+    ``seen`` records it (see the module docstring)."""
     total = 0
     for cpu in cpus:
         stats = cpu.stats
@@ -835,9 +882,9 @@ class CoSimulation(LockstepKernel):
         on: the CPU (registers, pipeline, memory, devices, statistics),
         every hardware model (block state, probe samples, clocks), the
         FSL FIFOs and their statistics, and the telemetry metric
-        registry when one is attached.  Loop-local fast-forward
-        bookkeeping (``hw_idle``, the next watchdog check) is
-        recomputed by :meth:`run` and needs no serialization; a run
+        registry when one is attached.  Run-local fast-forward
+        bookkeeping (the resting test's evidence, the next watchdog
+        check) is recomputed by :meth:`run` and needs no serialization; a run
         stops only at whole cycles, so no burst is ever in flight.
         """
         state = {

@@ -357,13 +357,12 @@ class CPU:
         :class:`SharedCode` (:meth:`share_code`) is translated once for
         every CPU sharing it.
 
-        Callers: :meth:`run` back to back; the scalar co-simulation
-        kernel while one CPU can run, then its hardware catches up; and
-        every lane of a batched co-simulation each round, up to its own
-        target, watchdog boundary or forced-eviction cycle, before the
-        vector hardware catches the lane up.  A tick that raises has
-        counted its cycle, so a caller catches its hardware up to one
-        cycle short of the CPU.
+        Callers: :meth:`run` back to back, and the run-ahead rule
+        (:func:`repro.cosim.environment.run_ahead`) that the scalar
+        co-simulation kernel and every lane of a batched co-simulation
+        share: it bursts a CPU that can run, then catches its hardware
+        up, to one cycle short of the CPU when a tick raises (the tick
+        has counted its cycle).
         """
         ticks = 0
         stats = self.stats

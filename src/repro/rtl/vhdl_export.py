@@ -53,8 +53,8 @@ def _ident(name: str) -> str:
     return out
 
 
-def _sig(block, port: str) -> str:
-    return f"{_ident(block.name)}_{port}"
+def _sig(owner: str, port: str) -> str:
+    return f"{_ident(owner)}_{port}"
 
 
 def _slv(width: int) -> str:
@@ -81,7 +81,7 @@ class _Exporter:
             if w == 1:
                 return f"'{default & 1}'"
             return f'std_logic_vector(to_signed({default}, {w}))'
-        name = _sig(port.source.block, port.source.name)
+        name = _sig(port.source.owner, port.source.name)
         src_w = port.source.width
         if width is None or width == src_w:
             return name
@@ -94,7 +94,7 @@ class _Exporter:
     def declare_outputs(self, block) -> None:
         for name, port in block.outputs.items():
             self.decls.append(
-                f"  signal {_sig(block, name)} : {_slv(port.width)};"
+                f"  signal {_sig(block.name, name)} : {_slv(port.width)};"
             )
 
     # ------------------------------------------------------------------
@@ -160,21 +160,21 @@ class _Exporter:
     # ------------------------------------------------------------------
     def _emit_Constant(self, b: Constant) -> None:
         if b.width == 1:
-            self.body.append(f"  {_sig(b, 'out')} <= '{b.value & 1}';")
+            self.body.append(f"  {_sig(b.name, 'out')} <= '{b.value & 1}';")
         else:
             self.body.append(
-                f"  {_sig(b, 'out')} <= std_logic_vector("
+                f"  {_sig(b.name, 'out')} <= std_logic_vector("
                 f"to_signed({b.value - (1 << b.width) if b.value >> (b.width - 1) else b.value}, {b.width}));"
             )
 
     def _emit_GatewayIn(self, b: GatewayIn) -> None:
-        self.body.append(f"  {_sig(b, 'out')} <= {_ident(b.name)}_in;")
+        self.body.append(f"  {_sig(b.name, 'out')} <= {_ident(b.name)}_in;")
 
     def _emit_GatewayOut(self, b: GatewayOut) -> None:
         self.body.append(
-            f"  {_sig(b, 'out')} <= {self.src(b, 'in', b.fmt.word_bits)};"
+            f"  {_sig(b.name, 'out')} <= {self.src(b, 'in', b.fmt.word_bits)};"
         )
-        self.body.append(f"  {_ident(b.name)}_out <= {_sig(b, 'out')};")
+        self.body.append(f"  {_ident(b.name)}_out <= {_sig(b.name, 'out')};")
 
     def _emit_Add(self, b: Add) -> None:
         self._arith2(b, "s", "+")
@@ -220,7 +220,7 @@ class _Exporter:
 
     def _emit_Mux(self, b: Mux) -> None:
         sel = self.src(b, "sel", max(1, (b.n - 1).bit_length()))
-        sig = _sig(b, "out")
+        sig = _sig(b.name, "out")
         arms = []
         for k in range(b.n - 1):
             cond = (f'unsigned({sel}) = {k}' if b.n > 2
@@ -236,7 +236,7 @@ class _Exporter:
         op = {"eq": "=", "ne": "/=", "lt": "<", "le": "<=",
               "gt": ">", "ge": ">="}[b.op]
         self.body.append(
-            f"  {_sig(b, 'out')} <= '1' when {cast}({a}) {op} {cast}({c}) "
+            f"  {_sig(b.name, 'out')} <= '1' when {cast}({a}) {op} {cast}({c}) "
             f"else '0';"
         )
 
@@ -250,25 +250,25 @@ class _Exporter:
             expr = f"({expr} {op} {self.src(b, f'd{k}', b.width)})"
         if b.op in ("nand", "nor", "xnor"):
             expr = f"not {expr}"
-        self.body.append(f"  {_sig(b, 'out')} <= {expr};")
+        self.body.append(f"  {_sig(b.name, 'out')} <= {expr};")
 
     def _emit_Inverter(self, b: Inverter) -> None:
         self.body.append(
-            f"  {_sig(b, 'out')} <= not {self.src(b, 'a', b.width)};"
+            f"  {_sig(b.name, 'out')} <= not {self.src(b, 'a', b.width)};"
         )
 
     def _emit_Slice(self, b: Slice) -> None:
         a = self.src(b, "a")
         if b.msb == b.lsb:
-            self.body.append(f"  {_sig(b, 'out')} <= {a}({b.msb});")
+            self.body.append(f"  {_sig(b.name, 'out')} <= {a}({b.msb});")
         else:
             self.body.append(
-                f"  {_sig(b, 'out')} <= {a}({b.msb} downto {b.lsb});"
+                f"  {_sig(b.name, 'out')} <= {a}({b.msb} downto {b.lsb});"
             )
 
     def _emit_Concat(self, b: Concat) -> None:
         parts = [self.src(b, f"d{i}", w) for i, w in enumerate(b.widths)]
-        self.body.append(f"  {_sig(b, 'out')} <= {' & '.join(parts)};")
+        self.body.append(f"  {_sig(b.name, 'out')} <= {' & '.join(parts)};")
 
     # ------------------------------------------------------------------
     # Sequential blocks: clocked processes
@@ -276,7 +276,7 @@ class _Exporter:
     def _registered(self, b, out: str, expr: str) -> None:
         """Emit a combinational assignment, pipelined over ``latency``
         stages when the block has them."""
-        sig = _sig(b, out)
+        sig = _sig(b.name, out)
         lat = getattr(b, "latency", 0)
         if lat == 0:
             self.body.append(f"  {sig} <= {expr};")
@@ -307,7 +307,7 @@ class _Exporter:
         self.body.append("  end process;")
 
     def _emit_Register(self, b: Register) -> None:
-        q = _sig(b, "q")
+        q = _sig(b.name, "q")
         d = self.src(b, "d", b.width)
         rst = self.src(b, "rst", 1)
         en = self.src(b, "en", 1)
@@ -320,7 +320,7 @@ class _Exporter:
         ])
 
     def _emit_Delay(self, b: Delay) -> None:
-        q = _sig(b, "q")
+        q = _sig(b.name, "q")
         d = self.src(b, "d", b.width)
         if b.n == 1:
             self._clocked(b, [f"{q} <= {d};"])
@@ -335,7 +335,7 @@ class _Exporter:
                           for src, dst in zip(chain, chain[1:])])
 
     def _emit_Counter(self, b: Counter) -> None:
-        q = _sig(b, "q")
+        q = _sig(b.name, "q")
         rst = self.src(b, "rst", 1)
         en = self.src(b, "en", 1)
         self._clocked(b, [
@@ -347,7 +347,7 @@ class _Exporter:
         ])
 
     def _emit_Accumulator(self, b: Accumulator) -> None:
-        q = _sig(b, "q")
+        q = _sig(b.name, "q")
         d = self.src(b, "d", b.width)
         rst = self.src(b, "rst", 1)
         en = self.src(b, "en", 1)
@@ -366,16 +366,16 @@ class _Exporter:
 
     def _emit_FSLRead(self, b: FSLRead) -> None:
         p = _ident(b.name)
-        self.body.append(f"  {_sig(b, 'data')} <= {p}_data;")
-        self.body.append(f"  {_sig(b, 'exists')} <= {p}_exists;")
-        self.body.append(f"  {_sig(b, 'control')} <= {p}_control;")
+        self.body.append(f"  {_sig(b.name, 'data')} <= {p}_data;")
+        self.body.append(f"  {_sig(b.name, 'exists')} <= {p}_exists;")
+        self.body.append(f"  {_sig(b.name, 'control')} <= {p}_control;")
         self.body.append(f"  {p}_read <= {self.src(b, 'read', 1)};")
 
     def _emit_FSLWrite(self, b: FSLWrite) -> None:
         p = _ident(b.name)
         self.body.append(f"  {p}_data <= {self.src(b, 'data', 32)};")
         self.body.append(f"  {p}_write <= {self.src(b, 'write', 1)};")
-        self.body.append(f"  {_sig(b, 'full')} <= {p}_full;")
+        self.body.append(f"  {_sig(b.name, 'full')} <= {p}_full;")
 
     # ------------------------------------------------------------------
     @staticmethod

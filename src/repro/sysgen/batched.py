@@ -127,7 +127,7 @@ def block_signature(block: "Block") -> tuple:
     ins = tuple(
         (p.name, p.default,
          None if p.source is None
-         else (p.source.block.name, p.source.name))
+         else (p.source.owner, p.source.name))
         for p in block.inputs.values()
     )
     outs = tuple((p.name, p.width) for p in block.outputs.values())
@@ -145,7 +145,7 @@ def lockstep_signature(model: "Model") -> tuple:
     signatures can share one lockstep schedule (their value-like
     parameters — constants, ROM contents, programs — may differ)."""
     blocks = tuple(block_signature(b) for b in model.blocks)
-    probes = tuple((p.port.block.name, p.port.name, p.name)
+    probes = tuple((p.port.owner, p.port.name, p.name)
                    for p in model.probes)
     return (model.name, blocks, probes)
 
@@ -274,7 +274,7 @@ class BatchEmitContext(EmitContext):
 
     def lane_ports(self, port: "OutputPort") -> list["OutputPort"]:
         return [b.outputs[port.name]
-                for b in self.lane_blocks(port.block)]
+                for b in self.lane_blocks(self.model.block(port.owner))]
 
     def flag(self, expr: str) -> str:
         """Condition string for ``(expr) & 1`` with literal folding:
@@ -612,10 +612,11 @@ class BatchedModel:
     def sync_from_clones(self) -> None:
         """(Re)build every port and state array from the lanes' blocks
         — at construction, and after :meth:`reset`."""
+        template = {b.name: b for b in self.template.blocks}
         for k, port in enumerate(self._ports):
             self.port_store[k] = np.fromiter(
-                (b.outputs[port.name].value
-                 for b in _lane_blocks(self._block_maps, port.block)),
+                (b.outputs[port.name].value for b in _lane_blocks(
+                    self._block_maps, template[port.owner])),
                 np.int64, self.n)
         for k, loader in enumerate(self._state_loaders):
             self.state_store[k] = loader()
@@ -751,7 +752,7 @@ class BatchedModel:
         template batch, build it first (:meth:`lane_model`)."""
         blocks = self._block_maps[lane]
         for k, port in enumerate(self._ports):
-            blocks[port.block.name].outputs[port.name].value = \
+            blocks[port.owner].outputs[port.name].value = \
                 int(self.port_store[k][lane])
 
         def get(name: str) -> "np.ndarray":

@@ -40,20 +40,27 @@ class Block:
         self.name = name
         self.inputs: dict[str, InputPort] = {}
         self.outputs: dict[str, OutputPort] = {}
-        self.model = None  # set by Model.add
+        #: the name of the model the block was added to (Model.add)
+        self.model_name: str | None = None
+
+    def rename(self, name: str) -> None:
+        """Rename the block and its ports' ``owner``."""
+        self.name = name
+        for port in (*self.inputs.values(), *self.outputs.values()):
+            port.owner = name
 
     # -- port construction ------------------------------------------------
     def add_input(self, name: str, default: int = 0) -> InputPort:
         if name in self.inputs or name in self.outputs:
             raise ValueError(f"duplicate port {name!r} on block {self.name!r}")
-        port = InputPort(self, name, default)
+        port = InputPort(self.name, name, default)
         self.inputs[name] = port
         return port
 
     def add_output(self, name: str, width: int = 32) -> OutputPort:
         if name in self.inputs or name in self.outputs:
             raise ValueError(f"duplicate port {name!r} on block {self.name!r}")
-        port = OutputPort(self, name, width)
+        port = OutputPort(self.name, name, width)
         self.outputs[name] = port
         return port
 

@@ -586,9 +586,10 @@ class CompiledSchedule:
                         for p in ctx._ports]
 
         stores += ctx._exit
-        mref = ctx.bind(model, "m")
+        # the model's clock, not the model: no reference cycle
+        clock = ctx.bind(model._clock, "m")
         src = function_frame("_step", ["_n"], ctx.ns, ctx._entry + loads,
-                             cycle_body, stores + [f"{mref}.cycle += _done"])
+                             cycle_body, stores + [f"{clock}.cycle += _done"])
         src += function_frame("_settle", [], ctx.ns,
                               ctx._entry + settle_loads, settle_body,
                               stores, loop=False)
@@ -604,6 +605,7 @@ class CompiledSchedule:
 
         ns = exec_generated(self.source, f"<sysgen-compiled:{model.name}>",
                             ctx.ns, f"schedule for model {model.name!r}")
-        self.step = ns["_step"]
-        self.settle = ns["_settle"]
-        self.idle_horizon = ns["_idle_horizon"]
+        # popped, so the namespace does not hold its own functions
+        self.step = ns.pop("_step")
+        self.settle = ns.pop("_settle")
+        self.idle_horizon = ns.pop("_idle_horizon")

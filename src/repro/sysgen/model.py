@@ -16,6 +16,7 @@ compile time, matching hardware semantics.
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 
 from repro.resources.types import Resources
 from repro.runapi.engine import EngineError, resolve_engine
@@ -33,7 +34,7 @@ class Probe:
 
     def __init__(self, port: OutputPort, name: str = ""):
         self.port = port
-        self.name = name or f"{port.block.name}.{port.name}"
+        self.name = name or f"{port.owner}.{port.name}"
         self.samples: list[int] = []
 
     def sample(self) -> None:
@@ -48,7 +49,9 @@ class Model:
         self.blocks: list[Block] = []
         self._names: set[str] = set()
         self.probes: list[Probe] = []
-        self.cycle = 0
+        #: the cycle count, apart from the model so that its generated
+        #: step advances it without a reference cycle back to the model
+        self._clock = SimpleNamespace(cycle=0)
         self._schedule: list[Block] | None = None
         self._seq: list[Block] = []
         #: generated-code engine (None = interpreter; see compile())
@@ -60,6 +63,14 @@ class Model:
         self._settled = False
         #: (source OutputPort, dest InputPort) pairs, for lowering
         self.connections: list[tuple[OutputPort, InputPort]] = []
+
+    @property
+    def cycle(self) -> int:
+        return self._clock.cycle
+
+    @cycle.setter
+    def cycle(self, cycle: int) -> None:
+        self._clock.cycle = cycle
 
     # ------------------------------------------------------------------
     # Construction
@@ -73,10 +84,10 @@ class Model:
     def add(self, block: Block) -> Block:
         if block.name in self._names:
             raise ModelError(f"duplicate block name {block.name!r}")
-        if block.model is not None:
+        if block.model_name is not None:
             raise ModelError(f"block {block.name!r} already belongs to a model")
         self._names.add(block.name)
-        block.model = self
+        block.model_name = self.name
         self.blocks.append(block)
         self._invalidate()
         return block
@@ -102,8 +113,8 @@ class Model:
             if port.source is not None or port in targets:
                 driver = port.source if port.source is not None else out
                 raise ModelError(
-                    f"input {port.block.name}.{port.name} already driven by "
-                    f"{driver.block.name}.{driver.name}"
+                    f"input {port.owner}.{port.name} already driven by "
+                    f"{driver.owner}.{driver.name}"
                 )
             targets.append(port)
         for port in targets:
@@ -140,12 +151,13 @@ class Model:
         # dependency edges between comb blocks
         deps: dict[Block, set[Block]] = {b: set() for b in comb}
         users: dict[Block, list[Block]] = {b: [] for b in comb}
+        by_name = {b.name: b for b in comb}
         for block in comb:
             for port in block.inputs.values():
                 if port.source is None:
                     continue
-                src = port.source.block
-                if not src.sequential and src is not block:
+                src = by_name.get(port.source.owner)
+                if src is not None and src is not block:
                     if src not in deps[block]:
                         deps[block].add(src)
                         users[src].append(block)
@@ -233,7 +245,7 @@ class Model:
                 probe.sample()
             for block in seq:
                 block.clock()
-            self.cycle += 1
+            self._clock.cycle += 1
         if cycles > 0:
             self._settled = True
 
@@ -277,7 +289,7 @@ class Model:
             return
         for probe in self.probes:
             probe.samples.extend((probe.port.value,) * cycles)
-        self.cycle += cycles
+        self._clock.cycle += cycles
 
     def settle(self) -> None:
         """Propagate combinational logic without advancing the clock

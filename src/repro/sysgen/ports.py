@@ -4,15 +4,12 @@ An :class:`OutputPort` owns the signal value; an :class:`InputPort`
 reads through its connected output (single-driver rule).  Values are
 raw integers (two's-complement bit patterns interpreted by each block's
 declared width) or booleans for control signals — the arithmetic-level
-representation that makes this simulator fast.
+representation that makes this simulator fast.  A port's ``owner`` is
+the name of its block, not the block, so a model holds no reference
+cycle.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sysgen.block import Block
 
 
 class PortError(RuntimeError):
@@ -20,23 +17,23 @@ class PortError(RuntimeError):
 
 
 class OutputPort:
-    __slots__ = ("block", "name", "value", "width")
+    __slots__ = ("owner", "name", "value", "width")
 
-    def __init__(self, block: "Block", name: str, width: int = 32):
-        self.block = block
+    def __init__(self, owner: str, name: str, width: int = 32):
+        self.owner = owner
         self.name = name
         self.width = width
         self.value: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<out {self.block.name}.{self.name}={self.value}>"
+        return f"<out {self.owner}.{self.name}={self.value}>"
 
 
 class InputPort:
-    __slots__ = ("block", "name", "source", "default")
+    __slots__ = ("owner", "name", "source", "default")
 
-    def __init__(self, block: "Block", name: str, default: int = 0):
-        self.block = block
+    def __init__(self, owner: str, name: str, default: int = 0):
+        self.owner = owner
         self.name = name
         self.source: OutputPort | None = None
         self.default = default
@@ -50,8 +47,8 @@ class InputPort:
         return self.source is not None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        src = f"{self.source.block.name}.{self.source.name}" if self.source else "-"
-        return f"<in {self.block.name}.{self.name} <- {src}>"
+        src = f"{self.source.owner}.{self.source.name}" if self.source else "-"
+        return f"<in {self.owner}.{self.name} <- {src}>"
 
 
 class PortRef:

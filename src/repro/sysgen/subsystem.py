@@ -38,7 +38,7 @@ class Subsystem:
 
     def add(self, block: Block) -> Block:
         """Add ``block`` to the model under this subsystem's namespace."""
-        block.name = f"{self.path}{self.SEP}{block.name}"
+        block.rename(f"{self.path}{self.SEP}{block.name}")
         self.model.add(block)
         self.blocks.append(block)
         return block

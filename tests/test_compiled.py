@@ -408,3 +408,51 @@ def test_fsl_telemetry_events_identical():
         runs.append(rec.events)
     assert runs[0] == runs[1]
     assert runs[0], "stimulus never fired an FSL endpoint (vacuous)"
+
+
+# ----------------------------------------------------------------------
+# Lifetime: a dropped model needs no cycle collector
+# ----------------------------------------------------------------------
+def _cordic_hardware(kind: str):
+    """A CORDIC P=2 model and its hub, as ``kind`` leaves them."""
+    from repro.apps.cordic.design import CordicDesign
+    from repro.apps.cordic.hardware import build_cordic_model
+    from repro.cosim import CoSimulation
+
+    if kind == "built":
+        return build_cordic_model(2)
+    design = CordicDesign(p=2, ndata=4)
+    model, hub = design.fresh_hardware()
+    if kind == "compiled":
+        model.compile()
+    elif kind == "run":
+        CoSimulation(design.program, model, hub,
+                     cpu_config=design.cpu_config).run()
+    return model, hub
+
+
+def _weak_hardware(kind: str) -> list:
+    """Weak references to a dropped model, its blocks and its hub's FSL
+    channels."""
+    import weakref
+
+    model, hub = _cordic_hardware(kind)
+    return [weakref.ref(obj)
+            for obj in (model, *model.blocks, *hub.channels())]
+
+
+@pytest.mark.parametrize("kind", ["built", "fresh", "compiled", "run"])
+def test_a_dropped_model_is_freed_without_the_cycle_collector(kind):
+    # A port names its block instead of pointing back at it, a block
+    # does not point at its model, and the generated step advances the
+    # model's clock, not the model: dropping the last reference frees
+    # the model, its blocks and its channels.
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        refs = _weak_hardware(kind)
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()

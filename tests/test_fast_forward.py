@@ -43,46 +43,17 @@ from repro.sysgen.blocks import (
     FSLRead,
     FSLWrite,
     GatewayIn,
-    Inverter,
-    Logical,
     Mult,
     OPBRegisterBank,
     Register,
-    Shift,
 )
 from repro.telemetry import Telemetry
+from tests.test_cosim import doubler_design
 
 
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def doubler_design(fifo_depth: int = 16, extra_latency: int = 0):
-    """FSL peripheral returning 2*x (same shape as in test_cosim)."""
-    model = Model("doubler")
-    mb = MicroBlazeBlock(model, fifo_depth=fifo_depth)
-    rd = mb.master_fsl(0)
-    wr = mb.slave_fsl(0)
-    shl = model.add(Shift("shl", width=32, amount=1, direction="left"))
-    notfull = model.add(Inverter("notfull", width=1))
-    strobe = model.add(Logical("strobe", width=1, op="and"))
-    model.connect(wr.o("full"), notfull.i("a"))
-    model.connect(rd.o("exists"), strobe.i("d0"))
-    model.connect(notfull.o("out"), strobe.i("d1"))
-    model.connect(rd.o("data"), shl.i("a"))
-    model.connect(strobe.o("out"), rd.i("read"))
-    if extra_latency:
-        dly_d = model.add(Delay("dly_d", width=32, n=extra_latency))
-        dly_v = model.add(Delay("dly_v", width=1, n=extra_latency))
-        model.connect(shl.o("s"), dly_d.i("d"))
-        model.connect(strobe.o("out"), dly_v.i("d"))
-        model.connect(dly_d.o("q"), wr.i("data"))
-        model.connect(dly_v.o("q"), wr.i("write"))
-    else:
-        model.connect(shl.o("s"), wr.i("data"))
-        model.connect(strobe.o("out"), wr.i("write"))
-    return model, mb
-
-
 ECHO_SUM_SRC = """
 int main(void) {
     int sum = 0;
