@@ -54,9 +54,11 @@ engine's back) make it stale too.  A lane's forcing goes when the lane
 halts or is evicted.
 
 Lanes whose memory holds one program text share one decode cache and
-one map of translated blocks (:class:`~repro.iss.cpu.SharedCode`), so
-a batch decodes and translates each pc of the text once; a lane that
-writes its text, or fetches outside it, uses its own.
+one map of translated blocks (:class:`~repro.iss.cpu.SharedCode`),
+kept per process by the text's content, so the batches of a campaign,
+and of every later campaign of the design, decode and translate each
+pc of the text once; a lane that writes its text, or fetches outside
+it, uses its own.
 
 Lane eviction
 -------------
@@ -89,6 +91,7 @@ this class.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -631,13 +634,23 @@ class BatchedCoSimulation:
 
 
 # --------------------------------------------------------------------------
+#: most program texts whose :class:`~repro.iss.cpu.SharedCode` the
+#: process keeps; the oldest are evicted first.  One holds a text's
+#: decodes and translated blocks (tens of KB for a campaign program).
+SHARED_CODE_LIMIT = 16
+
+_shared_code: dict[tuple, SharedCode] = {}
+_shared_code_lock = threading.Lock()
+
+
 def _share_code(sims: list[CoSimulation]) -> None:
     """Give the lanes whose memory holds the same program text, under
     the same CPU configuration and memory map, one
     :class:`~repro.iss.cpu.SharedCode`: a word is decoded and a block
-    translated once per batch, not once per lane.  The grouping key is
-    the text itself, so lanes share only what is equal word for word."""
-    groups: dict[tuple, SharedCode] = {}
+    translated once per process, not once per lane or per batch.  The
+    key is the text itself, so lanes share only what is equal word for
+    word, and a batch of a program an earlier batch ran starts with
+    that batch's translations."""
     for sim in sims:
         cpu = sim.cpu
         mem = cpu.mem
@@ -646,9 +659,13 @@ def _share_code(sims: list[CoSimulation]) -> None:
         end = min(sim.program.text_size, mem.bram.size)
         key = (end, cpu.config, mem.bram.size, mem._opb is not None,
                mem.bram.dump(0, end))
-        shared = groups.get(key)
+        shared = _shared_code.get(key)
         if shared is None:
-            shared = groups[key] = SharedCode(end)
+            shared = SharedCode(end)
+            with _shared_code_lock:
+                while len(_shared_code) >= SHARED_CODE_LIMIT:
+                    del _shared_code[next(iter(_shared_code))]
+                _shared_code[key] = shared
         cpu.share_code(shared)
 
 

@@ -311,15 +311,16 @@ def run_campaign_shard(
 ) -> dict[str, Any]:
     """Run the campaign trials at indices ``units``.
 
-    The shard rebuilds + baselines the design locally (deterministic,
-    so every shard agrees on ``baseline_cycles``) and evaluates each
+    The shard takes the design's fault-free reference from its process
+    (built and baselined there on first use; deterministic, so every
+    shard agrees on ``baseline_cycles``) and evaluates each
     trial through the campaign's own evaluator, producing the exact
     per-trial records :func:`repro.faults.campaign.run_campaign`
     emits — the gateway merge is therefore byte-identical to a local
     scalar campaign.
     """
     from repro.faults.campaign import (
-        _campaign_setup,
+        _campaign_reference,
         _evaluate_trial,
         _trial_from_evaluation,
         campaign_specs,
@@ -328,11 +329,8 @@ def run_campaign_shard(
     if "config" not in payload:
         raise JobError('campaign payload needs a "config" object')
     config = campaign_config_from_dict(payload["config"])
-    _design, baseline, channels, ports, cpus, mem_words = (
-        _campaign_setup(config))
-    specs = campaign_specs(
-        config, baseline.cycles, channels, ports, mem_words, cpus
-    )
+    reference = _campaign_reference(config)
+    specs = campaign_specs(config, reference)
     records: list[dict[str, Any]] = []
     cycles = 0
     for pos, index in enumerate(units):
@@ -341,7 +339,7 @@ def run_campaign_shard(
                 "outcome": "preempted",
                 "records": records,
                 "remaining": list(units[pos:]),
-                "baseline_cycles": baseline.cycles,
+                "baseline_cycles": reference.baseline_cycles,
                 "cycles": cycles,
             }
         # engine stays "auto": the trial evaluator applies config.engine
@@ -359,7 +357,7 @@ def run_campaign_shard(
     return {
         "outcome": "done",
         "records": records,
-        "baseline_cycles": baseline.cycles,
+        "baseline_cycles": reference.baseline_cycles,
         "cycles": cycles,
     }
 

@@ -40,12 +40,20 @@ evaluation died — is built by :func:`_trial_record` (a finished run's
 through :func:`_end_record`), and :func:`_trial_from_evaluation` is
 the one step from a sweep-engine payload to a record (shared with the
 job farm's campaign shards).
+
+What no fault seed changes is built once per process and design, as
+the design's fault-free reference (:func:`_reference`): the program,
+the baseline, the injectable targets, the fault-free tail run and the
+lanes' hardware template.  Every campaign path and every trial starts
+from it.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import json
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -70,7 +78,12 @@ from repro.faults.plan import (
 from repro.iss.cpu import HaltReason
 from repro.runapi import RunOutcome
 from repro.runapi.backoff import retry_backoff_delay
-from repro.runapi.engine import SCALAR_ENGINES, EngineError, engine_scope
+from repro.runapi.engine import (
+    SCALAR_ENGINES,
+    EngineError,
+    engine_scope,
+    resolve_engine,
+)
 from repro.telemetry.events import COSIM_TRACK, ROLLBACK, TelemetryEvent
 
 OUTCOME_MASKED = "masked"
@@ -293,7 +306,6 @@ def run_trial(
     deadlock_window: int = 2_048,
     max_cycles: int = 2_000_000,
     engine: str = "auto",
-    _design_factory: Callable[[], Any] | None = None,
 ) -> dict[str, Any]:
     """One seeded injection: run, classify, optionally roll back.
 
@@ -305,18 +317,19 @@ def run_trial(
     *recorded*, never slept — campaign reports must not depend on wall
     time.
 
-    ``_design_factory`` (internal) supplies a pre-built design with
-    fresh hardware so the batched path's evicted-lane replays skip the
-    per-trial program compile; the compile is deterministic, so the
-    record is unchanged.
+    The program comes from the design's fault-free reference
+    (:func:`_reference`), built once per process; the trial runs it on
+    new hardware.  The build is deterministic, so the record is the one
+    a fresh build would give.
 
     Returns a plain JSON-safe dict — the per-trial record of the
     campaign report.
     """
     fault_plan = FaultPlan.from_dict(plan)
+    reference = _reference(app, design_params, engine, deadlock_window,
+                           max_cycles)
     with engine_scope(engine):
-        design = (build_design(app, design_params)
-                  if _design_factory is None else _design_factory())
+        design = reference.fresh_design()
         sim = _make_sim(design, deadlock_window)
     multi = hasattr(sim, "topology")
     cpu = run_state(sim)
@@ -395,16 +408,13 @@ def _evaluate_trial(
     cache_dir: str | None = None,
     timeout_s: float | None = None,
     telemetry: bool = False,
-    design_factory: Callable[[], Any] | None = None,
 ) -> dict[str, Any]:
     """Sweep-engine ``evaluate`` hook: one trial per design point.
 
     The trial record travels in the payload's ``metrics`` slot; trials
     are never cached (``cache_dir`` is ignored) and a healthy trial is
     always ``STATUS_OK`` regardless of its fault outcome — outcomes
-    are campaign data, not evaluation failures.  ``design_factory`` is
-    :func:`run_trial`'s ``_design_factory`` (scalar replays of batched
-    lanes).
+    are campaign data, not evaluation failures.
     """
     del cache_dir, timeout_s, telemetry
     params = point.params
@@ -419,7 +429,6 @@ def _evaluate_trial(
             deadlock_window=params["deadlock_window"],
             max_cycles=params["max_cycles"],
             engine=params.get("engine", "auto"),
-            _design_factory=design_factory,
         )
     except Exception as exc:
         return point_payload(
@@ -545,45 +554,128 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _campaign_setup(config: CampaignConfig):
-    """Build + baseline the design and enumerate the injectable
-    targets; shared by the scalar and batched campaign paths."""
-    with engine_scope(config.engine):
-        design = build_design(config.app, config.design)
-        baseline = design.run()  # also validates the fault-free partition
-        sim = _make_sim(design, config.deadlock_window)
-    channels = tuple(c.name for c in sim.all_channels())
-    if hasattr(sim, "topology"):  # K-CPU design
-        cpus = tuple(node.name for node in sim.nodes)
-        mem_words = max(
-            1, max(len(p.image) for p in design.programs) // 4)
-    else:
-        cpus = ()
-        mem_words = max(1, len(design.program.image) // 4)
-    ports = tuple(
-        f"{block.name}:{port}"
-        for model in sim._models
-        for block in model.blocks
-        for port in block.outputs
-    )
-    return design, baseline, channels, ports, cpus, mem_words
+# ----------------------------------------------------------------------
+# The fault-free reference of a design
+# ----------------------------------------------------------------------
+#: most fault-free references a process keeps; the oldest are evicted
+#: first.  One holds a built design, and once used its hardware
+#: template and fault-free tail run: well under a megabyte for CORDIC
+#: P=8.
+REFERENCE_CACHE_LIMIT = 8
+
+_references: dict[tuple, "_Reference"] = {}
+_references_lock = threading.Lock()
 
 
-def campaign_specs(
-    config: CampaignConfig, baseline_cycles: int,
-    channels: tuple[str, ...], ports: tuple[str, ...], mem_words: int,
-    cpus: tuple[str, ...] = (),
-) -> list[DesignSpec]:
-    """One picklable spec per trial, each carrying its full plan."""
+class _Reference:
+    """What every campaign of one design shares, whatever its fault
+    seed: the built design, its fault-free baseline and injectable
+    targets, and, built on first use, the fault-free tail run to
+    ``max_cycles`` and the hardware template of the lockstep lanes.
+
+    Nothing here is stepped after it is built: a trial runs the
+    design's program on new hardware (:meth:`fresh_design`), and the
+    template is only ever compiled into a batch."""
+
+    def __init__(self, app: str, design_params: dict[str, Any],
+                 engine: str, deadlock_window: int, max_cycles: int):
+        self.engine = engine
+        self.deadlock_window = deadlock_window
+        self.max_cycles = max_cycles
+        with engine_scope(engine):
+            design = build_design(app, design_params)
+            # also validates the fault-free partition
+            self.baseline_cycles = design.run().cycles
+            sim = _make_sim(design, deadlock_window)
+        self.design = design
+        self.channels = tuple(c.name for c in sim.all_channels())
+        if hasattr(sim, "topology"):  # K-CPU design
+            self.cpus = tuple(node.name for node in sim.nodes)
+            self.mem_words = max(
+                1, max(len(p.image) for p in design.programs) // 4)
+        else:
+            self.cpus = ()
+            self.mem_words = max(1, len(design.program.image) // 4)
+        self.ports = tuple(
+            f"{block.name}:{port}"
+            for model in sim._models
+            for block in model.blocks
+            for port in block.outputs
+        )
+
+    def fresh_design(self):
+        """The design with hardware no run has touched: a copy with
+        fresh hardware (a K-CPU design builds its hardware per
+        simulation, so it is its own)."""
+        design = self.design
+        if getattr(design, "is_multi", False):
+            return design
+        clone = copy.copy(design)
+        clone.model, clone.mb = design.fresh_hardware()
+        return clone
+
+    @functools.cached_property
+    def template(self):
+        """The ``(model, hub)`` every lockstep batch of the design is
+        laid out from (compiled by each batch, never stepped)."""
+        return self.design.fresh_hardware()
+
+    @functools.cached_property
+    def tail(self) -> tuple[Any, tuple[str, str]]:
+        """The fault-free run to ``max_cycles`` on the reference's
+        engine and watchdog: the end state (run-state facade) and
+        classification of every rollback re-run of the design's
+        campaigns."""
+        with engine_scope(self.engine):
+            design = self.fresh_design()
+            sim = _make_sim(design, self.deadlock_window)
+        verdict = _finish_and_classify(
+            sim, design, lambda: sim.run(until=self.max_cycles))
+        return run_state(sim), verdict
+
+
+def _reference(app: str, design_params: dict[str, Any], engine: str,
+               deadlock_window: int, max_cycles: int) -> _Reference:
+    """The process's fault-free reference of a design, built on first
+    use.  It is keyed on the app, the canonical JSON of the design
+    parameters, the engine ``engine`` resolves to inside the ambient
+    :func:`~repro.runapi.engine_scope`, the watchdog window and the
+    cycle budget.  A design whose build or baseline fails raises on
+    every call: nothing is stored for it."""
+    with engine_scope(engine):
+        engine = resolve_engine()
+    key = (app, json.dumps(design_params, sort_keys=True), engine,
+           deadlock_window, max_cycles)
+    reference = _references.get(key)
+    if reference is None:
+        reference = _Reference(app, design_params, engine, deadlock_window,
+                               max_cycles)
+        with _references_lock:
+            while len(_references) >= REFERENCE_CACHE_LIMIT:
+                del _references[next(iter(_references))]
+            _references[key] = reference
+    return reference
+
+
+def _campaign_reference(config: CampaignConfig) -> _Reference:
+    """:func:`_reference` of ``config``'s design."""
+    return _reference(config.app, config.design, config.engine,
+                      config.deadlock_window, config.max_cycles)
+
+
+def campaign_specs(config: CampaignConfig,
+                   reference: _Reference) -> list[DesignSpec]:
+    """One picklable spec per trial, each carrying its full plan drawn
+    over ``reference``'s baseline and targets."""
     specs = []
     for i in range(config.trials):
         plan = generate_plan(
             f"{config.seed}/{i}",
-            max_cycle=max(2, baseline_cycles - 1),
-            mem_words=mem_words,
-            channels=channels,
-            ports=ports,
-            cpus=cpus,
+            max_cycle=max(2, reference.baseline_cycles - 1),
+            mem_words=reference.mem_words,
+            channels=reference.channels,
+            ports=reference.ports,
+            cpus=reference.cpus,
             kinds=config.kinds,
             n_faults=config.faults_per_trial,
         )
@@ -626,11 +718,18 @@ def run_campaign(
 
     ``batch_width=N`` runs the trials through the lockstep vector
     engine instead: N at a time on one
-    :class:`~repro.cosim.batch.BatchedCoSimulation`, sharing one
-    program build and one fault-free prefix per batch, with
-    unvectorizable trials evicted to the scalar engine.  The report is
-    identical to the scalar one (same classification, same per-trial
-    records); the sweep-engine options do not apply.
+    :class:`~repro.cosim.batch.BatchedCoSimulation` laid out from one
+    hardware template, with unvectorizable trials evicted to the scalar
+    engine.  The report is identical to the scalar one (same
+    classification, same per-trial records); the sweep-engine options
+    do not apply.
+
+    The seed-independent work is done once per process and design (see
+    :func:`_reference`): the program build, the fault-free baseline and
+    target list, the fault-free tail run that rollback records end on,
+    and the lanes' hardware template.  A later campaign of the same
+    design, with any seed, starts from them, and every scalar trial
+    runs the reference's program instead of compiling its own.
     """
     if batch_width is not None:
         if batch_width < 1:
@@ -640,11 +739,8 @@ def run_campaign(
                 "batched campaigns do not support --journal/--resume; "
                 "drop --batch or run the journal on the scalar engine"
             )
-    design, baseline, channels, ports, cpus, mem_words = (
-        _campaign_setup(config))
-    specs = campaign_specs(
-        config, baseline.cycles, channels, ports, mem_words, cpus
-    )
+    reference = _campaign_reference(config)
+    specs = campaign_specs(config, reference)
 
     if batch_width is None:
         report = sweep(
@@ -663,13 +759,14 @@ def run_campaign(
         ]
     else:
         workers = 0  # the lockstep engine runs in this process
-        trials = _run_batched(config, design, specs, batch_width, progress)
+        trials = _run_batched(config, reference, specs, batch_width,
+                              progress)
     for i, trial in enumerate(trials):
         trial["trial"] = i
 
     return CampaignReport(
         config=config,
-        baseline_cycles=baseline.cycles,
+        baseline_cycles=reference.baseline_cycles,
         trials=trials,
         workers=max(workers, 0),
     )
@@ -678,14 +775,11 @@ def run_campaign(
 # ----------------------------------------------------------------------
 # The batched (lockstep vector) campaign path
 # ----------------------------------------------------------------------
-def _scalar_trial(
-    spec: DesignSpec,
-    design_factory: Callable[[], Any] | None = None,
-) -> dict[str, Any]:
+def _scalar_trial(spec: DesignSpec) -> dict[str, Any]:
     """Replay one trial on the scalar engine, producing exactly the
     record the sweep path would — the crash record included when the
     trial evaluation itself raises."""
-    payload = _evaluate_trial(spec, design_factory=design_factory)
+    payload = _evaluate_trial(spec)
     return _trial_from_evaluation(
         spec, payload["status"], payload["metrics"], payload["error"]
     )
@@ -739,15 +833,13 @@ def _lane_stop(batch, lane: int, injector: FaultInjector,
 
 
 def _run_trial_batch(
-    config: CampaignConfig, specs: list[DesignSpec], design,
-    template: Callable[[], tuple[Any, Any]],
-    tail: Callable[[], tuple[Any, tuple[str, str]]],
+    config: CampaignConfig, specs: list[DesignSpec], reference: _Reference,
 ) -> list[dict[str, Any]]:
     """Run up to ``batch_width`` trials of one campaign in lockstep.
 
-    Every lane starts from cycle 0 on the shared program and the
-    campaign's one hardware ``template()`` (a lane owns only its CPU,
-    memory and FSL channels).  Each lane's
+    Every lane starts from cycle 0 on the reference's program and
+    hardware template (a lane owns only its CPU, memory and FSL
+    channels).  Each lane's
     :class:`~repro.faults.inject.FaultInjector` cursor applies its
     faults to the lane's own CPU/FIFO objects and names the lane's next
     stop; ``stuck_at`` windows are pinned through the engine's
@@ -763,8 +855,9 @@ def _run_trial_batch(
     whose CPU raised past its checkpoint is the ``crash`` the scalar
     run reports.  Every rollback re-run restores the fault-free state
     at the checkpoint and re-runs without faults, so its end is the
-    campaign's fault-free run to ``max_cycles``: ``tail()``, run once
-    per campaign, gives that run's end state and classification.
+    design's fault-free run to ``max_cycles``: the reference's ``tail``,
+    run once per process, gives that run's end state and
+    classification.
 
     What the lane cannot give is replayed by a full scalar
     :func:`run_trial`, which determinism makes bit-identical: crashes
@@ -782,16 +875,16 @@ def _run_trial_batch(
     # run_trial's pre-fault checkpoint cycle; also the early/late pivot
     firsts = [min(plan.first_cycle, config.max_cycles) for plan in plans]
     rollback = config.recovery == "rollback" and config.max_retries > 0
-    lane_design = functools.partial(_fresh_design, design)
+    design = reference.design
 
     # --- build the lanes and the lockstep engine ---------------------
     try:
         batch = BatchedCoSimulation.from_template(
-            design.program, design.fresh_hardware, n, template=template(),
-            cpu_config=design.cpu_config,
+            design.program, design.fresh_hardware, n,
+            template=reference.template, cpu_config=design.cpu_config,
             deadlock_window=config.deadlock_window)
     except Exception:  # noqa: BLE001 - scalar replays reproduce it
-        return [_scalar_trial(spec, lane_design) for spec in specs]
+        return [_scalar_trial(spec) for spec in specs]
 
     # --- drive every lane through its fault plan ---------------------
     injectors = [_LaneInjector(batch, li, plan)
@@ -849,11 +942,11 @@ def _run_trial_batch(
             outcome, detail = OUTCOME_CRASH, evicted[len(CPU_RAISED):]
             early = False
         if outcome is None:
-            records[li] = _scalar_trial(specs[li], lane_design)
+            records[li] = _scalar_trial(specs[li])
         elif not early and rollback and outcome in RECOVERABLE:
             records[li] = _rollback_record(
                 config, plans[li], (outcome, detail), injector.log,
-                firsts[li], *tail())
+                firsts[li], *reference.tail)
         else:
             records[li] = _end_record(
                 plans[li], cpu, outcome, detail,
@@ -861,28 +954,6 @@ def _run_trial_batch(
                 injected=injector.log,
             )
     return records
-
-
-def _fresh_design(design):
-    """The shared design with fresh hardware: scalar replays and the
-    fault-free tail skip the (deterministic) per-trial program
-    compile."""
-    clone = copy.copy(design)
-    clone.model, clone.mb = design.fresh_hardware()
-    return clone
-
-
-def _fault_free_tail(config: CampaignConfig,
-                     design) -> tuple[Any, tuple[str, str]]:
-    """The campaign's fault-free run to ``config.max_cycles`` on its
-    scalar engine and watchdog: the end state (run-state facade) and
-    classification of every rollback re-run of the campaign."""
-    with engine_scope(config.engine):
-        design = _fresh_design(design)
-        sim = _make_sim(design, config.deadlock_window)
-    verdict = _finish_and_classify(
-        sim, design, lambda: sim.run(until=config.max_cycles))
-    return run_state(sim), verdict
 
 
 def _rollback_record(
@@ -913,32 +984,29 @@ def _rollback_record(
 
 def _run_batched(
     config: CampaignConfig,
-    design,
+    reference: _Reference,
     specs: list[DesignSpec],
     batch_width: int,
     progress: Callable[[SweepProgress], None] | None,
 ) -> list[dict[str, Any]]:
     """The ``run_campaign(batch_width=...)`` trial executor: one
-    program build and one lockstep vector run per ``batch_width``
-    trials instead of ``batch_width`` full scalar simulations.
+    lockstep vector run per ``batch_width`` trials instead of
+    ``batch_width`` full scalar simulations.
 
     K-CPU designs have no lockstep vector engine (lanes would need a
     whole topology each); their trials replay on the scalar path one by
-    one, sharing the design's one-time program builds.  Determinism
-    keeps the records equal to the sweep path's."""
-    multi = getattr(design, "is_multi", False)
-    tail = functools.cache(lambda: _fault_free_tail(config, design))
-    template = functools.cache(lambda: design.fresh_hardware())
+    one, on the reference's program builds.  Determinism keeps the
+    records equal to the sweep path's."""
+    multi = getattr(reference.design, "is_multi", False)
     start = time.perf_counter()
     trials: list[dict[str, Any]] = []
     cycles_done = 0
     for lo in range(0, len(specs), batch_width):
         chunk = specs[lo:lo + batch_width]
         if multi:
-            records = [_scalar_trial(spec, lambda: design) for spec in chunk]
+            records = [_scalar_trial(spec) for spec in chunk]
         else:
-            records = _run_trial_batch(config, chunk, design, template,
-                                       tail)
+            records = _run_trial_batch(config, chunk, reference)
         for spec, record in zip(chunk, records):
             trials.append(record)
             cycles_done += record.get("cycles") or 0

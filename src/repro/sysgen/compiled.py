@@ -516,23 +516,28 @@ def _with_lazy_loads(ctx: EmitContext, body: list[str]) -> list[str]:
     entry = {line.partition(" = ")[0]: line for line in ctx._entry}
     out: list[str] = []
     loaded: set[str] = set()
-
-    def load(name: str) -> None:
-        if name in loaded:
-            return
-        loaded.add(name)
-        if name in ports:
-            out.append(ports[name])
-        elif name in entry:
-            for dep in _NAME.findall(entry[name].partition(" = ")[2]):
-                load(dep)
-            out.append(entry[name])
-
     for chunk in body:
         for name in _NAME.findall(chunk):
-            load(name)
+            _load(name, ports, entry, loaded, out)
         out.append(chunk)
     return out
+
+
+def _load(name: str, ports: dict[str, str], entry: dict[str, str],
+          loaded: set[str], out: list[str]) -> None:
+    """Append to ``out`` the lines that bind ``name`` (a port load, or
+    an entry line after the lines of the names it reads), unless
+    ``loaded`` has it.  A module function, not a closure: a recursive
+    closure would hold itself in a reference cycle."""
+    if name in loaded:
+        return
+    loaded.add(name)
+    if name in ports:
+        out.append(ports[name])
+    elif name in entry:
+        for dep in _NAME.findall(entry[name].partition(" = ")[2]):
+            _load(dep, ports, entry, loaded, out)
+        out.append(entry[name])
 
 
 class CompiledSchedule:

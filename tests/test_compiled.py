@@ -444,9 +444,10 @@ def _weak_hardware(kind: str) -> list:
 @pytest.mark.parametrize("kind", ["built", "fresh", "compiled", "run"])
 def test_a_dropped_model_is_freed_without_the_cycle_collector(kind):
     # A port names its block instead of pointing back at it, a block
-    # does not point at its model, and the generated step advances the
-    # model's clock, not the model: dropping the last reference frees
-    # the model, its blocks and its channels.
+    # does not point at its model, the generated step advances the
+    # model's clock, not the model, and compiling leaves no cycle of
+    # its own: dropping the last reference frees the model, its blocks
+    # and its channels, and leaves the cycle collector nothing.
     import gc
 
     gc.collect()
@@ -454,5 +455,6 @@ def test_a_dropped_model_is_freed_without_the_cycle_collector(kind):
     try:
         refs = _weak_hardware(kind)
         assert [ref for ref in refs if ref() is not None] == []
+        assert gc.collect() == 0
     finally:
         gc.enable()

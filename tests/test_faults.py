@@ -608,11 +608,25 @@ def test_batched_campaign_lanes_advance_together(monkeypatch):
         assert steps[id(batch.batched)] <= longest + 64
 
 
-def test_batched_campaign_builds_its_hardware_once(monkeypatch):
-    # The lanes of a batched campaign share one template: the hardware
-    # is built once per campaign, plus once per scalar replay and once
-    # for the fault-free tail run of rollback — never per lane — and no
-    # lane's structure is walked to prove it matches the template.
+@pytest.fixture
+def no_references(monkeypatch):
+    """An empty reference map and an empty map of lane ``SharedCode``
+    for the test (the process's own come back after it)."""
+    from repro.cosim import batch
+    from repro.faults import campaign
+
+    monkeypatch.setattr(campaign, "_references", {})
+    monkeypatch.setattr(batch, "_shared_code", {})
+    return campaign._references
+
+
+def test_batched_campaign_builds_its_hardware_once(monkeypatch,
+                                                   no_references):
+    # The lanes of a batched campaign share the reference's template:
+    # a process builds a design's hardware once for the template and
+    # once for the fault-free tail run of rollback, then once per
+    # scalar replay — never per lane, batch or campaign — and no lane's
+    # structure is walked to prove it matches the template.
     from repro.sysgen import batched
 
     builds, walks = [], []
@@ -626,12 +640,202 @@ def test_batched_campaign_builds_its_hardware_once(monkeypatch):
     monkeypatch.setattr(batched, "lockstep_signature", walks.append)
     replays = _spy_replays(monkeypatch)
     width = 8
-    run_campaign(CampaignConfig(
-        app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
-        trials=2 * width, seed=15, max_cycles=60_000, deadlock_window=512,
-        recovery="rollback"), batch_width=width)
+
+    def campaign_builds(seed: int) -> int:
+        builds.clear()
+        replays.clear()
+        run_campaign(CampaignConfig(
+            app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
+            trials=2 * width, seed=seed, max_cycles=60_000,
+            deadlock_window=512, recovery="rollback"), batch_width=width)
+        return len(builds) - len(replays)
+
+    assert campaign_builds(15) == 2  # the template and the tail
+    assert campaign_builds(16) == 0  # its replays alone
     assert walks == []
-    assert 1 <= len(builds) <= 1 + len(replays) + 1
+
+
+# ----------------------------------------------------------------------
+# the fault-free reference: built once per process and design
+
+
+def _spy_reference_work(monkeypatch) -> dict[str, int]:
+    """Count, from here on, CORDIC program builds, fault-free baseline
+    runs and the simulations a campaign builds for its reference, its
+    tail run and its scalar trials."""
+    from repro.apps.cordic import design as cordic_design
+    from repro.faults import campaign
+
+    counts = {"builds": 0, "baselines": 0, "sims": 0}
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(cordic_design, "build_executable",
+                        counting("builds", cordic_design.build_executable))
+    monkeypatch.setattr(CordicDesign, "run",
+                        counting("baselines", CordicDesign.run))
+    monkeypatch.setattr(campaign, "_make_sim",
+                        counting("sims", campaign._make_sim))
+    return counts
+
+
+def _report(config, width) -> str:
+    return json.dumps(run_campaign(config, batch_width=width).to_dict(),
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("path", ["scalar", "ckernel", "numpy"])
+def test_a_second_campaign_reuses_the_reference(monkeypatch, no_references,
+                                                path):
+    # A new fault seed on the same design compiles no program and runs
+    # no baseline and no tail: its scalar trials build one simulation
+    # each, its lanes none.  Its report is byte for byte the one a
+    # process with no reference gives.
+    from repro.cosim import batch
+    from repro.sysgen import ckernel
+
+    if path == "numpy":
+        monkeypatch.setenv(ckernel.DISABLE_ENV, "1")
+    width = None if path == "scalar" else 32
+    first = CampaignConfig(trials=32, seed=5, **SEU_SHAPE)
+    second = CampaignConfig(trials=32, seed=6, **SEU_SHAPE)
+    _report(first, width)
+    counts = _spy_reference_work(monkeypatch)
+    replays = _spy_replays(monkeypatch)
+    warm = _report(second, width)
+    trials = len(replays) if width else second.trials
+    assert counts == {"builds": 0, "baselines": 0, "sims": trials}
+    assert len(no_references) == 1
+    no_references.clear()
+    batch._shared_code.clear()
+    assert _report(second, width) == warm
+
+
+def test_each_engine_window_and_budget_gets_its_own_reference(
+        monkeypatch, no_references):
+    from repro.runapi.engine import engine_scope
+
+    counts = _spy_reference_work(monkeypatch)
+    base = dict(app="cordic", design=dict(DESIGN), trials=1, seed=3,
+                deadlock_window=2_048, max_cycles=MAX_CYCLES)
+    variants = [{}, {"engine": "interpreter"}, {"deadlock_window": 1_024},
+                {"max_cycles": MAX_CYCLES // 2}]
+    for k, change in enumerate(variants, start=1):
+        run_campaign(CampaignConfig(**{**base, **change}))
+        assert counts["baselines"] == len(no_references) == k
+    # "auto" resolves to the compiled engine, also inside an ambient
+    # scope (the campaign's own engine request is innermost), and an
+    # explicit "compiled" is the same engine: no new reference
+    run_campaign(CampaignConfig(**base, engine="compiled"))
+    with engine_scope("interpreter"):
+        run_campaign(CampaignConfig(**base))
+    assert counts["baselines"] == len(no_references) == len(variants)
+
+
+def test_a_failing_baseline_raises_every_time_and_is_not_stored(
+        monkeypatch, no_references):
+    from repro.apps.common import VerificationError
+
+    calls = []
+
+    def failing(self):
+        calls.append(1)
+        raise VerificationError("baseline failed")
+
+    config = CampaignConfig(app="cordic", design=dict(DESIGN), trials=2,
+                            max_cycles=MAX_CYCLES)
+    with monkeypatch.context() as patch:
+        patch.setattr(CordicDesign, "run", failing)
+        for width in (None, None, 4):
+            with pytest.raises(VerificationError, match="baseline failed"):
+                run_campaign(config, batch_width=width)
+    assert len(calls) == 3
+    assert no_references == {}
+    assert run_campaign(config).baseline_cycles > 0
+    assert len(no_references) == 1
+
+
+def test_the_reference_map_is_bounded(monkeypatch, no_references):
+    from repro.faults import campaign
+
+    monkeypatch.setattr(campaign, "REFERENCE_CACHE_LIMIT", 2)
+    counts = _spy_reference_work(monkeypatch)
+
+    def run(max_cycles):
+        run_campaign(CampaignConfig(app="cordic", design=dict(DESIGN),
+                                    trials=1, max_cycles=max_cycles))
+        return counts["baselines"]
+
+    budgets = (MAX_CYCLES, MAX_CYCLES + 1, MAX_CYCLES + 2)
+    assert [run(b) for b in budgets] == [1, 2, 3]
+    assert [key[-1] for key in no_references] == list(budgets[1:])
+    assert run(budgets[2]) == 3  # still held
+    assert run(budgets[0]) == 4  # evicted, so rebuilt
+    assert len(no_references) == 2
+
+
+def test_the_reference_map_holds_its_bound_under_threads(monkeypatch,
+                                                        no_references):
+    # Many threads look up and insert references of more designs than
+    # the map holds: an eviction race would raise or overfill it.
+    import sys
+    import threading
+
+    from repro.faults import campaign
+
+    class Stub:
+        def __init__(self, app, design_params, engine, deadlock_window,
+                     max_cycles):
+            self.max_cycles = max_cycles
+
+    monkeypatch.setattr(campaign, "_Reference", Stub)
+    monkeypatch.setattr(campaign, "REFERENCE_CACHE_LIMIT", 3)
+    errors = []
+
+    def worker(k):
+        try:
+            for i in range(5_000):
+                budget = (k * 7 + i) % 11
+                ref = campaign._reference("cordic", DESIGN, "auto", 2_048,
+                                          budget)
+                assert ref.max_cycles == budget
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert 1 <= len(no_references) <= 3
+    assert all(ref.max_cycles == key[-1]
+               for key, ref in no_references.items())
+
+
+def test_a_campaign_leaves_the_template_unchanged(no_references):
+    from repro.faults import campaign
+
+    config = CampaignConfig(trials=32, seed=5, **SEU_SHAPE)
+    model, hub = campaign._campaign_reference(config).template
+    before = (model.state_dict(), hub.state_dict())
+    run_campaign(config, batch_width=32)
+    assert campaign._campaign_reference(config).template == (model, hub)
+    assert (model.state_dict(), hub.state_dict()) == before
+    fresh_model, fresh_hub = CordicDesign(**SEU_SHAPE["design"]) \
+        .fresh_hardware()
+    assert before == (fresh_model.state_dict(), fresh_hub.state_dict())
 
 
 def test_lane_halting_in_a_stuck_window_leaves_the_hang_quiet(monkeypatch):
