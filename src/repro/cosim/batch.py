@@ -53,12 +53,11 @@ and :meth:`BatchedCoSimulation.hw_touched` (fault injection behind the
 engine's back) make it stale too.  A lane's forcing goes when the lane
 halts or is evicted.
 
-Lanes whose memory holds one program text share one decode cache and
-one map of translated blocks (:class:`~repro.iss.cpu.SharedCode`),
-kept per process by the text's content, so the batches of a campaign,
-and of every later campaign of the design, decode and translate each
-pc of the text once; a lane that writes its text, or fetches outside
-it, uses its own.
+A lane's CPU is built like any scalar one, so it shares its decodes
+and translations with every CPU of the process that runs the same
+program text (see *Code cache* in :mod:`repro.iss.cpu`): the batches of
+a campaign, and of every later campaign of the design, decode and
+translate each pc of the text once.
 
 Lane eviction
 -------------
@@ -91,7 +90,6 @@ this class.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -109,8 +107,6 @@ from repro.cosim.environment import (
     run_ahead,
 )
 from repro.cosim.mb_block import MicroBlazeBlock
-from repro.iss.cpu import SharedCode
-from repro.iss.memory import AddressSpace
 from repro.runapi import RunPolicy
 from repro.runapi.engine import engine_scope
 from repro.sysgen.batched import BatchedModel, BatchUnsupported
@@ -234,7 +230,6 @@ class BatchedCoSimulation:
         #: the design has OPB-mapped registers
         self._stores_matter = any(
             hasattr(block, "opb_write") for block in batched.template.blocks)
-        _share_code(self.sims)
 
     @classmethod
     def from_template(
@@ -631,42 +626,6 @@ class BatchedCoSimulation:
             return LaneResult(lane, None, error=exc, evicted=True,
                               eviction_reason=reason)
         return LaneResult(lane, result, evicted=True, eviction_reason=reason)
-
-
-# --------------------------------------------------------------------------
-#: most program texts whose :class:`~repro.iss.cpu.SharedCode` the
-#: process keeps; the oldest are evicted first.  One holds a text's
-#: decodes and translated blocks (tens of KB for a campaign program).
-SHARED_CODE_LIMIT = 16
-
-_shared_code: dict[tuple, SharedCode] = {}
-_shared_code_lock = threading.Lock()
-
-
-def _share_code(sims: list[CoSimulation]) -> None:
-    """Give the lanes whose memory holds the same program text, under
-    the same CPU configuration and memory map, one
-    :class:`~repro.iss.cpu.SharedCode`: a word is decoded and a block
-    translated once per process, not once per lane or per batch.  The
-    key is the text itself, so lanes share only what is equal word for
-    word, and a batch of a program an earlier batch ran starts with
-    that batch's translations."""
-    for sim in sims:
-        cpu = sim.cpu
-        mem = cpu.mem
-        if type(mem) is not AddressSpace:
-            continue
-        end = min(sim.program.text_size, mem.bram.size)
-        key = (end, cpu.config, mem.bram.size, mem._opb is not None,
-               mem.bram.dump(0, end))
-        shared = _shared_code.get(key)
-        if shared is None:
-            shared = SharedCode(end)
-            with _shared_code_lock:
-                while len(_shared_code) >= SHARED_CODE_LIMIT:
-                    del _shared_code[next(iter(_shared_code))]
-                _shared_code[key] = shared
-        cpu.share_code(shared)
 
 
 def lane_factory(build: Callable[[], Any]) -> Callable[[], CoSimulation]:

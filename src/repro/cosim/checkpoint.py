@@ -95,13 +95,12 @@ def sim_fingerprint(sim) -> str:
 def checkpoint_to_dict(sim, label: str = "") -> dict:
     """Build the full checkpoint document (in-memory form)."""
     state = sim.state_dict()
-    cycle = sim.cycle if hasattr(sim, "topology") else sim.cpu.cycle
     return {
         "format": "mb32-checkpoint",
         "version": CHECKPOINT_VERSION,
         "label": label,
         "fingerprint": sim_fingerprint(sim),
-        "cycle": cycle,
+        "cycle": sim.cycle,
         "digest": _payload_digest(state),
         "state": state,
     }

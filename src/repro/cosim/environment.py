@@ -434,6 +434,11 @@ class LockstepKernel:
             for block in m.blocks
         )
 
+    @property
+    def cycle(self) -> int:
+        """The global clock (== every active CPU's local cycle)."""
+        return self._read_clock()
+
     def channel_occupancies(self) -> dict[str, int]:
         """Current FIFO occupancy per channel, keyed by channel name."""
         return {ch.name: ch.occupancy for ch in self.all_channels()}

@@ -203,11 +203,6 @@ class MultiCoSimulation(LockstepKernel):
     # views
     # ------------------------------------------------------------------
     @property
-    def cycle(self) -> int:
-        """The global clock (== every active CPU's local cycle)."""
-        return self._cycle
-
-    @property
     def n_cpus(self) -> int:
         return len(self.nodes)
 

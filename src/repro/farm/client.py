@@ -46,9 +46,12 @@ class FarmClient:
     the shared seeded :func:`repro.runapi.backoff.retry_backoff_delay`
     schedule until the retry budget *and* the total wall-clock
     deadline are exhausted, then surface as one typed
-    :class:`FarmUnavailable`.  Retrying a submission is idempotent for
-    cacheable jobs — the farm's content-addressed dedup coalesces a
-    re-sent duplicate onto the original execution.
+    :class:`FarmUnavailable`.  With ``deadline_s`` no socket read waits
+    past the deadline either (else each waits up to ``timeout``), so a
+    gateway that accepts a request and never answers cannot hold the
+    client longer than the deadline.  Retrying a submission is
+    idempotent for cacheable jobs — the farm's content-addressed dedup
+    coalesces a re-sent duplicate onto the original execution.
     """
 
     def __init__(
@@ -76,13 +79,20 @@ class FarmClient:
     # ------------------------------------------------------------------
     def _request_once(
         self, method: str, path: str, body: bytes | None,
-        headers: dict[str, str],
+        headers: dict[str, str], deadline: float | None,
     ) -> tuple[int, bytes]:
         for attempt in (1, 2):  # one transparent reconnect
+            timeout = self.timeout
+            if deadline is not None:
+                timeout = min(timeout, deadline - time.monotonic())
+                if timeout <= 0:
+                    raise TimeoutError(
+                        f"deadline of {self.deadline_s}s passed")
             if self._conn is None:
-                self._conn = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
-                )
+                self._conn = http.client.HTTPConnection(self.host, self.port)
+            self._conn.timeout = timeout  # read by the next connect()
+            if self._conn.sock is not None:
+                self._conn.sock.settimeout(timeout)
             try:
                 self._conn.request(method, path, body=body, headers=headers)
                 response = self._conn.getresponse()
@@ -119,7 +129,7 @@ class FarmClient:
             attempt += 1
             try:
                 status, data = self._request_once(
-                    method, path, body, headers
+                    method, path, body, headers, deadline
                 )
                 if status != 503:
                     return status, data

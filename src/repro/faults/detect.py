@@ -38,10 +38,8 @@ def check_invariants(sim) -> list[str]:
     """
     # (whose FSL interface, who exited, the CPU) per processor
     if hasattr(sim, "topology"):  # MultiCoSimulation
-        cycle = sim.cycle
         cpus = [(f"{node.name}'s", node.name, node.cpu) for node in sim.nodes]
     else:
-        cycle = sim.cpu.cycle
         cpus = [("the", "program", sim.cpu)]
     anomalies = [
         f"fsl-error: control-bit mismatch flagged by {whose} FSL interface"
@@ -62,7 +60,7 @@ def check_invariants(sim) -> list[str]:
             name = anomaly.split(":", 1)[0]
             sim.telemetry.bus.emit(
                 TelemetryEvent(
-                    FAULT_DETECTED, cycle, COSIM_TRACK, text=name
+                    FAULT_DETECTED, sim.cycle, COSIM_TRACK, text=name
                 )
             )
     return anomalies

@@ -38,17 +38,29 @@ budget, breakpoints, a ``trace_hook`` or an event bus.  Translation is
 part of the decode cache (it relies on the cache's write hook to drop
 blocks a store overwrites), so ``CPUConfig(decode_cache=False)`` turns
 both off.  The per-cycle loop, runs with an event bus or
-``verify_fast_forward`` and gdb keep stepping through ``tick``.  CPUs
-running one program text (a batch's lanes) may share their decodes and
-translations of it (:class:`SharedCode`).
+``verify_fast_forward`` and gdb keep stepping through ``tick``.
+
+Code cache
+----------
+A CPU keeps its decodes and translated blocks in one
+:class:`SharedCode`.  A CPU built from a program
+(:func:`~repro.iss.run.make_cpu`; again after ``reload_cpu``,
+:meth:`CPU.reset` or :meth:`CPU.load_state`) joins a process-wide map
+on its first fetch, keyed by the text's end and bytes, the
+:class:`CPUConfig`, the BRAM size and whether an OPB window is mapped,
+so every CPU running one text decodes and translates each pc of it once
+per process.  A store into the text, a fetch outside it or a new OPB
+window moves a CPU onto a private copy that keeps every entry still
+valid, so no store changes a cache another CPU holds.  A private cache
+covers all of memory and is invalidated in place.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.isa.decoder import DecodedInstr, decode
 from repro.iss.fsl import FSLPorts
@@ -75,28 +87,43 @@ ADVANCE_FOREVER = 1 << 62
 #: instruction kinds that access memory, and so any OPB-mapped registers
 _MEMORY_KINDS = frozenset(("load", "store"))
 
-#: ``_blocks`` marker for a pc not looked at yet
+#: code-cache marker for a pc not looked at yet
 _UNTRANSLATED = object()
+
+#: a private cache's range end: past every address a pc can hold
+_ALL_MEMORY = 1 << 33
 
 
 class SharedCode:
-    """Decoded words and translated blocks of one program text, shared
-    by the CPUs that run it (the lanes of a batch).
-
-    Every entry is a function of the memory words in ``[0, text_end)``
-    and of the CPUs' configuration alone, so it may only be shared by
-    CPUs whose memory held the same words there when they joined
-    (:meth:`CPU.share_code`) and that have not written that range
-    since: a CPU that does drops out and keeps private caches from then
-    on.  Fetches outside the range never use the shared maps.
-    """
+    """Decoded words and translated blocks of the memory words in
+    ``[0, text_end)``: a CPU's code cache (see *Code cache* above), in
+    the process-wide map or private (``text_end`` past all memory)."""
 
     __slots__ = ("text_end", "decoded", "blocks")
 
-    def __init__(self, text_end: int):
+    def __init__(self, text_end: int = _ALL_MEMORY):
         self.text_end = text_end
         self.decoded: dict[int, DecodedInstr] = {}
+        #: translated blocks by pc (None: issue through ``_issue``);
+        #: see :mod:`repro.iss.translate`
         self.blocks: dict[int, tuple | None] = {}
+
+    @property
+    def private(self) -> bool:
+        return self.text_end == _ALL_MEMORY
+
+
+#: the cache of a CPU that holds none yet (before its first fetch) or
+#: ever (decode cache off); never filled
+_NO_CODE = SharedCode(0)
+
+#: most program texts whose :class:`SharedCode` the process keeps; the
+#: oldest are evicted first.  One holds a text's decodes and translated
+#: blocks (tens of KB for a campaign program).
+SHARED_CODE_LIMIT = 16
+
+_shared_code: dict[tuple, SharedCode] = {}
+_shared_code_lock = threading.Lock()
 
 
 def _s32(v: int) -> int:
@@ -171,17 +198,14 @@ class CPU:
         self._pending_next_pc = 0
         self._delay_target: int | None = None
         self._in_delay_slot = False
-        self._decode_cache: dict[int, DecodedInstr] = {}
-        #: translated blocks by pc (None: issue through _issue), part of
-        #: the decode cache; see :mod:`repro.iss.translate`
-        self._blocks: dict[int, tuple | None] | None = (
-            {} if self.config.decode_cache else None)
-        #: bumped when a store hits decoded code, so a running block
-        #: can tell that the words after the store may have changed
+        #: end of the program text :func:`~repro.iss.run.make_cpu`
+        #: loaded; None: no program text, so a private code cache
+        self._text_end: int | None = None
+        #: bumped when a store or a new memory map makes code stale, so
+        #: a running block can tell that the words after the store may
+        #: have changed
         self._code_gen = 0
-        #: the decodes and translations this CPU shares with others
-        #: running the same text, behind its own (see share_code)
-        self._shared: SharedCode | None = None
+        self._clear_caches()
         #: optional callback (pc, instruction word) on every issue
         self.trace_hook = None
         #: optional :class:`~repro.telemetry.events.EventBus`; when set,
@@ -192,8 +216,6 @@ class CPU:
         #: traces keep one timeline per core
         self.track = CPU_TRACK
         self._stall_since: int | None = None
-        if self.config.decode_cache:
-            self.mem.write_hook = self._invalidator()
 
     # ------------------------------------------------------------------
     # Public control
@@ -332,9 +354,7 @@ class CPU:
             return True
         if not memory:
             return False
-        instr = self._decode_cache.get(self.pc)
-        if instr is None and self._shared is not None:
-            instr = self._shared.decoded.get(self.pc)
+        instr = self._code.decoded.get(self.pc)
         return instr is None or instr.spec.kind in _MEMORY_KINDS
 
     def burst(self, limit: int, memory: bool = False) -> int:
@@ -353,9 +373,9 @@ class CPU:
         CPU is in a clean state and the block's longest path fits the
         remaining budget; everything else, and any run with breakpoints,
         a ``trace_hook`` or an event bus, goes through :meth:`tick`,
-        which stays the reference.  A block in the text of a
-        :class:`SharedCode` (:meth:`share_code`) is translated once for
-        every CPU sharing it.
+        which stays the reference.  Blocks come from the CPU's code
+        cache, which it re-reads after every block: a store may have
+        moved the CPU onto a private copy.
 
         Callers: :meth:`run` back to back, and the run-ahead rule
         (:func:`repro.cosim.environment.run_ahead`) that the scalar
@@ -366,10 +386,9 @@ class CPU:
         """
         ticks = 0
         stats = self.stats
-        blocks = self._blocks
-        if self.breakpoints or self.trace_hook is not None \
-                or self.events is not None:
-            blocks = None
+        translate = self.config.decode_cache and not (
+            self.breakpoints or self.trace_hook is not None
+            or self.events is not None)
         while ticks < limit and not self.halted:
             busy = self._busy
             if busy:
@@ -382,12 +401,11 @@ class CPU:
                 continue
             if ticks and self.couples(memory):
                 break
-            if (blocks is not None and self._pending is None
+            if (translate and self._pending is None
                     and self.imm_latch is None and not self._in_delay_slot):
-                pc = self.pc
-                block = blocks.get(pc, _UNTRANSLATED)
+                block = self._code.blocks.get(self.pc, _UNTRANSLATED)
                 if block is _UNTRANSLATED:
-                    block = blocks[pc] = self._translate(pc)
+                    block = self._translate(self.pc)
                 if block is not None and block[1] <= limit - ticks:
                     ticks += block[0](self)
                     continue
@@ -483,111 +501,107 @@ class CPU:
     # ------------------------------------------------------------------
     # Fetch / decode
     # ------------------------------------------------------------------
-    def _invalidator(self) -> Callable[[int], None]:
-        """The memory's write hook: drop a stored-to word's decode, and
-        leave the shared maps on a store into their text.  It holds the
-        CPU weakly, so a CPU is freed as soon as it is dropped rather
-        than at the next full garbage collection."""
-        decoded, blocks, ref = self._decode_cache, self._blocks, \
-            weakref.ref(self)
-        text_end = self._shared.text_end if self._shared is not None else 0
-
-        def invalidate(addr: int) -> None:
-            if addr < text_end:
-                cpu = ref()
-                if cpu is not None:
-                    cpu._unshare(addr)
-            elif decoded.pop(addr & ~3, None) is not None and blocks:
-                blocks.clear()
-                cpu = ref()
-                if cpu is not None:
-                    cpu._code_gen += 1
-
-        return invalidate
-
     def _clear_caches(self) -> None:
-        self._decode_cache.clear()
-        if self._blocks is not None:
-            self._blocks.clear()
-        if self._shared is not None:
-            # the memory was reloaded or restored: its text need not be
-            # the shared one any more
-            self._unshare()
+        """Hold no code cache: the memory may hold another text now, so
+        the next fetch joins again."""
+        self._code = _NO_CODE
+        self.mem.write_hook = None
 
-    def share_code(self, shared: SharedCode) -> None:
-        """Look up decodes and translated blocks of ``shared``'s text
-        range in ``shared`` (filling it on a miss) behind this CPU's own
-        caches.  The caller guarantees that this CPU's memory holds the
-        text the other sharers joined with; a store into the range ends
-        the sharing for this CPU before the next fetch.  No-op with the
-        decode cache off."""
-        if self._blocks is None:
-            return
-        self._shared = shared
-        self.mem.write_hook = self._invalidator()
+    def _hold(self, code: SharedCode) -> SharedCode:
+        """Make ``code`` the CPU's cache.  The memory's write hook calls
+        :meth:`_invalidate` on a store into a shared cache's range or to
+        a decoded word of a private one, and on a new memory map
+        (``None``); it holds the CPU weakly, so a dropped CPU is freed
+        at once rather than at the next full garbage collection."""
+        self._code, ref = code, weakref.ref(self)
+        end = 0 if code.private else code.text_end
+        decoded = code.decoded if code.private else {}
 
-    def _unshare(self, addr: int | None = None) -> None:
-        """Leave the shared maps for private caches, on a store at
-        ``addr`` into their text: the private caches take a copy of
-        every shared entry the stored-to word is not part of, and the
-        code generation is bumped, so a running block leaves after the
-        store.  Without ``addr`` (the memory was reloaded) they start
-        empty."""
-        shared = self._shared
-        self._shared = None
-        decoded, blocks = self._decode_cache, self._blocks
-        decoded.clear()
-        blocks.clear()
-        if addr is not None:
+        def invalidate(addr: int | None) -> None:
+            if addr is None or addr < end or (addr & ~3) in decoded:
+                cpu = ref()
+                if cpu is not None:
+                    cpu._invalidate(addr)
+
+        self.mem.write_hook = invalidate
+        return code
+
+    def _join(self) -> SharedCode:
+        """The code cache of the first fetch: the process's cache of
+        this CPU's program text, configuration and memory map, or a
+        private one for a CPU with no program text."""
+        mem = self.mem
+        end = self._text_end
+        if end is None or type(mem) is not AddressSpace:
+            return self._hold(SharedCode())
+        key = (end, self.config, mem.bram.size, mem._opb is not None,
+               mem.bram.dump(0, end))
+        code = _shared_code.get(key)
+        if code is None:
+            with _shared_code_lock:
+                while len(_shared_code) >= SHARED_CODE_LIMIT:
+                    del _shared_code[next(iter(_shared_code))]
+                code = _shared_code.setdefault(key, SharedCode(end))
+        return self._hold(code)
+
+    def _private(self) -> SharedCode:
+        """Leave the shared cache for a private copy of it."""
+        code = SharedCode()
+        code.decoded.update(self._code.decoded)
+        code.blocks.update(self._code.blocks)
+        return self._hold(code)
+
+    def _code_for(self, pc: int) -> SharedCode:
+        """The code cache a fetch at ``pc`` fills: joined on the first
+        fetch, left for a private copy when ``pc`` lies outside it."""
+        code = self._code
+        if code is _NO_CODE:
+            code = self._join()
+        if pc + 4 > code.text_end:
+            code = self._private()
+        return code
+
+    def _invalidate(self, addr: int | None) -> None:
+        """Drop, on a private copy of a shared cache, the stored word's
+        decode, every block holding it (``[pc, stop)``) and every
+        untranslatable mark; after a new memory map (``None``) every
+        block.  A running block leaves after the store (``_code_gen``)."""
+        code = self._code
+        if not code.private:
+            code = self._private()
+        if addr is None:
+            code.blocks = {}
+        else:
             word = addr & ~3
-            decoded.update(shared.decoded)
-            decoded.pop(word, None)
-            for pc, block in shared.blocks.items():
-                if block is not None and not pc <= word < block[2]:
-                    blocks[pc] = block
+            code.decoded.pop(word, None)
+            code.blocks = {pc: block for pc, block in code.blocks.items()
+                           if block is not None
+                           and not pc <= word < block[2]}
         self._code_gen += 1
-        self.mem.write_hook = self._invalidator()
 
     def _fetch(self, pc: int) -> DecodedInstr:
-        shared = None
-        if self.config.decode_cache:
-            cached = self._decode_cache.get(pc)
-            if cached is not None:
-                return cached
-            shared = self._shared
-            if shared is not None:
-                if pc + 4 > shared.text_end:
-                    shared = None
-                else:
-                    cached = shared.decoded.get(pc)
-                    if cached is not None:
-                        self._decode_cache[pc] = cached
-                        return cached
-        try:
-            word = self.mem.read_u32(pc)
-            instr = decode(word)
-        except Exception as exc:
-            raise CPUError(f"fetch/decode failed at pc={pc:#010x}: {exc}") from exc
-        if self.config.decode_cache:
-            self._decode_cache[pc] = instr
-            if shared is not None:
-                shared.decoded[pc] = instr
+        instr = self._code.decoded.get(pc)
+        if instr is None:
+            try:
+                instr = decode(self.mem.read_u32(pc))
+            except Exception as exc:
+                raise CPUError(
+                    f"fetch/decode failed at pc={pc:#010x}: {exc}") from exc
+            if self.config.decode_cache:
+                self._code_for(pc).decoded[pc] = instr
         return instr
 
     def _translate(self, pc: int) -> tuple | None:
         """The translated block at ``pc`` (see
-        :func:`repro.iss.translate.block_at`), from the shared maps when
-        ``pc`` lies in the shared text; such a block is scanned within
-        that text only."""
+        :func:`repro.iss.translate.block_at`), scanned within the code
+        cache's range on a miss."""
         # imported here: the translator builds on this module
         from repro.iss.translate import block_at
 
-        shared = self._shared
-        if shared is None or pc + 4 > shared.text_end:
-            return block_at(self, pc)
-        block = shared.blocks.get(pc, _UNTRANSLATED)
+        code = self._code_for(pc)
+        block = code.blocks.get(pc, _UNTRANSLATED)
         if block is _UNTRANSLATED:
-            block = shared.blocks[pc] = block_at(self, pc, shared.text_end)
+            block = code.blocks[pc] = block_at(self, pc, code.text_end)
         return block
 
     # ------------------------------------------------------------------

@@ -138,8 +138,10 @@ class ConsoleDevice:
 class AddressSpace:
     """Address decoder: BRAM at 0, MMIO devices at ``0xFFFF_xxxx``.
 
-    A write hook can be installed to invalidate the CPU decode cache
-    when code memory is written (self-modifying code support).
+    A write hook can be installed to invalidate the CPU's code cache
+    when code memory is written (self-modifying code support); it is
+    called with ``None`` when an OPB window is mapped, since translated
+    code reads the memory map.
     """
 
     DEVICE_BASE = 0xFFFF_0000
@@ -152,7 +154,7 @@ class AddressSpace:
             EXIT_ADDR: self.exit_device,
             CONSOLE_ADDR: self.console,
         }
-        self.write_hook: Callable[[int], None] | None = None
+        self.write_hook: Callable[[int | None], None] | None = None
         # optional OPB window (memory-mapped peripherals)
         self._opb = None
         self._opb_base = 0
@@ -170,6 +172,8 @@ class AddressSpace:
         self._opb = bus
         self._opb_base = base
         self._opb_end = base + size
+        if self.write_hook is not None:
+            self.write_hook(None)
 
     def _in_opb(self, addr: int) -> bool:
         return self._opb is not None and self._opb_base <= addr < self._opb_end

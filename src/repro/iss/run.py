@@ -22,6 +22,7 @@ def make_cpu(
     program.load_into(bram)
     cpu = CPU(AddressSpace(bram), config=config, fsl=fsl)
     cpu.pc = program.entry
+    cpu._text_end = min(program.text_size, memory_size)
     return cpu
 
 
@@ -34,6 +35,7 @@ def reload_cpu(cpu: CPU, program: Program) -> None:
     bram = cpu.mem.bram
     bram.load(0, bytes(bram.size))
     program.load_into(bram)
+    cpu._text_end = min(program.text_size, bram.size)
 
 
 def run_to_completion(

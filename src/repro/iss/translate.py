@@ -20,9 +20,9 @@ the reference).  The rules that keep it exact:
   ``_issue``.  A block ends *before* a word that fails to decode, an
   instruction the configuration disallows (``_issue`` then raises as
   usual) and, when an OPB window is mapped, any load or store, so every
-  block's latency is static (the window is read at translation, so map
-  it before the CPU runs, as co-simulation set-up does).  A block never
-  ends between an ``imm`` and its consumer.
+  block's latency is static (the window is read at translation, and
+  mapping one drops the CPU's blocks).  A block never ends between an
+  ``imm`` and its consumer.
 * **Entry.**  The burst enters a block only from a clean state (not
   busy, no pending FSL, no ``imm`` latch, not in a delay slot) and only
   when the block's longest path fits the remaining burst budget, so
@@ -37,15 +37,16 @@ the reference).  The rules that keep it exact:
 
 Registers stay in ``cpu.regs``; they always hold unsigned 32-bit
 values, which the generated expressions rely on (``r0`` reads fold to
-0).  Functions take the CPU as an argument, so one translation serves
-every CPU that runs the same words at the same address: a bounded
-process-wide cache keyed by content (address, words, timing, optional
-units, memory mode) keeps them across simulations, which matters when a
-fresh CPU is built for every run.  CPUs that share a
-:class:`~repro.iss.cpu.SharedCode` (the lanes of a batch) also share
-the lookup: a block in the shared text is scanned once per batch, within
-that text only (``block_at(..., end)``), and its ``stop`` bounds the
-words a store must miss for a lane leaving the sharing to keep it.
+0).  A CPU looks its blocks up in its code cache
+(:class:`~repro.iss.cpu.SharedCode`), which every CPU running one
+program text shares, so a block of a text is scanned once per process,
+within the cache's range only (``block_at(..., end)``); its ``stop``
+bounds the words a store must miss for the block to stay cached.
+Functions take the CPU as an argument, so one translation also serves
+different programs that hold the same words at the same address: a
+bounded process-wide cache keyed by content (address, words, timing,
+optional units, memory mode) keeps them, which matters when a process
+runs a new program per job or per generated test.
 """
 
 from __future__ import annotations
@@ -76,12 +77,12 @@ _shared: dict[tuple, tuple] = {}
 _shared_lock = threading.Lock()
 
 
-def block_at(cpu, pc: int, end: int | None = None) -> tuple | None:
+def block_at(cpu, pc: int, end: int) -> tuple | None:
     """The translation of the block at ``pc`` as ``(function, span,
     stop)``, ``span`` being the cycles of its longest path and the
     block's words lying in ``[pc, stop)``; ``None`` when the
-    instruction at ``pc`` must issue through ``_issue``.  With ``end``
-    the block reads no word at or past it (a block shared by the CPUs
+    instruction at ``pc`` must issue through ``_issue``.  The block
+    reads no word at or past ``end`` (a block shared by the CPUs
     running one program text must depend on that text alone)."""
     timing = cpu.config.timing
     mem = cpu.mem
@@ -92,8 +93,7 @@ def block_at(cpu, pc: int, end: int | None = None) -> tuple | None:
     # latency and BRAM addresses cannot reach a device
     inline_mem = (mem._opb is None
                   and mem.bram.size <= AddressSpace.DEVICE_BASE)
-    limit = mem.bram.size if end is None else min(end, mem.bram.size)
-    body, slot = _scan(cpu, pc, inline_mem, limit)
+    body, slot = _scan(cpu, pc, inline_mem, min(end, mem.bram.size))
     if not body:
         return None
     cfg = cpu.config

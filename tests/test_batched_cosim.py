@@ -534,7 +534,8 @@ def test_lanes_share_code_only_where_their_text_is_the_programs():
     # lane 1 flips a text word before it first runs, lane 2 one that
     # has run, and lane 3 runs other code at the .data address.  Lanes
     # share decodes and translations of the program text only, and a
-    # lane that writes the text leaves them before the write lands.
+    # lane that writes the text, or fetches outside it, leaves them
+    # before the write lands.
     program = link(assemble(SHARED_CODE_SOURCE))
     later, loop, thunk = (program.symbols[s]
                           for s in ("later", "loop", "thunk"))
@@ -550,7 +551,7 @@ def test_lanes_share_code_only_where_their_text_is_the_programs():
             cycle, addr, mask = edits[lane]
             ref.run(until=cycle)
             if lane == 2:
-                assert loop in ref.cpu._decode_cache  # it has run
+                assert loop in ref.cpu._code.decoded  # it has run
             ref.cpu.resume()
             _flip(ref, addr, mask)
         refs.append(_scalar_at(ref, budget))
@@ -559,6 +560,12 @@ def test_lanes_share_code_only_where_their_text_is_the_programs():
     for lane in (1, 3):
         _flip(batch.sims[lane], *edits[lane][1:])
     batch.hw_touched()
+    batch.advance({lane: 2 for lane in range(4)})
+    # each lane joined a shared cache on its first fetch: lane 1 one of
+    # its flipped text, lane 3 the program's (its edit is not text)
+    codes = [sim.cpu._code for sim in batch.sims]
+    assert not any(code.private for code in codes)
+    assert codes[0] is codes[2] is codes[3] is not codes[1]
     batch.advance({lane: 40 for lane in range(4)})
     _flip(batch.sims[2], *edits[2][1:])
     batch.hw_touched()
@@ -567,9 +574,10 @@ def test_lanes_share_code_only_where_their_text_is_the_programs():
         assert not results[lane].evicted
         assert batch.lane(lane).state_dict() == want, lane
     assert len({r.result.exit_code for r in results}) == 4
-    cpus = [sim.cpu for sim in batch.sims]
-    assert cpus[0]._shared is not None and cpus[3]._shared is cpus[0]._shared
-    assert cpus[1]._shared is None and cpus[2]._shared is None
+    # every lane left for a private copy at its first .data fetch
+    codes = [sim.cpu._code for sim in batch.sims]
+    assert all(code.private for code in codes)
+    assert len({id(code) for code in codes}) == 4
 
 
 #: lanes fault on a load through ``pointer`` when it points off BRAM

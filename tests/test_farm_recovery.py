@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import threading
 import time
 
 import pytest
@@ -463,6 +464,53 @@ class TestClientResilience:
         with pytest.raises(FarmUnavailable):
             client.farm_status()
         assert time.monotonic() - start < 5.0
+
+    def test_deadline_bounds_a_read_that_never_returns(self):
+        # A gateway that accepts and never replies: each read waits no
+        # longer than the deadline's time left, not the 600-s timeout.
+        # The call runs in a thread so a regression fails, not hangs.
+        server = socket.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen()
+        held: list[socket.socket] = []
+        outcome: list[BaseException] = []
+
+        def accept() -> None:
+            try:
+                while True:
+                    held.append(server.accept()[0])
+            except OSError:
+                pass  # the listening socket closed
+
+        def submit() -> None:
+            client = FarmClient("127.0.0.1", server.getsockname()[1],
+                                retries=1, deadline_s=0.5)
+            try:
+                client.submit("simulate", synth_payload(cycles=1_000))
+            except BaseException as exc:  # noqa: BLE001 - judged below
+                outcome.append(exc)
+            finally:
+                client.close()
+
+        acceptor = threading.Thread(target=accept, daemon=True)
+        caller = threading.Thread(target=submit, daemon=True)
+        acceptor.start()
+        start = time.monotonic()
+        caller.start()
+        try:
+            caller.join(timeout=10.0)
+            assert not caller.is_alive(), "the read outlived the deadline"
+            assert time.monotonic() - start < 5.0
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], FarmUnavailable), outcome
+            assert held  # the gateway accepted the connection
+        finally:
+            server.shutdown(socket.SHUT_RDWR)  # wakes the acceptor
+            server.close()
+            for conn in held:
+                conn.close()
+            acceptor.join(timeout=5.0)
+            caller.join(timeout=5.0)
 
     def test_retry_succeeds_after_dropped_response(self, tmp_path):
         """One-shot response drop (the chaos harness's conn_drop): a

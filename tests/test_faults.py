@@ -610,13 +610,14 @@ def test_batched_campaign_lanes_advance_together(monkeypatch):
 
 @pytest.fixture
 def no_references(monkeypatch):
-    """An empty reference map and an empty map of lane ``SharedCode``
-    for the test (the process's own come back after it)."""
-    from repro.cosim import batch
+    """An empty reference map and an empty map of shared code caches
+    (``SharedCode``) for the test (the process's own come back after
+    it)."""
     from repro.faults import campaign
+    from repro.iss import cpu
 
     monkeypatch.setattr(campaign, "_references", {})
-    monkeypatch.setattr(batch, "_shared_code", {})
+    monkeypatch.setattr(cpu, "_shared_code", {})
     return campaign._references
 
 
@@ -695,7 +696,7 @@ def test_a_second_campaign_reuses_the_reference(monkeypatch, no_references,
     # no baseline and no tail: its scalar trials build one simulation
     # each, its lanes none.  Its report is byte for byte the one a
     # process with no reference gives.
-    from repro.cosim import batch
+    from repro.iss import cpu
     from repro.sysgen import ckernel
 
     if path == "numpy":
@@ -711,7 +712,7 @@ def test_a_second_campaign_reuses_the_reference(monkeypatch, no_references,
     assert counts == {"builds": 0, "baselines": 0, "sims": trials}
     assert len(no_references) == 1
     no_references.clear()
-    batch._shared_code.clear()
+    cpu._shared_code.clear()
     assert _report(second, width) == warm
 
 

@@ -603,7 +603,7 @@ loop:       addik r3, r3, 1          # bit 1 of the immediate flips
         two_passes = 1 + 2 * 5  # addik, then two 5-cycle iterations
         cpu = make_cpu(prog)
         cpu.run(max_cycles=two_passes)
-        assert cpu.pc == prog.symbols["loop"] and cpu._blocks[cpu.pc]
+        assert cpu.pc == prog.symbols["loop"] and cpu._code.blocks[cpu.pc]
         FaultInjector(SimpleNamespace(cpu=cpu), FaultPlan())._mem_flip(flip)
         cpu.resume()
         assert cpu.run() is HaltReason.EXIT

@@ -7,11 +7,13 @@ import random
 
 import pytest
 
+from repro.apps.cordic import CordicDesign
 from repro.asm import assemble, link
 from repro.cosim import CoSimulation, MicroBlazeBlock
+from repro.cosim.checkpoint import checkpoint_to_dict, restore_from_dict
 from repro.isa.encoding import encode
 from repro.isa.instructions import BY_MNEMONIC, INSTRUCTION_SET
-from repro.iss import BRAM, CPU, CPUConfig, CPUError
+from repro.iss import BRAM, CPU, CPUConfig, CPUError, HaltReason
 from repro.iss import translate
 from repro.iss.memory import BusFault
 from repro.iss.run import make_cpu
@@ -70,7 +72,7 @@ def test_fault_leaves_the_state_tick_leaves(case):
     with pytest.raises(error) as burst_exc:
         cpu.burst(1000)
     # translated instructions ran before the fault
-    assert cpu._blocks.get(0) is not None
+    assert cpu._code.blocks.get(0) is not None
     assert _raised_in_block(burst_exc) == in_block
     reference = _asm_cpu(body, config)
     with pytest.raises(error) as tick_exc:
@@ -145,7 +147,7 @@ def test_trace_hook_sees_every_instruction():
     cpu.run()
     assert cpu.exit_code == 60
     assert len(seen) == cpu.stats.instructions
-    assert not cpu._blocks
+    assert not cpu._code.blocks
 
 
 def test_no_translation_without_the_decode_cache():
@@ -153,7 +155,7 @@ def test_no_translation_without_the_decode_cache():
     cpu.run()
     reference = _asm_cpu(LOOP)
     reference.run()
-    assert cpu._blocks is None and reference._blocks
+    assert not cpu._code.blocks and reference._code.blocks
     assert cpu.state_dict() == reference.state_dict()
 
 
@@ -176,8 +178,199 @@ def test_shared_cache_serves_a_second_cpu():
     first.run()
     second = _asm_cpu(LOOP)
     second.run()
-    assert second._blocks[4][0] is first._blocks[4][0]
+    assert second._code.blocks[4][0] is first._code.blocks[4][0]
     assert second.state_dict() == first.state_dict()
+
+
+# ----------------------------------------------------------------------
+# One code cache per program text
+# ----------------------------------------------------------------------
+@pytest.fixture
+def scans(monkeypatch) -> list[int]:
+    """The pcs ``block_at`` scans from here on, with an empty map of
+    shared code caches."""
+    from repro.iss import cpu
+
+    monkeypatch.setattr(cpu, "_shared_code", {})
+    pcs: list[int] = []
+    real = translate.block_at
+
+    def counting(*args):
+        pcs.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(translate, "block_at", counting)
+    return pcs
+
+
+def _cordic_sim(design: CordicDesign) -> CoSimulation:
+    return CoSimulation(design.program, *design.fresh_hardware())
+
+
+def test_a_second_simulation_of_a_program_scans_no_block(scans):
+    design = CordicDesign(p=4, iters=8, ndata=4)
+    counts, states = [], []
+    for _ in range(2):
+        scans.clear()
+        sim = _cordic_sim(design)
+        sim.run()
+        counts.append(len(scans))
+        states.append(sim.state_dict())
+    assert counts[0] > 0 and counts[1] == 0
+    assert states[1] == states[0]
+
+
+def test_reset_and_restore_rejoin_the_shared_cache(scans):
+    # Rewriting a text word with its own value moves the CPU onto a
+    # private copy; a reset or a checkpoint restore puts it back on the
+    # program's shared cache at its next fetch.
+    design = CordicDesign(p=4, iters=8, ndata=4)
+    sim = _cordic_sim(design)
+    sim.run(until=300)
+    shared = sim.cpu._code
+    assert not shared.private
+    doc = checkpoint_to_dict(sim)
+    finished = _cordic_sim(design)
+    finished.run()
+
+    def leave() -> None:
+        mem = sim.cpu.mem
+        mem.write_u32(0, mem.read_u32(0))
+        assert sim.cpu._code.private
+
+    leave()
+    sim.reset()
+    sim.run(until=300)
+    assert sim.cpu._code is shared
+    leave()
+    restore_from_dict(sim, doc)
+    sim.cpu.resume()
+    sim.run()
+    assert sim.cpu._code is shared
+    assert sim.state_dict() == finished.state_dict()
+
+
+#: sums the word ``pointer`` points at, 12 times
+POINTER_LOOP = """
+            .global _start
+_start:     addik r5, r0, 12
+loop:       lwi   r6, r0, pointer
+            lw    r8, r6, r0
+            add   r3, r3, r8
+            addik r5, r5, -1
+            bnei  r5, loop
+            li    r12, 0xFFFF0000
+            swi   r3, r12, 0
+            .data
+pointer:    .word 0
+value:      .word 5
+"""
+
+
+class _Bus:
+    """An OPB bus whose every word reads 7 in 3 cycles."""
+
+    def __init__(self) -> None:
+        self.reads: list[int] = []
+
+    def read_u32(self, addr: int) -> tuple[int, int]:
+        self.reads.append(addr)
+        return 7, 3
+
+    def write_u32(self, addr: int, value: int) -> int:
+        return 3
+
+
+def test_mapping_an_opb_window_leaves_the_shared_cache():
+    # The loop's blocks were translated with loads inline while no OPB
+    # window was mapped; once one is, a load through the window must
+    # reach the bus and pay its latency, as per-cycle execution does.
+    prog = link(assemble(POINTER_LOOP))
+    pointer, value = prog.symbols["pointer"], prog.symbols["value"]
+    window = 0x10000
+
+    def run(config: CPUConfig | None) -> tuple[CPU, _Bus]:
+        cpu = make_cpu(prog, config=config, memory_size=4096)
+        cpu.mem.write_u32(pointer, value)
+        cpu.run(max_cycles=40)
+        if config is None:
+            assert not cpu._code.private and cpu._code.blocks
+        bus = _Bus()
+        cpu.mem.map_opb(bus, window, 0x100)
+        cpu.mem.write_u32(pointer, window)
+        cpu.resume()
+        assert cpu.run() is HaltReason.EXIT
+        return cpu, bus
+
+    cpu, bus = run(None)
+    reference, reference_bus = run(CPUConfig(decode_cache=False))
+    assert cpu._code.private
+    assert bus.reads and bus.reads == reference_bus.reads
+    assert cpu.state_dict() == reference.state_dict()
+
+
+#: patches, in its first pass, a word it has run and one it has not
+SELF_MODIFYING = """
+            addik r5, r0, 2
+loop:       addik r3, r3, 1
+            lwi   r4, r0, patch_b
+            swi   r4, r0, later
+            lwi   r4, r0, patch_a
+            swi   r4, r0, loop
+later:      addik r3, r3, 10
+            addik r5, r5, -1
+            bnei  r5, loop
+            li    r12, 0xFFFF0000
+            swi   r3, r12, 0
+            .data
+patch_a:    .word 0x30630064
+patch_b:    .word 0x306303E8
+"""
+
+
+def test_threads_sharing_code_stay_exact_and_the_map_bounded(monkeypatch):
+    # Threads run CPUs of a self-modifying program (each leaves the
+    # shared cache at its first store into the text) beside CPUs of
+    # more programs than the map holds, under a short switch interval.
+    # Every run must match per-cycle execution, and the map its bound.
+    import sys
+    import threading
+
+    from repro.iss import cpu as cpu_module
+
+    monkeypatch.setattr(cpu_module, "_shared_code", {})
+    monkeypatch.setattr(cpu_module, "SHARED_CODE_LIMIT", 3)
+    sources = [SELF_MODIFYING] + [f"addik r3, r0, {v}\n" + LOOP
+                                  for v in range(6)]
+    want = []
+    for body in sources:
+        reference = _asm_cpu(body, CPUConfig(decode_cache=False))
+        reference.run()
+        want.append(reference.state_dict())
+    errors: list[str] = []
+
+    def work(index: int) -> None:
+        for round_ in range(16):
+            which = 0 if (index + round_) % 2 else 1 + (index + round_) % 6
+            cpu = _asm_cpu(sources[which])
+            cpu.run()
+            if cpu.state_dict() != want[which]:
+                errors.append(f"thread {index} source {which}")
+            if len(cpu_module._shared_code) > cpu_module.SHARED_CODE_LIMIT:
+                errors.append("map over its bound")
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 # ----------------------------------------------------------------------
