@@ -200,6 +200,8 @@ def sweep_batched(
                     sims=sims,
                 )
             except Exception:  # noqa: BLE001 - scalar engine reproduces it
+                for i in chunk:  # unpin the lane models for the scalar run
+                    instances[i].model.set_engine("auto")
                 scalar.extend(chunk)
                 continue
             lane_results = batch.run(policy=policy)

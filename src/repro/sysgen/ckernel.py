@@ -1,19 +1,17 @@
 """Native step kernel for the batched lockstep schedule.
 
-The generated numpy cycle body (:mod:`repro.sysgen.batched`) pays
-~1 µs of ufunc dispatch per operation regardless of batch width, which
-caps the amortization the batch axis exists to deliver: at width 32 a
-~350-op design costs as much per cycle as 20 scalar lanes.  This
-module translates the same generated lines — a deliberately tiny
-expression grammar over ``(N,)`` int64 lane arrays and ``(N, D)``
-int64 lane tables — into one C loop over lanes, compiled with the
-system ``gcc`` at run time and driven through :mod:`ctypes`.  Per-lane
-semantics are preserved exactly:
+The lockstep schedule (:mod:`repro.sysgen.batched`) is generated as
+lines of a deliberately tiny numpy-shaped expression grammar over
+``(N,)`` int64 lane arrays and ``(N, D)`` int64 lane tables.  This
+module translates those lines into one C loop over lanes, compiled
+with the system ``gcc`` at run time and driven through :mod:`ctypes`;
+it is the only executor of the lockstep step.  Per-lane semantics are
+those the lines state:
 
 * ``np.where(c, a, b)`` becomes the C ternary (numpy truthiness of a
   nonzero int64 equals C truthiness),
-* masked updates skip frozen lanes through the same ``act`` test the
-  numpy code applies element-wise,
+* masked updates skip frozen lanes through the ``act`` test the lines
+  apply element-wise,
 * a table is read only by the gather ``T[ar, i]`` (``ar`` the bound
   ``np.arange(N)``: each lane reads its own row) and written only by
   the masked scatter ``T[m, p[m]] = (v)[m]`` (a lane writes its own
@@ -27,11 +25,12 @@ semantics are preserved exactly:
   wraps like numpy int64.
 
 Anything outside the grammar — unsupported calls or subscripts,
-non-int64 or non-contiguous arrays — raises :class:`CUnsupported` and
-the caller silently keeps the numpy path, as does a missing or failing
-compiler.  Compiled objects are cached in-process by source hash, so
-the per-chunk rebuilds of a fault campaign share one ``gcc``
-invocation.
+non-int64 or non-contiguous arrays — raises :class:`CUnsupported`, and
+so does a missing or failing compiler; the batch then refuses to build
+and its callers run every lane on the scalar engine, whose reports are
+byte-identical.  Compiled objects are cached in-process by source
+hash, failures included, so the per-chunk rebuilds of a fault campaign
+share one ``gcc`` invocation.
 """
 
 from __future__ import annotations
@@ -56,17 +55,8 @@ except ImportError:  # pragma: no cover
 
 
 class CUnsupported(Exception):
-    """The generated line set falls outside the C-translatable grammar."""
-
-
-#: Environment switch: set to a non-empty value to disable the native
-#: kernel (the pure-numpy schedule is used instead).  The equivalence
-#: suite runs both ways.
-DISABLE_ENV = "REPRO_BATCH_NO_CKERNEL"
-
-
-def ckernel_enabled() -> bool:
-    return not os.environ.get(DISABLE_ENV)
+    """No kernel for this cycle body: a line falls outside the
+    C-translatable grammar, or ``gcc`` is missing or fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +228,7 @@ class CStepKernel:
     ``segments`` holds, per python-interleaved run of numpy lines, the
     list of original source lines it replaces.  ``run(j)`` executes
     segment ``j`` over all N lanes (frozen lanes are skipped exactly
-    where the numpy code masked them).
+    where the lines mask them).
     """
 
     def __init__(self, n: int, arrays: list["np.ndarray"],
@@ -257,13 +247,6 @@ class CStepKernel:
             self._segs.append(fn)
         self._table = (ctypes.c_void_p * len(arrays))()
         self._gen = -1
-
-    def rebind(self, slot: int, array: "np.ndarray") -> None:
-        """Point a slot at a replacement array (copy-on-write pokes):
-        only that slot's table entry is rewritten."""
-        self.arrays[slot] = array
-        if self._gen >= 0:
-            self._table[slot] = array.ctypes.data
 
     def _refresh(self) -> None:
         table = self._table
@@ -387,21 +370,19 @@ def build_step_kernel(
     act_name: str,
     arange_name: str,
     zeros_name: str,
-) -> tuple["CStepKernel", list[object]] | None:
-    """Translate + compile the numpy runs of one cycle body.
+) -> tuple["CStepKernel", list[object]]:
+    """Translate + compile the numpy-shaped runs of one cycle body.
 
     Returns ``(kernel, body)`` where ``body`` interleaves the
-    untranslated python lines (strings) with segment indices (ints),
-    or ``None`` when the native kernel is disabled or no ``gcc`` is
-    available.  Raises :class:`CUnsupported` when any numpy line falls
-    outside the grammar.
+    untranslated python lines (strings) with segment indices (ints).
+    Raises :class:`CUnsupported` when any line falls outside the
+    grammar or the C source does not compile (no ``gcc`` on ``PATH``
+    included).
 
     The translation is cached in-process by the cycle body and its
     names (a campaign builds one batch per chunk of the same design);
     each build re-resolves the slot arrays by name.
     """
-    if np is None or not ckernel_enabled():
-        return None
     names = (n, act_name, arange_name, zeros_name,
              list(port_names.items()), list(state_names.items()))
     key = hashlib.sha256(
@@ -417,8 +398,6 @@ def build_step_kernel(
                 del _TRANSLATIONS[next(iter(_TRANSLATIONS))]
             _TRANSLATIONS[key] = plan
     lib_path = _compile_cached(plan.c_source)
-    if lib_path is None:
-        return None
     kernel = CStepKernel(n, arrays, lib_path, plan.seg_count, plan.c_source)
     return kernel, list(plan.body)
 
@@ -502,10 +481,8 @@ def _translate(
         if "\n" in line or "[_l]" in line or line.lstrip().startswith("for "):
             groups.append(line)
             continue
-        try:
-            tree = ast.parse(line.strip(), mode="exec")
-        except SyntaxError as exc:  # pragma: no cover - emitter bug
-            raise CUnsupported(f"unparsable line {line!r}: {exc}")
+        # a SyntaxError here is a block's emitter bug: it propagates
+        tree = ast.parse(line.strip(), mode="exec")
         if len(tree.body) != 1 or not isinstance(tree.body[0], ast.Assign) \
                 or len(tree.body[0].targets) != 1:
             raise CUnsupported(f"not a single assignment: {line!r}")
@@ -643,20 +620,28 @@ _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 # Compilation (in-process cache keyed by source hash)
 # ---------------------------------------------------------------------------
 
-_LIB_CACHE: dict[str, str | None] = {}
+#: source hash -> the built library's path, or the reason it failed
+_LIB_CACHE: dict[str, str | CUnsupported] = {}
 _WORK_DIR: str | None = None
 
 
-def _compile_cached(c_source: str) -> str | None:
+def _compile_cached(c_source: str) -> str:
+    """The path of the library built from ``c_source``.  A failed build
+    raises :class:`CUnsupported` and stays cached, so a host without
+    ``gcc`` tries it once per source, not once per batch."""
     key = hashlib.sha256(c_source.encode()).hexdigest()
-    if key in _LIB_CACHE:
-        return _LIB_CACHE[key]
-    path = _compile(c_source, key)
-    _LIB_CACHE[key] = path
-    return path
+    if key not in _LIB_CACHE:
+        try:
+            _LIB_CACHE[key] = _compile(c_source, key)
+        except CUnsupported as exc:
+            _LIB_CACHE[key] = exc.with_traceback(None)
+    built = _LIB_CACHE[key]
+    if isinstance(built, CUnsupported):
+        raise CUnsupported(*built.args)
+    return built
 
 
-def _compile(c_source: str, key: str) -> str | None:
+def _compile(c_source: str, key: str) -> str:
     global _WORK_DIR
     if _WORK_DIR is None:
         _WORK_DIR = tempfile.mkdtemp(prefix="repro-ckernel-")
@@ -678,8 +663,9 @@ def _compile(c_source: str, key: str) -> str | None:
              "-o", so_path, c_path],
             capture_output=True, timeout=120,
         )
-        if proc.returncode != 0:
-            return None
-        return so_path
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise CUnsupported(f"gcc did not run: {exc}") from None
+    if proc.returncode != 0:
+        err = proc.stderr.decode(errors="replace").strip()[-400:]
+        raise CUnsupported(f"gcc exited {proc.returncode}: {err}")
+    return so_path

@@ -13,9 +13,16 @@ want *all* their tests doubled add::
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 ENGINES = ("compiled", "interpreter")
+
+#: marks a test that builds a lockstep batch: its step runs only as the
+#: gcc-built C kernel, and without gcc the batch refuses to build
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
+                               reason="the lockstep C kernel needs gcc")
 
 
 @pytest.fixture(params=ENGINES, ids=lambda e: f"engine={e}")

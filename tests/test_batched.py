@@ -8,7 +8,6 @@ must match bit for bit — including after lane deactivation and reset.
 
 import builtins
 import hashlib
-import shutil
 
 import pytest
 
@@ -22,13 +21,13 @@ from repro.sysgen.batched import (
     lockstep_signature,
 )
 from repro.sysgen.block import SeqBlock
-from repro.sysgen.ckernel import DISABLE_ENV, ckernel_enabled
 from repro.sysgen.compiled import CompileError, exec_generated
 from repro.sysgen.blocks.arith import Accumulator, Add, AddSub, Mult, Negate, Shift
 from repro.sysgen.blocks.control import Constant, Counter
 from repro.sysgen.blocks.logic import Concat, Inverter, Logical, Mux, Relational, Slice
 from repro.sysgen.blocks.memory import FIFO, RAM, ROM, Delay, Register
 from repro.sysgen.model import Model
+from tests.conftest import needs_gcc
 from tests.folded import FOLDED_FALLBACK, build_folded
 
 
@@ -162,6 +161,7 @@ def assert_lanes_match(batched, refs, cycles_per_lane=None):
             )
 
 
+@needs_gcc
 def test_lockstep_matches_scalar():
     cycles = 200
     # a negative counter step wraps to the same pattern in both engines
@@ -188,6 +188,7 @@ def test_lockstep_matches_scalar():
         assert type(sample) is int
 
 
+@needs_gcc
 def test_lane_masking_freezes_deactivated_lanes():
     refs = scalar_runs(200)
     batch = BatchedModel([build_sink(**p) for p in PARAMS])
@@ -209,6 +210,7 @@ def test_lane_masking_freezes_deactivated_lanes():
         assert batch.models[lane].cycle == stop
 
 
+@needs_gcc
 def test_reset_reruns_identically():
     batch = BatchedModel([build_sink(**p) for p in PARAMS])
     batch.step(150)
@@ -221,6 +223,7 @@ def test_reset_reruns_identically():
     assert first == second
 
 
+@needs_gcc
 def test_poke_is_copy_on_write():
     batch = BatchedModel([build_sink(**p) for p in PARAMS])
     batch.step(10)
@@ -278,6 +281,7 @@ def test_unparsable_emit_batched_raises_compile_error():
             BatchedModel([build(), build()])
 
 
+@needs_gcc
 def test_single_lane_batch():
     ref = build_sink(**PARAMS[0])
     ref.step(50)
@@ -297,15 +301,13 @@ def build_literal_register(init: int = 0) -> Model:
     return m
 
 
-def test_literal_fed_register_on_the_all_lanes_path(monkeypatch):
-    # Without the C kernel every step runs the masked numpy schedule;
-    # with every lane active the literal update must still produce a
-    # lane array.
-    monkeypatch.setenv(DISABLE_ENV, "1")
+@needs_gcc
+def test_literal_fed_register_on_the_all_lanes_path():
+    # With every lane active the literal update must still produce a
+    # lane array, which the kernel steps like any other.
     params = [{"init": 5}, {"init": 0}, {"init": 200}]
     refs = scalar_runs(5, build_literal_register, params)
     batch = BatchedModel([build_literal_register(**p) for p in params])
-    assert batch.step_c is None
     batch.step(5)
     assert_lanes_match(batch, refs)
     for lane, ref in enumerate(refs):
@@ -369,12 +371,12 @@ def _assert_share_code_not_state(build, fns: tuple[str, ...]):
             == [p.samples for m in b.models for p in m.probes])
 
 
+@needs_gcc
 def test_rebuilt_batches_share_code_not_state():
-    _assert_share_code_not_state(build_sink, ("step_numpy",))
+    _assert_share_code_not_state(build_sink, ("step_c",))
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None or not ckernel_enabled(),
-                    reason="the C kernel needs gcc and is not disabled")
+@needs_gcc
 def test_rebuilt_batches_share_c_driver_code_not_state():
     _assert_share_code_not_state(build_native, ("step_c",))
 
@@ -387,51 +389,47 @@ def _matmul(block: int) -> Model:
     return build_matmul_model(block)[0]
 
 
-#: sha256 of the generated scalar (``sysgen-compiled``), numpy
-#: (``sysgen-batched``) and C-driver (``sysgen-batched-c``) sources of
-#: each design.  A pinned hash may change only together with a line in
-#: CHANGES.md stating why that generated source had to change.
+#: sha256 of the generated scalar (``sysgen-compiled``) and C-driver
+#: (``sysgen-batched-c``) sources of each design.  A pinned hash may
+#: change only together with a line in CHANGES.md stating why that
+#: generated source had to change.
 PINNED_SOURCES = {
     (_cordic, 2): {
         "sysgen-compiled": "d9e96df2a11849c80cf27146720e29a92dcaf58e0dc934d9c66b21ced17ea8d0",
-        "sysgen-batched": "2b89ec082e537dbed0819db21b3841c247e0fb07e6cf03188904280634aa0a31",
         "sysgen-batched-c": "e93b0695f97cee562b1efbca6c87c45d4369dd2676843e76480c64622670e3a1",
     },
     (_cordic, 4): {
         "sysgen-compiled": "9050dd53d22c527dc6c9ac5b3bc26cf3f42a2273e49212a506a4d3eb8e3b6198",
-        "sysgen-batched": "e4a71df80a083d42e33ce46d87efd686e47afec075a608606b67c41942e58845",
         "sysgen-batched-c": "7626a61d492974f3c6a9bc8ea96fea3d96414cfc61ca799e39f75ea4c351b66d",
     },
     (_cordic, 8): {
         "sysgen-compiled": "bb32f76d232e7caf008428bce952f96f81eee5a41210dbc72340a8bd0a2e3c5f",
-        "sysgen-batched": "6b1b6e321b48bd79ca4f51389ca7c3129f93bb54fd88cfdcf299534d756247a4",
         "sysgen-batched-c": "efa3932740539c2c97eb4d3824558dcea83289e7c66b6bc71e85544f9c9c2945",
     },
     (_matmul, 2): {
         "sysgen-compiled": "e1b106d2edd9545a60ebe53820f2389e6b21643d63d60d7537fdfd8a70dde55c",
-        "sysgen-batched": "0a1c84a63ba314f2bd669c214f95177686ecbbd1419eef8600b8d42d11928109",
         "sysgen-batched-c": "18e530b79f3b662ffeb361466dbe96cc266da793c3f97ab70921a3c7e5ad20a2",
     },
     (_matmul, 4): {
         "sysgen-compiled": "4fc5dbd2af3ac03a7ec8a461c7dbb9725f382c2cc68db8bd0b320b8a279bedbc",
-        "sysgen-batched": "b0ad28c432fa4f64c8b34deb105e8ee2e80e9f36be5186bf43fe0814d70a738c",
         "sysgen-batched-c": "269d3c99727fabb0ff5277a38482357052093feac42897f64d8f3908f53b5f6a",
     },
 }
 
 
+@needs_gcc
 @pytest.mark.parametrize("build,param", list(PINNED_SOURCES))
 def test_generated_source_is_deterministic(monkeypatch, build, param):
     """Two builds of one design from fresh hardware emit byte-identical
-    scalar, numpy and C-driver sources, so the second build compiles
+    scalar and C-driver sources, so the second build compiles
     nothing.  An emitter that embeds an ``id()`` or iterates a set
     would silently defeat the code cache.
 
     Each recorded source also matches its hash in
-    :data:`PINNED_SOURCES` (the C driver only when the C kernel was
-    built), so an emitter refactor that changes what any design
-    generates fails here; a pinned hash may change only with a stated
-    reason in CHANGES.md.  No block falls back per lane."""
+    :data:`PINNED_SOURCES`, so an emitter refactor that changes what
+    any design generates fails here; a pinned hash may change only
+    with a stated reason in CHANGES.md.  No block falls back per
+    lane."""
     sources: list[tuple[str, str]] = []
     compiles: list[str] = []
     real_compile = builtins.compile
@@ -459,9 +457,7 @@ def test_generated_source_is_deterministic(monkeypatch, build, param):
     BatchedModel([build(param), build(param)])
     second = list(sources)
     kinds = {name.partition(":")[0] for name, _ in first}
-    assert {"<sysgen-compiled", "<sysgen-batched"} <= kinds
-    if shutil.which("gcc") is not None and ckernel_enabled():
-        assert "<sysgen-batched-c" in kinds
+    assert kinds == {"<sysgen-compiled", "<sysgen-batched-c"}
     assert second == first
     assert compiles == []
     pins = PINNED_SOURCES[(build, param)]
@@ -518,18 +514,14 @@ def _weak_batch(make):
     return weakref.ref(batch), arrays
 
 
+@needs_gcc
 @pytest.mark.parametrize("make", [_model_batch, _template_batch])
-@pytest.mark.parametrize("engine", ["c", "numpy"])
-def test_a_dropped_batch_is_freed_without_the_cycle_collector(
-        monkeypatch, engine, make):
+@pytest.mark.parametrize("engine", ["c"])
+def test_a_dropped_batch_is_freed_without_the_cycle_collector(engine, make):
     # Nothing the batch generates points back at it, so dropping the
     # last reference frees it and every array no live channel adopted.
     import gc
 
-    if engine == "numpy":
-        monkeypatch.setenv(DISABLE_ENV, "1")
-    elif shutil.which("gcc") is None or not ckernel_enabled():
-        pytest.skip("the C kernel needs gcc and is not disabled")
     gc.collect()
     gc.disable()
     try:

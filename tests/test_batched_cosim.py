@@ -51,6 +51,10 @@ from repro.sysgen.blocks import (
     Slice,
 )
 from repro.sysgen.model import Model
+from tests.conftest import needs_gcc
+
+#: every lockstep co-simulation builds a batch, which needs the C kernel
+pytestmark = needs_gcc
 
 N_SCENARIOS = int(os.environ.get("REPRO_BATCH_SMOKE_SCENARIOS", "4"))
 WIDTH = int(os.environ.get("REPRO_BATCH_SMOKE_WIDTH", "8"))
@@ -209,16 +213,11 @@ def test_quiet_stretch_engages_and_stays_exact(monkeypatch):
             [p.samples for p in sim.model.probes], f"lane {lane} probes"
 
 
-@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
-def test_cpu_raising_in_a_quiet_stretch_evicts_only_its_lane(monkeypatch,
-                                                            ckernel):
+@pytest.mark.parametrize("ckernel", [True], ids=["ckernel"])
+def test_cpu_raising_in_a_quiet_stretch_evicts_only_its_lane(ckernel):
     # Lane 2's CPU raises from advance_horizon(), which each round asks
     # before the lane bursts or parks: that lane alone is evicted, and
     # the other lanes run on to their scalar results.
-    from repro.sysgen.ckernel import DISABLE_ENV
-
-    if not ckernel:
-        monkeypatch.setenv(DISABLE_ENV, "1")
     params = [dict(p=2, iters=8, ndata=6, seed=s) for s in (1, 2, 3, 4)]
     batch = BatchedCoSimulation([_cordic_factory(**prm) for prm in params])
     victim = batch.sims[2].cpu
@@ -600,16 +599,12 @@ pointer:    .word 0
 """
 
 
-@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
+@pytest.mark.parametrize("ckernel", [True], ids=["ckernel"])
 def test_a_cpu_raising_mid_burst_leaves_its_hardware_one_cycle_short(
-        monkeypatch, ckernel):
+        ckernel):
     # Lane 1's load raises inside a burst, several cycles after the get
     # that coupled it: its hardware stops one cycle short of its CPU,
     # as a scalar run leaves them, and the other lanes run on.
-    from repro.sysgen.ckernel import DISABLE_ENV
-
-    if not ckernel:
-        monkeypatch.setenv(DISABLE_ENV, "1")
     program = link(assemble(FAULTING_SOURCE))
     pointer = program.symbols["pointer"]
     targets = [pointer, 0x7FFF_FFF0, pointer, pointer]

@@ -16,7 +16,6 @@ delay lines at a fixed point.
 from __future__ import annotations
 
 import random
-import shutil
 
 import pytest
 
@@ -33,8 +32,8 @@ from repro.sysgen.block import IDLE_FOREVER, SeqBlock
 from repro.sysgen.blocks import Counter, Register
 from repro.sysgen.blocks.fsl import FSLRead, FSLWrite
 from repro.sysgen.blocks.gateway import GatewayIn
-from repro.sysgen.ckernel import DISABLE_ENV, ckernel_enabled
 from repro.sysgen.model import Model
+from tests.conftest import needs_gcc
 from tests.folded import build_folded
 from tests.test_batched import PARAMS
 from tests.test_ckernel import TABLE_PARAMS, build_tables
@@ -143,21 +142,12 @@ def _traffic(model, rng: random.Random, cycle: int) -> None:
             block.drive_raw(rng.getrandbits(1))
 
 
-def _engine(monkeypatch, engine: str) -> None:
-    if engine == "numpy":
-        monkeypatch.setenv(DISABLE_ENV, "1")
-    elif shutil.which("gcc") is None or not ckernel_enabled():
-        pytest.skip("the C kernel needs gcc and is not disabled")
-
-
-@pytest.mark.parametrize("engine", ["c", "numpy"])
+@needs_gcc
+@pytest.mark.parametrize("engine", ["c"])
 @pytest.mark.parametrize("design", list(DESIGNS))
-def test_busy_bits_match_the_scalar_idle_horizon(monkeypatch, engine,
-                                                 design):
-    _engine(monkeypatch, engine)
+def test_busy_bits_match_the_scalar_idle_horizon(engine, design):
     build, can_idle = DESIGNS[design]
     batch = BatchedModel([build(lane) for lane in range(LANES)])
-    assert (batch.step_c is not None) == (engine == "c")
     rngs = [random.Random(f"{design}/{lane}") for lane in range(LANES)]
     seen = set()
     for cycle in range(CYCLES):
@@ -182,6 +172,7 @@ def test_busy_bits_match_the_scalar_idle_horizon(monkeypatch, engine,
     assert seen == ({True, False} if can_idle else {True})
 
 
+@needs_gcc
 def test_delay_lines_let_the_quiet_stretch_arm(monkeypatch):
     # matmul block 2 feeds its multiplier products through delay lines;
     # they sit at a fixed point while the CPU prepares the next block

@@ -6,8 +6,8 @@
 * Lane tables — an ``(N, depth)`` array read by the gather
   ``T[ar, i]`` and written by the masked scatter ``T[m, p[m]] =
   (v)[m]`` (delay lines, FIFOs, RAMs, per-lane ROMs) — run the same in
-  the scalar engine, the numpy schedule and the C kernel, with lanes
-  frozen and thawed mid-run.
+  the scalar engine and the C kernel, with lanes frozen and thawed
+  mid-run.
 * A rebuilt batch of one design reuses the translation of its cycle
   body (no ``ast.parse``) but binds its own arrays; the compiled
   library is cached apart from it, so clearing that cache still pays
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import ast
 import os
-import shutil
 import subprocess
 import sys
 import textwrap
@@ -33,30 +32,27 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.conformance.scenario import ScenarioGenerator, build_model
-from repro.sysgen.batched import BatchedModel
+from repro.sysgen.batched import BatchedModel, BatchUnsupported
 from repro.sysgen.blocks.control import Constant, Counter
 from repro.sysgen.blocks.logic import Relational, Slice
 from repro.sysgen.blocks.memory import FIFO, RAM, ROM, Delay
 from repro.sysgen import ckernel
-from repro.sysgen.ckernel import DISABLE_ENV, build_step_kernel, ckernel_enabled
+from repro.sysgen.ckernel import build_step_kernel
 from repro.sysgen.model import Model
+from tests.conftest import needs_gcc
 from tests.test_batched import PINNED_SOURCES
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-needs_ckernel = pytest.mark.skipif(
-    shutil.which("gcc") is None or not ckernel_enabled(),
-    reason="the C kernel needs gcc and is not disabled")
 
-
-@needs_ckernel
+@needs_gcc
 @pytest.mark.parametrize("build,param", list(PINNED_SOURCES))
 def test_pinned_designs_build_a_kernel(build, param):
-    batch = BatchedModel([build(param), build(param)])
-    assert batch.step_c is not None
+    # a batch whose kernel cannot be built raises BatchUnsupported
+    BatchedModel([build(param), build(param)])
 
 
-@needs_ckernel
+@needs_gcc
 @pytest.mark.parametrize("build,param", list(PINNED_SOURCES))
 def test_pinned_designs_run_a_cycle_in_one_c_call(build, param):
     # the FSL endpoints are lane tables too: nothing in the cycle body
@@ -66,15 +62,16 @@ def test_pinned_designs_run_a_cycle_in_one_c_call(build, param):
     assert batch.fallback_blocks == []
 
 
-@needs_ckernel
+@needs_gcc
 def test_conformance_scenarios_build_a_kernel():
     gen = ScenarioGenerator(seed=0)
     missing = []
     for index in range(25):
         scenario = gen.scenario(index)
-        batch = BatchedModel([build_model(scenario)[0] for _ in range(2)])
-        if batch.step_c is None:
-            missing.append(scenario.name)
+        try:
+            BatchedModel([build_model(scenario)[0] for _ in range(2)])
+        except BatchUnsupported as exc:
+            missing.append(f"{scenario.name}: {exc}")
     assert missing == []
 
 
@@ -91,7 +88,7 @@ def build_rom(words: int) -> Model:
     return build_rom_of([7 * i + 3 for i in range(words)])
 
 
-@needs_ckernel
+@needs_gcc
 @pytest.mark.parametrize("words", [3, 4, 5])
 def test_shared_rom_as_long_as_the_batch_builds_a_kernel(words):
     # a ROM of four words in a batch of four is a shared table, not a
@@ -99,7 +96,6 @@ def test_shared_rom_as_long_as_the_batch_builds_a_kernel(words):
     ref = build_rom(words)
     ref.step(12)
     batch = BatchedModel([build_rom(words) for _ in range(4)])
-    assert batch.step_c is not None
     batch.step(12)
     for model in batch.models:
         assert model.probes[0].samples == ref.probes[0].samples
@@ -122,7 +118,7 @@ def _spy_translation(monkeypatch) -> dict[str, int]:
     return calls
 
 
-@needs_ckernel
+@needs_gcc
 def test_rebuilt_batch_reuses_the_translation_with_its_own_arrays(
         monkeypatch):
     # Equal contents length, so equal cycle bodies: the second batch
@@ -131,7 +127,6 @@ def test_rebuilt_batch_reuses_the_translation_with_its_own_arrays(
     BatchedModel([build_rom_of(first) for _ in range(3)])
     calls = _spy_translation(monkeypatch)
     batch = BatchedModel([build_rom_of(second) for _ in range(3)])
-    assert batch.step_c is not None
     assert calls == {"parse": 0, "gcc": 0}
     ref = build_rom_of(second)
     ref.step(12)
@@ -144,7 +139,7 @@ def test_rebuilt_batch_reuses_the_translation_with_its_own_arrays(
     assert calls == {"parse": 0, "gcc": 1}
 
 
-@needs_ckernel
+@needs_gcc
 def test_translation_is_redone_when_an_inlined_constant_changes():
     n = 4
     act = np.ones(n, dtype=np.bool_)
@@ -158,7 +153,7 @@ def test_translation_is_redone_when_an_inlined_constant_changes():
         assert ports[0].tolist() == [k + i for i in range(n)]
 
 
-@needs_ckernel
+@needs_gcc
 def test_temporaries_only_carry_lane_arrays_across_segments():
     # A temporary only its own segment names is a C local; one that a
     # later segment reads, after a python line, keeps a lane array.
@@ -242,15 +237,11 @@ def _state_rows(batch, lane: int) -> list:
     return [a[lane].tolist() for a in batch.state_store]
 
 
-@pytest.mark.parametrize("engine", ["numpy", "c"])
-def test_lane_tables_match_scalar_across_freezes(monkeypatch, engine):
-    if engine == "numpy":
-        monkeypatch.setenv(DISABLE_ENV, "1")
-    elif shutil.which("gcc") is None or not ckernel_enabled():
-        pytest.skip("the C kernel needs gcc and is not disabled")
+@needs_gcc
+@pytest.mark.parametrize("engine", ["c"])
+def test_lane_tables_match_scalar_across_freezes(engine):
     batch = BatchedModel([build_tables(**p) for p in TABLE_PARAMS])
     assert batch.fallback_blocks == []
-    assert (batch.step_c is not None) == (engine == "c")
     frozen_rows = {}
     for cycle in range(CYCLES):
         for lane, stop, go in FREEZES:
@@ -299,7 +290,7 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
-@needs_ckernel
+@needs_gcc
 def test_build_directories_removed_at_exit(tmp_path):
     scratch = tmp_path / "tmp"
     scratch.mkdir()

@@ -48,6 +48,7 @@ from repro.sysgen.blocks import (
     Register,
 )
 from repro.telemetry import Telemetry
+from tests.conftest import needs_gcc
 from tests.test_cosim import doubler_design
 
 
@@ -962,6 +963,7 @@ def test_finite_idle_horizon_is_stepped_not_caught_up(monkeypatch, engine):
     assert Prescaler.caught_up == []
 
 
+@needs_gcc
 def test_finite_idle_horizon_matches_as_a_batched_lane(monkeypatch):
     monkeypatch.setattr(Prescaler, "horizons", [])
     monkeypatch.setattr(Prescaler, "caught_up", [])

@@ -27,6 +27,7 @@ from repro.faults import (
     run_trial,
 )
 from repro.faults.campaign import _make_sim, build_design
+from tests.conftest import needs_gcc
 
 #: a small, fast design point every test shares (p=2 CORDIC, 8 samples)
 DESIGN = {"p": 2, "ndata": 8}
@@ -423,35 +424,14 @@ def test_batched_campaign_matches_scalar(kw):
         assert _text_flips(kw, scalar) >= 1
 
 
+@needs_gcc
 @pytest.mark.parametrize("kw", ROLLBACK_TAIL_CONFIGS)
-def test_batched_rollback_matches_scalar_without_ckernel(monkeypatch, kw):
-    # every lane is classified in lockstep: nothing is replayed
-    from repro.sysgen import ckernel
-
-    monkeypatch.setenv(ckernel.DISABLE_ENV, "1")
-    config = CampaignConfig(**kw)
-    scalar = run_campaign(config).to_dict()
+def test_batched_rollback_replays_no_lane(monkeypatch, kw):
+    # every lane is classified in lockstep: nothing is replayed (the
+    # report equals the scalar one: test_batched_campaign_matches_scalar)
     replays = _spy_replays(monkeypatch)
-    batched = run_campaign(config, batch_width=8).to_dict()
-    assert json.dumps(batched, sort_keys=True) == \
-        json.dumps(scalar, sort_keys=True)
+    run_campaign(CampaignConfig(**kw), batch_width=8)
     assert replays == []
-
-
-def test_batched_campaign_matches_scalar_without_ckernel(monkeypatch):
-    # the numpy fallback of the vector step must be just as exact as
-    # the compiled per-lane C kernel
-    from repro.sysgen import ckernel
-
-    monkeypatch.setenv(ckernel.DISABLE_ENV, "1")
-    config = CampaignConfig(
-        app="cordic", design={"p": 2, "iters": 8, "ndata": 8},
-        trials=12, seed=11, max_cycles=60_000, deadlock_window=512,
-    )
-    scalar = run_campaign(config).to_dict()
-    batched = run_campaign(config, batch_width=8).to_dict()
-    assert json.dumps(batched, sort_keys=True) == \
-        json.dumps(scalar, sort_keys=True)
 
 
 def test_batched_campaign_width_does_not_change_report():
@@ -497,13 +477,8 @@ SEU_SHAPE = dict(app="cordic", design={"p": 8, "ndata": 4},
                  recovery="rollback", max_cycles=8_192)
 
 
-@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
-def test_batched_campaign_matches_scalar_at_benchmark_shape(monkeypatch,
-                                                            ckernel):
-    from repro.sysgen import ckernel as ck
-
-    if not ckernel:
-        monkeypatch.setenv(ck.DISABLE_ENV, "1")
+@pytest.mark.parametrize("ckernel", [True], ids=["ckernel"])
+def test_batched_campaign_matches_scalar_at_benchmark_shape(ckernel):
     config = CampaignConfig(trials=32, seed=5, **SEU_SHAPE)
     scalar = run_campaign(config).to_dict()
     batched = run_campaign(config, batch_width=32).to_dict()
@@ -543,19 +518,15 @@ def test_lane_bursts_cut_cpu_ticks_at_benchmark_shape(monkeypatch):
 #: lane's corrupted instruction raises in ``CPU.advance_horizon`` while
 #: its hardware idles; seed 3's batches end on a few long-running lanes
 SEU_SEEDS = (2042780741, 1038164037, 3)
-#: the scalar reports of SEU_SEEDS, shared by both kernels' runs
-_SEU_SCALAR: dict[int, str] = {}
 
 
-@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
+@needs_gcc
+@pytest.mark.parametrize("ckernel", [True], ids=["ckernel"])
 def test_benchmark_shape_replays_no_classified_lane(monkeypatch, ckernel):
     # A rollback lane, or a lane whose CPU raised, is classified in
     # lockstep and takes its re-runs from the tail: none is replayed.
     from repro.cosim.batch import BatchedCoSimulation
-    from repro.sysgen import ckernel as ck
 
-    if not ckernel:
-        monkeypatch.setenv(ck.DISABLE_ENV, "1")
     raised: list[str] = []
     cpu_raised = BatchedCoSimulation._cpu_raised
 
@@ -566,18 +537,17 @@ def test_benchmark_shape_replays_no_classified_lane(monkeypatch, ckernel):
     monkeypatch.setattr(BatchedCoSimulation, "_cpu_raised", recording_raise)
     for seed in SEU_SEEDS:
         config = CampaignConfig(trials=64, seed=seed, **SEU_SHAPE)
-        if seed not in _SEU_SCALAR:
-            _SEU_SCALAR[seed] = json.dumps(run_campaign(config).to_dict(),
-                                           sort_keys=True)
+        scalar = json.dumps(run_campaign(config).to_dict(), sort_keys=True)
         raised.clear()
         replays = _spy_replays(monkeypatch)
         batched = run_campaign(config, batch_width=32).to_dict()
-        assert json.dumps(batched, sort_keys=True) == _SEU_SCALAR[seed]
+        assert json.dumps(batched, sort_keys=True) == scalar
         assert replays == []
         if seed != 3:
             assert "FSLConfigError" in raised
 
 
+@needs_gcc
 def test_batched_campaign_lanes_advance_together(monkeypatch):
     # The lanes catch their hardware up together each round, in
     # doubling chunks and fast-forwarding idle stretches, so a batch
@@ -621,6 +591,7 @@ def no_references(monkeypatch):
     return campaign._references
 
 
+@needs_gcc
 def test_batched_campaign_builds_its_hardware_once(monkeypatch,
                                                    no_references):
     # The lanes of a batched campaign share the reference's template:
@@ -689,7 +660,7 @@ def _report(config, width) -> str:
                       sort_keys=True)
 
 
-@pytest.mark.parametrize("path", ["scalar", "ckernel", "numpy"])
+@pytest.mark.parametrize("path", ["scalar", "ckernel"])
 def test_a_second_campaign_reuses_the_reference(monkeypatch, no_references,
                                                 path):
     # A new fault seed on the same design compiles no program and runs
@@ -697,10 +668,7 @@ def test_a_second_campaign_reuses_the_reference(monkeypatch, no_references,
     # each, its lanes none.  Its report is byte for byte the one a
     # process with no reference gives.
     from repro.iss import cpu
-    from repro.sysgen import ckernel
 
-    if path == "numpy":
-        monkeypatch.setenv(ckernel.DISABLE_ENV, "1")
     width = None if path == "scalar" else 32
     first = CampaignConfig(trials=32, seed=5, **SEU_SHAPE)
     second = CampaignConfig(trials=32, seed=6, **SEU_SHAPE)
@@ -839,6 +807,7 @@ def test_a_campaign_leaves_the_template_unchanged(no_references):
     assert before == (fresh_model.state_dict(), fresh_hub.state_dict())
 
 
+@needs_gcc
 def test_lane_halting_in_a_stuck_window_leaves_the_hang_quiet(monkeypatch):
     # Lane 0 halts inside an open stuck_at window; lane 1 lost a result
     # word and blocks on its get until the watchdog.  The halted lane's
@@ -1078,21 +1047,17 @@ def test_cli_mesh_smoke_writes_report(tmp_path, capsys):
 # every fault kind perturbs a run, on every engine
 
 
-@pytest.mark.parametrize("path", ["scalar", "ckernel", "numpy"])
+@pytest.mark.parametrize("path", ["scalar", "ckernel"])
 @pytest.mark.parametrize("kind", [
     pytest.param(kind, marks=pytest.mark.xfail(
         strict=True, reason="ROADMAP item 1: stuck_at never reaches "
         "the hardware")) if kind == "stuck_at" else kind
     for kind in FAULT_KINDS])
-def test_fault_kind_efficacy(monkeypatch, kind, path):
+def test_fault_kind_efficacy(kind, path):
     # A kind whose faults are all masked tests nothing: eight seeded
     # CORDIC trials of one kind must change at least one outcome, on
     # the scalar engine and in lockstep (the fifo_* kinds drive the
     # channel ring through the vector endpoints there).
-    from repro.sysgen import ckernel as ck
-
-    if path == "numpy":
-        monkeypatch.setenv(ck.DISABLE_ENV, "1")
     config = CampaignConfig(app="cordic", design={"p": 2, "ndata": 4},
                             trials=8, seed=1, max_cycles=20_000,
                             kinds=(kind,))
@@ -1139,14 +1104,12 @@ def _overdepth_record(sim, injector) -> dict:
             "dropped": sim.model.block("fsl_in0").dropped}
 
 
-@pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
-def test_fifo_dup_on_a_full_fifo_overflows_it(monkeypatch, ckernel):
+@needs_gcc
+@pytest.mark.parametrize("ckernel", [True], ids=["ckernel"])
+def test_fifo_dup_on_a_full_fifo_overflows_it(ckernel):
     from repro.cosim.checkpoint import checkpoint_to_dict, restore_from_dict
-    from repro.sysgen import ckernel as ck
     from tests.test_batched_cosim import _endpoint_factory
 
-    if not ckernel:
-        monkeypatch.setenv(ck.DISABLE_ENV, "1")
     sim, injector = _overdepth_run(1, lockstep=False)
     record = _overdepth_record(sim, injector)
     assert record["log"][0]["applied"]
@@ -1163,6 +1126,7 @@ def test_fifo_dup_on_a_full_fifo_overflows_it(monkeypatch, ckernel):
     assert fresh.mb_block.from_hw_channel(0).occupancy == 5
 
 
+@needs_gcc
 def test_fifo_dup_without_a_free_slot_is_not_applied():
     # The ring holds twice the depth: four duplicates fill a full
     # depth-4 FIFO's spare slots, and the fifth is logged, not applied

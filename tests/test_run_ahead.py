@@ -11,6 +11,7 @@ from repro.cosim import CoSimulation
 from repro.cosim.batch import BatchedCoSimulation
 from repro.iss.cpu import CPU
 from repro.mcc import CompileOptions, build_executable
+from tests.conftest import needs_gcc
 from tests.test_cosim import doubler_design
 
 PAIRS_SRC = """
@@ -73,6 +74,7 @@ def cpu_calls(monkeypatch):
     return counts
 
 
+@needs_gcc
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_scalar_run_and_width1_lane_take_the_same_steps(case, cpu_calls):
     program, hardware, cpu_config, budget = CASES[case]()
