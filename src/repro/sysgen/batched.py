@@ -11,35 +11,39 @@ scalar engines keep in python attributes (register contents, port
 values, FIFO occupancies, pipeline stages) moves into arrays with a
 batch axis.
 
-The step is generated as lines of a small numpy-shaped grammar (a
-register update reads ``q = np.where(act & en, d, q)``), and the
-native kernel (:mod:`repro.sysgen.ckernel`) translates them into one C
-loop over lanes, compiled by ``gcc``; that kernel is the only executor
-of the step.  Code generation is shared with the scalar engine:
+The step is emitted as C statements over one lane's scalars (a
+register update reads ``q = _act ? (d) : q``), and the native kernel
+(:mod:`repro.sysgen.ckernel`) wraps them in one C loop over lanes,
+compiled by ``gcc``; that kernel is the only executor of the step.
+Code generation is shared with the scalar engine:
 :class:`BatchEmitContext` subclasses
 :class:`~repro.sysgen.compiled.EmitContext`, overrides each of its
-rendering verbs once and adds the vector helpers, and the kernel's
-python driver ``_step_c`` comes from the scalar engine's
+rendering verbs once and adds the lane helpers, and the kernel's python
+driver ``_step_c`` comes from the scalar engine's
 :func:`~repro.sysgen.compiled.function_frame` and is compiled by its
-:func:`~repro.sysgen.compiled.exec_generated`.
+:func:`~repro.sysgen.compiled.exec_generated`.  The context hands out
+every name the statements use and records what it is (port, state,
+constant, table, temporary), so it lays out the kernel's slots itself:
+each segment loads and stores only the lane arrays it names, and a
+temporary lives in a lane array only when two segments name it.
 
-Blocks contribute vectorized source through
+Blocks contribute their lane step through
 :meth:`~repro.sysgen.block.Block.emit_batched`.  Most standard blocks
 (registers, counters, accumulators, constants, the combinational
 logic) write their step once, in ``emit`` through the verbs, and set
-``emit_batched = emit``; delay lines, FIFOs, RAMs, pipeline stages and
-the FSL endpoints keep a lane emitter, because their lane state has
-another shape than their scalar state.  All but the pipeline stages
-share one table idiom: an ``(N, depth)`` int64 table, read by the
-gather ``T[ar, i]`` and written by the masked scatter ``T[m, p[m]] =
-(v)[m]`` — the forms the native kernel translates, so every standard
-block runs inside it.  An FSL endpoint's
-table holds its lanes' channel rows, which the channels adopt: the
-lane's CPU, fault injector and checkpoints read and write that very
-table (see :mod:`repro.sysgen.blocks.fsl`).  Blocks
-that cannot be vectorized (fixed-point Convert, user subclasses,
-combinational blocks with every input unconnected) *fall back per
-lane*: the generated code dispatches their interpreter methods on the
+``emit_batched = emit``: the fragments a scalar ``emit`` writes are C
+as they stand, with every unconnected input an int64 literal.  Delay
+lines, FIFOs, RAMs, ROMs, muxes, pipeline stages and the FSL endpoints
+keep a lane emitter, because their lane state has another shape than
+their scalar state or their scalar form is python-only.  The stateful
+ones share one table idiom: an ``(N, depth)`` int64 lane table, read by
+the gather :meth:`BatchEmitContext.cell` and written by the masked
+:meth:`BatchEmitContext.scatter`, each lane in its own row.  An FSL
+endpoint's table holds its lanes' channel rows, which the channels
+adopt: the lane's CPU, fault injector and checkpoints read and write
+that very table (see :mod:`repro.sysgen.blocks.fsl`).  Blocks that
+cannot be vectorized (fixed-point Convert, user subclasses) *fall back
+per lane*: the driver dispatches their interpreter methods on the
 per-lane clone objects with port synchronization around the call,
 exactly like the scalar compiled engine's fallback — so telemetry,
 channel statistics and drop counters stay bit-identical with a scalar
@@ -63,9 +67,9 @@ lane (:meth:`BatchedModel.idle_horizon`), set whenever the lane's
 scalar :meth:`~repro.sysgen.model.Model.idle_horizon` would say busy.
 
 Divergence between lanes is handled by masking: the step function
-takes a boolean active-lane array, sequential state updates are
-wrapped in ``np.where(act & ..., new, old)``, probes sample active
-lanes only, and fallback dispatch loops over the active lane list.  A
+takes a boolean active-lane array, sequential state updates keep the
+old value where the lane's ``_act`` is 0, probes sample active lanes
+only, and fallback dispatch loops over the active lane list.  A
 halted or evicted lane's clone objects and array rows freeze at their
 final values.  Events that cannot be expressed under a mask at all
 (GDB attach, checkpoint rollback, mid-run exceptions) are *evicted* by
@@ -73,9 +77,9 @@ the batched co-simulation layer (:mod:`repro.cosim.batch`), which
 replays the lane on a scalar engine from cycle 0.
 
 ``BatchUnsupported`` is the refusal signal: lanes that are not
-structurally identical, ports too wide for int64 lanes, a cycle body
-the kernel cannot translate, a missing or failing ``gcc``, or a
-missing numpy all raise it, and callers fall back to scalar
+structurally identical, ports too wide for int64 lanes, a missing or
+failing ``gcc`` (a statement that is not C, a shift past its operand's
+width), or a missing numpy all raise it, and callers fall back to scalar
 simulation, whose reports are byte-identical.  On a 2-core x86 host,
 a CORDIC P=8 fault campaign of 64 trials (rollback, ``max_cycles``
 8192) took 469 ms on the scalar path and 87 ms at ``--batch 32`` on
@@ -86,6 +90,7 @@ slower than no batch at all.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from typing import TYPE_CHECKING, Callable
 
 try:  # numpy is the only dependency; gate it so scalar paths never pay
@@ -95,7 +100,6 @@ except ImportError:  # pragma: no cover - baked into the toolchain image
 
 from repro.sysgen.block import IDLE_FOREVER
 from repro.sysgen.compiled import (
-    CompileError,
     EmitContext,
     exec_generated,
     function_frame,
@@ -111,6 +115,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: widest output port a vectorized lane can carry: values live in
 #: int64 lanes and intermediates (a+b, sign extension) need headroom.
 MAX_VEC_WIDTH = 60
+
+#: ``str.translate`` table blanking every character that cannot be part
+#: of a C identifier, so ``split()`` yields the names a statement uses
+_NAMES_ONLY = {c: " " for c in range(128)
+               if not (chr(c).isalnum() or chr(c) == "_")}
 
 
 class BatchUnsupported(RuntimeError):
@@ -165,24 +174,37 @@ def lockstep_signature(model: "Model") -> tuple:
 # ---------------------------------------------------------------------------
 
 
+class _Python(str):
+    """A python statement of the step's driver among the cycle body's C
+    statements: a per-lane fallback dispatch or a probe loop.  Each one
+    ends a C segment of the kernel."""
+
+
 class BatchEmitContext(EmitContext):
     """Code-generation context handed to ``emit_batched``.
 
-    An :class:`~repro.sysgen.compiled.EmitContext` whose port variables
-    hold ``(N,)`` int64 arrays, one lane per batched variant: the line
-    sinks, name helpers (``bind``/``fresh``/``tmp``) and port helpers
-    (``inp``/``out``/``lit``) are inherited unchanged.  Sequential
-    updates must be masked by :attr:`act` (boolean active-lane array).
+    An :class:`~repro.sysgen.compiled.EmitContext` whose statements are
+    C over one lane's scalars: the native kernel
+    (:mod:`repro.sysgen.ckernel`) runs them once per lane.  Every name
+    it hands out is the C local of that name: a port variable ``vK``,
+    a state, a parameter, a table or a temporary.  The line sinks and
+    name helpers (``tmp``/``out``) are inherited; a statement carries
+    no closing ``;``.  An unconnected input is an int64 literal
+    (``INT64_C(0)``), which :meth:`lit` still folds, so the fragments a
+    scalar ``emit`` writes (``& | ^ + - * ~ << >>``, comparisons,
+    integer literals) are C as they stand.  Sequential updates must be
+    masked by :attr:`act`, 1 on an active lane.
 
     It overrides each rendering verb once, so a block whose ``emit``
     uses only the verbs opts in with ``emit_batched = emit``:
 
     * :meth:`state_slot` — a lane array loaded from the clones' attribute
-    * :meth:`param` — the clones' parameter values as a bound lane vector
+    * :meth:`param` — the clones' parameter values as a constant lane
+      array
     * :meth:`drive` — the present masked to the active lanes
-    * :meth:`update` — the guarded update as a masked ``np.where``
-      chain, and the scalar register check over lane arrays
-    * :meth:`select` / :meth:`as_int` — ``np.where`` / ``.astype``
+    * :meth:`update` — the guarded update as a masked ternary chain,
+      and the scalar register check
+    * :meth:`select` / :meth:`as_int` — a ternary / ``(i64)(c)``
     * :meth:`busy_if` — 0/1 lane conditions, OR-ed into the busy bits
       at the end of the cycle body (a statement-form :meth:`horizon`
       has no lane rendering: the block counts as always busy)
@@ -191,27 +213,26 @@ class BatchEmitContext(EmitContext):
     pipeline stages, the FSL endpoints) state their ``busy_if`` rule
     from their tables and lane arrays, and use:
 
-    * :meth:`state` — a persistent ``(N,)`` lane array or ``(N, depth)``
-      lane table, (re)loadable from the per-lane clone blocks (a table
-      is read only as ``T[arange, i]`` and written only as
-      ``T[m, p[m]] = (v)[m]``), and
-      :meth:`write_back` — its inverse, one lane's clone at a time
+    * :meth:`state` / :meth:`table` — a persistent lane array or
+      ``(N, depth)`` lane table, (re)loadable from the per-lane clone
+      blocks, and :meth:`write_back` — its inverse, one lane's clone at
+      a time; :meth:`shared` — a read-only table every lane reads
+    * :meth:`cell` — a table's cell (the lane's own row of a lane
+      table), :meth:`scatter` — the masked write of one, :meth:`where`
+      — the ternary, :meth:`mod` — Python's floored ``%``
     * :meth:`lane_blocks` / :meth:`lane_ports` — the per-lane objects
       behind a template block / port: the lane's own, or the template's
       while the lane has no model
-    * :meth:`as_array` — force a possibly-literal expression to an
-      ``(N,)`` array (broadcast against the bound :attr:`zeros`)
     * :meth:`flag` — literal-folded guard conditions
-    * :attr:`act` / :attr:`lanes` — the mask array and active lane
-      index list (function arguments, fixed for one ``step`` call)
-    * :attr:`arange` — a bound ``np.arange(N)`` for fancy indexing
+
+    A per-lane fallback writes python lines instead (see
+    :class:`_Python`); only those see :attr:`lanes`, the active lane
+    index list, and the names :meth:`bind` gives.
     """
 
     def __init__(self, template: "Model", block_maps: list,
                  channels: list[dict], lane_model: Callable[[int], "Model"]):
         super().__init__(template)
-        # ``np`` leads the generated signatures, ahead of every binding
-        self.ns["np"] = np
         self.n = len(block_maps)
         #: per lane, block name -> the lane's own block (None: the lane
         #: has no model); :meth:`own_lane_blocks` fills it in
@@ -220,39 +241,67 @@ class BatchEmitContext(EmitContext):
         self.channels = channels
         self._lane_model = lane_model
         self.state_loaders: list[Callable[[], "np.ndarray"]] = []
-        #: state array name -> its index in the ``_S`` store
+        #: state name -> its index in the state store
         self.state_slots: dict[str, int] = {}
+        #: constant lane array or shared table name -> its array
+        self.consts: dict[str, "np.ndarray"] = {}
+        #: table name -> (cells per row, whether each lane has a row)
+        self.tables: dict[str, tuple[int, bool]] = {}
+        #: the names :meth:`tmp` gave
+        self.temps: set[str] = set()
         #: (block name, ``fn(clone, lane, get)``) per lane emitter: see
         #: :meth:`write_back`
         self.write_backs: list[tuple[str, Callable]] = []
         self.act = "_act"
         self.lanes = "_ln"
-        self.arange = self.bind(np.arange(self.n), "ar")
-        self.zeros = self.bind(np.zeros(self.n, np.int64), "zz")
         #: lane -> 1 when a fallback block's clock() rewrote an output
         #: in the lane's last step: the busy rules take that cycle's
         #: ports for the values its edge used, so the lane is busy
         self.moved = [0] * self.n
 
-    def as_array(self, expr: str) -> str:
-        """``expr`` broadcast to an ``(N,)`` int64 array (no-op values:
-        adding the bound zeros array)."""
-        if self.lit(expr) is None and expr.startswith("v"):
-            return expr  # already a port array
-        return f"(({expr}) + {self.zeros})"
+    def tmp(self) -> str:
+        name = super().tmp()
+        self.temps.add(name)
+        return name
 
-    # -- state slots -----------------------------------------------------
+    def inp(self, block: "Block", name: str) -> str:
+        port = block.inputs[name]
+        if port.source is None:
+            return f"INT64_C({port.default})"
+        return self.port_var(port.source)
+
+    @staticmethod
+    def lit(expr: str) -> int | None:
+        if expr.startswith("INT64_C(") and expr.endswith(")"):
+            expr = expr[len("INT64_C("):-1]
+        return EmitContext.lit(expr)
+
+    # -- state and tables ------------------------------------------------
     def state(self, loader: Callable[[], "np.ndarray"], hint: str = "st") -> str:
-        """A persistent state array: loaded from the ``_S`` store at
-        call entry; the native kernel updates it in place.
-        ``loader()`` rebuilds the array from the per-lane clone blocks
-        (used at construction and on :meth:`BatchedModel.reset`); it
-        outlives this context, so it must not refer to it."""
-        idx = len(self.state_loaders)
-        self.state_loaders.append(loader)
+        """A persistent ``(N,)`` int64 lane array, which the native
+        kernel updates in place.  ``loader()`` rebuilds it from the
+        per-lane clone blocks (at construction and on
+        :meth:`BatchedModel.reset`); it outlives this context, so it
+        must not refer to it."""
         name = self._fresh_name(f"_{hint}")
-        self.state_slots[name] = idx
-        self.entry(f"{name} = _S[{idx}]")
+        self.state_slots[name] = len(self.state_loaders)
+        self.state_loaders.append(loader)
+        return name
+
+    def table(self, loader: Callable[[], "np.ndarray"], depth: int,
+              hint: str = "tb") -> str:
+        """A persistent ``(N, depth)`` int64 lane table (see
+        :meth:`state`): each lane reads and writes only its own row,
+        through :meth:`cell` and :meth:`scatter`."""
+        name = self.state(loader, hint)
+        self.tables[name] = (depth, True)
+        return name
+
+    def shared(self, values: list[int], hint: str = "sh") -> str:
+        """A read-only table of ``values`` that every lane reads."""
+        name = self._fresh_name(f"_{hint}")
+        self.consts[name] = np.array(values, dtype=np.int64)
+        self.tables[name] = (len(values), False)
         return name
 
     def write_back(self, block: "Block",
@@ -285,6 +334,7 @@ class BatchEmitContext(EmitContext):
         return [b.outputs[port.name]
                 for b in self.lane_blocks(self.model.block(port.owner))]
 
+    # -- lane expressions --------------------------------------------------
     def flag(self, expr: str) -> str:
         """Condition string for ``(expr) & 1`` with literal folding:
         returns ``"1"``/``"0"`` for compile-time-constant guards."""
@@ -292,6 +342,31 @@ class BatchEmitContext(EmitContext):
         if v is not None:
             return "1" if v & 1 else "0"
         return f"((({expr}) & 1) > 0)"
+
+    def where(self, cond: str, a: str, b: str) -> str:
+        """``a`` where ``cond`` holds, else ``b``."""
+        return f"(({cond}) ? {a} : {b})"
+
+    def mod(self, a: str, b: str) -> str:
+        """Python's floored ``a % b`` (0 when ``b`` is 0)."""
+        return f"pymod({a}, {b})"
+
+    def cell(self, table: str, index: str | int) -> str:
+        """Cell ``index`` of ``table`` — of the lane's own row of a lane
+        table — with the index taken floored modulo the row length, so
+        the read stays in bounds."""
+        depth, per_lane = self.tables[table]
+        k = self.lit(str(index))
+        at = (str(k % depth) if k is not None
+              else f"(size_t){self.mod(index, f'INT64_C({depth})')}")
+        return f"{table}[_i * {depth} + {at}]" if per_lane \
+            else f"{table}[{at}]"
+
+    def scatter(self, table: str, mask: str, index: str | int,
+                value: str) -> str:
+        """The statement writing ``value`` to the lane's cell ``index``
+        of lane table ``table`` where ``mask`` holds."""
+        return f"if ({mask}) {self.cell(table, index)} = {value}"
 
     # -- rendering verbs -------------------------------------------------
     def state_slot(self, block: "Block", attr: str, hint: str = "st") -> str:
@@ -308,9 +383,11 @@ class BatchEmitContext(EmitContext):
         # snapshot at codegen time: values may vary per lane (a common
         # sweep axis); changing one after the batch is built is not
         # supported
-        return self.bind(
-            np.fromiter((getattr(b, attr) for b in self.lane_blocks(block)),
-                        np.int64, self.n), hint)
+        name = self._fresh_name(f"_{hint}")
+        self.consts[name] = np.fromiter(
+            (getattr(b, attr) for b in self.lane_blocks(block)),
+            np.int64, self.n)
+        return name
 
     def drive(self, out: str, expr: str) -> None:
         """Present ``out = expr`` for active lanes only.  Deactivated
@@ -318,7 +395,7 @@ class BatchEmitContext(EmitContext):
         (the scalar engine's value at the moment it stopped), so every
         sequential present is masked; combinational re-evaluation then
         reproduces the frozen values from these frozen inputs."""
-        self.present(f"{out} = np.where({self.act}, {expr}, {out})")
+        self.present(f"{out} = {self.act} ? ({expr}) : {out}")
 
     def update(self, q: str, state: str, rst: str, en: str,
                rst_val: str, en_val: str) -> None:
@@ -327,11 +404,11 @@ class BatchEmitContext(EmitContext):
             nxt = rst_val
         else:
             nxt = (state if eflag == "0" else f"({en_val})" if eflag == "1"
-                   else f"np.where({eflag}, {en_val}, {state})")
+                   else self.where(eflag, f"({en_val})", state))
             if rflag != "0":
-                nxt = f"np.where({rflag}, {rst_val}, {nxt})"
+                nxt = self.where(rflag, rst_val, nxt)
         if nxt != state:
-            self.clock(f"{state} = np.where({self.act}, {nxt}, {state})")
+            self.clock(f"{state} = {self.act} ? {nxt} : {state}")
         # the scalar check, after the edge: ``q`` shows the state from
         # before it.  A state the edge kept stays put at every later
         # edge with the same inputs, so busy is a state that moved.
@@ -344,10 +421,10 @@ class BatchEmitContext(EmitContext):
         self.busy_if("1")
 
     def select(self, cond: str, a: str, b: str, mask: int) -> str:
-        return f"np.where({cond}, {a} & {mask}, {b} & {mask})"
+        return self.where(cond, f"{a} & {mask}", f"{b} & {mask}")
 
     def as_int(self, cond: str) -> str:
-        return f"({cond}).astype(np.int64)"
+        return f"((i64)({cond}))"
 
 
 def _lane_blocks(block_maps: list, block: "Block") -> list["Block"]:
@@ -379,7 +456,7 @@ def _emit_fallback_batched(ctx: BatchEmitContext, block: "Block") -> None:
                     f"{var}[_l] = {pl}[_l].value; {mv}[_l] = 1")
 
     def loop(body: list[str], sink) -> None:
-        sink("\n".join([f"for _l in {ctx.lanes}:"] + body))
+        sink(_Python("\n".join([f"for _l in {ctx.lanes}:"] + body)))
 
     if block.sequential:
         loop([f"    {mv}[_l] = 0", f"    {clones}[_l].present()"] + reload,
@@ -482,8 +559,9 @@ class BatchedModel:
 
     def _lay_out(self, own: list, channels: list[dict]) -> None:
         """Generate the lockstep step over lanes ``own`` (a model or
-        None each) moving ``channels``, load its arrays from the lanes
-        and build the native kernel."""
+        None each) moving ``channels``, build its native kernel, then
+        load its arrays from the lanes: a batch whose kernel cannot be
+        built refuses before any channel adopts a row of its tables."""
         template = self.template
         #: the lanes' own models (None: not built yet)
         self.models = own
@@ -505,11 +583,7 @@ class BatchedModel:
         self.fallback_blocks: list[str] = []
         for block in list(template._seq) + list(template._schedule):
             ctx.block = block
-            # a combinational block fed only by literals would compute a
-            # python scalar where the schedule needs an (N,) array
-            literal_fed = (not block.sequential and block.inputs and all(
-                p.source is None for p in block.inputs.values()))
-            if literal_fed or not block.emit_batched(ctx):
+            if not block.emit_batched(ctx):
                 _emit_fallback_batched(ctx, block)
                 self.fallback_blocks.append(block.name)
 
@@ -522,37 +596,27 @@ class BatchedModel:
             port = probe.port
             if id(port) in ctx._port_var:
                 var = ctx.port_var(port)
-                ctx.probe_line(
-                    f"for _l in {ctx.lanes}: {ap}[_l](int({var}[_l]))"
-                )
+                ctx.probe_line(_Python(
+                    f"for _l in {ctx.lanes}: {ap}[_l](int({var}[_l]))"))
                 self._probe_sources.append((k, ctx._ports.index(port), None))
             else:  # probe on a port no block drives through the batch
                 pl = ctx.bind(ctx.lane_ports(port), "fp")
-                ctx.probe_line(
-                    f"for _l in {ctx.lanes}: {ap}[_l](int({pl}[_l].value))"
-                )
+                ctx.probe_line(_Python(
+                    f"for _l in {ctx.lanes}: {ap}[_l](int({pl}[_l].value))"))
                 self._probe_sources.append((k, None, ctx.lane_ports(port)))
 
         cycle_body = (ctx._present + ctx._evaluate + ctx._probe + ctx._clock
                       + self._busy_lines(ctx))
-
-        loads = [f"v{k} = _P[{k}]" for k in range(len(ctx._ports))]
-
-        models = ctx.bind(self._clocks, "lm")
-        ctx.ns["_P"] = self.port_store = [None] * len(ctx._ports)
-        ctx.ns["_S"] = self.state_store = [None] * len(ctx.state_loaders)
-
-        prologue = ctx._entry + loads
-        advance = [f"for _l in _ln: {models}[_l].cycle += _done"]
         self._ports = ctx._ports
         self._port_slots = {id(p): k for k, p in enumerate(ctx._ports)}
         self._state_loaders = ctx.state_loaders
         self._state_slots = ctx.state_slots
         self._write_backs = ctx.write_backs
         self._moved = ctx.moved
-        self.ckernel = None
+        self.port_store = [None] * len(ctx._ports)
+        self.state_store = [None] * len(ctx.state_loaders)
+        self._build_ckernel(ctx, cycle_body)
         self.sync_from_clones()
-        self._build_ckernel(ctx, cycle_body, prologue, advance)
 
     def _busy_lines(self, ctx: BatchEmitContext) -> list[str]:
         """The closing lines of the cycle body: each vectorized block's
@@ -576,37 +640,80 @@ class BatchedModel:
                 head = f"{acc} | " if lines else ""
                 lines.append(f"{acc} = {head}"
                              + " | ".join(f"({c})" for c in conds))
-        return lines + [f"{busy} = np.where({ctx.act}, "
-                        f"{acc if lines else 0}, {busy})"]
+        return lines + [f"{busy} = {ctx.act} ? {acc if lines else 0} "
+                        f": {busy}"]
 
-    def _build_ckernel(self, ctx: BatchEmitContext, cycle_body: list[str],
-                       prologue: list[str], advance: list[str]) -> None:
-        """Translate the cycle body into a compiled C kernel (see
-        :mod:`repro.sysgen.ckernel`) driven by ``step_c``.  A construct
-        outside the kernel's grammar, a missing ``gcc`` or a failed
-        compile raises :class:`BatchUnsupported`; a line that does not
-        parse is a block's bug and raises :class:`CompileError`."""
-        from repro.sysgen.ckernel import CUnsupported, build_step_kernel
+    def _build_ckernel(self, ctx: BatchEmitContext,
+                       cycle_body: list[str]) -> None:
+        """Compile the cycle body's C segments into the native kernel
+        (see :mod:`repro.sysgen.ckernel`) and generate its python
+        driver ``step_c``, which runs the segments and the python lines
+        between them in order.  A missing ``gcc`` or a failed compile
+        raises :class:`BatchUnsupported`.
 
+        The slots are the port arrays, then the states, then the
+        constant arrays and the scratch lane arrays.  A temporary that
+        two segments name is a scratch lane array, since one lane's
+        value must outlive its segment; every other one is a C local of
+        its segment."""
+        from repro.sysgen.ckernel import (
+            CUnsupported, Segment, build_step_kernel)
+
+        slot_of = {f"v{k}": k for k in range(len(self._ports))}
+        for name, k in ctx.state_slots.items():
+            slot_of[name] = len(self.port_store) + k
+        self._extra_arrays = []
+        for name, arr in ctx.consts.items():
+            slot_of[name] = len(slot_of)
+            self._extra_arrays.append(arr)
+        body: list[str] = []  # the driver: python lines, segment calls
+        runs: list[list[str]] = []  # each segment's C statements
+        for line in cycle_body:
+            if isinstance(line, _Python):
+                body.append(line)
+                continue
+            if not body or isinstance(body[-1], _Python):
+                body.append(f"_ck({len(runs)}, {ctx.act})")
+                runs.append([])
+            runs[-1].append(line)
+        named = [set("\n".join(lines).translate(_NAMES_ONLY).split())
+                 for lines in runs]
+        segs_of = Counter(t for names in named for t in names & ctx.temps)
+        for temp in sorted(t for t, segs in segs_of.items() if segs > 1):
+            slot_of[temp] = len(slot_of)
+            self._extra_arrays.append(np.zeros(self.n, dtype=np.int64))
+        segments = []
+        for lines, names in zip(runs, named):
+            lanes = sorted((v for v in names
+                            if v in slot_of and v not in ctx.tables),
+                           key=slot_of.get)
+            tables = sorted((v for v in names if v in ctx.tables),
+                            key=slot_of.get)
+            assigned = {line.partition(" = ")[0] for line in lines}
+            segments.append(Segment(
+                statements=tuple(lines),
+                lanes=tuple((v, slot_of[v]) for v in lanes),
+                stores=tuple(v for v in lanes if v in assigned),
+                tables=tuple((v, slot_of[v]) for v in tables),
+                locals=tuple(sorted((names & ctx.temps) - slot_of.keys()))))
+        shapes = [(self.n,)] * len(slot_of)
+        for table, (depth, per_lane) in ctx.tables.items():
+            shapes[slot_of[table]] = (self.n, depth) if per_lane else (depth,)
         name = self.template.name
         try:
-            self.ckernel, kbody = build_step_kernel(
-                self.n, cycle_body, self.port_store, self.state_store,
-                {f"v{k}": k for k in range(len(self._ports))},
-                self._state_slots, ctx.ns, ctx.act, ctx.arange, ctx.zeros)
+            self.ckernel = build_step_kernel(self.n, shapes, segments)
         except CUnsupported as exc:
             raise BatchUnsupported(
                 f"no C kernel for model {name!r}: {exc}") from None
-        except SyntaxError as exc:
-            raise CompileError(f"generated lockstep schedule for model "
-                               f"{name!r} does not compile: {exc}") from exc
+        models = ctx.bind(self._clocks, "lm")
         ns = dict(ctx.ns)
         ns["_ck"] = self.ckernel.runner()
-        body = [f"_ck({item}, {ctx.act})" if isinstance(item, int) else item
-                for item in kbody]
+        ns["_P"] = self.port_store
+        loads = [f"v{k} = _P[{k}]" for k in range(len(self._ports))]
+        advance = [f"for _l in _ln: {models}[_l].cycle += _done"]
         # the kernel works on the slot arrays in place: nothing to store
         source_c = "\n".join(function_frame(
-            "_step_c", ["_n", "_act", "_ln"], ns, prologue, body, advance))
+            "_step_c", ["_n", "_act", "_ln"], ns, loads, body, advance))
         # popped: a function left in its own namespace is a cycle
         self.step_c = exec_generated(
             source_c, f"<sysgen-batched-c:{name}x{self.n}>", ns,
@@ -614,7 +721,8 @@ class BatchedModel:
 
     def sync_from_clones(self) -> None:
         """(Re)build every port and state array from the lanes' blocks
-        — at construction, and after :meth:`reset`."""
+        — at construction, and after :meth:`reset` — and point the
+        kernel's slots at them."""
         template = {b.name: b for b in self.template.blocks}
         for k, port in enumerate(self._ports):
             self.port_store[k] = np.fromiter(
@@ -623,11 +731,8 @@ class BatchedModel:
                 np.int64, self.n)
         for k, loader in enumerate(self._state_loaders):
             self.state_store[k] = loader()
-        if self.ckernel is not None:
-            # re-point the kernel's slot table (ports, then states)
-            stores = self.port_store + self.state_store
-            self.ckernel.arrays[:len(stores)] = stores
-            self.ckernel._gen = -1
+        self.ckernel.point_at(self.port_store + self.state_store
+                              + self._extra_arrays)
 
     def lane_model(self, lane: int) -> "Model":
         """Lane ``lane``'s own model, built on the first request in a

@@ -154,8 +154,9 @@ class Block:
 
         An ``emit`` that states its step only through the context's
         rendering verbs (``state_slot``, ``param``, ``drive``,
-        ``update``, ``select``, ``as_int``), the port helpers and pure
-        elementwise arithmetic also serves the lockstep schedule: its
+        ``update``, ``select``, ``as_int``), the port helpers and
+        integer arithmetic that reads the same in C (``& | ^ + - * ~
+        << >>``, comparisons) also serves the lockstep schedule: its
         class opts in with ``emit_batched = emit`` (see
         :meth:`emit_batched`).
 
@@ -172,34 +173,35 @@ class Block:
         """Contribute vectorized source for this block to a lockstep
         batched schedule (see :mod:`repro.sysgen.batched`).
 
-        Same contract as :meth:`emit`, except every port variable holds
-        an ``(N,)`` int64 array (one lane per batched variant) and any
-        sequential state update must be masked by ``ctx.act`` so
-        inactive lanes stay frozen.  ``ctx`` is a
+        Same contract as :meth:`emit`, except the statements are C over
+        one lane's scalars (one lane per batched variant; no closing
+        ``;``), every unconnected input is an int64 literal, and any
+        sequential state update must be masked by ``ctx.act`` (1 on an
+        active lane) so inactive lanes stay frozen.  ``ctx`` is a
         :class:`~repro.sysgen.batched.BatchEmitContext`, which renders
-        every verb of :meth:`emit` as masked numpy — so a verb-only
-        ``emit`` is assigned here unchanged (``emit_batched = emit``).
-        Blocks whose lane state has another shape than their scalar
-        state (delay lines, FIFOs, RAMs, pipeline stages) write a
-        separate lane emitter with the vector helpers (``state``,
-        ``lane_blocks``/``lane_ports``, ``as_array``,
-        ``flag``) and register a ``write_back`` that writes one lane's
-        state into that lane's clone.  Lane state wider than one word is
-        an ``(N, depth)`` int64 table, read only by the gather
-        ``T[ctx.arange, i]`` and written only by the masked scatter
-        ``T[m, p[m]] = (v)[m]``: the native kernel translates exactly
-        these forms.  The idle rule is stated as in :meth:`emit`, with
-        0/1 lane conditions to ``ctx.busy_if``; a block whose
-        ``idle_horizon`` comes from another class is always busy.
+        every verb of :meth:`emit` as C — so a verb-only ``emit`` is
+        assigned here unchanged (``emit_batched = emit``).  Blocks whose
+        lane state has another shape than their scalar state (delay
+        lines, FIFOs, RAMs, pipeline stages) write a separate lane
+        emitter with the lane verbs: ``ctx.where(c, a, b)``,
+        ``ctx.mod(a, b)`` (Python's floored ``%``), ``ctx.flag`` and
+        ``ctx.lane_blocks``/``ctx.lane_ports``, and register a
+        ``write_back`` that writes one lane's state into that lane's
+        clone.  Lane state wider than one word is an ``(N, depth)``
+        int64 table (``ctx.table``), read by the gather
+        ``ctx.cell(T, i)`` and written by the masked statement
+        ``ctx.scatter(T, m, i, v)``; ``ctx.shared(values)`` is a
+        read-only table every lane reads through ``ctx.cell``.  The idle
+        rule is stated as in :meth:`emit`, with 0/1 lane conditions to
+        ``ctx.busy_if``; a block whose ``idle_horizon`` comes from
+        another class is always busy.
 
         The default returns False: the batch compiler then dispatches
         this block's interpreter methods per active lane on the
         per-lane clone objects — bit-identical with a scalar run, just
         not vectorized.  User blocks and the scalar-only standard
         blocks (gateways, the OPB register bank) keep it even when
-        they define :meth:`emit`.  A combinational block
-        whose inputs are all unconnected runs per lane too, whatever
-        it defines.
+        they define :meth:`emit`.
 
         Implementations must either emit the complete block and return
         True or emit nothing and return False — no partial output.

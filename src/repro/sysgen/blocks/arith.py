@@ -74,35 +74,34 @@ class _PipelinedBlock(Block):
     def _emit_compute(self, ctx) -> str | None:
         """Expression computing this block's (single) output value, or
         None to fall back to a bound ``_compute()`` call.  The lockstep
-        schedule evaluates the same text over (N,) int64 arrays, so it
-        is elementwise arithmetic and rendering verbs only (or None to
-        run the block per lane there)."""
+        schedule evaluates the same text as C over one int64 lane, so it
+        is integer arithmetic and rendering verbs only (or None to run
+        the block per lane there)."""
         return None
 
     def _emit_lane_compute(self, ctx) -> str | None:
-        """:meth:`_emit_compute` over int64 lanes (None: run per lane)."""
+        """:meth:`_emit_compute` over one int64 lane in C (None: run per
+        lane)."""
         return self._emit_compute(ctx)
 
     def emit_batched(self, ctx) -> bool:
         return self._emit_stages(ctx, self._emit_lane_compute(ctx))
 
     def _emit_stages(self, ctx, expr: str | None) -> bool:
-        """The lockstep form of :meth:`emit`: ``expr`` over (N,) arrays,
+        """The lockstep form of :meth:`emit`: ``expr`` over one lane,
         evaluated combinationally or through ``latency`` stage arrays
         (the shape of the stage storage differs from the scalar deque
         of dicts, so this stays a separate lane emitter)."""
-        if expr is None or (self.sequential and all(
-                p.source is None for p in self.inputs.values())):
-            # literal-fed stages would hold python scalars, not arrays
+        if expr is None:
             return False
         key = next(iter(self.outputs))
         out = ctx.out(self, key)
         if not self.sequential:
             ctx.evaluate(f"{out} = {expr}")
             return True
-        # latency-deep pipeline: per-stage (N,) value arrays plus a
-        # per-stage validity mask (the masked analogue of the deque of
-        # possibly-empty dicts) — inactive lanes neither pop nor push.
+        # latency-deep pipeline: per-stage value lane arrays plus a
+        # per-stage 0/1 validity array (the masked analogue of the deque
+        # of possibly-empty dicts) — inactive lanes neither pop nor push.
         lanes = ctx.lane_blocks(self)
         n = ctx.n
         vals, oks = [], []
@@ -113,7 +112,7 @@ class _PipelinedBlock(Block):
                 "pv"))
             oks.append(ctx.state(
                 lambda k=k: np.fromiter(
-                    (key in b._pipe[k] for b in lanes), np.bool_, n),
+                    (key in b._pipe[k] for b in lanes), np.int64, n),
                 "po"))
 
         def write_back(clone, lane, get):
@@ -124,13 +123,12 @@ class _PipelinedBlock(Block):
         ctx.write_back(self, write_back)
         act = ctx.act
         ctx.present(
-            f"{out} = np.where({act} & {oks[0]}, {vals[0]}, {out})")
+            f"{out} = {ctx.where(f'{act} & {oks[0]}', vals[0], out)}")
         for k in range(self.latency - 1):
-            ctx.clock(f"{vals[k]} = "
-                      f"np.where({act}, {vals[k + 1]}, {vals[k]})")
-            ctx.clock(f"{oks[k]} = np.where({act}, {oks[k + 1]}, {oks[k]})")
+            ctx.clock(f"{vals[k]} = {ctx.where(act, vals[k + 1], vals[k])}")
+            ctx.clock(f"{oks[k]} = {ctx.where(act, oks[k + 1], oks[k])}")
         last = self.latency - 1
-        ctx.clock(f"{vals[last]} = np.where({act}, {expr}, {vals[last]})")
+        ctx.clock(f"{vals[last]} = {ctx.where(act, expr, vals[last])}")
         ctx.clock(f"{oks[last]} = {oks[last]} | {act}")
         # the scalar rule: the entering value ``expr`` now sits in the
         # last stage of every active lane; busy unless every stage
@@ -388,7 +386,7 @@ class Shift(_PipelinedBlock):
     def _emit_lane_compute(self, ctx) -> str:
         # int64 lanes: pre-mask so shifted intermediates never exceed
         # ``width`` bits, and clamp shift counts below the word size
-        # (python bigints make the scalar forms safe; numpy does not).
+        # (python bigints make the scalar forms safe; C int64 does not).
         a = ctx.inp(self, "a")
         m = (1 << self.width) - 1
         if self.amount >= self.width and not (

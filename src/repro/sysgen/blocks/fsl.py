@@ -25,7 +25,7 @@ that table, so the lane's CPU, the fault injector and checkpoints read
 and write the very cells the vector endpoint does.  The present
 gathers the head word and the count; the edge updates head, count,
 ring word and counters with masked scatters — the FIFO ring idiom of
-:mod:`repro.sysgen.blocks.memory`, which the native kernel translates.
+:mod:`repro.sysgen.blocks.memory`.
 A lane whose endpoint or channel carries an event bus when the
 schedule is built, or has no channel, or a channel another endpoint
 also holds, makes the endpoint fall back per lane: the clones' own
@@ -70,23 +70,15 @@ def _lane_table(ctx, block) -> str | None:
     held = Counter(id(ch) for lane in ctx.channels for ch in lane.values())
     if any(held[id(ch)] > 1 for ch in channels):
         return None
+    width = max(row_width(ch.depth) for ch in channels)
 
     def load():
-        table = np.zeros(
-            (len(channels), max(row_width(ch.depth) for ch in channels)),
-            np.int64)
+        table = np.zeros((len(channels), width), np.int64)
         for lane, ch in enumerate(channels):
             ch.adopt(table[lane])
         return table
 
-    return ctx.state(load, "fq")
-
-
-def _edge(ctx, table: str, mask: str, col, value: str) -> None:
-    """At the edge, lanes in ``mask`` write ``value`` to cell ``col``
-    of their row (a masked scatter)."""
-    ctx.clock(f"{table}[{mask}, ({ctx.zeros} + {col})[{mask}]] = "
-              f"({value})[{mask}]")
+    return ctx.table(load, width, "fq")
 
 
 class _Endpoint(SeqBlock):
@@ -178,12 +170,11 @@ class FSLRead(_Endpoint):
         fq = _lane_table(ctx, self)
         if fq is None:
             return False
-        ar = ctx.arange
-        count = f"{fq}[{ar}, {COUNT}]"
-        head = f"{fq}[{ar}, {HEAD}]"
+        count, head = ctx.cell(fq, COUNT), ctx.cell(fq, HEAD)
         word = ctx.tmp()  # what FSLChannel.head() gives
-        ctx.present(f"{word} = np.where({count} > 0, "
-                    f"{fq}[{ar}, {RING} + {head}] | {1 << 33}, 0)")
+        ctx.present(f"{word} = " + ctx.where(
+            f"{count} > 0", f"{ctx.cell(fq, f'{RING} + {head}')} | {1 << 33}",
+            "0"))
         ctx.drive(ctx.out(self, "data"), f"{word} & {_MASK}")
         ctx.drive(ctx.out(self, "control"), f"({word} >> 32) & 1")
         exists = ctx.out(self, "exists")
@@ -195,10 +186,11 @@ class FSLRead(_Endpoint):
         pop = ctx.tmp()
         ctx.clock(f"{pop} = {ctx.act} & ({count} > 0)"
                   + ("" if rflag == "1" else f" & {rflag}"))
-        _edge(ctx, fq, pop, HEAD,
-              f"({head} + 1) % (2 * {fq}[{ar}, {DEPTH}])")
-        _edge(ctx, fq, pop, COUNT, f"{count} - 1")
-        _edge(ctx, fq, pop, POPPED, f"{fq}[{ar}, {POPPED}] + 1")
+        ctx.clock(ctx.scatter(fq, pop, HEAD, ctx.mod(
+            f"{head} + 1", f"2 * {ctx.cell(fq, DEPTH)}")))
+        ctx.clock(ctx.scatter(fq, pop, COUNT, f"{count} - 1"))
+        ctx.clock(ctx.scatter(fq, pop, POPPED,
+                              f"{ctx.cell(fq, POPPED)} + 1"))
         return True
 
     def idle_horizon(self) -> int:
@@ -272,32 +264,32 @@ class FSLWrite(_Endpoint):
         fq = _lane_table(ctx, self)
         if fq is None:
             return False
-        ar = ctx.arange
-        depth = f"{fq}[{ar}, {DEPTH}]"
+        depth = ctx.cell(fq, DEPTH)
         ctx.drive(ctx.out(self, "full"),
-                  ctx.as_int(f"{fq}[{ar}, {COUNT}] >= {depth}"))
+                  ctx.as_int(f"{ctx.cell(fq, COUNT)} >= {depth}"))
         wflag = ctx.flag(ctx.inp(self, "write"))
         if wflag == "0":
             return True
         ctx.busy_if(wflag)
         fire = ctx.act if wflag == "1" else f"{ctx.act} & {wflag}"
         count, ok, drop = ctx.tmp(), ctx.tmp(), ctx.tmp()
-        ctx.clock(f"{count} = {fq}[{ar}, {COUNT}]")
+        ctx.clock(f"{count} = {ctx.cell(fq, COUNT)}")
         ctx.clock(f"{ok} = {fire} & ({count} < {depth})")
         ctx.clock(f"{drop} = {fire} & ({count} >= {depth})")
-        word = ctx.as_array(
-            f"(({ctx.inp(self, 'data')}) & {_MASK})"
-            f" | ((({ctx.inp(self, 'control')}) & 1) << 32)")
-        _edge(ctx, fq, ok, f"{RING} + ({fq}[{ar}, {HEAD}] + {count})"
-              f" % (2 * {depth})", word)
-        _edge(ctx, fq, ok, COUNT, f"{count} + 1")
-        _edge(ctx, fq, ok, PUSHED, f"{fq}[{ar}, {PUSHED}] + 1")
-        peak = f"{fq}[{ar}, {MAX_OCCUPANCY}]"
-        _edge(ctx, fq, ok, MAX_OCCUPANCY,
-              f"np.where({count} >= {peak}, {count} + 1, {peak})")
-        _edge(ctx, fq, drop, PUSH_REJECTS, f"{fq}[{ar}, {PUSH_REJECTS}] + 1")
+        word = (f"(({ctx.inp(self, 'data')}) & {_MASK})"
+                f" | ((({ctx.inp(self, 'control')}) & 1) << 32)")
+        tail = ctx.mod(f"{ctx.cell(fq, HEAD)} + {count}", f"2 * {depth}")
+        ctx.clock(ctx.scatter(fq, ok, f"{RING} + {tail}", word))
+        ctx.clock(ctx.scatter(fq, ok, COUNT, f"{count} + 1"))
+        ctx.clock(ctx.scatter(fq, ok, PUSHED, f"{ctx.cell(fq, PUSHED)} + 1"))
+        peak = ctx.cell(fq, MAX_OCCUPANCY)
+        ctx.clock(ctx.scatter(fq, ok, MAX_OCCUPANCY, ctx.where(
+            f"{count} >= {peak}", f"{count} + 1", peak)))
+        ctx.clock(ctx.scatter(fq, drop, PUSH_REJECTS,
+                              f"{ctx.cell(fq, PUSH_REJECTS)} + 1"))
         dropped = ctx.state_slot(self, "dropped", "dr")
-        ctx.clock(f"{dropped} = np.where({drop}, {dropped} + 1, {dropped})")
+        ctx.clock(f"{dropped} = " + ctx.where(drop, f"{dropped} + 1",
+                                              dropped))
         return True
 
     def reset(self) -> None:

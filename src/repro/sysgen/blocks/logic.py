@@ -56,27 +56,24 @@ class Mux(CombBlock):
         out = ctx.out(self, "out")
         sel = ctx.inp(self, "sel")
         m = (1 << self.width) - 1
-        data = [ctx.inp(self, f"d{k}") for k in range(self.n)]
+        data = [f"({ctx.inp(self, f'd{k}')})" for k in range(self.n)]
         slit = ctx.lit(sel)
         if slit is not None:
-            d = data[slit % self.n]
-            if ctx.lit(d) is not None:
-                return False  # constant select of a constant input
-            ctx.evaluate(f"{out} = ({d}) & {m}")
+            ctx.evaluate(f"{out} = {data[slit % self.n]} & {m}")
             return True
         if self.n == 2:
-            ctx.evaluate(f"{out} = np.where(({sel}) & 1, "
-                         f"({data[1]}), ({data[0]})) & {m}")
+            pick = ctx.where(f"({sel}) & 1", data[1], data[0])
+            ctx.evaluate(f"{out} = {pick} & {m}")
             return True
         idx = ctx.tmp()
         if self.n & (self.n - 1) == 0:
             ctx.evaluate(f"{idx} = ({sel}) & {self.n - 1}")
         else:
-            ctx.evaluate(f"{idx} = ({sel}) % {self.n}")
-        acc = f"({data[0]})"
+            ctx.evaluate(f"{idx} = {ctx.mod(sel, self.n)}")
+        acc = data[0]
         for k in range(1, self.n):
-            acc = f"np.where({idx} == {k}, ({data[k]}), {acc})"
-        ctx.evaluate(f"{out} = ({acc}) & {m}")
+            acc = ctx.where(f"{idx} == {k}", data[k], acc)
+        ctx.evaluate(f"{out} = {acc} & {m}")
         return True
 
     def resources(self) -> Resources:

@@ -119,9 +119,9 @@ class Delay(SeqBlock):
         # the head.  The clone deques load at head 0.
         lanes = ctx.lane_blocks(self)
         n = self.n
-        line = ctx.state(
+        line = ctx.table(
             lambda: np.array([list(b._line) for b in lanes], dtype=np.int64),
-            "dl")
+            n, "dl")
         head = ctx.state(lambda: np.zeros(len(lanes), dtype=np.int64),
                          "dh")
 
@@ -132,20 +132,21 @@ class Delay(SeqBlock):
             clone._line.extend(row[first:] + row[:first])
 
         ctx.write_back(self, write_back)
-        ar, act = ctx.arange, ctx.act
+        act = ctx.act
         q = ctx.out(self, "q")
-        ctx.drive(q, f"{line}[{ar}, {head}]")
-        d = ctx.as_array(
-            f"({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}")
-        ctx.clock(f"{line}[{act}, {head}[{act}]] = ({d})[{act}]")
-        ctx.clock(f"{head} = np.where({act}, ({head} + 1) % {n}, {head})")
+        ctx.drive(q, ctx.cell(line, head))
+        ctx.clock(ctx.scatter(
+            line, act, head,
+            f"({ctx.inp(self, 'd')}) & {(1 << self.width) - 1}"))
+        ctx.clock(f"{head} = " + ctx.where(act, ctx.mod(f"{head} + 1", n),
+                                           head))
         # the scalar rule over the new line: busy unless ``q`` and every
         # word equal the oldest (``d`` is the newest word, so it is
         # among them)
         oldest = ctx.tmp()
-        ctx.clock(f"{oldest} = {line}[{ar}, {head}]")
+        ctx.clock(f"{oldest} = {ctx.cell(line, head)}")
         ctx.busy_if(f"{q} != {oldest}",
-                    *(f"{line}[{ar}, {i}] != {oldest}" for i in range(n)))
+                    *(f"{ctx.cell(line, i)} != {oldest}" for i in range(n)))
         return True
 
     def reset(self) -> None:
@@ -263,7 +264,7 @@ class FIFO(SeqBlock):
                     arr[lane, i] = v
             return arr
 
-        store = ctx.state(load_storage, "fs")
+        store = ctx.table(load_storage, depth, "fs")
         head = ctx.state(lambda: np.zeros(n, dtype=np.int64), "fh")
         cnt = ctx.state(
             lambda: np.fromiter((len(b._fifo) for b in lanes),
@@ -278,10 +279,8 @@ class FIFO(SeqBlock):
                         for i in range(int(get(cnt)[lane])))
 
         ctx.write_back(self, write_back)
-        ar = ctx.arange
-        ctx.drive(
-            ctx.out(self, "dout"),
-            f"np.where({cnt} > 0, {store}[{ar}, {head}], 0)")
+        ctx.drive(ctx.out(self, "dout"),
+                  ctx.where(f"{cnt} > 0", ctx.cell(store, head), "0"))
         ctx.drive(ctx.out(self, "empty"), ctx.as_int(f"{cnt} == 0"))
         ctx.drive(ctx.out(self, "full"), ctx.as_int(f"{cnt} >= {depth}"))
         ctx.drive(ctx.out(self, "count"), cnt)
@@ -296,19 +295,16 @@ class FIFO(SeqBlock):
                 else f"{act} & {popf} & ({cnt} > 0)"
             ctx.clock(f"{t_pop} = {guard}")
             ctx.clock(f"{after} = {cnt} - {t_pop}")
-            ctx.clock(f"{head} = "
-                      f"np.where({t_pop}, ({head} + 1) % {depth}, {head})")
+            ctx.clock(f"{head} = " + ctx.where(
+                t_pop, ctx.mod(f"{head} + 1", depth), head))
         if pushf != "0":
             t_push = ctx.tmp()
-            t_pos = ctx.tmp()
             guard = f"{act} & ({after} < {depth})" if pushf == "1" \
                 else f"{act} & {pushf} & ({after} < {depth})"
             ctx.clock(f"{t_push} = {guard}")
-            din = ctx.as_array(
-                f"({ctx.inp(self, 'din')}) & {(1 << self.width) - 1}")
-            ctx.clock(f"{t_pos} = ({head} + {after}) % {depth}")
-            ctx.clock(f"{store}[{t_push}, {t_pos}[{t_push}]] = "
-                      f"({din})[{t_push}]")
+            ctx.clock(ctx.scatter(
+                store, t_push, f"{head} + {after}",
+                f"({ctx.inp(self, 'din')}) & {(1 << self.width) - 1}"))
             ctx.clock(f"{cnt} = {after} + {t_push}")
         elif popf != "0":
             ctx.clock(f"{cnt} = {after}")
@@ -380,20 +376,18 @@ class ROM(CombBlock):
         return True
 
     def emit_batched(self, ctx) -> bool:
-        addr = ctx.inp(self, "addr")
         lanes = ctx.lane_blocks(self)
-        length = len(self.contents)
         # contents snapshot at codegen time (the table is a
-        # construction parameter; per-lane tables become a 2-D lookup)
+        # construction parameter): one table all lanes read when every
+        # lane has the same contents, else a row per lane
         if all(b.contents == self.contents for b in lanes):
-            rom = ctx.bind(np.array(self.contents, dtype=np.int64), "km")
-            ctx.evaluate(f"{ctx.out(self, 'data')} = "
-                         f"{rom}[({addr}) % {length}]")
+            rom = ctx.shared(self.contents, "km")
         else:
-            rom = ctx.bind(np.array([b.contents for b in lanes],
-                                    dtype=np.int64), "km")
-            ctx.evaluate(f"{ctx.out(self, 'data')} = "
-                         f"{rom}[{ctx.arange}, ({addr}) % {length}]")
+            rom = ctx.table(lambda: np.array(
+                [b.contents for b in lanes], dtype=np.int64),
+                len(self.contents), "km")
+        ctx.evaluate(f"{ctx.out(self, 'data')} = "
+                     f"{ctx.cell(rom, ctx.inp(self, 'addr'))}")
         return True
 
     def resources(self) -> Resources:
@@ -452,8 +446,9 @@ class RAM(SeqBlock):
 
     def emit_batched(self, ctx) -> bool:
         lanes = ctx.lane_blocks(self)
-        mem = ctx.state(
-            lambda: np.array([b._mem for b in lanes], dtype=np.int64), "rm")
+        mem = ctx.table(
+            lambda: np.array([b._mem for b in lanes], dtype=np.int64),
+            self.depth, "rm")
 
         def write_back(clone, lane, get):
             clone._mem[:] = get(mem)[lane].tolist()
@@ -463,18 +458,16 @@ class RAM(SeqBlock):
         ctx.drive(ctx.out(self, "dout"), rreg)
         act = ctx.act
         t = ctx.tmp()
-        addr = ctx.as_array(f"({ctx.inp(self, 'addr')}) % {self.depth}")
-        ctx.clock(f"{t} = {addr}")
+        ctx.clock(f"{t} = {ctx.mod(ctx.inp(self, 'addr'), self.depth)}")
         wef = ctx.flag(ctx.inp(self, "we"))
         if wef != "0":
             wm = ctx.tmp()
             ctx.clock(f"{wm} = {act}" if wef == "1"
                       else f"{wm} = {act} & {wef}")
-            din = ctx.as_array(
-                f"({ctx.inp(self, 'din')}) & {(1 << self.width) - 1}")
-            ctx.clock(f"{mem}[{wm}, {t}[{wm}]] = ({din})[{wm}]")
-        ctx.clock(f"{rreg} = "
-                  f"np.where({act}, {mem}[{ctx.arange}, {t}], {rreg})")
+            ctx.clock(ctx.scatter(
+                mem, wm, t,
+                f"({ctx.inp(self, 'din')}) & {(1 << self.width) - 1}"))
+        ctx.clock(f"{rreg} = " + ctx.where(act, ctx.cell(mem, t), rreg))
         # the scalar rule; the clock just loaded ``rreg`` from the word
         # at ``t``, so it matches that word on every active lane
         if wef != "0":

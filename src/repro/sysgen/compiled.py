@@ -45,9 +45,9 @@ gateway drives, OPB stores, fault injection poking ``port.value``,
 ``load_state`` — behaves exactly as under the interpreter.
 
 The lockstep batched engine (:mod:`repro.sysgen.batched`) generates
-its vector schedule with the same machinery: its context subclasses
-:class:`EmitContext` and renders the same verbs as masked numpy (so a
-block written with them has one ``emit`` for both engines),
+its lane schedule with the same machinery: its context subclasses
+:class:`EmitContext` and renders the same verbs as masked C over one
+lane (so a block written with them has one ``emit`` for both engines),
 :func:`function_frame` builds every generated function of both
 engines, and :func:`exec_generated` is the one compile site.
 It compiles each distinct generated source once per process: code
@@ -121,9 +121,9 @@ class EmitContext:
 
     Rendering verbs — scalar python here; the batched engine's
     :class:`~repro.sysgen.batched.BatchEmitContext` overrides each once
-    with masked numpy over ``(N,)`` lane arrays, so an ``emit`` written
-    with only these, the value helpers and elementwise arithmetic
-    serves both schedules:
+    with masked C over one lane's scalars, so an ``emit`` written with
+    only these, the value helpers and integer arithmetic serves both
+    schedules:
 
     * :meth:`state_slot` — block state cached in a local (lane array)
     * :meth:`param` — construction parameter: literal or per-call load

@@ -29,9 +29,10 @@ from repro.sysgen.blocks import (
 )
 from repro.sysgen.model import Model
 
-#: blocks the lockstep engine runs per lane: their inputs are all
-#: unconnected
-FOLDED_FALLBACK = ["negk", "logk", "romk"]
+#: blocks the lockstep engine runs per lane: none, since a block whose
+#: inputs are all unconnected (``negk``, ``logk``, ``romk``) computes
+#: over int64 literals in the C kernel like any other
+FOLDED_FALLBACK: list[str] = []
 
 
 def build_folded(value: int = 5, step: int = 1, init: int = 0) -> Model:

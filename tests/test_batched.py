@@ -21,7 +21,7 @@ from repro.sysgen.batched import (
     lockstep_signature,
 )
 from repro.sysgen.block import SeqBlock
-from repro.sysgen.compiled import CompileError, exec_generated
+from repro.sysgen.compiled import exec_generated
 from repro.sysgen.blocks.arith import Accumulator, Add, AddSub, Mult, Negate, Shift
 from repro.sysgen.blocks.control import Constant, Counter
 from repro.sysgen.blocks.logic import Concat, Inverter, Logical, Mux, Relational, Slice
@@ -259,15 +259,16 @@ def test_wide_ports_rejected():
 
 
 class BadScrambler(Scrambler):
-    """User block whose emit_batched() writes a line that does not
-    parse."""
+    """User block whose emit_batched() writes a statement that is not
+    C."""
 
     def emit_batched(self, ctx):
         ctx.clock(f"{ctx.out(self, 'q')} = np.where(")
         return True
 
 
-def test_unparsable_emit_batched_raises_compile_error():
+@needs_gcc
+def test_uncompilable_emit_batched_refuses_the_batch():
     def build():
         m = Model("badvec")
         c = m.add(Counter("c", width=8))
@@ -275,9 +276,10 @@ def test_unparsable_emit_batched_raises_compile_error():
         m.connect(c.o("q"), s.i("d"))
         return m
 
-    # a failed compile is never cached: every build raises again
+    # gcc's complaint names the model; every build refuses again
     for _ in range(2):
-        with pytest.raises(CompileError, match="model 'badvec'"):
+        with pytest.raises(BatchUnsupported,
+                           match="model 'badvec': gcc exited"):
             BatchedModel([build(), build()])
 
 
@@ -396,23 +398,28 @@ def _matmul(block: int) -> Model:
 PINNED_SOURCES = {
     (_cordic, 2): {
         "sysgen-compiled": "d9e96df2a11849c80cf27146720e29a92dcaf58e0dc934d9c66b21ced17ea8d0",
-        "sysgen-batched-c": "e93b0695f97cee562b1efbca6c87c45d4369dd2676843e76480c64622670e3a1",
+        "sysgen-batched-c": "7e0f1a59c4a61c5d5a114ac7c2d4ca5e4233ed7e3b193b48868c0f689226c33a",
+        "sysgen-c-kernel": "25f62cbc444d073385dd5310bf2513d20190ff91331c5175fe6a42efb0c18273",
     },
     (_cordic, 4): {
         "sysgen-compiled": "9050dd53d22c527dc6c9ac5b3bc26cf3f42a2273e49212a506a4d3eb8e3b6198",
-        "sysgen-batched-c": "7626a61d492974f3c6a9bc8ea96fea3d96414cfc61ca799e39f75ea4c351b66d",
+        "sysgen-batched-c": "cff9688da10ca2b232126957b9a842e716f8ba7c6b2f0d3e2e46c3af0b5ebaa3",
+        "sysgen-c-kernel": "8c7f917d517abdd84a95876b534a4f4764d82166141415a79e1c3d0de4f1fe43",
     },
     (_cordic, 8): {
         "sysgen-compiled": "bb32f76d232e7caf008428bce952f96f81eee5a41210dbc72340a8bd0a2e3c5f",
-        "sysgen-batched-c": "efa3932740539c2c97eb4d3824558dcea83289e7c66b6bc71e85544f9c9c2945",
+        "sysgen-batched-c": "ebb450ea51bb5a57160a281234bfb95580fb9de962dfea2170027c5709f98f32",
+        "sysgen-c-kernel": "c30321cf9bbc6e555fadf3cf2afcf4a9406e010961c6a88569dd290981f6c8cd",
     },
     (_matmul, 2): {
         "sysgen-compiled": "e1b106d2edd9545a60ebe53820f2389e6b21643d63d60d7537fdfd8a70dde55c",
-        "sysgen-batched-c": "18e530b79f3b662ffeb361466dbe96cc266da793c3f97ab70921a3c7e5ad20a2",
+        "sysgen-batched-c": "6a4ef51ee6bab18ac2bb5ca858edb1d47abdbae5d955896167b5056ecdaa6180",
+        "sysgen-c-kernel": "a7c86e7a48db871af904b2cb28f29d5330f7631998eea54fc2246e5866d818c8",
     },
     (_matmul, 4): {
         "sysgen-compiled": "4fc5dbd2af3ac03a7ec8a461c7dbb9725f382c2cc68db8bd0b320b8a279bedbc",
-        "sysgen-batched-c": "269d3c99727fabb0ff5277a38482357052093feac42897f64d8f3908f53b5f6a",
+        "sysgen-batched-c": "b659a1c54a9f53957b113f92e9eef2b8d29c20e130884515b6f34c37ecd67544",
+        "sysgen-c-kernel": "28a04eaa3bd1cd172094625db7f42b578b3f7172df871fb5861393a1954a9c01",
     },
 }
 
@@ -421,7 +428,7 @@ PINNED_SOURCES = {
 @pytest.mark.parametrize("build,param", list(PINNED_SOURCES))
 def test_generated_source_is_deterministic(monkeypatch, build, param):
     """Two builds of one design from fresh hardware emit byte-identical
-    scalar and C-driver sources, so the second build compiles
+    scalar, C-driver and C-kernel sources, so the second build compiles
     nothing.  An emitter that embeds an ``id()`` or iterates a set
     would silently defeat the code cache.
 
@@ -449,15 +456,16 @@ def test_generated_source_is_deterministic(monkeypatch, build, param):
                         recording_exec)
     monkeypatch.setattr(builtins, "compile", counting_compile)
     build(param).compile()
-    BatchedModel([build(param), build(param)])
-    first = list(sources)
+    batch = BatchedModel([build(param), build(param)])
+    first = sources + [("<sysgen-c-kernel", batch.ckernel.source)]
     sources.clear()
     compiles.clear()
     build(param).compile()
-    BatchedModel([build(param), build(param)])
-    second = list(sources)
+    batch = BatchedModel([build(param), build(param)])
+    second = sources + [("<sysgen-c-kernel", batch.ckernel.source)]
     kinds = {name.partition(":")[0] for name, _ in first}
-    assert kinds == {"<sysgen-compiled", "<sysgen-batched-c"}
+    assert kinds == {"<sysgen-compiled", "<sysgen-batched-c",
+                     "<sysgen-c-kernel"}
     assert second == first
     assert compiles == []
     pins = PINNED_SOURCES[(build, param)]

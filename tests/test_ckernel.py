@@ -21,7 +21,6 @@
 
 from __future__ import annotations
 
-import ast
 import os
 import subprocess
 import sys
@@ -33,11 +32,12 @@ np = pytest.importorskip("numpy")
 
 from repro.conformance.scenario import ScenarioGenerator, build_model
 from repro.sysgen.batched import BatchedModel, BatchUnsupported
+from repro.sysgen.block import CombBlock, SeqBlock
+from repro.sysgen.blocks.arith import Add, AddSub, Shift
 from repro.sysgen.blocks.control import Constant, Counter
-from repro.sysgen.blocks.logic import Relational, Slice
-from repro.sysgen.blocks.memory import FIFO, RAM, ROM, Delay
+from repro.sysgen.blocks.logic import Concat, Mux, Relational, Slice
+from repro.sysgen.blocks.memory import FIFO, RAM, ROM, Delay, Register
 from repro.sysgen import ckernel
-from repro.sysgen.ckernel import build_step_kernel
 from repro.sysgen.model import Model
 from tests.conftest import needs_gcc
 from tests.test_batched import PINNED_SOURCES
@@ -101,33 +101,40 @@ def test_shared_rom_as_long_as_the_batch_builds_a_kernel(words):
         assert model.probes[0].samples == ref.probes[0].samples
 
 
-def _spy_translation(monkeypatch) -> dict[str, int]:
-    calls = {"parse": 0, "gcc": 0}
-    parse, compile_ = ast.parse, ckernel._compile
+@needs_gcc
+def test_a_slot_array_of_another_layout_is_refused():
+    # the kernel addresses cells directly: it takes only contiguous
+    # int64 arrays of its slots' shapes
+    batch = BatchedModel([build_rom(4) for _ in range(2)])
+    arrays = list(batch.ckernel.arrays)
+    for wrong in (arrays[0].astype(np.int32), np.zeros(3, np.int64),
+                  np.zeros(4, np.int64)[::2]):
+        with pytest.raises(ValueError, match="int64"):
+            batch.ckernel.point_at(arrays[:1] + [wrong] + arrays[2:])
 
-    def counting_parse(*args, **kwargs):
-        calls["parse"] += 1
-        return parse(*args, **kwargs)
 
-    def counting_compile(*args, **kwargs):
-        calls["gcc"] += 1
-        return compile_(*args, **kwargs)
+def _count_gcc(monkeypatch) -> list[str]:
+    """The source hash of every library ``gcc`` builds from now on."""
+    builds: list[str] = []
+    compile_ = ckernel._compile
 
-    monkeypatch.setattr(ast, "parse", counting_parse)
+    def counting_compile(source, key):
+        builds.append(key)
+        return compile_(source, key)
+
     monkeypatch.setattr(ckernel, "_compile", counting_compile)
-    return calls
+    return builds
 
 
 @needs_gcc
-def test_rebuilt_batch_reuses_the_translation_with_its_own_arrays(
-        monkeypatch):
-    # Equal contents length, so equal cycle bodies: the second batch
-    # reuses the translation and must read its own (shared) ROM table.
+def test_rebuilt_batch_runs_no_gcc_and_reads_its_own_arrays(monkeypatch):
+    # Equal contents length, so equal C sources: the second batch loads
+    # the first one's library and must read its own (shared) ROM table.
     first, second = [5, 9, 13, 17, 21], [2, 4, 6, 8, 10]
     BatchedModel([build_rom_of(first) for _ in range(3)])
-    calls = _spy_translation(monkeypatch)
+    builds = _count_gcc(monkeypatch)
     batch = BatchedModel([build_rom_of(second) for _ in range(3)])
-    assert calls == {"parse": 0, "gcc": 0}
+    assert builds == []
     ref = build_rom_of(second)
     ref.step(12)
     batch.step(12)
@@ -136,45 +143,117 @@ def test_rebuilt_batch_reuses_the_translation_with_its_own_arrays(
     # the library cache alone holds compiled code: clearing it pays gcc
     ckernel._LIB_CACHE.clear()
     BatchedModel([build_rom_of(second) for _ in range(3)])
-    assert calls == {"parse": 0, "gcc": 1}
+    assert len(builds) == 1
+
+
+def build_offset(offset: int) -> Model:
+    """A counter plus ``offset``, an unconnected input's default that
+    the C source holds as a literal."""
+    m = Model("offset")
+    cnt = m.add(Counter("cnt", width=8))
+    add = m.add(Add("add", width=8))
+    add.inputs["b"].default = offset
+    m.connect(cnt.o("q"), add.i("a"))
+    m.probe(add.o("s"))
+    return m
 
 
 @needs_gcc
-def test_translation_is_redone_when_an_inlined_constant_changes():
-    n = 4
-    act = np.ones(n, dtype=np.bool_)
-    for k in (3, 5, 3):
-        ports = [np.arange(n, dtype=np.int64)]
-        kernel, body = build_step_kernel(
-            n, ["v0 = v0 + K"], ports, [], {"v0": 0}, {},
-            {"K": k}, "_act", "_ar", "_z")
-        assert body == [0]
-        kernel.runner()(0, act)
-        assert ports[0].tolist() == [k + i for i in range(n)]
+def test_a_changed_constant_gives_the_right_lanes(monkeypatch):
+    builds = _count_gcc(monkeypatch)
+    for offset in (3, 5, 3):
+        ref = build_offset(offset)
+        ref.step(6)
+        batch = BatchedModel([build_offset(offset) for _ in range(2)])
+        batch.step(6)
+        for model in batch.models:
+            assert model.probes[0].samples == ref.probes[0].samples
+    # one library per literal: the second offset 3 reuses the first's
+    assert len(builds) == len(set(builds)) == 2
+
+
+class Doubler(SeqBlock):
+    """``q`` presents the state; the edge stores ``2 * state + 1 + d``.
+    Its lane emitter computes ``2 * state + 1`` into a temporary at the
+    present and reads it at the edge, so a python line (the probe loop)
+    sits between the two, and another temporary that only the present
+    names."""
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.add_input("d")
+        self.add_output("q", 8)
+        self._state = 0
+        self.temps: tuple[str, str] = ("", "")
+
+    def present(self) -> None:
+        self.outputs["q"].value = self._state
+
+    def clock(self) -> None:
+        self._state = (2 * self._state + 1 + self.in_value("d")) & 0xFF
+
+    def emit_batched(self, ctx) -> bool:
+        st = ctx.state_slot(self, "_state", "db")
+        across, local = ctx.tmp(), ctx.tmp()
+        self.temps = (across, local)
+        ctx.present(f"{local} = 2 * {st}")
+        ctx.present(f"{across} = {local} + 1")
+        ctx.drive(ctx.out(self, "q"), st)
+        ctx.clock(f"{st} = {ctx.act} ? ({across} + "
+                  f"{ctx.inp(self, 'd')}) & 255 : {st}")
+        return True
+
+
+def build_doubler() -> Model:
+    m = Model("doubler")
+    cnt = m.add(Counter("cnt", width=8))
+    dbl = m.add(Doubler("dbl"))
+    m.connect(cnt.o("q"), dbl.i("d"))
+    m.probe(dbl.o("q"))
+    return m
 
 
 @needs_gcc
-def test_temporaries_only_carry_lane_arrays_across_segments():
-    # A temporary only its own segment names is a C local; one that a
-    # later segment reads, after a python line, keeps a lane array.
-    n = 3
-    act = np.ones(n, dtype=np.bool_)
-    ports = [np.arange(n, dtype=np.int64), np.zeros(n, np.int64)]
-    kernel, body = build_step_kernel(
-        n, ["_t1 = v0 + 1", "_t2 = _t1 * 2", "for _l in _ln: pass",
-            "v1 = _t2 + _t1 * 0"], ports, [], {"v0": 0, "v1": 1}, {}, {},
-        "_act", "_ar", "_z")
-    assert body == [0, "for _l in _ln: pass", 1]
-    assert len(kernel.arrays) == 2 + 2  # both read in segment 1
-    kernel, body = build_step_kernel(
-        n, ["_t1 = v0 + 1", "_t2 = _t1 * 2", "for _l in _ln: pass",
-            "v1 = _t2"], ports, [], {"v0": 0, "v1": 1}, {}, {},
-        "_act", "_ar", "_z")
-    assert len(kernel.arrays) == 2 + 1 and "i64 _s0;" in kernel.source
-    run = kernel.runner()
-    run(0, act)
-    run(1, act)
-    assert ports[1].tolist() == [2, 4, 6]
+def test_a_temporary_read_across_a_python_line_is_a_lane_array():
+    ref = build_doubler()
+    ref.step(10)
+    batch = BatchedModel([build_doubler() for _ in range(3)])
+    across, local = batch.template.block("dbl").temps
+    source = batch.ckernel.source
+    assert batch.ckernel.seg_count == 2
+    assert f"i64 {local};" in source  # a C local of its one segment
+    assert f"i64 {across};" not in source
+    assert f"[_i] = {across};" in source  # stored in its lane array
+    batch.step(10)
+    for model in batch.models:
+        assert model.probes[0].samples == ref.probes[0].samples
+
+
+class OverShift(CombBlock):
+    """Emits ``1 << 40`` on a C ``int``: undefined behaviour."""
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.add_input("a")
+        self.add_output("out", 8)
+
+    def emit_batched(self, ctx) -> bool:
+        ctx.evaluate(f"{ctx.out(self, 'out')} = "
+                     f"({ctx.inp(self, 'a')} + (1 << 40)) & 255")
+        return True
+
+
+@needs_gcc
+def test_an_over_wide_shift_refuses_the_batch():
+    def build():
+        m = Model("overshift")
+        cnt = m.add(Counter("cnt", width=8))
+        shl = m.add(OverShift("shl"))
+        m.connect(cnt.o("q"), shl.i("a"))
+        return m
+
+    with pytest.raises(BatchUnsupported, match="shift-count-overflow"):
+        BatchedModel([build(), build()])
 
 
 def build_tables(step: int = 1, limit: int = 40, rom_base: int = 3) -> Model:
@@ -228,6 +307,76 @@ TABLE_PARAMS = [
     {"step": 5, "limit": 90, "rom_base": 11},
 ]
 
+
+def build_zoo(step: int = 1, value: int = 9, init: int = 0,
+              rom_base: int = 3) -> Model:
+    """The other lane emitters and the literal cases: muxes of two,
+    three and four inputs, one of them on literals alone; a concat and
+    two shifts; a two-stage AddSub; a register fed only literals; a
+    ROM with per-lane contents and one with the same contents on every
+    lane; a delay line, a FIFO with guarded pop and push, and a RAM."""
+    m = Model("zoo")
+    cnt = m.add(Counter("cnt", width=8, step=step))
+    k = m.add(Constant("k", value, width=8))
+    bit0, bit1 = m.add(Slice("bit0", 0, 0)), m.add(Slice("bit1", 1, 1))
+    sel = m.add(Slice("sel", 1, 0))
+    for s in (bit0, bit1, sel):
+        m.connect(cnt.o("q"), s.i("a"))
+    mux2 = m.add(Mux("mux2", width=8, n=2))
+    m.connect(bit0.o("out"), mux2.i("sel"))
+    m.connect(cnt.o("q"), mux2.i("d0"))
+    m.connect(k.o("out"), mux2.i("d1"))
+    mux3 = m.add(Mux("mux3", width=8, n=3))
+    mux4 = m.add(Mux("mux4", width=8, n=4))
+    for mux in (mux3, mux4):
+        m.connect(sel.o("out"), mux.i("sel"))
+        for i, src in enumerate((cnt, k, mux2, mux3)[:mux.n]):
+            m.connect(src.o("out" if src is not cnt else "q"),
+                      mux.i(f"d{i}"))
+    muxk = m.add(Mux("muxk", width=8, n=3))  # every input a literal
+    muxk.inputs["sel"].default = 1
+    muxk.inputs["d1"].default = 77
+    cat = m.add(Concat("cat", [3, 5]))
+    m.connect(sel.o("out"), cat.i("d0"))
+    m.connect(mux4.o("out"), cat.i("d1"))
+    shl = m.add(Shift("shl", width=8, amount=2, direction="left"))
+    m.connect(cat.o("out"), shl.i("a"))
+    shr = m.add(Shift("shr", width=8, amount=3, direction="right"))
+    m.connect(mux3.o("out"), shr.i("a"))
+    addsub = m.add(AddSub("addsub", width=8, latency=2))
+    m.connect(shl.o("s"), addsub.i("a"))
+    m.connect(shr.o("s"), addsub.i("b"))
+    m.connect(bit0.o("out"), addsub.i("sub"))
+    reg = m.add(Register("reg", width=8, init=init))  # literal-fed
+    romp = m.add(ROM("romp", [rom_base * i + 1 for i in range(6)], width=8))
+    m.connect(mux4.o("out"), romp.i("addr"))
+    roms = m.add(ROM("roms", [9, 2, 7, 4, 5], width=8))
+    m.connect(addsub.o("s"), roms.i("addr"))
+    dly = m.add(Delay("dly", width=8, n=2))
+    m.connect(roms.o("data"), dly.i("d"))
+    fifo = m.add(FIFO("fifo", width=8, depth=2))
+    m.connect(romp.o("data"), fifo.i("din"))
+    m.connect(bit0.o("out"), fifo.i("push"))
+    m.connect(bit1.o("out"), fifo.i("pop"))
+    ram = m.add(RAM("ram", depth=4, width=8))
+    m.connect(sel.o("out"), ram.i("addr"))
+    m.connect(addsub.o("s"), ram.i("din"))
+    m.connect(bit1.o("out"), ram.i("we"))
+    for ref in (mux2.o("out"), mux3.o("out"), mux4.o("out"),
+                muxk.o("out"), cat.o("out"), shl.o("s"), shr.o("s"),
+                addsub.o("s"), reg.o("q"), romp.o("data"), roms.o("data"),
+                dly.o("q"), fifo.o("dout"), fifo.o("count"), ram.o("dout")):
+        m.probe(ref)
+    return m
+
+
+ZOO_PARAMS = [
+    {"step": 1, "value": 9, "init": 0, "rom_base": 3},
+    {"step": 3, "value": 200, "init": 17, "rom_base": 5},
+    {"step": 5, "value": 0, "init": 255, "rom_base": 3},
+    {"step": 7, "value": 31, "init": 4, "rom_base": 11},
+]
+
 #: (lane, freeze at batch cycle, thaw at batch cycle)
 FREEZES = [(1, 10, 34), (2, 25, 61), (3, 0, 7)]
 CYCLES = 80
@@ -240,30 +389,42 @@ def _state_rows(batch, lane: int) -> list:
 @needs_gcc
 @pytest.mark.parametrize("engine", ["c"])
 def test_lane_tables_match_scalar_across_freezes(engine):
-    batch = BatchedModel([build_tables(**p) for p in TABLE_PARAMS])
-    assert batch.fallback_blocks == []
-    frozen_rows = {}
-    for cycle in range(CYCLES):
-        for lane, stop, go in FREEZES:
-            if cycle == stop:
-                batch.deactivate(lane)
-                frozen_rows[lane] = _state_rows(batch, lane)
-            if cycle == go:
-                # no masked update — the tables' scatters included —
-                # wrote the lane while it was frozen
-                assert _state_rows(batch, lane) == frozen_rows.pop(lane)
-                batch.activate(lane)
-        batch.step(1)
-    for lane, params in enumerate(TABLE_PARAMS):
-        frozen = sum(go - stop for ln, stop, go in FREEZES if ln == lane)
-        ref = build_tables(**params)
-        ref.step(CYCLES - frozen)
-        batch.write_back(lane)
-        assert batch.models[lane].state_dict() == ref.state_dict(), lane
+    # the lane tables, then every other lane emitter (the block zoo)
+    batches = {}
+    for build, lane_params in ((build_tables, TABLE_PARAMS),
+                               (build_zoo, ZOO_PARAMS)):
+        batch = BatchedModel([build(**p) for p in lane_params])
+        assert batch.fallback_blocks == []
+        frozen_rows = {}
+        for cycle in range(CYCLES):
+            for lane, stop, go in FREEZES:
+                if cycle == stop:
+                    batch.deactivate(lane)
+                    frozen_rows[lane] = _state_rows(batch, lane)
+                if cycle == go:
+                    # no masked update — the tables' scatters included —
+                    # wrote the lane while it was frozen
+                    assert _state_rows(batch, lane) == frozen_rows.pop(lane)
+                    batch.activate(lane)
+            batch.step(1)
+        for lane, params in enumerate(lane_params):
+            frozen = sum(go - stop for ln, stop, go in FREEZES if ln == lane)
+            ref = build(**params)
+            ref.step(CYCLES - frozen)
+            batch.write_back(lane)
+            model = batch.models[lane]
+            assert model.state_dict() == ref.state_dict(), lane
+            for got, want in zip(model.probes, ref.probes):
+                assert got.samples == want.samples, (lane, want.name)
+        batches[build] = batch
     # the FIFO filled up, and the lanes' ROMs answered differently
+    batch = batches[build_tables]
     samples = [p.samples for m in batch.models for p in m.probes]
     assert any(1 in s for s in samples[5::9])  # fifo.full
     assert len({tuple(m.probes[8].samples[:8]) for m in batch.models}) > 1
+    # one ROM of the zoo is a shared table, the other has lane rows
+    source = batches[build_zoo].ckernel.source
+    assert "[_i * 6 + " in source and "[_i * 5 + " not in source
 
 
 SCRIPT = textwrap.dedent("""

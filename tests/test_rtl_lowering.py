@@ -140,3 +140,83 @@ class TestParActuals:
         a2 = peripheral_actual(build_cordic_model(2)[0])
         a4 = peripheral_actual(build_cordic_model(4)[0])
         assert a4.slices > a2.slices
+
+
+def build_rtl_zoo():
+    """The blocks the application designs never lower: ``Negate``,
+    ``Concat``, ``Convert``, ``ROM``, ``RAM`` and ``FIFO`` (pop and
+    push guarded), fed by a free-running counter."""
+    from repro.sysgen.blocks import (
+        FIFO, RAM, ROM, Concat, Convert, Counter, Negate, Slice)
+    from repro.sysgen.model import Model
+
+    m = Model("rtl_zoo")
+    cnt = m.add(Counter("cnt", width=8))
+    low = m.add(Slice("low", 2, 0))
+    bit0, bit2 = m.add(Slice("bit0", 0, 0)), m.add(Slice("bit2", 2, 2))
+    for s in (low, bit0, bit2):
+        m.connect(cnt.o("q"), s.i("a"))
+    neg = m.add(Negate("neg", width=8))
+    m.connect(cnt.o("q"), neg.i("a"))
+    cat = m.add(Concat("cat", [3, 5]))
+    m.connect(low.o("out"), cat.i("d0"))
+    m.connect(neg.o("n"), cat.i("d1"))
+    conv = m.add(Convert("conv", 8, 4, 6, 2))
+    m.connect(neg.o("n"), conv.i("in"))
+    rom = m.add(ROM("rom", [5 * i * i + 3 for i in range(6)], width=8))
+    m.connect(cnt.o("q"), rom.i("addr"))
+    ram = m.add(RAM("ram", depth=8, width=8))
+    m.connect(low.o("out"), ram.i("addr"))
+    m.connect(cat.o("out"), ram.i("din"))
+    m.connect(bit2.o("out"), ram.i("we"))
+    fifo = m.add(FIFO("fifo", width=8, depth=3))
+    m.connect(cat.o("out"), fifo.i("din"))
+    m.connect(bit0.o("out"), fifo.i("push"))
+    m.connect(bit2.o("out"), fifo.i("pop"))
+    for ref in (neg.o("n"), cat.o("out"), conv.o("out"), rom.o("data"),
+                ram.o("dout"), fifo.o("dout"), fifo.o("empty"),
+                fifo.o("full"), fifo.o("count")):
+        m.probe(ref)
+    return m
+
+
+def _bus_value(bus) -> int:
+    return sum((bit.value & 1) << i for i, bit in enumerate(bus))
+
+
+def _rtl_zoo_traces(cycles: int):
+    """Per probe, the interpreter's samples and the lowered netlist's
+    values at the same cycles (before each rising edge)."""
+    ref = build_rtl_zoo()
+    ref.set_engine("interpreter")
+    ref.step(cycles)
+    model = build_rtl_zoo()
+    kernel = Kernel()
+    clk = kernel.add_clock("clk", CLOCK_PERIOD)
+    lowered = lower_model(model, kernel, clk)
+    buses = [lowered.bus_of(p.port) for p in model.probes]
+    rtl = [[] for _ in buses]
+    kernel.run(0)
+    for _ in range(cycles):
+        for trace, bus in zip(rtl, buses):
+            trace.append(_bus_value(bus))
+        kernel.run(CLOCK_PERIOD)
+    return {p.name: (p.samples, trace) for p, trace in zip(ref.probes, rtl)}
+
+
+# The ROM lowering keeps only the address bits that index its contents
+# (3 of them for 6 words) before taking the address modulo the length,
+# so from cycle 8 on (address 8: 8 % 6 = 2, but 8 & 7 = 0) it reads
+# another word than the interpreter does.
+ROM_ADDRESS_TRUNCATED = pytest.mark.xfail(
+    strict=True, reason="the ROM lowering truncates the address before "
+                        "its modulo; first differs at cycle 8")
+
+
+@pytest.mark.parametrize("probe", [
+    "neg.n", "cat.out", "conv.out",
+    pytest.param("rom.data", marks=ROM_ADDRESS_TRUNCATED),
+    "ram.dout", "fifo.dout", "fifo.empty", "fifo.full", "fifo.count"])
+def test_rtl_zoo_matches_the_interpreter_cycle_by_cycle(probe):
+    want, got = _rtl_zoo_traces(40)[probe]
+    assert got == want

@@ -114,3 +114,18 @@ def test_a_batched_sweep_runs_every_point_on_the_scalar_path(
     assert all("gcc" in message for message in refusals), refusals
     # a refused batch leaves its points' models on the compiled engine
     assert engines == [None] + ["compiled"] * 5
+
+
+def test_a_refused_batch_leaves_every_channel_its_own_row(refusals):
+    # The kernel is built before the lanes' channels adopt rows of the
+    # batch's FSL lane tables, so a refused batch moves no channel.
+    from repro.faults.campaign import build_design
+
+    design = build_design("cordic", {"p": 2, "iters": 8, "ndata": 4})
+    models = [design.fresh_hardware()[0] for _ in range(3)]
+    channels = [b.channel for m in models for b in m.blocks
+                if hasattr(b, "channel")]
+    assert channels
+    with pytest.raises(BatchUnsupported, match="gcc"):
+        BatchedModel(models)
+    assert all(type(ch._row) is list for ch in channels)
